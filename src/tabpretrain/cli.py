@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import xml.dom.minidom
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -186,9 +187,7 @@ def cmd_run(args) -> int:
         split_seed = methods.derive_seed(base_seed, dataset_id, trial)
         dataset, splits = process_csv(cfg["dataset"], schema, split_seed, cfg["scaling"])
         seed = methods.derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
-        import time as _time
-
-        start = _time.time()
+        start = time.time()
         try:
             res = methods.run_method(method, dataset, splits, setting, seed, hp)
         except Exception as exc:  # per-trial failures logged, sweep continues
@@ -198,7 +197,7 @@ def cmd_run(args) -> int:
             return
         run = stats.MethodRun(
             dataset_id, method, trial, seed, setting, res["test_accuracy"],
-            res["epochs_used"], res["pretrain_epochs"], _time.time() - start,
+            res["epochs_used"], res["pretrain_epochs"], time.time() - start,
         )
         with lock:
             stats.append_run(results_path, run)

@@ -38,13 +38,6 @@ class Schema:
         if len(self.names) < 2:
             raise IngestionError("schema needs at least one feature column")
 
-    @property
-    def label_column(self) -> str:
-        return self.names[self.kinds.index("label")]
-
-    def kind_of(self, name: str) -> str:
-        return self.kinds[self.names.index(name)]
-
     @classmethod
     def from_file(cls, path) -> "Schema":
         with open(path) as fh:
@@ -143,19 +136,6 @@ class Scaler:
     std: np.ndarray
     min: np.ndarray
     max: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "min": self.min.tolist(),
-            "max": self.max.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        return cls(d["kind"], *(np.asarray(d[k], dtype=float) for k in ("mean", "std", "min", "max")))
 
 
 def fit_scaler(train_values: np.ndarray, kind: str) -> Scaler:
@@ -291,14 +271,6 @@ class Splits:
     validation: np.ndarray
     test: np.ndarray
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "train": self.train.tolist(),
-            "validation": self.validation.tolist(),
-            "test": self.test.tolist(),
-            "seed": self.seed,
-        }
 
 
 def _round_half_up(x: float) -> int:

@@ -234,18 +234,10 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-zero_row_normalizations = 0  # diagnostic: zero rows seen by l2_normalize_rows
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Divide each row by its Euclidean norm; zero rows pass through unchanged
-    (counted in `zero_row_normalizations`)."""
-    global zero_row_normalizations
+    """Divide each row by its Euclidean norm; zero rows pass through unchanged."""
     m = _as_f64(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    n_zero = int((norms == 0.0).sum())
-    if n_zero:
-        zero_row_normalizations += n_zero
     safe = np.where(norms == 0.0, 1.0, norms)
     return m / safe
 

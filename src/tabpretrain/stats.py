@@ -123,6 +123,8 @@ def welch_t_test(a, b) -> tuple[float, float, float]:
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("samples must be finite")
     va = a.var(ddof=1)
     vb = b.var(ddof=1)
     diff = a.mean() - b.mean()
@@ -169,9 +171,11 @@ class WinMatrix:
 
 
 def _accuracies_by_dataset(runs, method: str, setting: str | None = None):
+    """Finite accuracies per dataset; a failed trial's NaN is not a result."""
     out: dict[str, list[float]] = {}
     for r in runs:
-        if r.method_name == method and (setting is None or r.setting == setting):
+        if (r.method_name == method and (setting is None or r.setting == setting)
+                and math.isfinite(r.test_accuracy)):
             out.setdefault(r.dataset_id, []).append(r.test_accuracy)
     return out
 

@@ -2,6 +2,14 @@
 corrupted validation set, autoencoder and discriminative variants, supervised
 fine-tuning, and co-training.
 
+Every trainer is its set-up plus two closures handed to `_fit`, the one epoch
+driver: a per-batch step returning the loss and the gradients for one Adam
+step, and a per-epoch validation metric. `_fit` owns the shuffling, the
+train/validation curves, early stopping and the restore of the best-epoch
+weights. The two contrastive views go through the encoder as one stacked
+2B-row forward and backward pass (`ModelBundle.contrastive_step`), shared by
+SCARF pre-training and the contrastive co-training term.
+
 All loops are deterministic given (dataset, splits, config, seed): the run RNG
 drives shuffling, corruption, and any dropout/mixup draws in a fixed order.
 """
@@ -9,16 +17,20 @@ drives shuffling, corruption, and any dropout/mixup draws in a fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from tabpretrain import losses
+from tabpretrain.baselines import mixup_batch
 from tabpretrain.corruption import (
     ConfigurationError,
     CorruptionConfig,
     MarginalPool,
     build_marginal_pool,
+    corrupt_batch,
     make_views,
+    select_indices,
 )
 from tabpretrain.data import ProcessedDataset, Splits
 from tabpretrain.nn import (
@@ -136,15 +148,30 @@ class ModelBundle:
             self.learnable_missing[...] = weights[pos]
 
     def embed(self, batch: np.ndarray) -> np.ndarray:
-        """z = normalize(g(f(batch))), caching for embed_backward."""
-        self._g_raw = self.g.forward(self.f.forward(batch))
-        return l2_normalize_rows(self._g_raw)
+        """z = normalize(g(f(batch)))."""
+        return l2_normalize_rows(self.g.forward(self.f.forward(batch)))
 
-    def embed_backward(self, grad_z: np.ndarray) -> tuple[list, list, np.ndarray]:
-        grad_raw = l2_normalize_rows_backward(self._g_raw, grad_z)
+    def contrastive_step(self, view_a: np.ndarray, view_b: np.ndarray, loss_fn):
+        """Embed both views as one stacked 2B-row forward and backward pass.
+
+        `loss_fn(z, zt)` returns the loss and its gradients w.r.t. the two
+        normalized embeddings. Returns the loss, the f and g gradients (summed
+        over both views), and the gradient w.r.t. the view_b input rows."""
+        n = view_a.shape[0]
+        raw = self.g.forward(self.f.forward(np.vstack([view_a, view_b])))
+        z = l2_normalize_rows(raw)
+        loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
+        grad_raw = l2_normalize_rows_backward(raw, np.vstack([grad_z, grad_zt]))
         g_grads, grad_mid = self.g.backward(grad_raw)
         f_grads, grad_in = self.f.backward(grad_mid)
-        return f_grads, g_grads, grad_in
+        return loss, f_grads, g_grads, grad_in[n:]
+
+    def reconstruction_step(self, x_in: np.ndarray, target: np.ndarray):
+        """MSE of decoder(f(x_in)) against target; loss, f and decoder gradients."""
+        loss, grad = mse(self.decoder.forward(self.f.forward(x_in)), target)
+        d_grads, grad_mid = self.decoder.backward(grad)
+        f_grads, _ = self.f.backward(grad_mid)
+        return loss, f_grads, d_grads
 
     def classify(self, batch: np.ndarray, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
@@ -196,28 +223,75 @@ def build_static_validation(
     epochs: int = 10,
     batch_size: int = 128,
     learnable_values: np.ndarray | None = None,
+    view=None,
 ) -> StaticValidationPairs:
     """Cycle the validation split `epochs` times, storing one corrupted view
-    per example per pass. Built once; immutable during training."""
+    per example per pass. Built once; immutable during training.
+
+    `view(batch)` returns the corrupted copy of a batch; by default it is the
+    second view of `make_views` under `config`."""
     val_indices = np.asarray(val_indices)
     if val_indices.size == 0:
         raise ValueError("validation split is empty")
+    if view is None:
+        def view(batch):
+            return make_views(batch, dataset, config, pool, rng, learnable_values)[1]
     originals, corrupted = [], []
     for _ in range(epochs):
         for batch_idx in iterate_batches(len(val_indices), batch_size, rng):
             batch = dataset.X[val_indices[batch_idx]]
-            _, view_b, _ = make_views(batch, dataset, config, pool, rng, learnable_values)
             originals.append(batch)
-            corrupted.append(view_b)
+            corrupted.append(view(batch))
     return StaticValidationPairs(originals, corrupted)
+
+
+def _fit(bundle: ModelBundle, params: list[np.ndarray], rows: np.ndarray, config,
+         rng: np.random.Generator, step, metric) -> TrainOutcome:
+    """The epoch loop shared by every trainer.
+
+    Each epoch shuffles `rows` (dataset row indices) into batches of
+    `config.batch_size`; `step(batch_rows)` returns (loss, gradients of
+    `params`) for one Adam step, or None to skip the batch. After the epoch,
+    `metric()` is the validation value (lower is better) that drives early
+    stopping with `config.patience`; the best-epoch weights are restored."""
+    opt = Adam(params, learning_rate=config.learning_rate)
+    stopper = EarlyStopper(config.patience)
+    train_curve, val_curve = [], []
+    best_weights = bundle.copy_weights()
+    stop_reason = "max_epochs"
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_losses, epoch_sizes = [], []
+        for sel in iterate_batches(len(rows), config.batch_size, rng):
+            result = step(rows[sel])
+            if result is None:
+                continue
+            loss, grads = result
+            opt.step(grads)
+            epoch_losses.append(loss)
+            epoch_sizes.append(sel.size)
+        train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)) if epoch_losses else np.nan)
+        value = metric()
+        val_curve.append(value)
+        if value < stopper.best:
+            best_weights = bundle.copy_weights()
+        if stopper.update(value, epoch):
+            stop_reason = "patience"
+            break
+    bundle.set_weights(best_weights)
+    return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason,
+                        stopper.best_epoch, stopper.best)
+
+
+def _infonce_pair(z: np.ndarray, zt: np.ndarray, temperature: float):
+    s = z @ zt.T  # rows already unit-norm
+    loss, grad_s = losses.infonce(s, temperature)
+    return loss, grad_s @ zt, grad_s.T @ z
 
 
 def _contrastive_loss(cfg: PretrainConfig, z: np.ndarray, zt: np.ndarray):
     """Loss value and gradients w.r.t. the normalized embeddings."""
     if cfg.loss == "infonce":
-        s = z @ zt.T  # rows already unit-norm
-        loss, grad_s = losses.infonce(s, cfg.temperature)
-        return loss, grad_s @ zt, grad_s.T @ z
+        return _infonce_pair(z, zt, cfg.temperature)
     if cfg.loss == "barlow":
         return losses.barlow_twins(z, zt, cfg.barlow_lambda)
     if cfg.loss == "align_uniform":
@@ -265,47 +339,21 @@ def pretrain_scarf(
     params = bundle.f.parameters() + bundle.g.parameters()
     if learnable is not None:
         params = params + [learnable]
-    opt = Adam(params, learning_rate=config.learning_rate)
-    train_idx = np.asarray(splits.train)
+    loss_fn = partial(_contrastive_loss, config)
 
-    stopper = EarlyStopper(config.patience)
-    train_curve, val_curve = [], []
-    best_weights = bundle.copy_weights()
-    stop_reason = "max_epochs"
-    epochs_used = 0
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_losses, epoch_sizes = [], []
-        for batch_sel in iterate_batches(len(train_idx), config.batch_size, rng):
-            if batch_sel.size < 2:
-                continue  # InfoNCE needs a negative
-            batch = dataset.X[train_idx[batch_sel]]
-            view_a, view_b, draw = make_views(batch, dataset, config.corruption, pool, rng, learnable)
-            z = bundle.embed(view_a)
-            fa_cache = (bundle.f._cache, bundle.g._cache, bundle._g_raw)
-            zt = bundle.embed(view_b)
-            loss, grad_z, grad_zt = _contrastive_loss(config, z, zt)
-            f_grads_b, g_grads_b, grad_in_b = bundle.embed_backward(grad_zt)
-            bundle.f._cache, bundle.g._cache, bundle._g_raw = fa_cache
-            f_grads_a, g_grads_a, _ = bundle.embed_backward(grad_z)
-            grads = [a + b for a, b in zip(f_grads_a + g_grads_a, f_grads_b + g_grads_b)]
-            if learnable is not None:
-                lmv_grad = np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0)
-                grads.append(lmv_grad)
-            opt.step(grads)
-            epoch_losses.append(loss)
-            epoch_sizes.append(batch_sel.size)
-        train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)) if epoch_losses else np.nan)
-        metric = _validation_metric(bundle, pairs, config)
-        val_curve.append(metric)
-        if metric < stopper.best:
-            best_weights = bundle.copy_weights()
-        epochs_used = epoch
-        if stopper.update(metric, epoch):
-            stop_reason = "patience"
-            break
-    bundle.set_weights(best_weights)
-    return TrainOutcome(train_curve, val_curve, epochs_used, stop_reason,
-                        stopper.best_epoch, stopper.best)
+    def step(rows):
+        if rows.size < 2:
+            return None  # InfoNCE needs a negative
+        batch = dataset.X[rows]
+        view_a, view_b, draw = make_views(batch, dataset, config.corruption, pool, rng, learnable)
+        loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
+        grads = f_grads + g_grads
+        if learnable is not None:
+            grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
+        return loss, grads
+
+    return _fit(bundle, params, np.asarray(splits.train), config, rng, step,
+                lambda: _validation_metric(bundle, pairs, config))
 
 
 AE_VARIANTS = ("no_noise", "additive_noise", "scarf_corruption")
@@ -337,49 +385,26 @@ def pretrain_autoencoder(
         raise ConfigurationError("autoencoder pre-training requires a decoder head")
     pool = build_marginal_pool(dataset, splits.train)
 
-    val_idx = np.asarray(splits.validation)
-    if val_idx.size == 0:
-        raise ValueError("validation split is empty")
-    originals, corrupted = [], []
-    for _ in range(config.val_build_epochs):
-        for sel in iterate_batches(len(val_idx), config.batch_size, rng):
-            batch = dataset.X[val_idx[sel]]
-            originals.append(batch)
-            corrupted.append(_ae_input(batch, variant, dataset, config.corruption, pool, rng, noise_sigma))
-    train_idx = np.asarray(splits.train)
-    opt = Adam(bundle.f.parameters() + bundle.decoder.parameters(), learning_rate=config.learning_rate)
+    def view(batch):
+        return _ae_input(batch, variant, dataset, config.corruption, pool, rng, noise_sigma)
 
-    stopper = EarlyStopper(config.patience)
-    train_curve, val_curve = [], []
-    best_weights = bundle.copy_weights()
-    stop_reason = "max_epochs"
-    epochs_used = 0
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_losses, epoch_sizes = [], []
-        for sel in iterate_batches(len(train_idx), config.batch_size, rng):
-            batch = dataset.X[train_idx[sel]]
-            x_in = _ae_input(batch, variant, dataset, config.corruption, pool, rng, noise_sigma)
-            recon = bundle.decoder.forward(bundle.f.forward(x_in))
-            loss, grad = mse(recon, batch)
-            d_grads, grad_mid = bundle.decoder.backward(grad)
-            f_grads, _ = bundle.f.backward(grad_mid)
-            opt.step(f_grads + d_grads)
-            epoch_losses.append(loss)
-            epoch_sizes.append(sel.size)
-        train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)))
+    pairs = build_static_validation(
+        dataset, splits.validation, config.corruption, pool, rng,
+        config.val_build_epochs, config.batch_size, view=view,
+    )
+
+    def step(rows):
+        batch = dataset.X[rows]
+        loss, f_grads, d_grads = bundle.reconstruction_step(view(batch), batch)
+        return loss, f_grads + d_grads
+
+    def metric():
         vals = [mse(bundle.decoder.forward(bundle.f.forward(ci)), oi)[0]
-                for oi, ci in zip(originals, corrupted)]
-        metric = float(np.average(vals, weights=[o.shape[0] for o in originals]))
-        val_curve.append(metric)
-        if metric < stopper.best:
-            best_weights = bundle.copy_weights()
-        epochs_used = epoch
-        if stopper.update(metric, epoch):
-            stop_reason = "patience"
-            break
-    bundle.set_weights(best_weights)
-    return TrainOutcome(train_curve, val_curve, epochs_used, stop_reason,
-                        stopper.best_epoch, stopper.best)
+                for oi, ci in zip(pairs.originals, pairs.corrupted)]
+        return float(np.average(vals, weights=[o.shape[0] for o in pairs.originals]))
+
+    return _fit(bundle, bundle.f.parameters() + bundle.decoder.parameters(),
+                np.asarray(splits.train), config, rng, step, metric)
 
 
 def pretrain_discriminative(
@@ -400,57 +425,29 @@ def pretrain_discriminative(
         config.val_build_epochs, config.batch_size,
     )
     params = bundle.f.parameters() + bundle.g.parameters() + bundle.disc_proj.parameters()
-    opt = Adam(params, learning_rate=config.learning_rate)
-    train_idx = np.asarray(splits.train)
 
-    def logits_of(batch):
-        return bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(batch)))
+    def logits_and_labels(orig, corr):
+        logit = bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(np.vstack([orig, corr]))))
+        return logit, np.concatenate([np.zeros(len(orig)), np.ones(len(corr))])
 
-    stopper = EarlyStopper(config.patience)
-    train_curve, val_curve = [], []
-    best_weights = bundle.copy_weights()
-    stop_reason = "max_epochs"
-    epochs_used = 0
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_losses, epoch_sizes = [], []
-        for sel in iterate_batches(len(train_idx), config.batch_size, rng):
-            batch = dataset.X[train_idx[sel]]
-            _, view_b, _ = make_views(batch, dataset, config.corruption, pool, rng)
-            stacked = np.vstack([batch, view_b])
-            labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
-            logit = logits_of(stacked)
-            loss, grad = losses.binary_logistic(logit, labels)
-            p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
-            g_grads, grad_mid = bundle.g.backward(grad_mid)
-            f_grads, _ = bundle.f.backward(grad_mid)
-            opt.step(f_grads + g_grads + p_grads)
-            epoch_losses.append(loss)
-            epoch_sizes.append(2 * sel.size)
-        train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)))
+    def step(rows):
+        batch = dataset.X[rows]
+        _, view_b, _ = make_views(batch, dataset, config.corruption, pool, rng)
+        loss, grad = losses.binary_logistic(*logits_and_labels(batch, view_b))
+        p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
+        g_grads, grad_mid = bundle.g.backward(grad_mid)
+        f_grads, _ = bundle.f.backward(grad_mid)
+        return loss, f_grads + g_grads + p_grads
+
+    def metric():
         errs, sizes = [], []
         for orig, corr in zip(pairs.originals, pairs.corrupted):
-            stacked = np.vstack([orig, corr])
-            labels = np.concatenate([np.zeros(len(orig)), np.ones(len(corr))])
-            pred = (logits_of(stacked).reshape(-1) > 0).astype(float)
-            errs.append(float(np.mean(pred != labels)))
+            logit, labels = logits_and_labels(orig, corr)
+            errs.append(float(np.mean((logit.reshape(-1) > 0) != labels)))
             sizes.append(len(labels))
-        metric = float(np.average(errs, weights=sizes))
-        val_curve.append(metric)
-        if metric < stopper.best:
-            best_weights = bundle.copy_weights()
-        epochs_used = epoch
-        if stopper.update(metric, epoch):
-            stop_reason = "patience"
-            break
-    bundle.set_weights(best_weights)
-    return TrainOutcome(train_curve, val_curve, epochs_used, stop_reason,
-                        stopper.best_epoch, stopper.best)
+        return float(np.average(errs, weights=sizes))
 
-
-def _onehot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(y), num_classes))
-    out[np.arange(len(y)), y] = 1.0
-    return out
+    return _fit(bundle, params, np.asarray(splits.train), config, rng, step, metric)
 
 
 def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> float:
@@ -485,7 +482,6 @@ def finetune(
     y_full = dataset.y if y_train_override is None else y_train_override
 
     pool = None
-    learnable = None
     if config.scarf_augmentation or cotrain is not None:
         pool = build_marginal_pool(dataset, splits.train)
     params = bundle.f.parameters() + bundle.h.parameters()
@@ -495,74 +491,39 @@ def finetune(
         if bundle.decoder is None:
             raise ConfigurationError("autoencoder co-training requires a decoder head")
         params = params + bundle.decoder.parameters()
-    opt = Adam(params, learning_rate=config.learning_rate)
+    aug = config.augmentation_corruption
+
+    def step(rows):
+        x = dataset.X[rows]
+        if soft_targets is not None:
+            targets = soft_targets[rows]
+        else:
+            targets = np.eye(K)[y_full[rows]]
+            if config.label_smoothing:
+                targets = smooth_labels(targets, config.label_smoothing, K)
+        if config.mixup_alpha:
+            x, targets = mixup_batch(x, targets, config.mixup_alpha, rng)
+        if config.scarf_augmentation:
+            idx = select_indices(dataset.M, aug, x.shape[0], rng)
+            x, _ = corrupt_batch(x, dataset, aug, pool, idx, rng)
+        loss, grad = softmax_cross_entropy(bundle.classify(x, config.dropout, rng), targets)
+        f_grads, h_grads = bundle.classify_backward(grad)
+        if cotrain is None:
+            return loss, f_grads + h_grads
+        w = cotrain.weight
+        aux_loss, aux_f, aux_extra = _cotrain_term(bundle, x, dataset, pool, rng, cotrain)
+        f_grads = [g + w * a for g, a in zip(f_grads, aux_f)]
+        return loss + w * aux_loss, f_grads + h_grads + [w * g for g in aux_extra]
 
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
-
-    stopper = EarlyStopper(config.patience)
-    train_curve, val_curve = [], []
-    best_weights = bundle.copy_weights()
-    stop_reason = "max_epochs"
-    epochs_used = 0
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_losses, epoch_sizes = [], []
-        for sel in iterate_batches(len(labeled_indices), config.batch_size, rng):
-            rows = labeled_indices[sel]
-            x = dataset.X[rows]
-            if soft_targets is not None:
-                targets = soft_targets[rows]
-            else:
-                targets = _onehot(y_full[rows], K)
-                if config.label_smoothing:
-                    targets = smooth_labels(targets, config.label_smoothing, K)
-            if config.mixup_alpha:
-                from tabpretrain.baselines import mixup_batch
-
-                x, targets = mixup_batch(x, targets, config.mixup_alpha, rng)
-            if config.scarf_augmentation:
-                x, _ = _augment(x, dataset, config.augmentation_corruption, pool, rng)
-            logits = bundle.classify(x, config.dropout, rng)
-            loss, grad = softmax_cross_entropy(logits, targets)
-            h_grads, grad_mid = bundle.h.backward(grad)
-            f_grads, _ = bundle.f.backward(grad_mid)
-            grads = f_grads + h_grads
-            total_loss = loss
-            if cotrain is not None:
-                aux_loss, aux_grads = _cotrain_term(bundle, x, dataset, pool, rng, cotrain)
-                total_loss = loss + cotrain.weight * aux_loss
-                for i in range(len(f_grads)):
-                    grads[i] = grads[i] + cotrain.weight * aux_grads["f"][i]
-                if "extra" in aux_grads:
-                    grads = grads + [cotrain.weight * g for g in aux_grads["extra"]]
-            opt.step(grads)
-            epoch_losses.append(total_loss)
-            epoch_sizes.append(sel.size)
-        train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)))
-        metric = classification_error(bundle, val_X, val_y)
-        val_curve.append(metric)
-        if metric < stopper.best:
-            best_weights = bundle.copy_weights()
-        epochs_used = epoch
-        if stopper.update(metric, epoch):
-            stop_reason = "patience"
-            break
-    bundle.set_weights(best_weights)
-    outcome = TrainOutcome(train_curve, val_curve, epochs_used, stop_reason,
-                           stopper.best_epoch, stopper.best)
+    outcome = _fit(bundle, params, labeled_indices, config, rng, step,
+                   lambda: classification_error(bundle, val_X, val_y))
     if evaluate_test:
         outcome.test_accuracy = 1.0 - classification_error(
             bundle, dataset.X[splits.test], dataset.y[splits.test]
         )
     return outcome
-
-
-def _augment(x, dataset, corruption_config, pool, rng):
-    """Replace a training batch by its corrupted copy (augmentation baseline)."""
-    from tabpretrain.corruption import corrupt_batch, select_indices
-
-    idx = select_indices(dataset.M, corruption_config, x.shape[0], rng)
-    return corrupt_batch(x, dataset, corruption_config, pool, idx, rng)
 
 
 @dataclass
@@ -580,26 +541,15 @@ class CotrainSpec:
 
 
 def _cotrain_term(bundle, x, dataset, pool, rng, spec: CotrainSpec):
-    """Auxiliary loss on the supervised mini-batch plus gradients for f and the
-    auxiliary head."""
+    """Auxiliary loss on the supervised mini-batch plus its gradients for f
+    and for the auxiliary head (g or the decoder)."""
     if spec.aux == "contrastive":
         if x.shape[0] < 2:
-            return 0.0, {"f": [np.zeros_like(p) for p in bundle.f.parameters()],
-                         "extra": [np.zeros_like(p) for p in bundle.g.parameters()]}
+            return (0.0, [np.zeros_like(p) for p in bundle.f.parameters()],
+                    [np.zeros_like(p) for p in bundle.g.parameters()])
         view_a, view_b, _ = make_views(x, dataset, spec.corruption, pool, rng)
-        z = bundle.embed(view_a)
-        cache = (bundle.f._cache, bundle.g._cache, bundle._g_raw)
-        zt = bundle.embed(view_b)
-        s = z @ zt.T
-        loss, grad_s = losses.infonce(s, spec.temperature)
-        f_b, g_b, _ = bundle.embed_backward(grad_s.T @ z)
-        bundle.f._cache, bundle.g._cache, bundle._g_raw = cache
-        f_a, g_a, _ = bundle.embed_backward(grad_s @ zt)
-        return loss, {"f": [a + b for a, b in zip(f_a, f_b)],
-                      "extra": [a + b for a, b in zip(g_a, g_b)]}
+        loss, f_grads, g_grads, _ = bundle.contrastive_step(
+            view_a, view_b, partial(_infonce_pair, temperature=spec.temperature))
+        return loss, f_grads, g_grads
     x_in = _ae_input(x, spec.ae_variant, dataset, spec.corruption, pool, rng, spec.noise_sigma)
-    recon = bundle.decoder.forward(bundle.f.forward(x_in))
-    loss, grad = mse(recon, x)
-    d_grads, grad_mid = bundle.decoder.backward(grad)
-    f_grads, _ = bundle.f.backward(grad_mid)
-    return loss, {"f": f_grads, "extra": d_grads}
+    return bundle.reconstruction_step(x_in, x)

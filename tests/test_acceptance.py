@@ -156,28 +156,20 @@ def test_criterion_1_gradient_checks():
         else:
             # losses on the l2-normalized embeddings of two views, using the
             # well-conditioned bundle/x2/tau found above
-            def total():
-                z, zt = bundle.embed(x), bundle.embed(x2)
+            def loss_and_grads(z, zt):
                 if kind == "infonce_embed":
-                    return losses.infonce(z @ zt.T, tau)[0]
+                    loss, grad_s = losses.infonce(z @ zt.T, tau)
+                    return loss, grad_s @ zt, grad_s.T @ z
                 if kind == "barlow":
-                    return losses.barlow_twins(z, zt, 5e-3)[0]
-                return losses.align_uniform(z, zt, 1.0, 1.0)[0]
+                    return losses.barlow_twins(z, zt, 5e-3)
+                return losses.align_uniform(z, zt, 1.0, 1.0)
 
-            z = bundle.embed(x)
-            cache = (bundle.f._cache, bundle.g._cache, bundle._g_raw)
-            zt = bundle.embed(x2)
-            if kind == "infonce_embed":
-                _, grad_s = losses.infonce(z @ zt.T, tau)
-                grad_z, grad_zt = grad_s @ zt, grad_s.T @ z
-            elif kind == "barlow":
-                _, grad_z, grad_zt = losses.barlow_twins(z, zt, 5e-3)
-            else:
-                _, grad_z, grad_zt = losses.align_uniform(z, zt, 1.0, 1.0)
-            f_b, g_b, _ = bundle.embed_backward(grad_zt)
-            bundle.f._cache, bundle.g._cache, bundle._g_raw = cache
-            f_a, g_a, _ = bundle.embed_backward(grad_z)
-            analytic = [a + b for a, b in zip(f_a + g_a, f_b + g_b)]
+            def total():
+                return loss_and_grads(bundle.embed(x), bundle.embed(x2))[0]
+
+            # analytic side: both views in one stacked forward/backward pass
+            _, f_grads, g_grads, _ = bundle.contrastive_step(x, x2, loss_and_grads)
+            analytic = f_grads + g_grads
             params = bundle.f.parameters() + bundle.g.parameters()
             numeric = central_difference(total, params)
             _check_grads(analytic, numeric, rtol=1e-5)

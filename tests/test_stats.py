@@ -107,6 +107,13 @@ class TestWelch:
         with pytest.raises(ValueError):
             welch_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sample(self, bad):
+        with pytest.raises(ValueError):
+            welch_t_test([0.9, 0.91, bad], [0.5, 0.52, 0.51])
+        with pytest.raises(ValueError):
+            welch_t_test([0.5, 0.52, 0.51], [0.9, 0.91, bad])
+
 
 class TestCompare:
     def test_clear_separation_wins(self):
@@ -202,6 +209,15 @@ class TestWinMatrix:
                             l += 1
                 assert wm.wins[i, j] == w and wm.losses[i, j] == l
 
+    def test_failed_trial_is_not_scored(self):
+        # a failed trial is recorded with NaN accuracy; it must not turn A's
+        # clear win into a significant loss in both directions
+        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
+        runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
+        wm = win_matrix(runs, ["A", "B"], p=0.05)
+        assert wm.wins[0, 1] == 1 and wm.losses[0, 1] == 0
+        assert wm.wins[1, 0] == 0 and wm.losses[1, 0] == 1
+
     def test_setting_filter(self):
         runs = [run("A", "d", t, 0.9, "full") for t in range(3)]
         runs += [run("B", "d", t, 0.1, "full") for t in range(3)]
@@ -219,6 +235,13 @@ class TestRelativeImprovement:
         entries = relative_improvement(runs, "A", "B")
         assert len(entries) == 1
         assert entries[0].relative_improvement_pct == pytest.approx(10.0, abs=1e-9)
+
+    def test_failed_trial_is_not_scored(self):
+        runs = [run("A", "d", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
+        runs += [run("B", "d", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
+        entries = relative_improvement(runs, "A", "B")
+        assert len(entries) == 1
+        assert entries[0].relative_improvement_pct == pytest.approx(100 * (0.905 - 0.51) / 0.51)
 
     def test_tie_filtered_out(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.4, 0.9])]

@@ -82,18 +82,65 @@ class TestStaticValidation:
             build_static_validation(ds, np.array([], dtype=int), CorruptionConfig(), pool, rng)
 
 
-class TestPretrainScarf:
-    def test_max_epochs_zero(self):
+TRAINERS = ["scarf", "autoencoder-no_noise", "autoencoder-additive_noise",
+            "autoencoder-scarf_corruption", "discriminative", "finetune"]
+
+
+def trainer_bundle(trainer, ds, rng):
+    return small_bundle(ds, rng, with_decoder=trainer.startswith("autoencoder"),
+                        with_disc_proj=trainer == "discriminative")
+
+
+def run_trainer(trainer, ds, splits, max_epochs, seed):
+    """A fresh small bundle trained by `trainer`; returns (outcome, bundle)."""
+    rng = np.random.default_rng(seed)
+    bundle = trainer_bundle(trainer, ds, rng)
+    pcfg = PretrainConfig(batch_size=16, max_epochs=max_epochs)
+    if trainer == "scarf":
+        out = pretrain_scarf(ds, splits, bundle, pcfg, rng)
+    elif trainer == "discriminative":
+        out = pretrain_discriminative(ds, splits, bundle, pcfg, rng)
+    elif trainer == "finetune":
+        out = finetune(ds, splits, splits.train, bundle,
+                       FinetuneConfig(batch_size=16, max_epochs=max_epochs), rng)
+    else:
+        variant = trainer.split("-", 1)[1]
+        out = pretrain_autoencoder(ds, splits, bundle, variant, pcfg, rng)
+    return out, bundle
+
+
+class TestFit:
+    """The epoch driver every trainer runs on."""
+
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_max_epochs_zero(self, trainer):
         ds = make_numeric_dataset(n=100, d=4)
         splits = make_splits(100, 0)
-        rng = np.random.default_rng(0)
-        bundle = small_bundle(ds, rng)
-        before = bundle.copy_weights()
-        out = pretrain_scarf(ds, splits, bundle, PretrainConfig(max_epochs=0, batch_size=16), rng)
+        before = trainer_bundle(trainer, ds, np.random.default_rng(0)).copy_weights()
+        out, bundle = run_trainer(trainer, ds, splits, 0, seed=0)
         assert out.epochs_used == 0 and out.stop_reason == "max_epochs"
-        for a, b in zip(before, bundle.copy_weights()):
+        assert out.train_curve == [] and out.val_curve == [] and out.best_epoch == 0
+        for a, b in zip(before, bundle.copy_weights(), strict=True):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("trainer", TRAINERS)
+    def test_best_epoch_weights_restored(self, trainer):
+        ds = make_numeric_dataset(n=100, d=4, seed=4)
+        splits = make_splits(100, 2)
+        out, bundle = run_trainer(trainer, ds, splits, 200, seed=3)
+        assert out.stop_reason == "patience"
+        assert len(out.train_curve) == len(out.val_curve) == out.epochs_used
+        assert out.best_metric == min(out.val_curve)
+        assert out.val_curve[out.best_epoch - 1] == out.best_metric
+        assert out.best_epoch < out.epochs_used  # a later epoch was rolled back
+        # the same seeds stopped at the best epoch end on that epoch's weights
+        short, best = run_trainer(trainer, ds, splits, out.best_epoch, seed=3)
+        assert short.val_curve == out.val_curve[: out.best_epoch]
+        for a, b in zip(best.copy_weights(), bundle.copy_weights()):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestPretrainScarf:
     def test_desk_scale_run_terminates_with_patience(self):
         ds = make_numeric_dataset(n=200, d=6, seed=3)
         splits = make_splits(200, 1)
