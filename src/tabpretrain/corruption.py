@@ -1,14 +1,22 @@
 """Corrupted-view generation: marginal sampling and its ablation variants.
 
-Draw order from the run RNG is documented and fixed: index sets first, then
-replacement values, example-major. Marginal and joint strategies operate on the
-pre-encoding raw columns and re-encode; mean/gaussian/zero/missing_learnable
-operate directly on the encoded matrix.
+Everything works on the encoded matrix X. A marginal draw for feature j is
+block j of a uniformly chosen training row, so the marginal pool is X[train].
+`corrupt_batch` expands the per-example feature mask to encoded columns, builds
+one replacement matrix (donor gather, train means, noise, zeros or learnable
+values) and writes it with one `np.where`; untouched cells stay bit-identical.
+
+Draw order from the run RNG is fixed: `select_indices` draws one (B, M)
+uniform matrix (one row under shared_batch; bernoulli then redraws only the
+rows that came out empty), then `corrupt_batch` makes one donor draw: (B, M)
+per-cell donors for marginal, (B,) row donors for joint, one donor for
+single_row, or one (B, M_enc) normal matrix for gaussian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,70 +62,75 @@ class CorruptionConfig:
 
 @dataclass
 class MarginalPool:
-    """Per-raw-feature training values, aligned by training row so a donor row
-    index selects a consistent raw example. Also carries training-split means
-    of the encoded columns for the mean strategy."""
+    """The training rows of the encoded matrix, whose feature blocks are the
+    marginal draws, and the training-split means of the encoded columns for
+    the mean strategy."""
 
-    feature_values: list  # per raw feature: float ndarray or list[str], length n_train
+    X: np.ndarray  # X[train], (n_train, M_enc)
     encoded_mean: np.ndarray
-    n_train: int
+    feature_blocks: list[tuple[int, int]]
+
+    @property
+    def n_train(self) -> int:
+        return self.X.shape[0]
+
+    @cached_property
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """unique_pool draw table: per feature, the pool rows where each
+        distinct block first occurs, as (concatenated rows, start, count).
+        Built on first use, so pools that never dedupe never pay for it."""
+        rows = [_first_occurrences(self.X[:, lo:hi]) for lo, hi in self.feature_blocks]
+        count = np.array([len(r) for r in rows])
+        return np.concatenate(rows), np.cumsum(count) - count, count
+
+
+def _first_occurrences(block: np.ndarray) -> np.ndarray:
+    order = np.lexsort(block.T)  # stable: equal rows keep their order
+    ordered = block[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[first]
 
 
 def build_marginal_pool(dataset: ProcessedDataset, train_indices) -> MarginalPool:
     idx = np.asarray(train_indices)
     if idx.size == 0:
         raise ValueError("cannot build a marginal pool from an empty training split")
-    values = []
-    for j in range(dataset.M):
-        col = dataset.raw_columns[j]
-        if dataset.kinds[j] == "numerical":
-            values.append(np.asarray(col)[idx].copy())
-        else:
-            values.append([col[i] for i in idx])
-    return MarginalPool(values, dataset.X[idx].mean(axis=0), len(idx))
+    X = dataset.X[idx]
+    return MarginalPool(X, X.mean(axis=0), list(dataset.feature_blocks))
 
 
 @dataclass
 class CorruptionDraw:
-    index_sets: list[np.ndarray]  # per example, corrupted raw feature indices
+    index_sets: list[np.ndarray]  # per example, corrupted feature indices
     encoded_mask: np.ndarray  # bool (batch, M_enc): encoded columns that were replaced
 
 
 def select_indices(
     M: int, config: CorruptionConfig, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Per-example raw feature index sets.
+    """Per-example sorted feature index sets.
 
-    fixed_count draws a uniform q-subset with q = floor(rate * M); bernoulli
-    includes each index with probability rate, resampling until nonempty.
-    shared_batch reuses the first draw for every example.
+    fixed_count takes the q = floor(rate * M) smallest ranks of a uniform row,
+    a uniform q-subset; bernoulli includes each index with probability rate,
+    redrawing the rows that came out empty. shared_batch draws one row and
+    gives it to every example.
     """
     if M < 1:
         raise ValueError("need at least one feature")
-
-    def one_set() -> np.ndarray:
-        if config.index_selection == "fixed_count":
-            q = int(np.floor(config.rate * M))
-            return np.sort(rng.choice(M, size=q, replace=False))
-        while True:
-            picked = np.flatnonzero(rng.random(M) < config.rate)
-            if picked.size:
-                return picked
-
-    if config.index_sharing == "shared_batch":
-        shared = one_set()
-        return [shared.copy() for _ in range(batch_size)]
-    return [one_set() for _ in range(batch_size)]
-
-
-def _pool_draw(pool: MarginalPool, j: int, rng: np.random.Generator, unique: bool):
-    vals = pool.feature_values[j]
-    if unique:
-        if isinstance(vals, np.ndarray):
-            vals = np.unique(vals)
-        else:
-            vals = sorted(set(vals))
-    return vals[rng.integers(0, len(vals))]
+    rows = 1 if config.index_sharing == "shared_batch" else batch_size
+    if config.index_selection == "fixed_count":
+        q = int(np.floor(config.rate * M))
+        hit = np.zeros((rows, M), dtype=bool)
+        np.put_along_axis(hit, np.argsort(rng.random((rows, M)), axis=1)[:, :q], True, axis=1)
+    else:
+        hit = rng.random((rows, M)) < config.rate
+        empty = ~hit.any(axis=1)
+        while empty.any():
+            hit[empty] = rng.random((int(empty.sum()), M)) < config.rate
+            empty = ~hit.any(axis=1)
+    hit = np.broadcast_to(hit, (batch_size, M))
+    return np.split(np.nonzero(hit)[1], np.cumsum(hit.sum(axis=1)))[:-1]
 
 
 def corrupt_batch(
@@ -129,46 +142,43 @@ def corrupt_batch(
     rng: np.random.Generator,
     learnable_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CorruptionDraw]:
-    """Apply the configured strategy to a copy of `batch` at the given raw
+    """Apply the configured strategy to a copy of `batch` at the given
     feature index sets. Untouched coordinates stay bit-identical."""
-    out = np.array(batch, dtype=float, copy=True)
-    mask = np.zeros(out.shape, dtype=bool)
+    batch = np.asarray(batch, dtype=float)
     strategy = config.strategy
     if strategy in ("marginal", "joint", "mean") and pool is None:
         raise ConfigurationError(f"strategy {strategy!r} requires a marginal pool")
     if strategy == "missing_learnable" and learnable_values is None:
         raise ConfigurationError("missing_learnable strategy requires learnable values")
+    B, M = batch.shape[0], dataset.M
+    features = np.zeros((B, M), dtype=bool)
+    if strategy != "none":
+        sizes = list(map(len, index_sets))
+        if sum(sizes):
+            features[np.repeat(np.arange(B), sizes), np.concatenate(index_sets)] = True
+    column_feature = dataset.column_feature
+    mask = features[:, column_feature]
 
-    single_donor = None
-    if config.donor == "single_row" and strategy in ("marginal", "joint"):
-        single_donor = int(rng.integers(0, pool.n_train))
-
-    for i, idx in enumerate(index_sets):
-        if strategy == "none" or idx.size == 0:
-            continue
-        donor = None
-        if strategy == "joint":
-            donor = single_donor if single_donor is not None else int(rng.integers(0, pool.n_train))
-        for j in idx:
-            lo, hi = dataset.feature_blocks[j]
-            if strategy == "marginal":
-                if single_donor is not None:
-                    v = pool.feature_values[j][single_donor]
-                else:
-                    v = _pool_draw(pool, j, rng, config.unique_pool)
-                out[i, lo:hi] = dataset.encode_value(j, v)
-            elif strategy == "joint":
-                out[i, lo:hi] = dataset.encode_value(j, pool.feature_values[j][donor])
-            elif strategy == "mean":
-                out[i, lo:hi] = pool.encoded_mean[lo:hi]
-            elif strategy == "gaussian":
-                out[i, lo:hi] += rng.normal(0.0, config.gaussian_sigma, size=hi - lo)
-            elif strategy == "zero":
-                out[i, lo:hi] = 0.0
-            elif strategy == "missing_learnable":
-                out[i, lo:hi] = learnable_values[lo:hi]
-            mask[i, lo:hi] = True
-    return out, CorruptionDraw(index_sets, mask)
+    if strategy in ("marginal", "joint") and config.donor == "single_row":
+        replacement = pool.X[rng.integers(0, pool.n_train)]
+    elif strategy == "joint":
+        replacement = pool.X[rng.integers(0, pool.n_train, size=B)]
+    elif strategy == "marginal":
+        if config.unique_pool:
+            rows, start, count = pool.distinct_rows
+            donors = rows[start + rng.integers(0, count, size=(B, M))]
+        else:
+            donors = rng.integers(0, pool.n_train, size=(B, M))
+        replacement = pool.X[donors[:, column_feature], np.arange(len(column_feature))]
+    elif strategy == "mean":
+        replacement = pool.encoded_mean
+    elif strategy == "gaussian":
+        replacement = batch + rng.normal(0.0, config.gaussian_sigma, size=batch.shape)
+    elif strategy == "missing_learnable":
+        replacement = learnable_values
+    else:  # zero, and none (whose mask is empty)
+        replacement = 0.0
+    return np.where(mask, replacement, batch), CorruptionDraw(index_sets, mask)
 
 
 def make_views(

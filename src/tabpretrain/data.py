@@ -171,20 +171,16 @@ def apply_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProcessedDataset:
-    """Encoded features plus the pre-encoding typed columns used for marginal
-    sampling.
+    """Encoded features X, one row per example, and integer class labels y.
 
-    raw_columns[j] is a float array for numerical features (already scaled,
-    i.e. in the same units as X) or a list of category strings for categorical
-    ones. feature_blocks[j] is the half-open encoded column range of raw
-    feature j.
+    feature_blocks[j] is the half-open range of X's columns that encode
+    feature j: one scaled column for a numerical feature, one binary column
+    per observed category for a categorical one. X is the only copy of the
+    features; corruption replaces whole blocks of it.
     """
 
     X: np.ndarray
     y: np.ndarray
-    raw_columns: list
-    kinds: list[str]  # per raw feature: "numerical" | "categorical"
-    categories: dict[int, list[str]]  # raw feature index -> category order
     feature_blocks: list[tuple[int, int]]
     classes: list[str]
     feature_names: list[str] = field(default_factory=list)
@@ -195,23 +191,16 @@ class ProcessedDataset:
 
     @property
     def M(self) -> int:
-        return len(self.raw_columns)
+        return len(self.feature_blocks)
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def encode_value(self, j: int, value) -> np.ndarray:
-        """Encoded block for raw feature j taking `value`; unseen categories
-        produce an all-zero block."""
-        lo, hi = self.feature_blocks[j]
-        if self.kinds[j] == "numerical":
-            return np.array([float(value)])
-        block = np.zeros(hi - lo)
-        cats = self.categories[j]
-        if value in cats:
-            block[cats.index(value)] = 1.0
-        return block
+    @property
+    def column_feature(self) -> np.ndarray:
+        """Feature index of each encoded column."""
+        return np.repeat(np.arange(self.M), [hi - lo for lo, hi in self.feature_blocks])
 
 
 def one_hot(table: RawTable, scaler: Scaler | None = None) -> ProcessedDataset:
@@ -233,28 +222,19 @@ def one_hot(table: RawTable, scaler: Scaler | None = None) -> ProcessedDataset:
     else:
         scaled_numeric = {}
 
-    raw_columns, kinds, categories, blocks, names = [], [], {}, [], []
+    blocks, names = [], []
     encoded_cols: list[np.ndarray] = []
     pos = 0
     for j in feat_idx:
         names.append(table.names[j])
         if table.kinds[j] == "numerical":
-            col = scaled_numeric[j]
-            raw_columns.append(col.copy())
-            kinds.append("numerical")
-            encoded_cols.append(col)
+            encoded_cols.append(scaled_numeric[j])
             blocks.append((pos, pos + 1))
             pos += 1
         else:
-            col = list(table.columns[j])
-            raw_columns.append(col)
-            kinds.append("categorical")
-            cats = list(dict.fromkeys(col))
-            categories[len(raw_columns) - 1] = cats
-            block = np.zeros((len(col), len(cats)))
-            for i, c in enumerate(col):
-                block[i, cats.index(c)] = 1.0
-            encoded_cols.extend(block.T)
+            col = np.array(table.columns[j])
+            cats = list(dict.fromkeys(table.columns[j]))
+            encoded_cols.extend((col == c).astype(float) for c in cats)
             blocks.append((pos, pos + len(cats)))
             pos += len(cats)
 
@@ -262,7 +242,7 @@ def one_hot(table: RawTable, scaler: Scaler | None = None) -> ProcessedDataset:
     label_col = table.columns[label_idx]
     classes = list(dict.fromkeys(label_col))
     y = np.array([classes.index(c) for c in label_col], dtype=np.int64)
-    return ProcessedDataset(X, y, raw_columns, kinds, categories, blocks, classes, names)
+    return ProcessedDataset(X, y, blocks, classes, names)
 
 
 @dataclass

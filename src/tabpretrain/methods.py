@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -192,18 +193,18 @@ def run_method(
 
     if recipe == "self_train":
         model, _ = baselines.self_train(
-            _with_labels(dataset, y_eff), labeled, unlabeled, train_fn,
+            replace(dataset, y=y_eff), labeled, unlabeled, train_fn,
             hp.get("self_train_threshold", 0.75), hp.get("self_train_iterations", 10),
         )
         outcome = _test_outcome(model, dataset, splits)
     elif recipe == "tri_train":
         model, _ = baselines.tri_train(
-            _with_labels(dataset, y_eff), labeled, unlabeled, train_fn, rng,
+            replace(dataset, y=y_eff), labeled, unlabeled, train_fn, rng,
             hp.get("self_train_iterations", 10),
         )
         outcome = _test_outcome(model, dataset, splits)
     elif recipe == "distill":
-        model = baselines.self_distill(_with_labels(dataset, y_eff), labeled, unlabeled, train_fn)
+        model = baselines.self_distill(replace(dataset, y=y_eff), labeled, unlabeled, train_fn)
         outcome = _test_outcome(model, dataset, splits)
     elif recipe in ("cotrain", "ae_cotrain"):
         spec = CotrainSpec(
@@ -223,16 +224,6 @@ def run_method(
         "finetune_outcome": outcome,
         "pretrain_outcome": pretrain_outcome,
     }
-
-
-def _with_labels(dataset: ProcessedDataset, y_eff: np.ndarray) -> ProcessedDataset:
-    if y_eff is dataset.y:
-        return dataset
-    clone = ProcessedDataset(
-        dataset.X, y_eff, dataset.raw_columns, dataset.kinds, dataset.categories,
-        dataset.feature_blocks, dataset.classes, dataset.feature_names,
-    )
-    return clone
 
 
 def _test_outcome(bundle: ModelBundle, dataset: ProcessedDataset, splits: Splits) -> TrainOutcome:

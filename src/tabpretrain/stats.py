@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,23 +31,32 @@ class MethodRun:
 
 
 def append_run(path, run: MethodRun) -> None:
+    """Append one record as a JSON line. A record counts once its newline is
+    written: an unterminated tail left by a torn write is cut off first, so
+    the new record starts on a fresh line."""
     # wall_time is not persisted so reruns with one seed are byte-identical
     record = asdict(run)
     record.pop("wall_time")
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(path, "ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
 
 
 def load_runs(path) -> list[MethodRun]:
-    runs = []
+    """Records of a results file. An unterminated last line is a torn write:
+    it is dropped with a warning, so its trial counts as not yet run."""
     if not os.path.exists(path):
-        return runs
+        return []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                runs.append(MethodRun(**json.loads(line)))
-    return runs
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
+    return [MethodRun(**json.loads(line)) for line in lines if line.strip()]
 
 
 def completed_keys(path) -> set[tuple]:
@@ -180,6 +190,12 @@ def _accuracies_by_dataset(runs, method: str, setting: str | None = None):
     return out
 
 
+def _comparable(acc_a: dict, acc_b: dict) -> list[str]:
+    """Datasets on which both methods have the two finite accuracies a Welch
+    test needs."""
+    return sorted(d for d in set(acc_a) & set(acc_b) if min(len(acc_a[d]), len(acc_b[d])) >= 2)
+
+
 def win_matrix(runs, methods: list[str], p: float = 0.05, setting: str | None = None) -> WinMatrix:
     per_method = {m: _accuracies_by_dataset(runs, m, setting) for m in methods}
     n = len(methods)
@@ -189,8 +205,7 @@ def win_matrix(runs, methods: list[str], p: float = 0.05, setting: str | None = 
         for j, mj in enumerate(methods):
             if i == j:
                 continue
-            shared = set(per_method[mi]) & set(per_method[mj])
-            for d in shared:
+            for d in _comparable(per_method[mi], per_method[mj]):
                 verdict = compare(per_method[mi][d], per_method[mj][d], p)
                 if verdict == "win":
                     wins[i, j] += 1
@@ -211,11 +226,12 @@ def relative_improvement(
     runs, method: str, reference: str, p: float = 0.20, setting: str | None = None
 ) -> list[BoxPlotEntry]:
     """Per-dataset 100*(acc_method - acc_ref)/acc_ref over datasets whose means
-    differ at the box-plot p filter. Zero-accuracy references are skipped."""
+    differ at the box-plot p filter. Zero-accuracy references and datasets
+    with fewer than two finite accuracies on either side are skipped."""
     acc_m = _accuracies_by_dataset(runs, method, setting)
     acc_r = _accuracies_by_dataset(runs, reference, setting)
     entries = []
-    for d in sorted(set(acc_m) & set(acc_r)):
+    for d in _comparable(acc_m, acc_r):
         if compare(acc_m[d], acc_r[d], p) == "tie":
             continue
         ref_mean = float(np.mean(acc_r[d]))

@@ -4,6 +4,14 @@ import pytest
 from tabpretrain.data import ProcessedDataset
 
 
+def encoded_dataset(X, y, classes=("0", "1"), blocks=None):
+    """ProcessedDataset over an already encoded X, one column per feature
+    unless `blocks` gives the feature blocks."""
+    if blocks is None:
+        blocks = [(j, j + 1) for j in range(X.shape[1])]
+    return ProcessedDataset(X, np.asarray(y), blocks, list(classes))
+
+
 def make_numeric_dataset(n=200, d=6, seed=0, separable=True, num_classes=2):
     """Synthetic all-numerical ProcessedDataset with an optional separable
     signal in the first two features."""
@@ -13,11 +21,7 @@ def make_numeric_dataset(n=200, d=6, seed=0, separable=True, num_classes=2):
         y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
     else:
         y = rng.integers(0, num_classes, size=n)
-    classes = [str(k) for k in range(num_classes)]
-    return ProcessedDataset(
-        X, y, [X[:, j].copy() for j in range(d)], ["numerical"] * d, {},
-        [(j, j + 1) for j in range(d)], classes,
-    )
+    return encoded_dataset(X, y, [str(k) for k in range(num_classes)])
 
 
 def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):
@@ -30,11 +34,7 @@ def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):
     ])
     y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(n - half, dtype=np.int64)])
     perm = rng.permutation(n)
-    X, y = X[perm], y[perm]
-    return ProcessedDataset(
-        X, y, [X[:, j].copy() for j in range(d)], ["numerical"] * d, {},
-        [(j, j + 1) for j in range(d)], ["0", "1"],
-    )
+    return encoded_dataset(X[perm], y[perm])
 
 
 def central_difference(f, params, h=1e-5):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tabpretrain.baselines import mixup_batch, self_distill, self_train, tri_train
-from tabpretrain.data import ProcessedDataset
+from conftest import encoded_dataset
 
 
 def index_dataset(n=20, num_classes=2, y=None):
@@ -12,9 +12,7 @@ def index_dataset(n=20, num_classes=2, y=None):
     X[:, 0] = np.arange(n)
     if y is None:
         y = np.arange(n) % num_classes
-    classes = [str(k) for k in range(num_classes)]
-    return ProcessedDataset(X, np.asarray(y), [X[:, 0].copy(), X[:, 1].copy()],
-                            ["numerical", "numerical"], {}, [(0, 1), (1, 2)], classes)
+    return encoded_dataset(X, y, [str(k) for k in range(num_classes)])
 
 
 class StubModel:

@@ -123,6 +123,23 @@ class TestRun:
         # trial 0 was not recomputed: its original line is an exact prefix
         assert (out / "results.jsonl").read_bytes().startswith(first)
 
+    def test_resume_after_torn_write_matches_uninterrupted_run(self, tmp_path):
+        csv, schema = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, trials=3)
+        blobs = []
+        for name in ("whole", "torn"):
+            out = tmp_path / name
+            args = ["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                    "--method", "control", "--out", str(out)]
+            assert main(args) == 0
+            blobs.append((out / "results.jsonl").read_bytes())
+        results = tmp_path / "torn" / "results.jsonl"
+        cut = blobs[1].rindex(b"\n", 0, -1) + 25  # a crash mid-way through trial 2's record
+        results.write_bytes(blobs[1][:cut])
+        with pytest.warns(UserWarning, match="unterminated"):
+            assert main(args) == 0
+        assert results.read_bytes() == blobs[0]
+
     def test_same_seed_byte_identical_results(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_numeric_dataset
+from conftest import encoded_dataset, make_numeric_dataset
 from tabpretrain.corruption import (
     ConfigurationError,
     CorruptionConfig,
@@ -10,7 +10,6 @@ from tabpretrain.corruption import (
     make_views,
     select_indices,
 )
-from tabpretrain.data import ProcessedDataset
 
 
 def mixed_dataset(n=30, seed=0):
@@ -24,18 +23,15 @@ def mixed_dataset(n=30, seed=0):
         onehot[i, cat_order.index(c)] = 1.0
     X = np.column_stack([num, onehot])
     y = rng.integers(0, 2, size=n).astype(np.int64)
-    return ProcessedDataset(
-        X, y, [num.copy(), cats], ["numerical", "categorical"],
-        {1: cat_order}, [(0, 1), (1, 1 + len(cat_order))], ["0", "1"],
-    )
+    return encoded_dataset(X, y, blocks=[(0, 1), (1, 1 + len(cat_order))])
 
 
 class TestMarginalPool:
     def test_multiplicity_kept(self):
         ds = make_numeric_dataset(n=20, d=2, seed=1)
-        ds.raw_columns[0][:] = [1.0, 1.0, 2.0] + [3.0] * 17
+        ds.X[:, 0] = [1.0, 1.0, 2.0] + [3.0] * 17
         pool = build_marginal_pool(ds, np.array([0, 1, 2]))
-        assert sorted(pool.feature_values[0]) == [1.0, 1.0, 2.0]
+        assert sorted(pool.X[:, 0]) == [1.0, 1.0, 2.0]
 
     def test_single_row_pool(self, rng):
         ds = make_numeric_dataset(n=20, d=3, seed=1)
@@ -46,17 +42,19 @@ class TestMarginalPool:
         np.testing.assert_array_equal(out, np.tile(ds.X[4], (5, 1)))
 
     def test_draws_are_pool_members(self, rng):
-        ds = make_numeric_dataset(n=50, d=4, seed=2)
+        """Each corrupted block, numerical or categorical, equals the same
+        block of some training row."""
         train = np.arange(30)
-        pool = build_marginal_pool(ds, train)
-        members = [set(pool.feature_values[j].tolist()) for j in range(ds.M)]
-        cfg = CorruptionConfig(rate=1.0)
-        for _ in range(100):
-            idx = select_indices(ds.M, cfg, 8, rng)
-            out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, idx, rng)
-            for i, I in enumerate(draw.index_sets):
-                for j in I:
-                    assert out[i, j] in members[j]
+        for ds in (make_numeric_dataset(n=50, d=4, seed=2), mixed_dataset(n=50, seed=2)):
+            pool = build_marginal_pool(ds, train)
+            cfg = CorruptionConfig(rate=1.0)
+            for _ in range(100):
+                idx = select_indices(ds.M, cfg, 8, rng)
+                out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, idx, rng)
+                for i, I in enumerate(draw.index_sets):
+                    for j in I:
+                        lo, hi = ds.feature_blocks[j]
+                        assert (ds.X[train, lo:hi] == out[i, lo:hi]).all(axis=1).any()
 
     def test_empty_split_rejected(self):
         ds = make_numeric_dataset()
@@ -168,6 +166,27 @@ class TestCorruptBatch:
             assert set(np.unique(block)) <= {0.0, 1.0}
             np.testing.assert_array_equal(block.sum(axis=1), np.ones(10))
 
+    def test_marginal_gather_matches_per_cell_loop(self):
+        """The vectorised gather against a per-example, per-feature loop that
+        copies block j of donor (i, j) from the same documented draws."""
+        ds = mixed_dataset(n=40, seed=3)
+        train = np.arange(25)
+        pool = build_marginal_pool(ds, train)
+        cfg = CorruptionConfig(rate=0.5)
+        batch = ds.X[25:35]
+        rng = np.random.default_rng(11)
+        idx = select_indices(ds.M, cfg, 10, rng)
+        donors = np.random.default_rng(11)
+        donors.random((10, ds.M))  # replay the index draw
+        donors = donors.integers(0, len(train), size=(10, ds.M))
+        expected = batch.copy()
+        for i, I in enumerate(idx):
+            for j in I:
+                lo, hi = ds.feature_blocks[j]
+                expected[i, lo:hi] = ds.X[train[donors[i, j]], lo:hi]
+        out, _ = corrupt_batch(batch, ds, cfg, pool, idx, rng)
+        np.testing.assert_array_equal(out, expected)
+
     def test_joint_rows_come_from_one_donor(self):
         ds = make_numeric_dataset(n=30, d=5, seed=4)
         pool = build_marginal_pool(ds, np.arange(20))
@@ -193,7 +212,6 @@ class TestCorruptBatch:
         scaled = make_numeric_dataset(n=40, d=3, seed=6)
         a = 2.5
         scaled.X[:, 0] *= a
-        scaled.raw_columns[0][:] = scaled.X[:, 0]
         train = np.arange(30)
         cfg = CorruptionConfig(rate=1.0)
         out1, _ = corrupt_batch(
@@ -243,14 +261,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CorruptionConfig(rate=1.5)
 
-    def test_unique_pool_draws_from_deduplicated_values(self):
+    def test_unique_pool_samples_deduplicated_values(self):
         ds = make_numeric_dataset(n=20, d=2, seed=8)
-        ds = ProcessedDataset(
-            ds.X[:, :1].copy(), ds.y, [ds.raw_columns[0]], ["numerical"],
-            {}, [(0, 1)], ds.classes,
-        )
-        ds.raw_columns[0][:] = np.array([1.0] * 19 + [2.0])
-        ds.X[:, 0] = ds.raw_columns[0]
+        ds = encoded_dataset(np.array([[1.0]] * 19 + [[2.0]]), ds.y)
         pool = build_marginal_pool(ds, np.arange(20))
         cfg = CorruptionConfig(rate=1.0, unique_pool=True)
         rng = np.random.default_rng(0)

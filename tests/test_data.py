@@ -145,10 +145,6 @@ class TestOneHot:
         assert hi - lo == 1
         np.testing.assert_array_equal(ds.X[:, lo], [1.0, 2.0, 3.0])
 
-    def test_unseen_category_encodes_to_zeros(self, tmp_path):
-        ds = self._dataset(tmp_path, "1,a,x\n2,b,y\n")
-        np.testing.assert_array_equal(ds.encode_value(1, "zebra"), [0.0, 0.0])
-
     def test_block_row_sums(self, tmp_path):
         ds = self._dataset(tmp_path, "1,a,x\n2,b,y\n3,c,x\n")
         lo, hi = ds.feature_blocks[1]

@@ -218,6 +218,15 @@ class TestWinMatrix:
         assert wm.wins[0, 1] == 1 and wm.losses[0, 1] == 0
         assert wm.wins[1, 0] == 0 and wm.losses[1, 0] == 1
 
+    def test_dataset_with_one_finite_accuracy_is_left_out(self):
+        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, np.nan])]
+        runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52])]
+        runs += [run("A", "d2", t, a) for t, a in enumerate([0.9, 0.91, 0.92])]
+        runs += [run("B", "d2", t, a) for t, a in enumerate([0.5, 0.51, 0.52])]
+        wm = win_matrix(runs, ["A", "B"], p=0.05)
+        assert wm.wins[0, 1] == 1 and wm.losses[0, 1] == 0  # d2 only
+        assert wm.wins[1, 0] == 0 and wm.losses[1, 0] == 1
+
     def test_setting_filter(self):
         runs = [run("A", "d", t, 0.9, "full") for t in range(3)]
         runs += [run("B", "d", t, 0.1, "full") for t in range(3)]
@@ -242,6 +251,14 @@ class TestRelativeImprovement:
         entries = relative_improvement(runs, "A", "B")
         assert len(entries) == 1
         assert entries[0].relative_improvement_pct == pytest.approx(100 * (0.905 - 0.51) / 0.51)
+
+    def test_dataset_with_one_finite_accuracy_is_left_out(self):
+        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, np.nan])]
+        runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52])]
+        runs += [run("A", "d2", t, a) for t, a in enumerate([0.549, 0.55, 0.551])]
+        runs += [run("B", "d2", t, a) for t, a in enumerate([0.499, 0.5, 0.501])]
+        entries = relative_improvement(runs, "A", "B")
+        assert [e.dataset_id for e in entries] == ["d2"]
 
     def test_tie_filtered_out(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.4, 0.9])]
@@ -306,6 +323,17 @@ class TestPersistence:
         path = tmp_path / "results.jsonl"
         append_run(path, run("m", "d", 3, 0.8, "semi25"))
         assert completed_keys(path) == {("d", "m", "semi25", 3)}
+
+    def test_torn_last_line_dropped(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        for t in range(3):
+            append_run(path, run("m", "d", t, 0.5 + t / 10))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: whole.rindex(b"\n", 0, -1) + 20])  # cut record 2 mid-line
+        with pytest.warns(UserWarning, match="unterminated"):
+            assert [r.trial_index for r in load_runs(path)] == [0, 1]
+        append_run(path, run("m", "d", 2, 0.7))
+        assert path.read_bytes() == whole
 
     def test_byte_identical_across_reruns(self, tmp_path):
         texts = []

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import make_blob_dataset, make_numeric_dataset
-from tabpretrain.corruption import ConfigurationError, CorruptionConfig, build_marginal_pool
+from conftest import assert_grads_close, central_difference, make_blob_dataset, make_numeric_dataset
+from tabpretrain import training
+from tabpretrain.corruption import (
+    ConfigurationError,
+    CorruptionConfig,
+    CorruptionDraw,
+    build_marginal_pool,
+)
 from tabpretrain.data import make_splits
 from tabpretrain.nn import mse
 from tabpretrain.training import (
@@ -17,6 +23,7 @@ from tabpretrain.training import (
     pretrain_autoencoder,
     pretrain_discriminative,
     pretrain_scarf,
+    _contrastive_loss,
 )
 
 SMALL = dict(hidden=16, encoder_layers=2, head_layers=1)
@@ -199,6 +206,38 @@ class TestPretrainScarf:
         )
         pretrain_scarf(ds, splits, bundle, cfg, rng)
         assert np.any(bundle.learnable_missing != 0.0)
+
+    def test_missing_learnable_gradient_matches_finite_differences(self, monkeypatch):
+        """The learnable-vector gradient of pretrain_scarf's step, for fixed
+        views and a fixed encoded mask, against central differences of the
+        contrastive loss: only the masked cells of view_b carry the vector."""
+        ds = make_numeric_dataset(n=100, d=4, seed=6)
+        splits = make_splits(100, 3)
+        rng = np.random.default_rng(4)
+        bundle = small_bundle(ds, rng, with_learnable_missing=True)
+        lmv = bundle.learnable_missing
+        lmv[:] = rng.normal(size=lmv.shape)
+        cfg = PretrainConfig(corruption=CorruptionConfig(strategy="missing_learnable"))
+        rows = splits.train[:16]
+        mask = rng.random((16, ds.X.shape[1])) < 0.5
+
+        def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
+            return batch.copy(), np.where(mask, learnable_values, batch), CorruptionDraw([], mask)
+
+        captured = []
+        monkeypatch.setattr(training, "make_views", fixed_views)
+        monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
+        monkeypatch.setattr(training, "_fit", lambda *args: captured.append(args[5]))
+        pretrain_scarf(ds, splits, bundle, cfg, rng)
+        _, grads = captured[0](rows)
+
+        batch = ds.X[rows]
+
+        def loss():
+            view_b = np.where(mask, lmv, batch)
+            return _contrastive_loss(cfg, bundle.embed(batch), bundle.embed(view_b))[0]
+
+        assert_grads_close([grads[-1]], central_difference(loss, [lmv]))
 
     @pytest.mark.parametrize("loss", ["barlow", "align_uniform"])
     def test_alternative_losses_run(self, loss):
