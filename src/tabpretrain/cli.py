@@ -15,6 +15,12 @@ patience (3), val_build_epochs (10), label_smoothing (0.1), dropout (0.04),
 mixup_alpha (0.2), cotrain_weight (0.1), self_train_threshold (0.75),
 self_train_iterations (10), hidden_dim (256), noise_rate (0.3),
 labeled_fraction (0.25).
+
+`run` encodes the CSV once and hands it to `methods.run_benchmark`, which
+scales each trial on its own training rows. With jobs > 1 that many trials
+run at once in threads; records and curves files are still written in trial
+order, so the output is byte-identical for any jobs. A trial that raises is
+reported on stderr, leaves no record and reruns on resume.
 """
 
 from __future__ import annotations
@@ -23,11 +29,8 @@ import argparse
 import json
 import os
 import sys
-import time
 import xml.dom.minidom
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from threading import Lock
 
 from tabpretrain import methods, stats
 from tabpretrain.corruption import CorruptionConfig
@@ -35,10 +38,10 @@ from tabpretrain.data import (
     IngestionError,
     Schema,
     drop_empty_columns,
+    encode_csv,
     impute,
     load_csv,
     one_hot,
-    process_csv,
 )
 
 CONFIG_DEFAULTS = {
@@ -165,69 +168,31 @@ def _dataset_id(path: str) -> str:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    hp = _hyperparameters(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
-        json.dump({k: v for k, v in cfg.items()}, fh, indent=2, sort_keys=True)
+        json.dump(cfg, fh, indent=2, sort_keys=True)
 
-    schema = Schema.from_file(cfg["schema"])
-    dataset_id = _dataset_id(cfg["dataset"])
-    results_path = os.path.join(cfg["out"], "results.jsonl")
-    done = stats.completed_keys(results_path)
-    method, setting = cfg["method"], cfg["setting"]
-    base_seed = int(cfg["seed"])
-
-    lock = Lock()
-    failures = []
-
-    def one_trial(trial: int):
-        key = (dataset_id, method, setting, trial)
-        if key in done:
-            return
-        split_seed = methods.derive_seed(base_seed, dataset_id, trial)
-        dataset, splits = process_csv(cfg["dataset"], schema, split_seed, cfg["scaling"])
-        seed = methods.derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
-        start = time.time()
-        try:
-            res = methods.run_method(method, dataset, splits, setting, seed, hp)
-        except Exception as exc:  # per-trial failures logged, sweep continues
-            with lock:
-                failures.append(trial)
-                print(f"trial {trial} failed: {exc}", file=sys.stderr)
-            return
-        run = stats.MethodRun(
-            dataset_id, method, trial, seed, setting, res["test_accuracy"],
-            res["epochs_used"], res["pretrain_epochs"], time.time() - start,
-        )
-        with lock:
-            stats.append_run(results_path, run)
-            _write_curves(cfg["out"], dataset_id, method, setting, trial, res)
-            print(f"trial {trial}: test_accuracy={res['test_accuracy']:.4f}")
-
-    trials = range(int(cfg["trials"]))
-    if int(cfg["jobs"]) > 1:
-        with ThreadPoolExecutor(max_workers=int(cfg["jobs"])) as pool:
-            list(pool.map(one_trial, trials))
-    else:
-        for t in trials:
-            one_trial(t)
-    attempted = [t for t in trials if (dataset_id, method, setting, t) not in done]
-    if attempted and len(failures) == len(attempted):
+    attempted = failed = 0
+    try:
+        hp = _hyperparameters(cfg)
+        dataset = encode_csv(cfg["dataset"], Schema.from_file(cfg["schema"]))
+        for outcome in methods.run_benchmark(
+            {_dataset_id(cfg["dataset"]): dataset}, [cfg["method"]], [cfg["setting"]],
+            int(cfg["trials"]), int(cfg["seed"]), cfg["out"], hp, cfg["scaling"], int(cfg["jobs"]),
+        ):
+            attempted += 1
+            if isinstance(outcome, methods.TrialFailure):
+                failed += 1
+                print(f"trial {outcome.trial_index} failed: {outcome.error}", file=sys.stderr)
+            else:
+                print(f"trial {outcome.trial_index}: test_accuracy={outcome.test_accuracy:.4f}")
+    except (ValueError, OSError) as exc:  # configuration, schema or CSV errors
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+    if attempted and failed == attempted:
         print("all trials failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _write_curves(out_dir, dataset_id, method, setting, trial, res) -> None:
-    path = os.path.join(out_dir, f"curves_{dataset_id}_{method}_{setting}_{trial}.csv")
-    with open(path, "w") as fh:
-        fh.write("phase,epoch,train_metric,validation_metric\n")
-        for phase_name, outcome in (("pretrain", res["pretrain_outcome"]),
-                                    ("finetune", res["finetune_outcome"])):
-            if outcome is None:
-                continue
-            for e, (tr, va) in enumerate(zip(outcome.train_curve, outcome.val_curve), start=1):
-                fh.write(f"{phase_name},{e},{tr:.10g},{va:.10g}\n")
 
 
 def cmd_report(args) -> int:

@@ -47,6 +47,8 @@ class CorruptionConfig:
             raise ConfigurationError("corruption rate must lie in [0, 1]")
         if self.index_selection not in ("fixed_count", "bernoulli"):
             raise ConfigurationError(f"unknown index_selection {self.index_selection!r}")
+        if self.index_selection == "bernoulli" and self.rate == 0:
+            raise ConfigurationError("bernoulli index_selection needs a positive rate")
         if self.view_policy not in ("corrupt_one", "corrupt_both"):
             raise ConfigurationError(f"unknown view_policy {self.view_policy!r}")
         if self.index_sharing not in ("per_example", "shared_batch"):

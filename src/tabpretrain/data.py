@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 MISSING = None  # internal missing marker; empty CSV cells map to it
 
 KINDS = ("numerical", "categorical", "label")
+SCALINGS = ("zscore", "minmax", "mean", "none")
 
 
 class IngestionError(ValueError):
@@ -125,47 +126,31 @@ def impute(table: RawTable) -> RawTable:
 
 @dataclass
 class Scaler:
-    """Per-numerical-feature statistics for zscore/minmax/mean scaling.
+    """Per-numerical-feature (x - center) / denom: zscore, minmax or mean
+    scaling, or none. Standard deviation is the population form (divide by
+    n). Degenerate features (std == 0 or max == min) map to 0."""
 
-    Standard deviation is the population form (divide by n). Degenerate
-    features (std == 0 or max == min) map to 0.
-    """
-
-    kind: str
-    mean: np.ndarray
-    std: np.ndarray
-    min: np.ndarray
-    max: np.ndarray
+    center: np.ndarray
+    denom: np.ndarray
 
 
 def fit_scaler(train_values: np.ndarray, kind: str) -> Scaler:
     """train_values: (n_train, n_numerical) matrix of the training rows."""
-    if kind not in ("zscore", "minmax", "mean", "none"):
+    if kind not in SCALINGS:
         raise ValueError(f"unknown scaling kind {kind!r}")
     v = np.asarray(train_values, dtype=float)
-    if v.size == 0:
-        z = np.zeros(v.shape[1] if v.ndim == 2 else 0)
-        return Scaler(kind, z, z.copy(), z.copy(), z.copy())
-    return Scaler(kind, v.mean(axis=0), v.std(axis=0), v.min(axis=0), v.max(axis=0))
+    if kind == "none":
+        return Scaler(np.zeros(v.shape[1]), np.ones(v.shape[1]))
+    center = v.min(axis=0) if kind == "minmax" else v.mean(axis=0)
+    denom = v.std(axis=0) if kind == "zscore" else v.max(axis=0) - v.min(axis=0)
+    return Scaler(center, denom)
 
 
 def apply_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
-    if scaler.kind == "none":
-        return v.copy()
-    span = scaler.max - scaler.min
-    if scaler.kind == "zscore":
-        denom = scaler.std
-        center = scaler.mean
-    elif scaler.kind == "minmax":
-        denom = span
-        center = scaler.min
-    else:  # mean scaling
-        denom = span
-        center = scaler.mean
     out = np.zeros_like(v)
-    ok = denom != 0
-    out[:, ok] = (v[:, ok] - center[ok]) / denom[ok]
+    ok = scaler.denom != 0
+    out[:, ok] = (v[:, ok] - scaler.center[ok]) / scaler.denom[ok]
     return out
 
 
@@ -174,9 +159,10 @@ class ProcessedDataset:
     """Encoded features X, one row per example, and integer class labels y.
 
     feature_blocks[j] is the half-open range of X's columns that encode
-    feature j: one scaled column for a numerical feature, one binary column
-    per observed category for a categorical one. X is the only copy of the
-    features; corruption replaces whole blocks of it.
+    feature j: one column for a numerical feature, one binary column per
+    observed category for a categorical one. X is the only copy of the
+    features; corruption replaces whole blocks of it. numerical_columns lists
+    the columns that `scale` rescales.
     """
 
     X: np.ndarray
@@ -184,6 +170,7 @@ class ProcessedDataset:
     feature_blocks: list[tuple[int, int]]
     classes: list[str]
     feature_names: list[str] = field(default_factory=list)
+    numerical_columns: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -203,32 +190,22 @@ class ProcessedDataset:
         return np.repeat(np.arange(self.M), [hi - lo for lo, hi in self.feature_blocks])
 
 
-def one_hot(table: RawTable, scaler: Scaler | None = None) -> ProcessedDataset:
-    """Encode an imputed table. Numerical features pass through (scaled when a
-    fitted scaler is given); each categorical feature becomes one binary column
-    per observed category, in first-appearance order. Class indices follow
-    first appearance in file order."""
+def one_hot(table: RawTable) -> ProcessedDataset:
+    """Encode an imputed table, unscaled. Numerical features pass through;
+    each categorical feature becomes one binary column per observed category,
+    in first-appearance order. Class indices follow first appearance in file
+    order."""
     feat_idx = [j for j, k in enumerate(table.kinds) if k != "label"]
     label_idx = table.kinds.index("label")
 
-    num_positions = [j for j in feat_idx if table.kinds[j] == "numerical"]
-    if num_positions:
-        num_matrix = np.array(
-            [[float(c) for c in table.columns[j]] for j in num_positions], dtype=float
-        ).T
-        if scaler is not None:
-            num_matrix = apply_scaler(scaler, num_matrix)
-        scaled_numeric = {j: num_matrix[:, k] for k, j in enumerate(num_positions)}
-    else:
-        scaled_numeric = {}
-
-    blocks, names = [], []
+    blocks, names, numerical = [], [], []
     encoded_cols: list[np.ndarray] = []
     pos = 0
     for j in feat_idx:
         names.append(table.names[j])
         if table.kinds[j] == "numerical":
-            encoded_cols.append(scaled_numeric[j])
+            encoded_cols.append(np.array([float(c) for c in table.columns[j]]))
+            numerical.append(pos)
             blocks.append((pos, pos + 1))
             pos += 1
         else:
@@ -242,7 +219,22 @@ def one_hot(table: RawTable, scaler: Scaler | None = None) -> ProcessedDataset:
     label_col = table.columns[label_idx]
     classes = list(dict.fromkeys(label_col))
     y = np.array([classes.index(c) for c in label_col], dtype=np.int64)
-    return ProcessedDataset(X, y, blocks, classes, names)
+    return ProcessedDataset(X, y, blocks, classes, names, numerical)
+
+
+def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:
+    """Load, drop all-missing columns, impute and encode; no scaling."""
+    return one_hot(impute(drop_empty_columns(load_csv(csv_path, schema))))
+
+
+def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> ProcessedDataset:
+    """Copy of the dataset whose numerical columns are scaled with statistics
+    of the given training rows; the other columns are left as they are."""
+    cols = np.asarray(dataset.numerical_columns, dtype=int)
+    X = dataset.X.copy()
+    scaler = fit_scaler(X[np.ix_(train_indices, cols)], kind)
+    X[:, cols] = apply_scaler(scaler, X[:, cols])
+    return replace(dataset, X=X)
 
 
 @dataclass
@@ -297,18 +289,8 @@ def mask_labels(
 def process_csv(
     csv_path, schema: Schema, splits_seed: int, scaling: str = "zscore"
 ) -> tuple[ProcessedDataset, Splits]:
-    """Full pipeline: load, drop all-missing columns, impute, split, fit the
-    scaler on training rows only, encode."""
-    table = drop_empty_columns(load_csv(csv_path, schema))
-    table = impute(table)
-    splits = make_splits(table.n_rows, splits_seed)
-    num_positions = [j for j, k in enumerate(table.kinds) if k == "numerical"]
-    if num_positions:
-        train_vals = np.array(
-            [[float(table.columns[j][i]) for j in num_positions] for i in splits.train],
-            dtype=float,
-        )
-        scaler = fit_scaler(train_vals, scaling)
-    else:
-        scaler = fit_scaler(np.zeros((0, 0)), scaling)
-    return one_hot(table, scaler), splits
+    """Full pipeline: encode, split, scale the numerical columns with
+    statistics of the training rows only."""
+    dataset = encode_csv(csv_path, schema)
+    splits = make_splits(dataset.n, splits_seed)
+    return scale(dataset, splits.train, scaling), splits

@@ -5,18 +5,25 @@ pre-training recipe ("scarf", "no_noise_ae", ...), or a "pretrain+recipe"
 combination such as "scarf+mixup" or "scarf+self_train". Within a trial every
 method sees the same splits; per-trial seeds derive deterministically from
 (base_seed, dataset_id, trial).
+
+`run_benchmark` is the one loop over trials, for the library and the CLI.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import time
-from dataclasses import replace
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from tabpretrain import baselines, stats
-from tabpretrain.data import ProcessedDataset, Splits, corrupt_labels, mask_labels, make_splits
+from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
+                              mask_labels, scale)
 from tabpretrain.training import (
     CotrainSpec,
     FinetuneConfig,
@@ -231,49 +238,84 @@ def _test_outcome(bundle: ModelBundle, dataset: ProcessedDataset, splits: Splits
     return TrainOutcome([], [], 0, "max_epochs", 0, float("nan"), test_accuracy=acc)
 
 
+@dataclass
+class TrialFailure:
+    """A trial that raised. It has no results record, so it reruns on resume."""
+
+    dataset_id: str
+    method_name: str
+    setting: str
+    trial_index: int
+    error: Exception
+
+
 def run_benchmark(
-    datasets: dict[str, ProcessedDataset] | dict[str, tuple],
+    datasets: dict[str, ProcessedDataset],
     methods: list[str],
     settings: list[str],
     trials: int,
     base_seed: int,
-    results_path=None,
+    out_dir=None,
     hp: dict | None = None,
-    on_result=None,
-) -> list[stats.MethodRun]:
-    """One MethodRun per (dataset, method, setting, trial). Splits are derived
-    from (base_seed, dataset, trial) only, so all methods in a trial share
-    them. Completed keys in an existing results file are skipped; individual
-    run failures are recorded as records with NaN accuracy."""
+    scaling: str = "zscore",
+    jobs: int = 1,
+) -> Iterator[stats.MethodRun | TrialFailure]:
+    """Yield, in trial order, a MethodRun (or a TrialFailure if it raised) for
+    each (dataset, method, setting, trial) not yet in `out_dir/results.jsonl`.
+
+    Datasets come encoded but unscaled. The split seed derives from
+    (base_seed, dataset, trial) only, so all methods of a trial share the
+    split, and each trial scales the numerical columns on its training rows.
+    The calling thread appends each MethodRun and its curves_*.csv to
+    `out_dir` before yielding it, so the files are the same bytes for any
+    `jobs` (threads running trials at once); a failure writes nothing.
+    Unknown method, setting or scaling names raise before the first trial.
+    """
+    for method in methods:
+        parse_method(method)
+    for setting in settings:
+        if setting not in SETTINGS:
+            raise ValueError(f"unknown setting {setting!r}")
+    if scaling not in SCALINGS:
+        raise ValueError(f"unknown scaling {scaling!r}")
+    results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
     done = stats.completed_keys(results_path) if results_path else set()
-    records = []
-    for dataset_id, dataset in datasets.items():
-        for trial in range(trials):
-            split_seed = derive_seed(base_seed, dataset_id, trial)
-            splits = make_splits(dataset.n, split_seed)
-            for setting in settings:
-                for method in methods:
-                    key = (dataset_id, method, setting, trial)
-                    if key in done:
-                        continue
-                    seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
-                    start = time.time()
-                    try:
-                        res = run_method(method, dataset, splits, setting, seed, hp)
-                        acc = res["test_accuracy"]
-                        epochs = res["epochs_used"]
-                        pre_epochs = res["pretrain_epochs"]
-                    except UnknownMethodError:
-                        raise
-                    except Exception:
-                        acc, epochs, pre_epochs = float("nan"), 0, 0
-                    run = stats.MethodRun(
-                        dataset_id, method, trial, seed, setting, acc,
-                        epochs, pre_epochs, time.time() - start,
-                    )
-                    records.append(run)
-                    if results_path:
-                        stats.append_run(results_path, run)
-                    if on_result:
-                        on_result(run)
-    return records
+    todo = [(dataset_id, method, setting, trial)
+            for dataset_id in datasets for trial in range(trials)
+            for setting in settings for method in methods
+            if (dataset_id, method, setting, trial) not in done]
+
+    def run_one(key):
+        dataset_id, method, setting, trial = key
+        seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
+        start = time.time()
+        try:
+            splits = make_splits(datasets[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
+            dataset = scale(datasets[dataset_id], splits.train, scaling)
+            res = run_method(method, dataset, splits, setting, seed, hp)
+        except Exception as exc:  # reported to the caller; no record is written
+            return TrialFailure(dataset_id, method, setting, trial, exc), None
+        run = stats.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
+                              res["epochs_used"], res["pretrain_epochs"], time.time() - start)
+        return run, res
+
+    with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = pool.map(run_one, todo) if pool else map(run_one, todo)
+        for outcome, res in outcomes:
+            if res is not None and out_dir:
+                stats.append_run(results_path, outcome)
+                _write_curves(out_dir, outcome, res)
+            yield outcome
+
+
+def _write_curves(out_dir, run: stats.MethodRun, res: dict) -> None:
+    """Per-epoch train and validation metrics of a trial's two phases."""
+    name = f"curves_{run.dataset_id}_{run.method_name}_{run.setting}_{run.trial_index}.csv"
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write("phase,epoch,train_metric,validation_metric\n")
+        for phase_name, outcome in (("pretrain", res["pretrain_outcome"]),
+                                    ("finetune", res["finetune_outcome"])):
+            if outcome is None:
+                continue
+            for e, (tr, va) in enumerate(zip(outcome.train_curve, outcome.val_curve), start=1):
+                fh.write(f"{phase_name},{e},{tr:.10g},{va:.10g}\n")

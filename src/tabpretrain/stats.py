@@ -33,7 +33,10 @@ class MethodRun:
 def append_run(path, run: MethodRun) -> None:
     """Append one record as a JSON line. A record counts once its newline is
     written: an unterminated tail left by a torn write is cut off first, so
-    the new record starts on a fresh line."""
+    the new record starts on a fresh line. A non-finite accuracy raises
+    ValueError: it is no result, and bare NaN is not valid JSON."""
+    if not math.isfinite(run.test_accuracy):
+        raise ValueError(f"non-finite test_accuracy {run.test_accuracy} for {run.key()}")
     # wall_time is not persisted so reruns with one seed are byte-identical
     record = asdict(run)
     record.pop("wall_time")

@@ -159,6 +159,37 @@ class TestRun:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_scaling_typo_fails_cleanly(self, tmp_path, capsys):
+        csv, schema = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, scaling="zscroe")
+        out = tmp_path / "o"
+        code = main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                     "--method", "control", "--out", str(out)])
+        assert code == 1
+        assert "scaling 'zscroe'" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
+
+    def test_bernoulli_zero_rate_fails_instead_of_hanging(self, tmp_path, capsys):
+        csv, schema = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, index_selection="bernoulli", corruption_rate=0)
+        code = main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                     "--method", "scarf", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bernoulli" in capsys.readouterr().err
+
+    def test_jobs_do_not_change_output_bytes(self, tmp_path):
+        csv, schema = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, trials=4)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                         "--method", "scarf", "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "config.json"})
+        assert len(outputs[0]) == 5  # results.jsonl and four curves files
+        assert outputs[0] == outputs[1]
+
     def test_parallel_jobs_complete_all_trials(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path, trials=3)

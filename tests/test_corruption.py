@@ -261,6 +261,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CorruptionConfig(rate=1.5)
 
+    def test_bernoulli_zero_rate_rejected(self):
+        # select_indices would redraw the always-empty rows forever
+        with pytest.raises(ConfigurationError, match="bernoulli"):
+            CorruptionConfig(rate=0.0, index_selection="bernoulli")
+
     def test_unique_pool_samples_deduplicated_values(self):
         ds = make_numeric_dataset(n=20, d=2, seed=8)
         ds = encoded_dataset(np.array([[1.0]] * 19 + [[2.0]]), ds.y)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_dataset
-from tabpretrain.data import make_splits
+from tabpretrain import methods, stats
+from tabpretrain.data import Schema, encode_csv, make_splits, process_csv
 from tabpretrain.methods import (
     FINETUNERS,
     PRETRAINERS,
     SETTINGS,
+    TrialFailure,
     UnknownMethodError,
     apply_setting,
     derive_seed,
@@ -122,15 +124,30 @@ class TestRunMethod:
         assert a["epochs_used"] == b["epochs_used"]
 
 
+def write_mixed_csv(tmp_path, n=80):
+    """Two numerical features far from zero mean and unit spread around a
+    categorical one."""
+    rng = np.random.default_rng(1)
+    rows = ["a,color,b,target"]
+    for i in range(n):
+        a, b = rng.normal(size=2) * [3.0, 0.5] + [10.0, -1.0]
+        rows.append(f"{a:.5f},{'rgb'[i % 3]},{b:.5f},{'xy'[int(a > 10)]}")
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(rows) + "\n")
+    schema = Schema(["a", "color", "b", "target"],
+                    ["numerical", "categorical", "numerical", "label"])
+    return path, schema
+
+
 class TestRunBenchmark:
     def test_records_and_resume(self, tmp_path):
         ds = make_blob_dataset(n=120, d=4, seed=4)
-        path = tmp_path / "results.jsonl"
-        records = run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
-                                results_path=path, hp=FAST_HP)
+        records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
+                                     out_dir=tmp_path, hp=FAST_HP))
         assert len(records) == 2
-        again = run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
-                              results_path=path, hp=FAST_HP)
+        assert all(isinstance(r, stats.MethodRun) for r in records)
+        again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
+                                   out_dir=tmp_path, hp=FAST_HP))
         assert again == []  # everything already completed
 
     def test_split_seed_shared_across_methods(self):
@@ -142,4 +159,75 @@ class TestRunBenchmark:
     def test_unknown_method_raises(self, tmp_path):
         ds = make_blob_dataset(n=120, d=4, seed=5)
         with pytest.raises(UnknownMethodError):
-            run_benchmark({"blob": ds}, ["ghost"], ["full"], 1, 0, hp=FAST_HP)
+            list(run_benchmark({"blob": ds}, ["ghost"], ["full"], 1, 0, hp=FAST_HP))
+
+    @pytest.mark.parametrize("settings, scaling", [(["half"], "zscore"), (["full"], "zscroe")])
+    def test_unknown_setting_or_scaling_raises_before_first_trial(self, tmp_path, monkeypatch,
+                                                                  settings, scaling):
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="unknown"):
+            list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], settings,
+                               2, 0, out_dir=tmp_path, hp=FAST_HP, scaling=scaling))
+        assert calls == []
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_failed_trial_writes_no_record_and_reruns(self, tmp_path, monkeypatch):
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "flaky").mkdir()
+        clean = list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0,
+                                   out_dir=tmp_path / "clean", hp=FAST_HP))
+        flaky_seed = derive_seed(0, "blob", 1, salt="control|full")
+
+        def flaky(method, dataset, splits, setting, seed, hp=None):
+            if seed == flaky_seed:
+                raise RuntimeError("boom")
+            return run_method(method, dataset, splits, setting, seed, hp)
+
+        out = tmp_path / "flaky"
+        monkeypatch.setattr(methods, "run_method", flaky)
+        first = list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0,
+                                   out_dir=out, hp=FAST_HP))
+        assert [type(r) for r in first] == [stats.MethodRun, TrialFailure, stats.MethodRun]
+        assert first[1].trial_index == 1 and "boom" in str(first[1].error)
+        assert [r.trial_index for r in stats.load_runs(out / "results.jsonl")] == [0, 2]
+        assert not (out / "curves_blob_control_full_1.csv").exists()
+
+        monkeypatch.setattr(methods, "run_method", run_method)
+        again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0,
+                                   out_dir=out, hp=FAST_HP))
+        assert [r.key() for r in again] == [clean[1].key()]
+        assert again[0].test_accuracy == clean[1].test_accuracy
+        lines = (out / "results.jsonl").read_text().splitlines()
+        assert sorted(lines) == sorted((tmp_path / "clean" / "results.jsonl").read_text().splitlines())
+
+    @pytest.mark.parametrize("scaling", ["zscore", "minmax", "mean"])
+    def test_each_trial_scaled_on_its_training_rows(self, tmp_path, monkeypatch, scaling):
+        path, schema = write_mixed_csv(tmp_path)
+        raw = encode_csv(path, schema)
+        raw_X = raw.X.copy()
+        assert raw.numerical_columns == [0, 4]
+        num, cat = [0, 4], [1, 2, 3]
+        seen = []
+
+        def capture(method, dataset, splits, setting, seed, hp=None):
+            seen.append((dataset, splits))
+            return run_method(method, dataset, splits, setting, seed, hp)
+
+        monkeypatch.setattr(methods, "run_method", capture)
+        list(run_benchmark({"mixed": raw}, ["control"], ["full"], 2, 0, hp=FAST_HP,
+                           scaling=scaling))
+        assert len(seen) == 2
+        for trial, (ds, splits) in enumerate(seen):
+            assert splits.seed == derive_seed(0, "mixed", trial)
+            train = ds.X[splits.train][:, num]
+            center = train.min(axis=0) if scaling == "minmax" else train.mean(axis=0)
+            spread = train.std(axis=0) if scaling == "zscore" else np.ptp(train, axis=0)
+            np.testing.assert_allclose(center, 0.0, atol=1e-12)
+            np.testing.assert_allclose(spread, 1.0, atol=1e-12)
+            np.testing.assert_array_equal(ds.X[:, cat], raw_X[:, cat])
+            expected, _ = process_csv(path, schema, splits.seed, scaling)
+            assert ds.X.tobytes() == expected.X.tobytes()
+        assert not np.array_equal(seen[0][0].X, seen[1][0].X)
+        np.testing.assert_array_equal(raw.X, raw_X)  # the encoded input is not rescaled

@@ -210,8 +210,8 @@ class TestWinMatrix:
                 assert wm.wins[i, j] == w and wm.losses[i, j] == l
 
     def test_failed_trial_is_not_scored(self):
-        # a failed trial is recorded with NaN accuracy; it must not turn A's
-        # clear win into a significant loss in both directions
+        # a NaN accuracy must not turn A's clear win into a significant loss
+        # in both directions
         runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
         runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
         wm = win_matrix(runs, ["A", "B"], p=0.05)
@@ -323,6 +323,15 @@ class TestPersistence:
         path = tmp_path / "results.jsonl"
         append_run(path, run("m", "d", 3, 0.8, "semi25"))
         assert completed_keys(path) == {("d", "m", "semi25", 3)}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_accuracy_rejected(self, tmp_path, bad):
+        path = tmp_path / "results.jsonl"
+        append_run(path, run("m", "d", 0, 0.5))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            append_run(path, run("m", "d", 1, bad))
+        assert path.read_bytes() == before
 
     def test_torn_last_line_dropped(self, tmp_path):
         path = tmp_path / "results.jsonl"
