@@ -16,11 +16,12 @@ mixup_alpha (0.2), cotrain_weight (0.1), self_train_threshold (0.75),
 self_train_iterations (10), hidden_dim (256), noise_rate (0.3),
 labeled_fraction (0.25).
 
-`run` encodes the CSV once and hands it to `methods.run_benchmark`, which
-scales each trial on its own training rows. With jobs > 1 that many trials
-run at once in threads; records and curves files are still written in trial
-order, so the output is byte-identical for any jobs. A trial that raises is
-reported on stderr, leaves no record and reruns on resume.
+`run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
+only if a trial is left to run; each trial scales on its own training rows.
+With jobs > 1 that many trials run at once in threads; records and curves
+files are still written in trial order, so the output is byte-identical for
+any jobs. A trial that raises is reported on stderr and in failures.jsonl,
+leaves no record and reruns on resume.
 """
 
 from __future__ import annotations
@@ -175,9 +176,10 @@ def cmd_run(args) -> int:
     attempted = failed = 0
     try:
         hp = _hyperparameters(cfg)
-        dataset = encode_csv(cfg["dataset"], Schema.from_file(cfg["schema"]))
+        schema = Schema.from_file(cfg["schema"])
         for outcome in methods.run_benchmark(
-            {_dataset_id(cfg["dataset"]): dataset}, [cfg["method"]], [cfg["setting"]],
+            {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
+            [cfg["method"]], [cfg["setting"]],
             int(cfg["trials"]), int(cfg["seed"]), cfg["out"], hp, cfg["scaling"], int(cfg["jobs"]),
         ):
             attempted += 1

@@ -4,7 +4,8 @@ Everything works on the encoded matrix X. A marginal draw for feature j is
 block j of a uniformly chosen training row, so the marginal pool is X[train].
 `corrupt_batch` expands the per-example feature mask to encoded columns, builds
 one replacement matrix (donor gather, train means, noise, zeros or learnable
-values) and writes it with one `np.where`; untouched cells stay bit-identical.
+values) and writes it with one `np.where`; untouched cells stay bit-identical,
+and the views keep the batch's floating dtype.
 
 Draw order from the run RNG is fixed: `select_indices` draws one (B, M)
 uniform matrix (one row under shared_batch; bernoulli then redraws only the
@@ -21,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from tabpretrain.data import ProcessedDataset
+from tabpretrain.nn import as_float
 
 STRATEGIES = ("marginal", "none", "mean", "gaussian", "joint", "missing_learnable", "zero")
 
@@ -145,8 +147,9 @@ def corrupt_batch(
     learnable_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CorruptionDraw]:
     """Apply the configured strategy to a copy of `batch` at the given
-    feature index sets. Untouched coordinates stay bit-identical."""
-    batch = np.asarray(batch, dtype=float)
+    feature index sets. Untouched coordinates stay bit-identical, and the
+    result has the batch's floating dtype."""
+    batch = as_float(batch)
     strategy = config.strategy
     if strategy in ("marginal", "joint", "mean") and pool is None:
         raise ConfigurationError(f"strategy {strategy!r} requires a marginal pool")
@@ -180,7 +183,8 @@ def corrupt_batch(
         replacement = learnable_values
     else:  # zero, and none (whose mask is empty)
         replacement = 0.0
-    return np.where(mask, replacement, batch), CorruptionDraw(index_sets, mask)
+    out = np.where(mask, replacement, batch).astype(batch.dtype, copy=False)
+    return out, CorruptionDraw(index_sets, mask)
 
 
 def make_views(
@@ -199,7 +203,7 @@ def make_views(
     if config.view_policy == "corrupt_one":
         idx_b = select_indices(M, config, batch.shape[0], rng)
         view_b, draw_b = corrupt_batch(batch, dataset, config, pool, idx_b, rng, learnable_values)
-        return np.array(batch, dtype=float, copy=True), view_b, draw_b
+        return as_float(batch).copy(), view_b, draw_b
     idx_a = select_indices(M, config, batch.shape[0], rng)
     view_a, _ = corrupt_batch(batch, dataset, config, pool, idx_a, rng, learnable_values)
     idx_b = select_indices(M, config, batch.shape[0], rng)

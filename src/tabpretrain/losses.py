@@ -1,21 +1,23 @@
 """Contrastive and auxiliary pre-training objectives.
 
 Every loss returns (value, gradients) with gradients averaged so that they are
-the exact derivatives of the returned scalar. The contrastive loss keeps the
-1/N factor inside the log denominator, so its value differs from the more
-common convention by exactly -log N while the gradients coincide.
+the exact derivatives of the returned scalar, computed in the floating dtype
+of the inputs (float32 in training, float64 in the oracles). The contrastive
+loss keeps the 1/N factor inside the log denominator, so its value differs
+from the more common convention by exactly -log N while the gradients
+coincide.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from tabpretrain.nn import ShapeError
+from tabpretrain.nn import ShapeError, as_float
 
 
 def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    z_tilde = np.asarray(z_tilde, dtype=float)
+    z = as_float(z)
+    z_tilde = as_float(z_tilde)
     if z.shape[1] != z_tilde.shape[1]:
         raise ShapeError("embedding widths differ")
     nz = np.linalg.norm(z, axis=1)
@@ -30,7 +32,7 @@ def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     gradient w.r.t. s."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    s = np.asarray(s, dtype=float)
+    s = as_float(s)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ShapeError("similarity matrix must be square")
@@ -39,7 +41,7 @@ def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     e = np.exp(st - row_max)
     lse = np.log(e.sum(axis=1)) + row_max[:, 0]
     # per-row: -s_ii/t + log((1/n) sum_k exp(s_ik/t))
-    loss = float(np.mean(-np.diag(st) + lse - np.log(n)))
+    loss = float(np.mean(-np.diag(st) + lse - np.log(st.dtype.type(n))))
     p = e / e.sum(axis=1, keepdims=True)
     grad = p.copy()
     grad[np.arange(n), np.arange(n)] -= 1.0
@@ -50,7 +52,7 @@ def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
 def infonce_error(s: np.ndarray) -> float:
     """Fraction of rows whose argmax is off the diagonal (ties break to the
     smallest index)."""
-    s = np.asarray(s, dtype=float)
+    s = as_float(s)
     n = s.shape[0]
     if s.shape != (n, n):
         raise ShapeError("similarity matrix must be square")
@@ -58,8 +60,8 @@ def infonce_error(s: np.ndarray) -> float:
 
 
 def binary_logistic(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    logits = np.asarray(logits, dtype=float).reshape(-1)
-    labels = np.asarray(labels, dtype=float).reshape(-1)
+    logits = as_float(logits).reshape(-1)
+    labels = np.asarray(labels, dtype=logits.dtype).reshape(-1)
     if logits.shape != labels.shape:
         raise ShapeError("logits and labels lengths differ")
     if not np.all((labels == 0) | (labels == 1)):
@@ -92,8 +94,8 @@ def barlow_twins(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Redundancy-reduction loss on the cross-correlation of batch-normalized
     embeddings: sum_d (1 - C_dd)^2 + lambda * sum_{d != e} C_de^2."""
-    z_a = np.asarray(z_a, dtype=float)
-    z_b = np.asarray(z_b, dtype=float)
+    z_a = as_float(z_a)
+    z_b = as_float(z_b)
     if z_a.shape != z_b.shape:
         raise ShapeError("view embeddings must share a shape")
     n, d = z_a.shape
@@ -123,15 +125,15 @@ def align_uniform(
     The uniformity term uses original-view pairs by default; cross_pairs=True
     additionally pools the corrupted-view embeddings into the pairwise term.
     """
-    z = np.asarray(z, dtype=float)
-    zt = np.asarray(z_tilde, dtype=float)
+    z = as_float(z)
+    zt = as_float(z_tilde)
     if z.shape != zt.shape:
         raise ShapeError("view embeddings must share a shape")
     n = z.shape[0]
     if n < 2:
         raise ValueError("uniformity needs at least 2 rows")
     diff = z - zt
-    align = float((diff**2).sum() / n)
+    align = (diff**2).sum() / n
     grad_z = weight_align * 2.0 * diff / n
     grad_zt = -weight_align * 2.0 * diff / n
 
@@ -141,7 +143,7 @@ def align_uniform(
     off = ~np.eye(m, dtype=bool)
     expv = np.where(off, np.exp(-2.0 * sq), 0.0)
     total = expv.sum()
-    uniform = float(np.log(total / (m * (m - 1))))
+    uniform = np.log(total / (m * (m - 1)))
     # d/dp_i of log(sum): each unordered pair appears twice in the ordered sum
     w = expv / total
     grad_pts = -8.0 * (pts * w.sum(axis=1, keepdims=True) - w @ pts)
@@ -151,4 +153,4 @@ def align_uniform(
         grad_zt += grad_pts[n:]
     else:
         grad_z += grad_pts
-    return weight_align * align + weight_uniform * uniform, grad_z, grad_zt
+    return float(weight_align * align + weight_uniform * uniform), grad_z, grad_zt

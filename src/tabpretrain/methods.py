@@ -12,9 +12,11 @@ method sees the same splits; per-trial seeds derive deterministically from
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
-from collections.abc import Iterator
+import traceback
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -157,6 +159,8 @@ def run_method(
         encoder_layers=hp.get("encoder_layers", 4),
         head_layers=hp.get("head_layers", 2),
     )
+    # one cast per trial to the weights' dtype, before any pool or view exists
+    dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False))
 
     pretrain_epochs = 0
     pretrained_f = None
@@ -250,7 +254,7 @@ class TrialFailure:
 
 
 def run_benchmark(
-    datasets: dict[str, ProcessedDataset],
+    datasets: dict[str, ProcessedDataset | Callable[[], ProcessedDataset]],
     methods: list[str],
     settings: list[str],
     trials: int,
@@ -263,12 +267,15 @@ def run_benchmark(
     """Yield, in trial order, a MethodRun (or a TrialFailure if it raised) for
     each (dataset, method, setting, trial) not yet in `out_dir/results.jsonl`.
 
-    Datasets come encoded but unscaled. The split seed derives from
+    Datasets come encoded but unscaled, or as zero-argument loaders that the
+    calling thread runs only for a dataset with a trial left to run, so a
+    resume with nothing to do ingests nothing. The split seed derives from
     (base_seed, dataset, trial) only, so all methods of a trial share the
     split, and each trial scales the numerical columns on its training rows.
     The calling thread appends each MethodRun and its curves_*.csv to
     `out_dir` before yielding it, so the files are the same bytes for any
-    `jobs` (threads running trials at once); a failure writes nothing.
+    `jobs` (threads running trials at once). A failure writes no record: it
+    appends its key, exception and traceback to `out_dir/failures.jsonl`.
     Unknown method, setting or scaling names raise before the first trial.
     """
     for method in methods:
@@ -284,14 +291,19 @@ def run_benchmark(
             for dataset_id in datasets for trial in range(trials)
             for setting in settings for method in methods
             if (dataset_id, method, setting, trial) not in done]
+    loaded = {}
+    for dataset_id, _, _, _ in todo:
+        if dataset_id not in loaded:
+            source = datasets[dataset_id]
+            loaded[dataset_id] = source() if callable(source) else source
 
     def run_one(key):
         dataset_id, method, setting, trial = key
         seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
         start = time.time()
         try:
-            splits = make_splits(datasets[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
-            dataset = scale(datasets[dataset_id], splits.train, scaling)
+            splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
+            dataset = scale(loaded[dataset_id], splits.train, scaling)
             res = run_method(method, dataset, splits, setting, seed, hp)
         except Exception as exc:  # reported to the caller; no record is written
             return TrialFailure(dataset_id, method, setting, trial, exc), None
@@ -302,10 +314,23 @@ def run_benchmark(
     with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         outcomes = pool.map(run_one, todo) if pool else map(run_one, todo)
         for outcome, res in outcomes:
-            if res is not None and out_dir:
+            if out_dir and res is None:
+                _append_failure(out_dir, outcome)
+            elif out_dir:
                 stats.append_run(results_path, outcome)
                 _write_curves(out_dir, outcome, res)
             yield outcome
+
+
+def _append_failure(out_dir, failure: TrialFailure) -> None:
+    """One JSON line per failed trial: its key, the exception and its traceback."""
+    exc = failure.error
+    record = {"dataset_id": failure.dataset_id, "method_name": failure.method_name,
+              "setting": failure.setting, "trial_index": failure.trial_index,
+              "error_type": type(exc).__name__, "message": str(exc),
+              "traceback": "".join(traceback.format_exception(exc))}
+    with open(os.path.join(out_dir, "failures.jsonl"), "a") as fh:
+        fh.write(json.dumps(record) + "\n")
 
 
 def _write_curves(out_dir, run: stats.MethodRun, res: dict) -> None:

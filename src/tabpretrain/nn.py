@@ -1,8 +1,12 @@
 """Dense MLP forward/backward, losses, and the Adam optimizer.
 
-All math is float64 numpy. Weight matrices are stored (in_dim, out_dim) so a
-batch forward is ``x @ W + b``. Gradients of every loss are averaged over the
-batch, which keeps learning-rate semantics independent of batch size.
+Training runs in float32, and the dtype is carried by the weights: `Mlp`
+computes in the dtype of its layers, `DenseLayer.init` makes float32 layers,
+and every function here returns its input's floating dtype. A net built from
+float64 arrays computes in float64, which is how the finite-difference
+oracles run. Weight matrices are stored (in_dim, out_dim) so a batch forward
+is ``x @ W + b``. Gradients of every loss are averaged over the batch, which
+keeps learning-rate semantics independent of batch size.
 """
 
 from __future__ import annotations
@@ -23,27 +27,29 @@ class StateError(RuntimeError):
 _ACTIVATIONS = ("relu", "identity")
 
 
-def _as_f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
+def as_float(x) -> np.ndarray:
+    """x as an array that keeps a floating dtype; anything else becomes float64."""
+    a = np.asarray(x)
+    return a if np.issubdtype(a.dtype, np.floating) else a.astype(np.float64)
 
 
 class DenseLayer:
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "relu"):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        self.weights = _as_f64(weights)
-        self.bias = _as_f64(bias)
+        self.weights = as_float(weights)
+        self.bias = np.asarray(bias, dtype=self.weights.dtype)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
             raise ShapeError("bias length must equal the layer output width")
         self.activation = activation
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> "DenseLayer":
-        # Scaled-uniform init with bound sqrt(6 / fan_in); bias zero.
+        # Scaled-uniform init with bound sqrt(6 / fan_in), drawn in float64
+        # and stored in float32, the training precision; bias zero.
         bound = np.sqrt(6.0 / in_dim)
         w = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        return cls(w, np.zeros(out_dim), activation)
+        return cls(w.astype(np.float32), np.zeros(out_dim, dtype=np.float32), activation)
 
     @property
     def in_dim(self) -> int:
@@ -65,6 +71,8 @@ class Mlp:
         for prev, nxt in zip(layers, layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise ShapeError("adjacent layer widths disagree")
+            if prev.weights.dtype != nxt.weights.dtype:
+                raise ValueError("all layers of a net must share one dtype")
         self.layers = layers
         self._cache = None
 
@@ -89,13 +97,17 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.layers[0].weights.dtype
+
     def forward(
         self,
         batch: np.ndarray,
         dropout_rate: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        x = _as_f64(batch)
+        x = np.asarray(batch, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"batch has {x.shape[1] if x.ndim == 2 else '?'} columns, layer expects {self.in_dim}"
@@ -109,7 +121,7 @@ class Mlp:
             preacts.append(z)
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
             if dropout_rate and k < len(self.layers) - 1:
-                mask = dropout_mask(x.shape, dropout_rate, rng)
+                mask = dropout_mask(x, dropout_rate, rng)
                 x = x * mask
                 masks.append(mask)
             else:
@@ -122,7 +134,7 @@ class Mlp:
         if self._cache is None:
             raise StateError("backward called before forward")
         inputs, preacts, masks = self._cache
-        g = _as_f64(output_grad)
+        g = np.asarray(output_grad, dtype=self.dtype)
         if g.shape != (inputs[0].shape[0], self.out_dim):
             raise ShapeError("output_grad shape does not match the last forward output")
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
@@ -156,7 +168,7 @@ class Adam:
     """Adam with bias correction over a flat list of parameter arrays.
 
     Updates are applied in place; a zero gradient leaves parameters
-    bit-identical.
+    bit-identical. Each parameter's moments have that parameter's dtype.
     """
 
     def __init__(
@@ -202,10 +214,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(logits: np.ndarray, target_dist: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy between row softmax and a target distribution.
 
-    Returns the loss and its gradient w.r.t. the logits.
+    Returns the loss and its gradient w.r.t. the logits, in the logits' dtype
+    (the target is cast to it).
     """
-    logits = _as_f64(logits)
-    target = _as_f64(target_dist)
+    logits = as_float(logits)
+    target = np.asarray(target_dist, dtype=logits.dtype)
     if logits.shape != target.shape:
         raise ShapeError("logits and target shapes differ")
     if np.any(target < 0) or not np.allclose(target.sum(axis=1), 1.0, atol=1e-8):
@@ -221,22 +234,24 @@ def softmax_cross_entropy(logits: np.ndarray, target_dist: np.ndarray) -> tuple[
 def smooth_labels(onehot: np.ndarray, weight: float, num_classes: int) -> np.ndarray:
     if not 0.0 <= weight < 1.0:
         raise ValueError("smoothing weight must lie in [0, 1)")
-    return (1.0 - weight) * _as_f64(onehot) + weight / num_classes
+    return (1.0 - weight) * as_float(onehot) + weight / num_classes
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate)."""
+def dropout_mask(activations: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask of the activations' shape and dtype: 0 with
+    probability `rate`, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
+    activations = as_float(activations)
     if rate == 0.0:
-        return np.ones(shape)
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+        return np.ones_like(activations)
+    keep = rng.random(activations.shape) >= rate
+    return np.divide(keep, 1.0 - rate, dtype=activations.dtype)
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm; zero rows pass through unchanged."""
-    m = _as_f64(m)
+    m = as_float(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return m / safe
@@ -244,7 +259,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 def l2_normalize_rows_backward(raw: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
     """Backprop through row normalization: raw rows u, z = u/||u||."""
-    raw = _as_f64(raw)
+    raw = as_float(raw)
+    grad_z = np.asarray(grad_z, dtype=raw.dtype)
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     z = raw / safe
@@ -253,8 +269,10 @@ def l2_normalize_rows_backward(raw: np.ndarray, grad_z: np.ndarray) -> np.ndarra
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    pred = _as_f64(pred)
-    target = _as_f64(target)
+    """Mean squared error and its gradient w.r.t. pred, in pred's dtype (the
+    target is cast to it)."""
+    pred = as_float(pred)
+    target = np.asarray(target, dtype=pred.dtype)
     if pred.shape != target.shape:
         raise ShapeError("pred and target shapes differ")
     diff = pred - target
@@ -265,7 +283,8 @@ def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 def save_mlp(path, mlp: Mlp) -> None:
     """Checkpoint format: npz with a JSON 'meta' entry (dims + activation tags)
-    and one row-major float64 array per weight/bias, keyed layer{k}_w / layer{k}_b."""
+    and one row-major array per weight/bias in the net's dtype, keyed
+    layer{k}_w / layer{k}_b; `load_mlp` keeps that dtype."""
     meta = {
         "dims": [mlp.in_dim] + [layer.out_dim for layer in mlp.layers],
         "activations": [layer.activation for layer in mlp.layers],

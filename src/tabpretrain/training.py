@@ -12,6 +12,8 @@ SCARF pre-training and the contrastive co-training term.
 
 All loops are deterministic given (dataset, splits, config, seed): the run RNG
 drives shuffling, corruption, and any dropout/mixup draws in a fixed order.
+The nets compute in the dtype of the bundle's weights (float32 from
+`ModelBundle.create`); data of another dtype is cast on the way in.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class ModelBundle:
         h = Mlp.create([hidden] * head_layers + [num_classes], rng)
         decoder = Mlp.create([hidden] * head_layers + [input_dim], rng) if with_decoder else None
         disc_proj = Mlp.create([hidden, 1], rng) if with_disc_proj else None
-        lmv = np.zeros(input_dim) if with_learnable_missing else None
+        lmv = np.zeros(input_dim, dtype=f.dtype) if with_learnable_missing else None
         return cls(f, g, h, decoder, disc_proj, lmv)
 
     def _nets(self) -> list[Mlp]:
@@ -363,7 +365,7 @@ def _ae_input(batch, variant, dataset, config, pool, rng, sigma=0.5):
     if variant == "no_noise":
         return np.array(batch, copy=True)
     if variant == "additive_noise":
-        return batch + rng.normal(0.0, sigma, size=batch.shape)
+        return batch + rng.normal(0.0, sigma, size=batch.shape).astype(batch.dtype)
     _, view_b, _ = make_views(batch, dataset, config, pool, rng)
     return view_b
 
@@ -498,7 +500,7 @@ def finetune(
         if soft_targets is not None:
             targets = soft_targets[rows]
         else:
-            targets = np.eye(K)[y_full[rows]]
+            targets = np.eye(K, dtype=x.dtype)[y_full[rows]]
             if config.label_smoothing:
                 targets = smooth_labels(targets, config.label_smoothing, K)
         if config.mixup_alpha:

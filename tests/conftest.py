@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabpretrain.data import ProcessedDataset
+from tabpretrain.training import ModelBundle
 
 
 def encoded_dataset(X, y, classes=("0", "1"), blocks=None):
@@ -35,6 +36,24 @@ def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):
     y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(n - half, dtype=np.int64)])
     perm = rng.permutation(n)
     return encoded_dataset(X[perm], y[perm])
+
+
+def to_float64(model):
+    """Cast an Mlp, or every net and the learnable missing vector of a
+    ModelBundle, to float64 in place and return it. Nets are created in
+    float32, the training precision; the finite-difference oracles need
+    float64."""
+    if isinstance(model, ModelBundle):
+        for net in (model.f, model.g, model.h, model.decoder, model.disc_proj):
+            if net is not None:
+                to_float64(net)
+        if model.learnable_missing is not None:
+            model.learnable_missing = model.learnable_missing.astype(np.float64)
+        return model
+    for layer in model.layers:
+        layer.weights = layer.weights.astype(np.float64)
+        layer.bias = layer.bias.astype(np.float64)
+    return model
 
 
 def central_difference(f, params, h=1e-5):

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 from _pytest.outcomes import Skipped
 
-from conftest import central_difference, encoded_dataset
+from conftest import central_difference, encoded_dataset, to_float64
 from tabpretrain import losses, stats
 from tabpretrain.cli import main as cli_main
 from tabpretrain.corruption import CorruptionConfig, build_marginal_pool, corrupt_batch, select_indices
@@ -116,8 +116,8 @@ def test_criterion_1_gradient_checks():
             # spread makes the Barlow batch norm numerically unconditioned.
             # Resample until the configuration sits at a differentiable,
             # well-conditioned point (realistic widths never produce either).
-            bundle = ModelBundle.create(d_in, 2, rng, hidden=hidden,
-                                        encoder_layers=2, head_layers=1)
+            bundle = to_float64(ModelBundle.create(d_in, 2, rng, hidden=hidden,
+                                                   encoder_layers=2, head_layers=1))
             x2 = rng.normal(size=(n, d_in))
             tau = float(rng.uniform(0.5, 2.0))
             z, zt = bundle.embed(x), bundle.embed(x2)
@@ -131,7 +131,7 @@ def test_criterion_1_gradient_checks():
 
         if kind in ("cross_entropy", "mse", "binary_logistic"):
             d_out = 1 if kind == "binary_logistic" else int(rng.integers(2, 5))
-            net = Mlp.create([d_in, hidden, d_out], rng)
+            net = to_float64(Mlp.create([d_in, hidden, d_out], rng))
             if kind == "cross_entropy":
                 target = rng.dirichlet(np.ones(d_out), size=n)
                 compute = lambda: softmax_cross_entropy(net.forward(x), target)

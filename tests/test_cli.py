@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tabpretrain import stats
+from tabpretrain import cli, stats
 from tabpretrain.cli import main
 
 FAST = {
@@ -139,6 +139,26 @@ class TestRun:
         with pytest.warns(UserWarning, match="unterminated"):
             assert main(args) == 0
         assert results.read_bytes() == blobs[0]
+
+    def test_noop_resume_skips_ingestion(self, tmp_path, monkeypatch, capsys):
+        csv, schema = write_dataset(tmp_path)
+        cfg = write_config(tmp_path, trials=2)
+        out = tmp_path / "results"
+        args = ["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                "--method", "control", "--out", str(out)]
+        assert main(args) == 0
+        finished = (out / "results.jsonl").read_bytes()
+
+        def no_ingestion(*args):
+            raise OSError("ingestion on a finished sweep")
+
+        monkeypatch.setattr(cli, "encode_csv", no_ingestion)
+        assert main(args) == 0
+        assert (out / "results.jsonl").read_bytes() == finished
+        # a sweep with a trial left still ingests, through the patched loader
+        assert main(args + ["--trials", "3"]) == 1
+        assert "ingestion on a finished sweep" in capsys.readouterr().err
+        assert (out / "results.jsonl").read_bytes() == finished
 
     def test_same_seed_byte_identical_results(self, tmp_path):
         csv, schema = write_dataset(tmp_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,50 @@ class TestRunBenchmark:
         assert again[0].test_accuracy == clean[1].test_accuracy
         lines = (out / "results.jsonl").read_text().splitlines()
         assert sorted(lines) == sorted((tmp_path / "clean" / "results.jsonl").read_text().splitlines())
+
+    def test_failed_trial_logged_to_failures_jsonl(self, tmp_path, monkeypatch):
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        flaky_seed = derive_seed(0, "blob", 1, salt="control|full")
+
+        def flaky(method, dataset, splits, setting, seed, hp=None):
+            if seed == flaky_seed:
+                raise RuntimeError("boom")
+            return run_method(method, dataset, splits, setting, seed, hp)
+
+        monkeypatch.setattr(methods, "run_method", flaky)
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, out_dir=tmp_path, hp=FAST_HP))
+        lines = (tmp_path / "failures.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        failure = json.loads(lines[0])
+        assert (failure["dataset_id"], failure["method_name"], failure["setting"],
+                failure["trial_index"]) == ("blob", "control", "full", 1)
+        assert (failure["error_type"], failure["message"]) == ("RuntimeError", "boom")
+        assert "in flaky" in failure["traceback"] and "RuntimeError: boom" in failure["traceback"]
+        results = (tmp_path / "results.jsonl").read_text()
+        assert [r.trial_index for r in stats.load_runs(tmp_path / "results.jsonl")] == [0]
+        assert "boom" not in results
+
+        monkeypatch.setattr(methods, "run_method", run_method)
+        again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
+                                   out_dir=tmp_path, hp=FAST_HP))
+        assert [r.trial_index for r in again] == [1]
+        assert (tmp_path / "failures.jsonl").read_text().splitlines() == lines
+
+    def test_loader_runs_only_for_a_dataset_with_trials_left(self, tmp_path):
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        loads = []
+
+        def loader():
+            loads.append(1)
+            return ds
+
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, out_dir=tmp_path, hp=FAST_HP))
+        assert list(run_benchmark({"blob": loader}, ["control"], ["full"], 1, 0,
+                                  out_dir=tmp_path, hp=FAST_HP)) == []
+        assert loads == []
+        again = list(run_benchmark({"blob": loader}, ["control"], ["full"], 3, 0,
+                                   out_dir=tmp_path, hp=FAST_HP))
+        assert [r.trial_index for r in again] == [1, 2] and loads == [1]
 
     @pytest.mark.parametrize("scaling", ["zscore", "minmax", "mean"])
     def test_each_trial_scaled_on_its_training_rows(self, tmp_path, monkeypatch, scaling):

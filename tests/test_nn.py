@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_close, central_difference
+from conftest import assert_grads_close, central_difference, to_float64
 from tabpretrain.nn import (
     Adam,
     DenseLayer,
@@ -46,7 +46,7 @@ class TestForward:
         np.testing.assert_array_equal(mlp.forward([[-1.0, 2.0]]), [[0.0, 2.0]])
 
     def test_matches_naive_matmul_oracle(self, rng):
-        mlp = Mlp.create([4, 5, 3], rng)
+        mlp = to_float64(Mlp.create([4, 5, 3], rng))
         batch = rng.normal(size=(6, 4))
         np.testing.assert_allclose(mlp.forward(batch), naive_forward(mlp, batch), atol=1e-12)
 
@@ -61,6 +61,17 @@ class TestForward:
         mlp = Mlp.create([4, 3], rng)
         with pytest.raises(ShapeError):
             mlp.forward(np.zeros((2, 5)))
+
+    def test_computes_in_the_dtype_of_its_weights(self, rng):
+        mlp = Mlp.create([4, 3], rng)
+        assert mlp.dtype == np.float32
+        assert mlp.forward(rng.normal(size=(2, 4))).dtype == np.float32
+        assert to_float64(mlp).forward(np.ones((2, 4), dtype=np.float32)).dtype == np.float64
+
+    def test_mixed_layer_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            Mlp([DenseLayer(np.eye(2, dtype=np.float32), np.zeros(2)),
+                 DenseLayer(np.eye(2), np.zeros(2))])
 
 
 class TestBackward:
@@ -84,7 +95,7 @@ class TestBackward:
         np.testing.assert_allclose(grads[0], x.T @ np.ones((2, 3)))
 
     def test_matches_finite_differences_3_layers(self, rng):
-        mlp = Mlp.create([4, 6, 5, 3], rng)
+        mlp = to_float64(Mlp.create([4, 6, 5, 3], rng))
         x = rng.normal(size=(7, 4))
         target = rng.normal(size=(7, 3))
 
@@ -190,19 +201,19 @@ class TestSmoothLabels:
 
 class TestDropoutMask:
     def test_rate_zero_all_ones(self, rng):
-        np.testing.assert_array_equal(dropout_mask((3, 4), 0.0, rng), np.ones((3, 4)))
+        np.testing.assert_array_equal(dropout_mask(np.zeros((3, 4)), 0.0, rng), np.ones((3, 4)))
 
     def test_values_are_zero_or_scaled(self, rng):
-        mask = dropout_mask((100, 10), 0.3, rng)
+        mask = dropout_mask(np.zeros((100, 10)), 0.3, rng)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.7}
 
     def test_mean_preserved_statistically(self, rng):
-        mask = dropout_mask((1000, 1000), 0.5, rng)
+        mask = dropout_mask(np.zeros((1000, 1000)), 0.5, rng)
         assert abs(mask.mean() - 1.0) < 0.01
 
     def test_rejects_rate_one(self, rng):
         with pytest.raises(ValueError):
-            dropout_mask((2, 2), 1.0, rng)
+            dropout_mask(np.zeros((2, 2)), 1.0, rng)
 
 
 class TestL2Normalize:
@@ -253,10 +264,16 @@ class TestMse:
 
 class TestCheckpoint:
     def test_roundtrip(self, rng, tmp_path):
-        mlp = Mlp.create([4, 8, 3], rng)
-        path = tmp_path / "model.npz"
-        save_mlp(path, mlp)
-        loaded = load_mlp(path)
-        batch = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(mlp.forward(batch), loaded.forward(batch))
-        assert [l.activation for l in loaded.layers] == [l.activation for l in mlp.layers]
+        """Both precisions: a float32 net as created, and its float64 cast."""
+        for dtype in (np.float32, np.float64):
+            mlp = Mlp.create([4, 8, 3], rng)
+            if dtype == np.float64:
+                to_float64(mlp)
+            path = tmp_path / f"model_{np.dtype(dtype).name}.npz"
+            save_mlp(path, mlp)
+            loaded = load_mlp(path)
+            assert loaded.dtype == mlp.dtype == dtype
+            assert all(p.dtype == dtype for p in loaded.parameters())
+            batch = rng.normal(size=(5, 4))
+            np.testing.assert_array_equal(mlp.forward(batch), loaded.forward(batch))
+            assert [l.activation for l in loaded.layers] == [l.activation for l in mlp.layers]

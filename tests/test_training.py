@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import assert_grads_close, central_difference, make_blob_dataset, make_numeric_dataset
+from conftest import (assert_grads_close, central_difference, make_blob_dataset,
+                      make_numeric_dataset, to_float64)
 from tabpretrain import training
 from tabpretrain.corruption import (
     ConfigurationError,
@@ -214,7 +215,7 @@ class TestPretrainScarf:
         ds = make_numeric_dataset(n=100, d=4, seed=6)
         splits = make_splits(100, 3)
         rng = np.random.default_rng(4)
-        bundle = small_bundle(ds, rng, with_learnable_missing=True)
+        bundle = to_float64(small_bundle(ds, rng, with_learnable_missing=True))
         lmv = bundle.learnable_missing
         lmv[:] = rng.normal(size=lmv.shape)
         cfg = PretrainConfig(corruption=CorruptionConfig(strategy="missing_learnable"))
