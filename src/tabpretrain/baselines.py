@@ -47,7 +47,7 @@ def self_train(
         model = train_fn(np.array(pool_rows), labels, None)
         if not remaining:
             continue
-        probs = softmax(model.classify(dataset.X[np.array(remaining)]))
+        probs = softmax(model.predict(dataset.X[np.array(remaining)]))
         confident = probs.max(axis=1) >= threshold
         for r, keep, cls in zip(list(remaining), confident, probs.argmax(axis=1)):
             if keep:
@@ -81,7 +81,7 @@ def tri_train(
             models.append(train_fn(np.array(rows), labels, None))
         if unlabeled.size == 0:
             continue
-        preds = [m.classify(dataset.X[unlabeled]).argmax(axis=1) for m in models]
+        preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
             i, j = [m for m in range(3) if m != k]
             agree = preds[i] == preds[j]
@@ -108,5 +108,5 @@ def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):
     teacher = train_fn(labeled, dataset.y[labeled], None)
     all_rows = np.concatenate([labeled, unlabeled]) if unlabeled.size else labeled
     soft = np.zeros((dataset.n, dataset.num_classes))
-    soft[all_rows] = softmax(teacher.classify(dataset.X[all_rows]))
+    soft[all_rows] = softmax(teacher.predict(dataset.X[all_rows]))
     return train_fn(all_rows, None, soft)

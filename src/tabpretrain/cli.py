@@ -3,7 +3,8 @@
 Commands:
   validate  dry-run ingestion + preprocessing, print a dataset report
   run       execute one (dataset, method, setting) across trials
-  report    win-matrix / box-plot CSV exports and an optional SVG heat map
+  report    win-matrix / box-plot CSV exports and an optional SVG heat map; it
+            prints how many non-finite accuracies it left out
 
 Configuration is a flat JSON object; every key can also be given as a flag,
 and flags override file values. Documented keys (defaults in parentheses):
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import xml.dom.minidom
@@ -229,6 +231,9 @@ def cmd_report(args) -> int:
         xml.dom.minidom.parseString(svg)  # well-formedness check
         with open(os.path.join(out_dir, "win_matrix.svg"), "w") as fh:
             fh.write(svg)
+    left_out = sum(1 for r in runs if r.method_name in method_list
+                   and setting in (None, r.setting) and not math.isfinite(r.test_accuracy))
+    print(f"non-finite accuracies left out: {left_out}")
     print(f"report written to {out_dir}")
     return 0
 

@@ -168,7 +168,11 @@ class Adam:
     """Adam with bias correction over a flat list of parameter arrays.
 
     Updates are applied in place; a zero gradient leaves parameters
-    bit-identical. Each parameter's moments have that parameter's dtype.
+    bit-identical. Each parameter's moments have that parameter's dtype. The
+    step runs in two scratch buffers per dtype, as large as the largest
+    parameter, with the operations, and so the rounding, of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``.
     """
 
     def __init__(
@@ -187,6 +191,9 @@ class Adam:
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
+        # two scratch buffers per dtype, shared by the parameters in turn
+        size = max((p.size for p in params), default=0)
+        self._scratch = {p.dtype: (np.empty(size, p.dtype), np.empty(size, p.dtype)) for p in params}
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
@@ -196,13 +203,18 @@ class Adam:
         for p, g, m, v in zip(self.params, grads, self.first_moment, self.second_moment):
             if g.shape != p.shape:
                 raise ShapeError("gradient shape does not match parameter shape")
+            a, b = (buf[: p.size].reshape(p.shape) for buf in self._scratch[p.dtype])
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=a)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(g, 1 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1 - self.beta1**t, out=a)  # m_hat
+            a *= self.learning_rate
+            np.divide(v, 1 - self.beta2**t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            p -= np.divide(a, b, out=a)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -10,6 +10,14 @@ weights. The two contrastive views go through the encoder as one stacked
 2B-row forward and backward pass (`ModelBundle.contrastive_step`), shared by
 SCARF pre-training and the contrastive co-training term.
 
+Every forward pass that is never backpropagated (embedding, prediction and
+the validation metrics) runs in slices of at most `INFERENCE_ROWS` rows, so it
+keeps at most that many rows of activations for the backward pass that
+`Mlp.forward` records. The static validation set stores each validation row
+once: the metrics run the nets over it once per epoch and gather each stored
+batch by position, and only the corrupted copies go through the nets batch by
+batch.
+
 All loops are deterministic given (dataset, splits, config, seed): the run RNG
 drives shuffling, corruption, and any dropout/mixup draws in a fixed order.
 The nets compute in the dtype of the bundle's weights (float32 from
@@ -46,6 +54,21 @@ from tabpretrain.nn import (
 )
 
 HIDDEN_DIM = 256
+# Rows per forward pass of inference: a default contrastive step already
+# keeps a 2 x 128-row tape for its backward pass.
+INFERENCE_ROWS = 256
+
+
+def _in_slices(fn, X: np.ndarray) -> np.ndarray:
+    """fn over X in row slices of at most INFERENCE_ROWS rows, stacked.
+
+    The slices are of equal size up to one row, so a slice of one row (which
+    numpy sends to a matrix-vector product with a different summation order)
+    only occurs when X has one row."""
+    n = len(X)
+    if n <= INFERENCE_ROWS:
+        return fn(X)
+    return np.concatenate([fn(part) for part in np.array_split(X, -(-n // INFERENCE_ROWS))])
 
 
 @dataclass
@@ -149,9 +172,9 @@ class ModelBundle:
         if self.learnable_missing is not None:
             self.learnable_missing[...] = weights[pos]
 
-    def embed(self, batch: np.ndarray) -> np.ndarray:
-        """z = normalize(g(f(batch)))."""
-        return l2_normalize_rows(self.g.forward(self.f.forward(batch)))
+    def embed(self, X: np.ndarray) -> np.ndarray:
+        """z = normalize(g(f(X))), computed in slices of INFERENCE_ROWS rows."""
+        return _in_slices(lambda b: l2_normalize_rows(self.g.forward(self.f.forward(b))), X)
 
     def contrastive_step(self, view_a: np.ndarray, view_b: np.ndarray, loss_fn):
         """Embed both views as one stacked 2B-row forward and backward pass.
@@ -177,7 +200,14 @@ class ModelBundle:
 
     def classify(self, batch: np.ndarray, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
+        """Logits h(f(batch)) of a fine-tuning step; `classify_backward` uses
+        the activations this forward pass keeps."""
         return self.h.forward(self.f.forward(batch, dropout, rng), dropout, rng)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Logits h(f(X)) without dropout, computed in slices of
+        INFERENCE_ROWS rows."""
+        return _in_slices(self.classify, X)
 
     def classify_backward(self, grad_logits: np.ndarray) -> tuple[list, list]:
         h_grads, grad_mid = self.h.backward(grad_logits)
@@ -212,7 +242,12 @@ def iterate_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 @dataclass
 class StaticValidationPairs:
-    originals: list[np.ndarray]
+    """The static validation set. `originals` holds the validation rows once,
+    in split order; stored batch k is the rows `originals[positions[k]]` and
+    their corrupted copies `corrupted[k]`."""
+
+    originals: np.ndarray
+    positions: list[np.ndarray]
     corrupted: list[np.ndarray]
 
 
@@ -238,13 +273,13 @@ def build_static_validation(
     if view is None:
         def view(batch):
             return make_views(batch, dataset, config, pool, rng, learnable_values)[1]
-    originals, corrupted = [], []
+    originals = dataset.X[val_indices]
+    positions, corrupted = [], []
     for _ in range(epochs):
         for batch_idx in iterate_batches(len(val_indices), batch_size, rng):
-            batch = dataset.X[val_indices[batch_idx]]
-            originals.append(batch)
-            corrupted.append(view(batch))
-    return StaticValidationPairs(originals, corrupted)
+            positions.append(batch_idx)
+            corrupted.append(view(originals[batch_idx]))
+    return StaticValidationPairs(originals, positions, corrupted)
 
 
 def _fit(bundle: ModelBundle, params: list[np.ndarray], rows: np.ndarray, config,
@@ -302,17 +337,23 @@ def _contrastive_loss(cfg: PretrainConfig, z: np.ndarray, zt: np.ndarray):
 
 
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, cfg: PretrainConfig) -> float:
+    """The contrastive metric of the static pairs, averaged over the stored
+    batches of at least two rows (weighted by size). The loss metric is the
+    pre-training loss; InfoNCE takes its value alone, without gradients."""
+    z_all = bundle.embed(pairs.originals)
     vals, weights = [], []
-    for orig, corr in zip(pairs.originals, pairs.corrupted):
-        if orig.shape[0] < 2:
+    for pos, corr in zip(pairs.positions, pairs.corrupted):
+        if pos.size < 2:
             continue
-        z = bundle.embed(orig)
+        z = z_all[pos]
         zt = bundle.embed(corr)
         if cfg.validation_metric == "infonce_error":
             vals.append(losses.infonce_error(z @ zt.T))
+        elif cfg.loss == "infonce":
+            vals.append(losses.infonce(z @ zt.T, cfg.temperature)[0])
         else:
             vals.append(_contrastive_loss(cfg, z, zt)[0])
-        weights.append(orig.shape[0])
+        weights.append(pos.size)
     return float(np.average(vals, weights=weights))
 
 
@@ -400,13 +441,20 @@ def pretrain_autoencoder(
         loss, f_grads, d_grads = bundle.reconstruction_step(view(batch), batch)
         return loss, f_grads + d_grads
 
-    def metric():
-        vals = [mse(bundle.decoder.forward(bundle.f.forward(ci)), oi)[0]
-                for oi, ci in zip(pairs.originals, pairs.corrupted)]
-        return float(np.average(vals, weights=[o.shape[0] for o in pairs.originals]))
-
     return _fit(bundle, bundle.f.parameters() + bundle.decoder.parameters(),
-                np.asarray(splits.train), config, rng, step, metric)
+                np.asarray(splits.train), config, rng, step,
+                lambda: _reconstruction_metric(bundle, pairs))
+
+
+def _reconstruction_metric(bundle: ModelBundle, pairs: StaticValidationPairs) -> float:
+    """MSE of decoder(f(corrupted copy)) against the original rows, averaged
+    over the stored batches weighted by size."""
+    def reconstruct(x):
+        return bundle.decoder.forward(bundle.f.forward(x))
+
+    vals = [mse(_in_slices(reconstruct, corr), pairs.originals[pos])[0]
+            for pos, corr in zip(pairs.positions, pairs.corrupted)]
+    return float(np.average(vals, weights=[pos.size for pos in pairs.positions]))
 
 
 def pretrain_discriminative(
@@ -428,33 +476,43 @@ def pretrain_discriminative(
     )
     params = bundle.f.parameters() + bundle.g.parameters() + bundle.disc_proj.parameters()
 
-    def logits_and_labels(orig, corr):
-        logit = bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(np.vstack([orig, corr]))))
-        return logit, np.concatenate([np.zeros(len(orig)), np.ones(len(corr))])
-
     def step(rows):
         batch = dataset.X[rows]
         _, view_b, _ = make_views(batch, dataset, config.corruption, pool, rng)
-        loss, grad = losses.binary_logistic(*logits_and_labels(batch, view_b))
+        labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
+        loss, grad = losses.binary_logistic(_disc_logits(bundle, np.vstack([batch, view_b])), labels)
         p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
         g_grads, grad_mid = bundle.g.backward(grad_mid)
         f_grads, _ = bundle.f.backward(grad_mid)
         return loss, f_grads + g_grads + p_grads
 
-    def metric():
-        errs, sizes = [], []
-        for orig, corr in zip(pairs.originals, pairs.corrupted):
-            logit, labels = logits_and_labels(orig, corr)
-            errs.append(float(np.mean((logit.reshape(-1) > 0) != labels)))
-            sizes.append(len(labels))
-        return float(np.average(errs, weights=sizes))
+    return _fit(bundle, params, np.asarray(splits.train), config, rng, step,
+                lambda: _discrimination_metric(bundle, pairs))
 
-    return _fit(bundle, params, np.asarray(splits.train), config, rng, step, metric)
+
+def _disc_logits(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
+    """Logit that a row is a corrupted copy: disc_proj(g(f(x)))."""
+    return bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(x)))
+
+
+def _discrimination_metric(bundle: ModelBundle, pairs: StaticValidationPairs) -> float:
+    """Error of the rule "logit > 0 means corrupted" on each stored batch and
+    its corrupted copy, averaged over the batches weighted by size."""
+    def logits(x):
+        return _in_slices(partial(_disc_logits, bundle), x).reshape(-1)
+
+    orig_logits = logits(pairs.originals)
+    errs, sizes = [], []
+    for pos, corr in zip(pairs.positions, pairs.corrupted):
+        logit = np.concatenate([orig_logits[pos], logits(corr)])
+        labels = np.concatenate([np.zeros(pos.size), np.ones(len(corr))])
+        errs.append(float(np.mean((logit > 0) != labels)))
+        sizes.append(len(labels))
+    return float(np.average(errs, weights=sizes))
 
 
 def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> float:
-    logits = bundle.classify(X)
-    return float(np.mean(logits.argmax(axis=1) != y))
+    return float(np.mean(bundle.predict(X).argmax(axis=1) != y))
 
 
 def finetune(

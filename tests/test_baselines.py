@@ -16,12 +16,12 @@ def index_dataset(n=20, num_classes=2, y=None):
 
 
 class StubModel:
-    """classify() returns fixed logits per row, looked up by feature 0."""
+    """predict() returns fixed logits per row, looked up by feature 0."""
 
     def __init__(self, logits_for_row):
         self.logits_for_row = logits_for_row
 
-    def classify(self, X):
+    def predict(self, X):
         return np.array([self.logits_for_row(int(r)) for r in X[:, 0]])
 
 

@@ -255,6 +255,16 @@ class TestReport:
         assert code == 0
         xml.dom.minidom.parseString((out / "win_matrix.svg").read_text())
 
+    def test_counts_left_out_non_finite_accuracies(self, tmp_path, capsys):
+        results = self._results(tmp_path)
+        with open(results, "a") as fh:  # a NaN written by hand; append_run refuses it
+            fh.write('{"dataset_id": "d1", "method_name": "scarf", "trial_index": 5, '
+                     '"seed": 0, "setting": "full", "test_accuracy": NaN}\n')
+        code = main(["report", "--results", results, "--methods", "scarf,control",
+                     "--out", str(tmp_path / "report")])
+        assert code == 0
+        assert "non-finite accuracies left out: 1" in capsys.readouterr().out
+
     def test_unknown_method_fails(self, tmp_path, capsys):
         results = self._results(tmp_path)
         code = main(["report", "--results", results, "--methods", "scarf,ghost"])

@@ -144,6 +144,32 @@ class TestAdam:
         with pytest.raises(ShapeError):
             opt.step([np.zeros(4)])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_matches_reference_formula_bit_for_bit(self, dtype, rng):
+        def reference_step(p, g, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        params = [rng.normal(size=(7, 5)).astype(dtype), rng.normal(size=5).astype(dtype)]
+        ref = [p.copy() for p in params]
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+        opt = Adam(params)
+        for t in range(1, 26):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape).astype(dtype)
+                     for p in params]
+            opt.step(grads)
+            for p, g, (m, v) in zip(ref, grads, moments):
+                reference_step(p, g, m, v, t)
+        for got, want in zip(params + opt.first_moment + opt.second_moment,
+                             ref + [m for m, _ in moments] + [v for _, v in moments]):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_hard_target(self):

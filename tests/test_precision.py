@@ -124,6 +124,9 @@ def test_bundle_steps_keep_float32(rng):
     _, grad = softmax_cross_entropy(logits, np.eye(2)[ds.y[:6]])
     f_grads, h_grads = bundle.classify_backward(grad)
     assert_float32(logits, *f_grads, *h_grads)
+    # inference casts its input too, in one slice and in several
+    for rows in (ds.X[:6], np.repeat(ds.X, 8, axis=0)):
+        assert_float32(bundle.predict(rows.astype(np.float64)), bundle.embed(rows.astype(np.float64)))
 
 
 def test_dropout_mixup_and_adam_keep_float32(rng):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (assert_grads_close, central_difference, make_blob_dataset,
                       make_numeric_dataset, to_float64)
-from tabpretrain import training
+from tabpretrain import losses, training
 from tabpretrain.corruption import (
     ConfigurationError,
     CorruptionConfig,
@@ -11,8 +13,9 @@ from tabpretrain.corruption import (
     build_marginal_pool,
 )
 from tabpretrain.data import make_splits
-from tabpretrain.nn import mse
+from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
+    INFERENCE_ROWS,
     CotrainSpec,
     EarlyStopper,
     FinetuneConfig,
@@ -61,8 +64,9 @@ class TestStaticValidation:
         pairs = build_static_validation(
             ds, np.arange(50, 100), CorruptionConfig(), pool, rng, epochs=10, batch_size=128
         )
-        assert sum(b.shape[0] for b in pairs.originals) == 500
-        assert len(pairs.originals) == 10  # one 50-row batch per pass
+        assert sum(pos.size for pos in pairs.positions) == 500
+        assert len(pairs.positions) == 10  # one 50-row batch per pass
+        np.testing.assert_array_equal(pairs.originals, ds.X[50:100])  # each row once
 
     def test_corruption_none_identical_halves(self, rng):
         ds = make_numeric_dataset(n=60, d=4)
@@ -70,8 +74,8 @@ class TestStaticValidation:
         pairs = build_static_validation(
             ds, np.arange(40, 60), CorruptionConfig(strategy="none"), pool, rng, epochs=3
         )
-        for orig, corr in zip(pairs.originals, pairs.corrupted):
-            np.testing.assert_array_equal(orig, corr)
+        for pos, corr in zip(pairs.positions, pairs.corrupted):
+            np.testing.assert_array_equal(pairs.originals[pos], corr)
 
     def test_same_seed_bit_identical(self):
         ds = make_numeric_dataset(n=60, d=4)
@@ -88,6 +92,140 @@ class TestStaticValidation:
         pool = build_marginal_pool(ds, np.arange(10))
         with pytest.raises(ValueError):
             build_static_validation(ds, np.array([], dtype=int), CorruptionConfig(), pool, rng)
+
+
+def per_batch_metric(kind, bundle, pairs, cfg):
+    """The validation metrics computed batch by batch, the reference for the
+    positions: every stored batch of originals goes through the nets on its
+    own, next to its corrupted copy."""
+    vals, weights = [], []
+    for pos, corr in zip(pairs.positions, pairs.corrupted):
+        orig = pairs.originals[pos]
+        if kind == "scarf":
+            if orig.shape[0] < 2:
+                continue
+            z = l2_normalize_rows(bundle.g.forward(bundle.f.forward(orig)))
+            zt = l2_normalize_rows(bundle.g.forward(bundle.f.forward(corr)))
+            if cfg.validation_metric == "infonce_error":
+                vals.append(losses.infonce_error(z @ zt.T))
+            else:
+                vals.append(_contrastive_loss(cfg, z, zt)[0])
+            weights.append(orig.shape[0])
+        elif kind == "autoencoder":
+            vals.append(mse(bundle.decoder.forward(bundle.f.forward(corr)), orig)[0])
+            weights.append(orig.shape[0])
+        else:
+            logit = bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(np.vstack([orig, corr]))))
+            labels = np.concatenate([np.zeros(len(orig)), np.ones(len(corr))])
+            vals.append(float(np.mean((logit.reshape(-1) > 0) != labels)))
+            weights.append(len(labels))
+    return float(np.average(vals, weights=weights))
+
+
+METRICS = {
+    "scarf-infonce_loss": ("scarf", dict()),
+    "scarf-infonce_error": ("scarf", dict(validation_metric="infonce_error")),
+    "scarf-barlow": ("scarf", dict(loss="barlow")),
+    "scarf-align_uniform": ("scarf", dict(loss="align_uniform")),
+    "autoencoder": ("autoencoder", dict()),
+    "discriminative": ("discriminative", dict()),
+}
+
+
+class TestValidationMetrics:
+    """Each metric embeds the validation rows once per epoch and gathers the
+    stored batches by position; the value equals the per-batch computation."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", METRICS)
+    def test_equals_per_batch_computation(self, name, dtype):
+        kind, overrides = METRICS[name]
+        ds = make_numeric_dataset(n=1000, d=12, seed=14)
+        splits = make_splits(ds.n, 10)  # 100 validation rows: batches of 32, 32, 32, 4
+        rng = np.random.default_rng(6)
+        bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hidden=64, encoder_layers=2,
+                                    head_layers=1, with_decoder=True, with_disc_proj=True)
+        if dtype == np.float64:
+            to_float64(bundle)
+        cfg = PretrainConfig(batch_size=32, val_build_epochs=3, **overrides)
+        pool = build_marginal_pool(ds, splits.train)
+        pairs = build_static_validation(ds, splits.validation, cfg.corruption, pool, rng,
+                                        cfg.val_build_epochs, cfg.batch_size)
+        metric = {"scarf": lambda: training._validation_metric(bundle, pairs, cfg),
+                  "autoencoder": lambda: training._reconstruction_metric(bundle, pairs),
+                  "discriminative": lambda: training._discrimination_metric(bundle, pairs)}[kind]
+        assert metric() == per_batch_metric(kind, bundle, pairs, cfg)
+
+
+class TestInference:
+    """`predict` and `embed` run `Mlp.forward` over slices of at most
+    INFERENCE_ROWS rows, so they keep no full-split activations."""
+
+    @staticmethod
+    def bundle_and_rows(n, dtype):
+        rng = np.random.default_rng(n)
+        bundle = ModelBundle.create(100, 2, rng)
+        if dtype == np.float64:
+            to_float64(bundle)
+        return bundle, rng.normal(size=(n, 100)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 4000])
+    def test_embed_equals_unchunked_forward(self, n, dtype):
+        bundle, X = self.bundle_and_rows(n, dtype)
+        np.testing.assert_array_equal(
+            bundle.embed(X), l2_normalize_rows(bundle.g.forward(bundle.f.forward(X))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 4000])
+    def test_predict_equals_forward_of_each_slice(self, n, dtype):
+        """Up to INFERENCE_ROWS rows, `predict` is the unchunked forward.
+        Above, it is bit for bit one forward per slice, and within rounding
+        of the unchunked forward with the same classes: OpenBLAS sums the
+        product of a layer only 2 columns wide in an order that depends on
+        its row count, so a 4,000-row and a 250-row product of the same rows
+        differ in the last bits (the 256-wide layers of `embed` do not)."""
+        bundle, X = self.bundle_and_rows(n, dtype)
+        logits = bundle.predict(X)
+        full = bundle.h.forward(bundle.f.forward(X))
+        assert logits.dtype == dtype
+        if n <= INFERENCE_ROWS:
+            np.testing.assert_array_equal(logits, full)
+            return
+        slices = np.array_split(X, -(-n // INFERENCE_ROWS))
+        assert max(len(part) for part in slices) <= INFERENCE_ROWS
+        np.testing.assert_array_equal(
+            logits, np.concatenate([bundle.h.forward(bundle.f.forward(part)) for part in slices]))
+        np.testing.assert_allclose(logits, full, rtol=0,
+                                   atol=64 * np.finfo(dtype).eps * np.abs(full).max())
+        np.testing.assert_array_equal(logits.argmax(axis=1), full.argmax(axis=1))
+
+    def test_no_rows(self, rng):
+        bundle = ModelBundle.create(5, 3, rng, **SMALL)
+        assert bundle.predict(np.zeros((0, 5))).shape == (0, 3)
+        assert bundle.embed(np.zeros((0, 5))).shape == (0, 16)
+
+    @pytest.mark.parametrize("name", ["classification_error", "embed"])
+    def test_peak_memory_under_a_third_of_a_full_split_tape(self, name):
+        """A forward over all 4,000 rows keeps every layer's input and
+        pre-activation for a backward pass that never comes: a peak of about
+        10 (classification error) or 12 (embedding) matrices of 4,000 x 256
+        float32 values. Slicing holds the peak under a third of that."""
+        rng = np.random.default_rng(0)
+        bundle = ModelBundle.create(100, 2, rng, hidden=256)
+        X = rng.normal(size=(4000, 100)).astype(np.float32)
+        y = rng.integers(0, 2, size=4000)
+        run = {"classification_error": lambda: classification_error(bundle, X, y),
+               "embed": lambda: bundle.embed(X)}[name]
+        full_split_peak = {"classification_error": 10, "embed": 12}[name] * X.shape[0] * 256 * 4
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_split_peak / 3
 
 
 TRAINERS = ["scarf", "autoencoder-no_noise", "autoencoder-additive_noise",
