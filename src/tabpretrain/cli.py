@@ -6,16 +6,11 @@ Commands:
   report    win-matrix / box-plot CSV exports and an optional SVG heat map; it
             prints how many non-finite accuracies it left out
 
-Configuration is a flat JSON object; every key can also be given as a flag,
-and flags override file values. Documented keys (defaults in parentheses):
-dataset, schema, method (control), setting (full), trials (30), seed (0),
-out (results), jobs (1), scaling (zscore), corruption_strategy (marginal),
-corruption_rate (0.6), temperature (1.0), batch_size (128),
-learning_rate (0.001), pretrain_max_epochs (1000), finetune_max_epochs (200),
-patience (3), val_build_epochs (10), label_smoothing (0.1), dropout (0.04),
-mixup_alpha (0.2), cotrain_weight (0.1), self_train_threshold (0.75),
-self_train_iterations (10), hidden_dim (256), noise_rate (0.3),
-labeled_fraction (0.25).
+Configuration is a flat JSON object of `dataset`, `schema` and the keys of
+CONFIG_DEFAULTS, which holds their defaults: the run keys (method, setting,
+trials, seed, out, jobs, scaling) and every trial hyperparameter of
+`methods.HYPERPARAMETERS`. Every key is also a `run` flag (`tabpretrain run
+--help` lists them), and flags override file values.
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
@@ -36,7 +31,6 @@ import xml.dom.minidom
 from collections import Counter
 
 from tabpretrain import methods, stats
-from tabpretrain.corruption import CorruptionConfig
 from tabpretrain.data import (
     IngestionError,
     Schema,
@@ -55,31 +49,7 @@ CONFIG_DEFAULTS = {
     "out": "results",
     "jobs": 1,
     "scaling": "zscore",
-    "corruption_strategy": "marginal",
-    "corruption_rate": 0.6,
-    "index_selection": "fixed_count",
-    "view_policy": "corrupt_one",
-    "index_sharing": "per_example",
-    "donor": "per_example",
-    "gaussian_sigma": 0.5,
-    "temperature": 1.0,
-    "batch_size": 128,
-    "learning_rate": 0.001,
-    "pretrain_max_epochs": 1000,
-    "finetune_max_epochs": 200,
-    "patience": 3,
-    "val_build_epochs": 10,
-    "pretrain_loss": "infonce",
-    "validation_metric": "infonce_loss",
-    "label_smoothing": 0.1,
-    "dropout": 0.04,
-    "mixup_alpha": 0.2,
-    "cotrain_weight": 0.1,
-    "self_train_threshold": 0.75,
-    "self_train_iterations": 10,
-    "hidden_dim": 256,
-    "noise_rate": 0.3,
-    "labeled_fraction": 0.25,
+    **methods.HYPERPARAMETERS,
 }
 
 
@@ -103,55 +73,21 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _hyperparameters(cfg: dict) -> dict:
-    corruption = CorruptionConfig(
-        strategy=cfg["corruption_strategy"],
-        rate=cfg["corruption_rate"],
-        index_selection=cfg["index_selection"],
-        view_policy=cfg["view_policy"],
-        index_sharing=cfg["index_sharing"],
-        donor=cfg["donor"],
-        gaussian_sigma=cfg["gaussian_sigma"],
-    )
-    return {
-        "corruption": corruption,
-        "temperature": cfg["temperature"],
-        "pretrain_batch_size": cfg["batch_size"],
-        "finetune_batch_size": cfg["batch_size"],
-        "learning_rate": cfg["learning_rate"],
-        "pretrain_max_epochs": cfg["pretrain_max_epochs"],
-        "finetune_max_epochs": cfg["finetune_max_epochs"],
-        "patience": cfg["patience"],
-        "val_build_epochs": cfg["val_build_epochs"],
-        "pretrain_loss": cfg["pretrain_loss"],
-        "validation_metric": cfg["validation_metric"],
-        "label_smoothing": cfg["label_smoothing"],
-        "dropout": cfg["dropout"],
-        "mixup_alpha": cfg["mixup_alpha"],
-        "cotrain_weight": cfg["cotrain_weight"],
-        "self_train_threshold": cfg["self_train_threshold"],
-        "self_train_iterations": cfg["self_train_iterations"],
-        "hidden_dim": cfg["hidden_dim"],
-        "noise_rate": cfg["noise_rate"],
-        "labeled_fraction": cfg["labeled_fraction"],
-    }
-
-
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     try:
         schema = Schema.from_file(cfg["schema"])
         table = load_csv(cfg["dataset"], schema)
+        kept = drop_empty_columns(table)
+        dataset = one_hot(impute(kept))
     except (IngestionError, FileNotFoundError, KeyError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
-    kept = drop_empty_columns(table)
     dropped = sorted(set(table.names) - set(kept.names))
     missing_counts = {
         name: sum(1 for c in col if c is None)
         for name, col in zip(kept.names, kept.columns)
     }
-    dataset = one_hot(impute(kept))
     print(f"rows: {kept.n_rows}")
     print(f"raw features: {dataset.M} (encoded width {dataset.X.shape[1]})")
     if dropped:
@@ -177,7 +113,7 @@ def cmd_run(args) -> int:
 
     attempted = failed = 0
     try:
-        hp = _hyperparameters(cfg)
+        hp = {key: cfg[key] for key in methods.HYPERPARAMETERS}
         schema = Schema.from_file(cfg["schema"])
         for outcome in methods.run_benchmark(
             {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
@@ -238,6 +174,12 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _boolean(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, not {text!r}")
+    return text == "true"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tabpretrain")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -252,12 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config")
     p_run.add_argument("--dataset")
     p_run.add_argument("--schema")
-    p_run.add_argument("--method")
-    p_run.add_argument("--setting", choices=methods.SETTINGS)
-    p_run.add_argument("--trials", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--jobs", type=int)
-    p_run.add_argument("--out")
+    for key, default in CONFIG_DEFAULTS.items():
+        p_run.add_argument(f"--{key}", type=_boolean if isinstance(default, bool) else type(default),
+                           choices=methods.SETTINGS if key == "setting" else None,
+                           help=f"(default: {json.dumps(default)})")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="win matrix and box-plot exports")

@@ -16,7 +16,7 @@ single_row, or one (B, M_enc) normal matrix for gaussian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,9 +59,6 @@ class CorruptionConfig:
             raise ConfigurationError(f"unknown donor {self.donor!r}")
         if self.gaussian_sigma <= 0:
             raise ConfigurationError("gaussian_sigma must be positive")
-
-    def with_(self, **kw) -> "CorruptionConfig":
-        return replace(self, **kw)
 
 
 @dataclass

@@ -3,13 +3,15 @@ label-noise / label-masking protocols.
 
 Datasets arrive as a CSV with a header row (empty cells mean missing) plus a
 JSON schema sidecar mapping each column name to one of "numerical",
-"categorical", or "label". Exactly one label column is required.
+"categorical", or "label". Exactly one label column is required, and every
+present numerical cell must be a finite number.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -99,6 +101,28 @@ def drop_empty_columns(table: RawTable) -> RawTable:
     )
 
 
+def _numerical_values(name: str, column: list) -> np.ndarray:
+    """The present cells of a numerical column as floats, in row order. A
+    cell that is not a finite number (text, nan or inf) raises IngestionError
+    naming the column and its CSV row (the header is row 1)."""
+    try:
+        values = np.array([float(c) for c in column if c is not MISSING])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        row, cell = next((row, c) for row, c in enumerate(column, start=2)
+                         if c is not MISSING and not _is_finite(c))
+        raise IngestionError(f"column {name!r}, row {row}: {cell!r} is not a finite number")
+    return values
+
+
+def _is_finite(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def impute(table: RawTable) -> RawTable:
     """Fill missing cells: numerical -> full-dataset mean, categorical -> mode.
 
@@ -115,7 +139,7 @@ def impute(table: RawTable) -> RawTable:
             columns.append(list(col))
             continue
         if kind == "numerical":
-            fill = str(np.mean([float(c) for c in present]))
+            fill = str(np.mean(_numerical_values(name, col)))
         else:
             counts = Counter(present)
             best = max(counts.values())
@@ -204,7 +228,7 @@ def one_hot(table: RawTable) -> ProcessedDataset:
     for j in feat_idx:
         names.append(table.names[j])
         if table.kinds[j] == "numerical":
-            encoded_cols.append(np.array([float(c) for c in table.columns[j]]))
+            encoded_cols.append(_numerical_values(table.names[j], table.columns[j]))
             numerical.append(pos)
             blocks.append((pos, pos + 1))
             pos += 1

@@ -15,18 +15,6 @@ import numpy as np
 from tabpretrain.nn import ShapeError, as_float
 
 
-def cosine_similarity_matrix(z: np.ndarray, z_tilde: np.ndarray) -> np.ndarray:
-    z = as_float(z)
-    z_tilde = as_float(z_tilde)
-    if z.shape[1] != z_tilde.shape[1]:
-        raise ShapeError("embedding widths differ")
-    nz = np.linalg.norm(z, axis=1)
-    nt = np.linalg.norm(z_tilde, axis=1)
-    if np.any(nz == 0) or np.any(nt == 0):
-        raise ValueError("zero-norm embedding row")
-    return (z / nz[:, None]) @ (z_tilde / nt[:, None]).T
-
-
 def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     """Mean over rows of -log(exp(s_ii/t) / mean_k exp(s_ik/t)), with the
     gradient w.r.t. s."""
@@ -114,17 +102,10 @@ def barlow_twins(
 
 
 def align_uniform(
-    z: np.ndarray,
-    z_tilde: np.ndarray,
-    weight_align: float,
-    weight_uniform: float,
-    cross_pairs: bool = False,
+    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)).
-
-    The uniformity term uses original-view pairs by default; cross_pairs=True
-    additionally pools the corrupted-view embeddings into the pairwise term.
-    """
+    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
+    the uniformity term over original-view pairs."""
     z = as_float(z)
     zt = as_float(z_tilde)
     if z.shape != zt.shape:
@@ -137,20 +118,14 @@ def align_uniform(
     grad_z = weight_align * 2.0 * diff / n
     grad_zt = -weight_align * 2.0 * diff / n
 
-    pts = np.vstack([z, zt]) if cross_pairs else z
-    m = pts.shape[0]
-    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    off = ~np.eye(m, dtype=bool)
+    sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    off = ~np.eye(n, dtype=bool)
     expv = np.where(off, np.exp(-2.0 * sq), 0.0)
     total = expv.sum()
-    uniform = np.log(total / (m * (m - 1)))
-    # d/dp_i of log(sum): each unordered pair appears twice in the ordered sum
+    uniform = np.log(total / (n * (n - 1)))
+    # d/dz_i of log(sum): each unordered pair appears twice in the ordered sum
     w = expv / total
-    grad_pts = -8.0 * (pts * w.sum(axis=1, keepdims=True) - w @ pts)
-    grad_pts *= weight_uniform
-    if cross_pairs:
-        grad_z += grad_pts[:n]
-        grad_zt += grad_pts[n:]
-    else:
-        grad_z += grad_pts
+    grad_uniform = -8.0 * (z * w.sum(axis=1, keepdims=True) - w @ z)
+    grad_uniform *= weight_uniform
+    grad_z += grad_uniform
     return float(weight_align * align + weight_uniform * uniform), grad_z, grad_zt

@@ -6,7 +6,9 @@ combination such as "scarf+mixup" or "scarf+self_train". Within a trial every
 method sees the same splits; per-trial seeds derive deterministically from
 (base_seed, dataset_id, trial).
 
-`run_benchmark` is the one loop over trials, for the library and the CLI.
+`run_benchmark` is the one loop over trials, for the library and the CLI, and
+`HYPERPARAMETERS` is the one table of trial hyperparameters and their
+defaults, for both.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from tabpretrain import baselines, stats
+from tabpretrain.corruption import CorruptionConfig
 from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
                               mask_labels, scale)
 from tabpretrain.training import (
@@ -95,39 +98,84 @@ def apply_setting(
     raise ValueError(f"unknown setting {setting!r}")
 
 
-def _finetune_config(recipe: str, hp: dict) -> FinetuneConfig:
+# Every trial hyperparameter and its default. `run_method` overlays its `hp`
+# on this table; the CLI takes each key as a config key and as a `run` flag.
+HYPERPARAMETERS = {
+    # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
+    "corruption_strategy": "marginal",
+    "corruption_rate": 0.6,
+    "index_selection": "fixed_count",
+    "view_policy": "corrupt_one",
+    "index_sharing": "per_example",
+    "donor": "per_example",
+    "gaussian_sigma": 0.5,
+    "unique_pool": False,
+    # optimisation, for pre-training and fine-tuning alike
+    "batch_size": 128,
+    "learning_rate": 0.001,
+    "patience": 3,
+    "pretrain_max_epochs": 1000,
+    "finetune_max_epochs": 200,
+    # pre-training objective
+    "temperature": 1.0,
+    "val_build_epochs": 10,
+    "pretrain_loss": "infonce",
+    "validation_metric": "infonce_loss",
+    # fine-tuning recipes
+    "label_smoothing": 0.1,
+    "dropout": 0.04,
+    "mixup_alpha": 0.2,
+    "cotrain_weight": 0.1,
+    "self_train_threshold": 0.75,
+    "self_train_iterations": 10,
+    # architecture
+    "hidden_dim": 256,
+    "encoder_layers": 4,
+    "head_layers": 2,
+    # settings
+    "noise_rate": 0.3,
+    "labeled_fraction": 0.25,
+}
+
+
+def _resolve(hp: dict | None) -> tuple[dict, CorruptionConfig]:
+    """HYPERPARAMETERS overlaid with `hp`, and the corruption config of the
+    result. An unknown key or an invalid corruption setting raises ValueError."""
+    unknown = sorted(set(hp or {}) - set(HYPERPARAMETERS))
+    if unknown:
+        raise ValueError(f"unknown hyperparameter(s): {unknown}")
+    hp = {**HYPERPARAMETERS, **(hp or {})}
+    corruption = CorruptionConfig(
+        strategy=hp["corruption_strategy"], rate=hp["corruption_rate"],
+        index_selection=hp["index_selection"], view_policy=hp["view_policy"],
+        index_sharing=hp["index_sharing"], donor=hp["donor"],
+        gaussian_sigma=hp["gaussian_sigma"], unique_pool=hp["unique_pool"],
+    )
+    return hp, corruption
+
+
+def _finetune_config(recipe: str, hp: dict, corruption: CorruptionConfig) -> FinetuneConfig:
     cfg = FinetuneConfig(
-        batch_size=hp.get("finetune_batch_size", 128),
-        max_epochs=hp.get("finetune_max_epochs", 200),
-        patience=hp.get("patience", 3),
-        learning_rate=hp.get("learning_rate", 1e-3),
+        batch_size=hp["batch_size"], max_epochs=hp["finetune_max_epochs"],
+        patience=hp["patience"], learning_rate=hp["learning_rate"],
+        scarf_augmentation=recipe == "scarf_aug", augmentation_corruption=corruption,
     )
     if recipe == "smooth":
-        cfg.label_smoothing = hp.get("label_smoothing", 0.1)
+        cfg.label_smoothing = hp["label_smoothing"]
     elif recipe == "dropout":
-        cfg.dropout = hp.get("dropout", 0.04)
+        cfg.dropout = hp["dropout"]
     elif recipe == "mixup":
-        cfg.mixup_alpha = hp.get("mixup_alpha", 0.2)
-    elif recipe == "scarf_aug":
-        cfg.scarf_augmentation = True
-        cfg.augmentation_corruption = hp.get("corruption", cfg.augmentation_corruption)
+        cfg.mixup_alpha = hp["mixup_alpha"]
     return cfg
 
 
-def _pretrain_config(hp: dict) -> PretrainConfig:
-    cfg = PretrainConfig(
-        batch_size=hp.get("pretrain_batch_size", 128),
-        temperature=hp.get("temperature", 1.0),
-        max_epochs=hp.get("pretrain_max_epochs", 1000),
-        patience=hp.get("patience", 3),
-        val_build_epochs=hp.get("val_build_epochs", 10),
-        loss=hp.get("pretrain_loss", "infonce"),
-        validation_metric=hp.get("validation_metric", "infonce_loss"),
-        learning_rate=hp.get("learning_rate", 1e-3),
+def _pretrain_config(hp: dict, corruption: CorruptionConfig) -> PretrainConfig:
+    return PretrainConfig(
+        batch_size=hp["batch_size"], temperature=hp["temperature"], corruption=corruption,
+        max_epochs=hp["pretrain_max_epochs"], patience=hp["patience"],
+        val_build_epochs=hp["val_build_epochs"], loss=hp["pretrain_loss"],
+        validation_metric=hp["validation_metric"], learning_rate=hp["learning_rate"],
     )
-    if "corruption" in hp:
-        cfg.corruption = hp["corruption"]
-    return cfg
 
 
 def run_method(
@@ -140,24 +188,28 @@ def run_method(
 ) -> dict:
     """Execute one method on one prepared (dataset, splits) pair.
 
-    Returns test accuracy plus epoch counters for the results record."""
-    hp = hp or {}
+    `hp` overrides entries of HYPERPARAMETERS; an unknown key raises
+    ValueError. Returns test accuracy plus epoch counters for the results
+    record."""
+    hp, corruption = _resolve(hp)
     pre, recipe = parse_method(method)
     rng = np.random.default_rng(seed)
     y_eff, labeled, unlabeled = apply_setting(
-        dataset, splits, setting, rng,
-        hp.get("noise_rate", 0.3), hp.get("labeled_fraction", 0.25),
+        dataset, splits, setting, rng, hp["noise_rate"], hp["labeled_fraction"],
     )
-    hidden = hp.get("hidden_dim", 256)
-    pcfg = _pretrain_config(hp)
+    pcfg = _pretrain_config(hp, corruption)
+
+    def new_bundle(**heads) -> ModelBundle:
+        return ModelBundle.create(
+            dataset.X.shape[1], dataset.num_classes, rng, hidden=hp["hidden_dim"],
+            encoder_layers=hp["encoder_layers"], head_layers=hp["head_layers"], **heads,
+        )
+
     needs_decoder = pre in ("scarf_ae", "add_noise_ae", "no_noise_ae") or recipe == "ae_cotrain"
-    bundle = ModelBundle.create(
-        dataset.X.shape[1], dataset.num_classes, rng, hidden=hidden,
+    bundle = new_bundle(
         with_decoder=needs_decoder,
         with_disc_proj=pre == "scarf_disc",
-        with_learnable_missing=pcfg.corruption.strategy == "missing_learnable",
-        encoder_layers=hp.get("encoder_layers", 4),
-        head_layers=hp.get("head_layers", 2),
+        with_learnable_missing=corruption.strategy == "missing_learnable",
     )
     # one cast per trial to the weights' dtype, before any pool or view exists
     dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False))
@@ -173,23 +225,17 @@ def run_method(
         else:
             variant = {"scarf_ae": "scarf_corruption", "add_noise_ae": "additive_noise",
                        "no_noise_ae": "no_noise"}[pre]
-            if variant != "scarf_corruption":
-                pcfg.corruption = pcfg.corruption.with_(strategy="none")
-            out = pretrain_autoencoder(dataset, splits, bundle, variant, pcfg,
-                                       rng, hp.get("ae_noise_sigma", 0.5))
+            out = pretrain_autoencoder(dataset, splits, bundle, variant, pcfg, rng)
         pretrain_epochs = out.epochs_used
         pretrain_outcome = out
         pretrained_f = bundle.f.copy_weights()
 
-    fcfg = _finetune_config(recipe, hp)
+    fcfg = _finetune_config(recipe, hp, corruption)
 
     def train_fn(rows, labels, soft):
         """Fresh model (encoder warm-started when pre-trained), trained on the
         given rows; used by the pseudo-labeling baselines."""
-        sub = ModelBundle.create(
-            dataset.X.shape[1], dataset.num_classes, rng, hidden=hidden,
-            encoder_layers=hp.get("encoder_layers", 4), head_layers=hp.get("head_layers", 2),
-        )
+        sub = new_bundle()
         if pretrained_f is not None:
             sub.f.set_weights(pretrained_f)
         if soft is not None:
@@ -205,13 +251,13 @@ def run_method(
     if recipe == "self_train":
         model, _ = baselines.self_train(
             replace(dataset, y=y_eff), labeled, unlabeled, train_fn,
-            hp.get("self_train_threshold", 0.75), hp.get("self_train_iterations", 10),
+            hp["self_train_threshold"], hp["self_train_iterations"],
         )
         outcome = _test_outcome(model, dataset, splits)
     elif recipe == "tri_train":
         model, _ = baselines.tri_train(
             replace(dataset, y=y_eff), labeled, unlabeled, train_fn, rng,
-            hp.get("self_train_iterations", 10),
+            hp["self_train_iterations"],
         )
         outcome = _test_outcome(model, dataset, splits)
     elif recipe == "distill":
@@ -219,10 +265,10 @@ def run_method(
         outcome = _test_outcome(model, dataset, splits)
     elif recipe in ("cotrain", "ae_cotrain"):
         spec = CotrainSpec(
-            weight=hp.get("cotrain_weight", 0.1),
+            weight=hp["cotrain_weight"],
             aux="contrastive" if recipe == "cotrain" else "autoencoder",
-            corruption=hp.get("corruption", CotrainSpec().corruption),
-            temperature=hp.get("temperature", 1.0),
+            corruption=corruption,
+            temperature=hp["temperature"],
         )
         outcome = finetune(dataset, splits, labeled, bundle, fcfg, rng,
                            y_train_override=y_eff, cotrain=spec)
@@ -276,8 +322,10 @@ def run_benchmark(
     `out_dir` before yielding it, so the files are the same bytes for any
     `jobs` (threads running trials at once). A failure writes no record: it
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
-    Unknown method, setting or scaling names raise before the first trial.
+    Unknown method, setting, scaling or hyperparameter names raise before the
+    first trial.
     """
+    _resolve(hp)
     for method in methods:
         parse_method(method)
     for setting in settings:

@@ -588,12 +588,14 @@ def finetune(
 
 @dataclass
 class CotrainSpec:
+    """A supervised loss plus `weight` times an auxiliary term on the same
+    batch: InfoNCE between two corrupted views, or reconstruction of the
+    batch from an additive-noise copy (sigma 0.5)."""
+
     weight: float = 0.1
     aux: str = "contrastive"  # or "autoencoder"
     corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
     temperature: float = 1.0
-    ae_variant: str = "additive_noise"
-    noise_sigma: float = 0.5
 
     def __post_init__(self):
         if self.weight < 0:
@@ -611,5 +613,5 @@ def _cotrain_term(bundle, x, dataset, pool, rng, spec: CotrainSpec):
         loss, f_grads, g_grads, _ = bundle.contrastive_step(
             view_a, view_b, partial(_infonce_pair, temperature=spec.temperature))
         return loss, f_grads, g_grads
-    x_in = _ae_input(x, spec.ae_variant, dataset, spec.corruption, pool, rng, spec.noise_sigma)
+    x_in = _ae_input(x, "additive_noise", dataset, spec.corruption, pool, rng)
     return bundle.reconstruction_step(x_in, x)

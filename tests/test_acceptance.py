@@ -5,6 +5,7 @@ is visible even under pytest's capture. Criterion 6 needs the banknote
 authentication CSV on disk (see BANKNOTE_CSV below) and skips when absent.
 """
 
+import dataclasses
 import functools
 import json
 import os
@@ -224,7 +225,7 @@ def test_criterion_3_corruption_properties():
                 assert out[i, j] in ds.X[:20, j]
         if q == 0:
             np.testing.assert_array_equal(out, batch)
-        bern = select_indices(ds.M, cfg.with_(index_selection="bernoulli", rate=0.05),
+        bern = select_indices(ds.M, dataclasses.replace(cfg, index_selection="bernoulli", rate=0.05),
                               n_rows, rng)
         assert all(len(s) >= 1 for s in bern)
     assert time.time() - start < 60.0

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tabpretrain import cli, stats
-from tabpretrain.cli import main
+from tabpretrain import cli, methods, stats
+from tabpretrain.cli import CONFIG_DEFAULTS, main
 
 FAST = {
     "trials": 1,
@@ -37,6 +37,15 @@ def write_dataset(tmp_path, n=60, with_empty_column=False):
     schema_path = tmp_path / "toy.schema.json"
     schema_path.write_text(json.dumps(dict(zip(names, kinds))))
     return str(csv_path), str(schema_path)
+
+
+def write_bad_cell(tmp_path, cell):
+    """The toy dataset with `cell` as f1 of CSV row 4 (the header is row 1)."""
+    csv, schema = write_dataset(tmp_path)
+    lines = open(csv).read().splitlines()
+    lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+    open(csv, "w").write("\n".join(lines) + "\n")
+    return csv, schema
 
 
 def write_config(tmp_path, **extra):
@@ -78,6 +87,59 @@ class TestValidate:
         cfg.write_text(json.dumps({"learning_rte": 0.1}))
         with pytest.raises(SystemExit, match="learning_rte"):
             main(["validate", "--config", str(cfg), "--dataset", csv, "--schema", schema])
+
+    @pytest.mark.parametrize("cell", ["foo", "nan", "-inf"])
+    def test_bad_numerical_cell_fails_with_its_position(self, tmp_path, capsys, cell):
+        csv, schema = write_bad_cell(tmp_path, cell)
+        assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
+        err = capsys.readouterr().err
+        assert f"validation failed: column 'f1', row 4: {cell!r} is not a finite number" in err
+
+
+# every CONFIG_DEFAULTS key with a valid value other than its default
+NON_DEFAULTS = {
+    "method": "scarf", "setting": "noise30", "trials": 1, "seed": 1, "jobs": 2,
+    "scaling": "minmax", "corruption_strategy": "mean", "corruption_rate": 0.5,
+    "index_selection": "bernoulli", "view_policy": "corrupt_both",
+    "index_sharing": "shared_batch", "donor": "single_row", "gaussian_sigma": 0.25,
+    "unique_pool": True, "batch_size": 16, "learning_rate": 0.01, "patience": 2,
+    "pretrain_max_epochs": 2, "finetune_max_epochs": 2, "temperature": 0.5,
+    "val_build_epochs": 2, "pretrain_loss": "barlow", "validation_metric": "infonce_error",
+    "label_smoothing": 0.2, "dropout": 0.1, "mixup_alpha": 0.3, "cotrain_weight": 0.2,
+    "self_train_threshold": 0.9, "self_train_iterations": 2, "hidden_dim": 8,
+    "encoder_layers": 2, "head_layers": 1, "noise_rate": 0.2, "labeled_fraction": 0.5,
+}
+
+
+class TestConfiguration:
+    def test_hyperparameter_keys_are_the_table(self):
+        run_keys = {"method", "setting", "trials", "seed", "out", "jobs", "scaling"}
+        assert set(CONFIG_DEFAULTS) - run_keys == set(methods.HYPERPARAMETERS)
+        assert {k: CONFIG_DEFAULTS[k] for k in methods.HYPERPARAMETERS} == methods.HYPERPARAMETERS
+
+    def test_every_key_as_config_key_and_as_flag(self, tmp_path):
+        assert set(NON_DEFAULTS) | {"out"} == set(CONFIG_DEFAULTS)
+        assert all(NON_DEFAULTS[k] != CONFIG_DEFAULTS[k] for k in NON_DEFAULTS)
+        csv, schema = write_dataset(tmp_path)
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps(NON_DEFAULTS))
+        flags = [arg for key, value in NON_DEFAULTS.items()
+                 for arg in (f"--{key}", json.dumps(value) if isinstance(value, bool) else str(value))]
+        outputs = []
+        for name, args in (("from_file", ["--config", str(path)]), ("from_flags", flags)):
+            out = tmp_path / name
+            assert main(["run", "--dataset", csv, "--schema", schema, "--out", str(out)] + args) == 0
+            echoed = json.loads((out / "config.json").read_text())
+            assert echoed == {**NON_DEFAULTS, "out": str(out), "dataset": csv, "schema": schema}
+            runs = stats.load_runs(out / "results.jsonl")
+            assert [(r.method_name, r.setting) for r in runs] == [("scarf", "noise30")]
+            outputs.append((out / "results.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_boolean_flag_takes_true_or_false(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--unique_pool", "yes"])
+        assert "expected true or false" in capsys.readouterr().err
 
 
 class TestRun:
@@ -187,6 +249,18 @@ class TestRun:
                      "--method", "control", "--out", str(out)])
         assert code == 1
         assert "scaling 'zscroe'" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("cell", ["foo", "nan"])
+    def test_bad_numerical_cell_fails_before_any_trial(self, tmp_path, capsys, cell):
+        csv, schema = write_bad_cell(tmp_path, cell)
+        cfg = write_config(tmp_path, trials=2)
+        out = tmp_path / "o"
+        code = main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                     "--method", "control", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"run failed: column 'f1', row 4: {cell!r} is not a finite number" in err
         assert not (out / "results.jsonl").exists()
 
     def test_bernoulli_zero_rate_fails_instead_of_hanging(self, tmp_path, capsys):

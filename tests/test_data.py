@@ -100,6 +100,16 @@ class TestImpute:
         t = impute(self._table(tmp_path, ",a,x\n2,,x\n3,b,x\n"))
         assert all(c is not None for col in t.columns for c in col)
 
+    def test_mean_is_the_float_mean_of_the_cells(self, tmp_path):
+        t = impute(self._table(tmp_path, "0.1,a,x\n,a,x\n0.2,a,x\n0.7,a,x\n"))
+        assert t.columns[0][1] == str(np.mean([0.1, 0.2, 0.7]))
+
+    @pytest.mark.parametrize("cell", ["foo", "nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_column_and_row(self, tmp_path, cell):
+        table = self._table(tmp_path, f"1,a,x\n,a,x\n{cell},b,x\n")
+        with pytest.raises(IngestionError, match=f"column 'age', row 4: '{cell}'"):
+            impute(table)
+
 
 class TestScaler:
     def test_zscore_population_std(self):
@@ -149,6 +159,11 @@ class TestOneHot:
         ds = self._dataset(tmp_path, "1,a,x\n2,b,y\n3,c,x\n")
         lo, hi = ds.feature_blocks[1]
         assert set(ds.X[:, lo:hi].sum(axis=1)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("cell", ["1.5x", "NaN", "inf"])
+    def test_non_finite_cell_names_column_and_row(self, tmp_path, cell):
+        with pytest.raises(IngestionError, match=f"column 'age', row 3: '{cell}'"):
+            self._dataset(tmp_path, f"1,a,x\n{cell},b,y\n3,a,x\n")
 
     def test_class_indices_first_appearance(self, tmp_path):
         ds = self._dataset(tmp_path, "1,a,y\n2,b,x\n3,c,y\n")

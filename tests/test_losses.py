@@ -6,7 +6,6 @@ from tabpretrain.losses import (
     align_uniform,
     barlow_twins,
     binary_logistic,
-    cosine_similarity_matrix,
     infonce,
     infonce_error,
 )
@@ -31,27 +30,6 @@ def standard_infonce(s, tau):
         denom = sum(np.exp(s[i, k] / tau) for k in range(n))
         total += -np.log(np.exp(s[i, i] / tau) / denom)
     return total / n
-
-
-class TestCosineSimilarity:
-    def test_self_similarity(self):
-        np.testing.assert_allclose(cosine_similarity_matrix([[1.0, 0.0]], [[1.0, 0.0]]), [[1.0]])
-
-    def test_orthogonal(self):
-        np.testing.assert_allclose(cosine_similarity_matrix([[1.0, 0.0]], [[0.0, 1.0]]), [[0.0]])
-
-    def test_matches_double_loop_oracle(self, rng):
-        z = rng.normal(size=(5, 4))
-        zt = rng.normal(size=(6, 4))
-        s = cosine_similarity_matrix(z, zt)
-        for i in range(5):
-            for j in range(6):
-                expected = z[i] @ zt[j] / (np.linalg.norm(z[i]) * np.linalg.norm(zt[j]))
-                assert s[i, j] == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity_matrix([[0.0, 0.0]], [[1.0, 0.0]])
 
 
 class TestInfonce:
@@ -226,13 +204,6 @@ class TestAlignUniform:
         num_z = central_difference(lambda: align_uniform(z, zt, 1.0, 1.0)[0], [z])
         num_zt = central_difference(lambda: align_uniform(z, zt, 1.0, 1.0)[0], [zt])
         assert_grads_close([gz, gzt], [num_z[0], num_zt[0]])
-
-    def test_cross_pairs_variant_gradients(self, rng):
-        z = rng.normal(size=(4, 3))
-        zt = rng.normal(size=(4, 3))
-        _, gz, gzt = align_uniform(z, zt, 1.0, 1.0, cross_pairs=True)
-        f = lambda: align_uniform(z, zt, 1.0, 1.0, cross_pairs=True)[0]
-        assert_grads_close([gz, gzt], [central_difference(f, [z])[0], central_difference(f, [zt])[0]])
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):

@@ -23,8 +23,7 @@ FAST_HP = {
     "hidden_dim": 8,
     "encoder_layers": 2,
     "head_layers": 1,
-    "pretrain_batch_size": 32,
-    "finetune_batch_size": 32,
+    "batch_size": 32,
     "pretrain_max_epochs": 2,
     "finetune_max_epochs": 2,
     "val_build_epochs": 2,
@@ -125,6 +124,42 @@ class TestRunMethod:
         assert a["test_accuracy"] == b["test_accuracy"]
         assert a["epochs_used"] == b["epochs_used"]
 
+    def test_unknown_hyperparameter_rejected(self):
+        ds = make_blob_dataset(n=120, d=4, seed=3)
+        with pytest.raises(ValueError, match="pretrain_max_epoch"):
+            run_method("control", ds, make_splits(120, 2), "full", 9,
+                       {**FAST_HP, "pretrain_max_epoch": 5})
+
+    @pytest.mark.parametrize("method", ["scarf", "scarf_aug", "cotrain"])
+    def test_table_reaches_both_phases(self, method, monkeypatch):
+        """One batch size and one corruption config from the table feed
+        pre-training, scarf_aug augmentation and the co-training term."""
+        pretrain_calls, finetune_calls = [], []
+
+        def spy(fn, calls):
+            def wrapper(*args, **kwargs):
+                calls.append((args, kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(methods, "pretrain_scarf", spy(methods.pretrain_scarf, pretrain_calls))
+        monkeypatch.setattr(methods, "finetune", spy(methods.finetune, finetune_calls))
+        ds = make_blob_dataset(n=120, d=4, seed=3)
+        hp = {**FAST_HP, "batch_size": 24, "corruption_rate": 0.3, "donor": "single_row"}
+        run_method(method, ds, make_splits(120, 2), "full", 9, hp)
+        expected = methods.CorruptionConfig(rate=0.3, donor="single_row")
+        pretrain_cfg = [args[3] for args, _ in pretrain_calls]
+        [(finetune_args, finetune_kwargs)] = finetune_calls
+        finetune_cfg = finetune_args[4]
+        assert [c.batch_size for c in pretrain_cfg + [finetune_cfg]] == [24] * (len(pretrain_cfg) + 1)
+        if method == "scarf":
+            assert pretrain_cfg[0].corruption == expected
+        elif method == "scarf_aug":
+            assert finetune_cfg.scarf_augmentation
+            assert finetune_cfg.augmentation_corruption == expected
+        else:
+            assert finetune_kwargs["cotrain"].corruption == expected
+
 
 def write_mixed_csv(tmp_path, n=80):
     """Two numerical features far from zero mean and unit spread around a
@@ -173,6 +208,15 @@ class TestRunBenchmark:
                                2, 0, out_dir=tmp_path, hp=FAST_HP, scaling=scaling))
         assert calls == []
         assert not (tmp_path / "results.jsonl").exists()
+
+    def test_unknown_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="unknown hyperparameter.*pretrain_max_epoch"):
+            list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
+                               2, 0, out_dir=tmp_path, hp={"pretrain_max_epoch": 5}))
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_trial_writes_no_record_and_reruns(self, tmp_path, monkeypatch):
         ds = make_blob_dataset(n=120, d=4, seed=4)

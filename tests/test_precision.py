@@ -81,13 +81,12 @@ def test_loss_values_and_gradients_keep_float32(rng):
     z, zt = embeddings(rng)
     loss, grad_s = losses.infonce(z @ zt.T, 0.7)
     assert_float32_value(loss)
-    assert_float32(losses.cosine_similarity_matrix(z, zt), grad_s)
+    assert_float32(grad_s)
     loss, grad_z, grad_zt = _infonce_pair(z, zt, 0.7)
     assert_float32_value(loss)
     assert_float32(grad_z, grad_zt)
     for loss_fn in (lambda: losses.barlow_twins(z, zt, 5e-3),
-                    lambda: losses.align_uniform(z, zt, 0.7, 1.3),
-                    lambda: losses.align_uniform(z, zt, 0.7, 1.3, cross_pairs=True)):
+                    lambda: losses.align_uniform(z, zt, 0.7, 1.3)):
         loss, grad_z, grad_zt = loss_fn()
         assert_float32_value(loss)
         assert_float32(grad_z, grad_zt)
