@@ -32,7 +32,6 @@ from collections import Counter
 
 from tabpretrain import methods, stats
 from tabpretrain.data import (
-    IngestionError,
     Schema,
     drop_empty_columns,
     encode_csv,
@@ -54,6 +53,8 @@ CONFIG_DEFAULTS = {
 
 
 def _load_config(args) -> dict:
+    """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
+    A missing `dataset` or `schema` raises ValueError."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -70,24 +71,23 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+        if key not in cfg:
+            raise ValueError(f"no {key} given: set --{key} or the config key {key!r}")
     return cfg
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args)
     try:
+        cfg = _load_config(args)
         schema = Schema.from_file(cfg["schema"])
         table = load_csv(cfg["dataset"], schema)
         kept = drop_empty_columns(table)
         dataset = one_hot(impute(kept))
-    except (IngestionError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError) as exc:  # configuration, schema or CSV errors
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     dropped = sorted(set(table.names) - set(kept.names))
-    missing_counts = {
-        name: sum(1 for c in col if c is None)
-        for name, col in zip(kept.names, kept.columns)
-    }
+    missing_counts = {name: int(kept.gaps(j).sum()) for j, name in enumerate(kept.names)}
     print(f"rows: {kept.n_rows}")
     print(f"raw features: {dataset.M} (encoded width {dataset.X.shape[1]})")
     if dropped:
@@ -106,13 +106,12 @@ def _dataset_id(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    os.makedirs(cfg["out"], exist_ok=True)
-    with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-
     attempted = failed = 0
     try:
+        cfg = _load_config(args)
+        os.makedirs(cfg["out"], exist_ok=True)
+        with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
+            json.dump(cfg, fh, indent=2, sort_keys=True)
         hp = {key: cfg[key] for key in methods.HYPERPARAMETERS}
         schema = Schema.from_file(cfg["schema"])
         for outcome in methods.run_benchmark(

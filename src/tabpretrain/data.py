@@ -3,8 +3,9 @@ label-noise / label-masking protocols.
 
 Datasets arrive as a CSV with a header row (empty cells mean missing) plus a
 JSON schema sidecar mapping each column name to one of "numerical",
-"categorical", or "label". Exactly one label column is required, and every
-present numerical cell must be a finite number.
+"categorical", or "label". Exactly one label column is required, every row
+needs a label, every present numerical cell must be a finite number, and at
+least one feature column must have a value.
 """
 
 from __future__ import annotations
@@ -56,16 +57,41 @@ class Schema:
 
 @dataclass
 class RawTable:
+    """Column-major cells: a numerical column is a float64 array with NaN for
+    a missing cell, any other column a list of strings with MISSING."""
+
     names: list[str]
     kinds: list[str]
-    columns: list[list]  # column-major cells; MISSING marks absent values
+    columns: list
 
     @property
     def n_rows(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 
+    def gaps(self, j: int) -> np.ndarray:
+        """Boolean mask of the missing cells of column j."""
+        if self.kinds[j] == "numerical":
+            return np.isnan(self.columns[j])
+        return np.array([c is MISSING for c in self.columns[j]], dtype=bool)
+
+
+def _parse_number(cell: str, name: str, row: int) -> float:
+    """A numerical cell as a float, NaN when empty. Text, nan or inf raises
+    IngestionError naming the column and the CSV row (the header is row 1)."""
+    if cell == "":
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise IngestionError(f"column {name!r}, row {row}: {cell!r} is not a finite number")
+    return value
+
 
 def load_csv(path, schema: Schema) -> RawTable:
+    """Read the CSV in schema column order. Numerical cells are parsed as
+    they are read; an empty label cell raises IngestionError naming its row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -78,22 +104,33 @@ def load_csv(path, schema: Schema) -> RawTable:
             bad = sorted(unknown | missing)
             raise IngestionError(f"{path}: header does not match schema, offending column(s): {bad}")
         order = [header.index(name) for name in schema.names]
+        numerical = [kind == "numerical" for kind in schema.kinds]
+        label = schema.kinds.index("label")
         columns: list[list] = [[] for _ in schema.names]
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
-            for col, src in zip(columns, order):
+            for j, (col, src) in enumerate(zip(columns, order)):
                 cell = row[src].strip()
-                col.append(MISSING if cell == "" else cell)
+                if numerical[j]:
+                    col.append(_parse_number(cell, schema.names[j], rownum))
+                elif cell:
+                    col.append(cell)
+                elif j == label:
+                    raise IngestionError(f"{path}: row {rownum} has no label")
+                else:
+                    col.append(MISSING)
+    columns = [np.array(col, dtype=float) if num else col for col, num in zip(columns, numerical)]
     return RawTable(list(schema.names), list(schema.kinds), columns)
 
 
 def drop_empty_columns(table: RawTable) -> RawTable:
-    keep = [
-        j
-        for j in range(len(table.names))
-        if table.kinds[j] == "label" or any(c is not MISSING for c in table.columns[j])
-    ]
+    """The table without its all-missing feature columns; IngestionError if
+    no feature column is left."""
+    keep = [j for j in range(len(table.names))
+            if table.kinds[j] == "label" or not table.gaps(j).all()]
+    if len(keep) == 1:  # the label alone
+        raise IngestionError("no feature column has a value")
     return RawTable(
         [table.names[j] for j in keep],
         [table.kinds[j] for j in keep],
@@ -101,50 +138,30 @@ def drop_empty_columns(table: RawTable) -> RawTable:
     )
 
 
-def _numerical_values(name: str, column: list) -> np.ndarray:
-    """The present cells of a numerical column as floats, in row order. A
-    cell that is not a finite number (text, nan or inf) raises IngestionError
-    naming the column and its CSV row (the header is row 1)."""
-    try:
-        values = np.array([float(c) for c in column if c is not MISSING])
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        row, cell = next((row, c) for row, c in enumerate(column, start=2)
-                         if c is not MISSING and not _is_finite(c))
-        raise IngestionError(f"column {name!r}, row {row}: {cell!r} is not a finite number")
-    return values
-
-
-def _is_finite(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
-
-
 def impute(table: RawTable) -> RawTable:
-    """Fill missing cells: numerical -> full-dataset mean, categorical -> mode.
+    """Fill missing cells: numerical -> mean of the present cells in row
+    order, categorical -> mode.
 
     Mode ties break to the lexicographically smallest category. Statistics are
     computed over the full dataset by design (scalers, by contrast, fit on the
     training split only).
     """
     columns = []
-    for name, kind, col in zip(table.names, table.kinds, table.columns):
-        present = [c for c in col if c is not MISSING]
-        if not present:
+    for j, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
+        gaps = table.gaps(j)
+        if gaps.all():
             raise IngestionError(f"column {name!r} is entirely missing; drop it first")
-        if all(c is not MISSING for c in col):
-            columns.append(list(col))
-            continue
-        if kind == "numerical":
-            fill = str(np.mean(_numerical_values(name, col)))
+        if not gaps.any():
+            columns.append(col.copy())
+        elif kind == "numerical":
+            filled = col.copy()
+            filled[gaps] = col[~gaps].mean()
+            columns.append(filled)
         else:
-            counts = Counter(present)
+            counts = Counter(c for c in col if c is not MISSING)
             best = max(counts.values())
             fill = min(c for c, n in counts.items() if n == best)
-        columns.append([fill if c is MISSING else c for c in col])
+            columns.append([fill if c is MISSING else c for c in col])
     return RawTable(list(table.names), list(table.kinds), columns)
 
 
@@ -228,7 +245,7 @@ def one_hot(table: RawTable) -> ProcessedDataset:
     for j in feat_idx:
         names.append(table.names[j])
         if table.kinds[j] == "numerical":
-            encoded_cols.append(_numerical_values(table.names[j], table.columns[j]))
+            encoded_cols.append(table.columns[j])
             numerical.append(pos)
             blocks.append((pos, pos + 1))
             pos += 1
@@ -239,7 +256,7 @@ def one_hot(table: RawTable) -> ProcessedDataset:
             blocks.append((pos, pos + len(cats)))
             pos += len(cats)
 
-    X = np.column_stack(encoded_cols) if encoded_cols else np.zeros((table.n_rows, 0))
+    X = np.column_stack(encoded_cols)
     label_col = table.columns[label_idx]
     classes = list(dict.fromkeys(label_col))
     y = np.array([classes.index(c) for c in label_col], dtype=np.int64)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 import traceback
@@ -30,11 +31,11 @@ from tabpretrain.corruption import CorruptionConfig
 from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
                               mask_labels, scale)
 from tabpretrain.training import (
+    AUTOENCODERS,
     CotrainSpec,
     FinetuneConfig,
     ModelBundle,
     PretrainConfig,
-    TrainOutcome,
     classification_error,
     finetune,
     pretrain_autoencoder,
@@ -42,7 +43,7 @@ from tabpretrain.training import (
     pretrain_scarf,
 )
 
-PRETRAINERS = ("scarf", "scarf_ae", "add_noise_ae", "no_noise_ae", "scarf_disc")
+PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
 FINETUNERS = (
     "control",
     "smooth",
@@ -140,10 +141,18 @@ HYPERPARAMETERS = {
 
 def _resolve(hp: dict | None) -> tuple[dict, CorruptionConfig]:
     """HYPERPARAMETERS overlaid with `hp`, and the corruption config of the
-    result. An unknown key or an invalid corruption setting raises ValueError."""
+    result. An unknown key, a value not of its default's type (an int also
+    passes for a float, a bool never for a number) or an invalid corruption
+    setting raises ValueError."""
     unknown = sorted(set(hp or {}) - set(HYPERPARAMETERS))
     if unknown:
         raise ValueError(f"unknown hyperparameter(s): {unknown}")
+    for key, value in (hp or {}).items():
+        kind = type(HYPERPARAMETERS[key])
+        allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"hyperparameter {key!r} must be of type {kind.__name__}, "
+                             f"not {value!r}")
     hp = {**HYPERPARAMETERS, **(hp or {})}
     corruption = CorruptionConfig(
         strategy=hp["corruption_strategy"], rate=hp["corruption_rate"],
@@ -158,7 +167,7 @@ def _finetune_config(recipe: str, hp: dict, corruption: CorruptionConfig) -> Fin
     cfg = FinetuneConfig(
         batch_size=hp["batch_size"], max_epochs=hp["finetune_max_epochs"],
         patience=hp["patience"], learning_rate=hp["learning_rate"],
-        scarf_augmentation=recipe == "scarf_aug", augmentation_corruption=corruption,
+        augmentation=corruption if recipe == "scarf_aug" else None,
     )
     if recipe == "smooth":
         cfg.label_smoothing = hp["label_smoothing"]
@@ -188,9 +197,10 @@ def run_method(
 ) -> dict:
     """Execute one method on one prepared (dataset, splits) pair.
 
-    `hp` overrides entries of HYPERPARAMETERS; an unknown key raises
-    ValueError. Returns test accuracy plus epoch counters for the results
-    record."""
+    The setting's training labels replace `dataset.y` for the whole trial,
+    and test accuracy is scored once, on the model the recipe returns. `hp`
+    overrides entries of HYPERPARAMETERS; an unknown key or a value of the
+    wrong type raises ValueError. Returns test accuracy plus epoch counters for the results record."""
     hp, corruption = _resolve(hp)
     pre, recipe = parse_method(method)
     rng = np.random.default_rng(seed)
@@ -205,14 +215,13 @@ def run_method(
             encoder_layers=hp["encoder_layers"], head_layers=hp["head_layers"], **heads,
         )
 
-    needs_decoder = pre in ("scarf_ae", "add_noise_ae", "no_noise_ae") or recipe == "ae_cotrain"
     bundle = new_bundle(
-        with_decoder=needs_decoder,
+        with_decoder=pre in AUTOENCODERS or recipe == "ae_cotrain",
         with_disc_proj=pre == "scarf_disc",
         with_learnable_missing=corruption.strategy == "missing_learnable",
     )
     # one cast per trial to the weights' dtype, before any pool or view exists
-    dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False))
+    dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False), y=y_eff)
 
     pretrain_epochs = 0
     pretrained_f = None
@@ -223,9 +232,7 @@ def run_method(
         elif pre == "scarf_disc":
             out = pretrain_discriminative(dataset, splits, bundle, pcfg, rng)
         else:
-            variant = {"scarf_ae": "scarf_corruption", "add_noise_ae": "additive_noise",
-                       "no_noise_ae": "no_noise"}[pre]
-            out = pretrain_autoencoder(dataset, splits, bundle, variant, pcfg, rng)
+            out = pretrain_autoencoder(dataset, splits, bundle, pre, pcfg, rng)
         pretrain_epochs = out.epochs_used
         pretrain_outcome = out
         pretrained_f = bundle.f.copy_weights()
@@ -239,53 +246,41 @@ def run_method(
         if pretrained_f is not None:
             sub.f.set_weights(pretrained_f)
         if soft is not None:
-            finetune(dataset, splits, rows, sub, fcfg, rng, soft_targets=soft,
-                     evaluate_test=False)
+            finetune(dataset, splits, rows, sub, fcfg, rng, soft_targets=soft)
         else:
-            y_over = y_eff.copy()
+            y_over = dataset.y.copy()
             y_over[rows] = labels
-            finetune(dataset, splits, rows, sub, fcfg, rng,
-                     y_train_override=y_over, evaluate_test=False)
+            finetune(replace(dataset, y=y_over), splits, rows, sub, fcfg, rng)
         return sub
 
+    outcome = None
     if recipe == "self_train":
-        model, _ = baselines.self_train(
-            replace(dataset, y=y_eff), labeled, unlabeled, train_fn,
-            hp["self_train_threshold"], hp["self_train_iterations"],
-        )
-        outcome = _test_outcome(model, dataset, splits)
+        model, _ = baselines.self_train(dataset, labeled, unlabeled, train_fn,
+                                        hp["self_train_threshold"], hp["self_train_iterations"])
     elif recipe == "tri_train":
-        model, _ = baselines.tri_train(
-            replace(dataset, y=y_eff), labeled, unlabeled, train_fn, rng,
-            hp["self_train_iterations"],
-        )
-        outcome = _test_outcome(model, dataset, splits)
+        model, _ = baselines.tri_train(dataset, labeled, unlabeled, train_fn, rng,
+                                       hp["self_train_iterations"])
     elif recipe == "distill":
-        model = baselines.self_distill(replace(dataset, y=y_eff), labeled, unlabeled, train_fn)
-        outcome = _test_outcome(model, dataset, splits)
-    elif recipe in ("cotrain", "ae_cotrain"):
-        spec = CotrainSpec(
-            weight=hp["cotrain_weight"],
-            aux="contrastive" if recipe == "cotrain" else "autoencoder",
-            corruption=corruption,
-            temperature=hp["temperature"],
-        )
-        outcome = finetune(dataset, splits, labeled, bundle, fcfg, rng,
-                           y_train_override=y_eff, cotrain=spec)
+        model = baselines.self_distill(dataset, labeled, unlabeled, train_fn)
     else:
-        outcome = finetune(dataset, splits, labeled, bundle, fcfg, rng, y_train_override=y_eff)
+        spec = None
+        if recipe in ("cotrain", "ae_cotrain"):
+            spec = CotrainSpec(
+                weight=hp["cotrain_weight"],
+                aux="contrastive" if recipe == "cotrain" else "autoencoder",
+                corruption=corruption,
+                temperature=hp["temperature"],
+            )
+        outcome = finetune(dataset, splits, labeled, bundle, fcfg, rng, cotrain=spec)
+        model = bundle
     return {
-        "test_accuracy": outcome.test_accuracy,
-        "epochs_used": outcome.epochs_used,
+        "test_accuracy": 1.0 - classification_error(model, dataset.X[splits.test],
+                                                    dataset.y[splits.test]),
+        "epochs_used": outcome.epochs_used if outcome else 0,
         "pretrain_epochs": pretrain_epochs,
         "finetune_outcome": outcome,
         "pretrain_outcome": pretrain_outcome,
     }
-
-
-def _test_outcome(bundle: ModelBundle, dataset: ProcessedDataset, splits: Splits) -> TrainOutcome:
-    acc = 1.0 - classification_error(bundle, dataset.X[splits.test], dataset.y[splits.test])
-    return TrainOutcome([], [], 0, "max_epochs", 0, float("nan"), test_accuracy=acc)
 
 
 @dataclass

@@ -81,9 +81,6 @@ class PretrainConfig:
     val_build_epochs: int = 10
     loss: str = "infonce"  # infonce | barlow | align_uniform
     validation_metric: str = "infonce_loss"  # infonce_loss | infonce_error
-    barlow_lambda: float = 5e-3
-    align_weight: float = 1.0
-    uniform_weight: float = 1.0
     learning_rate: float = 1e-3
 
     def __post_init__(self):
@@ -102,8 +99,7 @@ class FinetuneConfig:
     label_smoothing: float = 0.0
     dropout: float = 0.0
     mixup_alpha: float = 0.0  # 0 disables mixup
-    scarf_augmentation: bool = False
-    augmentation_corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
+    augmentation: CorruptionConfig | None = None  # corrupts each batch (scarf_aug) when set
 
 
 @dataclass
@@ -114,7 +110,6 @@ class TrainOutcome:
     stop_reason: str  # "patience" | "max_epochs"
     best_epoch: int  # 1-based; 0 when no epoch ran
     best_metric: float
-    test_accuracy: float | None = None
 
 
 class ModelBundle:
@@ -330,9 +325,9 @@ def _contrastive_loss(cfg: PretrainConfig, z: np.ndarray, zt: np.ndarray):
     if cfg.loss == "infonce":
         return _infonce_pair(z, zt, cfg.temperature)
     if cfg.loss == "barlow":
-        return losses.barlow_twins(z, zt, cfg.barlow_lambda)
+        return losses.barlow_twins(z, zt, 5e-3)  # the off-diagonal weight of Barlow Twins
     if cfg.loss == "align_uniform":
-        return losses.align_uniform(z, zt, cfg.align_weight, cfg.uniform_weight)
+        return losses.align_uniform(z, zt, 1.0, 1.0)
     raise ConfigurationError(f"unknown pre-training loss {cfg.loss!r}")
 
 
@@ -399,14 +394,15 @@ def pretrain_scarf(
                 lambda: _validation_metric(bundle, pairs, config))
 
 
-AE_VARIANTS = ("no_noise", "additive_noise", "scarf_corruption")
+AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
 
 
-def _ae_input(batch, variant, dataset, config, pool, rng, sigma=0.5):
-    if variant == "no_noise":
+def _ae_input(batch, variant, dataset, config, pool, rng):
+    """Encoder input: the batch, the batch plus N(0, 0.5^2) noise, or its SCARF view."""
+    if variant == "no_noise_ae":
         return np.array(batch, copy=True)
-    if variant == "additive_noise":
-        return batch + rng.normal(0.0, sigma, size=batch.shape).astype(batch.dtype)
+    if variant == "add_noise_ae":
+        return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
     _, view_b, _ = make_views(batch, dataset, config, pool, rng)
     return view_b
 
@@ -418,18 +414,18 @@ def pretrain_autoencoder(
     variant: str,
     config: PretrainConfig,
     rng: np.random.Generator,
-    noise_sigma: float = 0.5,
 ) -> TrainOutcome:
     """Reconstruction pre-training: decoder(f(x_in)) vs the uncorrupted input,
-    MSE loss, early stopping on static validation reconstruction loss."""
-    if variant not in AE_VARIANTS:
+    MSE loss, early stopping on static validation reconstruction loss. The
+    variant is one of the AUTOENCODERS method names."""
+    if variant not in AUTOENCODERS:
         raise ConfigurationError(f"unknown autoencoder variant {variant!r}")
     if bundle.decoder is None:
         raise ConfigurationError("autoencoder pre-training requires a decoder head")
     pool = build_marginal_pool(dataset, splits.train)
 
     def view(batch):
-        return _ae_input(batch, variant, dataset, config.corruption, pool, rng, noise_sigma)
+        return _ae_input(batch, variant, dataset, config.corruption, pool, rng)
 
     pairs = build_static_validation(
         dataset, splits.validation, config.corruption, pool, rng,
@@ -522,27 +518,23 @@ def finetune(
     bundle: ModelBundle,
     config: FinetuneConfig,
     rng: np.random.Generator,
-    y_train_override: np.ndarray | None = None,
     soft_targets: np.ndarray | None = None,
     cotrain: "CotrainSpec | None" = None,
-    evaluate_test: bool = True,
 ) -> TrainOutcome:
-    """Supervised training of f and h with cross-entropy, early stopping on
-    validation classification error, best weights restored, test accuracy
-    evaluated once at the end.
+    """Supervised training of f and h with cross-entropy on the labels
+    `dataset.y` of the labeled rows, early stopping on validation
+    classification error, best weights restored; the test split is not read.
 
-    y_train_override supplies per-row labels indexed like dataset.y (used by
-    the label-noise and pseudo-labeling protocols); soft_targets, when given,
-    is an (n, K) matrix of target distributions indexed by dataset row and
-    overrides hard labels."""
+    soft_targets, when given, is an (n, K) matrix of target distributions
+    indexed by dataset row and overrides hard labels."""
     labeled_indices = np.asarray(labeled_indices)
     if labeled_indices.size == 0:
         raise ValueError("no labeled training rows")
     K = dataset.num_classes
-    y_full = dataset.y if y_train_override is None else y_train_override
+    aug = config.augmentation
 
     pool = None
-    if config.scarf_augmentation or cotrain is not None:
+    if aug is not None or cotrain is not None:
         pool = build_marginal_pool(dataset, splits.train)
     params = bundle.f.parameters() + bundle.h.parameters()
     if cotrain is not None and cotrain.aux == "contrastive":
@@ -551,19 +543,18 @@ def finetune(
         if bundle.decoder is None:
             raise ConfigurationError("autoencoder co-training requires a decoder head")
         params = params + bundle.decoder.parameters()
-    aug = config.augmentation_corruption
 
     def step(rows):
         x = dataset.X[rows]
         if soft_targets is not None:
             targets = soft_targets[rows]
         else:
-            targets = np.eye(K, dtype=x.dtype)[y_full[rows]]
+            targets = np.eye(K, dtype=x.dtype)[dataset.y[rows]]
             if config.label_smoothing:
                 targets = smooth_labels(targets, config.label_smoothing, K)
         if config.mixup_alpha:
             x, targets = mixup_batch(x, targets, config.mixup_alpha, rng)
-        if config.scarf_augmentation:
+        if aug is not None:
             idx = select_indices(dataset.M, aug, x.shape[0], rng)
             x, _ = corrupt_batch(x, dataset, aug, pool, idx, rng)
         loss, grad = softmax_cross_entropy(bundle.classify(x, config.dropout, rng), targets)
@@ -577,13 +568,8 @@ def finetune(
 
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
-    outcome = _fit(bundle, params, labeled_indices, config, rng, step,
-                   lambda: classification_error(bundle, val_X, val_y))
-    if evaluate_test:
-        outcome.test_accuracy = 1.0 - classification_error(
-            bundle, dataset.X[splits.test], dataset.y[splits.test]
-        )
-    return outcome
+    return _fit(bundle, params, labeled_indices, config, rng, step,
+                lambda: classification_error(bundle, val_X, val_y))
 
 
 @dataclass
@@ -613,5 +599,5 @@ def _cotrain_term(bundle, x, dataset, pool, rng, spec: CotrainSpec):
         loss, f_grads, g_grads, _ = bundle.contrastive_step(
             view_a, view_b, partial(_infonce_pair, temperature=spec.temperature))
         return loss, f_grads, g_grads
-    x_in = _ae_input(x, "additive_noise", dataset, spec.corruption, pool, rng)
+    x_in = _ae_input(x, "add_noise_ae", dataset, spec.corruption, pool, rng)
     return bundle.reconstruction_step(x_in, x)

@@ -48,6 +48,21 @@ def write_bad_cell(tmp_path, cell):
     return csv, schema
 
 
+def write_unscorable(tmp_path, case):
+    """The toy dataset with no label in CSV row 4, or with every feature cell
+    empty, and the error that ingestion gives for it."""
+    csv, schema = write_dataset(tmp_path)
+    lines = open(csv).read().splitlines()
+    if case == "empty_label":
+        lines[3] = lines[3].rsplit(",", 1)[0] + ","
+        error = "row 4 has no label"
+    else:
+        lines[1:] = [",," + line.rsplit(",", 1)[1] for line in lines[1:]]
+        error = "no feature column has a value"
+    open(csv, "w").write("\n".join(lines) + "\n")
+    return csv, schema, error
+
+
 def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**FAST, **extra}))
@@ -94,6 +109,22 @@ class TestValidate:
         assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
         err = capsys.readouterr().err
         assert f"validation failed: column 'f1', row 4: {cell!r} is not a finite number" in err
+
+    @pytest.mark.parametrize("case", ["empty_label", "no_feature_values"])
+    def test_unscorable_table_fails(self, tmp_path, capsys, case):
+        csv, schema, error = write_unscorable(tmp_path, case)
+        assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation failed: ") and error in err
+
+    @pytest.mark.parametrize("key", ["dataset", "schema"])
+    def test_missing_dataset_or_schema_named(self, tmp_path, capsys, key):
+        paths = dict(zip(["dataset", "schema"], write_dataset(tmp_path)))
+        del paths[key]
+        argv = [arg for k, v in paths.items() for arg in (f"--{k}", v)]
+        assert main(["validate", *argv]) == 1
+        assert capsys.readouterr().err == f"validation failed: no {key} given: set --{key} " \
+                                          f"or the config key {key!r}\n"
 
 
 # every CONFIG_DEFAULTS key with a valid value other than its default
@@ -262,6 +293,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"run failed: column 'f1', row 4: {cell!r} is not a finite number" in err
         assert not (out / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("case", ["empty_label", "no_feature_values"])
+    def test_unscorable_table_fails_before_any_trial(self, tmp_path, capsys, case):
+        csv, schema, error = write_unscorable(tmp_path, case)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                     "--schema", schema, "--method", "control", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and error in err
+        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+
+    @pytest.mark.parametrize("key", ["dataset", "schema"])
+    def test_missing_dataset_or_schema_named(self, tmp_path, capsys, key):
+        paths = dict(zip(["dataset", "schema"], write_dataset(tmp_path)))
+        del paths[key]
+        argv = [arg for k, v in paths.items() for arg in (f"--{k}", v)]
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path), *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"run failed: no {key} given: set --{key} " \
+                                          f"or the config key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("batch_size", "32"), ("corruption_rate", "0.6")])
+    def test_mistyped_hyperparameter_fails_before_any_trial(self, tmp_path, capsys, key, value):
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path, **{key: value}), "--dataset", csv,
+                     "--schema", schema, "--method", "scarf", "--out", str(out)])
+        assert code == 1
+        assert f"run failed: hyperparameter {key!r} must be of type" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
 
     def test_bernoulli_zero_rate_fails_instead_of_hanging(self, tmp_path, capsys):
         csv, schema = write_dataset(tmp_path)

@@ -43,16 +43,23 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "d.csv", "age,color,target\n1,red,yes\n2,blue,no\n")
         table = load_csv(p, SCHEMA)
         assert table.n_rows == 2
-        assert table.columns[0] == ["1", "2"]
+        np.testing.assert_array_equal(table.columns[0], [1.0, 2.0])
+        assert table.columns[0].dtype == np.float64
 
     def test_empty_cell_is_missing(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "age,color,target\n,red,yes\n")
         table = load_csv(p, SCHEMA)
-        assert table.columns[0][0] is None
+        assert np.isnan(table.columns[0][0])
+        assert table.gaps(0).tolist() == [True]
 
     def test_header_mismatch_names_column(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "age,colour,target\n1,red,yes\n")
         with pytest.raises(IngestionError, match="colour|color"):
+            load_csv(p, SCHEMA)
+
+    def test_empty_label_names_row(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "age,color,target\n1,red,yes\n2,blue, \n")
+        with pytest.raises(IngestionError, match="row 3 has no label"):
             load_csv(p, SCHEMA)
 
     def test_ragged_row_reports_number(self, tmp_path):
@@ -74,6 +81,10 @@ class TestDropEmptyColumns:
         t = drop_empty_columns(self._table(tmp_path, "1,red,yes\n2,blue,no\n"))
         assert t.names == ["age", "color", "target"]
 
+    def test_no_feature_left_rejected(self, tmp_path):
+        with pytest.raises(IngestionError, match="no feature column has a value"):
+            drop_empty_columns(self._table(tmp_path, ",,yes\n,,no\n"))
+
     def test_single_value_kept(self, tmp_path):
         t = drop_empty_columns(self._table(tmp_path, "1,red,yes\n,blue,no\n"))
         assert "age" in t.names
@@ -86,7 +97,7 @@ class TestImpute:
 
     def test_numeric_mean(self, tmp_path):
         t = impute(self._table(tmp_path, "1,a,x\n,a,x\n3,a,x\n"))
-        assert float(t.columns[0][1]) == pytest.approx(2.0)
+        assert t.columns[0][1] == pytest.approx(2.0)
 
     def test_categorical_mode(self, tmp_path):
         t = impute(self._table(tmp_path, "1,a,x\n1,a,x\n1,,x\n1,b,x\n"))
@@ -98,17 +109,17 @@ class TestImpute:
 
     def test_no_missing_after(self, tmp_path):
         t = impute(self._table(tmp_path, ",a,x\n2,,x\n3,b,x\n"))
-        assert all(c is not None for col in t.columns for c in col)
+        assert not any(t.gaps(j).any() for j in range(len(t.names)))
+        assert not np.isnan(t.columns[0]).any()
 
     def test_mean_is_the_float_mean_of_the_cells(self, tmp_path):
         t = impute(self._table(tmp_path, "0.1,a,x\n,a,x\n0.2,a,x\n0.7,a,x\n"))
-        assert t.columns[0][1] == str(np.mean([0.1, 0.2, 0.7]))
+        assert t.columns[0][1] == np.mean([0.1, 0.2, 0.7])
 
     @pytest.mark.parametrize("cell", ["foo", "nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_column_and_row(self, tmp_path, cell):
-        table = self._table(tmp_path, f"1,a,x\n,a,x\n{cell},b,x\n")
         with pytest.raises(IngestionError, match=f"column 'age', row 4: '{cell}'"):
-            impute(table)
+            self._table(tmp_path, f"1,a,x\n,a,x\n{cell},b,x\n")
 
 
 class TestScaler:

@@ -19,6 +19,11 @@ from tabpretrain.methods import (
     run_method,
 )
 
+# a value of another type than the key's default in HYPERPARAMETERS
+MISTYPED = [("batch_size", "32"), ("corruption_rate", "0.6"), ("batch_size", 32.0),
+            ("patience", True), ("learning_rate", False), ("unique_pool", 1),
+            ("pretrain_loss", None)]
+
 FAST_HP = {
     "hidden_dim": 8,
     "encoder_layers": 2,
@@ -130,6 +135,48 @@ class TestRunMethod:
             run_method("control", ds, make_splits(120, 2), "full", 9,
                        {**FAST_HP, "pretrain_max_epoch": 5})
 
+    @pytest.mark.parametrize("key, value", MISTYPED)
+    def test_mistyped_hyperparameter_rejected(self, key, value):
+        ds = make_blob_dataset(n=120, d=4, seed=3)
+        with pytest.raises(ValueError, match=f"hyperparameter '{key}' must be of type"):
+            run_method("control", ds, make_splits(120, 2), "full", 9, {**FAST_HP, key: value})
+
+    def test_numbers_of_the_default_kind_accepted(self):
+        hp, corruption = methods._resolve({"corruption_rate": 1, "batch_size": np.int64(32),
+                                           "learning_rate": np.float64(0.01)})
+        assert (corruption.rate, hp["batch_size"], hp["learning_rate"]) == (1, 32, 0.01)
+
+    @pytest.mark.parametrize("recipe", ["self_train", "tri_train", "distill"])
+    def test_pseudo_labeling_trial_has_no_finetune_outcome(self, recipe):
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        res = run_method(recipe, ds, make_splits(120, 3), "semi25", 7, FAST_HP)
+        assert res["finetune_outcome"] is None and res["epochs_used"] == 0
+        assert 0.0 <= res["test_accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("recipe", ["control", "self_train"])
+    def test_noisy_labels_reach_training_but_not_validation_or_test(self, recipe, monkeypatch):
+        """Under noise30 every finetune call trains on the corrupted training
+        labels and validates on the true ones; test accuracy is scored against
+        the true test labels."""
+        ds = make_blob_dataset(n=120, d=4, seed=5)
+        splits = make_splits(120, 4)
+        seen = []
+        real_finetune = methods.finetune
+
+        def spy(dataset, *args, **kwargs):
+            seen.append(dataset.y.copy())
+            return real_finetune(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(methods, "finetune", spy)
+        res = run_method(recipe, ds, splits, "noise30", 8, FAST_HP)
+        y_eff, _, _ = apply_setting(ds, splits, "noise30", np.random.default_rng(8))
+        assert not np.array_equal(y_eff[splits.train], ds.y[splits.train])
+        held_out = np.concatenate([splits.validation, splits.test])
+        for y in seen:
+            np.testing.assert_array_equal(y[held_out], ds.y[held_out])
+        np.testing.assert_array_equal(seen[0][splits.train], y_eff[splits.train])
+        assert 0.0 <= res["test_accuracy"] <= 1.0
+
     @pytest.mark.parametrize("method", ["scarf", "scarf_aug", "cotrain"])
     def test_table_reaches_both_phases(self, method, monkeypatch):
         """One batch size and one corruption config from the table feed
@@ -155,8 +202,7 @@ class TestRunMethod:
         if method == "scarf":
             assert pretrain_cfg[0].corruption == expected
         elif method == "scarf_aug":
-            assert finetune_cfg.scarf_augmentation
-            assert finetune_cfg.augmentation_corruption == expected
+            assert finetune_cfg.augmentation == expected
         else:
             assert finetune_kwargs["cotrain"].corruption == expected
 
@@ -215,6 +261,15 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown hyperparameter.*pretrain_max_epoch"):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
                                2, 0, out_dir=tmp_path, hp={"pretrain_max_epoch": 5}))
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mistyped_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="hyperparameter 'batch_size' must be of type int"):
+            list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
+                               2, 0, out_dir=tmp_path, hp={"batch_size": "32"}))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

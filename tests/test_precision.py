@@ -33,7 +33,7 @@ from tabpretrain.nn import (
     smooth_labels,
     softmax_cross_entropy,
 )
-from tabpretrain.training import AE_VARIANTS, ModelBundle, _ae_input, _infonce_pair
+from tabpretrain.training import AUTOENCODERS, ModelBundle, _ae_input, _infonce_pair
 
 F32 = np.float32
 
@@ -70,7 +70,7 @@ def test_views_keep_float32(strategy, view_policy, rng):
     assert_float32(pool.X, pool.encoded_mean, view_a, view_b, out)
 
 
-@pytest.mark.parametrize("variant", AE_VARIANTS)
+@pytest.mark.parametrize("variant", AUTOENCODERS)
 def test_autoencoder_inputs_keep_float32(variant, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
