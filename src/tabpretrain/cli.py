@@ -146,6 +146,9 @@ def cmd_report(args) -> int:
         print(f"no results for method(s): {', '.join(unknown)}", file=sys.stderr)
         return 1
     setting = args.setting
+    if setting is not None and not any(r.setting == setting for r in runs if r.method_name in method_list):
+        print(f"no results for setting {setting!r}", file=sys.stderr)
+        return 1
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     wm = stats.win_matrix(runs, method_list, p=args.p_value, setting=setting)

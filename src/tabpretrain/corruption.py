@@ -2,10 +2,10 @@
 
 Everything works on the encoded matrix X. A marginal draw for feature j is
 block j of a uniformly chosen training row, so the marginal pool is X[train].
-`corrupt_batch` expands the per-example feature mask to encoded columns, builds
-one replacement matrix (donor gather, train means, noise, zeros or learnable
-values) and writes it with one `np.where`; untouched cells stay bit-identical,
-and the views keep the batch's floating dtype.
+`corrupt_batch` expands the (B, M) boolean feature mask of `select_indices` to
+encoded columns, builds one replacement matrix (donor gather, train means,
+noise, zeros or learnable values) and writes it with one `np.where`; untouched
+cells stay bit-identical, and the views keep the batch's floating dtype.
 
 Draw order from the run RNG is fixed: `select_indices` draws one (B, M)
 uniform matrix (one row under shared_batch; bernoulli then redraws only the
@@ -103,19 +103,25 @@ def build_marginal_pool(dataset: ProcessedDataset, train_indices) -> MarginalPoo
 
 @dataclass
 class CorruptionDraw:
-    index_sets: list[np.ndarray]  # per example, corrupted feature indices
+    features: np.ndarray  # bool (batch, M): the features select_indices drew
     encoded_mask: np.ndarray  # bool (batch, M_enc): encoded columns that were replaced
+
+    @property
+    def index_sets(self) -> list[np.ndarray]:
+        """Per-example drawn feature indices, read only by `perfbench/spans.py`'s
+        `corruption.cells_replaced` counter; ROADMAP item 1 deletes it."""
+        return [np.flatnonzero(row) for row in self.features]
 
 
 def select_indices(
     M: int, config: CorruptionConfig, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Per-example sorted feature index sets.
+) -> np.ndarray:
+    """The (batch_size, M) boolean feature mask: True marks a feature to corrupt.
 
-    fixed_count takes the q = floor(rate * M) smallest ranks of a uniform row,
-    a uniform q-subset; bernoulli includes each index with probability rate,
+    fixed_count marks the q = floor(rate * M) smallest ranks of a uniform row,
+    a uniform q-subset; bernoulli marks each feature with probability rate,
     redrawing the rows that came out empty. shared_batch draws one row and
-    gives it to every example.
+    broadcasts it (read-only) to every example.
     """
     if M < 1:
         raise ValueError("need at least one feature")
@@ -130,8 +136,7 @@ def select_indices(
         while empty.any():
             hit[empty] = rng.random((int(empty.sum()), M)) < config.rate
             empty = ~hit.any(axis=1)
-    hit = np.broadcast_to(hit, (batch_size, M))
-    return np.split(np.nonzero(hit)[1], np.cumsum(hit.sum(axis=1)))[:-1]
+    return np.broadcast_to(hit, (batch_size, M))
 
 
 def corrupt_batch(
@@ -139,13 +144,13 @@ def corrupt_batch(
     dataset: ProcessedDataset,
     config: CorruptionConfig,
     pool: MarginalPool | None,
-    index_sets: list[np.ndarray],
+    features: np.ndarray,
     rng: np.random.Generator,
     learnable_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CorruptionDraw]:
-    """Apply the configured strategy to a copy of `batch` at the given
-    feature index sets. Untouched coordinates stay bit-identical, and the
-    result has the batch's floating dtype."""
+    """Apply the configured strategy to a copy of `batch` at the features that
+    the (B, M) boolean mask marks (none replaces nothing). Untouched coordinates
+    stay bit-identical, and the result has the batch's floating dtype."""
     batch = as_float(batch)
     strategy = config.strategy
     if strategy in ("marginal", "joint", "mean") and pool is None:
@@ -153,13 +158,8 @@ def corrupt_batch(
     if strategy == "missing_learnable" and learnable_values is None:
         raise ConfigurationError("missing_learnable strategy requires learnable values")
     B, M = batch.shape[0], dataset.M
-    features = np.zeros((B, M), dtype=bool)
-    if strategy != "none":
-        sizes = list(map(len, index_sets))
-        if sum(sizes):
-            features[np.repeat(np.arange(B), sizes), np.concatenate(index_sets)] = True
     column_feature = dataset.column_feature
-    mask = features[:, column_feature]
+    mask = features[:, column_feature] & (strategy != "none")
 
     if strategy in ("marginal", "joint") and config.donor == "single_row":
         replacement = pool.X[rng.integers(0, pool.n_train)]
@@ -181,7 +181,7 @@ def corrupt_batch(
     else:  # zero, and none (whose mask is empty)
         replacement = 0.0
     out = np.where(mask, replacement, batch).astype(batch.dtype, copy=False)
-    return out, CorruptionDraw(index_sets, mask)
+    return out, CorruptionDraw(features, mask)
 
 
 def make_views(
@@ -196,13 +196,12 @@ def make_views(
     to the input; corrupt_both corrupts both with independent draws. The
     returned draw describes view_b (the one the learnable-missing gradient
     needs)."""
-    M = dataset.M
+    M, B = dataset.M, batch.shape[0]
     if config.view_policy == "corrupt_one":
-        idx_b = select_indices(M, config, batch.shape[0], rng)
-        view_b, draw_b = corrupt_batch(batch, dataset, config, pool, idx_b, rng, learnable_values)
-        return as_float(batch).copy(), view_b, draw_b
-    idx_a = select_indices(M, config, batch.shape[0], rng)
-    view_a, _ = corrupt_batch(batch, dataset, config, pool, idx_a, rng, learnable_values)
-    idx_b = select_indices(M, config, batch.shape[0], rng)
-    view_b, draw_b = corrupt_batch(batch, dataset, config, pool, idx_b, rng, learnable_values)
+        view_a = as_float(batch).copy()
+    else:
+        hit_a = select_indices(M, config, B, rng)
+        view_a, _ = corrupt_batch(batch, dataset, config, pool, hit_a, rng, learnable_values)
+    hit_b = select_indices(M, config, B, rng)
+    view_b, draw_b = corrupt_batch(batch, dataset, config, pool, hit_b, rng, learnable_values)
     return view_a, view_b, draw_b

@@ -210,7 +210,6 @@ class ProcessedDataset:
     y: np.ndarray
     feature_blocks: list[tuple[int, int]]
     classes: list[str]
-    feature_names: list[str] = field(default_factory=list)
     numerical_columns: list[int] = field(default_factory=list)
 
     @property
@@ -239,11 +238,10 @@ def one_hot(table: RawTable) -> ProcessedDataset:
     feat_idx = [j for j, k in enumerate(table.kinds) if k != "label"]
     label_idx = table.kinds.index("label")
 
-    blocks, names, numerical = [], [], []
+    blocks, numerical = [], []
     encoded_cols: list[np.ndarray] = []
     pos = 0
     for j in feat_idx:
-        names.append(table.names[j])
         if table.kinds[j] == "numerical":
             encoded_cols.append(table.columns[j])
             numerical.append(pos)
@@ -260,7 +258,7 @@ def one_hot(table: RawTable) -> ProcessedDataset:
     label_col = table.columns[label_idx]
     classes = list(dict.fromkeys(label_col))
     y = np.array([classes.index(c) for c in label_col], dtype=np.int64)
-    return ProcessedDataset(X, y, blocks, classes, names, numerical)
+    return ProcessedDataset(X, y, blocks, classes, numerical)
 
 
 def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:
@@ -283,7 +281,6 @@ class Splits:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def _round_half_up(x: float) -> int:
@@ -298,7 +295,7 @@ def make_splits(n: int, seed: int) -> Splits:
     perm = np.random.default_rng(seed).permutation(n)
     n_train = _round_half_up(0.7 * n)
     n_val = _round_half_up(0.1 * n)
-    return Splits(perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :], seed)
+    return Splits(perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
 
 
 def corrupt_labels(

@@ -365,6 +365,8 @@ def pretrain_scarf(
     Per mini-batch: generate views, embed both through normalize(g(f(.))),
     take one Adam step. After each epoch the metric on the static validation
     pairs decides early stopping; best-epoch weights are restored."""
+    if (n_val := len(splits.validation)) < 2:
+        raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
     if pool is None:
         pool = build_marginal_pool(dataset, splits.train)
     learnable = bundle.learnable_missing if config.corruption.strategy == "missing_learnable" else None
@@ -555,8 +557,7 @@ def finetune(
         if config.mixup_alpha:
             x, targets = mixup_batch(x, targets, config.mixup_alpha, rng)
         if aug is not None:
-            idx = select_indices(dataset.M, aug, x.shape[0], rng)
-            x, _ = corrupt_batch(x, dataset, aug, pool, idx, rng)
+            x, _ = corrupt_batch(x, dataset, aug, pool, select_indices(dataset.M, aug, len(x), rng), rng)
         loss, grad = softmax_cross_entropy(bundle.classify(x, config.dropout, rng), targets)
         f_grads, h_grads = bundle.classify_backward(grad)
         if cotrain is None:

@@ -408,6 +408,19 @@ class TestReport:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_setting_without_records_fails(self, tmp_path, capsys):
+        results = self._results(tmp_path)
+        out = tmp_path / "report"
+        code = main(["report", "--results", results, "--methods", "scarf,control",
+                     "--setting", "semi", "--out", str(out)])
+        assert code == 1
+        assert "no results for setting 'semi'" in capsys.readouterr().err
+        assert not out.exists()
+        code = main(["report", "--results", results, "--methods", "scarf,control",
+                     "--setting", "full", "--out", str(out)])
+        assert code == 0
+        assert "scarf,,2/2,1.0000" in (out / "win_matrix.csv").read_text()
+
     def test_empty_results_fails(self, tmp_path, capsys):
         code = main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--methods", "control"])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import encoded_dataset, make_numeric_dataset
 from tabpretrain.corruption import (
+    STRATEGIES,
     ConfigurationError,
     CorruptionConfig,
     build_marginal_pool,
@@ -37,8 +38,8 @@ class TestMarginalPool:
         ds = make_numeric_dataset(n=20, d=3, seed=1)
         pool = build_marginal_pool(ds, np.array([4]))
         cfg = CorruptionConfig(rate=1.0)
-        idx = select_indices(ds.M, cfg, 5, rng)
-        out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, idx, rng)
+        hit = select_indices(ds.M, cfg, 5, rng)
+        out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, np.tile(ds.X[4], (5, 1)))
 
     def test_draws_are_pool_members(self, rng):
@@ -49,10 +50,10 @@ class TestMarginalPool:
             pool = build_marginal_pool(ds, train)
             cfg = CorruptionConfig(rate=1.0)
             for _ in range(100):
-                idx = select_indices(ds.M, cfg, 8, rng)
-                out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, idx, rng)
-                for i, I in enumerate(draw.index_sets):
-                    for j in I:
+                hit = select_indices(ds.M, cfg, 8, rng)
+                out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, hit, rng)
+                for i, row in enumerate(draw.features):
+                    for j in np.flatnonzero(row):
                         lo, hi = ds.feature_blocks[j]
                         assert (ds.X[train, lo:hi] == out[i, lo:hi]).all(axis=1).any()
 
@@ -64,28 +65,28 @@ class TestMarginalPool:
 
 class TestSelectIndices:
     def test_q_floor(self, rng):
-        idx = select_indices(2, CorruptionConfig(rate=0.6), 4, rng)
-        assert all(len(I) == 1 for I in idx)  # floor(1.2)
+        hit = select_indices(2, CorruptionConfig(rate=0.6), 4, rng)
+        np.testing.assert_array_equal(hit.sum(axis=1), 1)  # floor(1.2)
 
     def test_rate_zero_fixed_count_empty(self, rng):
-        idx = select_indices(5, CorruptionConfig(rate=0.0), 4, rng)
-        assert all(len(I) == 0 for I in idx)
+        hit = select_indices(5, CorruptionConfig(rate=0.0), 4, rng)
+        assert not hit.any()
 
     def test_bernoulli_never_empty(self, rng):
         cfg = CorruptionConfig(rate=0.01, index_selection="bernoulli")
-        idx = select_indices(3, cfg, 200, rng)
-        assert all(len(I) >= 1 for I in idx)
+        hit = select_indices(3, cfg, 200, rng)
+        assert hit.any(axis=1).all()
 
     def test_shared_batch_identical_sets(self, rng):
         cfg = CorruptionConfig(rate=0.5, index_sharing="shared_batch")
-        idx = select_indices(8, cfg, 10, rng)
-        for I in idx[1:]:
-            np.testing.assert_array_equal(I, idx[0])
+        hit = select_indices(8, cfg, 10, rng)
+        for row in hit[1:]:
+            np.testing.assert_array_equal(row, hit[0])
 
     def test_per_example_sets_vary(self, rng):
         cfg = CorruptionConfig(rate=0.5)
-        idx = select_indices(20, cfg, 50, rng)
-        assert len({tuple(I) for I in idx}) > 1
+        hit = select_indices(20, cfg, 50, rng)
+        assert len({tuple(row) for row in hit}) > 1
 
 
 class TestCorruptBatch:
@@ -93,23 +94,23 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         cfg = CorruptionConfig(strategy="none", rate=0.6)
-        idx = select_indices(ds.M, cfg, 6, rng)
-        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, idx, rng)
+        hit = select_indices(ds.M, cfg, 6, rng)
+        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
 
     def test_rate_zero_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         cfg = CorruptionConfig(rate=0.0)
-        idx = select_indices(ds.M, cfg, 6, rng)
-        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, idx, rng)
+        hit = select_indices(ds.M, cfg, 6, rng)
+        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
 
     def test_zero_strategy(self, rng):
         ds = make_numeric_dataset(n=20, d=2)
         row = np.array([[5.0, 7.0]])
         cfg = CorruptionConfig(strategy="zero", rate=0.5)
-        out, _ = corrupt_batch(row, ds, cfg, None, [np.array([0])], rng)
+        out, _ = corrupt_batch(row, ds, cfg, None, np.array([[True, False]]), rng)
         np.testing.assert_array_equal(out, [[0.0, 7.0]])
 
     def test_untouched_coordinates_bit_identical(self, rng):
@@ -117,9 +118,9 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(40))
         for strategy in ("marginal", "mean", "gaussian", "joint", "zero", "missing_learnable"):
             cfg = CorruptionConfig(strategy=strategy, rate=0.5)
-            idx = select_indices(ds.M, cfg, 10, rng)
+            hit = select_indices(ds.M, cfg, 10, rng)
             lmv = rng.normal(size=ds.X.shape[1])
-            out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, idx, rng, lmv)
+            out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, hit, rng, lmv)
             untouched = ~draw.encoded_mask
             np.testing.assert_array_equal(out[untouched], ds.X[:10][untouched])
 
@@ -128,31 +129,31 @@ class TestCorruptBatch:
         train = np.arange(20)
         pool = build_marginal_pool(ds, train)
         cfg = CorruptionConfig(strategy="mean", rate=1.0)
-        idx = select_indices(ds.M, cfg, 1, rng)
-        out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, idx, rng)
+        hit = select_indices(ds.M, cfg, 1, rng)
+        out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, hit, rng)
         np.testing.assert_allclose(out[0], ds.X[train].mean(axis=0))
 
     def test_missing_learnable_values_inserted(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         lmv = np.arange(4, dtype=float) + 10
         cfg = CorruptionConfig(strategy="missing_learnable", rate=1.0)
-        idx = select_indices(ds.M, cfg, 3, rng)
-        out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, idx, rng, lmv)
+        hit = select_indices(ds.M, cfg, 3, rng)
+        out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng, lmv)
         np.testing.assert_array_equal(out, np.tile(lmv, (3, 1)))
 
     def test_learnable_required(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         cfg = CorruptionConfig(strategy="missing_learnable", rate=1.0)
-        idx = select_indices(ds.M, cfg, 3, rng)
+        hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
-            corrupt_batch(ds.X[:3], ds, cfg, None, idx, rng)
+            corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
 
     def test_pool_required_for_marginal(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         cfg = CorruptionConfig(rate=0.5)
-        idx = select_indices(ds.M, cfg, 3, rng)
+        hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
-            corrupt_batch(ds.X[:3], ds, cfg, None, idx, rng)
+            corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
 
     def test_categorical_blocks_stay_one_hot_under_marginal_and_joint(self, rng):
         ds = mixed_dataset()
@@ -160,8 +161,8 @@ class TestCorruptBatch:
         lo, hi = ds.feature_blocks[1]
         for strategy in ("marginal", "joint"):
             cfg = CorruptionConfig(strategy=strategy, rate=1.0)
-            idx = select_indices(ds.M, cfg, 10, rng)
-            out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, idx, rng)
+            hit = select_indices(ds.M, cfg, 10, rng)
+            out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, hit, rng)
             block = out[:, lo:hi]
             assert set(np.unique(block)) <= {0.0, 1.0}
             np.testing.assert_array_equal(block.sum(axis=1), np.ones(10))
@@ -175,16 +176,15 @@ class TestCorruptBatch:
         cfg = CorruptionConfig(rate=0.5)
         batch = ds.X[25:35]
         rng = np.random.default_rng(11)
-        idx = select_indices(ds.M, cfg, 10, rng)
+        hit = select_indices(ds.M, cfg, 10, rng)
         donors = np.random.default_rng(11)
         donors.random((10, ds.M))  # replay the index draw
         donors = donors.integers(0, len(train), size=(10, ds.M))
         expected = batch.copy()
-        for i, I in enumerate(idx):
-            for j in I:
-                lo, hi = ds.feature_blocks[j]
-                expected[i, lo:hi] = ds.X[train[donors[i, j]], lo:hi]
-        out, _ = corrupt_batch(batch, ds, cfg, pool, idx, rng)
+        for i, j in zip(*np.nonzero(hit)):
+            lo, hi = ds.feature_blocks[j]
+            expected[i, lo:hi] = ds.X[train[donors[i, j]], lo:hi]
+        out, _ = corrupt_batch(batch, ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, expected)
 
     def test_joint_rows_come_from_one_donor(self):
@@ -192,8 +192,8 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(20))
         cfg = CorruptionConfig(strategy="joint", rate=1.0)
         rng = np.random.default_rng(0)
-        idx = select_indices(ds.M, cfg, 4, rng)
-        out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, idx, rng)
+        hit = select_indices(ds.M, cfg, 4, rng)
+        out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, hit, rng)
         train = ds.X[:20]
         for row in out:
             assert any(np.array_equal(row, t) for t in train)
@@ -203,8 +203,8 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(20))
         cfg = CorruptionConfig(strategy="marginal", rate=1.0, donor="single_row")
         rng = np.random.default_rng(0)
-        idx = select_indices(ds.M, cfg, 6, rng)
-        out, _ = corrupt_batch(ds.X[20:26], ds, cfg, pool, idx, rng)
+        hit = select_indices(ds.M, cfg, 6, rng)
+        out, _ = corrupt_batch(ds.X[20:26], ds, cfg, pool, hit, rng)
         assert all(np.array_equal(row, out[0]) for row in out)
 
     def test_scale_equivariance_of_marginal_draws(self):
@@ -252,6 +252,33 @@ class TestMakeViews:
         assert not np.array_equal(view_a, view_b)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("index_selection", ["fixed_count", "bernoulli"])
+@pytest.mark.parametrize("index_sharing", ["per_example", "shared_batch"])
+@pytest.mark.parametrize("view_policy", ["corrupt_one", "corrupt_both"])
+def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy, rng):
+    """The drawn feature mask, its expansion to encoded columns and the
+    derived index sets describe the same features."""
+    X = np.column_stack([rng.normal(size=(40, 3)), np.eye(3)[rng.integers(0, 3, size=40)]])
+    ds = encoded_dataset(X, rng.integers(0, 2, size=40), blocks=[(0, 1), (1, 2), (2, 3), (3, 6)])
+    pool = build_marginal_pool(ds, np.arange(30))
+    cfg = CorruptionConfig(strategy=strategy, index_selection=index_selection,
+                           index_sharing=index_sharing, view_policy=view_policy)
+    lmv = rng.normal(size=ds.X.shape[1])
+    for _ in range(5):
+        _, _, draw = make_views(ds.X[30:38], ds, cfg, pool, rng, lmv)
+        assert draw.features.dtype == bool and draw.features.shape == (8, ds.M)
+        assert len(draw.index_sets) == 8
+        for row, ix in zip(draw.features, draw.index_sets):
+            np.testing.assert_array_equal(ix, np.flatnonzero(row))
+        if strategy == "none":
+            assert not draw.encoded_mask.any()
+        else:
+            np.testing.assert_array_equal(draw.encoded_mask, draw.features[:, ds.column_feature])
+        if index_selection == "fixed_count":
+            np.testing.assert_array_equal(draw.features.sum(axis=1), int(np.floor(cfg.rate * ds.M)))
+
+
 class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ConfigurationError):
@@ -274,8 +301,8 @@ class TestConfigValidation:
         rng = np.random.default_rng(0)
         draws = []
         for _ in range(200):
-            idx = select_indices(1, cfg, 1, rng)
-            out, _ = corrupt_batch(ds.X[:1], ds, cfg, pool, idx, rng)
+            hit = select_indices(1, cfg, 1, rng)
+            out, _ = corrupt_batch(ds.X[:1], ds, cfg, pool, hit, rng)
             draws.append(out[0, 0])
         # set interpretation: both values roughly equally likely
         assert 0.3 < np.mean(np.array(draws) == 2.0) < 0.7

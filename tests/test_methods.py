@@ -129,6 +129,17 @@ class TestRunMethod:
         assert a["test_accuracy"] == b["test_accuracy"]
         assert a["epochs_used"] == b["epochs_used"]
 
+    def test_scarf_names_a_one_row_validation_split(self):
+        """n = 12 leaves one validation row: scarf's contrastive metric needs
+        two, and the pre-trainers with other metrics still run."""
+        ds = make_blob_dataset(n=12, d=4, seed=4)
+        splits = make_splits(12, 0)
+        assert len(splits.validation) == 1
+        with pytest.raises(ValueError, match="at least 2 validation rows, got 1"):
+            run_method("scarf", ds, splits, "full", 0, FAST_HP)
+        for method in ("scarf_disc", "no_noise_ae", "scarf_ae"):
+            assert 0.0 <= run_method(method, ds, splits, "full", 0, FAST_HP)["test_accuracy"] <= 1.0
+
     def test_unknown_hyperparameter_rejected(self):
         ds = make_blob_dataset(n=120, d=4, seed=3)
         with pytest.raises(ValueError, match="pretrain_max_epoch"):
@@ -365,14 +376,17 @@ class TestRunBenchmark:
                            scaling=scaling))
         assert len(seen) == 2
         for trial, (ds, splits) in enumerate(seen):
-            assert splits.seed == derive_seed(0, "mixed", trial)
+            seed = derive_seed(0, "mixed", trial)
+            expected_splits = make_splits(raw.n, seed)
+            for part in ("train", "validation", "test"):
+                np.testing.assert_array_equal(getattr(splits, part), getattr(expected_splits, part))
             train = ds.X[splits.train][:, num]
             center = train.min(axis=0) if scaling == "minmax" else train.mean(axis=0)
             spread = train.std(axis=0) if scaling == "zscore" else np.ptp(train, axis=0)
             np.testing.assert_allclose(center, 0.0, atol=1e-12)
             np.testing.assert_allclose(spread, 1.0, atol=1e-12)
             np.testing.assert_array_equal(ds.X[:, cat], raw_X[:, cat])
-            expected, _ = process_csv(path, schema, splits.seed, scaling)
+            expected, _ = process_csv(path, schema, seed, scaling)
             assert ds.X.tobytes() == expected.X.tobytes()
         assert not np.array_equal(seen[0][0].X, seen[1][0].X)
         np.testing.assert_array_equal(raw.X, raw_X)  # the encoded input is not rescaled

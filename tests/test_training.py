@@ -303,6 +303,18 @@ class TestPretrainScarf:
         run_min = np.minimum.accumulate(out.val_curve)
         assert all(x >= y for x, y in zip(run_min, run_min[1:]))
 
+    def test_one_row_validation_split_rejected_before_any_work(self, monkeypatch):
+        ds = make_numeric_dataset(n=12, d=4)
+        splits = make_splits(12, 0)
+        rng = np.random.default_rng(0)
+        bundle = small_bundle(ds, rng)
+        called = []
+        for name in ("build_marginal_pool", "build_static_validation", "_fit"):
+            monkeypatch.setattr(training, name, lambda *a, _name=name, **k: called.append(_name))
+        with pytest.raises(ValueError, match="at least 2 validation rows, got 1"):
+            pretrain_scarf(ds, splits, bundle, PretrainConfig(), rng)
+        assert called == []
+
     def test_restored_weights_achieve_best_metric(self):
         ds = make_numeric_dataset(n=150, d=5, seed=4)
         splits = make_splits(150, 2)
@@ -360,10 +372,10 @@ class TestPretrainScarf:
         lmv[:] = rng.normal(size=lmv.shape)
         cfg = PretrainConfig(corruption=CorruptionConfig(strategy="missing_learnable"))
         rows = splits.train[:16]
-        mask = rng.random((16, ds.X.shape[1])) < 0.5
+        mask = rng.random((16, ds.X.shape[1])) < 0.5  # one column per feature
 
         def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
-            return batch.copy(), np.where(mask, learnable_values, batch), CorruptionDraw([], mask)
+            return batch.copy(), np.where(mask, learnable_values, batch), CorruptionDraw(mask, mask)
 
         captured = []
         monkeypatch.setattr(training, "make_views", fixed_views)
