@@ -3,9 +3,12 @@ label-noise / label-masking protocols.
 
 Datasets arrive as a CSV with a header row (empty cells mean missing) plus a
 JSON schema sidecar mapping each column name to one of "numerical",
-"categorical", or "label". Exactly one label column is required, every row
-needs a label, every present numerical cell must be a finite number, and at
-least one feature column must have a value.
+"categorical", or "label"; both are UTF-8, and the CSV may start with a
+byte-order mark. Exactly one label column is required, no header name may
+repeat, every row needs a label, every present numerical cell must be a
+finite number, and at least one feature column must have a value. Ingestion
+and `scale` each hold one copy of the encoded table, with no full-size
+temporaries on the way.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,14 +49,14 @@ class Schema:
 
     @classmethod
     def from_file(cls, path) -> "Schema":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise IngestionError("schema file must be a JSON object of column -> kind")
         return cls(list(raw.keys()), list(raw.values()))
 
     def to_file(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(dict(zip(self.names, self.kinds)), fh, indent=2)
 
 
@@ -90,14 +95,21 @@ def _parse_number(cell: str, name: str, row: int) -> float:
 
 
 def load_csv(path, schema: Schema) -> RawTable:
-    """Read the CSV in schema column order. Numerical cells are parsed as
-    they are read; an empty label cell raises IngestionError naming its row."""
-    with open(path, newline="") as fh:
+    """Read the CSV, as UTF-8 with an optional byte-order mark, in schema
+    column order. A header that names a column twice raises IngestionError
+    before any row is read. Numerical cells are parsed as they are read into
+    a compact float64 buffer per column, 8 bytes a cell, which becomes the
+    column's array once at the end; an empty label cell raises
+    IngestionError naming its row."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
+        repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+        if repeated:
+            raise IngestionError(f"{path}: header names column(s) more than once: {repeated}")
         if set(header) != set(schema.names):
             unknown = set(header) - set(schema.names)
             missing = set(schema.names) - set(header)
@@ -106,7 +118,7 @@ def load_csv(path, schema: Schema) -> RawTable:
         order = [header.index(name) for name in schema.names]
         numerical = [kind == "numerical" for kind in schema.kinds]
         label = schema.kinds.index("label")
-        columns: list[list] = [[] for _ in schema.names]
+        columns = [array("d") if num else [] for num in numerical]
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
@@ -230,35 +242,33 @@ class ProcessedDataset:
         return np.repeat(np.arange(self.M), [hi - lo for lo, hi in self.feature_blocks])
 
 
+def _codes(cells: list, levels: list) -> np.ndarray:
+    """Index of each cell in `levels`, as int64."""
+    index = {level: k for k, level in enumerate(levels)}
+    return np.fromiter((index[c] for c in cells), dtype=np.int64, count=len(cells))
+
+
 def one_hot(table: RawTable) -> ProcessedDataset:
     """Encode an imputed table, unscaled. Numerical features pass through;
     each categorical feature becomes one binary column per observed category,
     in first-appearance order. Class indices follow first appearance in file
-    order."""
+    order. X is allocated once, at its final width, and each feature's block
+    is written into it."""
     feat_idx = [j for j, k in enumerate(table.kinds) if k != "label"]
-    label_idx = table.kinds.index("label")
-
-    blocks, numerical = [], []
-    encoded_cols: list[np.ndarray] = []
-    pos = 0
-    for j in feat_idx:
-        if table.kinds[j] == "numerical":
-            encoded_cols.append(table.columns[j])
-            numerical.append(pos)
-            blocks.append((pos, pos + 1))
-            pos += 1
+    levels = {j: list(dict.fromkeys(table.columns[j]))
+              for j in feat_idx if table.kinds[j] == "categorical"}
+    ends = list(accumulate(len(levels[j]) if j in levels else 1 for j in feat_idx))
+    blocks = list(zip([0] + ends[:-1], ends))
+    X = np.zeros((table.n_rows, ends[-1]))
+    for j, (lo, _) in zip(feat_idx, blocks):
+        if j in levels:
+            X[np.arange(table.n_rows), lo + _codes(table.columns[j], levels[j])] = 1.0
         else:
-            col = np.array(table.columns[j])
-            cats = list(dict.fromkeys(table.columns[j]))
-            encoded_cols.extend((col == c).astype(float) for c in cats)
-            blocks.append((pos, pos + len(cats)))
-            pos += len(cats)
-
-    X = np.column_stack(encoded_cols)
-    label_col = table.columns[label_idx]
+            X[:, lo] = table.columns[j]
+    label_col = table.columns[table.kinds.index("label")]
     classes = list(dict.fromkeys(label_col))
-    y = np.array([classes.index(c) for c in label_col], dtype=np.int64)
-    return ProcessedDataset(X, y, blocks, classes, numerical)
+    numerical = [lo for j, (lo, _) in zip(feat_idx, blocks) if j not in levels]
+    return ProcessedDataset(X, _codes(label_col, classes), blocks, classes, numerical)
 
 
 def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:
@@ -268,11 +278,17 @@ def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:
 
 def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> ProcessedDataset:
     """Copy of the dataset whose numerical columns are scaled with statistics
-    of the given training rows; the other columns are left as they are."""
+    of the given training rows; the other columns are left as they are.
+
+    The copy of X is the one full-size array made: the statistics are fitted
+    on the training rows of the numerical columns, and `apply_scaler` then
+    rescales one numerical column of the copy at a time, in place."""
     cols = np.asarray(dataset.numerical_columns, dtype=int)
     X = dataset.X.copy()
     scaler = fit_scaler(X[np.ix_(train_indices, cols)], kind)
-    X[:, cols] = apply_scaler(scaler, X[:, cols])
+    for i, c in enumerate(cols):
+        column = Scaler(scaler.center[i : i + 1], scaler.denom[i : i + 1])
+        X[:, c] = apply_scaler(column, X[:, c : c + 1])[:, 0]
     return replace(dataset, X=X)
 
 

@@ -346,8 +346,10 @@ def run_benchmark(
         start = time.time()
         try:
             splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
-            dataset = scale(loaded[dataset_id], splits.train, scaling)
-            res = run_method(method, dataset, splits, setting, seed, hp)
+            # no name holds the float64 scaled copy, so it is freed as soon as
+            # run_method rebinds its argument to the float32 cast
+            res = run_method(method, scale(loaded[dataset_id], splits.train, scaling),
+                             splits, setting, seed, hp)
         except Exception as exc:  # reported to the caller; no record is written
             return TrialFailure(dataset_id, method, setting, trial, exc), None
         run = stats.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],

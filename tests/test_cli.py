@@ -63,6 +63,16 @@ def write_unscorable(tmp_path, case):
     return csv, schema, error
 
 
+def write_repeated_header(tmp_path):
+    """The toy dataset with its header naming f1 twice, over a fourth column."""
+    csv, schema = write_dataset(tmp_path)
+    lines = open(csv).read().splitlines()
+    lines = ["f1,f2,f1,target"] + [f"{a},{b},{100 * k},{c}"
+                                   for k, (a, b, c) in enumerate(ln.split(",") for ln in lines[1:])]
+    open(csv, "w").write("\n".join(lines) + "\n")
+    return csv, schema
+
+
 def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**FAST, **extra}))
@@ -116,6 +126,12 @@ class TestValidate:
         assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation failed: ") and error in err
+
+    def test_repeated_header_name_fails(self, tmp_path, capsys):
+        csv, schema = write_repeated_header(tmp_path)
+        assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
+        assert capsys.readouterr().err == \
+            f"validation failed: {csv}: header names column(s) more than once: ['f1']\n"
 
     @pytest.mark.parametrize("key", ["dataset", "schema"])
     def test_missing_dataset_or_schema_named(self, tmp_path, capsys, key):
@@ -303,6 +319,16 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and error in err
+        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+
+    def test_repeated_header_name_fails_before_any_trial(self, tmp_path, capsys):
+        csv, schema = write_repeated_header(tmp_path)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                     "--schema", schema, "--method", "control", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"run failed: {csv}: header names column(s) more than once: ['f1']\n"
         assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
 
     @pytest.mark.parametrize("key", ["dataset", "schema"])

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -243,6 +244,28 @@ class TestRunBenchmark:
         again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
                                    out_dir=tmp_path, hp=FAST_HP))
         assert again == []  # everything already completed
+
+    def test_scaled_float64_copy_released_before_training(self, monkeypatch):
+        # run_method trains on its float32 cast; the float64 copy that
+        # `scale` made for the trial must be gone by then
+        scaled, alive = [], []
+        real_scale, real_finetune = methods.scale, methods.finetune
+
+        def tracked_scale(*args):
+            out = real_scale(*args)
+            scaled.append(weakref.ref(out.X))
+            return out
+
+        def checked_finetune(*args, **kwargs):
+            alive.append(scaled[-1]() is not None)
+            return real_finetune(*args, **kwargs)
+
+        monkeypatch.setattr(methods, "scale", tracked_scale)
+        monkeypatch.setattr(methods, "finetune", checked_finetune)
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
+        assert all(isinstance(r, stats.MethodRun) for r in records)
+        assert alive == [False, False]
 
     def test_split_seed_shared_across_methods(self):
         # both methods in one trial must see identical splits: the split seed
