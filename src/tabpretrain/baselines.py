@@ -3,8 +3,10 @@ tri-training, self-distillation.
 
 The pseudo-labeling loops take a train_fn so they compose with a pre-trained
 encoder: train_fn(labeled_rows, labels_for_rows, soft_targets) must train a
-fresh (or warm-started) model and return a ModelBundle. Pseudo-labels are
-frozen once assigned and original labels are never overwritten.
+fresh (or warm-started) model and return a ModelBundle. A pool is an index
+array of dataset rows plus a label vector over all dataset rows (-1 outside
+the pool). Pseudo-labels are frozen once assigned and original labels are
+never overwritten.
 """
 
 from __future__ import annotations
@@ -39,23 +41,21 @@ def self_train(
     is trained on the final pool."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
-    pool_rows = list(np.asarray(labeled))
-    pool_labels = {int(i): int(dataset.y[i]) for i in pool_rows}
-    remaining = list(np.asarray(unlabeled))
+    rows = np.asarray(labeled)
+    remaining = np.asarray(unlabeled)
+    label = np.full(dataset.n, -1)
+    label[rows] = dataset.y[rows]
     for _ in range(iterations):
-        labels = np.array([pool_labels[int(i)] for i in pool_rows])
-        model = train_fn(np.array(pool_rows), labels, None)
-        if not remaining:
+        model = train_fn(rows, label[rows], None)
+        if remaining.size == 0:
             continue
-        probs = softmax(model.predict(dataset.X[np.array(remaining)]))
+        probs = softmax(model.predict(dataset.X[remaining]))
         confident = probs.max(axis=1) >= threshold
-        for r, keep, cls in zip(list(remaining), confident, probs.argmax(axis=1)):
-            if keep:
-                pool_labels[int(r)] = int(cls)
-                pool_rows.append(r)
-        remaining = [r for r, keep in zip(remaining, confident) if not keep]
-    labels = np.array([pool_labels[int(i)] for i in pool_rows])
-    return train_fn(np.array(pool_rows), labels, None), np.array(pool_rows)
+        absorbed = remaining[confident]
+        label[absorbed] = probs.argmax(axis=1)[confident]
+        rows = np.concatenate([rows, absorbed])
+        remaining = remaining[~confident]
+    return train_fn(rows, label[rows], None), rows
 
 
 def tri_train(
@@ -68,36 +68,28 @@ def tri_train(
 ):
     """Three models seeded with bootstrap resamples of the labeled set; an
     unlabeled row joins model k's pool once the other two agree on its class.
-    The final model trains on the union of the three pools."""
+    The final model trains on the union of the pools: a labeled row keeps its
+    label, any other row takes the label of the first pool holding it."""
     labeled = np.asarray(labeled)
     unlabeled = np.asarray(unlabeled)
-    boots = [rng.choice(labeled, size=len(labeled), replace=True) for _ in range(3)]
-    pools = [{int(i): int(dataset.y[i]) for i in b} for b in boots]
-    pool_rows = [list(b) for b in boots]
+    pools = [rng.choice(labeled, size=len(labeled), replace=True) for _ in range(3)]
+    labels = np.full((3, dataset.n), -1)
+    for label, rows in zip(labels, pools):
+        label[rows] = dataset.y[rows]
     for _ in range(iterations):
-        models = []
-        for rows, pool in zip(pool_rows, pools):
-            labels = np.array([pool[int(i)] for i in rows])
-            models.append(train_fn(np.array(rows), labels, None))
+        models = [train_fn(rows, label[rows], None) for rows, label in zip(pools, labels)]
         if unlabeled.size == 0:
             continue
         preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
             i, j = [m for m in range(3) if m != k]
-            agree = preds[i] == preds[j]
-            for r, ok, cls in zip(unlabeled, agree, preds[i]):
-                if ok and int(r) not in pools[k]:
-                    pools[k][int(r)] = int(cls)
-                    pool_rows[k].append(r)
-    union: dict[int, int] = {}
-    for pool in pools:
-        for r, cls in pool.items():
-            union.setdefault(r, cls)
-    for i in labeled:  # original labels take precedence in the union
-        union[int(i)] = int(dataset.y[i])
-    rows = np.array(sorted(union))
-    labels = np.array([union[int(r)] for r in rows])
-    return train_fn(rows, labels, None), rows
+            new = (preds[i] == preds[j]) & (labels[k, unlabeled] < 0)
+            labels[k, unlabeled[new]] = preds[i][new]
+            pools[k] = np.concatenate([pools[k], unlabeled[new]])
+    union = np.where(labels[0] >= 0, labels[0], np.where(labels[1] >= 0, labels[1], labels[2]))
+    union[labeled] = dataset.y[labeled]
+    rows = np.flatnonzero(union >= 0)
+    return train_fn(rows, union[rows], None), rows
 
 
 def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):

@@ -207,7 +207,6 @@ def run_method(
     y_eff, labeled, unlabeled = apply_setting(
         dataset, splits, setting, rng, hp["noise_rate"], hp["labeled_fraction"],
     )
-    pcfg = _pretrain_config(hp, corruption)
 
     def new_bundle(**heads) -> ModelBundle:
         return ModelBundle.create(
@@ -223,28 +222,24 @@ def run_method(
     # one cast per trial to the weights' dtype, before any pool or view exists
     dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False), y=y_eff)
 
-    pretrain_epochs = 0
-    pretrained_f = None
     pretrain_outcome = None
     if pre is not None:
+        pcfg = _pretrain_config(hp, corruption)
         if pre == "scarf":
-            out = pretrain_scarf(dataset, splits, bundle, pcfg, rng)
+            pretrain_outcome = pretrain_scarf(dataset, splits, bundle, pcfg, rng)
         elif pre == "scarf_disc":
-            out = pretrain_discriminative(dataset, splits, bundle, pcfg, rng)
+            pretrain_outcome = pretrain_discriminative(dataset, splits, bundle, pcfg, rng)
         else:
-            out = pretrain_autoencoder(dataset, splits, bundle, pre, pcfg, rng)
-        pretrain_epochs = out.epochs_used
-        pretrain_outcome = out
-        pretrained_f = bundle.f.copy_weights()
+            pretrain_outcome = pretrain_autoencoder(dataset, splits, bundle, pre, pcfg, rng)
 
     fcfg = _finetune_config(recipe, hp, corruption)
 
     def train_fn(rows, labels, soft):
-        """Fresh model (encoder warm-started when pre-trained), trained on the
-        given rows; used by the pseudo-labeling baselines."""
+        """Fresh model (encoder warm-started from the pre-trained `bundle.f`),
+        trained on the given rows; used by the pseudo-labeling baselines."""
         sub = new_bundle()
-        if pretrained_f is not None:
-            sub.f.set_weights(pretrained_f)
+        if pre is not None:
+            sub.f.set_weights(bundle.f.parameters())
         if soft is not None:
             finetune(dataset, splits, rows, sub, fcfg, rng, soft_targets=soft)
         else:
@@ -277,7 +272,7 @@ def run_method(
         "test_accuracy": 1.0 - classification_error(model, dataset.X[splits.test],
                                                     dataset.y[splits.test]),
         "epochs_used": outcome.epochs_used if outcome else 0,
-        "pretrain_epochs": pretrain_epochs,
+        "pretrain_epochs": pretrain_outcome.epochs_used if pretrain_outcome else 0,
         "finetune_outcome": outcome,
         "pretrain_outcome": pretrain_outcome,
     }
@@ -317,10 +312,13 @@ def run_benchmark(
     `out_dir` before yielding it, so the files are the same bytes for any
     `jobs` (threads running trials at once). A failure writes no record: it
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
-    Unknown method, setting, scaling or hyperparameter names raise before the
-    first trial.
+    Unknown method, setting, scaling or hyperparameter names and `trials` or
+    `jobs` below 1 raise ValueError before the first trial writes anything.
     """
     _resolve(hp)
+    for name, count in (("trials", trials), ("jobs", jobs)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     for method in methods:
         parse_method(method)
     for setting in settings:

@@ -11,8 +11,6 @@ keeps learning-rate semantics independent of batch size.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 
@@ -156,9 +154,6 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def copy_weights(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
     def set_weights(self, weights: list[np.ndarray]) -> None:
         for p, w in zip(self.parameters(), weights):
             p[...] = w
@@ -292,27 +287,3 @@ def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     grad = 2.0 * diff / diff.size
     return loss, grad
 
-
-def save_mlp(path, mlp: Mlp) -> None:
-    """Checkpoint format: npz with a JSON 'meta' entry (dims + activation tags)
-    and one row-major array per weight/bias in the net's dtype, keyed
-    layer{k}_w / layer{k}_b; `load_mlp` keeps that dtype."""
-    meta = {
-        "dims": [mlp.in_dim] + [layer.out_dim for layer in mlp.layers],
-        "activations": [layer.activation for layer in mlp.layers],
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for k, layer in enumerate(mlp.layers):
-        arrays[f"layer{k}_w"] = np.ascontiguousarray(layer.weights)
-        arrays[f"layer{k}_b"] = np.ascontiguousarray(layer.bias)
-    np.savez(path, **arrays)
-
-
-def load_mlp(path) -> Mlp:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        layers = [
-            DenseLayer(data[f"layer{k}_w"], data[f"layer{k}_b"], act)
-            for k, act in enumerate(meta["activations"])
-        ]
-    return Mlp(layers)

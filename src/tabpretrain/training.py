@@ -5,10 +5,10 @@ fine-tuning, and co-training.
 Every trainer is its set-up plus two closures handed to `_fit`, the one epoch
 driver: a per-batch step returning the loss and the gradients for one Adam
 step, and a per-epoch validation metric. `_fit` owns the shuffling, the
-train/validation curves, early stopping and the restore of the best-epoch
-weights. The two contrastive views go through the encoder as one stacked
-2B-row forward and backward pass (`ModelBundle.contrastive_step`), shared by
-SCARF pre-training and the contrastive co-training term.
+train/validation curves, early stopping and the best-epoch restore of the
+arrays it steps. The two contrastive views go through the encoder as one
+stacked 2B-row forward and backward pass (`ModelBundle.contrastive_step`),
+shared by SCARF pre-training and the contrastive co-training term.
 
 Every forward pass that is never backpropagated (embedding, prediction and
 the validation metrics) runs in slices of at most `INFERENCE_ROWS` rows, so it
@@ -84,8 +84,6 @@ class PretrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
         if self.batch_size < 2:
             raise ValueError("contrastive batches need at least 2 examples")
 
@@ -147,26 +145,6 @@ class ModelBundle:
         lmv = np.zeros(input_dim, dtype=f.dtype) if with_learnable_missing else None
         return cls(f, g, h, decoder, disc_proj, lmv)
 
-    def _nets(self) -> list[Mlp]:
-        return [m for m in (self.f, self.g, self.h, self.decoder, self.disc_proj) if m is not None]
-
-    def copy_weights(self) -> list[np.ndarray]:
-        out = []
-        for net in self._nets():
-            out.extend(net.copy_weights())
-        if self.learnable_missing is not None:
-            out.append(self.learnable_missing.copy())
-        return out
-
-    def set_weights(self, weights: list[np.ndarray]) -> None:
-        pos = 0
-        for net in self._nets():
-            k = len(net.parameters())
-            net.set_weights(weights[pos : pos + k])
-            pos += k
-        if self.learnable_missing is not None:
-            self.learnable_missing[...] = weights[pos]
-
     def embed(self, X: np.ndarray) -> np.ndarray:
         """z = normalize(g(f(X))), computed in slices of INFERENCE_ROWS rows."""
         return _in_slices(lambda b: l2_normalize_rows(self.g.forward(self.f.forward(b))), X)
@@ -214,6 +192,8 @@ class EarlyStopper:
     """Stops after `patience` consecutive epochs without strict improvement."""
 
     def __init__(self, patience: int):
+        if patience < 1:
+            raise ValueError("patience must be at least 1")
         self.patience = patience
         self.best = np.inf
         self.best_epoch = 0
@@ -277,19 +257,21 @@ def build_static_validation(
     return StaticValidationPairs(originals, positions, corrupted)
 
 
-def _fit(bundle: ModelBundle, params: list[np.ndarray], rows: np.ndarray, config,
-         rng: np.random.Generator, step, metric) -> TrainOutcome:
+def _fit(params: list[np.ndarray], rows: np.ndarray, config, rng: np.random.Generator,
+         step, metric) -> TrainOutcome:
     """The epoch loop shared by every trainer.
 
     Each epoch shuffles `rows` (dataset row indices) into batches of
     `config.batch_size`; `step(batch_rows)` returns (loss, gradients of
     `params`) for one Adam step, or None to skip the batch. After the epoch,
     `metric()` is the validation value (lower is better) that drives early
-    stopping with `config.patience`; the best-epoch weights are restored."""
+    stopping with `config.patience`. `params`, the only arrays a step changes,
+    are copied at each new best epoch (and before the first) and restored from
+    the last copy in place."""
     opt = Adam(params, learning_rate=config.learning_rate)
     stopper = EarlyStopper(config.patience)
     train_curve, val_curve = [], []
-    best_weights = bundle.copy_weights()
+    best = [p.copy() for p in params]
     stop_reason = "max_epochs"
     for epoch in range(1, config.max_epochs + 1):
         epoch_losses, epoch_sizes = [], []
@@ -304,12 +286,14 @@ def _fit(bundle: ModelBundle, params: list[np.ndarray], rows: np.ndarray, config
         train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)) if epoch_losses else np.nan)
         value = metric()
         val_curve.append(value)
-        if value < stopper.best:
-            best_weights = bundle.copy_weights()
-        if stopper.update(value, epoch):
+        stop = stopper.update(value, epoch)
+        if stopper.best_epoch == epoch:
+            best = [p.copy() for p in params]
+        if stop:
             stop_reason = "patience"
             break
-    bundle.set_weights(best_weights)
+    for p, b in zip(params, best):
+        p[...] = b
     return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason,
                         stopper.best_epoch, stopper.best)
 
@@ -358,7 +342,6 @@ def pretrain_scarf(
     bundle: ModelBundle,
     config: PretrainConfig,
     rng: np.random.Generator,
-    pool: MarginalPool | None = None,
 ) -> TrainOutcome:
     """Contrastive pre-training of f and g; labels are never read.
 
@@ -367,8 +350,7 @@ def pretrain_scarf(
     pairs decides early stopping; best-epoch weights are restored."""
     if (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
-    if pool is None:
-        pool = build_marginal_pool(dataset, splits.train)
+    pool = build_marginal_pool(dataset, splits.train)
     learnable = bundle.learnable_missing if config.corruption.strategy == "missing_learnable" else None
     if config.corruption.strategy == "missing_learnable" and learnable is None:
         raise ConfigurationError("bundle lacks learnable missing values")
@@ -392,7 +374,7 @@ def pretrain_scarf(
             grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
         return loss, grads
 
-    return _fit(bundle, params, np.asarray(splits.train), config, rng, step,
+    return _fit(params, np.asarray(splits.train), config, rng, step,
                 lambda: _validation_metric(bundle, pairs, config))
 
 
@@ -439,7 +421,7 @@ def pretrain_autoencoder(
         loss, f_grads, d_grads = bundle.reconstruction_step(view(batch), batch)
         return loss, f_grads + d_grads
 
-    return _fit(bundle, bundle.f.parameters() + bundle.decoder.parameters(),
+    return _fit(bundle.f.parameters() + bundle.decoder.parameters(),
                 np.asarray(splits.train), config, rng, step,
                 lambda: _reconstruction_metric(bundle, pairs))
 
@@ -484,7 +466,7 @@ def pretrain_discriminative(
         f_grads, _ = bundle.f.backward(grad_mid)
         return loss, f_grads + g_grads + p_grads
 
-    return _fit(bundle, params, np.asarray(splits.train), config, rng, step,
+    return _fit(params, np.asarray(splits.train), config, rng, step,
                 lambda: _discrimination_metric(bundle, pairs))
 
 
@@ -569,7 +551,7 @@ def finetune(
 
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
-    return _fit(bundle, params, labeled_indices, config, rng, step,
+    return _fit(params, labeled_indices, config, rng, step,
                 lambda: classification_error(bundle, val_X, val_y))
 
 

@@ -38,6 +38,18 @@ def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):
     return encoded_dataset(X[perm], y[perm])
 
 
+def bundle_weights(bundle):
+    """Copies of every net's parameters (f, g, h, decoder, disc_proj) and of
+    the learnable missing-value vector of a ModelBundle, in that order."""
+    out = []
+    for net in (bundle.f, bundle.g, bundle.h, bundle.decoder, bundle.disc_proj):
+        if net is not None:
+            out.extend(p.copy() for p in net.parameters())
+    if bundle.learnable_missing is not None:
+        out.append(bundle.learnable_missing.copy())
+    return out
+
+
 def to_float64(model):
     """Cast an Mlp, or every net and the learnable missing vector of a
     ModelBundle, to float64 in place and return it. Nets are created in

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabpretrain.baselines import mixup_batch, self_distill, self_train, tri_train
+from tabpretrain.nn import softmax
 from conftest import encoded_dataset
 
 
@@ -179,6 +180,24 @@ class TestTriTrain:
         for r in range(6, 12):
             assert final[r] == 1
 
+    def test_union_keeps_the_first_pools_label(self, rng):
+        """Row 6 joins pool 2 as class 1 in round 1 (models 0 and 1 agree on
+        1) and pool 0 as class 0 in round 2 (models 1 and 2 agree on 0); the
+        final model trains on it as class 0, the label of pool 0."""
+        ds = index_dataset(n=7)
+        votes = [1, 1, 0, 1, 0, 0]  # per call: round 1 models 0-2, then round 2
+        calls = []
+
+        def train_fn(rows, labels, soft):
+            calls.append(dict(zip(rows.tolist(), labels.tolist())))
+            cls = votes[len(calls) - 1] if len(calls) <= len(votes) else 0
+            return constant_model([5.0, 0.0] if cls == 0 else [0.0, 5.0])
+
+        tri_train(ds, np.arange(6), np.array([6]), train_fn, rng, iterations=2)
+        assert len(calls) == 7
+        assert 6 not in calls[3] and 6 not in calls[4] and calls[5][6] == 1  # pool 2 in round 2
+        assert calls[-1][6] == 0
+
     def test_bootstrap_pools_resample_with_replacement(self):
         ds = index_dataset()
         first_rounds = []
@@ -192,6 +211,89 @@ class TestTriTrain:
         boots = first_rounds[:3]
         assert all(len(b) == 6 for b in boots)
         assert any(len(set(b.tolist())) < 6 for b in boots)  # a duplicate drawn
+
+
+def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold=0.75, iterations=10):
+    """Row-by-row reference for self_train: a list pool and a dict of labels."""
+    pool_rows = list(np.asarray(labeled))
+    pool_labels = {int(i): int(dataset.y[i]) for i in pool_rows}
+    remaining = list(np.asarray(unlabeled))
+    for _ in range(iterations):
+        model = train_fn(np.array(pool_rows), np.array([pool_labels[int(i)] for i in pool_rows]),
+                         None)
+        if not remaining:
+            continue
+        probs = softmax(model.predict(dataset.X[np.array(remaining)]))
+        confident = probs.max(axis=1) >= threshold
+        for r, keep, cls in zip(list(remaining), confident, probs.argmax(axis=1)):
+            if keep:
+                pool_labels[int(r)] = int(cls)
+                pool_rows.append(r)
+        remaining = [r for r, keep in zip(remaining, confident) if not keep]
+    labels = np.array([pool_labels[int(i)] for i in pool_rows])
+    return train_fn(np.array(pool_rows), labels, None), np.array(pool_rows)
+
+
+def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations=10):
+    """Row-by-row reference for tri_train: list pools, dicts of labels and a
+    dict union in which the first pool's label wins."""
+    labeled, unlabeled = np.asarray(labeled), np.asarray(unlabeled)
+    boots = [rng.choice(labeled, size=len(labeled), replace=True) for _ in range(3)]
+    pools = [{int(i): int(dataset.y[i]) for i in b} for b in boots]
+    pool_rows = [list(b) for b in boots]
+    for _ in range(iterations):
+        models = [train_fn(np.array(rows), np.array([pool[int(i)] for i in rows]), None)
+                  for rows, pool in zip(pool_rows, pools)]
+        if unlabeled.size == 0:
+            continue
+        preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
+        for k in range(3):
+            i, j = [m for m in range(3) if m != k]
+            for r, ok, cls in zip(unlabeled, preds[i] == preds[j], preds[i]):
+                if ok and int(r) not in pools[k]:
+                    pools[k][int(r)] = int(cls)
+                    pool_rows[k].append(r)
+    union = {}
+    for pool in pools:
+        for r, cls in pool.items():
+            union.setdefault(r, cls)
+    for i in labeled:
+        union[int(i)] = int(dataset.y[i])
+    rows = np.array(sorted(union))
+    return train_fn(rows, np.array([union[int(r)] for r in rows]), None), rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["self_train", "tri_train"])
+def test_pools_match_the_row_by_row_reference(name, seed):
+    """Stub models with random logits per call and row: the index-array
+    pools train on the same rows with the same labels, call for call, as the
+    list-and-dict reference, and return the same final pool."""
+    n = 30
+    ds = index_dataset(n=n, num_classes=3)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    labeled, unlabeled = order[:8], order[8:]
+    logits = rng.normal(scale=3.0, size=(64, n, 3))
+
+    def run(fn, *args):
+        calls = []
+
+        def train_fn(rows, labels, soft):
+            calls.append((rows.tolist(), labels.tolist()))
+            table = logits[len(calls) - 1]
+            return StubModel(lambda r: table[r])
+
+        _, pool = fn(ds, labeled, unlabeled, train_fn, *args, iterations=4)
+        return calls, pool.tolist()
+
+    if name == "self_train":
+        got, want = run(self_train), run(loop_self_train)
+    else:
+        got = run(tri_train, np.random.default_rng(seed))
+        want = run(loop_tri_train, np.random.default_rng(seed))
+    assert got == want
+    assert len(want[1]) > len(labeled)  # some row was absorbed
 
 
 class TestSelfDistill:

@@ -352,6 +352,16 @@ class TestRun:
         assert f"run failed: hyperparameter {key!r} must be of type" in capsys.readouterr().err
         assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "-2"), ("--jobs", "0")])
+    def test_trials_or_jobs_below_one_fail(self, tmp_path, capsys, flag, value):
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,
+                     "--method", "control", flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"run failed: {flag[2:]} must be at least 1, got {value}\n"
+        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+
     def test_bernoulli_zero_rate_fails_instead_of_hanging(self, tmp_path, capsys):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path, index_selection="bernoulli", corruption_rate=0)

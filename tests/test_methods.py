@@ -158,6 +158,23 @@ class TestRunMethod:
                                            "learning_rate": np.float64(0.01)})
         assert (corruption.rate, hp["batch_size"], hp["learning_rate"]) == (1, 32, 0.01)
 
+    @pytest.mark.parametrize("method", ["control", "mixup", "cotrain", "self_train"])
+    def test_fine_tune_only_method_takes_batch_size_one(self, method):
+        ds = make_blob_dataset(n=60, d=4, seed=6)
+        res = run_method(method, ds, make_splits(60, 1), "semi25", 3, {**FAST_HP, "batch_size": 1})
+        assert 0.0 <= res["test_accuracy"] <= 1.0 and res["pretrain_epochs"] == 0
+
+    @pytest.mark.parametrize("method", ["control", "scarf"])
+    def test_patience_zero_rejected(self, method):
+        ds = make_blob_dataset(n=60, d=4, seed=6)
+        with pytest.raises(ValueError, match="patience must be at least 1"):
+            run_method(method, ds, make_splits(60, 1), "full", 3, {**FAST_HP, "patience": 0})
+
+    def test_pre_trainer_rejects_batch_size_one(self):
+        ds = make_blob_dataset(n=60, d=4, seed=6)
+        with pytest.raises(ValueError, match="at least 2 examples"):
+            run_method("scarf", ds, make_splits(60, 1), "full", 3, {**FAST_HP, "batch_size": 1})
+
     @pytest.mark.parametrize("recipe", ["self_train", "tri_train", "distill"])
     def test_pseudo_labeling_trial_has_no_finetune_outcome(self, recipe):
         ds = make_blob_dataset(n=120, d=4, seed=4)
@@ -304,6 +321,18 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="hyperparameter 'batch_size' must be of type int"):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
                                2, 0, out_dir=tmp_path, hp={"batch_size": "32"}))
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("trials, jobs, name", [(0, 1, "trials"), (-2, 1, "trials"),
+                                                    (2, 0, "jobs")])
+    def test_trials_or_jobs_below_one_raise_before_any_file(self, tmp_path, monkeypatch,
+                                                            trials, jobs, name):
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
+                               trials, 0, out_dir=tmp_path, hp=FAST_HP, jobs=jobs))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

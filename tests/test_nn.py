@@ -13,9 +13,7 @@ from tabpretrain.nn import (
     dropout_mask,
     l2_normalize_rows,
     l2_normalize_rows_backward,
-    load_mlp,
     mse,
-    save_mlp,
     smooth_labels,
     softmax_cross_entropy,
 )
@@ -287,19 +285,3 @@ class TestMse:
         with pytest.raises(ShapeError):
             mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, rng, tmp_path):
-        """Both precisions: a float32 net as created, and its float64 cast."""
-        for dtype in (np.float32, np.float64):
-            mlp = Mlp.create([4, 8, 3], rng)
-            if dtype == np.float64:
-                to_float64(mlp)
-            path = tmp_path / f"model_{np.dtype(dtype).name}.npz"
-            save_mlp(path, mlp)
-            loaded = load_mlp(path)
-            assert loaded.dtype == mlp.dtype == dtype
-            assert all(p.dtype == dtype for p in loaded.parameters())
-            batch = rng.normal(size=(5, 4))
-            np.testing.assert_array_equal(mlp.forward(batch), loaded.forward(batch))
-            assert [l.activation for l in loaded.layers] == [l.activation for l in mlp.layers]

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_numeric_dataset
+from conftest import bundle_weights, make_numeric_dataset
 from tabpretrain import losses, methods
 from tabpretrain.baselines import mixup_batch
 from tabpretrain.corruption import (
@@ -110,7 +110,7 @@ def test_bundle_steps_keep_float32(rng):
     ds = float32_dataset()
     bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hidden=8, with_decoder=True,
                                 with_learnable_missing=True, encoder_layers=2, head_layers=1)
-    assert_float32(*bundle.copy_weights())
+    assert_float32(*bundle_weights(bundle))
     x, x2 = ds.X[:6], ds.X[6:12]
     loss, f_grads, g_grads, grad_in = bundle.contrastive_step(
         x, x2, lambda z, zt: _infonce_pair(z, zt, 1.0))

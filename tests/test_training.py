@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (assert_grads_close, central_difference, make_blob_dataset,
+from conftest import (assert_grads_close, bundle_weights, central_difference, make_blob_dataset,
                       make_numeric_dataset, to_float64)
 from tabpretrain import losses, training
 from tabpretrain.corruption import (
@@ -51,6 +51,10 @@ class TestEarlyStopper:
         metrics = [5.0, 5.0, 4.0, 4.0, 4.0]
         stops = [stopper.update(m, e) for e, m in enumerate(metrics, start=1)]
         assert stops == [False, False, False, False, True]
+
+    def test_patience_below_one_rejected(self):
+        with pytest.raises(ValueError, match="patience must be at least 1"):
+            EarlyStopper(0)
 
     def test_equal_metric_is_not_improvement(self):
         stopper = EarlyStopper(1)
@@ -230,14 +234,17 @@ class TestInference:
 
 
 # the ids name each autoencoder by its input: clean, additive noise, SCARF corruption
-TRAINERS = ["scarf", pytest.param("no_noise_ae", id="autoencoder-no_noise"),
+TRAINERS = ["scarf", pytest.param("scarf_learnable", id="scarf-missing_learnable"),
+            pytest.param("no_noise_ae", id="autoencoder-no_noise"),
             pytest.param("add_noise_ae", id="autoencoder-additive_noise"),
-            pytest.param("scarf_ae", id="autoencoder-scarf_corruption"), "discriminative", "finetune"]
+            pytest.param("scarf_ae", id="autoencoder-scarf_corruption"), "discriminative", "finetune",
+            "cotrain", "ae_cotrain"]
 
 
 def trainer_bundle(trainer, ds, rng):
-    return small_bundle(ds, rng, with_decoder=trainer in AUTOENCODERS,
-                        with_disc_proj=trainer == "discriminative")
+    return small_bundle(ds, rng, with_decoder=trainer in AUTOENCODERS + ("ae_cotrain",),
+                        with_disc_proj=trainer == "discriminative",
+                        with_learnable_missing=trainer == "scarf_learnable")
 
 
 def run_trainer(trainer, ds, splits, max_epochs, seed):
@@ -245,13 +252,19 @@ def run_trainer(trainer, ds, splits, max_epochs, seed):
     rng = np.random.default_rng(seed)
     bundle = trainer_bundle(trainer, ds, rng)
     pcfg = PretrainConfig(batch_size=16, max_epochs=max_epochs)
+    fcfg = FinetuneConfig(batch_size=16, max_epochs=max_epochs)
     if trainer == "scarf":
+        out = pretrain_scarf(ds, splits, bundle, pcfg, rng)
+    elif trainer == "scarf_learnable":
+        pcfg.corruption = CorruptionConfig(strategy="missing_learnable")
         out = pretrain_scarf(ds, splits, bundle, pcfg, rng)
     elif trainer == "discriminative":
         out = pretrain_discriminative(ds, splits, bundle, pcfg, rng)
     elif trainer == "finetune":
-        out = finetune(ds, splits, splits.train, bundle,
-                       FinetuneConfig(batch_size=16, max_epochs=max_epochs), rng)
+        out = finetune(ds, splits, splits.train, bundle, fcfg, rng)
+    elif trainer in ("cotrain", "ae_cotrain"):
+        spec = CotrainSpec(aux="contrastive" if trainer == "cotrain" else "autoencoder")
+        out = finetune(ds, splits, splits.train, bundle, fcfg, rng, cotrain=spec)
     else:
         out = pretrain_autoencoder(ds, splits, bundle, trainer, pcfg, rng)
     return out, bundle
@@ -264,11 +277,11 @@ class TestFit:
     def test_max_epochs_zero(self, trainer):
         ds = make_numeric_dataset(n=100, d=4)
         splits = make_splits(100, 0)
-        before = trainer_bundle(trainer, ds, np.random.default_rng(0)).copy_weights()
+        before = bundle_weights(trainer_bundle(trainer, ds, np.random.default_rng(0)))
         out, bundle = run_trainer(trainer, ds, splits, 0, seed=0)
         assert out.epochs_used == 0 and out.stop_reason == "max_epochs"
         assert out.train_curve == [] and out.val_curve == [] and out.best_epoch == 0
-        for a, b in zip(before, bundle.copy_weights(), strict=True):
+        for a, b in zip(before, bundle_weights(bundle), strict=True):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("trainer", TRAINERS)
@@ -284,7 +297,7 @@ class TestFit:
         # the same seeds stopped at the best epoch end on that epoch's weights
         short, best = run_trainer(trainer, ds, splits, out.best_epoch, seed=3)
         assert short.val_curve == out.val_curve[: out.best_epoch]
-        for a, b in zip(best.copy_weights(), bundle.copy_weights()):
+        for a, b in zip(bundle_weights(best), bundle_weights(bundle)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -343,7 +356,7 @@ class TestPretrainScarf:
             bundle = small_bundle(ds, rng)
             out = pretrain_scarf(ds, splits, bundle, PretrainConfig(batch_size=32, max_epochs=5), rng)
             outs.append(out)
-            weights.append(bundle.copy_weights())
+            weights.append(bundle_weights(bundle))
         assert outs[0].val_curve == outs[1].val_curve
         for a, b in zip(*weights):
             np.testing.assert_array_equal(a, b)
@@ -380,7 +393,7 @@ class TestPretrainScarf:
         captured = []
         monkeypatch.setattr(training, "make_views", fixed_views)
         monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
-        monkeypatch.setattr(training, "_fit", lambda *args: captured.append(args[5]))
+        monkeypatch.setattr(training, "_fit", lambda *args: captured.append(args[4]))
         pretrain_scarf(ds, splits, bundle, cfg, rng)
         _, grads = captured[0](rows)
 
@@ -560,7 +573,7 @@ class TestCotrain:
             bundle = small_bundle(ds, rng)
             finetune(ds, splits, splits.train, bundle,
                      FinetuneConfig(max_epochs=1, batch_size=256), rng, cotrain=spec)
-            results.append(bundle.copy_weights())
+            results.append(bundle_weights(bundle))
         for a, b in zip(results[0][: len(results[1])], results[1]):
             if a.shape == b.shape:
                 np.testing.assert_array_equal(a, b)
@@ -576,7 +589,7 @@ class TestCotrain:
                            FinetuneConfig(max_epochs=1, batch_size=256), rng,
                            cotrain=CotrainSpec(weight=lam))
             assert np.isfinite(out.train_curve[0])
-            results.append(bundle.copy_weights())
+            results.append(bundle_weights(bundle))
         assert any(not np.array_equal(a, b) for a, b in zip(*results))
 
     def test_ae_cotrain_requires_decoder(self):
