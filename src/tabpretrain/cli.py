@@ -8,12 +8,15 @@ Commands:
 
 Configuration is a flat JSON object of `dataset`, `schema` and the keys of
 CONFIG_DEFAULTS, which holds their defaults: the run keys (method, setting,
-trials, seed, out, jobs, scaling) and every trial hyperparameter of
-`methods.HYPERPARAMETERS`. Every key is also a `run` flag (`tabpretrain run
---help` lists them), and flags override file values.
+trials, seed, out, jobs, scaling) and every field of
+`training.Hyperparameters`, the one declaration of the trial hyperparameters.
+Every key is also a `run` flag (`tabpretrain run --help` lists them), and
+flags override file values.
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
+`config.json` is written only once `run_benchmark` has accepted the
+configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
 files are still written in trial order, so the output is byte-identical for
 any jobs. A trial that raises is reported on stderr and in failures.jsonl,
@@ -29,6 +32,7 @@ import os
 import sys
 import xml.dom.minidom
 from collections import Counter
+from dataclasses import asdict, fields
 
 from tabpretrain import methods, stats
 from tabpretrain.data import (
@@ -39,6 +43,7 @@ from tabpretrain.data import (
     load_csv,
     one_hot,
 )
+from tabpretrain.training import Hyperparameters
 
 CONFIG_DEFAULTS = {
     "method": "control",
@@ -48,20 +53,23 @@ CONFIG_DEFAULTS = {
     "out": "results",
     "jobs": 1,
     "scaling": "zscore",
-    **methods.HYPERPARAMETERS,
+    **asdict(Hyperparameters()),
 }
 
 
 def _load_config(args) -> dict:
     """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
-    A missing `dataset` or `schema` raises ValueError."""
+    A config file that is not a JSON object or has an unknown key, and a
+    missing `dataset` or `schema`, raise ValueError."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must be a JSON object of key -> value")
         unknown = set(file_cfg) - set(CONFIG_DEFAULTS) - {"dataset", "schema"}
         if unknown:
-            raise SystemExit(f"unknown config key(s): {sorted(unknown)}")
+            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)
@@ -109,16 +117,17 @@ def cmd_run(args) -> int:
     attempted = failed = 0
     try:
         cfg = _load_config(args)
-        os.makedirs(cfg["out"], exist_ok=True)
-        with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True)
-        hp = {key: cfg[key] for key in methods.HYPERPARAMETERS}
+        hp = {f.name: cfg[f.name] for f in fields(Hyperparameters)}
         schema = Schema.from_file(cfg["schema"])
-        for outcome in methods.run_benchmark(
+        outcomes = methods.run_benchmark(
             {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
             [cfg["method"]], [cfg["setting"]],
             int(cfg["trials"]), int(cfg["seed"]), cfg["out"], hp, cfg["scaling"], int(cfg["jobs"]),
-        ):
+        )
+        os.makedirs(cfg["out"], exist_ok=True)
+        with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
+            json.dump(cfg, fh, indent=2, sort_keys=True)
+        for outcome in outcomes:
             attempted += 1
             if isinstance(outcome, methods.TrialFailure):
                 failed += 1

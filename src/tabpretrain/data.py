@@ -178,36 +178,6 @@ def impute(table: RawTable) -> RawTable:
 
 
 @dataclass
-class Scaler:
-    """Per-numerical-feature (x - center) / denom: zscore, minmax or mean
-    scaling, or none. Standard deviation is the population form (divide by
-    n). Degenerate features (std == 0 or max == min) map to 0."""
-
-    center: np.ndarray
-    denom: np.ndarray
-
-
-def fit_scaler(train_values: np.ndarray, kind: str) -> Scaler:
-    """train_values: (n_train, n_numerical) matrix of the training rows."""
-    if kind not in SCALINGS:
-        raise ValueError(f"unknown scaling kind {kind!r}")
-    v = np.asarray(train_values, dtype=float)
-    if kind == "none":
-        return Scaler(np.zeros(v.shape[1]), np.ones(v.shape[1]))
-    center = v.min(axis=0) if kind == "minmax" else v.mean(axis=0)
-    denom = v.std(axis=0) if kind == "zscore" else v.max(axis=0) - v.min(axis=0)
-    return Scaler(center, denom)
-
-
-def apply_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    ok = scaler.denom != 0
-    out[:, ok] = (v[:, ok] - scaler.center[ok]) / scaler.denom[ok]
-    return out
-
-
-@dataclass
 class ProcessedDataset:
     """Encoded features X, one row per example, and integer class labels y.
 
@@ -280,15 +250,25 @@ def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> Pro
     """Copy of the dataset whose numerical columns are scaled with statistics
     of the given training rows; the other columns are left as they are.
 
-    The copy of X is the one full-size array made: the statistics are fitted
-    on the training rows of the numerical columns, and `apply_scaler` then
-    rescales one numerical column of the copy at a time, in place."""
+    Each numerical column becomes (x - center) / denom: zscore centers on the
+    mean and divides by the population standard deviation (divide by n),
+    minmax subtracts the minimum and divides by the range, mean centers on
+    the mean and divides by the range, and none leaves the column as it is.
+    A column whose denom is 0 maps to 0. The copy of X is the one full-size
+    array made: the statistics come from the training rows of the numerical
+    columns, and one numerical column of the copy at a time is rescaled in
+    place."""
+    if kind not in SCALINGS:
+        raise ValueError(f"unknown scaling kind {kind!r}")
     cols = np.asarray(dataset.numerical_columns, dtype=int)
     X = dataset.X.copy()
-    scaler = fit_scaler(X[np.ix_(train_indices, cols)], kind)
-    for i, c in enumerate(cols):
-        column = Scaler(scaler.center[i : i + 1], scaler.denom[i : i + 1])
-        X[:, c] = apply_scaler(column, X[:, c : c + 1])[:, 0]
+    if kind == "none":
+        return replace(dataset, X=X)
+    train = X[np.ix_(train_indices, cols)].astype(float, copy=False)
+    center = train.min(axis=0) if kind == "minmax" else train.mean(axis=0)
+    denom = train.std(axis=0) if kind == "zscore" else train.max(axis=0) - train.min(axis=0)
+    for c, mu, d in zip(cols, center, denom):
+        X[:, c] = (X[:, c] - mu) / d if d != 0 else 0.0
     return replace(dataset, X=X)
 
 

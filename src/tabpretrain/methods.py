@@ -6,9 +6,9 @@ combination such as "scarf+mixup" or "scarf+self_train". Within a trial every
 method sees the same splits; per-trial seeds derive deterministically from
 (base_seed, dataset_id, trial).
 
-`run_benchmark` is the one loop over trials, for the library and the CLI, and
-`HYPERPARAMETERS` is the one table of trial hyperparameters and their
-defaults, for both.
+`run_benchmark` is the one loop over trials, for the library and the CLI. Both
+take the trial hyperparameters as a dict of overrides of
+`training.Hyperparameters`, their one declaration with their defaults.
 """
 
 from __future__ import annotations
@@ -22,20 +22,17 @@ import traceback
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from tabpretrain import baselines, stats
-from tabpretrain.corruption import CorruptionConfig
 from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
                               mask_labels, scale)
 from tabpretrain.training import (
     AUTOENCODERS,
-    CotrainSpec,
-    FinetuneConfig,
+    Hyperparameters,
     ModelBundle,
-    PretrainConfig,
     classification_error,
     finetune,
     pretrain_autoencoder,
@@ -99,92 +96,23 @@ def apply_setting(
     raise ValueError(f"unknown setting {setting!r}")
 
 
-# Every trial hyperparameter and its default. `run_method` overlays its `hp`
-# on this table; the CLI takes each key as a config key and as a `run` flag.
-HYPERPARAMETERS = {
-    # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
-    "corruption_strategy": "marginal",
-    "corruption_rate": 0.6,
-    "index_selection": "fixed_count",
-    "view_policy": "corrupt_one",
-    "index_sharing": "per_example",
-    "donor": "per_example",
-    "gaussian_sigma": 0.5,
-    "unique_pool": False,
-    # optimisation, for pre-training and fine-tuning alike
-    "batch_size": 128,
-    "learning_rate": 0.001,
-    "patience": 3,
-    "pretrain_max_epochs": 1000,
-    "finetune_max_epochs": 200,
-    # pre-training objective
-    "temperature": 1.0,
-    "val_build_epochs": 10,
-    "pretrain_loss": "infonce",
-    "validation_metric": "infonce_loss",
-    # fine-tuning recipes
-    "label_smoothing": 0.1,
-    "dropout": 0.04,
-    "mixup_alpha": 0.2,
-    "cotrain_weight": 0.1,
-    "self_train_threshold": 0.75,
-    "self_train_iterations": 10,
-    # architecture
-    "hidden_dim": 256,
-    "encoder_layers": 4,
-    "head_layers": 2,
-    # settings
-    "noise_rate": 0.3,
-    "labeled_fraction": 0.25,
-}
-
-
-def _resolve(hp: dict | None) -> tuple[dict, CorruptionConfig]:
-    """HYPERPARAMETERS overlaid with `hp`, and the corruption config of the
-    result. An unknown key, a value not of its default's type (an int also
-    passes for a float, a bool never for a number) or an invalid corruption
-    setting raises ValueError."""
-    unknown = sorted(set(hp or {}) - set(HYPERPARAMETERS))
+def _resolve(hp: dict | None) -> Hyperparameters:
+    """`Hyperparameters` with the entries of `hp` in place of the defaults. An
+    unknown key, a value not of its default's type (an int also passes for a
+    float, a bool never for a number) or an invalid corruption setting raises
+    ValueError."""
+    hp = hp or {}
+    defaults = {f.name: f.default for f in fields(Hyperparameters)}
+    unknown = sorted(set(hp) - set(defaults))
     if unknown:
         raise ValueError(f"unknown hyperparameter(s): {unknown}")
-    for key, value in (hp or {}).items():
-        kind = type(HYPERPARAMETERS[key])
+    for key, value in hp.items():
+        kind = type(defaults[key])
         allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
         if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
             raise ValueError(f"hyperparameter {key!r} must be of type {kind.__name__}, "
                              f"not {value!r}")
-    hp = {**HYPERPARAMETERS, **(hp or {})}
-    corruption = CorruptionConfig(
-        strategy=hp["corruption_strategy"], rate=hp["corruption_rate"],
-        index_selection=hp["index_selection"], view_policy=hp["view_policy"],
-        index_sharing=hp["index_sharing"], donor=hp["donor"],
-        gaussian_sigma=hp["gaussian_sigma"], unique_pool=hp["unique_pool"],
-    )
-    return hp, corruption
-
-
-def _finetune_config(recipe: str, hp: dict, corruption: CorruptionConfig) -> FinetuneConfig:
-    cfg = FinetuneConfig(
-        batch_size=hp["batch_size"], max_epochs=hp["finetune_max_epochs"],
-        patience=hp["patience"], learning_rate=hp["learning_rate"],
-        augmentation=corruption if recipe == "scarf_aug" else None,
-    )
-    if recipe == "smooth":
-        cfg.label_smoothing = hp["label_smoothing"]
-    elif recipe == "dropout":
-        cfg.dropout = hp["dropout"]
-    elif recipe == "mixup":
-        cfg.mixup_alpha = hp["mixup_alpha"]
-    return cfg
-
-
-def _pretrain_config(hp: dict, corruption: CorruptionConfig) -> PretrainConfig:
-    return PretrainConfig(
-        batch_size=hp["batch_size"], temperature=hp["temperature"], corruption=corruption,
-        max_epochs=hp["pretrain_max_epochs"], patience=hp["patience"],
-        val_build_epochs=hp["val_build_epochs"], loss=hp["pretrain_loss"],
-        validation_metric=hp["validation_metric"], learning_rate=hp["learning_rate"],
-    )
+    return Hyperparameters(**hp)
 
 
 def run_method(
@@ -199,40 +127,36 @@ def run_method(
 
     The setting's training labels replace `dataset.y` for the whole trial,
     and test accuracy is scored once, on the model the recipe returns. `hp`
-    overrides entries of HYPERPARAMETERS; an unknown key or a value of the
+    overrides fields of `Hyperparameters`; an unknown key or a value of the
     wrong type raises ValueError. Returns test accuracy plus epoch counters for the results record."""
-    hp, corruption = _resolve(hp)
+    hp = _resolve(hp)
     pre, recipe = parse_method(method)
     rng = np.random.default_rng(seed)
     y_eff, labeled, unlabeled = apply_setting(
-        dataset, splits, setting, rng, hp["noise_rate"], hp["labeled_fraction"],
+        dataset, splits, setting, rng, hp.noise_rate, hp.labeled_fraction,
     )
 
     def new_bundle(**heads) -> ModelBundle:
         return ModelBundle.create(
-            dataset.X.shape[1], dataset.num_classes, rng, hidden=hp["hidden_dim"],
-            encoder_layers=hp["encoder_layers"], head_layers=hp["head_layers"], **heads,
+            dataset.X.shape[1], dataset.num_classes, rng, hidden=hp.hidden_dim,
+            encoder_layers=hp.encoder_layers, head_layers=hp.head_layers, **heads,
         )
 
     bundle = new_bundle(
         with_decoder=pre in AUTOENCODERS or recipe == "ae_cotrain",
         with_disc_proj=pre == "scarf_disc",
-        with_learnable_missing=corruption.strategy == "missing_learnable",
+        with_learnable_missing=hp.corruption_strategy == "missing_learnable",
     )
     # one cast per trial to the weights' dtype, before any pool or view exists
     dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False), y=y_eff)
 
     pretrain_outcome = None
-    if pre is not None:
-        pcfg = _pretrain_config(hp, corruption)
-        if pre == "scarf":
-            pretrain_outcome = pretrain_scarf(dataset, splits, bundle, pcfg, rng)
-        elif pre == "scarf_disc":
-            pretrain_outcome = pretrain_discriminative(dataset, splits, bundle, pcfg, rng)
-        else:
-            pretrain_outcome = pretrain_autoencoder(dataset, splits, bundle, pre, pcfg, rng)
-
-    fcfg = _finetune_config(recipe, hp, corruption)
+    if pre == "scarf":
+        pretrain_outcome = pretrain_scarf(dataset, splits, bundle, hp, rng)
+    elif pre == "scarf_disc":
+        pretrain_outcome = pretrain_discriminative(dataset, splits, bundle, hp, rng)
+    elif pre is not None:
+        pretrain_outcome = pretrain_autoencoder(dataset, splits, bundle, pre, hp, rng)
 
     def train_fn(rows, labels, soft):
         """Fresh model (encoder warm-started from the pre-trained `bundle.f`),
@@ -241,32 +165,24 @@ def run_method(
         if pre is not None:
             sub.f.set_weights(bundle.f.parameters())
         if soft is not None:
-            finetune(dataset, splits, rows, sub, fcfg, rng, soft_targets=soft)
+            finetune(dataset, splits, rows, sub, hp, rng, soft_targets=soft)
         else:
             y_over = dataset.y.copy()
             y_over[rows] = labels
-            finetune(replace(dataset, y=y_over), splits, rows, sub, fcfg, rng)
+            finetune(replace(dataset, y=y_over), splits, rows, sub, hp, rng)
         return sub
 
     outcome = None
     if recipe == "self_train":
         model, _ = baselines.self_train(dataset, labeled, unlabeled, train_fn,
-                                        hp["self_train_threshold"], hp["self_train_iterations"])
+                                        hp.self_train_threshold, hp.self_train_iterations)
     elif recipe == "tri_train":
         model, _ = baselines.tri_train(dataset, labeled, unlabeled, train_fn, rng,
-                                       hp["self_train_iterations"])
+                                       hp.self_train_iterations)
     elif recipe == "distill":
         model = baselines.self_distill(dataset, labeled, unlabeled, train_fn)
     else:
-        spec = None
-        if recipe in ("cotrain", "ae_cotrain"):
-            spec = CotrainSpec(
-                weight=hp["cotrain_weight"],
-                aux="contrastive" if recipe == "cotrain" else "autoencoder",
-                corruption=corruption,
-                temperature=hp["temperature"],
-            )
-        outcome = finetune(dataset, splits, labeled, bundle, fcfg, rng, cotrain=spec)
+        outcome = finetune(dataset, splits, labeled, bundle, hp, rng, recipe=recipe)
         model = bundle
     return {
         "test_accuracy": 1.0 - classification_error(model, dataset.X[splits.test],
@@ -300,8 +216,9 @@ def run_benchmark(
     scaling: str = "zscore",
     jobs: int = 1,
 ) -> Iterator[stats.MethodRun | TrialFailure]:
-    """Yield, in trial order, a MethodRun (or a TrialFailure if it raised) for
-    each (dataset, method, setting, trial) not yet in `out_dir/results.jsonl`.
+    """An iterator that yields, in trial order, a MethodRun (or a TrialFailure
+    if it raised) for each (dataset, method, setting, trial) not yet in
+    `out_dir/results.jsonl`.
 
     Datasets come encoded but unscaled, or as zero-argument loaders that the
     calling thread runs only for a dataset with a trial left to run, so a
@@ -312,8 +229,11 @@ def run_benchmark(
     `out_dir` before yielding it, so the files are the same bytes for any
     `jobs` (threads running trials at once). A failure writes no record: it
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
-    Unknown method, setting, scaling or hyperparameter names and `trials` or
-    `jobs` below 1 raise ValueError before the first trial writes anything.
+    The checks, the read of the completed keys and the loading of the datasets
+    with trials left run in this call, before it returns the iterator: unknown
+    method, setting, scaling or hyperparameter names, `trials` or `jobs` below
+    1, and a dataset that fails to load raise here, before anything is
+    written.
     """
     _resolve(hp)
     for name, count in (("trials", trials), ("jobs", jobs)):
@@ -354,15 +274,18 @@ def run_benchmark(
                               res["epochs_used"], res["pretrain_epochs"], time.time() - start)
         return run, res
 
-    with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        outcomes = pool.map(run_one, todo) if pool else map(run_one, todo)
-        for outcome, res in outcomes:
-            if out_dir and res is None:
-                _append_failure(out_dir, outcome)
-            elif out_dir:
-                stats.append_run(results_path, outcome)
-                _write_curves(out_dir, outcome, res)
-            yield outcome
+    def in_trial_order():
+        with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+            outcomes = pool.map(run_one, todo) if pool else map(run_one, todo)
+            for outcome, res in outcomes:
+                if out_dir and res is None:
+                    _append_failure(out_dir, outcome)
+                elif out_dir:
+                    stats.append_run(results_path, outcome)
+                    _write_curves(out_dir, outcome, res)
+                yield outcome
+
+    return in_trial_order()
 
 
 def _append_failure(out_dir, failure: TrialFailure) -> None:

@@ -18,16 +18,24 @@ once: the metrics run the nets over it once per epoch and gather each stored
 batch by position, and only the corrupted copies go through the nets batch by
 batch.
 
-All loops are deterministic given (dataset, splits, config, seed): the run RNG
-drives shuffling, corruption, and any dropout/mixup draws in a fixed order.
+Every trainer reads one frozen `Hyperparameters`, the single declaration of
+the trial hyperparameters and their defaults. `finetune` maps its `recipe` to
+the one regularizer it turns on: `smooth` to `label_smoothing`, `dropout` to
+`dropout`, `mixup` to `mixup_alpha`, `scarf_aug` to per-batch corruption under
+`corruption`, and `cotrain`/`ae_cotrain` to `cotrain_weight` times the
+contrastive or reconstruction term; `control` turns on none.
+
+All loops are deterministic given (dataset, splits, hyperparameters, seed):
+the run RNG drives shuffling, corruption, and any dropout/mixup draws in a
+fixed order.
 The nets compute in the dtype of the bundle's weights (float32 from
 `ModelBundle.create`); data of another dtype is cast on the way in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -71,33 +79,60 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(part) for part in np.array_split(X, -(-n // INFERENCE_ROWS))])
 
 
-@dataclass
-class PretrainConfig:
+@dataclass(frozen=True)
+class Hyperparameters:
+    """Every trial hyperparameter and its default, declared once: the
+    trainers read it, `methods.run_method` builds it from a dict of
+    overrides, and the CLI takes each field as a config key and a `run`
+    flag. Building one with an invalid corruption setting raises
+    ConfigurationError."""
+
+    # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
+    corruption_strategy: str = CorruptionConfig.strategy
+    corruption_rate: float = CorruptionConfig.rate
+    index_selection: str = CorruptionConfig.index_selection
+    view_policy: str = CorruptionConfig.view_policy
+    index_sharing: str = CorruptionConfig.index_sharing
+    donor: str = CorruptionConfig.donor
+    gaussian_sigma: float = CorruptionConfig.gaussian_sigma
+    unique_pool: bool = CorruptionConfig.unique_pool
+    # optimisation, for pre-training and fine-tuning alike
     batch_size: int = 128
-    temperature: float = 1.0
-    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
-    max_epochs: int = 1000
+    learning_rate: float = 0.001
     patience: int = 3
+    pretrain_max_epochs: int = 1000
+    finetune_max_epochs: int = 200
+    # pre-training objective
+    temperature: float = 1.0
     val_build_epochs: int = 10
-    loss: str = "infonce"  # infonce | barlow | align_uniform
+    pretrain_loss: str = "infonce"  # infonce | barlow | align_uniform
     validation_metric: str = "infonce_loss"  # infonce_loss | infonce_error
-    learning_rate: float = 1e-3
+    # fine-tuning recipes
+    label_smoothing: float = 0.1
+    dropout: float = 0.04
+    mixup_alpha: float = 0.2
+    cotrain_weight: float = 0.1
+    self_train_threshold: float = 0.75
+    self_train_iterations: int = 10
+    # architecture
+    hidden_dim: int = HIDDEN_DIM
+    encoder_layers: int = 4
+    head_layers: int = 2
+    # settings
+    noise_rate: float = 0.3
+    labeled_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("contrastive batches need at least 2 examples")
+        self.corruption  # built once here, so an invalid setting raises now
 
-
-@dataclass
-class FinetuneConfig:
-    batch_size: int = 128
-    max_epochs: int = 200
-    patience: int = 3
-    learning_rate: float = 1e-3
-    label_smoothing: float = 0.0
-    dropout: float = 0.0
-    mixup_alpha: float = 0.0  # 0 disables mixup
-    augmentation: CorruptionConfig | None = None  # corrupts each batch (scarf_aug) when set
+    @cached_property
+    def corruption(self) -> CorruptionConfig:
+        return CorruptionConfig(
+            strategy=self.corruption_strategy, rate=self.corruption_rate,
+            index_selection=self.index_selection, view_policy=self.view_policy,
+            index_sharing=self.index_sharing, donor=self.donor,
+            gaussian_sigma=self.gaussian_sigma, unique_pool=self.unique_pool,
+        )
 
 
 @dataclass
@@ -257,25 +292,25 @@ def build_static_validation(
     return StaticValidationPairs(originals, positions, corrupted)
 
 
-def _fit(params: list[np.ndarray], rows: np.ndarray, config, rng: np.random.Generator,
-         step, metric) -> TrainOutcome:
+def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_epochs: int,
+         rng: np.random.Generator, step, metric) -> TrainOutcome:
     """The epoch loop shared by every trainer.
 
-    Each epoch shuffles `rows` (dataset row indices) into batches of
-    `config.batch_size`; `step(batch_rows)` returns (loss, gradients of
-    `params`) for one Adam step, or None to skip the batch. After the epoch,
-    `metric()` is the validation value (lower is better) that drives early
-    stopping with `config.patience`. `params`, the only arrays a step changes,
-    are copied at each new best epoch (and before the first) and restored from
-    the last copy in place."""
-    opt = Adam(params, learning_rate=config.learning_rate)
-    stopper = EarlyStopper(config.patience)
+    Each of at most `max_epochs` epochs shuffles `rows` (dataset row indices)
+    into batches of `hp.batch_size`; `step(batch_rows)` returns (loss,
+    gradients of `params`) for one Adam step, or None to skip the batch. After
+    the epoch, `metric()` is the validation value (lower is better) that
+    drives early stopping with `hp.patience`. `params`, the only arrays a step
+    changes, are copied at each new best epoch (and before the first) and
+    restored from the last copy in place."""
+    opt = Adam(params, learning_rate=hp.learning_rate)
+    stopper = EarlyStopper(hp.patience)
     train_curve, val_curve = [], []
     best = [p.copy() for p in params]
     stop_reason = "max_epochs"
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, max_epochs + 1):
         epoch_losses, epoch_sizes = [], []
-        for sel in iterate_batches(len(rows), config.batch_size, rng):
+        for sel in iterate_batches(len(rows), hp.batch_size, rng):
             result = step(rows[sel])
             if result is None:
                 continue
@@ -304,18 +339,18 @@ def _infonce_pair(z: np.ndarray, zt: np.ndarray, temperature: float):
     return loss, grad_s @ zt, grad_s.T @ z
 
 
-def _contrastive_loss(cfg: PretrainConfig, z: np.ndarray, zt: np.ndarray):
+def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
     """Loss value and gradients w.r.t. the normalized embeddings."""
-    if cfg.loss == "infonce":
-        return _infonce_pair(z, zt, cfg.temperature)
-    if cfg.loss == "barlow":
+    if hp.pretrain_loss == "infonce":
+        return _infonce_pair(z, zt, hp.temperature)
+    if hp.pretrain_loss == "barlow":
         return losses.barlow_twins(z, zt, 5e-3)  # the off-diagonal weight of Barlow Twins
-    if cfg.loss == "align_uniform":
+    if hp.pretrain_loss == "align_uniform":
         return losses.align_uniform(z, zt, 1.0, 1.0)
-    raise ConfigurationError(f"unknown pre-training loss {cfg.loss!r}")
+    raise ConfigurationError(f"unknown pre-training loss {hp.pretrain_loss!r}")
 
 
-def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, cfg: PretrainConfig) -> float:
+def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters) -> float:
     """The contrastive metric of the static pairs, averaged over the stored
     batches of at least two rows (weighted by size). The loss metric is the
     pre-training loss; InfoNCE takes its value alone, without gradients."""
@@ -326,21 +361,28 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, cfg: P
             continue
         z = z_all[pos]
         zt = bundle.embed(corr)
-        if cfg.validation_metric == "infonce_error":
+        if hp.validation_metric == "infonce_error":
             vals.append(losses.infonce_error(z @ zt.T))
-        elif cfg.loss == "infonce":
-            vals.append(losses.infonce(z @ zt.T, cfg.temperature)[0])
+        elif hp.pretrain_loss == "infonce":
+            vals.append(losses.infonce(z @ zt.T, hp.temperature)[0])
         else:
-            vals.append(_contrastive_loss(cfg, z, zt)[0])
+            vals.append(_contrastive_loss(hp, z, zt)[0])
         weights.append(pos.size)
     return float(np.average(vals, weights=weights))
+
+
+def _require_batch_pairs(hp: Hyperparameters) -> None:
+    """Every pre-trainer compares the rows of a batch with each other or with
+    their corrupted copies; it raises on a batch size below 2 before any work."""
+    if hp.batch_size < 2:
+        raise ValueError("contrastive batches need at least 2 examples")
 
 
 def pretrain_scarf(
     dataset: ProcessedDataset,
     splits: Splits,
     bundle: ModelBundle,
-    config: PretrainConfig,
+    hp: Hyperparameters,
     rng: np.random.Generator,
 ) -> TrainOutcome:
     """Contrastive pre-training of f and g; labels are never read.
@@ -348,34 +390,36 @@ def pretrain_scarf(
     Per mini-batch: generate views, embed both through normalize(g(f(.))),
     take one Adam step. After each epoch the metric on the static validation
     pairs decides early stopping; best-epoch weights are restored."""
+    _require_batch_pairs(hp)
     if (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
     pool = build_marginal_pool(dataset, splits.train)
-    learnable = bundle.learnable_missing if config.corruption.strategy == "missing_learnable" else None
-    if config.corruption.strategy == "missing_learnable" and learnable is None:
+    corruption = hp.corruption
+    learnable = bundle.learnable_missing if corruption.strategy == "missing_learnable" else None
+    if corruption.strategy == "missing_learnable" and learnable is None:
         raise ConfigurationError("bundle lacks learnable missing values")
     pairs = build_static_validation(
-        dataset, splits.validation, config.corruption, pool, rng,
-        config.val_build_epochs, config.batch_size, learnable,
+        dataset, splits.validation, corruption, pool, rng,
+        hp.val_build_epochs, hp.batch_size, learnable,
     )
     params = bundle.f.parameters() + bundle.g.parameters()
     if learnable is not None:
         params = params + [learnable]
-    loss_fn = partial(_contrastive_loss, config)
+    loss_fn = partial(_contrastive_loss, hp)
 
     def step(rows):
         if rows.size < 2:
             return None  # InfoNCE needs a negative
         batch = dataset.X[rows]
-        view_a, view_b, draw = make_views(batch, dataset, config.corruption, pool, rng, learnable)
+        view_a, view_b, draw = make_views(batch, dataset, corruption, pool, rng, learnable)
         loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
         grads = f_grads + g_grads
         if learnable is not None:
             grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
         return loss, grads
 
-    return _fit(params, np.asarray(splits.train), config, rng, step,
-                lambda: _validation_metric(bundle, pairs, config))
+    return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
+                lambda: _validation_metric(bundle, pairs, hp))
 
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
@@ -396,24 +440,26 @@ def pretrain_autoencoder(
     splits: Splits,
     bundle: ModelBundle,
     variant: str,
-    config: PretrainConfig,
+    hp: Hyperparameters,
     rng: np.random.Generator,
 ) -> TrainOutcome:
     """Reconstruction pre-training: decoder(f(x_in)) vs the uncorrupted input,
     MSE loss, early stopping on static validation reconstruction loss. The
     variant is one of the AUTOENCODERS method names."""
+    _require_batch_pairs(hp)
     if variant not in AUTOENCODERS:
         raise ConfigurationError(f"unknown autoencoder variant {variant!r}")
     if bundle.decoder is None:
         raise ConfigurationError("autoencoder pre-training requires a decoder head")
     pool = build_marginal_pool(dataset, splits.train)
+    corruption = hp.corruption
 
     def view(batch):
-        return _ae_input(batch, variant, dataset, config.corruption, pool, rng)
+        return _ae_input(batch, variant, dataset, corruption, pool, rng)
 
     pairs = build_static_validation(
-        dataset, splits.validation, config.corruption, pool, rng,
-        config.val_build_epochs, config.batch_size, view=view,
+        dataset, splits.validation, corruption, pool, rng,
+        hp.val_build_epochs, hp.batch_size, view=view,
     )
 
     def step(rows):
@@ -422,7 +468,7 @@ def pretrain_autoencoder(
         return loss, f_grads + d_grads
 
     return _fit(bundle.f.parameters() + bundle.decoder.parameters(),
-                np.asarray(splits.train), config, rng, step,
+                np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
                 lambda: _reconstruction_metric(bundle, pairs))
 
 
@@ -441,24 +487,26 @@ def pretrain_discriminative(
     dataset: ProcessedDataset,
     splits: Splits,
     bundle: ModelBundle,
-    config: PretrainConfig,
+    hp: Hyperparameters,
     rng: np.random.Generator,
 ) -> TrainOutcome:
     """Original-vs-corrupted discrimination through a final scalar projection
     on g; binary logistic loss, validation metric is classification error at
     logit 0 on the static pairs."""
+    _require_batch_pairs(hp)
     if bundle.disc_proj is None:
         raise ConfigurationError("discriminative pre-training requires the scalar projection head")
     pool = build_marginal_pool(dataset, splits.train)
+    corruption = hp.corruption
     pairs = build_static_validation(
-        dataset, splits.validation, config.corruption, pool, rng,
-        config.val_build_epochs, config.batch_size,
+        dataset, splits.validation, corruption, pool, rng,
+        hp.val_build_epochs, hp.batch_size,
     )
     params = bundle.f.parameters() + bundle.g.parameters() + bundle.disc_proj.parameters()
 
     def step(rows):
         batch = dataset.X[rows]
-        _, view_b, _ = make_views(batch, dataset, config.corruption, pool, rng)
+        _, view_b, _ = make_views(batch, dataset, corruption, pool, rng)
         labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
         loss, grad = losses.binary_logistic(_disc_logits(bundle, np.vstack([batch, view_b])), labels)
         p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
@@ -466,7 +514,7 @@ def pretrain_discriminative(
         f_grads, _ = bundle.f.backward(grad_mid)
         return loss, f_grads + g_grads + p_grads
 
-    return _fit(params, np.asarray(splits.train), config, rng, step,
+    return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
                 lambda: _discrimination_metric(bundle, pairs))
 
 
@@ -495,35 +543,52 @@ def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> f
     return float(np.mean(bundle.predict(X).argmax(axis=1) != y))
 
 
+# The fine-tuning recipes that `finetune` runs; each of the first six turns
+# on at most one regularizer, read from its own hyperparameter.
+FINETUNE_RECIPES = ("control", "smooth", "dropout", "mixup", "scarf_aug", "cotrain", "ae_cotrain")
+
+
 def finetune(
     dataset: ProcessedDataset,
     splits: Splits,
     labeled_indices: np.ndarray,
     bundle: ModelBundle,
-    config: FinetuneConfig,
+    hp: Hyperparameters,
     rng: np.random.Generator,
+    recipe: str = "control",
     soft_targets: np.ndarray | None = None,
-    cotrain: "CotrainSpec | None" = None,
 ) -> TrainOutcome:
     """Supervised training of f and h with cross-entropy on the labels
     `dataset.y` of the labeled rows, early stopping on validation
     classification error, best weights restored; the test split is not read.
 
+    `recipe` turns on one regularizer, as the module docstring maps them;
+    the others are off. A smoothing, dropout or mixup alpha of 0 trains as
+    `control` does, with no extra draw.
+
     soft_targets, when given, is an (n, K) matrix of target distributions
     indexed by dataset row and overrides hard labels."""
+    if recipe not in FINETUNE_RECIPES:
+        raise ConfigurationError(f"unknown fine-tuning recipe {recipe!r}")
+    aux = {"cotrain": "contrastive", "ae_cotrain": "autoencoder"}.get(recipe)
+    if aux is not None and hp.cotrain_weight < 0:
+        raise ValueError("co-training weight must be nonnegative")
     labeled_indices = np.asarray(labeled_indices)
     if labeled_indices.size == 0:
         raise ValueError("no labeled training rows")
     K = dataset.num_classes
-    aug = config.augmentation
+    smoothing = hp.label_smoothing if recipe == "smooth" else 0.0
+    dropout = hp.dropout if recipe == "dropout" else 0.0
+    alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
+    corruption = hp.corruption
 
     pool = None
-    if aug is not None or cotrain is not None:
+    if recipe == "scarf_aug" or aux is not None:
         pool = build_marginal_pool(dataset, splits.train)
     params = bundle.f.parameters() + bundle.h.parameters()
-    if cotrain is not None and cotrain.aux == "contrastive":
+    if aux == "contrastive":
         params = params + bundle.g.parameters()
-    if cotrain is not None and cotrain.aux == "autoencoder":
+    if aux == "autoencoder":
         if bundle.decoder is None:
             raise ConfigurationError("autoencoder co-training requires a decoder head")
         params = params + bundle.decoder.parameters()
@@ -534,53 +599,41 @@ def finetune(
             targets = soft_targets[rows]
         else:
             targets = np.eye(K, dtype=x.dtype)[dataset.y[rows]]
-            if config.label_smoothing:
-                targets = smooth_labels(targets, config.label_smoothing, K)
-        if config.mixup_alpha:
-            x, targets = mixup_batch(x, targets, config.mixup_alpha, rng)
-        if aug is not None:
-            x, _ = corrupt_batch(x, dataset, aug, pool, select_indices(dataset.M, aug, len(x), rng), rng)
-        loss, grad = softmax_cross_entropy(bundle.classify(x, config.dropout, rng), targets)
+            if smoothing:
+                targets = smooth_labels(targets, smoothing, K)
+        if alpha:
+            x, targets = mixup_batch(x, targets, alpha, rng)
+        if recipe == "scarf_aug":
+            draw = select_indices(dataset.M, corruption, len(x), rng)
+            x, _ = corrupt_batch(x, dataset, corruption, pool, draw, rng)
+        loss, grad = softmax_cross_entropy(bundle.classify(x, dropout, rng), targets)
         f_grads, h_grads = bundle.classify_backward(grad)
-        if cotrain is None:
+        if aux is None:
             return loss, f_grads + h_grads
-        w = cotrain.weight
-        aux_loss, aux_f, aux_extra = _cotrain_term(bundle, x, dataset, pool, rng, cotrain)
+        w = hp.cotrain_weight
+        aux_loss, aux_f, aux_extra = _cotrain_term(bundle, x, dataset, pool, rng, hp, aux)
         f_grads = [g + w * a for g, a in zip(f_grads, aux_f)]
         return loss + w * aux_loss, f_grads + h_grads + [w * g for g in aux_extra]
 
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
-    return _fit(params, labeled_indices, config, rng, step,
+    return _fit(params, labeled_indices, hp, hp.finetune_max_epochs, rng, step,
                 lambda: classification_error(bundle, val_X, val_y))
 
 
-@dataclass
-class CotrainSpec:
-    """A supervised loss plus `weight` times an auxiliary term on the same
-    batch: InfoNCE between two corrupted views, or reconstruction of the
-    batch from an additive-noise copy (sigma 0.5)."""
-
-    weight: float = 0.1
-    aux: str = "contrastive"  # or "autoencoder"
-    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("co-training weight must be nonnegative")
-
-
-def _cotrain_term(bundle, x, dataset, pool, rng, spec: CotrainSpec):
-    """Auxiliary loss on the supervised mini-batch plus its gradients for f
-    and for the auxiliary head (g or the decoder)."""
-    if spec.aux == "contrastive":
+def _cotrain_term(bundle, x, dataset, pool, rng, hp: Hyperparameters, aux: str):
+    """The auxiliary term of co-training on the supervised mini-batch: InfoNCE
+    between two views corrupted under `hp.corruption` (aux "contrastive"), or
+    reconstruction of the batch from an additive-noise copy, sigma 0.5 (aux
+    "autoencoder"). Returns its loss plus its gradients for f and for the
+    auxiliary head (g or the decoder)."""
+    if aux == "contrastive":
         if x.shape[0] < 2:
             return (0.0, [np.zeros_like(p) for p in bundle.f.parameters()],
                     [np.zeros_like(p) for p in bundle.g.parameters()])
-        view_a, view_b, _ = make_views(x, dataset, spec.corruption, pool, rng)
+        view_a, view_b, _ = make_views(x, dataset, hp.corruption, pool, rng)
         loss, f_grads, g_grads, _ = bundle.contrastive_step(
-            view_a, view_b, partial(_infonce_pair, temperature=spec.temperature))
+            view_a, view_b, partial(_infonce_pair, temperature=hp.temperature))
         return loss, f_grads, g_grads
-    x_in = _ae_input(x, "add_noise_ae", dataset, spec.corruption, pool, rng)
+    x_in = _ae_input(x, "add_noise_ae", dataset, hp.corruption, pool, rng)
     return bundle.reconstruction_step(x_in, x)

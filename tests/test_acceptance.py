@@ -26,8 +26,8 @@ from tabpretrain.methods import derive_seed, run_method
 from tabpretrain.nn import Mlp, mse, softmax_cross_entropy
 from tabpretrain.training import (
     EarlyStopper,
+    Hyperparameters,
     ModelBundle,
-    PretrainConfig,
     build_static_validation,
     pretrain_scarf,
     _validation_metric,
@@ -338,7 +338,7 @@ def test_criterion_8_early_stopping(mixture):
     splits = make_splits(mixture.n, derive_seed(0, "mixture", 0))
     bundle = ModelBundle.create(mixture.X.shape[1], 2, np.random.default_rng(1),
                                 hidden=64, encoder_layers=2, head_layers=1)
-    cfg = PretrainConfig(max_epochs=1000)
+    cfg = Hyperparameters(pretrain_max_epochs=1000)
     out = pretrain_scarf(mixture, splits, bundle, cfg, np.random.default_rng(2))
     assert out.epochs_used < 1000 and out.stop_reason == "patience"
     assert out.best_metric == min(out.val_curve)

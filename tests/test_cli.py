@@ -1,10 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from tabpretrain import cli, methods, stats
+from tabpretrain import cli, stats
 from tabpretrain.cli import CONFIG_DEFAULTS, main
+from tabpretrain.training import Hyperparameters
 
 FAST = {
     "trials": 1,
@@ -106,12 +108,12 @@ class TestValidate:
                                    "target": "numerical"}))
         assert main(["validate", "--dataset", csv, "--schema", str(bad)]) == 1
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         csv, schema = write_dataset(tmp_path)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"learning_rte": 0.1}))
-        with pytest.raises(SystemExit, match="learning_rte"):
-            main(["validate", "--config", str(cfg), "--dataset", csv, "--schema", schema])
+        assert main(["validate", "--config", str(cfg), "--dataset", csv, "--schema", schema]) == 1
+        assert "validation failed: unknown config key(s): ['learning_rte']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["foo", "nan", "-inf"])
     def test_bad_numerical_cell_fails_with_its_position(self, tmp_path, capsys, cell):
@@ -161,8 +163,9 @@ NON_DEFAULTS = {
 class TestConfiguration:
     def test_hyperparameter_keys_are_the_table(self):
         run_keys = {"method", "setting", "trials", "seed", "out", "jobs", "scaling"}
-        assert set(CONFIG_DEFAULTS) - run_keys == set(methods.HYPERPARAMETERS)
-        assert {k: CONFIG_DEFAULTS[k] for k in methods.HYPERPARAMETERS} == methods.HYPERPARAMETERS
+        table = asdict(Hyperparameters())
+        assert set(CONFIG_DEFAULTS) - run_keys == set(table)
+        assert {k: CONFIG_DEFAULTS[k] for k in table} == table
 
     def test_every_key_as_config_key_and_as_flag(self, tmp_path):
         assert set(NON_DEFAULTS) | {"out"} == set(CONFIG_DEFAULTS)
@@ -182,6 +185,24 @@ class TestConfiguration:
             assert [(r.method_name, r.setting) for r in runs] == [("scarf", "noise30")]
             outputs.append((out / "results.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("content, error", [
+        ([1, 2], "must be a JSON object"),
+        ({"learning_rte": 0.1}, "unknown config key(s): ['learning_rte']"),
+    ])
+    def test_config_file_errors_take_the_error_path(self, tmp_path, capsys, command, content,
+                                                    error):
+        csv, schema = write_dataset(tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(path), "--dataset", csv, "--schema", schema]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+        err = capsys.readouterr().err
+        prefix = {"validate": "validation failed: ", "run": "run failed: "}[command]
+        assert err.startswith(prefix) and error in err
+        assert not out.exists()
 
     def test_boolean_flag_takes_true_or_false(self, capsys):
         with pytest.raises(SystemExit):
@@ -361,6 +382,30 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == f"run failed: {flag[2:]} must be at least 1, got {value}\n"
         assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+
+    @pytest.mark.parametrize("case", ["method", "mistyped", "trials", "dataset"])
+    def test_rejected_run_leaves_config_json_as_it_was(self, tmp_path, capsys, case):
+        """A run rejected before its first trial keeps the config.json of the
+        last accepted run, and writes none into a new directory."""
+        csv, schema = write_dataset(tmp_path)
+        bad_cfg = tmp_path / "bad.json"
+        bad_cfg.write_text(json.dumps({**FAST, "learning_rate": "fast"}))
+        bad = {"method": ["--method", "typo"], "mistyped": ["--config", str(bad_cfg)],
+               "trials": ["--trials", "0"], "dataset": ["--dataset", str(tmp_path / "nope.csv")]}
+
+        def argv(out, extra=()):
+            return ["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,
+                    "--method", "control", "--out", str(out), *extra]
+
+        out = tmp_path / "o"
+        assert main(argv(out)) == 0
+        accepted = (out / "config.json").read_bytes()
+        capsys.readouterr()
+        assert main(argv(out, bad[case])) == 1
+        assert capsys.readouterr().err.startswith("run failed: ")
+        assert (out / "config.json").read_bytes() == accepted
+        assert main(argv(tmp_path / "fresh", bad[case])) == 1
+        assert not (tmp_path / "fresh").exists()
 
     def test_bernoulli_zero_rate_fails_instead_of_hanging(self, tmp_path, capsys):
         csv, schema = write_dataset(tmp_path)

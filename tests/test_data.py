@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from tabpretrain.data import (
     IngestionError,
+    ProcessedDataset,
     Schema,
-    apply_scaler,
     corrupt_labels,
     drop_empty_columns,
     encode_csv,
-    fit_scaler,
     impute,
     load_csv,
     make_splits,
@@ -182,30 +181,37 @@ class TestImpute:
             self._table(tmp_path, f"1,a,x\n,a,x\n{cell},b,x\n")
 
 
+def scaled(values, kind, train=None):
+    """X of `scale` over a dataset whose columns are all numerical, with the
+    statistics of the `train` rows (all rows by default)."""
+    X = np.array(values, dtype=float)
+    d = X.shape[1]
+    dataset = ProcessedDataset(X, np.zeros(len(X), dtype=int), [(j, j + 1) for j in range(d)],
+                               ["0"], list(range(d)))
+    return scale(dataset, np.arange(len(X)) if train is None else train, kind).X
+
+
 class TestScaler:
     def test_zscore_population_std(self):
-        s = fit_scaler(np.array([[1.0], [2.0], [3.0]]), "zscore")
-        out = apply_scaler(s, np.array([[1.0], [2.0], [3.0]]))
+        out = scaled([[1.0], [2.0], [3.0]], "zscore")
         np.testing.assert_allclose(out.ravel(), [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_minmax(self):
-        s = fit_scaler(np.array([[1.0], [2.0], [3.0]]), "minmax")
-        out = apply_scaler(s, np.array([[1.0], [2.0], [3.0]]))
+        out = scaled([[1.0], [2.0], [3.0]], "minmax")
         np.testing.assert_allclose(out.ravel(), [0.0, 0.5, 1.0])
 
     def test_mean_scaling(self):
-        s = fit_scaler(np.array([[1.0], [2.0], [3.0]]), "mean")
-        out = apply_scaler(s, np.array([[1.0], [2.0], [3.0]]))
+        out = scaled([[1.0], [2.0], [3.0]], "mean")
         np.testing.assert_allclose(out.ravel(), [-0.5, 0.0, 0.5])
 
     def test_degenerate_feature_maps_to_zero(self):
-        s = fit_scaler(np.array([[5.0], [5.0]]), "zscore")
-        np.testing.assert_array_equal(apply_scaler(s, np.array([[5.0], [7.0]])), [[0.0], [0.0]])
+        # statistics of the two 5.0 rows: zero spread, so every row maps to 0
+        out = scaled([[5.0], [5.0], [7.0]], "zscore", train=np.array([0, 1]))
+        np.testing.assert_array_equal(out, [[0.0], [0.0], [0.0]])
 
     def test_fit_rows_standardized(self, rng):
         vals = rng.normal(3.0, 2.0, size=(50, 4))
-        s = fit_scaler(vals, "zscore")
-        out = apply_scaler(s, vals)
+        out = scaled(vals, "zscore")
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
 

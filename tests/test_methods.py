@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_blob_dataset
 from tabpretrain import methods, stats
+from tabpretrain.corruption import CorruptionConfig
 from tabpretrain.data import Schema, encode_csv, make_splits, process_csv
 from tabpretrain.methods import (
     FINETUNERS,
@@ -20,7 +21,7 @@ from tabpretrain.methods import (
     run_method,
 )
 
-# a value of another type than the key's default in HYPERPARAMETERS
+# a value of another type than the field's default in Hyperparameters
 MISTYPED = [("batch_size", "32"), ("corruption_rate", "0.6"), ("batch_size", 32.0),
             ("patience", True), ("learning_rate", False), ("unique_pool", 1),
             ("pretrain_loss", None)]
@@ -154,9 +155,9 @@ class TestRunMethod:
             run_method("control", ds, make_splits(120, 2), "full", 9, {**FAST_HP, key: value})
 
     def test_numbers_of_the_default_kind_accepted(self):
-        hp, corruption = methods._resolve({"corruption_rate": 1, "batch_size": np.int64(32),
-                                           "learning_rate": np.float64(0.01)})
-        assert (corruption.rate, hp["batch_size"], hp["learning_rate"]) == (1, 32, 0.01)
+        hp = methods._resolve({"corruption_rate": 1, "batch_size": np.int64(32),
+                               "learning_rate": np.float64(0.01)})
+        assert (hp.corruption.rate, hp.batch_size, hp.learning_rate) == (1, 32, 0.01)
 
     @pytest.mark.parametrize("method", ["control", "mixup", "cotrain", "self_train"])
     def test_fine_tune_only_method_takes_batch_size_one(self, method):
@@ -174,6 +175,21 @@ class TestRunMethod:
         ds = make_blob_dataset(n=60, d=4, seed=6)
         with pytest.raises(ValueError, match="at least 2 examples"):
             run_method("scarf", ds, make_splits(60, 1), "full", 3, {**FAST_HP, "batch_size": 1})
+
+    @pytest.mark.parametrize("recipe, key", [("smooth", "label_smoothing"), ("dropout", "dropout"),
+                                             ("mixup", "mixup_alpha")])
+    def test_regularizer_of_zero_trains_as_control(self, recipe, key):
+        """A recipe whose regularizer is 0 makes no extra draw: accuracy and
+        curves equal control's. At its default the regularizer does act."""
+        ds = make_blob_dataset(n=120, d=4, seed=3)
+        splits = make_splits(120, 2)
+        hp = {**FAST_HP, "finetune_max_epochs": 6}
+        control = run_method("control", ds, splits, "semi25", 9, hp)
+        off = run_method(recipe, ds, splits, "semi25", 9, {**hp, key: 0.0})
+        on = run_method(recipe, ds, splits, "semi25", 9, hp)
+        assert off["test_accuracy"] == control["test_accuracy"]
+        assert off["finetune_outcome"] == control["finetune_outcome"]
+        assert on["finetune_outcome"].train_curve != control["finetune_outcome"].train_curve
 
     @pytest.mark.parametrize("recipe", ["self_train", "tri_train", "distill"])
     def test_pseudo_labeling_trial_has_no_finetune_outcome(self, recipe):
@@ -223,7 +239,7 @@ class TestRunMethod:
         ds = make_blob_dataset(n=120, d=4, seed=3)
         hp = {**FAST_HP, "batch_size": 24, "corruption_rate": 0.3, "donor": "single_row"}
         run_method(method, ds, make_splits(120, 2), "full", 9, hp)
-        expected = methods.CorruptionConfig(rate=0.3, donor="single_row")
+        expected = CorruptionConfig(rate=0.3, donor="single_row")
         pretrain_cfg = [args[3] for args, _ in pretrain_calls]
         [(finetune_args, finetune_kwargs)] = finetune_calls
         finetune_cfg = finetune_args[4]
@@ -231,9 +247,9 @@ class TestRunMethod:
         if method == "scarf":
             assert pretrain_cfg[0].corruption == expected
         elif method == "scarf_aug":
-            assert finetune_cfg.augmentation == expected
+            assert (finetune_kwargs["recipe"], finetune_cfg.corruption) == ("scarf_aug", expected)
         else:
-            assert finetune_kwargs["cotrain"].corruption == expected
+            assert (finetune_kwargs["recipe"], finetune_cfg.corruption) == ("cotrain", expected)
 
 
 def write_mixed_csv(tmp_path, n=80):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,9 @@ from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
     AUTOENCODERS,
     INFERENCE_ROWS,
-    CotrainSpec,
     EarlyStopper,
-    FinetuneConfig,
+    Hyperparameters,
     ModelBundle,
-    PretrainConfig,
     build_static_validation,
     classification_error,
     finetune,
@@ -130,8 +129,8 @@ def per_batch_metric(kind, bundle, pairs, cfg):
 METRICS = {
     "scarf-infonce_loss": ("scarf", dict()),
     "scarf-infonce_error": ("scarf", dict(validation_metric="infonce_error")),
-    "scarf-barlow": ("scarf", dict(loss="barlow")),
-    "scarf-align_uniform": ("scarf", dict(loss="align_uniform")),
+    "scarf-barlow": ("scarf", dict(pretrain_loss="barlow")),
+    "scarf-align_uniform": ("scarf", dict(pretrain_loss="align_uniform")),
     "autoencoder": ("autoencoder", dict()),
     "discriminative": ("discriminative", dict()),
 }
@@ -152,7 +151,7 @@ class TestValidationMetrics:
                                     head_layers=1, with_decoder=True, with_disc_proj=True)
         if dtype == np.float64:
             to_float64(bundle)
-        cfg = PretrainConfig(batch_size=32, val_build_epochs=3, **overrides)
+        cfg = Hyperparameters(batch_size=32, val_build_epochs=3, **overrides)
         pool = build_marginal_pool(ds, splits.train)
         pairs = build_static_validation(ds, splits.validation, cfg.corruption, pool, rng,
                                         cfg.val_build_epochs, cfg.batch_size)
@@ -247,27 +246,35 @@ def trainer_bundle(trainer, ds, rng):
                         with_learnable_missing=trainer == "scarf_learnable")
 
 
-def run_trainer(trainer, ds, splits, max_epochs, seed):
+def run_trainer(trainer, ds, splits, max_epochs, seed, batch_size=16):
     """A fresh small bundle trained by `trainer`; returns (outcome, bundle)."""
     rng = np.random.default_rng(seed)
     bundle = trainer_bundle(trainer, ds, rng)
-    pcfg = PretrainConfig(batch_size=16, max_epochs=max_epochs)
-    fcfg = FinetuneConfig(batch_size=16, max_epochs=max_epochs)
+    hp = Hyperparameters(batch_size=batch_size, pretrain_max_epochs=max_epochs,
+                         finetune_max_epochs=max_epochs)
     if trainer == "scarf":
-        out = pretrain_scarf(ds, splits, bundle, pcfg, rng)
+        out = pretrain_scarf(ds, splits, bundle, hp, rng)
     elif trainer == "scarf_learnable":
-        pcfg.corruption = CorruptionConfig(strategy="missing_learnable")
-        out = pretrain_scarf(ds, splits, bundle, pcfg, rng)
+        hp = replace(hp, corruption_strategy="missing_learnable")
+        out = pretrain_scarf(ds, splits, bundle, hp, rng)
     elif trainer == "discriminative":
-        out = pretrain_discriminative(ds, splits, bundle, pcfg, rng)
+        out = pretrain_discriminative(ds, splits, bundle, hp, rng)
     elif trainer == "finetune":
-        out = finetune(ds, splits, splits.train, bundle, fcfg, rng)
+        out = finetune(ds, splits, splits.train, bundle, hp, rng)
     elif trainer in ("cotrain", "ae_cotrain"):
-        spec = CotrainSpec(aux="contrastive" if trainer == "cotrain" else "autoencoder")
-        out = finetune(ds, splits, splits.train, bundle, fcfg, rng, cotrain=spec)
+        out = finetune(ds, splits, splits.train, bundle, hp, rng, recipe=trainer)
     else:
-        out = pretrain_autoencoder(ds, splits, bundle, trainer, pcfg, rng)
+        out = pretrain_autoencoder(ds, splits, bundle, trainer, hp, rng)
     return out, bundle
+
+
+@pytest.mark.parametrize("trainer", ["scarf", "no_noise_ae", "discriminative"])
+def test_pre_trainers_reject_batch_size_one_before_any_work(trainer, monkeypatch):
+    ds = make_numeric_dataset(n=100, d=4)
+    splits = make_splits(100, 0)
+    monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
+    with pytest.raises(ValueError, match="contrastive batches need at least 2 examples"):
+        run_trainer(trainer, ds, splits, 1, seed=0, batch_size=1)
 
 
 class TestFit:
@@ -307,7 +314,7 @@ class TestPretrainScarf:
         splits = make_splits(200, 1)
         rng = np.random.default_rng(2)
         bundle = small_bundle(ds, rng)
-        cfg = PretrainConfig(batch_size=32, max_epochs=1000)
+        cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=1000)
         out = pretrain_scarf(ds, splits, bundle, cfg, rng)
         assert out.epochs_used < 1000
         assert out.stop_reason == "patience"
@@ -325,14 +332,14 @@ class TestPretrainScarf:
         for name in ("build_marginal_pool", "build_static_validation", "_fit"):
             monkeypatch.setattr(training, name, lambda *a, _name=name, **k: called.append(_name))
         with pytest.raises(ValueError, match="at least 2 validation rows, got 1"):
-            pretrain_scarf(ds, splits, bundle, PretrainConfig(), rng)
+            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng)
         assert called == []
 
     def test_restored_weights_achieve_best_metric(self):
         ds = make_numeric_dataset(n=150, d=5, seed=4)
         splits = make_splits(150, 2)
         bundle = small_bundle(ds, np.random.default_rng(8))
-        cfg = PretrainConfig(batch_size=32, max_epochs=20)
+        cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=20)
         # fresh run generator: the static pairs are drawn from it first, so
         # they can be rebuilt below from an identically seeded generator
         out = pretrain_scarf(ds, splits, bundle, cfg, np.random.default_rng(3))
@@ -354,7 +361,8 @@ class TestPretrainScarf:
         for _ in range(2):
             rng = np.random.default_rng(11)
             bundle = small_bundle(ds, rng)
-            out = pretrain_scarf(ds, splits, bundle, PretrainConfig(batch_size=32, max_epochs=5), rng)
+            out = pretrain_scarf(ds, splits, bundle,
+                                 Hyperparameters(batch_size=32, pretrain_max_epochs=5), rng)
             outs.append(out)
             weights.append(bundle_weights(bundle))
         assert outs[0].val_curve == outs[1].val_curve
@@ -366,10 +374,8 @@ class TestPretrainScarf:
         splits = make_splits(100, 3)
         rng = np.random.default_rng(4)
         bundle = small_bundle(ds, rng, with_learnable_missing=True)
-        cfg = PretrainConfig(
-            batch_size=32, max_epochs=3,
-            corruption=CorruptionConfig(strategy="missing_learnable"),
-        )
+        cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=3,
+                              corruption_strategy="missing_learnable")
         pretrain_scarf(ds, splits, bundle, cfg, rng)
         assert np.any(bundle.learnable_missing != 0.0)
 
@@ -383,7 +389,7 @@ class TestPretrainScarf:
         bundle = to_float64(small_bundle(ds, rng, with_learnable_missing=True))
         lmv = bundle.learnable_missing
         lmv[:] = rng.normal(size=lmv.shape)
-        cfg = PretrainConfig(corruption=CorruptionConfig(strategy="missing_learnable"))
+        cfg = Hyperparameters(corruption_strategy="missing_learnable")
         rows = splits.train[:16]
         mask = rng.random((16, ds.X.shape[1])) < 0.5  # one column per feature
 
@@ -393,7 +399,7 @@ class TestPretrainScarf:
         captured = []
         monkeypatch.setattr(training, "make_views", fixed_views)
         monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
-        monkeypatch.setattr(training, "_fit", lambda *args: captured.append(args[4]))
+        monkeypatch.setattr(training, "_fit", lambda *args: captured.append(args[5]))
         pretrain_scarf(ds, splits, bundle, cfg, rng)
         _, grads = captured[0](rows)
 
@@ -411,7 +417,9 @@ class TestPretrainScarf:
         splits = make_splits(100, 4)
         rng = np.random.default_rng(5)
         bundle = small_bundle(ds, rng)
-        out = pretrain_scarf(ds, splits, bundle, PretrainConfig(batch_size=32, max_epochs=3, loss=loss), rng)
+        out = pretrain_scarf(ds, splits, bundle,
+                             Hyperparameters(batch_size=32, pretrain_max_epochs=3, pretrain_loss=loss),
+                             rng)
         assert len(out.val_curve) == out.epochs_used
         assert np.all(np.isfinite(out.val_curve))
 
@@ -423,7 +431,7 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng)
         with pytest.raises(ConfigurationError):
-            pretrain_autoencoder(ds, splits, bundle, "no_noise_ae", PretrainConfig(), rng)
+            pretrain_autoencoder(ds, splits, bundle, "no_noise_ae", Hyperparameters(), rng)
 
     def test_unknown_variant_rejected(self):
         ds = make_numeric_dataset(n=100, d=4)
@@ -431,7 +439,7 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng, with_decoder=True)
         with pytest.raises(ConfigurationError):
-            pretrain_autoencoder(ds, splits, bundle, "typo", PretrainConfig(), rng)
+            pretrain_autoencoder(ds, splits, bundle, "typo", Hyperparameters(), rng)
 
     def test_perfect_parameterization_reconstructs(self):
         # identity weights + positive inputs pass unchanged through relu stacks
@@ -455,8 +463,7 @@ class TestPretrainAutoencoder:
         splits = make_splits(100, 5)
         rng = np.random.default_rng(1)
         bundle = small_bundle(ds, rng, with_decoder=True)
-        cfg = PretrainConfig(batch_size=32, max_epochs=2,
-                             corruption=CorruptionConfig(rate=1.0))
+        cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=2, corruption_rate=1.0)
         out = pretrain_autoencoder(ds, splits, bundle, "scarf_ae", cfg, rng)
         assert np.all(np.isfinite(out.train_curve))
 
@@ -466,7 +473,7 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(2)
         bundle = small_bundle(ds, rng, with_decoder=True)
         out = pretrain_autoencoder(ds, splits, bundle, "add_noise_ae",
-                                   PretrainConfig(batch_size=64, max_epochs=5), rng)
+                                   Hyperparameters(batch_size=64, pretrain_max_epochs=5), rng)
         assert out.epochs_used >= 1
 
     def test_training_reduces_reconstruction_loss(self):
@@ -475,7 +482,7 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(3)
         bundle = small_bundle(ds, rng, with_decoder=True)
         out = pretrain_autoencoder(ds, splits, bundle, "no_noise_ae",
-                                   PretrainConfig(batch_size=32, max_epochs=30), rng)
+                                   Hyperparameters(batch_size=32, pretrain_max_epochs=30), rng)
         assert out.best_metric < out.val_curve[0]
 
 
@@ -486,7 +493,7 @@ class TestPretrainDiscriminative:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng)
         with pytest.raises(ConfigurationError):
-            pretrain_discriminative(ds, splits, bundle, PretrainConfig(), rng)
+            pretrain_discriminative(ds, splits, bundle, Hyperparameters(), rng)
 
     def test_corruption_none_long_run_error_near_half(self):
         # originals and "corrupted" copies are identical, so the validation
@@ -497,8 +504,7 @@ class TestPretrainDiscriminative:
         splits = make_splits(200, 8)
         rng = np.random.default_rng(4)
         bundle = small_bundle(ds, rng, with_disc_proj=True)
-        cfg = PretrainConfig(batch_size=32, max_epochs=5,
-                             corruption=CorruptionConfig(strategy="none"))
+        cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=5, corruption_strategy="none")
         out = pretrain_discriminative(ds, splits, bundle, cfg, rng)
         assert abs(out.best_metric - 0.5) <= 0.1
 
@@ -507,8 +513,7 @@ class TestPretrainDiscriminative:
         splits = make_splits(300, 9)
         rng = np.random.default_rng(5)
         bundle = small_bundle(ds, rng, with_disc_proj=True)
-        cfg = PretrainConfig(batch_size=64, max_epochs=30,
-                             corruption=CorruptionConfig(rate=1.0))
+        cfg = Hyperparameters(batch_size=64, pretrain_max_epochs=30, corruption_rate=1.0)
         out = pretrain_discriminative(ds, splits, bundle, cfg, rng)
         assert out.best_metric < 0.5
 
@@ -519,7 +524,7 @@ class TestFinetune:
         splits = make_splits(400, 0)
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng, hidden=32)
-        finetune(ds, splits, splits.train, bundle, FinetuneConfig(batch_size=64), rng)
+        finetune(ds, splits, splits.train, bundle, Hyperparameters(batch_size=64), rng)
         assert 1.0 - classification_error(bundle, ds.X[splits.test], ds.y[splits.test]) >= 0.99
 
     def test_max_epochs_zero_near_chance(self):
@@ -527,9 +532,17 @@ class TestFinetune:
         splits = make_splits(300, 1)
         rng = np.random.default_rng(1)
         bundle = small_bundle(ds, rng)
-        out = finetune(ds, splits, splits.train, bundle, FinetuneConfig(max_epochs=0), rng)
+        out = finetune(ds, splits, splits.train, bundle, Hyperparameters(finetune_max_epochs=0), rng)
         assert out.epochs_used == 0
         assert 0.0 <= 1.0 - classification_error(bundle, ds.X[splits.test], ds.y[splits.test]) <= 1.0
+
+    def test_unknown_recipe_rejected(self):
+        ds = make_blob_dataset(n=100)
+        splits = make_splits(100, 0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="unknown fine-tuning recipe 'smoth'"):
+            finetune(ds, splits, splits.train, small_bundle(ds, rng), Hyperparameters(), rng,
+                     recipe="smoth")
 
     def test_no_labeled_rows_rejected(self):
         ds = make_blob_dataset(n=100)
@@ -537,20 +550,20 @@ class TestFinetune:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng)
         with pytest.raises(ValueError):
-            finetune(ds, splits, np.array([], dtype=int), bundle, FinetuneConfig(), rng)
+            finetune(ds, splits, np.array([], dtype=int), bundle, Hyperparameters(), rng)
 
     def test_regularizer_options_run(self):
         ds = make_blob_dataset(n=200, d=4, seed=2)
         splits = make_splits(200, 2)
-        for cfg in (
-            FinetuneConfig(max_epochs=3, label_smoothing=0.1),
-            FinetuneConfig(max_epochs=3, dropout=0.04),
-            FinetuneConfig(max_epochs=3, mixup_alpha=0.2),
-            FinetuneConfig(max_epochs=3, augmentation=CorruptionConfig()),
+        for recipe, cfg in (
+            ("smooth", Hyperparameters(finetune_max_epochs=3, label_smoothing=0.1)),
+            ("dropout", Hyperparameters(finetune_max_epochs=3, dropout=0.04)),
+            ("mixup", Hyperparameters(finetune_max_epochs=3, mixup_alpha=0.2)),
+            ("scarf_aug", Hyperparameters(finetune_max_epochs=3)),
         ):
             rng = np.random.default_rng(2)
             bundle = small_bundle(ds, rng)
-            out = finetune(ds, splits, splits.train, bundle, cfg, rng)
+            out = finetune(ds, splits, splits.train, bundle, cfg, rng, recipe=recipe)
             assert np.all(np.isfinite(out.train_curve))
 
     def test_early_stop_restores_best_validation_error(self):
@@ -558,7 +571,7 @@ class TestFinetune:
         splits = make_splits(300, 3)
         rng = np.random.default_rng(3)
         bundle = small_bundle(ds, rng)
-        out = finetune(ds, splits, splits.train, bundle, FinetuneConfig(batch_size=64), rng)
+        out = finetune(ds, splits, splits.train, bundle, Hyperparameters(batch_size=64), rng)
         err = classification_error(bundle, ds.X[splits.validation], ds.y[splits.validation])
         assert err == pytest.approx(min(out.val_curve))
 
@@ -568,11 +581,11 @@ class TestCotrain:
         ds = make_blob_dataset(n=200, d=4, seed=4)
         splits = make_splits(200, 4)
         results = []
-        for spec in (None, CotrainSpec(weight=0.0)):
+        hp = Hyperparameters(finetune_max_epochs=1, batch_size=256, cotrain_weight=0.0)
+        for recipe in ("control", "cotrain"):
             rng = np.random.default_rng(9)
             bundle = small_bundle(ds, rng)
-            finetune(ds, splits, splits.train, bundle,
-                     FinetuneConfig(max_epochs=1, batch_size=256), rng, cotrain=spec)
+            finetune(ds, splits, splits.train, bundle, hp, rng, recipe=recipe)
             results.append(bundle_weights(bundle))
         for a, b in zip(results[0][: len(results[1])], results[1]):
             if a.shape == b.shape:
@@ -586,11 +599,21 @@ class TestCotrain:
             rng = np.random.default_rng(6)
             bundle = small_bundle(ds, rng)
             out = finetune(ds, splits, splits.train, bundle,
-                           FinetuneConfig(max_epochs=1, batch_size=256), rng,
-                           cotrain=CotrainSpec(weight=lam))
+                           Hyperparameters(finetune_max_epochs=1, batch_size=256, cotrain_weight=lam),
+                           rng, recipe="cotrain")
             assert np.isfinite(out.train_curve[0])
             results.append(bundle_weights(bundle))
         assert any(not np.array_equal(a, b) for a, b in zip(*results))
+
+    def test_negative_weight_rejected_before_any_work(self, monkeypatch):
+        ds = make_blob_dataset(n=100, d=4, seed=6)
+        splits = make_splits(100, 6)
+        rng = np.random.default_rng(7)
+        bundle = small_bundle(ds, rng)
+        monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
+        with pytest.raises(ValueError, match="co-training weight must be nonnegative"):
+            finetune(ds, splits, splits.train, bundle, Hyperparameters(cotrain_weight=-0.1), rng,
+                     recipe="cotrain")
 
     def test_ae_cotrain_requires_decoder(self):
         ds = make_blob_dataset(n=100, d=4, seed=6)
@@ -598,5 +621,6 @@ class TestCotrain:
         rng = np.random.default_rng(7)
         bundle = small_bundle(ds, rng)
         with pytest.raises(ConfigurationError):
-            finetune(ds, splits, splits.train, bundle, FinetuneConfig(max_epochs=1), rng,
-                     cotrain=CotrainSpec(weight=0.1, aux="autoencoder"))
+            finetune(ds, splits, splits.train, bundle,
+                     Hyperparameters(finetune_max_epochs=1, cotrain_weight=0.1), rng,
+                     recipe="ae_cotrain")
