@@ -37,8 +37,9 @@ def self_train(
     iterations: int = 10,
 ):
     """Iterative pseudo-labeling: each round, train on the current pool and
-    absorb unlabeled rows whose max softmax clears the threshold. A final model
-    is trained on the final pool."""
+    absorb unlabeled rows whose max softmax clears the threshold. Rounds stop
+    once no unlabeled row is left. A final model is trained on the final
+    pool."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     rows = np.asarray(labeled)
@@ -46,9 +47,9 @@ def self_train(
     label = np.full(dataset.n, -1)
     label[rows] = dataset.y[rows]
     for _ in range(iterations):
-        model = train_fn(rows, label[rows], None)
         if remaining.size == 0:
-            continue
+            break
+        model = train_fn(rows, label[rows], None)
         probs = softmax(model.predict(dataset.X[remaining]))
         confident = probs.max(axis=1) >= threshold
         absorbed = remaining[confident]
@@ -68,8 +69,9 @@ def tri_train(
 ):
     """Three models seeded with bootstrap resamples of the labeled set; an
     unlabeled row joins model k's pool once the other two agree on its class.
-    The final model trains on the union of the pools: a labeled row keeps its
-    label, any other row takes the label of the first pool holding it."""
+    Rounds stop once every unlabeled row is in all three pools. The final
+    model trains on the union of the pools: a labeled row keeps its label,
+    any other row takes the label of the first pool holding it."""
     labeled = np.asarray(labeled)
     unlabeled = np.asarray(unlabeled)
     pools = [rng.choice(labeled, size=len(labeled), replace=True) for _ in range(3)]
@@ -77,9 +79,9 @@ def tri_train(
     for label, rows in zip(labels, pools):
         label[rows] = dataset.y[rows]
     for _ in range(iterations):
+        if (labels[:, unlabeled] >= 0).all():
+            break
         models = [train_fn(rows, label[rows], None) for rows, label in zip(pools, labels)]
-        if unlabeled.size == 0:
-            continue
         preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
             i, j = [m for m in range(3) if m != k]

@@ -206,11 +206,38 @@ class TestTriTrain:
             first_rounds.append(rows.copy())
             return constant_model([0.0, 0.0])
 
-        tri_train(ds, np.arange(6), np.array([], dtype=int), train_fn,
+        tri_train(ds, np.arange(6), np.arange(6, 20), train_fn,
                   np.random.default_rng(0), iterations=1)
         boots = first_rounds[:3]
         assert all(len(b) == 6 for b in boots)
         assert any(len(set(b.tolist())) < 6 for b in boots)  # a duplicate drawn
+
+
+@pytest.mark.parametrize("name, unlabeled, calls", [
+    pytest.param("self_train", [], 1, id="self_train-no_unlabeled"),
+    pytest.param("self_train", range(6, 12), 2, id="self_train-all_absorbed"),
+    pytest.param("tri_train", [], 1, id="tri_train-no_unlabeled"),
+    pytest.param("tri_train", range(6, 12), 4, id="tri_train-all_absorbed"),
+])
+def test_rounds_stop_once_no_unlabeled_row_is_left(name, unlabeled, calls):
+    """Confident, agreeing models absorb every unlabeled row in round 1 (into
+    every pool for tri-training); no round runs after that, and none at all
+    without unlabeled rows, so only the final model is trained then."""
+    ds = index_dataset()
+    trained = []
+
+    def train_fn(rows, labels, soft):
+        trained.append(rows.copy())
+        return constant_model([0.0, 5.0])
+
+    unlabeled = np.array(list(unlabeled), dtype=int)
+    if name == "self_train":
+        _, rows = self_train(ds, np.arange(6), unlabeled, train_fn)
+    else:
+        _, rows = tri_train(ds, np.arange(6), unlabeled, train_fn, np.random.default_rng(0))
+    assert len(trained) == calls
+    np.testing.assert_array_equal(np.sort(trained[-1]), np.sort(rows))
+    assert set(rows.tolist()) >= set(unlabeled.tolist())
 
 
 def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold=0.75, iterations=10):
@@ -219,10 +246,10 @@ def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold=0.75, itera
     pool_labels = {int(i): int(dataset.y[i]) for i in pool_rows}
     remaining = list(np.asarray(unlabeled))
     for _ in range(iterations):
+        if not remaining:
+            break
         model = train_fn(np.array(pool_rows), np.array([pool_labels[int(i)] for i in pool_rows]),
                          None)
-        if not remaining:
-            continue
         probs = softmax(model.predict(dataset.X[np.array(remaining)]))
         confident = probs.max(axis=1) >= threshold
         for r, keep, cls in zip(list(remaining), confident, probs.argmax(axis=1)):
@@ -242,10 +269,10 @@ def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations=10):
     pools = [{int(i): int(dataset.y[i]) for i in b} for b in boots]
     pool_rows = [list(b) for b in boots]
     for _ in range(iterations):
+        if all(int(r) in pool for pool in pools for r in unlabeled):
+            break
         models = [train_fn(np.array(rows), np.array([pool[int(i)] for i in rows]), None)
                   for rows, pool in zip(pool_rows, pools)]
-        if unlabeled.size == 0:
-            continue
         preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
             i, j = [m for m in range(3) if m != k]
