@@ -250,14 +250,11 @@ def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> Pro
     """Copy of the dataset whose numerical columns are scaled with statistics
     of the given training rows; the other columns are left as they are.
 
-    Each numerical column becomes (x - center) / denom: zscore centers on the
-    mean and divides by the population standard deviation (divide by n),
-    minmax subtracts the minimum and divides by the range, mean centers on
-    the mean and divides by the range, and none leaves the column as it is.
-    A column whose denom is 0 maps to 0. The copy of X is the one full-size
-    array made: the statistics come from the training rows of the numerical
-    columns, and one numerical column of the copy at a time is rescaled in
-    place."""
+    A numerical column becomes (x - center) / denom, 0 where denom is 0:
+    zscore takes the mean and the population standard deviation (divide by
+    n), minmax the minimum and the range, mean the mean and the range, and
+    none leaves it as it is. The copy of X is the one full-size array made:
+    one numerical column of it at a time is rescaled in place."""
     if kind not in SCALINGS:
         raise ValueError(f"unknown scaling kind {kind!r}")
     cols = np.asarray(dataset.numerical_columns, dtype=int)

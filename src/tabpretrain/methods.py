@@ -31,6 +31,7 @@ from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels
                               mask_labels, scale)
 from tabpretrain.training import (
     AUTOENCODERS,
+    FINETUNE_RECIPES,
     Hyperparameters,
     ModelBundle,
     classification_error,
@@ -41,18 +42,7 @@ from tabpretrain.training import (
 )
 
 PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
-FINETUNERS = (
-    "control",
-    "smooth",
-    "dropout",
-    "mixup",
-    "scarf_aug",
-    "distill",
-    "self_train",
-    "tri_train",
-    "cotrain",
-    "ae_cotrain",
-)
+FINETUNERS = (*FINETUNE_RECIPES, "distill", "self_train", "tri_train")
 
 SETTINGS = ("full", "noise30", "semi25")
 

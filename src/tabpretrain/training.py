@@ -27,9 +27,8 @@ contrastive or reconstruction term; `control` turns on none.
 
 All loops are deterministic given (dataset, splits, hyperparameters, seed):
 the run RNG drives shuffling, corruption, and any dropout/mixup draws in a
-fixed order.
-The nets compute in the dtype of the bundle's weights (float32 from
-`ModelBundle.create`); data of another dtype is cast on the way in.
+fixed order. The nets compute in the dtype of the bundle's weights (float32
+from `ModelBundle.create`); data of another dtype is cast on the way in.
 """
 
 from __future__ import annotations
@@ -81,11 +80,10 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Every trial hyperparameter and its default, declared once: the
-    trainers read it, `methods.run_method` builds it from a dict of
-    overrides, and the CLI takes each field as a config key and a `run`
-    flag. Building one with an invalid corruption setting raises
-    ConfigurationError."""
+    """Every trial hyperparameter and its default, declared once: the trainers
+    read it, `methods.run_method` builds it from a dict of overrides, and each
+    field is a CLI config key and `run` flag. An invalid corruption setting
+    raises ConfigurationError when one is built."""
 
     # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
     corruption_strategy: str = CorruptionConfig.strategy
@@ -131,8 +129,7 @@ class Hyperparameters:
             strategy=self.corruption_strategy, rate=self.corruption_rate,
             index_selection=self.index_selection, view_policy=self.view_policy,
             index_sharing=self.index_sharing, donor=self.donor,
-            gaussian_sigma=self.gaussian_sigma, unique_pool=self.unique_pool,
-        )
+            gaussian_sigma=self.gaussian_sigma, unique_pool=self.unique_pool)
 
 
 @dataclass
@@ -372,8 +369,7 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
 
 
 def _require_batch_pairs(hp: Hyperparameters) -> None:
-    """Every pre-trainer compares the rows of a batch with each other or with
-    their corrupted copies; it raises on a batch size below 2 before any work."""
+    """A pre-trainer's first check: its batches pair rows with other rows."""
     if hp.batch_size < 2:
         raise ValueError("contrastive batches need at least 2 examples")
 
@@ -394,12 +390,11 @@ def pretrain_scarf(
     if (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
     pool = build_marginal_pool(dataset, splits.train)
-    corruption = hp.corruption
-    learnable = bundle.learnable_missing if corruption.strategy == "missing_learnable" else None
-    if corruption.strategy == "missing_learnable" and learnable is None:
+    learnable = bundle.learnable_missing if hp.corruption_strategy == "missing_learnable" else None
+    if hp.corruption_strategy == "missing_learnable" and learnable is None:
         raise ConfigurationError("bundle lacks learnable missing values")
     pairs = build_static_validation(
-        dataset, splits.validation, corruption, pool, rng,
+        dataset, splits.validation, hp.corruption, pool, rng,
         hp.val_build_epochs, hp.batch_size, learnable,
     )
     params = bundle.f.parameters() + bundle.g.parameters()
@@ -411,7 +406,7 @@ def pretrain_scarf(
         if rows.size < 2:
             return None  # InfoNCE needs a negative
         batch = dataset.X[rows]
-        view_a, view_b, draw = make_views(batch, dataset, corruption, pool, rng, learnable)
+        view_a, view_b, draw = make_views(batch, dataset, hp.corruption, pool, rng, learnable)
         loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
         grads = f_grads + g_grads
         if learnable is not None:
@@ -452,13 +447,12 @@ def pretrain_autoencoder(
     if bundle.decoder is None:
         raise ConfigurationError("autoencoder pre-training requires a decoder head")
     pool = build_marginal_pool(dataset, splits.train)
-    corruption = hp.corruption
 
     def view(batch):
-        return _ae_input(batch, variant, dataset, corruption, pool, rng)
+        return _ae_input(batch, variant, dataset, hp.corruption, pool, rng)
 
     pairs = build_static_validation(
-        dataset, splits.validation, corruption, pool, rng,
+        dataset, splits.validation, hp.corruption, pool, rng,
         hp.val_build_epochs, hp.batch_size, view=view,
     )
 
@@ -497,16 +491,15 @@ def pretrain_discriminative(
     if bundle.disc_proj is None:
         raise ConfigurationError("discriminative pre-training requires the scalar projection head")
     pool = build_marginal_pool(dataset, splits.train)
-    corruption = hp.corruption
     pairs = build_static_validation(
-        dataset, splits.validation, corruption, pool, rng,
+        dataset, splits.validation, hp.corruption, pool, rng,
         hp.val_build_epochs, hp.batch_size,
     )
     params = bundle.f.parameters() + bundle.g.parameters() + bundle.disc_proj.parameters()
 
     def step(rows):
         batch = dataset.X[rows]
-        _, view_b, _ = make_views(batch, dataset, corruption, pool, rng)
+        _, view_b, _ = make_views(batch, dataset, hp.corruption, pool, rng)
         labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
         loss, grad = losses.binary_logistic(_disc_logits(bundle, np.vstack([batch, view_b])), labels)
         p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
@@ -543,8 +536,7 @@ def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> f
     return float(np.mean(bundle.predict(X).argmax(axis=1) != y))
 
 
-# The fine-tuning recipes that `finetune` runs; each of the first six turns
-# on at most one regularizer, read from its own hyperparameter.
+# the recipes that `finetune` trains itself (the pseudo-labeling ones call it)
 FINETUNE_RECIPES = ("control", "smooth", "dropout", "mixup", "scarf_aug", "cotrain", "ae_cotrain")
 
 
@@ -580,7 +572,6 @@ def finetune(
     smoothing = hp.label_smoothing if recipe == "smooth" else 0.0
     dropout = hp.dropout if recipe == "dropout" else 0.0
     alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
-    corruption = hp.corruption
 
     pool = None
     if recipe == "scarf_aug" or aux is not None:
@@ -604,8 +595,8 @@ def finetune(
         if alpha:
             x, targets = mixup_batch(x, targets, alpha, rng)
         if recipe == "scarf_aug":
-            draw = select_indices(dataset.M, corruption, len(x), rng)
-            x, _ = corrupt_batch(x, dataset, corruption, pool, draw, rng)
+            draw = select_indices(dataset.M, hp.corruption, len(x), rng)
+            x, _ = corrupt_batch(x, dataset, hp.corruption, pool, draw, rng)
         loss, grad = softmax_cross_entropy(bundle.classify(x, dropout, rng), targets)
         f_grads, h_grads = bundle.classify_backward(grad)
         if aux is None:
