@@ -33,8 +33,8 @@ def self_train(
     labeled: np.ndarray,
     unlabeled: np.ndarray,
     train_fn,
-    threshold: float = 0.75,
-    iterations: int = 10,
+    threshold: float,
+    iterations: int,
 ):
     """Iterative pseudo-labeling: each round, train on the current pool and
     absorb unlabeled rows whose max softmax clears the threshold. Rounds stop
@@ -65,7 +65,7 @@ def tri_train(
     unlabeled: np.ndarray,
     train_fn,
     rng: np.random.Generator,
-    iterations: int = 10,
+    iterations: int,
 ):
     """Three models seeded with bootstrap resamples of the labeled set; an
     unlabeled row joins model k's pool once the other two agree on its class.

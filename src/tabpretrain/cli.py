@@ -7,11 +7,12 @@ Commands:
             prints how many non-finite accuracies it left out
 
 Configuration is a flat JSON object of `dataset`, `schema` and the keys of
-CONFIG_DEFAULTS, which holds their defaults: the run keys (method, setting,
-trials, seed, out, jobs, scaling) and every field of
+CONFIG_DEFAULTS, which holds their defaults: the run keys of RUN_DEFAULTS
+(method, setting, trials, seed, out, jobs, scaling) and every field of
 `training.Hyperparameters`, the one declaration of the trial hyperparameters.
 Every key is also a `run` flag (`tabpretrain run --help` lists them), and
-flags override file values.
+flags override file values. A value must be of its default's type, by the
+rule of `methods.check_type`.
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
@@ -45,7 +46,7 @@ from tabpretrain.data import (
 )
 from tabpretrain.training import Hyperparameters
 
-CONFIG_DEFAULTS = {
+RUN_DEFAULTS = {
     "method": "control",
     "setting": "full",
     "trials": 30,
@@ -53,14 +54,15 @@ CONFIG_DEFAULTS = {
     "out": "results",
     "jobs": 1,
     "scaling": "zscore",
-    **asdict(Hyperparameters()),
 }
+CONFIG_DEFAULTS = {**RUN_DEFAULTS, **asdict(Hyperparameters())}
 
 
 def _load_config(args) -> dict:
     """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
-    A config file that is not a JSON object or has an unknown key, and a
-    missing `dataset` or `schema`, raise ValueError."""
+    A config file that is not a JSON object or has an unknown key, a run key
+    whose value is not of its default's type, and a missing `dataset` or
+    `schema`, raise ValueError; `run_benchmark` checks the hyperparameters."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -75,6 +77,8 @@ def _load_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, default in RUN_DEFAULTS.items():
+        methods.check_type("config key", key, cfg[key], default)
     for key in ("dataset", "schema"):
         val = getattr(args, key, None)
         if val is not None:
@@ -122,7 +126,7 @@ def cmd_run(args) -> int:
         outcomes = methods.run_benchmark(
             {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
             [cfg["method"]], [cfg["setting"]],
-            int(cfg["trials"]), int(cfg["seed"]), cfg["out"], hp, cfg["scaling"], int(cfg["jobs"]),
+            cfg["trials"], cfg["seed"], cfg["out"], hp, cfg["scaling"], cfg["jobs"],
         )
         os.makedirs(cfg["out"], exist_ok=True)
         with open(os.path.join(cfg["out"], "config.json"), "w") as fh:

@@ -1,8 +1,11 @@
 """Named training methods and the multi-trial benchmark runner.
 
 A method name is either a fine-tuning recipe ("control", "mixup", ...), a
-pre-training recipe ("scarf", "no_noise_ae", ...), or a "pretrain+recipe"
-combination such as "scarf+mixup" or "scarf+self_train". Within a trial every
+pre-trainer of `training.PRETRAINERS` ("scarf", "no_noise_ae", ...), or a
+"pretrain+recipe" combination such as "scarf+mixup" or "scarf+self_train".
+`training.pretrain_scarf(..., pre)` runs every pre-trainer and
+`training.finetune(..., recipe=)` every recipe it trains itself; the
+pseudo-labeling recipes of `baselines` call `finetune`. Within a trial every
 method sees the same splits; per-trial seeds derive deterministically from
 (base_seed, dataset_id, trial).
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from tabpretrain import baselines, stats
+from tabpretrain import baselines, stats, training
 from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
                               mask_labels, scale)
 from tabpretrain.training import (
@@ -36,12 +39,9 @@ from tabpretrain.training import (
     ModelBundle,
     classification_error,
     finetune,
-    pretrain_autoencoder,
-    pretrain_discriminative,
     pretrain_scarf,
 )
 
-PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
 FINETUNERS = (*FINETUNE_RECIPES, "distill", "self_train", "tri_train")
 
 SETTINGS = ("full", "noise30", "semi25")
@@ -54,11 +54,11 @@ class UnknownMethodError(ValueError):
 def parse_method(name: str) -> tuple[str | None, str]:
     parts = name.split("+")
     if len(parts) == 1:
-        if parts[0] in PRETRAINERS:
+        if parts[0] in training.PRETRAINERS:
             return parts[0], "control"
         if parts[0] in FINETUNERS:
             return None, parts[0]
-    elif len(parts) == 2 and parts[0] in PRETRAINERS and parts[1] in FINETUNERS:
+    elif len(parts) == 2 and parts[0] in training.PRETRAINERS and parts[1] in FINETUNERS:
         return parts[0], parts[1]
     raise UnknownMethodError(f"unknown method {name!r}")
 
@@ -70,39 +70,46 @@ def derive_seed(base_seed: int, dataset_id: str, trial: int, salt: str = "") -> 
 
 def apply_setting(
     dataset: ProcessedDataset, splits: Splits, setting: str, rng: np.random.Generator,
-    noise_rate: float = 0.3, labeled_fraction: float = 0.25,
+    hp: Hyperparameters,
 ):
-    """Returns (y_effective over all rows, labeled train indices, unlabeled)."""
+    """Returns (y_effective over all rows, labeled train indices, unlabeled);
+    noise30 redraws `hp.noise_rate` of the training labels, and semi25 keeps
+    `hp.labeled_fraction` of them."""
     train = np.asarray(splits.train)
     if setting == "full":
         return dataset.y.copy(), train, np.array([], dtype=int)
     if setting == "noise30":
         y = dataset.y.copy()
-        y[train] = corrupt_labels(dataset.y[train], noise_rate, dataset.num_classes, rng)
+        y[train] = corrupt_labels(dataset.y[train], hp.noise_rate, dataset.num_classes, rng)
         return y, train, np.array([], dtype=int)
     if setting == "semi25":
-        labeled, unlabeled = mask_labels(train, labeled_fraction, rng)
+        labeled, unlabeled = mask_labels(train, hp.labeled_fraction, rng)
         return dataset.y.copy(), labeled, unlabeled
     raise ValueError(f"unknown setting {setting!r}")
 
 
 def _resolve(hp: dict | None) -> Hyperparameters:
     """`Hyperparameters` with the entries of `hp` in place of the defaults. An
-    unknown key, a value not of its default's type (an int also passes for a
-    float, a bool never for a number) or an invalid corruption setting raises
-    ValueError."""
+    unknown key, a value not of its default's type (by `check_type`) or an
+    invalid corruption setting raises ValueError."""
     hp = hp or {}
     defaults = {f.name: f.default for f in fields(Hyperparameters)}
     unknown = sorted(set(hp) - set(defaults))
     if unknown:
         raise ValueError(f"unknown hyperparameter(s): {unknown}")
     for key, value in hp.items():
-        kind = type(defaults[key])
-        allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-        if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
-            raise ValueError(f"hyperparameter {key!r} must be of type {kind.__name__}, "
-                             f"not {value!r}")
+        check_type("hyperparameter", key, value, defaults[key])
     return Hyperparameters(**hp)
+
+
+def check_type(what: str, key: str, value, default) -> None:
+    """Raise ValueError naming `what` and `key` unless `value` is of the type
+    of `default`: an int also passes for a float, a bool never for a
+    number."""
+    kind = type(default)
+    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what} {key!r} must be of type {kind.__name__}, not {value!r}")
 
 
 def run_method(
@@ -122,17 +129,9 @@ def run_method(
     hp = _resolve(hp)
     pre, recipe = parse_method(method)
     rng = np.random.default_rng(seed)
-    y_eff, labeled, unlabeled = apply_setting(
-        dataset, splits, setting, rng, hp.noise_rate, hp.labeled_fraction,
-    )
-
-    def new_bundle(**heads) -> ModelBundle:
-        return ModelBundle.create(
-            dataset.X.shape[1], dataset.num_classes, rng, hidden=hp.hidden_dim,
-            encoder_layers=hp.encoder_layers, head_layers=hp.head_layers, **heads,
-        )
-
-    bundle = new_bundle(
+    y_eff, labeled, unlabeled = apply_setting(dataset, splits, setting, rng, hp)
+    bundle = ModelBundle.create(
+        dataset.X.shape[1], dataset.num_classes, rng, hp,
         with_decoder=pre in AUTOENCODERS or recipe == "ae_cotrain",
         with_disc_proj=pre == "scarf_disc",
         with_learnable_missing=hp.corruption_strategy == "missing_learnable",
@@ -140,18 +139,12 @@ def run_method(
     # one cast per trial to the weights' dtype, before any pool or view exists
     dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False), y=y_eff)
 
-    pretrain_outcome = None
-    if pre == "scarf":
-        pretrain_outcome = pretrain_scarf(dataset, splits, bundle, hp, rng)
-    elif pre == "scarf_disc":
-        pretrain_outcome = pretrain_discriminative(dataset, splits, bundle, hp, rng)
-    elif pre is not None:
-        pretrain_outcome = pretrain_autoencoder(dataset, splits, bundle, pre, hp, rng)
+    pretrain_outcome = pretrain_scarf(dataset, splits, bundle, hp, rng, pre) if pre else None
 
     def train_fn(rows, labels, soft):
         """Fresh model (encoder warm-started from the pre-trained `bundle.f`),
         trained on the given rows; used by the pseudo-labeling baselines."""
-        sub = new_bundle()
+        sub = ModelBundle.create(dataset.X.shape[1], dataset.num_classes, rng, hp)
         if pre is not None:
             sub.f.set_weights(bundle.f.parameters())
         if soft is not None:

@@ -1,6 +1,6 @@
-"""Training loops: contrastive pre-training with early stopping on a static
-corrupted validation set, autoencoder and discriminative variants, supervised
-fine-tuning, and co-training.
+"""Training loops: pre-training with early stopping on a static corrupted
+validation set (SCARF and its autoencoder and discriminative alternatives),
+supervised fine-tuning, and co-training.
 
 Every trainer is its set-up plus two closures handed to `_fit`, the one epoch
 driver: a per-batch step returning the loss and the gradients for one Adam
@@ -19,11 +19,16 @@ batch by position, and only the corrupted copies go through the nets batch by
 batch.
 
 Every trainer reads one frozen `Hyperparameters`, the single declaration of
-the trial hyperparameters and their defaults. `finetune` maps its `recipe` to
-the one regularizer it turns on: `smooth` to `label_smoothing`, `dropout` to
-`dropout`, `mixup` to `mixup_alpha`, `scarf_aug` to per-batch corruption under
-`corruption`, and `cotrain`/`ae_cotrain` to `cotrain_weight` times the
-contrastive or reconstruction term; `control` turns on none.
+the trial hyperparameters and their defaults. `pretrain_scarf` maps its `pre`
+to one objective: `scarf` to the loss `pretrain_loss` between the two views of
+`make_views`; `no_noise_ae`, `add_noise_ae` and `scarf_ae` to MSE
+reconstruction of the batch from itself, from the batch plus N(0, 0.5^2) noise
+or from its SCARF view; `scarf_disc` to the logistic loss of telling the batch
+from its SCARF view. `finetune` maps its `recipe` to the one regularizer it
+turns on: `smooth` to `label_smoothing`, `dropout` to `dropout`, `mixup` to
+`mixup_alpha`, `scarf_aug` to per-batch corruption under `corruption`, and
+`cotrain`/`ae_cotrain` to `cotrain_weight` times the contrastive or
+reconstruction term; `control` turns on none.
 
 All loops are deterministic given (dataset, splits, hyperparameters, seed):
 the run RNG drives shuffling, corruption, and any dropout/mixup draws in a
@@ -43,7 +48,6 @@ from tabpretrain.baselines import mixup_batch
 from tabpretrain.corruption import (
     ConfigurationError,
     CorruptionConfig,
-    MarginalPool,
     build_marginal_pool,
     corrupt_batch,
     make_views,
@@ -60,7 +64,6 @@ from tabpretrain.nn import (
     softmax_cross_entropy,
 )
 
-HIDDEN_DIM = 256
 # Rows per forward pass of inference: a default contrastive step already
 # keeps a 2 x 128-row tape for its backward pass.
 INFERENCE_ROWS = 256
@@ -113,7 +116,7 @@ class Hyperparameters:
     self_train_threshold: float = 0.75
     self_train_iterations: int = 10
     # architecture
-    hidden_dim: int = HIDDEN_DIM
+    hidden_dim: int = 256
     encoder_layers: int = 4
     head_layers: int = 2
     # settings
@@ -143,9 +146,9 @@ class TrainOutcome:
 
 
 class ModelBundle:
-    """Encoder f (4 layers), contrastive head g (2 layers, l2-normalized
-    output), classification head h (2 layers), plus optional decoder /
-    discriminator-projection heads and the learnable missing-value vector."""
+    """Encoder f, contrastive head g (l2-normalized output), classification
+    head h, plus optional decoder / discriminator-projection heads and the
+    learnable missing-value vector."""
 
     def __init__(self, f: Mlp, g: Mlp, h: Mlp, decoder: Mlp | None = None,
                  disc_proj: Mlp | None = None, learnable_missing: np.ndarray | None = None):
@@ -162,14 +165,15 @@ class ModelBundle:
         input_dim: int,
         num_classes: int,
         rng: np.random.Generator,
-        hidden: int = HIDDEN_DIM,
+        hp: Hyperparameters,
         with_decoder: bool = False,
         with_disc_proj: bool = False,
         with_learnable_missing: bool = False,
-        encoder_layers: int = 4,
-        head_layers: int = 2,
     ) -> "ModelBundle":
-        f = Mlp.create([input_dim] + [hidden] * encoder_layers, rng, final_activation="relu")
+        """The nets at the widths and depths of `hp.hidden_dim`,
+        `hp.encoder_layers` and `hp.head_layers`, plus the optional heads."""
+        hidden, head_layers = hp.hidden_dim, hp.head_layers
+        f = Mlp.create([input_dim] + [hidden] * hp.encoder_layers, rng, final_activation="relu")
         g = Mlp.create([hidden] * head_layers + [hidden], rng)
         h = Mlp.create([hidden] * head_layers + [num_classes], rng)
         decoder = Mlp.create([hidden] * head_layers + [input_dim], rng) if with_decoder else None
@@ -258,32 +262,16 @@ class StaticValidationPairs:
     corrupted: list[np.ndarray]
 
 
-def build_static_validation(
-    dataset: ProcessedDataset,
-    val_indices: np.ndarray,
-    config: CorruptionConfig,
-    pool: MarginalPool,
-    rng: np.random.Generator,
-    epochs: int = 10,
-    batch_size: int = 128,
-    learnable_values: np.ndarray | None = None,
-    view=None,
-) -> StaticValidationPairs:
-    """Cycle the validation split `epochs` times, storing one corrupted view
-    per example per pass. Built once; immutable during training.
-
-    `view(batch)` returns the corrupted copy of a batch; by default it is the
-    second view of `make_views` under `config`."""
-    val_indices = np.asarray(val_indices)
-    if val_indices.size == 0:
+def build_static_validation(originals: np.ndarray, view, rng: np.random.Generator, epochs: int,
+                            batch_size: int) -> StaticValidationPairs:
+    """Cycle the validation rows `originals` `epochs` times in shuffled
+    batches of `batch_size`, storing `view(batch)`, the corrupted copy of each
+    batch. Built once; immutable during training."""
+    if len(originals) == 0:
         raise ValueError("validation split is empty")
-    if view is None:
-        def view(batch):
-            return make_views(batch, dataset, config, pool, rng, learnable_values)[1]
-    originals = dataset.X[val_indices]
     positions, corrupted = [], []
     for _ in range(epochs):
-        for batch_idx in iterate_batches(len(val_indices), batch_size, rng):
+        for batch_idx in iterate_batches(len(originals), batch_size, rng):
             positions.append(batch_idx)
             corrupted.append(view(originals[batch_idx]))
     return StaticValidationPairs(originals, positions, corrupted)
@@ -347,31 +335,68 @@ def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
     raise ConfigurationError(f"unknown pre-training loss {hp.pretrain_loss!r}")
 
 
-def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters) -> float:
-    """The contrastive metric of the static pairs, averaged over the stored
-    batches of at least two rows (weighted by size). The loss metric is the
-    pre-training loss; InfoNCE takes its value alone, without gradients."""
-    z_all = bundle.embed(pairs.originals)
+def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
+                       pre: str) -> float:
+    """The validation metric of pre-trainer `pre` on the static pairs (lower
+    is better). The nets map the stored rows once and each corrupted copy
+    once; each stored batch is scored on its gathered rows and its copy, and
+    the scores are averaged weighted by batch size. Per pre-trainer:
+
+    - scarf: the contrastive metric of normalize(g(f(.))) over batches of at
+      least two rows. The loss metric is the pre-training loss; InfoNCE takes
+      its value alone, without gradients.
+    - the autoencoders: MSE of decoder(f(copy)) against the rows.
+    - scarf_disc: error of the rule "disc_proj(g(f(x))) > 0 means corrupted"
+      over the rows and their copy."""
+    if pre == "scarf":
+        rows_out = copy_out = bundle.embed
+
+        def score(z, zt):
+            if hp.validation_metric == "infonce_error":
+                return losses.infonce_error(z @ zt.T)
+            if hp.pretrain_loss == "infonce":
+                return losses.infonce(z @ zt.T, hp.temperature)[0]
+            return _contrastive_loss(hp, z, zt)[0]
+    elif pre == "scarf_disc":
+        def rows_out(x):
+            return _in_slices(partial(_disc_logits, bundle), x).reshape(-1)
+        copy_out = rows_out
+
+        def score(orig_logit, corr_logit):
+            labels = np.concatenate([np.zeros(orig_logit.size), np.ones(corr_logit.size)])
+            return float(np.mean((np.concatenate([orig_logit, corr_logit]) > 0) != labels))
+    else:
+        def rows_out(x):
+            return x
+
+        def copy_out(x):
+            return _in_slices(lambda b: bundle.decoder.forward(bundle.f.forward(b)), x)
+
+        def score(orig, recon):
+            return mse(recon, orig)[0]
+    at_rows = rows_out(pairs.originals)
     vals, weights = [], []
     for pos, corr in zip(pairs.positions, pairs.corrupted):
-        if pos.size < 2:
+        if pre == "scarf" and pos.size < 2:
             continue
-        z = z_all[pos]
-        zt = bundle.embed(corr)
-        if hp.validation_metric == "infonce_error":
-            vals.append(losses.infonce_error(z @ zt.T))
-        elif hp.pretrain_loss == "infonce":
-            vals.append(losses.infonce(z @ zt.T, hp.temperature)[0])
-        else:
-            vals.append(_contrastive_loss(hp, z, zt)[0])
+        vals.append(score(at_rows[pos], copy_out(corr)))
         weights.append(pos.size)
     return float(np.average(vals, weights=weights))
 
 
-def _require_batch_pairs(hp: Hyperparameters) -> None:
-    """A pre-trainer's first check: its batches pair rows with other rows."""
-    if hp.batch_size < 2:
-        raise ValueError("contrastive batches need at least 2 examples")
+AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
+PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
+
+
+def _view(pre, batch, dataset, config, pool, rng, learnable_values=None):
+    """The copy of a batch that pre-trainer `pre` works on: the batch itself
+    (no_noise_ae), the batch plus N(0, 0.5^2) noise (add_noise_ae), or the
+    second SCARF view under `config`."""
+    if pre == "no_noise_ae":
+        return np.array(batch, copy=True)
+    if pre == "add_noise_ae":
+        return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
+    return make_views(batch, dataset, config, pool, rng, learnable_values)[1]
 
 
 def pretrain_scarf(
@@ -380,156 +405,74 @@ def pretrain_scarf(
     bundle: ModelBundle,
     hp: Hyperparameters,
     rng: np.random.Generator,
+    pre: str = "scarf",
 ) -> TrainOutcome:
-    """Contrastive pre-training of f and g; labels are never read.
+    """Pre-training of the encoder f by pre-trainer `pre`, one of
+    PRETRAINERS, as the module docstring maps them; labels are never read.
 
-    Per mini-batch: generate views, embed both through normalize(g(f(.))),
-    take one Adam step. After each epoch the metric on the static validation
-    pairs decides early stopping; best-epoch weights are restored."""
-    _require_batch_pairs(hp)
-    if (n_val := len(splits.validation)) < 2:
+    The name stays `pretrain_scarf` for every pre-trainer because
+    perfbench/spans.py wraps it by name and reads `splits` at position 1.
+
+    Per mini-batch of the training split: build the pre-trainer's copy of
+    the batch, run its nets, take one Adam step. After each epoch the metric
+    on the static validation pairs decides early stopping; best-epoch
+    weights are restored. Every check runs before any work."""
+    if pre not in PRETRAINERS:
+        raise ConfigurationError(f"unknown pre-trainer {pre!r}")
+    if hp.batch_size < 2:
+        raise ValueError("contrastive batches need at least 2 examples")
+    if pre == "scarf" and (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
-    pool = build_marginal_pool(dataset, splits.train)
-    learnable = bundle.learnable_missing if hp.corruption_strategy == "missing_learnable" else None
-    if hp.corruption_strategy == "missing_learnable" and learnable is None:
-        raise ConfigurationError("bundle lacks learnable missing values")
-    pairs = build_static_validation(
-        dataset, splits.validation, hp.corruption, pool, rng,
-        hp.val_build_epochs, hp.batch_size, learnable,
-    )
-    params = bundle.f.parameters() + bundle.g.parameters()
-    if learnable is not None:
-        params = params + [learnable]
-    loss_fn = partial(_contrastive_loss, hp)
-
-    def step(rows):
-        if rows.size < 2:
-            return None  # InfoNCE needs a negative
-        batch = dataset.X[rows]
-        view_a, view_b, draw = make_views(batch, dataset, hp.corruption, pool, rng, learnable)
-        loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
-        grads = f_grads + g_grads
-        if learnable is not None:
-            grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
-        return loss, grads
-
-    return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
-                lambda: _validation_metric(bundle, pairs, hp))
-
-
-AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
-
-
-def _ae_input(batch, variant, dataset, config, pool, rng):
-    """Encoder input: the batch, the batch plus N(0, 0.5^2) noise, or its SCARF view."""
-    if variant == "no_noise_ae":
-        return np.array(batch, copy=True)
-    if variant == "add_noise_ae":
-        return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
-    _, view_b, _ = make_views(batch, dataset, config, pool, rng)
-    return view_b
-
-
-def pretrain_autoencoder(
-    dataset: ProcessedDataset,
-    splits: Splits,
-    bundle: ModelBundle,
-    variant: str,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-) -> TrainOutcome:
-    """Reconstruction pre-training: decoder(f(x_in)) vs the uncorrupted input,
-    MSE loss, early stopping on static validation reconstruction loss. The
-    variant is one of the AUTOENCODERS method names."""
-    _require_batch_pairs(hp)
-    if variant not in AUTOENCODERS:
-        raise ConfigurationError(f"unknown autoencoder variant {variant!r}")
-    if bundle.decoder is None:
-        raise ConfigurationError("autoencoder pre-training requires a decoder head")
+    head_name = {"scarf": "g", "scarf_disc": "disc_proj"}.get(pre, "decoder")
+    head = getattr(bundle, head_name)
+    if head is None:
+        raise ConfigurationError(f"{pre} pre-training requires the {head_name} head")
+    learnable = None
+    if pre == "scarf" and hp.corruption_strategy == "missing_learnable":
+        learnable = bundle.learnable_missing
+        if learnable is None:
+            raise ConfigurationError("bundle lacks learnable missing values")
     pool = build_marginal_pool(dataset, splits.train)
 
     def view(batch):
-        return _ae_input(batch, variant, dataset, hp.corruption, pool, rng)
+        return _view(pre, batch, dataset, hp.corruption, pool, rng, learnable)
 
-    pairs = build_static_validation(
-        dataset, splits.validation, hp.corruption, pool, rng,
-        hp.val_build_epochs, hp.batch_size, view=view,
-    )
+    pairs = build_static_validation(dataset.X[splits.validation], view, rng,
+                                    hp.val_build_epochs, hp.batch_size)
+    params = bundle.f.parameters() + (bundle.g.parameters() if pre == "scarf_disc" else [])
+    params = params + head.parameters() + ([learnable] if learnable is not None else [])
+    loss_fn = partial(_contrastive_loss, hp)
 
     def step(rows):
         batch = dataset.X[rows]
+        if pre == "scarf":
+            if rows.size < 2:
+                return None  # InfoNCE needs a negative
+            view_a, view_b, draw = make_views(batch, dataset, hp.corruption, pool, rng, learnable)
+            loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
+            grads = f_grads + g_grads
+            if learnable is not None:
+                grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
+            return loss, grads
+        if pre == "scarf_disc":
+            view_b = view(batch)
+            labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
+            loss, grad = losses.binary_logistic(_disc_logits(bundle, np.vstack([batch, view_b])),
+                                                labels)
+            p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
+            g_grads, grad_mid = bundle.g.backward(grad_mid)
+            f_grads, _ = bundle.f.backward(grad_mid)
+            return loss, f_grads + g_grads + p_grads
         loss, f_grads, d_grads = bundle.reconstruction_step(view(batch), batch)
         return loss, f_grads + d_grads
 
-    return _fit(bundle.f.parameters() + bundle.decoder.parameters(),
-                np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
-                lambda: _reconstruction_metric(bundle, pairs))
-
-
-def _reconstruction_metric(bundle: ModelBundle, pairs: StaticValidationPairs) -> float:
-    """MSE of decoder(f(corrupted copy)) against the original rows, averaged
-    over the stored batches weighted by size."""
-    def reconstruct(x):
-        return bundle.decoder.forward(bundle.f.forward(x))
-
-    vals = [mse(_in_slices(reconstruct, corr), pairs.originals[pos])[0]
-            for pos, corr in zip(pairs.positions, pairs.corrupted)]
-    return float(np.average(vals, weights=[pos.size for pos in pairs.positions]))
-
-
-def pretrain_discriminative(
-    dataset: ProcessedDataset,
-    splits: Splits,
-    bundle: ModelBundle,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-) -> TrainOutcome:
-    """Original-vs-corrupted discrimination through a final scalar projection
-    on g; binary logistic loss, validation metric is classification error at
-    logit 0 on the static pairs."""
-    _require_batch_pairs(hp)
-    if bundle.disc_proj is None:
-        raise ConfigurationError("discriminative pre-training requires the scalar projection head")
-    pool = build_marginal_pool(dataset, splits.train)
-    pairs = build_static_validation(
-        dataset, splits.validation, hp.corruption, pool, rng,
-        hp.val_build_epochs, hp.batch_size,
-    )
-    params = bundle.f.parameters() + bundle.g.parameters() + bundle.disc_proj.parameters()
-
-    def step(rows):
-        batch = dataset.X[rows]
-        _, view_b, _ = make_views(batch, dataset, hp.corruption, pool, rng)
-        labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
-        loss, grad = losses.binary_logistic(_disc_logits(bundle, np.vstack([batch, view_b])), labels)
-        p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
-        g_grads, grad_mid = bundle.g.backward(grad_mid)
-        f_grads, _ = bundle.f.backward(grad_mid)
-        return loss, f_grads + g_grads + p_grads
-
     return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
-                lambda: _discrimination_metric(bundle, pairs))
+                lambda: _validation_metric(bundle, pairs, hp, pre))
 
 
 def _disc_logits(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
     """Logit that a row is a corrupted copy: disc_proj(g(f(x)))."""
     return bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(x)))
-
-
-def _discrimination_metric(bundle: ModelBundle, pairs: StaticValidationPairs) -> float:
-    """Error of the rule "logit > 0 means corrupted" on each stored batch and
-    its corrupted copy, averaged over the batches weighted by size."""
-    def logits(x):
-        return _in_slices(partial(_disc_logits, bundle), x).reshape(-1)
-
-    orig_logits = logits(pairs.originals)
-    errs, sizes = [], []
-    for pos, corr in zip(pairs.positions, pairs.corrupted):
-        logit = np.concatenate([orig_logits[pos], logits(corr)])
-        labels = np.concatenate([np.zeros(pos.size), np.ones(len(corr))])
-        errs.append(float(np.mean((logit > 0) != labels)))
-        sizes.append(len(labels))
-    return float(np.average(errs, weights=sizes))
 
 
 def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> float:
@@ -626,5 +569,5 @@ def _cotrain_term(bundle, x, dataset, pool, rng, hp: Hyperparameters, aux: str):
         loss, f_grads, g_grads, _ = bundle.contrastive_step(
             view_a, view_b, partial(_infonce_pair, temperature=hp.temperature))
         return loss, f_grads, g_grads
-    x_in = _ae_input(x, "add_noise_ae", dataset, hp.corruption, pool, rng)
+    x_in = _view("add_noise_ae", x, dataset, hp.corruption, pool, rng)
     return bundle.reconstruction_step(x_in, x)

@@ -31,6 +31,7 @@ from tabpretrain.training import (
     build_static_validation,
     pretrain_scarf,
     _validation_metric,
+    _view,
 )
 
 BANKNOTE_CSV = os.environ.get(
@@ -117,8 +118,8 @@ def test_criterion_1_gradient_checks():
             # spread makes the Barlow batch norm numerically unconditioned.
             # Resample until the configuration sits at a differentiable,
             # well-conditioned point (realistic widths never produce either).
-            bundle = to_float64(ModelBundle.create(d_in, 2, rng, hidden=hidden,
-                                                   encoder_layers=2, head_layers=1))
+            arch = Hyperparameters(hidden_dim=hidden, encoder_layers=2, head_layers=1)
+            bundle = to_float64(ModelBundle.create(d_in, 2, rng, arch))
             x2 = rng.normal(size=(n, d_in))
             tau = float(rng.uniform(0.5, 2.0))
             z, zt = bundle.embed(x), bundle.embed(x2)
@@ -337,16 +338,18 @@ def test_criterion_8_early_stopping(mixture):
     # live run on the criterion-5 data
     splits = make_splits(mixture.n, derive_seed(0, "mixture", 0))
     bundle = ModelBundle.create(mixture.X.shape[1], 2, np.random.default_rng(1),
-                                hidden=64, encoder_layers=2, head_layers=1)
+                                Hyperparameters(hidden_dim=64, encoder_layers=2, head_layers=1))
     cfg = Hyperparameters(pretrain_max_epochs=1000)
     out = pretrain_scarf(mixture, splits, bundle, cfg, np.random.default_rng(2))
     assert out.epochs_used < 1000 and out.stop_reason == "patience"
     assert out.best_metric == min(out.val_curve)
     pool = build_marginal_pool(mixture, splits.train)
-    pairs = build_static_validation(mixture, splits.validation, cfg.corruption, pool,
-                                    np.random.default_rng(2), cfg.val_build_epochs,
-                                    cfg.batch_size)
-    restored = _validation_metric(bundle, pairs, cfg)
+    rng = np.random.default_rng(2)
+    pairs = build_static_validation(
+        mixture.X[splits.validation],
+        lambda batch: _view("scarf", batch, mixture, cfg.corruption, pool, rng),
+        rng, cfg.val_build_epochs, cfg.batch_size)
+    restored = _validation_metric(bundle, pairs, cfg, "scarf")
     assert abs(restored - out.best_metric) < 1e-12
 
 

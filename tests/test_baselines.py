@@ -85,7 +85,7 @@ class TestSelfTrain:
             calls.append((rows.copy(), labels.copy()))
             return constant_model([0.0, 0.0])  # uniform softmax, below 0.75
 
-        model, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn)
+        model, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn, 0.75, 10)
         assert len(calls) == 11  # 10 rounds plus the final model
         np.testing.assert_array_equal(sorted(pool), np.arange(5))
         np.testing.assert_array_equal(calls[-1][1], ds.y[np.arange(5)])
@@ -98,7 +98,7 @@ class TestSelfTrain:
             calls.append((rows.copy(), labels.copy()))
             return constant_model([0.0, 10.0])  # class 1 at certainty ~1
 
-        _, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn)
+        _, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn, 0.75, 10)
         assert sorted(pool) == list(range(20))
         rows, labels = calls[-1]
         by_row = dict(zip(rows.tolist(), labels.tolist()))
@@ -120,7 +120,7 @@ class TestSelfTrain:
             train_fn.last = last
             return constant_model(logits)
 
-        self_train(ds, np.arange(3), np.arange(3, 6), train_fn)
+        self_train(ds, np.arange(3), np.arange(3, 6), train_fn, 0.75, 10)
         rows, labels = train_fn.last
         by_row = dict(zip(rows.tolist(), labels.tolist()))
         for r in (3, 4, 5):  # absorbed in round 1 as class 1, never revised
@@ -134,13 +134,15 @@ class TestSelfTrain:
             train_fn.last = rows.copy()
             return constant_model([0.0, logit])
 
-        _, pool = self_train(ds, np.arange(4), np.arange(4, 8), train_fn, threshold=0.75)
+        _, pool = self_train(ds, np.arange(4), np.arange(4, 8), train_fn, threshold=0.75,
+                             iterations=10)
         assert sorted(pool) == list(range(8))
 
     def test_bad_threshold_rejected(self):
         ds = index_dataset()
         with pytest.raises(ValueError):
-            self_train(ds, np.arange(4), np.arange(4, 8), lambda *a: None, threshold=0.0)
+            self_train(ds, np.arange(4), np.arange(4, 8), lambda *a: None, threshold=0.0,
+                       iterations=10)
 
 
 class TestTriTrain:
@@ -149,7 +151,7 @@ class TestTriTrain:
         def train_fn(rows, labels, soft):
             return constant_model([1.0, 0.0])
 
-        _, rows = tri_train(ds, np.arange(6), np.array([], dtype=int), train_fn, rng)
+        _, rows = tri_train(ds, np.arange(6), np.array([], dtype=int), train_fn, rng, 10)
         # union of bootstrap pools plus the precedence pass covers exactly the
         # labeled rows that appeared in at least one bootstrap, then all
         # labeled rows are re-asserted with their original labels
@@ -161,7 +163,7 @@ class TestTriTrain:
         def train_fn(rows, labels, soft):
             return constant_model([0.0, 5.0])  # everyone predicts class 1
 
-        model, rows = tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng)
+        model, rows = tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, 10)
         assert set(range(6, 12)) <= set(rows)
 
     def test_original_labels_take_precedence(self, rng):
@@ -172,7 +174,7 @@ class TestTriTrain:
             seen.append(dict(zip(rows.tolist(), labels.tolist())))
             return constant_model([0.0, 5.0])  # predicts class 1 for all rows
 
-        tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng)
+        tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, 10)
         final = seen[-1]
         for r in range(6):
             if r in final:
@@ -232,15 +234,15 @@ def test_rounds_stop_once_no_unlabeled_row_is_left(name, unlabeled, calls):
 
     unlabeled = np.array(list(unlabeled), dtype=int)
     if name == "self_train":
-        _, rows = self_train(ds, np.arange(6), unlabeled, train_fn)
+        _, rows = self_train(ds, np.arange(6), unlabeled, train_fn, 0.75, 10)
     else:
-        _, rows = tri_train(ds, np.arange(6), unlabeled, train_fn, np.random.default_rng(0))
+        _, rows = tri_train(ds, np.arange(6), unlabeled, train_fn, np.random.default_rng(0), 10)
     assert len(trained) == calls
     np.testing.assert_array_equal(np.sort(trained[-1]), np.sort(rows))
     assert set(rows.tolist()) >= set(unlabeled.tolist())
 
 
-def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold=0.75, iterations=10):
+def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations):
     """Row-by-row reference for self_train: a list pool and a dict of labels."""
     pool_rows = list(np.asarray(labeled))
     pool_labels = {int(i): int(dataset.y[i]) for i in pool_rows}
@@ -261,7 +263,7 @@ def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold=0.75, itera
     return train_fn(np.array(pool_rows), labels, None), np.array(pool_rows)
 
 
-def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations=10):
+def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
     """Row-by-row reference for tri_train: list pools, dicts of labels and a
     dict union in which the first pool's label wins."""
     labeled, unlabeled = np.asarray(labeled), np.asarray(unlabeled)
@@ -315,7 +317,7 @@ def test_pools_match_the_row_by_row_reference(name, seed):
         return calls, pool.tolist()
 
     if name == "self_train":
-        got, want = run(self_train), run(loop_self_train)
+        got, want = run(self_train, 0.75), run(loop_self_train, 0.75)
     else:
         got = run(tri_train, np.random.default_rng(seed))
         want = run(loop_tri_train, np.random.default_rng(seed))

@@ -204,6 +204,22 @@ class TestConfiguration:
         assert err.startswith(prefix) and error in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 1.9), ("seed", "7"), ("jobs", True), ("method", 5), ("setting", None),
+        ("out", 3), ("scaling", ["zscore"]),
+    ])
+    def test_mistyped_run_key_fails_and_writes_nothing(self, tmp_path, capsys, monkeypatch, key,
+                                                       value):
+        csv, schema = write_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **{"out": "o", key: value})
+        before = sorted(tmp_path.iterdir())
+        assert main(["run", "--config", config, "--dataset", csv, "--schema", schema]) == 1
+        kind = type(CONFIG_DEFAULTS[key]).__name__
+        assert capsys.readouterr().err == \
+            f"run failed: config key {key!r} must be of type {kind}, not {value!r}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_boolean_flag_takes_true_or_false(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--unique_pool", "yes"])

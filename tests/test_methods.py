@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_dataset
-from tabpretrain import methods, stats
+from tabpretrain import baselines, methods, stats
 from tabpretrain.corruption import CorruptionConfig
-from tabpretrain.data import Schema, encode_csv, make_splits, process_csv
+from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits, process_csv
 from tabpretrain.methods import (
     FINETUNERS,
-    PRETRAINERS,
     SETTINGS,
     TrialFailure,
     UnknownMethodError,
@@ -20,6 +19,7 @@ from tabpretrain.methods import (
     run_benchmark,
     run_method,
 )
+from tabpretrain.training import PRETRAINERS, Hyperparameters
 
 # a value of another type than the field's default in Hyperparameters
 MISTYPED = [("batch_size", "32"), ("corruption_rate", "0.6"), ("batch_size", 32.0),
@@ -77,7 +77,7 @@ class TestApplySetting:
     def test_full_uses_all_train_labels(self, rng):
         ds = make_blob_dataset(n=100)
         splits = make_splits(100, 0)
-        y, labeled, unlabeled = apply_setting(ds, splits, "full", rng)
+        y, labeled, unlabeled = apply_setting(ds, splits, "full", rng, Hyperparameters())
         np.testing.assert_array_equal(labeled, splits.train)
         assert unlabeled.size == 0
         np.testing.assert_array_equal(y, ds.y)
@@ -85,7 +85,7 @@ class TestApplySetting:
     def test_noise30_touches_train_rows_only(self, rng):
         ds = make_blob_dataset(n=200)
         splits = make_splits(200, 1)
-        y, labeled, _ = apply_setting(ds, splits, "noise30", rng)
+        y, labeled, _ = apply_setting(ds, splits, "noise30", rng, Hyperparameters())
         off_train = np.setdiff1d(np.arange(200), splits.train)
         np.testing.assert_array_equal(y[off_train], ds.y[off_train])
         changed = (y[splits.train] != ds.y[splits.train]).sum()
@@ -94,14 +94,14 @@ class TestApplySetting:
     def test_semi25_partitions_train(self, rng):
         ds = make_blob_dataset(n=200)
         splits = make_splits(200, 2)
-        _, labeled, unlabeled = apply_setting(ds, splits, "semi25", rng)
+        _, labeled, unlabeled = apply_setting(ds, splits, "semi25", rng, Hyperparameters())
         assert len(labeled) == round(0.25 * len(splits.train))
         assert sorted(np.concatenate([labeled, unlabeled])) == sorted(splits.train)
 
     def test_unknown_setting(self, rng):
         ds = make_blob_dataset(n=100)
         with pytest.raises(ValueError):
-            apply_setting(ds, make_splits(100, 0), "typo", rng)
+            apply_setting(ds, make_splits(100, 0), "typo", rng, Hyperparameters())
 
 
 class TestRunMethod:
@@ -214,7 +214,8 @@ class TestRunMethod:
 
         monkeypatch.setattr(methods, "finetune", spy)
         res = run_method(recipe, ds, splits, "noise30", 8, FAST_HP)
-        y_eff, _, _ = apply_setting(ds, splits, "noise30", np.random.default_rng(8))
+        y_eff, _, _ = apply_setting(ds, splits, "noise30", np.random.default_rng(8),
+                                    Hyperparameters())
         assert not np.array_equal(y_eff[splits.train], ds.y[splits.train])
         held_out = np.concatenate([splits.validation, splits.test])
         for y in seen:
@@ -250,6 +251,36 @@ class TestRunMethod:
             assert (finetune_kwargs["recipe"], finetune_cfg.corruption) == ("scarf_aug", expected)
         else:
             assert (finetune_kwargs["recipe"], finetune_cfg.corruption) == ("cotrain", expected)
+
+    @pytest.mark.parametrize("recipe", ["self_train", "tri_train"])
+    def test_non_default_hyperparameters_take_effect(self, recipe, monkeypatch):
+        """The architecture, the setting's label noise and labeled share, and
+        the pseudo-labeling threshold and rounds are read from the
+        hyperparameters by the code that uses them."""
+        seen = {}
+        real = getattr(baselines, recipe)
+
+        def spy(*args):
+            seen["args"] = args
+            seen["model"], rows = real(*args)
+            return seen["model"], rows
+
+        monkeypatch.setattr(baselines, recipe, spy)
+        ds = make_blob_dataset(n=120, d=4, seed=3)
+        splits = make_splits(120, 2)
+        hp = {**FAST_HP, "hidden_dim": 6, "encoder_layers": 3, "head_layers": 1,
+              "labeled_fraction": 0.5, "self_train_threshold": 0.6, "self_train_iterations": 3}
+        run_method(recipe, ds, splits, "semi25", 9, hp)
+        _, labeled, _, _, *rest = seen["args"]
+        assert abs(len(labeled) - 0.5 * len(splits.train)) <= 0.5
+        assert rest[-1] == 3 and (recipe == "tri_train" or rest[0] == 0.6)
+        model = seen["model"]
+        assert [(layer.in_dim, layer.out_dim) for layer in model.f.layers + model.h.layers] == \
+            [(4, 6), (6, 6), (6, 6), (6, 2)]
+        y, _, _ = apply_setting(ds, splits, "noise30", np.random.default_rng(0),
+                                Hyperparameters(noise_rate=0.5))
+        np.testing.assert_array_equal(
+            y[splits.train], corrupt_labels(ds.y[splits.train], 0.5, 2, np.random.default_rng(0)))
 
 
 def write_mixed_csv(tmp_path, n=80):

@@ -6,10 +6,12 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 from conftest import make_blob_dataset
 from tabpretrain import methods
 from tabpretrain.data import make_splits
+from tabpretrain.training import Hyperparameters
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -36,7 +38,8 @@ def test_trace_counts_one_scarf_trial():
         patches.restore()
     assert patches.verify_clean() == []
 
-    _, labeled, _ = methods.apply_setting(ds, splits, "semi25", np.random.default_rng(2))
+    _, labeled, _ = methods.apply_setting(ds, splits, "semi25", np.random.default_rng(2),
+                                          Hyperparameters())
     [(_, pretrain_rows)] = tracer.calls["training.pretrain_scarf"]
     [(_, finetune_rows)] = tracer.calls["training.finetune"]
     assert res["pretrain_epochs"] >= 1 and res["epochs_used"] >= 1
@@ -46,3 +49,27 @@ def test_trace_counts_one_scarf_trial():
     assert tracer.counts["training.finetune_epochs"] == res["epochs_used"]
     assert tracer.counts["corruption.make_views_calls"] == len(tracer.calls["corruption.make_views"]) > 0
     assert tracer.counts["corruption.cells_replaced"] > 0
+
+
+@pytest.mark.parametrize("method", ["scarf_ae", "scarf_disc"])
+def test_trace_sees_every_pre_trainer(method):
+    """Every pre-trainer runs through `training.pretrain_scarf` and its
+    per-epoch `training._validation_metric`, so the spans count its rows and
+    its validation calls."""
+    spans = load_spans()
+    ds = make_blob_dataset(n=120, d=4, seed=0)
+    splits = make_splits(ds.n, 1)
+    tracer, patches = spans.Tracer(), spans.Patches()
+    try:
+        spans.install_trace(tracer, patches)
+        res = methods.run_method(method, ds, splits, "full", 2, HP)
+    finally:
+        patches.restore()
+    assert patches.verify_clean() == []
+
+    [(_, pretrain_rows)] = tracer.calls["training.pretrain_scarf"]
+    assert res["pretrain_epochs"] >= 1
+    assert pretrain_rows == len(splits.train) * res["pretrain_epochs"]
+    assert tracer.counts["training.pretrain_epochs"] == res["pretrain_epochs"]
+    assert len(tracer.calls["training.validation"]) == res["pretrain_epochs"]
+    assert len(tracer.calls["training.build_static_validation"]) == 1

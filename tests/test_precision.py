@@ -33,7 +33,7 @@ from tabpretrain.nn import (
     smooth_labels,
     softmax_cross_entropy,
 )
-from tabpretrain.training import AUTOENCODERS, ModelBundle, _ae_input, _infonce_pair
+from tabpretrain.training import AUTOENCODERS, Hyperparameters, ModelBundle, _infonce_pair, _view
 
 F32 = np.float32
 
@@ -74,7 +74,7 @@ def test_views_keep_float32(strategy, view_policy, rng):
 def test_autoencoder_inputs_keep_float32(variant, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
-    assert_float32(_ae_input(ds.X[:8], variant, ds, CorruptionConfig(), pool, rng))
+    assert_float32(_view(variant, ds.X[:8], ds, CorruptionConfig(), pool, rng))
 
 
 def test_loss_values_and_gradients_keep_float32(rng):
@@ -108,8 +108,9 @@ def test_loss_values_and_gradients_keep_float32(rng):
 
 def test_bundle_steps_keep_float32(rng):
     ds = float32_dataset()
-    bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hidden=8, with_decoder=True,
-                                with_learnable_missing=True, encoder_layers=2, head_layers=1)
+    bundle = ModelBundle.create(ds.X.shape[1], 2, rng,
+                                Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1),
+                                with_decoder=True, with_learnable_missing=True)
     assert_float32(*bundle_weights(bundle))
     x, x2 = ds.X[:6], ds.X[6:12]
     loss, f_grads, g_grads, grad_in = bundle.contrastive_step(

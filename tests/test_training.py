@@ -18,23 +18,28 @@ from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
     AUTOENCODERS,
     INFERENCE_ROWS,
+    PRETRAINERS,
     EarlyStopper,
     Hyperparameters,
     ModelBundle,
     build_static_validation,
     classification_error,
     finetune,
-    pretrain_autoencoder,
-    pretrain_discriminative,
     pretrain_scarf,
     _contrastive_loss,
+    _view,
 )
 
-SMALL = dict(hidden=16, encoder_layers=2, head_layers=1)
+SMALL = Hyperparameters(hidden_dim=16, encoder_layers=2, head_layers=1)
 
 
-def small_bundle(ds, rng, **kw):
-    return ModelBundle.create(ds.X.shape[1], ds.num_classes, rng, **{**SMALL, **kw})
+def small_bundle(ds, rng, arch=SMALL, **heads):
+    return ModelBundle.create(ds.X.shape[1], ds.num_classes, rng, arch, **heads)
+
+
+def view_of(pre, ds, config, pool, rng):
+    """The `view` of pre-trainer `pre` that `build_static_validation` takes."""
+    return lambda batch: _view(pre, batch, ds, config, pool, rng)
 
 
 class TestEarlyStopper:
@@ -66,7 +71,8 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=100, d=4)
         pool = build_marginal_pool(ds, np.arange(50))
         pairs = build_static_validation(
-            ds, np.arange(50, 100), CorruptionConfig(), pool, rng, epochs=10, batch_size=128
+            ds.X[50:100], view_of("scarf", ds, CorruptionConfig(), pool, rng), rng, epochs=10,
+            batch_size=128,
         )
         assert sum(pos.size for pos in pairs.positions) == 500
         assert len(pairs.positions) == 10  # one 50-row batch per pass
@@ -76,7 +82,8 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
         pairs = build_static_validation(
-            ds, np.arange(40, 60), CorruptionConfig(strategy="none"), pool, rng, epochs=3
+            ds.X[40:60], view_of("scarf", ds, CorruptionConfig(strategy="none"), pool, rng), rng,
+            epochs=3, batch_size=128,
         )
         for pos, corr in zip(pairs.positions, pairs.corrupted):
             np.testing.assert_array_equal(pairs.originals[pos], corr)
@@ -84,10 +91,10 @@ class TestStaticValidation:
     def test_same_seed_bit_identical(self):
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
-        a = build_static_validation(ds, np.arange(40, 60), CorruptionConfig(), pool,
-                                    np.random.default_rng(5), epochs=2)
-        b = build_static_validation(ds, np.arange(40, 60), CorruptionConfig(), pool,
-                                    np.random.default_rng(5), epochs=2)
+        a, b = [build_static_validation(ds.X[40:60],
+                                        view_of("scarf", ds, CorruptionConfig(), pool, r), r,
+                                        epochs=2, batch_size=128)
+                for r in (np.random.default_rng(5), np.random.default_rng(5))]
         for x, y in zip(a.corrupted, b.corrupted):
             np.testing.assert_array_equal(x, y)
 
@@ -95,17 +102,19 @@ class TestStaticValidation:
         ds = make_numeric_dataset()
         pool = build_marginal_pool(ds, np.arange(10))
         with pytest.raises(ValueError):
-            build_static_validation(ds, np.array([], dtype=int), CorruptionConfig(), pool, rng)
+            build_static_validation(ds.X[:0], view_of("scarf", ds, CorruptionConfig(), pool, rng),
+                                    rng, epochs=10, batch_size=128)
 
 
-def per_batch_metric(kind, bundle, pairs, cfg):
+def per_batch_metric(pre, bundle, pairs, cfg):
     """The validation metrics computed batch by batch, the reference for the
     positions: every stored batch of originals goes through the nets on its
-    own, next to its corrupted copy."""
+    own, next to its corrupted copy. The discriminative error is weighted by
+    the 2B rows it scores."""
     vals, weights = [], []
     for pos, corr in zip(pairs.positions, pairs.corrupted):
         orig = pairs.originals[pos]
-        if kind == "scarf":
+        if pre == "scarf":
             if orig.shape[0] < 2:
                 continue
             z = l2_normalize_rows(bundle.g.forward(bundle.f.forward(orig)))
@@ -115,7 +124,7 @@ def per_batch_metric(kind, bundle, pairs, cfg):
             else:
                 vals.append(_contrastive_loss(cfg, z, zt)[0])
             weights.append(orig.shape[0])
-        elif kind == "autoencoder":
+        elif pre in AUTOENCODERS:
             vals.append(mse(bundle.decoder.forward(bundle.f.forward(corr)), orig)[0])
             weights.append(orig.shape[0])
         else:
@@ -131,9 +140,12 @@ METRICS = {
     "scarf-infonce_error": ("scarf", dict(validation_metric="infonce_error")),
     "scarf-barlow": ("scarf", dict(pretrain_loss="barlow")),
     "scarf-align_uniform": ("scarf", dict(pretrain_loss="align_uniform")),
-    "autoencoder": ("autoencoder", dict()),
-    "discriminative": ("discriminative", dict()),
+    "autoencoder": ("scarf_ae", dict()),
+    "add_noise_ae": ("add_noise_ae", dict()),
+    "no_noise_ae": ("no_noise_ae", dict()),
+    "discriminative": ("scarf_disc", dict()),
 }
+assert {pre for pre, _ in METRICS.values()} == set(PRETRAINERS)
 
 
 class TestValidationMetrics:
@@ -143,22 +155,21 @@ class TestValidationMetrics:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", METRICS)
     def test_equals_per_batch_computation(self, name, dtype):
-        kind, overrides = METRICS[name]
+        pre, overrides = METRICS[name]
         ds = make_numeric_dataset(n=1000, d=12, seed=14)
         splits = make_splits(ds.n, 10)  # 100 validation rows: batches of 32, 32, 32, 4
         rng = np.random.default_rng(6)
-        bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hidden=64, encoder_layers=2,
-                                    head_layers=1, with_decoder=True, with_disc_proj=True)
+        bundle = small_bundle(ds, rng, replace(SMALL, hidden_dim=64), with_decoder=True,
+                              with_disc_proj=True)
         if dtype == np.float64:
             to_float64(bundle)
         cfg = Hyperparameters(batch_size=32, val_build_epochs=3, **overrides)
         pool = build_marginal_pool(ds, splits.train)
-        pairs = build_static_validation(ds, splits.validation, cfg.corruption, pool, rng,
+        pairs = build_static_validation(ds.X[splits.validation],
+                                        view_of(pre, ds, cfg.corruption, pool, rng), rng,
                                         cfg.val_build_epochs, cfg.batch_size)
-        metric = {"scarf": lambda: training._validation_metric(bundle, pairs, cfg),
-                  "autoencoder": lambda: training._reconstruction_metric(bundle, pairs),
-                  "discriminative": lambda: training._discrimination_metric(bundle, pairs)}[kind]
-        assert metric() == per_batch_metric(kind, bundle, pairs, cfg)
+        assert training._validation_metric(bundle, pairs, cfg, pre) == \
+            per_batch_metric(pre, bundle, pairs, cfg)
 
 
 class TestInference:
@@ -168,7 +179,7 @@ class TestInference:
     @staticmethod
     def bundle_and_rows(n, dtype):
         rng = np.random.default_rng(n)
-        bundle = ModelBundle.create(100, 2, rng)
+        bundle = ModelBundle.create(100, 2, rng, Hyperparameters())
         if dtype == np.float64:
             to_float64(bundle)
         return bundle, rng.normal(size=(n, 100)).astype(dtype)
@@ -205,7 +216,7 @@ class TestInference:
         np.testing.assert_array_equal(logits.argmax(axis=1), full.argmax(axis=1))
 
     def test_no_rows(self, rng):
-        bundle = ModelBundle.create(5, 3, rng, **SMALL)
+        bundle = ModelBundle.create(5, 3, rng, SMALL)
         assert bundle.predict(np.zeros((0, 5))).shape == (0, 3)
         assert bundle.embed(np.zeros((0, 5))).shape == (0, 16)
 
@@ -216,7 +227,7 @@ class TestInference:
         10 (classification error) or 12 (embedding) matrices of 4,000 x 256
         float32 values. Slicing holds the peak under a third of that."""
         rng = np.random.default_rng(0)
-        bundle = ModelBundle.create(100, 2, rng, hidden=256)
+        bundle = ModelBundle.create(100, 2, rng, Hyperparameters())
         X = rng.normal(size=(4000, 100)).astype(np.float32)
         y = rng.integers(0, 2, size=4000)
         run = {"classification_error": lambda: classification_error(bundle, X, y),
@@ -252,19 +263,14 @@ def run_trainer(trainer, ds, splits, max_epochs, seed, batch_size=16):
     bundle = trainer_bundle(trainer, ds, rng)
     hp = Hyperparameters(batch_size=batch_size, pretrain_max_epochs=max_epochs,
                          finetune_max_epochs=max_epochs)
-    if trainer == "scarf":
-        out = pretrain_scarf(ds, splits, bundle, hp, rng)
-    elif trainer == "scarf_learnable":
+    if trainer == "scarf_learnable":
         hp = replace(hp, corruption_strategy="missing_learnable")
-        out = pretrain_scarf(ds, splits, bundle, hp, rng)
-    elif trainer == "discriminative":
-        out = pretrain_discriminative(ds, splits, bundle, hp, rng)
-    elif trainer == "finetune":
-        out = finetune(ds, splits, splits.train, bundle, hp, rng)
-    elif trainer in ("cotrain", "ae_cotrain"):
-        out = finetune(ds, splits, splits.train, bundle, hp, rng, recipe=trainer)
+    pre = {"scarf_learnable": "scarf", "discriminative": "scarf_disc"}.get(trainer, trainer)
+    if pre in PRETRAINERS:
+        out = pretrain_scarf(ds, splits, bundle, hp, rng, pre)
     else:
-        out = pretrain_autoencoder(ds, splits, bundle, trainer, hp, rng)
+        out = finetune(ds, splits, splits.train, bundle, hp, rng,
+                       recipe="control" if trainer == "finetune" else trainer)
     return out, bundle
 
 
@@ -275,6 +281,31 @@ def test_pre_trainers_reject_batch_size_one_before_any_work(trainer, monkeypatch
     monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
     with pytest.raises(ValueError, match="contrastive batches need at least 2 examples"):
         run_trainer(trainer, ds, splits, 1, seed=0, batch_size=1)
+
+
+@pytest.mark.parametrize("pre, strategy, error", [
+    *[(pre, "marginal", "requires the decoder head") for pre in AUTOENCODERS],
+    ("scarf_disc", "marginal", "requires the disc_proj head"),
+    ("scarf", "missing_learnable", "bundle lacks learnable missing values"),
+])
+def test_pre_trainers_without_their_head_rejected_before_any_work(pre, strategy, error,
+                                                                   monkeypatch):
+    ds = make_numeric_dataset(n=100, d=4)
+    splits = make_splits(100, 0)
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
+    with pytest.raises(ConfigurationError, match=error):
+        pretrain_scarf(ds, splits, small_bundle(ds, rng),
+                       Hyperparameters(corruption_strategy=strategy), rng, pre)
+
+
+@pytest.mark.parametrize("pre", ["typo", "control", None])
+def test_unknown_pre_trainer_rejected_before_any_work(pre, monkeypatch):
+    ds = make_numeric_dataset(n=100, d=4)
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
+    with pytest.raises(ConfigurationError, match=f"unknown pre-trainer {pre!r}"):
+        pretrain_scarf(ds, make_splits(100, 0), small_bundle(ds, rng), Hyperparameters(), rng, pre)
 
 
 class TestFit:
@@ -345,13 +376,13 @@ class TestPretrainScarf:
         out = pretrain_scarf(ds, splits, bundle, cfg, np.random.default_rng(3))
         # recompute the validation metric with the restored weights
         pool = build_marginal_pool(ds, splits.train)
-        pairs = build_static_validation(
-            ds, splits.validation, cfg.corruption, pool,
-            np.random.default_rng(3), cfg.val_build_epochs, cfg.batch_size,
-        )
+        rng = np.random.default_rng(3)
+        pairs = build_static_validation(ds.X[splits.validation],
+                                        view_of("scarf", ds, cfg.corruption, pool, rng), rng,
+                                        cfg.val_build_epochs, cfg.batch_size)
         from tabpretrain.training import _validation_metric
 
-        assert _validation_metric(bundle, pairs, cfg) == pytest.approx(out.best_metric)
+        assert _validation_metric(bundle, pairs, cfg, "scarf") == pytest.approx(out.best_metric)
 
     def test_deterministic(self):
         ds = make_numeric_dataset(n=120, d=4, seed=5)
@@ -431,7 +462,7 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng)
         with pytest.raises(ConfigurationError):
-            pretrain_autoencoder(ds, splits, bundle, "no_noise_ae", Hyperparameters(), rng)
+            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng, "no_noise_ae")
 
     def test_unknown_variant_rejected(self):
         ds = make_numeric_dataset(n=100, d=4)
@@ -439,15 +470,15 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng, with_decoder=True)
         with pytest.raises(ConfigurationError):
-            pretrain_autoencoder(ds, splits, bundle, "typo", Hyperparameters(), rng)
+            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng, "typo")
 
     def test_perfect_parameterization_reconstructs(self):
         # identity weights + positive inputs pass unchanged through relu stacks
         ds = make_numeric_dataset(n=40, d=4, seed=8)
         ds.X[...] = np.abs(ds.X)
         rng = np.random.default_rng(0)
-        bundle = ModelBundle.create(4, 2, rng, hidden=4, with_decoder=True,
-                                    encoder_layers=2, head_layers=2)
+        bundle = ModelBundle.create(4, 2, rng, replace(SMALL, hidden_dim=4, head_layers=2),
+                                    with_decoder=True)
         for net in (bundle.f, bundle.decoder):
             for layer in net.layers:
                 layer.weights[...] = np.eye(4)
@@ -464,7 +495,7 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(1)
         bundle = small_bundle(ds, rng, with_decoder=True)
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=2, corruption_rate=1.0)
-        out = pretrain_autoencoder(ds, splits, bundle, "scarf_ae", cfg, rng)
+        out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_ae")
         assert np.all(np.isfinite(out.train_curve))
 
     def test_additive_noise_sigma_default(self):
@@ -472,8 +503,8 @@ class TestPretrainAutoencoder:
         splits = make_splits(200, 6)
         rng = np.random.default_rng(2)
         bundle = small_bundle(ds, rng, with_decoder=True)
-        out = pretrain_autoencoder(ds, splits, bundle, "add_noise_ae",
-                                   Hyperparameters(batch_size=64, pretrain_max_epochs=5), rng)
+        hp = Hyperparameters(batch_size=64, pretrain_max_epochs=5)
+        out = pretrain_scarf(ds, splits, bundle, hp, rng, "add_noise_ae")
         assert out.epochs_used >= 1
 
     def test_training_reduces_reconstruction_loss(self):
@@ -481,8 +512,8 @@ class TestPretrainAutoencoder:
         splits = make_splits(200, 7)
         rng = np.random.default_rng(3)
         bundle = small_bundle(ds, rng, with_decoder=True)
-        out = pretrain_autoencoder(ds, splits, bundle, "no_noise_ae",
-                                   Hyperparameters(batch_size=32, pretrain_max_epochs=30), rng)
+        hp = Hyperparameters(batch_size=32, pretrain_max_epochs=30)
+        out = pretrain_scarf(ds, splits, bundle, hp, rng, "no_noise_ae")
         assert out.best_metric < out.val_curve[0]
 
 
@@ -493,7 +524,7 @@ class TestPretrainDiscriminative:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng)
         with pytest.raises(ConfigurationError):
-            pretrain_discriminative(ds, splits, bundle, Hyperparameters(), rng)
+            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng, "scarf_disc")
 
     def test_corruption_none_long_run_error_near_half(self):
         # originals and "corrupted" copies are identical, so the validation
@@ -505,7 +536,7 @@ class TestPretrainDiscriminative:
         rng = np.random.default_rng(4)
         bundle = small_bundle(ds, rng, with_disc_proj=True)
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=5, corruption_strategy="none")
-        out = pretrain_discriminative(ds, splits, bundle, cfg, rng)
+        out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_disc")
         assert abs(out.best_metric - 0.5) <= 0.1
 
     def test_learns_to_discriminate_heavy_corruption(self):
@@ -514,7 +545,7 @@ class TestPretrainDiscriminative:
         rng = np.random.default_rng(5)
         bundle = small_bundle(ds, rng, with_disc_proj=True)
         cfg = Hyperparameters(batch_size=64, pretrain_max_epochs=30, corruption_rate=1.0)
-        out = pretrain_discriminative(ds, splits, bundle, cfg, rng)
+        out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_disc")
         assert out.best_metric < 0.5
 
 
@@ -523,7 +554,7 @@ class TestFinetune:
         ds = make_blob_dataset(n=400, d=8, seed=0)
         splits = make_splits(400, 0)
         rng = np.random.default_rng(0)
-        bundle = small_bundle(ds, rng, hidden=32)
+        bundle = small_bundle(ds, rng, replace(SMALL, hidden_dim=32))
         finetune(ds, splits, splits.train, bundle, Hyperparameters(batch_size=64), rng)
         assert 1.0 - classification_error(bundle, ds.X[splits.test], ds.y[splits.test]) >= 0.99
 
