@@ -55,10 +55,6 @@ class Schema:
             raise IngestionError("schema file must be a JSON object of column -> kind")
         return cls(list(raw.keys()), list(raw.values()))
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dict(zip(self.names, self.kinds)), fh, indent=2)
-
 
 @dataclass
 class RawTable:

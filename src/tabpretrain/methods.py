@@ -33,7 +33,6 @@ from tabpretrain import baselines, stats, training
 from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
                               mask_labels, scale)
 from tabpretrain.training import (
-    AUTOENCODERS,
     FINETUNE_RECIPES,
     Hyperparameters,
     ModelBundle,
@@ -61,6 +60,20 @@ def parse_method(name: str) -> tuple[str | None, str]:
     elif len(parts) == 2 and parts[0] in training.PRETRAINERS and parts[1] in FINETUNERS:
         return parts[0], parts[1]
     raise UnknownMethodError(f"unknown method {name!r}")
+
+
+def check_method(name: str, hp: Hyperparameters) -> tuple[str | None, str]:
+    """`parse_method(name)`, rejecting a method whose every trial fails under
+    `hp`: pre-training on batches of fewer than 2 rows, or corruption under
+    missing_learnable outside scarf pre-training, which alone steps the vector."""
+    pre, recipe = parse_method(name)
+    if pre is not None and hp.batch_size < 2:
+        raise ValueError(f"method {name!r} pre-trains: its batches need at least 2 examples")
+    if hp.corruption_strategy == "missing_learnable" and (
+            pre in ("scarf_ae", "scarf_disc") or recipe in ("scarf_aug", "cotrain")):
+        raise ValueError(f"method {name!r} corrupts under missing_learnable but never steps "
+                         "the learnable vector")
+    return pre, recipe
 
 
 def derive_seed(base_seed: int, dataset_id: str, trial: int, salt: str = "") -> int:
@@ -124,18 +137,14 @@ def run_method(
 
     The setting's training labels replace `dataset.y` for the whole trial,
     and test accuracy is scored once, on the model the recipe returns. `hp`
-    overrides fields of `Hyperparameters`; an unknown key or a value of the
-    wrong type raises ValueError. Returns test accuracy plus epoch counters for the results record."""
+    overrides fields of `Hyperparameters`; an unknown key, a value of the
+    wrong type or a method that `check_method` rejects raises ValueError.
+    Returns test accuracy plus epoch counters for the results record."""
     hp = _resolve(hp)
-    pre, recipe = parse_method(method)
+    pre, recipe = check_method(method, hp)
     rng = np.random.default_rng(seed)
     y_eff, labeled, unlabeled = apply_setting(dataset, splits, setting, rng, hp)
-    bundle = ModelBundle.create(
-        dataset.X.shape[1], dataset.num_classes, rng, hp,
-        with_decoder=pre in AUTOENCODERS or recipe == "ae_cotrain",
-        with_disc_proj=pre == "scarf_disc",
-        with_learnable_missing=hp.corruption_strategy == "missing_learnable",
-    )
+    bundle = ModelBundle.create(dataset.X.shape[1], dataset.num_classes, rng, hp, pre, recipe)
     # one cast per trial to the weights' dtype, before any pool or view exists
     dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False), y=y_eff)
 
@@ -214,16 +223,16 @@ def run_benchmark(
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
     The checks, the read of the completed keys and the loading of the datasets
     with trials left run in this call, before it returns the iterator: unknown
-    method, setting, scaling or hyperparameter names, `trials` or `jobs` below
-    1, and a dataset that fails to load raise here, before anything is
-    written.
+    method, setting, scaling or hyperparameter names, a method that
+    `check_method` rejects, `trials` or `jobs` below 1, and a dataset that
+    fails to load raise here, before anything is written.
     """
-    _resolve(hp)
+    resolved = _resolve(hp)
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
     for method in methods:
-        parse_method(method)
+        check_method(method, resolved)
     for setting in settings:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")

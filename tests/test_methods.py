@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_blob_dataset
 from tabpretrain import baselines, methods, stats
-from tabpretrain.corruption import CorruptionConfig
+from tabpretrain.corruption import ConfigurationError, CorruptionConfig
 from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits, process_csv
 from tabpretrain.methods import (
     FINETUNERS,
@@ -14,12 +14,13 @@ from tabpretrain.methods import (
     TrialFailure,
     UnknownMethodError,
     apply_setting,
+    check_method,
     derive_seed,
     parse_method,
     run_benchmark,
     run_method,
 )
-from tabpretrain.training import PRETRAINERS, Hyperparameters
+from tabpretrain.training import AUTOENCODERS, PRETRAINERS, Hyperparameters, ModelBundle
 
 # a value of another type than the field's default in Hyperparameters
 MISTYPED = [("batch_size", "32"), ("corruption_rate", "0.6"), ("batch_size", 32.0),
@@ -36,6 +37,10 @@ FAST_HP = {
     "val_build_epochs": 2,
     "self_train_iterations": 2,
 }
+
+# every name that parse_method accepts
+METHOD_NAMES = [*FINETUNERS, *PRETRAINERS,
+                *(f"{pre}+{recipe}" for pre in PRETRAINERS for recipe in FINETUNERS)]
 
 
 class TestParseMethod:
@@ -54,6 +59,57 @@ class TestParseMethod:
         for bad in ("scarfy", "mixup+scarf", "scarf+scarf", "a+b+c", ""):
             with pytest.raises(UnknownMethodError):
                 parse_method(bad)
+
+
+class TestCheckMethod:
+    """The method-dependent rules run before the first trial: a method that
+    could only fail is rejected, and nothing is written."""
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_missing_learnable_rejects_exactly_the_methods_that_cannot_step_it(
+            self, method, tmp_path, monkeypatch):
+        """A method that corrupts without stepping the learnable vector is
+        rejected; past the check, its trial fails on the missing vector.
+        Every other method runs a trial."""
+        ds = make_blob_dataset(n=60, d=4, seed=6)
+        hp = {**FAST_HP, "corruption_strategy": "missing_learnable"}
+        pre, recipe = parse_method(method)
+        if pre in ("scarf_ae", "scarf_disc") or recipe in ("scarf_aug", "cotrain"):
+            with pytest.raises(ValueError, match="corrupts under missing_learnable but never"):
+                run_benchmark({"blob": ds}, [method], ["full"], 1, 0, out_dir=tmp_path, hp=hp)
+            assert list(tmp_path.iterdir()) == []
+            monkeypatch.setattr(methods, "check_method", lambda name, hp: parse_method(name))
+            with pytest.raises(ConfigurationError, match="requires learnable values"):
+                run_method(method, ds, make_splits(60, 1), "full", 3, hp)
+        else:
+            [run] = run_benchmark({"blob": ds}, [method], ["full"], 1, 0, out_dir=tmp_path, hp=hp)
+            assert isinstance(run, stats.MethodRun)
+
+    def test_batch_size_one_rejected_for_every_pre_trainer(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        ds = make_blob_dataset(n=60, d=4, seed=6)
+        hp = {**FAST_HP, "batch_size": 1}
+        for method in METHOD_NAMES:
+            if parse_method(method)[0] is None:
+                assert check_method(method, Hyperparameters(batch_size=1)) == parse_method(method)
+                continue
+            with pytest.raises(ValueError, match="pre-trains: its batches need at least 2"):
+                run_benchmark({"blob": ds}, [method], ["full"], 1, 0, out_dir=tmp_path, hp=hp)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_bundle_heads_follow_from_the_method(self, method):
+        pre, recipe = parse_method(method)
+        for strategy in ("marginal", "missing_learnable"):
+            hp = Hyperparameters(hidden_dim=4, encoder_layers=1, head_layers=1,
+                                 corruption_strategy=strategy)
+            bundle = ModelBundle.create(3, 2, np.random.default_rng(0), hp, pre, recipe)
+            assert (bundle.decoder is not None) == (pre in AUTOENCODERS or recipe == "ae_cotrain")
+            assert (bundle.disc_proj is not None) == (pre == "scarf_disc")
+            assert (bundle.learnable_missing is not None) == \
+                (pre == "scarf" and strategy == "missing_learnable")
 
 
 class TestDeriveSeed:
@@ -359,6 +415,21 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown hyperparameter.*pretrain_max_epoch"):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
                                2, 0, out_dir=tmp_path, hp={"pretrain_max_epoch": 5}))
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("pretrain_loss", "bogus", "unknown pretrain_loss 'bogus'"),
+        ("validation_metric", "bogus", "unknown validation_metric 'bogus'"),
+        ("cotrain_weight", -1.0, "co-training weight must be nonnegative"),
+    ])
+    def test_invalid_hyperparameter_value_raises_before_any_file(self, tmp_path, monkeypatch,
+                                                                 key, value, error):
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=error):
+            list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["scarf+cotrain"],
+                               ["full"], 2, 0, out_dir=tmp_path, hp={key: value}))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

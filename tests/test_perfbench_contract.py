@@ -73,3 +73,36 @@ def test_trace_sees_every_pre_trainer(method):
     assert tracer.counts["training.pretrain_epochs"] == res["pretrain_epochs"]
     assert len(tracer.calls["training.validation"]) == res["pretrain_epochs"]
     assert len(tracer.calls["training.build_static_validation"]) == 1
+
+
+def test_trace_counts_co_training_corruption():
+    """`cotrain` corrupts each fine-tuning batch of two or more rows through
+    `make_views`, inside `training.finetune`, so the spans count it: next to
+    `scarf`, whose pre-training is the same computation, `scarf+cotrain`
+    makes one more `make_views` call per such batch and epoch."""
+    spans = load_spans()
+    ds = make_blob_dataset(n=120, d=4, seed=0)
+    splits = make_splits(ds.n, 1)
+    traced = {}
+    for method in ("scarf", "scarf+cotrain"):
+        tracer, patches = spans.Tracer(), spans.Patches()
+        try:
+            spans.install_trace(tracer, patches)
+            traced[method] = tracer, methods.run_method(method, ds, splits, "semi25", 2, HP)
+        finally:
+            patches.restore()
+        assert patches.verify_clean() == []
+
+    (scarf, scarf_res), (cotrain, res) = traced["scarf"], traced["scarf+cotrain"]
+    _, labeled, _ = methods.apply_setting(ds, splits, "semi25", np.random.default_rng(2),
+                                          Hyperparameters())
+    full, rest = divmod(len(labeled), HP["batch_size"])
+    contrastive_batches = full + (rest >= 2)
+    assert res["pretrain_epochs"] == scarf_res["pretrain_epochs"] >= 1 and res["epochs_used"] >= 1
+    assert len(cotrain.calls["corruption.make_views"]) - len(scarf.calls["corruption.make_views"]) \
+        == res["epochs_used"] * contrastive_batches
+    assert cotrain.counts["corruption.make_views_calls"] == \
+        len(cotrain.calls["corruption.make_views"])
+    assert cotrain.counts["corruption.cells_replaced"] > scarf.counts["corruption.cells_replaced"]
+    [(_, finetune_rows)] = cotrain.calls["training.finetune"]
+    assert finetune_rows == len(labeled) * res["epochs_used"]

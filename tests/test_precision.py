@@ -33,7 +33,8 @@ from tabpretrain.nn import (
     smooth_labels,
     softmax_cross_entropy,
 )
-from tabpretrain.training import AUTOENCODERS, Hyperparameters, ModelBundle, _infonce_pair, _view
+from tabpretrain.training import (AUTOENCODERS, Hyperparameters, ModelBundle, _infonce_pair,
+                                  _objective)
 
 F32 = np.float32
 
@@ -74,7 +75,8 @@ def test_views_keep_float32(strategy, view_policy, rng):
 def test_autoencoder_inputs_keep_float32(variant, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
-    assert_float32(_view(variant, ds.X[:8], ds, CorruptionConfig(), pool, rng))
+    view, _ = _objective(variant, None, ds, Hyperparameters(), pool, rng, None)
+    assert_float32(view(ds.X[:8]))
 
 
 def test_loss_values_and_gradients_keep_float32(rng):
@@ -108,18 +110,19 @@ def test_loss_values_and_gradients_keep_float32(rng):
 
 def test_bundle_steps_keep_float32(rng):
     ds = float32_dataset()
-    bundle = ModelBundle.create(ds.X.shape[1], 2, rng,
-                                Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1),
-                                with_decoder=True, with_learnable_missing=True)
+    hp = Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1,
+                         corruption_strategy="missing_learnable")
+    bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hp, "scarf", "ae_cotrain")
     assert_float32(*bundle_weights(bundle))
     x, x2 = ds.X[:6], ds.X[6:12]
     loss, f_grads, g_grads, grad_in = bundle.contrastive_step(
         x, x2, lambda z, zt: _infonce_pair(z, zt, 1.0))
     assert_float32_value(loss)
     assert_float32(*f_grads, *g_grads, grad_in)
-    loss, f_grads, d_grads = bundle.reconstruction_step(x2, x)
+    _, reconstruction_step = _objective("no_noise_ae", bundle, ds, hp, None, rng, None)
+    loss, grads = reconstruction_step(x)
     assert_float32_value(loss)
-    assert_float32(*f_grads, *d_grads)
+    assert_float32(*grads)
     logits = bundle.classify(x.astype(np.float64), dropout=0.5, rng=rng)  # input is cast
     _, grad = softmax_cross_entropy(logits, np.eye(2)[ds.y[:6]])
     f_grads, h_grads = bundle.classify_backward(grad)

@@ -6,13 +6,8 @@ import pytest
 
 from conftest import (assert_grads_close, bundle_weights, central_difference, make_blob_dataset,
                       make_numeric_dataset, to_float64)
-from tabpretrain import losses, training
-from tabpretrain.corruption import (
-    ConfigurationError,
-    CorruptionConfig,
-    CorruptionDraw,
-    build_marginal_pool,
-)
+from tabpretrain import losses, methods, training
+from tabpretrain.corruption import ConfigurationError, CorruptionDraw, build_marginal_pool
 from tabpretrain.data import make_splits
 from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
@@ -27,19 +22,21 @@ from tabpretrain.training import (
     finetune,
     pretrain_scarf,
     _contrastive_loss,
-    _view,
+    _objective,
 )
 
 SMALL = Hyperparameters(hidden_dim=16, encoder_layers=2, head_layers=1)
+LEARNABLE = replace(SMALL, corruption_strategy="missing_learnable")
 
 
-def small_bundle(ds, rng, arch=SMALL, **heads):
-    return ModelBundle.create(ds.X.shape[1], ds.num_classes, rng, arch, **heads)
+def small_bundle(ds, rng, arch=SMALL, pre=None, recipe="control"):
+    """The bundle of method (`pre`, `recipe`) under `arch`."""
+    return ModelBundle.create(ds.X.shape[1], ds.num_classes, rng, arch, pre, recipe)
 
 
-def view_of(pre, ds, config, pool, rng):
-    """The `view` of pre-trainer `pre` that `build_static_validation` takes."""
-    return lambda batch: _view(pre, batch, ds, config, pool, rng)
+def view_of(pre, ds, hp, pool, rng):
+    """The `view` of objective `pre` that `build_static_validation` takes."""
+    return _objective(pre, None, ds, hp, pool, rng, None)[0]
 
 
 class TestEarlyStopper:
@@ -71,7 +68,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=100, d=4)
         pool = build_marginal_pool(ds, np.arange(50))
         pairs = build_static_validation(
-            ds.X[50:100], view_of("scarf", ds, CorruptionConfig(), pool, rng), rng, epochs=10,
+            ds.X[50:100], view_of("scarf", ds, Hyperparameters(), pool, rng), rng, epochs=10,
             batch_size=128,
         )
         assert sum(pos.size for pos in pairs.positions) == 500
@@ -82,8 +79,8 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
         pairs = build_static_validation(
-            ds.X[40:60], view_of("scarf", ds, CorruptionConfig(strategy="none"), pool, rng), rng,
-            epochs=3, batch_size=128,
+            ds.X[40:60], view_of("scarf", ds, Hyperparameters(corruption_strategy="none"), pool, rng),
+            rng, epochs=3, batch_size=128,
         )
         for pos, corr in zip(pairs.positions, pairs.corrupted):
             np.testing.assert_array_equal(pairs.originals[pos], corr)
@@ -92,7 +89,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
         a, b = [build_static_validation(ds.X[40:60],
-                                        view_of("scarf", ds, CorruptionConfig(), pool, r), r,
+                                        view_of("scarf", ds, Hyperparameters(), pool, r), r,
                                         epochs=2, batch_size=128)
                 for r in (np.random.default_rng(5), np.random.default_rng(5))]
         for x, y in zip(a.corrupted, b.corrupted):
@@ -102,7 +99,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset()
         pool = build_marginal_pool(ds, np.arange(10))
         with pytest.raises(ValueError):
-            build_static_validation(ds.X[:0], view_of("scarf", ds, CorruptionConfig(), pool, rng),
+            build_static_validation(ds.X[:0], view_of("scarf", ds, Hyperparameters(), pool, rng),
                                     rng, epochs=10, batch_size=128)
 
 
@@ -159,14 +156,14 @@ class TestValidationMetrics:
         ds = make_numeric_dataset(n=1000, d=12, seed=14)
         splits = make_splits(ds.n, 10)  # 100 validation rows: batches of 32, 32, 32, 4
         rng = np.random.default_rng(6)
-        bundle = small_bundle(ds, rng, replace(SMALL, hidden_dim=64), with_decoder=True,
-                              with_disc_proj=True)
+        # every head: the decoder of ae_cotrain and the disc_proj of scarf_disc
+        bundle = small_bundle(ds, rng, replace(SMALL, hidden_dim=64), "scarf_disc", "ae_cotrain")
         if dtype == np.float64:
             to_float64(bundle)
         cfg = Hyperparameters(batch_size=32, val_build_epochs=3, **overrides)
         pool = build_marginal_pool(ds, splits.train)
         pairs = build_static_validation(ds.X[splits.validation],
-                                        view_of(pre, ds, cfg.corruption, pool, rng), rng,
+                                        view_of(pre, ds, cfg, pool, rng), rng,
                                         cfg.val_build_epochs, cfg.batch_size)
         assert training._validation_metric(bundle, pairs, cfg, pre) == \
             per_batch_metric(pre, bundle, pairs, cfg)
@@ -251,10 +248,15 @@ TRAINERS = ["scarf", pytest.param("scarf_learnable", id="scarf-missing_learnable
             "cotrain", "ae_cotrain"]
 
 
+# the (pre-trainer, recipe) of each trainer that is not a pre-trainer's own name
+TRAINER_METHODS = {"scarf_learnable": ("scarf", "control"),
+                   "discriminative": ("scarf_disc", "control"), "finetune": (None, "control"),
+                   "cotrain": (None, "cotrain"), "ae_cotrain": (None, "ae_cotrain")}
+
+
 def trainer_bundle(trainer, ds, rng):
-    return small_bundle(ds, rng, with_decoder=trainer in AUTOENCODERS + ("ae_cotrain",),
-                        with_disc_proj=trainer == "discriminative",
-                        with_learnable_missing=trainer == "scarf_learnable")
+    pre, recipe = TRAINER_METHODS.get(trainer, (trainer, "control"))
+    return small_bundle(ds, rng, LEARNABLE if trainer == "scarf_learnable" else SMALL, pre, recipe)
 
 
 def run_trainer(trainer, ds, splits, max_epochs, seed, batch_size=16):
@@ -265,12 +267,11 @@ def run_trainer(trainer, ds, splits, max_epochs, seed, batch_size=16):
                          finetune_max_epochs=max_epochs)
     if trainer == "scarf_learnable":
         hp = replace(hp, corruption_strategy="missing_learnable")
-    pre = {"scarf_learnable": "scarf", "discriminative": "scarf_disc"}.get(trainer, trainer)
-    if pre in PRETRAINERS:
+    pre, recipe = TRAINER_METHODS.get(trainer, (trainer, "control"))
+    if pre is not None:
         out = pretrain_scarf(ds, splits, bundle, hp, rng, pre)
     else:
-        out = finetune(ds, splits, splits.train, bundle, hp, rng,
-                       recipe="control" if trainer == "finetune" else trainer)
+        out = finetune(ds, splits, splits.train, bundle, hp, rng, recipe=recipe)
     return out, bundle
 
 
@@ -284,9 +285,9 @@ def test_pre_trainers_reject_batch_size_one_before_any_work(trainer, monkeypatch
 
 
 @pytest.mark.parametrize("pre, strategy, error", [
-    *[(pre, "marginal", "requires the decoder head") for pre in AUTOENCODERS],
-    ("scarf_disc", "marginal", "requires the disc_proj head"),
-    ("scarf", "missing_learnable", "bundle lacks learnable missing values"),
+    *[(pre, "marginal", "needs the bundle's decoder") for pre in AUTOENCODERS],
+    ("scarf_disc", "marginal", "needs the bundle's disc_proj"),
+    ("scarf", "missing_learnable", "needs the bundle's learnable_missing"),
 ])
 def test_pre_trainers_without_their_head_rejected_before_any_work(pre, strategy, error,
                                                                    monkeypatch):
@@ -378,7 +379,7 @@ class TestPretrainScarf:
         pool = build_marginal_pool(ds, splits.train)
         rng = np.random.default_rng(3)
         pairs = build_static_validation(ds.X[splits.validation],
-                                        view_of("scarf", ds, cfg.corruption, pool, rng), rng,
+                                        view_of("scarf", ds, cfg, pool, rng), rng,
                                         cfg.val_build_epochs, cfg.batch_size)
         from tabpretrain.training import _validation_metric
 
@@ -404,7 +405,7 @@ class TestPretrainScarf:
         ds = make_numeric_dataset(n=100, d=4, seed=6)
         splits = make_splits(100, 3)
         rng = np.random.default_rng(4)
-        bundle = small_bundle(ds, rng, with_learnable_missing=True)
+        bundle = small_bundle(ds, rng, LEARNABLE, "scarf")
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=3,
                               corruption_strategy="missing_learnable")
         pretrain_scarf(ds, splits, bundle, cfg, rng)
@@ -417,7 +418,7 @@ class TestPretrainScarf:
         ds = make_numeric_dataset(n=100, d=4, seed=6)
         splits = make_splits(100, 3)
         rng = np.random.default_rng(4)
-        bundle = to_float64(small_bundle(ds, rng, with_learnable_missing=True))
+        bundle = to_float64(small_bundle(ds, rng, LEARNABLE, "scarf"))
         lmv = bundle.learnable_missing
         lmv[:] = rng.normal(size=lmv.shape)
         cfg = Hyperparameters(corruption_strategy="missing_learnable")
@@ -468,7 +469,7 @@ class TestPretrainAutoencoder:
         ds = make_numeric_dataset(n=100, d=4)
         splits = make_splits(100, 0)
         rng = np.random.default_rng(0)
-        bundle = small_bundle(ds, rng, with_decoder=True)
+        bundle = small_bundle(ds, rng, pre="no_noise_ae")
         with pytest.raises(ConfigurationError):
             pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng, "typo")
 
@@ -478,7 +479,7 @@ class TestPretrainAutoencoder:
         ds.X[...] = np.abs(ds.X)
         rng = np.random.default_rng(0)
         bundle = ModelBundle.create(4, 2, rng, replace(SMALL, hidden_dim=4, head_layers=2),
-                                    with_decoder=True)
+                                    "no_noise_ae")
         for net in (bundle.f, bundle.decoder):
             for layer in net.layers:
                 layer.weights[...] = np.eye(4)
@@ -493,7 +494,7 @@ class TestPretrainAutoencoder:
         ds = make_numeric_dataset(n=100, d=4, seed=9)
         splits = make_splits(100, 5)
         rng = np.random.default_rng(1)
-        bundle = small_bundle(ds, rng, with_decoder=True)
+        bundle = small_bundle(ds, rng, pre="scarf_ae")
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=2, corruption_rate=1.0)
         out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_ae")
         assert np.all(np.isfinite(out.train_curve))
@@ -502,7 +503,7 @@ class TestPretrainAutoencoder:
         ds = make_numeric_dataset(n=200, d=6, seed=10)
         splits = make_splits(200, 6)
         rng = np.random.default_rng(2)
-        bundle = small_bundle(ds, rng, with_decoder=True)
+        bundle = small_bundle(ds, rng, pre="add_noise_ae")
         hp = Hyperparameters(batch_size=64, pretrain_max_epochs=5)
         out = pretrain_scarf(ds, splits, bundle, hp, rng, "add_noise_ae")
         assert out.epochs_used >= 1
@@ -511,7 +512,7 @@ class TestPretrainAutoencoder:
         ds = make_numeric_dataset(n=200, d=5, seed=11)
         splits = make_splits(200, 7)
         rng = np.random.default_rng(3)
-        bundle = small_bundle(ds, rng, with_decoder=True)
+        bundle = small_bundle(ds, rng, pre="no_noise_ae")
         hp = Hyperparameters(batch_size=32, pretrain_max_epochs=30)
         out = pretrain_scarf(ds, splits, bundle, hp, rng, "no_noise_ae")
         assert out.best_metric < out.val_curve[0]
@@ -534,7 +535,7 @@ class TestPretrainDiscriminative:
         ds = make_numeric_dataset(n=200, d=6, seed=12)
         splits = make_splits(200, 8)
         rng = np.random.default_rng(4)
-        bundle = small_bundle(ds, rng, with_disc_proj=True)
+        bundle = small_bundle(ds, rng, pre="scarf_disc")
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=5, corruption_strategy="none")
         out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_disc")
         assert abs(out.best_metric - 0.5) <= 0.1
@@ -543,7 +544,7 @@ class TestPretrainDiscriminative:
         ds = make_blob_dataset(n=300, d=6, seed=13)
         splits = make_splits(300, 9)
         rng = np.random.default_rng(5)
-        bundle = small_bundle(ds, rng, with_disc_proj=True)
+        bundle = small_bundle(ds, rng, pre="scarf_disc")
         cfg = Hyperparameters(batch_size=64, pretrain_max_epochs=30, corruption_rate=1.0)
         out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_disc")
         assert out.best_metric < 0.5
@@ -637,21 +638,21 @@ class TestCotrain:
         assert any(not np.array_equal(a, b) for a, b in zip(*results))
 
     def test_negative_weight_rejected_before_any_work(self, monkeypatch):
+        """`Hyperparameters` rejects the weight, so a co-training method
+        fails before it pre-trains or builds a pool."""
         ds = make_blob_dataset(n=100, d=4, seed=6)
         splits = make_splits(100, 6)
-        rng = np.random.default_rng(7)
-        bundle = small_bundle(ds, rng)
         monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
         with pytest.raises(ValueError, match="co-training weight must be nonnegative"):
-            finetune(ds, splits, splits.train, bundle, Hyperparameters(cotrain_weight=-0.1), rng,
-                     recipe="cotrain")
+            methods.run_method("scarf+cotrain", ds, splits, "full", 7, {"cotrain_weight": -0.1})
 
     def test_ae_cotrain_requires_decoder(self):
         ds = make_blob_dataset(n=100, d=4, seed=6)
         splits = make_splits(100, 6)
         rng = np.random.default_rng(7)
         bundle = small_bundle(ds, rng)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match="the add_noise_ae objective needs the bundle's decoder"):
             finetune(ds, splits, splits.train, bundle,
                      Hyperparameters(finetune_max_epochs=1, cotrain_weight=0.1), rng,
                      recipe="ae_cotrain")
