@@ -6,9 +6,11 @@ JSON schema sidecar mapping each column name to one of "numerical",
 "categorical", or "label"; both are UTF-8, and the CSV may start with a
 byte-order mark. Exactly one label column is required, no header name may
 repeat, every row needs a label, every present numerical cell must be a
-finite number, and at least one feature column must have a value. Ingestion
-and `scale` each hold one copy of the encoded table, with no full-size
-temporaries on the way.
+finite number, and at least one feature column must have a value. Every
+column is one array from the first read: a numerical cell a float64, any
+other cell an int32 code into its column's levels. Ingestion and `scale`
+each hold one copy of the encoded table, with no full-size temporaries on
+the way.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
-
-MISSING = None  # internal missing marker; empty CSV cells map to it
 
 KINDS = ("numerical", "categorical", "label")
 SCALINGS = ("zscore", "minmax", "mean", "none")
@@ -58,12 +58,14 @@ class Schema:
 
 @dataclass
 class RawTable:
-    """Column-major cells: a numerical column is a float64 array with NaN for
-    a missing cell, any other column a list of strings with MISSING."""
+    """Column-major cells, one array per column: a numerical column is
+    float64 with NaN for a missing cell; any other column is int32 codes into
+    its `levels` list (empty for a numerical column), -1 for a missing cell."""
 
     names: list[str]
     kinds: list[str]
-    columns: list
+    columns: list[np.ndarray]
+    levels: list[list[str]]
 
     @property
     def n_rows(self) -> int:
@@ -71,9 +73,8 @@ class RawTable:
 
     def gaps(self, j: int) -> np.ndarray:
         """Boolean mask of the missing cells of column j."""
-        if self.kinds[j] == "numerical":
-            return np.isnan(self.columns[j])
-        return np.array([c is MISSING for c in self.columns[j]], dtype=bool)
+        col = self.columns[j]
+        return np.isnan(col) if self.kinds[j] == "numerical" else col < 0
 
 
 def _parse_number(cell: str, name: str, row: int) -> float:
@@ -93,10 +94,11 @@ def _parse_number(cell: str, name: str, row: int) -> float:
 def load_csv(path, schema: Schema) -> RawTable:
     """Read the CSV, as UTF-8 with an optional byte-order mark, in schema
     column order. A header that names a column twice raises IngestionError
-    before any row is read. Numerical cells are parsed as they are read into
-    a compact float64 buffer per column, 8 bytes a cell, which becomes the
-    column's array once at the end; an empty label cell raises
-    IngestionError naming its row."""
+    before any row is read. Each cell goes into a compact buffer per column
+    as it is read, which becomes the column's array once at the end: a
+    numerical cell parsed to a float64, any other cell the int32 code of its
+    level, numbered in first-read order, or -1 when empty. An empty label
+    cell raises IngestionError naming its row."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -114,7 +116,8 @@ def load_csv(path, schema: Schema) -> RawTable:
         order = [header.index(name) for name in schema.names]
         numerical = [kind == "numerical" for kind in schema.kinds]
         label = schema.kinds.index("label")
-        columns = [array("d") if num else [] for num in numerical]
+        columns = [array("d" if num else "i") for num in numerical]
+        codes = [{} for _ in numerical]  # level -> code, per non-numerical column
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
@@ -123,13 +126,14 @@ def load_csv(path, schema: Schema) -> RawTable:
                 if numerical[j]:
                     col.append(_parse_number(cell, schema.names[j], rownum))
                 elif cell:
-                    col.append(cell)
+                    col.append(codes[j].setdefault(cell, len(codes[j])))
                 elif j == label:
                     raise IngestionError(f"{path}: row {rownum} has no label")
                 else:
-                    col.append(MISSING)
-    columns = [np.array(col, dtype=float) if num else col for col, num in zip(columns, numerical)]
-    return RawTable(list(schema.names), list(schema.kinds), columns)
+                    col.append(-1)
+    columns = [np.array(col, dtype=np.float64 if num else np.int32)
+               for col, num in zip(columns, numerical)]
+    return RawTable(list(schema.names), list(schema.kinds), columns, [list(c) for c in codes])
 
 
 def drop_empty_columns(table: RawTable) -> RawTable:
@@ -139,38 +143,37 @@ def drop_empty_columns(table: RawTable) -> RawTable:
             if table.kinds[j] == "label" or not table.gaps(j).all()]
     if len(keep) == 1:  # the label alone
         raise IngestionError("no feature column has a value")
-    return RawTable(
-        [table.names[j] for j in keep],
-        [table.kinds[j] for j in keep],
-        [table.columns[j] for j in keep],
-    )
+    return RawTable([table.names[j] for j in keep], [table.kinds[j] for j in keep],
+                    [table.columns[j] for j in keep], [table.levels[j] for j in keep])
 
 
 def impute(table: RawTable) -> RawTable:
     """Fill missing cells: numerical -> mean of the present cells in row
     order, categorical -> mode.
 
-    Mode ties break to the lexicographically smallest category. Statistics are
-    computed over the full dataset by design (scalers, by contrast, fit on the
-    training split only).
+    Mode ties break to the lexicographically smallest category. A filled
+    categorical column is renumbered so that its levels follow first
+    appearance in the imputed column. Statistics are computed over the full
+    dataset by design (scalers, by contrast, fit on the training split only).
     """
-    columns = []
-    for j, (name, kind, col) in enumerate(zip(table.names, table.kinds, table.columns)):
+    columns, levels = [], []
+    for j, (name, col, col_levels) in enumerate(zip(table.names, table.columns, table.levels)):
         gaps = table.gaps(j)
         if gaps.all():
             raise IngestionError(f"column {name!r} is entirely missing; drop it first")
-        if not gaps.any():
-            columns.append(col.copy())
-        elif kind == "numerical":
-            filled = col.copy()
+        filled = col.copy()
+        if gaps.any() and table.kinds[j] == "numerical":
             filled[gaps] = col[~gaps].mean()
-            columns.append(filled)
-        else:
-            counts = Counter(c for c in col if c is not MISSING)
-            best = max(counts.values())
-            fill = min(c for c, n in counts.items() if n == best)
-            columns.append([fill if c is MISSING else c for c in col])
-    return RawTable(list(table.names), list(table.kinds), columns)
+        elif gaps.any():
+            counts = np.bincount(col[~gaps], minlength=len(col_levels))
+            filled[gaps] = min(np.flatnonzero(counts == counts.max()), key=col_levels.__getitem__)
+            order = np.argsort(np.unique(filled, return_index=True)[1])  # codes by first appearance
+            # argsort of that permutation is its inverse: the new code of each old one
+            filled = np.argsort(order).astype(np.int32)[filled]
+            col_levels = [col_levels[k] for k in order]
+        columns.append(filled)
+        levels.append(list(col_levels))
+    return RawTable(list(table.names), list(table.kinds), columns, levels)
 
 
 @dataclass
@@ -208,33 +211,27 @@ class ProcessedDataset:
         return np.repeat(np.arange(self.M), [hi - lo for lo, hi in self.feature_blocks])
 
 
-def _codes(cells: list, levels: list) -> np.ndarray:
-    """Index of each cell in `levels`, as int64."""
-    index = {level: k for k, level in enumerate(levels)}
-    return np.fromiter((index[c] for c in cells), dtype=np.int64, count=len(cells))
-
-
 def one_hot(table: RawTable) -> ProcessedDataset:
     """Encode an imputed table, unscaled. Numerical features pass through;
-    each categorical feature becomes one binary column per observed category,
-    in first-appearance order. Class indices follow first appearance in file
-    order. X is allocated once, at its final width, and each feature's block
-    is written into it."""
+    each categorical feature becomes one binary column per level, in the
+    table's level order (first appearance, after `impute`). Class indices are
+    the label column's codes (first appearance in file order). X is allocated
+    once, at its final width, and each feature's block is written into it
+    straight from the codes."""
     feat_idx = [j for j, k in enumerate(table.kinds) if k != "label"]
-    levels = {j: list(dict.fromkeys(table.columns[j]))
-              for j in feat_idx if table.kinds[j] == "categorical"}
-    ends = list(accumulate(len(levels[j]) if j in levels else 1 for j in feat_idx))
+    numerical = [table.kinds[j] == "numerical" for j in feat_idx]
+    ends = list(accumulate(1 if num else len(table.levels[j]) for j, num in zip(feat_idx, numerical)))
     blocks = list(zip([0] + ends[:-1], ends))
     X = np.zeros((table.n_rows, ends[-1]))
-    for j, (lo, _) in zip(feat_idx, blocks):
-        if j in levels:
-            X[np.arange(table.n_rows), lo + _codes(table.columns[j], levels[j])] = 1.0
-        else:
+    for j, num, (lo, _) in zip(feat_idx, numerical, blocks):
+        if num:
             X[:, lo] = table.columns[j]
-    label_col = table.columns[table.kinds.index("label")]
-    classes = list(dict.fromkeys(label_col))
-    numerical = [lo for j, (lo, _) in zip(feat_idx, blocks) if j not in levels]
-    return ProcessedDataset(X, _codes(label_col, classes), blocks, classes, numerical)
+        else:
+            X[np.arange(table.n_rows), lo + table.columns[j]] = 1.0
+    label = table.kinds.index("label")
+    numerical_columns = [lo for num, (lo, _) in zip(numerical, blocks) if num]
+    return ProcessedDataset(X, table.columns[label].astype(np.int64), blocks,
+                            list(table.levels[label]), numerical_columns)
 
 
 def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:

@@ -64,13 +64,13 @@ def parse_method(name: str) -> tuple[str | None, str]:
 
 def check_method(name: str, hp: Hyperparameters) -> tuple[str | None, str]:
     """`parse_method(name)`, rejecting a method whose every trial fails under
-    `hp`: pre-training on batches of fewer than 2 rows, or corruption under
-    missing_learnable outside scarf pre-training, which alone steps the vector."""
+    `hp`: pre-training on batches of fewer than 2 rows, or SCARF views drawn
+    under missing_learnable outside scarf pre-training, which alone steps it."""
     pre, recipe = parse_method(name)
     if pre is not None and hp.batch_size < 2:
         raise ValueError(f"method {name!r} pre-trains: its batches need at least 2 examples")
-    if hp.corruption_strategy == "missing_learnable" and (
-            pre in ("scarf_ae", "scarf_disc") or recipe in ("scarf_aug", "cotrain")):
+    if hp.corruption_strategy == "missing_learnable" and any(
+            name in training.DRAWS_SCARF_VIEWS and name != "scarf" for name in (pre, recipe)):
         raise ValueError(f"method {name!r} corrupts under missing_learnable but never steps "
                          "the learnable vector")
     return pre, recipe

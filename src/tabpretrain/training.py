@@ -82,13 +82,29 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(part) for part in np.array_split(X, -(-n // INFERENCE_ROWS))])
 
 
+# The legal values of each numeric hyperparameter that CorruptionConfig does
+# not check, as (rule, test, fields). Every test is false for NaN.
+_RANGES = (
+    ("at least 1", lambda v: v >= 1, ("batch_size", "patience", "val_build_epochs",
+                                      "hidden_dim", "encoder_layers", "head_layers")),
+    ("nonnegative and finite", lambda v: 0 <= v < np.inf,
+     ("pretrain_max_epochs", "finetune_max_epochs", "self_train_iterations", "mixup_alpha",
+      "cotrain_weight")),
+    ("positive and finite", lambda v: 0 < v < np.inf, ("learning_rate", "temperature")),
+    ("in [0, 1)", lambda v: 0 <= v < 1, ("label_smoothing", "dropout")),
+    ("in [0, 1]", lambda v: 0 <= v <= 1, ("noise_rate",)),
+    ("in (0, 1]", lambda v: 0 < v <= 1, ("self_train_threshold", "labeled_fraction")),
+)
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     """Every trial hyperparameter and its default, declared once: the trainers
     read it, `methods.run_method` builds it from a dict of overrides, and each
     field is a CLI config key and `run` flag. An invalid corruption setting,
-    an unknown `pretrain_loss` or `validation_metric` and a negative
-    `cotrain_weight` raise ConfigurationError when one is built."""
+    an unknown `pretrain_loss` or `validation_metric` and a numeric field
+    outside its range in `_RANGES` raise ConfigurationError when one is built.
+    A maximum of 0 epochs is legal and trains no epoch."""
 
     # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
     corruption_strategy: str = CorruptionConfig.strategy
@@ -131,8 +147,10 @@ class Hyperparameters:
             raise ConfigurationError(f"unknown pretrain_loss {self.pretrain_loss!r}")
         if self.validation_metric not in ("infonce_loss", "infonce_error"):
             raise ConfigurationError(f"unknown validation_metric {self.validation_metric!r}")
-        if self.cotrain_weight < 0:
-            raise ConfigurationError("co-training weight must be nonnegative")
+        for rule, holds, names in _RANGES:
+            for name in names:
+                if not holds(value := getattr(self, name)):
+                    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
 
     @cached_property
     def corruption(self) -> CorruptionConfig:
@@ -391,6 +409,8 @@ PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
 OBJECTIVE_HEADS = {"scarf": ("g",), **dict.fromkeys(AUTOENCODERS, ("decoder",)),
                    "scarf_disc": ("g", "disc_proj")}
 COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
+# the objectives and recipes that draw SCARF views, so corrupt under hp.corruption
+DRAWS_SCARF_VIEWS = ("scarf", "scarf_ae", "scarf_disc", "scarf_aug", "cotrain")
 
 
 def _learns_missing(pre: str | None, hp: Hyperparameters) -> bool:
@@ -530,7 +550,7 @@ def finetune(
     dropout = hp.dropout if recipe == "dropout" else 0.0
     alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
 
-    pool = build_marginal_pool(dataset, splits.train) if recipe in ("scarf_aug", "cotrain") else None
+    pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
     params = bundle.f.parameters() + bundle.h.parameters()
     aux = COTRAIN_OBJECTIVES.get(recipe)
     if aux is not None:

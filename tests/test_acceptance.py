@@ -21,8 +21,8 @@ from conftest import central_difference, encoded_dataset, to_float64
 from tabpretrain import losses, stats
 from tabpretrain.cli import main as cli_main
 from tabpretrain.corruption import CorruptionConfig, build_marginal_pool, corrupt_batch, select_indices
-from tabpretrain.data import Schema, corrupt_labels, make_splits, process_csv
-from tabpretrain.methods import derive_seed, run_method
+from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits
+from tabpretrain.methods import TrialFailure, derive_seed, run_benchmark
 from tabpretrain.nn import Mlp, mse, softmax_cross_entropy
 from tabpretrain.training import (
     EarlyStopper,
@@ -77,14 +77,17 @@ def mixture():
     return make_mixture()
 
 
-def _trial_accuracies(dataset, setting, methods, trials=10, base_seed=0):
+def _trial_accuracies(dataset, setting, methods, trials=10, dataset_id="mixture",
+                      scaling="none"):
+    """Test accuracy of each method in trial order, from the library's trial
+    loop with base seed 0; the mixture is already on a unit scale, so by
+    default it is not rescaled."""
     accs = {m: [] for m in methods}
-    for trial in range(trials):
-        splits = make_splits(dataset.n, derive_seed(base_seed, "mixture", trial))
-        for m in methods:
-            seed = derive_seed(base_seed, "mixture", trial, salt=f"{m}|{setting}")
-            res = run_method(m, dataset, splits, setting, seed)
-            accs[m].append(res["test_accuracy"])
+    for outcome in run_benchmark({dataset_id: dataset}, methods, [setting], trials, 0,
+                                 scaling=scaling):
+        if isinstance(outcome, TrialFailure):
+            raise outcome.error
+        accs[outcome.method_name].append(outcome.test_accuracy)
     return accs
 
 
@@ -297,13 +300,8 @@ def test_criterion_6_banknote():
         header = fh.readline().strip().split(",")
     kinds = ["numerical"] * (len(header) - 1) + ["label"]
     schema = Schema([h.strip('"') for h in header], kinds)
-    accs = {"control": [], "scarf": []}
-    for trial in range(10):
-        split_seed = derive_seed(0, "banknote", trial)
-        dataset, splits = process_csv(BANKNOTE_CSV, schema, split_seed)
-        for m in accs:
-            seed = derive_seed(0, "banknote", trial, salt=f"{m}|full")
-            accs[m].append(run_method(m, dataset, splits, "full", seed)["test_accuracy"])
+    accs = _trial_accuracies(encode_csv(BANKNOTE_CSV, schema), "full", ["control", "scarf"],
+                             dataset_id="banknote", scaling="zscore")
     assert np.mean(accs["control"]) >= 0.985, np.mean(accs["control"])
     assert np.mean(accs["scarf"]) >= 0.990, np.mean(accs["scarf"])
     assert time.time() - start < 30 * 60

@@ -95,6 +95,20 @@ class TestValidate:
         assert main(["validate", "--dataset", csv, "--schema", schema]) == 0
         assert "dropped all-missing columns: blank" in capsys.readouterr().out
 
+    def test_missing_counts_reported(self, tmp_path, capsys):
+        csv = tmp_path / "gappy.csv"
+        csv.write_text("f1,color,f2,target\n1.0,red,0.5,pos\n,,0.1,neg\n3.0,,0.2,pos\n"
+                       "4.0,blue,0.3,neg\n")
+        schema = tmp_path / "gappy.schema.json"
+        schema.write_text(json.dumps({"f1": "numerical", "color": "categorical",
+                                      "f2": "numerical", "target": "label"}))
+        assert main(["validate", "--dataset", str(csv), "--schema", str(schema)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  f1: numerical, 1 missing" in lines
+        assert "  color: categorical, 2 missing" in lines
+        assert "  f2: numerical" in lines
+        assert "  target: label" in lines
+
     def test_missing_file_fails(self, tmp_path, capsys):
         _, schema = write_dataset(tmp_path)
         code = main(["validate", "--dataset", str(tmp_path / "nope.csv"), "--schema", schema])

@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 
 import numpy as np
@@ -421,7 +422,7 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("key, value, error", [
         ("pretrain_loss", "bogus", "unknown pretrain_loss 'bogus'"),
         ("validation_metric", "bogus", "unknown validation_metric 'bogus'"),
-        ("cotrain_weight", -1.0, "co-training weight must be nonnegative"),
+        ("cotrain_weight", -1.0, "cotrain_weight must be nonnegative"),
     ])
     def test_invalid_hyperparameter_value_raises_before_any_file(self, tmp_path, monkeypatch,
                                                                  key, value, error):
@@ -430,6 +431,41 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=error):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["scarf+cotrain"],
                                ["full"], 2, 0, out_dir=tmp_path, hp={key: value}))
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("learning_rate", -0.1, "positive and finite"),
+        ("learning_rate", float("nan"), "positive and finite"),
+        ("batch_size", -3, "at least 1"),
+        ("batch_size", 0, "at least 1"),
+        ("pretrain_max_epochs", -5, "nonnegative and finite"),
+        ("finetune_max_epochs", -5, "nonnegative and finite"),
+        ("val_build_epochs", 0, "at least 1"),
+        ("hidden_dim", 0, "at least 1"),
+        ("encoder_layers", 0, "at least 1"),
+        ("head_layers", 0, "at least 1"),
+        ("patience", 0, "at least 1"),
+        ("temperature", 0.0, "positive and finite"),
+        ("temperature", float("inf"), "positive and finite"),
+        ("label_smoothing", 2.0, "in [0, 1)"),
+        ("dropout", 1.0, "in [0, 1)"),
+        ("mixup_alpha", -1.0, "nonnegative and finite"),
+        ("noise_rate", 1.5, "in [0, 1]"),
+        ("labeled_fraction", 0.0, "in (0, 1]"),
+        ("self_train_threshold", 5, "in (0, 1]"),
+        ("self_train_iterations", -1, "nonnegative and finite"),
+    ])
+    def test_out_of_range_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch,
+                                                                key, value, rule):
+        """Each value used to pass into the trials, where it failed every one
+        of them or trained on a meaningless setting (gradient ascent, no step,
+        no epoch)."""
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be {rule}, got {value!r}")):
+            list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["scarf+self_train"],
+                               ["semi25"], 2, 0, out_dir=tmp_path, hp={key: value}))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

@@ -643,7 +643,7 @@ class TestCotrain:
         ds = make_blob_dataset(n=100, d=4, seed=6)
         splits = make_splits(100, 6)
         monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
-        with pytest.raises(ValueError, match="co-training weight must be nonnegative"):
+        with pytest.raises(ValueError, match="cotrain_weight must be nonnegative"):
             methods.run_method("scarf+cotrain", ds, splits, "full", 7, {"cotrain_weight": -0.1})
 
     def test_ae_cotrain_requires_decoder(self):
