@@ -15,9 +15,9 @@ import numpy as np
 from tabpretrain.nn import ShapeError, as_float
 
 
-def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
-    """Mean over rows of -log(exp(s_ii/t) / mean_k exp(s_ik/t)), with the
-    gradient w.r.t. s."""
+def _infonce_terms(s: np.ndarray, temperature: float):
+    """(loss, e, sums) of InfoNCE on s: the value and, for its gradient, e =
+    exp(s/t - rowmax) and its (n, 1) row sums."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     s = as_float(s)
@@ -27,11 +27,24 @@ def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     st = s / temperature
     row_max = st.max(axis=1, keepdims=True)
     e = np.exp(st - row_max)
-    lse = np.log(e.sum(axis=1)) + row_max[:, 0]
+    sums = e.sum(axis=1, keepdims=True)
+    lse = np.log(sums[:, 0]) + row_max[:, 0]
     # per-row: -s_ii/t + log((1/n) sum_k exp(s_ik/t))
     loss = float(np.mean(-np.diag(st) + lse - np.log(st.dtype.type(n))))
-    p = e / e.sum(axis=1, keepdims=True)
-    grad = p.copy()
+    return loss, e, sums
+
+
+def infonce_loss(s: np.ndarray, temperature: float) -> float:
+    """The value of `infonce` alone, bit for bit, without its gradient."""
+    return _infonce_terms(s, temperature)[0]
+
+
+def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+    """Mean over rows of -log(exp(s_ii/t) / mean_k exp(s_ik/t)), with the
+    gradient w.r.t. s."""
+    loss, e, sums = _infonce_terms(s, temperature)
+    n = e.shape[0]
+    grad = np.divide(e, sums, out=e)  # the row softmax p
     grad[np.arange(n), np.arange(n)] -= 1.0
     grad /= n * temperature
     return loss, grad

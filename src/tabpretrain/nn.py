@@ -7,6 +7,12 @@ float64 arrays computes in float64, which is how the finite-difference
 oracles run. Weight matrices are stored (in_dim, out_dim) so a batch forward
 is ``x @ W + b``. Gradients of every loss are averaged over the batch, which
 keeps learning-rate semantics independent of batch size.
+
+`Mlp.forward` keeps a tape of each layer's input and of the net's output (no
+preactivations) and works in place on the arrays it allocates;
+`Mlp.backward` applies the ReLU and dropout masks in place on its own
+gradient arrays and skips the first layer's input-gradient GEMM when the
+caller discards the input gradient (`input_grad=False`).
 """
 
 from __future__ import annotations
@@ -59,10 +65,18 @@ class DenseLayer:
 
 
 class Mlp:
-    """Fixed-topology MLP with a cached forward pass for backprop.
+    """Fixed-topology MLP that records a tape of its last forward pass for
+    backprop.
 
     Optional inverted dropout is applied to every layer's post-activation
-    output except the last layer's.
+    output except the last layer's. The tape holds each layer's input and,
+    after the last, the net's output: layer k's post-activation (and
+    post-dropout) output is layer k+1's input, and the ReLU mask is read off
+    it (relu(z) > 0 exactly where z > 0), so no preactivation is kept. It
+    also holds the dropout masks. Forward adds the bias and applies ReLU and
+    dropout in place on each GEMM's output, with the rounding of
+    ``relu(x @ W + b) * mask``. A caller must not write into the array that
+    forward returns before the backward pass that reads it.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -112,40 +126,51 @@ class Mlp:
             )
         if dropout_rate and rng is None:
             raise ValueError("dropout requires an rng")
-        inputs, preacts, masks = [], [], []
+        acts, masks = [x], []
         for k, layer in enumerate(self.layers):
-            inputs.append(x)
-            z = x @ layer.weights + layer.bias
-            preacts.append(z)
-            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            x = x @ layer.weights
+            x += layer.bias
+            if layer.activation == "relu":
+                np.maximum(x, 0.0, out=x)
             if dropout_rate and k < len(self.layers) - 1:
                 mask = dropout_mask(x, dropout_rate, rng)
-                x = x * mask
+                x *= mask
                 masks.append(mask)
             else:
                 masks.append(None)
-        self._cache = (inputs, preacts, masks)
+            acts.append(x)
+        self._cache = (acts, masks)
         return x
 
-    def backward(self, output_grad: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients w.r.t. every parameter (same order as parameters()) and the input."""
+    def backward(self, output_grad: np.ndarray,
+                 input_grad: bool = True) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """Gradients w.r.t. every parameter (same order as parameters()) and
+        the input of the last forward pass; the input gradient is None, and
+        the first layer's input-gradient GEMM is skipped, when `input_grad`
+        is False. Neither the tape nor `output_grad` is changed, so backward
+        may run again from the same forward pass."""
         if self._cache is None:
             raise StateError("backward called before forward")
-        inputs, preacts, masks = self._cache
+        acts, masks = self._cache
         g = np.asarray(output_grad, dtype=self.dtype)
-        if g.shape != (inputs[0].shape[0], self.out_dim):
+        if g.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError("output_grad shape does not match the last forward output")
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
+        owned = False  # until the first product, g may be the caller's array
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            if masks[k] is not None:
-                g = g * masks[k]
+            keep = [] if masks[k] is None else [masks[k]]
             if layer.activation == "relu":
-                g = g * (preacts[k] > 0)
-            grads[2 * k] = inputs[k].T @ g
+                keep.append(acts[k + 1] > 0)
+            for mask in keep:
+                g = np.multiply(g, mask, out=g if owned else None)
+                owned = True
+            grads[2 * k] = acts[k].T @ g
             grads[2 * k + 1] = g.sum(axis=0)
-            g = g @ layer.weights.T
-        return grads, g
+            if k or input_grad:
+                g = g @ layer.weights.T
+                owned = True
+        return grads, g if input_grad else None
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -258,21 +283,30 @@ def dropout_mask(activations: np.ndarray, rate: float, rng: np.random.Generator)
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm; zero rows pass through unchanged."""
+    return l2_normalize_rows_with_norms(m)[0]
+
+
+def l2_normalize_rows_with_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, norms): the normalized rows and the (n, 1) norms they were divided
+    by, 1 for a zero row; `l2_normalize_backward` takes both."""
     m = as_float(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
-    return m / safe
+    return m / safe, safe
+
+
+def l2_normalize_backward(z: np.ndarray, norms: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
+    """Backprop through row normalization from the output of
+    `l2_normalize_rows_with_norms`: (grad_z - z * <z, grad_z>) / norms."""
+    inner = (z * grad_z).sum(axis=1, keepdims=True)
+    return (grad_z - z * inner) / norms
 
 
 def l2_normalize_rows_backward(raw: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
     """Backprop through row normalization: raw rows u, z = u/||u||."""
     raw = as_float(raw)
-    grad_z = np.asarray(grad_z, dtype=raw.dtype)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    z = raw / safe
-    inner = (z * grad_z).sum(axis=1, keepdims=True)
-    return (grad_z - z * inner) / safe
+    return l2_normalize_backward(*l2_normalize_rows_with_norms(raw),
+                                 np.asarray(grad_z, dtype=raw.dtype))
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -58,8 +58,9 @@ from tabpretrain.data import ProcessedDataset, Splits
 from tabpretrain.nn import (
     Adam,
     Mlp,
+    l2_normalize_backward,
     l2_normalize_rows,
-    l2_normalize_rows_backward,
+    l2_normalize_rows_with_norms,
     mse,
     smooth_labels,
     softmax_cross_entropy,
@@ -213,20 +214,23 @@ class ModelBundle:
         """z = normalize(g(f(X))), computed in slices of INFERENCE_ROWS rows."""
         return _in_slices(lambda b: l2_normalize_rows(self.g.forward(self.f.forward(b))), X)
 
-    def contrastive_step(self, view_a: np.ndarray, view_b: np.ndarray, loss_fn):
+    def contrastive_step(self, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
+                         input_grad: bool = True):
         """Embed both views as one stacked 2B-row forward and backward pass.
 
         `loss_fn(z, zt)` returns the loss and its gradients w.r.t. the two
         normalized embeddings. Returns the loss, the f and g gradients (summed
-        over both views), and the gradient w.r.t. the view_b input rows."""
+        over both views), and the gradient w.r.t. the view_b input rows, or
+        None without f's first input-gradient GEMM when `input_grad` is
+        False. The row norms of the forward pass serve the backward pass."""
         n = view_a.shape[0]
         raw = self.g.forward(self.f.forward(np.vstack([view_a, view_b])))
-        z = l2_normalize_rows(raw)
+        z, norms = l2_normalize_rows_with_norms(raw)
         loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
-        grad_raw = l2_normalize_rows_backward(raw, np.vstack([grad_z, grad_zt]))
-        g_grads, grad_mid = self.g.backward(grad_raw)
-        f_grads, grad_in = self.f.backward(grad_mid)
-        return loss, f_grads, g_grads, grad_in[n:]
+        grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)
+        g_grads, grad_mid = self.g.backward(l2_normalize_backward(z, norms, grad))
+        f_grads, grad_in = self.f.backward(grad_mid, input_grad)
+        return loss, f_grads, g_grads, grad_in[n:] if input_grad else None
 
     def classify(self, batch: np.ndarray, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
@@ -241,7 +245,7 @@ class ModelBundle:
 
     def classify_backward(self, grad_logits: np.ndarray) -> tuple[list, list]:
         h_grads, grad_mid = self.h.backward(grad_logits)
-        f_grads, _ = self.f.backward(grad_mid)
+        f_grads, _ = self.f.backward(grad_mid, input_grad=False)
         return f_grads, h_grads
 
 
@@ -374,7 +378,7 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
             if hp.validation_metric == "infonce_error":
                 return losses.infonce_error(z @ zt.T)
             if hp.pretrain_loss == "infonce":
-                return losses.infonce(z @ zt.T, hp.temperature)[0]
+                return losses.infonce_loss(z @ zt.T, hp.temperature)
             return _contrastive_loss(hp, z, zt)[0]
     elif pre == "scarf_disc":
         def rows_out(x):
@@ -448,7 +452,8 @@ def _objective(pre, bundle: ModelBundle, dataset: ProcessedDataset, hp: Hyperpar
             if len(batch) < 2:
                 return None
             view_a, view_b, draw = make_views(batch, dataset, hp.corruption, pool, rng, learnable)
-            loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(view_a, view_b, loss_fn)
+            loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(
+                view_a, view_b, loss_fn, input_grad=learnable is not None)
             grads = f_grads + g_grads
             if learnable is not None:
                 grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
@@ -460,11 +465,11 @@ def _objective(pre, bundle: ModelBundle, dataset: ProcessedDataset, hp: Hyperpar
                                                 labels)
             p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
             g_grads, grad_mid = bundle.g.backward(grad_mid)
-            f_grads, _ = bundle.f.backward(grad_mid)
+            f_grads, _ = bundle.f.backward(grad_mid, input_grad=False)
             return loss, f_grads + g_grads + p_grads
         loss, grad = mse(bundle.decoder.forward(bundle.f.forward(view(batch))), batch)
         d_grads, grad_mid = bundle.decoder.backward(grad)
-        f_grads, _ = bundle.f.backward(grad_mid)
+        f_grads, _ = bundle.f.backward(grad_mid, input_grad=False)
         return loss, f_grads + d_grads
 
     return view, step
@@ -496,7 +501,7 @@ def pretrain_scarf(
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
     learns = _learns_missing(pre, hp)
     params = _objective_params(bundle, pre, learns)
-    pool = build_marginal_pool(dataset, splits.train)
+    pool = build_marginal_pool(dataset, splits.train) if pre in DRAWS_SCARF_VIEWS else None
     view, step = _objective(pre, bundle, dataset, hp, pool, rng, partial(_contrastive_loss, hp),
                             bundle.learnable_missing if learns else None)
     pairs = build_static_validation(dataset.X[splits.validation], view, rng,

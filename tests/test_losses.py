@@ -8,6 +8,7 @@ from tabpretrain.losses import (
     binary_logistic,
     infonce,
     infonce_error,
+    infonce_loss,
 )
 
 
@@ -82,6 +83,42 @@ class TestInfonce:
         s = np.array([[500.0, -500.0], [-500.0, 500.0]])
         loss, grad = infonce(s, 0.01)
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
+
+
+def out_of_place_infonce(s, tau):
+    """InfoNCE value and gradient as the plain composition: exp(s/t - rowmax),
+    its row sums recomputed for the softmax, which is copied before the
+    diagonal is taken off."""
+    n = s.shape[0]
+    st = s / tau
+    row_max = st.max(axis=1, keepdims=True)
+    e = np.exp(st - row_max)
+    lse = np.log(e.sum(axis=1)) + row_max[:, 0]
+    loss = float(np.mean(-np.diag(st) + lse - np.log(st.dtype.type(n))))
+    grad = (e / e.sum(axis=1, keepdims=True)).copy()
+    grad[np.arange(n), np.arange(n)] -= 1.0
+    grad /= n * tau
+    return loss, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tau", [0.01, 0.7, 1.0])
+class TestInfonceBitForBit:
+    def test_value_only_equals_the_value_of_infonce(self, dtype, tau, rng):
+        for n in (2, 5, 64, 128):
+            s = rng.uniform(-1, 1, size=(n, n)).astype(dtype)
+            loss = infonce_loss(s, tau)
+            assert loss == infonce(s, tau)[0]
+            assert isinstance(loss, float)
+
+    def test_matches_out_of_place_composition(self, dtype, tau, rng):
+        s = rng.uniform(-1, 1, size=(64, 64)).astype(dtype)
+        kept = s.copy()
+        loss, grad = infonce(s, tau)
+        want_loss, want_grad = out_of_place_infonce(s, tau)
+        assert loss == want_loss and grad.dtype == dtype
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(s, kept)  # the input is not written
 
 
 class TestInfonceError:

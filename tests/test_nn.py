@@ -11,8 +11,10 @@ from tabpretrain.nn import (
     ShapeError,
     StateError,
     dropout_mask,
+    l2_normalize_backward,
     l2_normalize_rows,
     l2_normalize_rows_backward,
+    l2_normalize_rows_with_norms,
     mse,
     smooth_labels,
     softmax_cross_entropy,
@@ -105,6 +107,91 @@ class TestBackward:
         analytic, _ = mlp.backward(grad)
         numeric = central_difference(loss_fn, mlp.parameters())
         assert_grads_close(analytic, numeric, rtol=1e-5)
+
+
+def out_of_place_pass(mlp, batch, output_grad, dropout_rate=0.0, rng=None):
+    """Forward and full backward as the plain out-of-place composition: z = x @ W
+    + b, relu(z), times the dropout mask; the gradient through the mask and
+    (z > 0), with every preactivation kept. Returns (output, grads, input
+    grad)."""
+    x = np.asarray(batch, dtype=mlp.dtype)
+    inputs, preacts, masks = [], [], []
+    for k, layer in enumerate(mlp.layers):
+        inputs.append(x)
+        z = x @ layer.weights + layer.bias
+        preacts.append(z)
+        x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        masks.append(dropout_mask(x, dropout_rate, rng)
+                     if dropout_rate and k < len(mlp.layers) - 1 else None)
+        if masks[-1] is not None:
+            x = x * masks[-1]
+    g = np.asarray(output_grad, dtype=mlp.dtype)
+    grads = [None] * (2 * len(mlp.layers))
+    for k in range(len(mlp.layers) - 1, -1, -1):
+        if masks[k] is not None:
+            g = g * masks[k]
+        if mlp.layers[k].activation == "relu":
+            g = g * (preacts[k] > 0)
+        grads[2 * k], grads[2 * k + 1] = inputs[k].T @ g, g.sum(axis=0)
+        g = g @ mlp.layers[k].weights.T
+    return x, grads, g
+
+
+def random_net(rng, dtype, final_activation="relu"):
+    """A [6, 9, 8, 4] net in `dtype` with nonzero biases, so some units are cut
+    by the ReLU and the bias add is exercised."""
+    mlp = Mlp.create([6, 9, 8, 4], rng, final_activation)
+    for layer in mlp.layers:
+        layer.weights = layer.weights.astype(dtype)
+        layer.bias = rng.normal(scale=0.5, size=layer.out_dim).astype(dtype)
+    return mlp
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("final_activation", ["relu", "identity"])
+class TestTape:
+    """The in-place forward pass and its tape give, bit for bit, what the
+    out-of-place composition gives, and backward changes neither the tape nor
+    its argument."""
+
+    def test_matches_out_of_place_composition_bit_for_bit(self, dtype, dropout,
+                                                            final_activation, rng):
+        mlp = random_net(rng, dtype, final_activation)
+        x = rng.normal(size=(11, 6))
+        output_grad = rng.normal(size=(11, 4))
+        out = mlp.forward(x, dropout, np.random.default_rng(5))
+        grads, grad_in = mlp.backward(output_grad)
+        want_out, want_grads, want_in = out_of_place_pass(mlp, x, output_grad, dropout,
+                                                          np.random.default_rng(5))
+        for got, want in zip([out, *grads, grad_in], [want_out, *want_grads, want_in]):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_skipping_the_input_gradient_keeps_the_parameter_gradients(self, dtype, dropout,
+                                                                      final_activation, rng):
+        mlp = random_net(rng, dtype, final_activation)
+        mlp.forward(rng.normal(size=(11, 6)), dropout, rng)
+        output_grad = rng.normal(size=(11, 4)).astype(dtype)
+        full, grad_in = mlp.backward(output_grad)
+        skipped, none = mlp.backward(output_grad, input_grad=False)
+        assert grad_in.shape == (11, 6) and none is None
+        for a, b in zip(full, skipped):
+            np.testing.assert_array_equal(a, b)
+
+    def test_backward_changes_neither_the_tape_nor_output_grad(self, dtype, dropout,
+                                                               final_activation, rng):
+        mlp = random_net(rng, dtype, final_activation)
+        x = rng.normal(size=(11, 6)).astype(dtype)
+        out = mlp.forward(x, dropout, rng)
+        output_grad = rng.normal(size=(11, 4)).astype(dtype)
+        kept = [a.copy() for a in (x, out, output_grad)]
+        first = mlp.backward(output_grad)
+        for a, b in zip((x, out, output_grad), kept):
+            np.testing.assert_array_equal(a, b)
+        second = mlp.backward(output_grad)
+        for a, b in zip([*first[0], first[1]], [*second[0], second[1]]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAdam:
@@ -265,6 +352,17 @@ class TestL2Normalize:
         analytic = l2_normalize_rows_backward(raw, w)
         numeric = central_difference(f, [raw])
         assert_grads_close([analytic], numeric)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norms_of_the_forward_pass_serve_the_backward_pass(self, dtype, rng):
+        raw = rng.normal(size=(7, 5)).astype(dtype)
+        raw[3] = 0.0
+        grad = rng.normal(size=(7, 5)).astype(dtype)
+        z, norms = l2_normalize_rows_with_norms(raw)
+        np.testing.assert_array_equal(z, l2_normalize_rows(raw))
+        assert norms.shape == (7, 1) and norms[3, 0] == 1.0
+        np.testing.assert_array_equal(l2_normalize_backward(z, norms, grad),
+                                      l2_normalize_rows_backward(raw, grad))
 
 
 class TestMse:

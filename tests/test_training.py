@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from conftest import (assert_grads_close, bundle_weights, central_difference, ma
 from tabpretrain import losses, methods, training
 from tabpretrain.corruption import ConfigurationError, CorruptionDraw, build_marginal_pool
 from tabpretrain.data import make_splits
-from tabpretrain.nn import l2_normalize_rows, mse
+from tabpretrain.nn import l2_normalize_rows, l2_normalize_rows_backward, mse
 from tabpretrain.training import (
     AUTOENCODERS,
+    DRAWS_SCARF_VIEWS,
     INFERENCE_ROWS,
     PRETRAINERS,
     EarlyStopper,
@@ -284,6 +286,20 @@ def test_pre_trainers_reject_batch_size_one_before_any_work(trainer, monkeypatch
         run_trainer(trainer, ds, splits, 1, seed=0, batch_size=1)
 
 
+@pytest.mark.parametrize("pre", PRETRAINERS)
+def test_marginal_pool_built_only_for_objectives_that_draw_scarf_views(pre, monkeypatch):
+    ds = make_numeric_dataset(n=100, d=4)
+    splits = make_splits(100, 0)
+    built = []
+    if pre in DRAWS_SCARF_VIEWS:
+        monkeypatch.setattr(training, "build_marginal_pool",
+                            lambda *a: built.append(1) or build_marginal_pool(*a))
+    else:
+        monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
+    run_trainer(pre, ds, splits, 1, seed=0)
+    assert len(built) == (pre in DRAWS_SCARF_VIEWS)
+
+
 @pytest.mark.parametrize("pre, strategy, error", [
     *[(pre, "marginal", "needs the bundle's decoder") for pre in AUTOENCODERS],
     ("scarf_disc", "marginal", "needs the bundle's disc_proj"),
@@ -454,6 +470,84 @@ class TestPretrainScarf:
                              rng)
         assert len(out.val_curve) == out.epochs_used
         assert np.all(np.isfinite(out.val_curve))
+
+
+def normalize_then_backward(bundle, view_a, view_b, loss_fn):
+    """contrastive_step as the plain composition: l2_normalize_rows, then
+    l2_normalize_rows_backward from the raw rows, then the full f backward.
+    Returns the loss, the f and g gradients and the view_b input rows'
+    gradient."""
+    n = len(view_a)
+    raw = bundle.g.forward(bundle.f.forward(np.vstack([view_a, view_b])))
+    z = l2_normalize_rows(raw)
+    loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
+    grad_raw = l2_normalize_rows_backward(raw, np.vstack([grad_z, grad_zt]))
+    g_grads, grad_mid = bundle.g.backward(grad_raw)
+    f_grads, grad_in = bundle.f.backward(grad_mid)
+    return loss, f_grads, g_grads, grad_in[n:]
+
+
+def assert_arrays_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestContrastiveStep:
+    """The step normalizes once, reuses the norms in its backward pass and
+    skips f's first input-gradient GEMM unless asked for it, with the rounding
+    of the plain composition."""
+
+    @pytest.mark.parametrize("loss", ["infonce", "barlow", "align_uniform"])
+    def test_matches_normalize_then_backward_bit_for_bit(self, dtype, loss, rng):
+        ds = make_numeric_dataset(n=40, d=5)
+        bundle = small_bundle(ds, rng, pre="scarf")
+        if dtype == np.float64:
+            to_float64(bundle)
+        view_a, view_b = ds.X[:12], ds.X[12:24] + 0.3
+        loss_fn = partial(_contrastive_loss, Hyperparameters(pretrain_loss=loss, temperature=0.7))
+        want = normalize_then_backward(bundle, view_a, view_b, loss_fn)
+        for input_grad in (True, False):
+            got = bundle.contrastive_step(view_a, view_b, loss_fn, input_grad=input_grad)
+            assert got[0] == want[0]
+            assert_arrays_equal(got[1] + got[2], want[1] + want[2])
+            if input_grad:
+                assert_arrays_equal([got[3]], [want[3]])
+            else:
+                assert got[3] is None
+
+    @pytest.mark.parametrize("learns", [True, False])
+    def test_objective_step_matches_the_composition(self, dtype, learns, rng, monkeypatch):
+        """pretrain_scarf's step, with fixed views: the f and g gradients and,
+        when the learnable missing-value vector is stepped, its gradient from
+        the view_b input rows."""
+        ds = make_numeric_dataset(n=40, d=5)
+        ds = replace(ds, X=ds.X.astype(dtype))
+        bundle = small_bundle(ds, rng, LEARNABLE, "scarf")
+        if dtype == np.float64:
+            to_float64(bundle)
+        lmv = bundle.learnable_missing
+        lmv[:] = rng.normal(size=lmv.shape)
+        mask = rng.random((16, 5)) < 0.5
+
+        def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
+            return batch.copy(), np.where(mask, lmv, batch), CorruptionDraw(mask, mask)
+
+        monkeypatch.setattr(training, "make_views", fixed_views)
+        loss_fn = partial(_contrastive_loss, LEARNABLE)
+        _, step = _objective("scarf", bundle, ds, LEARNABLE, None, rng, loss_fn,
+                             lmv if learns else None)
+        batch = ds.X[:16]
+        loss, grads = step(batch)
+        want_loss, f_grads, g_grads, grad_in_b = normalize_then_backward(
+            bundle, batch, np.where(mask, lmv, batch), loss_fn)
+        want = f_grads + g_grads
+        if learns:
+            want.append(np.where(mask, grad_in_b, 0.0).sum(axis=0))
+        assert loss == want_loss
+        assert_arrays_equal(grads, want)
 
 
 class TestPretrainAutoencoder:
