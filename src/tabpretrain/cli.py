@@ -148,13 +148,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    runs = stats.load_runs(args.results)
+    try:
+        runs = stats.load_runs(args.results)
+    except (ValueError, OSError) as exc:  # an unreadable file, or a line that is no record
+        print(f"report failed: {exc}", file=sys.stderr)
+        return 1
     if not runs:
         print(f"no results in {args.results}", file=sys.stderr)
         return 1
     method_list = args.methods.split(",")
     present = {r.method_name for r in runs}
-    unknown = [m for m in method_list if m not in present]
+    wanted = method_list + [args.reference] if args.reference else method_list
+    unknown = [m for m in dict.fromkeys(wanted) if m not in present]
     if unknown:
         print(f"no results for method(s): {', '.join(unknown)}", file=sys.stderr)
         return 1

@@ -11,7 +11,8 @@ Draw order from the run RNG is fixed: `select_indices` draws one (B, M)
 uniform matrix (one row under shared_batch; bernoulli then redraws only the
 rows that came out empty), then `corrupt_batch` makes one donor draw: (B, M)
 per-cell donors for marginal, (B,) row donors for joint, one donor for
-single_row, or one (B, M_enc) normal matrix for gaussian.
+single_row, or one (B, M_enc) normal matrix for gaussian. The settings are
+declared once, in `CorruptionConfig`; `training.Hyperparameters` subclasses it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class CorruptionConfig:
-    strategy: str = "marginal"
-    rate: float = 0.6
+    corruption_strategy: str = "marginal"
+    corruption_rate: float = 0.6
     index_selection: str = "fixed_count"  # or "bernoulli"
     view_policy: str = "corrupt_one"  # or "corrupt_both"
     index_sharing: str = "per_example"  # or "shared_batch"
@@ -43,13 +44,13 @@ class CorruptionConfig:
     unique_pool: bool = False  # True: deduplicate each feature's marginal pool
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 <= self.rate <= 1.0:
+        if self.corruption_strategy not in STRATEGIES:
+            raise ConfigurationError(f"unknown strategy {self.corruption_strategy!r}")
+        if not 0.0 <= self.corruption_rate <= 1.0:
             raise ConfigurationError("corruption rate must lie in [0, 1]")
         if self.index_selection not in ("fixed_count", "bernoulli"):
             raise ConfigurationError(f"unknown index_selection {self.index_selection!r}")
-        if self.index_selection == "bernoulli" and self.rate == 0:
+        if self.index_selection == "bernoulli" and self.corruption_rate == 0:
             raise ConfigurationError("bernoulli index_selection needs a positive rate")
         if self.view_policy not in ("corrupt_one", "corrupt_both"):
             raise ConfigurationError(f"unknown view_policy {self.view_policy!r}")
@@ -127,14 +128,14 @@ def select_indices(
         raise ValueError("need at least one feature")
     rows = 1 if config.index_sharing == "shared_batch" else batch_size
     if config.index_selection == "fixed_count":
-        q = int(np.floor(config.rate * M))
+        q = int(np.floor(config.corruption_rate * M))
         hit = np.zeros((rows, M), dtype=bool)
         np.put_along_axis(hit, np.argsort(rng.random((rows, M)), axis=1)[:, :q], True, axis=1)
     else:
-        hit = rng.random((rows, M)) < config.rate
+        hit = rng.random((rows, M)) < config.corruption_rate
         empty = ~hit.any(axis=1)
         while empty.any():
-            hit[empty] = rng.random((int(empty.sum()), M)) < config.rate
+            hit[empty] = rng.random((int(empty.sum()), M)) < config.corruption_rate
             empty = ~hit.any(axis=1)
     return np.broadcast_to(hit, (batch_size, M))
 
@@ -152,7 +153,7 @@ def corrupt_batch(
     the (B, M) boolean mask marks (none replaces nothing). Untouched coordinates
     stay bit-identical, and the result has the batch's floating dtype."""
     batch = as_float(batch)
-    strategy = config.strategy
+    strategy = config.corruption_strategy
     if strategy in ("marginal", "joint", "mean") and pool is None:
         raise ConfigurationError(f"strategy {strategy!r} requires a marginal pool")
     if strategy == "missing_learnable" and learnable_values is None:

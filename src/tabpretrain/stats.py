@@ -52,14 +52,22 @@ def append_run(path, run: MethodRun) -> None:
 
 def load_runs(path) -> list[MethodRun]:
     """Records of a results file. An unterminated last line is a torn write:
-    it is dropped with a warning, so its trial counts as not yet run."""
+    it is dropped with a warning, so its trial counts as not yet run. Any
+    other line that is no record raises ValueError naming it."""
     if not os.path.exists(path):
         return []
     with open(path) as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
-    return [MethodRun(**json.loads(line)) for line in lines if line.strip()]
+    runs = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            if line.strip():
+                runs.append(MethodRun(**json.loads(line)))
+        except (ValueError, TypeError) as exc:  # not JSON, or not a record's fields
+            raise ValueError(f"{path}, line {number}: not a results record ({exc})") from exc
+    return runs
 
 
 def completed_keys(path) -> set[tuple]:

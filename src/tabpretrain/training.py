@@ -6,8 +6,10 @@ Every trainer is its set-up plus two closures handed to `_fit`, the one epoch
 driver: a per-batch step returning the loss and the gradients for one Adam
 step, and a per-epoch validation metric. `_fit` owns the shuffling, the
 train/validation curves, early stopping and the best-epoch restore of the
-arrays it steps. The two contrastive views go through the encoder as one
-stacked 2B-row forward and backward pass (`ModelBundle.contrastive_step`).
+arrays it steps. A pre-training step is one forward and one backward pass
+of one net, `ModelBundle.net(pre)`: f followed by the objective's heads. The
+two contrastive views go through it as one stacked 2B-row pass
+(`contrastive_step`).
 
 Every forward pass that is never backpropagated (embedding, prediction and
 the validation metrics) runs in slices of at most `INFERENCE_ROWS` rows, so it
@@ -18,7 +20,8 @@ batch by position, and only the corrupted copies go through the nets batch by
 batch.
 
 Every trainer reads one frozen `Hyperparameters`, the single declaration of
-the trial hyperparameters and their defaults. `_objective` defines each
+the trial hyperparameters and their defaults; it is a `CorruptionConfig`, so
+it is passed as is wherever views are drawn. `_objective` defines each
 pre-training objective once, and `pretrain_scarf(..., pre)` trains one:
 `scarf` is the loss `pretrain_loss` between the two views of `make_views`;
 `no_noise_ae`, `add_noise_ae` and `scarf_ae` are MSE reconstruction of the
@@ -26,10 +29,10 @@ batch from itself, from the batch plus N(0, 0.5^2) noise or from its SCARF
 view; `scarf_disc` is the logistic loss of telling the batch from its SCARF
 view. `finetune` maps its `recipe` to the one regularizer it turns on:
 `smooth` to `label_smoothing`, `dropout` to `dropout`, `mixup` to
-`mixup_alpha`, `scarf_aug` to per-batch corruption under `corruption`, and
-`cotrain`/`ae_cotrain` to `cotrain_weight` times the `scarf` (InfoNCE at
-`temperature`) or `add_noise_ae` objective; `control` turns on none. A
-bundle's heads follow from the method (`ModelBundle.create`).
+`mixup_alpha`, `scarf_aug` to per-batch corruption under the corruption
+fields, and `cotrain`/`ae_cotrain` to `cotrain_weight` times the `scarf`
+(InfoNCE at `temperature`) or `add_noise_ae` objective; `control` turns on
+none. A bundle's heads follow from the method (`ModelBundle.create`).
 
 All loops are deterministic given (dataset, splits, hyperparameters, seed):
 the run RNG drives shuffling, corruption, and any dropout/mixup draws in a
@@ -40,7 +43,7 @@ from `ModelBundle.create`); data of another dtype is cast on the way in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -99,23 +102,15 @@ _RANGES = (
 
 
 @dataclass(frozen=True)
-class Hyperparameters:
+class Hyperparameters(CorruptionConfig):
     """Every trial hyperparameter and its default, declared once: the trainers
     read it, `methods.run_method` builds it from a dict of overrides, and each
-    field is a CLI config key and `run` flag. An invalid corruption setting,
-    an unknown `pretrain_loss` or `validation_metric` and a numeric field
-    outside its range in `_RANGES` raise ConfigurationError when one is built.
-    A maximum of 0 epochs is legal and trains no epoch."""
+    field is a CLI config key and `run` flag. The corruption fields, inherited
+    first, serve pre-training, scarf_aug and cotrain alike. An invalid
+    corruption setting, an unknown `pretrain_loss` or `validation_metric` and a
+    numeric field outside its range in `_RANGES` raise ConfigurationError when
+    one is built. A maximum of 0 epochs is legal and trains no epoch."""
 
-    # corruption, one CorruptionConfig for pre-training, scarf_aug and cotrain
-    corruption_strategy: str = CorruptionConfig.strategy
-    corruption_rate: float = CorruptionConfig.rate
-    index_selection: str = CorruptionConfig.index_selection
-    view_policy: str = CorruptionConfig.view_policy
-    index_sharing: str = CorruptionConfig.index_sharing
-    donor: str = CorruptionConfig.donor
-    gaussian_sigma: float = CorruptionConfig.gaussian_sigma
-    unique_pool: bool = CorruptionConfig.unique_pool
     # optimisation, for pre-training and fine-tuning alike
     batch_size: int = 128
     learning_rate: float = 0.001
@@ -143,7 +138,7 @@ class Hyperparameters:
     labeled_fraction: float = 0.25
 
     def __post_init__(self):
-        self.corruption  # built once here, so an invalid setting raises now
+        super().__post_init__()
         if self.pretrain_loss not in ("infonce", "barlow", "align_uniform"):
             raise ConfigurationError(f"unknown pretrain_loss {self.pretrain_loss!r}")
         if self.validation_metric not in ("infonce_loss", "infonce_error"):
@@ -152,14 +147,6 @@ class Hyperparameters:
             for name in names:
                 if not holds(value := getattr(self, name)):
                     raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
-
-    @cached_property
-    def corruption(self) -> CorruptionConfig:
-        return CorruptionConfig(
-            strategy=self.corruption_strategy, rate=self.corruption_rate,
-            index_selection=self.index_selection, view_policy=self.view_policy,
-            index_sharing=self.index_sharing, donor=self.donor,
-            gaussian_sigma=self.gaussian_sigma, unique_pool=self.unique_pool)
 
 
 @dataclass
@@ -210,27 +197,19 @@ class ModelBundle:
         lmv = np.zeros(input_dim, dtype=f.dtype) if _learns_missing(pre, hp) else None
         return cls(f, g, h, decoder, disc_proj, lmv)
 
+    def net(self, pre: str) -> Mlp:
+        """f then the heads of objective `pre`, as one net over the bundle's own
+        layers, with the operations of the chained nets. A bundle without one
+        of the heads raises ConfigurationError."""
+        for name in OBJECTIVE_HEADS[pre]:
+            if getattr(self, name) is None:
+                raise ConfigurationError(f"the {pre} objective needs the bundle's {name}")
+        return Mlp(self.f.layers + [layer for name in OBJECTIVE_HEADS[pre]
+                                    for layer in getattr(self, name).layers])
+
     def embed(self, X: np.ndarray) -> np.ndarray:
         """z = normalize(g(f(X))), computed in slices of INFERENCE_ROWS rows."""
         return _in_slices(lambda b: l2_normalize_rows(self.g.forward(self.f.forward(b))), X)
-
-    def contrastive_step(self, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
-                         input_grad: bool = True):
-        """Embed both views as one stacked 2B-row forward and backward pass.
-
-        `loss_fn(z, zt)` returns the loss and its gradients w.r.t. the two
-        normalized embeddings. Returns the loss, the f and g gradients (summed
-        over both views), and the gradient w.r.t. the view_b input rows, or
-        None without f's first input-gradient GEMM when `input_grad` is
-        False. The row norms of the forward pass serve the backward pass."""
-        n = view_a.shape[0]
-        raw = self.g.forward(self.f.forward(np.vstack([view_a, view_b])))
-        z, norms = l2_normalize_rows_with_norms(raw)
-        loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
-        grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)
-        g_grads, grad_mid = self.g.backward(l2_normalize_backward(z, norms, grad))
-        f_grads, grad_in = self.f.backward(grad_mid, input_grad)
-        return loss, f_grads, g_grads, grad_in[n:] if input_grad else None
 
     def classify(self, batch: np.ndarray, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
@@ -358,12 +337,29 @@ def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
     return losses.align_uniform(z, zt, 1.0, 1.0)
 
 
+def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
+                     input_grad: bool = True):
+    """Both views through the scarf net `ModelBundle.net("scarf")` (f then g)
+    as one stacked 2B-row forward and backward pass. `loss_fn(z, zt)` returns
+    the loss and its gradients w.r.t. the two normalized embeddings. Returns
+    the loss, the net's gradients (summed over both views) and the gradient
+    w.r.t. the view_b input rows, or None without f's first input-gradient
+    GEMM when `input_grad` is False. The row norms of the forward pass serve
+    the backward pass."""
+    n = view_a.shape[0]
+    z, norms = l2_normalize_rows_with_norms(net.forward(np.vstack([view_a, view_b])))
+    loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
+    grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)
+    grads, grad_in = net.backward(l2_normalize_backward(z, norms, grad), input_grad)
+    return loss, grads, grad_in[n:] if input_grad else None
+
+
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
                        pre: str) -> float:
     """The validation metric of pre-trainer `pre` on the static pairs (lower
-    is better). The nets map the stored rows once and each corrupted copy
-    once; each stored batch is scored on its gathered rows and its copy, and
-    the scores are averaged weighted by batch size. Per pre-trainer:
+    is better). Its net, `bundle.net(pre)`, maps the stored rows once and each
+    corrupted copy once, in slices; each stored batch is scored on its gathered
+    rows and its copy, and the scores are averaged weighted by batch size:
 
     - scarf: the contrastive metric of normalize(g(f(.))) over batches of at
       least two rows. The loss metric is the pre-training loss; InfoNCE takes
@@ -371,8 +367,9 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
     - the autoencoders: MSE of decoder(f(copy)) against the rows.
     - scarf_disc: error of the rule "disc_proj(g(f(x))) > 0 means corrupted"
       over the rows and their copy."""
+    net = bundle.net(pre)
     if pre == "scarf":
-        rows_out = copy_out = bundle.embed
+        rows_out = copy_out = partial(_in_slices, lambda b: l2_normalize_rows(net.forward(b)))
 
         def score(z, zt):
             if hp.validation_metric == "infonce_error":
@@ -382,7 +379,7 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
             return _contrastive_loss(hp, z, zt)[0]
     elif pre == "scarf_disc":
         def rows_out(x):
-            return _in_slices(partial(_disc_logits, bundle), x).reshape(-1)
+            return _in_slices(net.forward, x).reshape(-1)
         copy_out = rows_out
 
         def score(orig_logit, corr_logit):
@@ -391,9 +388,7 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
     else:
         def rows_out(x):
             return x
-
-        def copy_out(x):
-            return _in_slices(lambda b: bundle.decoder.forward(bundle.f.forward(b)), x)
+        copy_out = partial(_in_slices, net.forward)
 
         def score(orig, recon):
             return mse(recon, orig)[0]
@@ -413,7 +408,7 @@ PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
 OBJECTIVE_HEADS = {"scarf": ("g",), **dict.fromkeys(AUTOENCODERS, ("decoder",)),
                    "scarf_disc": ("g", "disc_proj")}
 COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
-# the objectives and recipes that draw SCARF views, so corrupt under hp.corruption
+# the objectives and recipes that draw SCARF views, so corrupt under hp's corruption fields
 DRAWS_SCARF_VIEWS = ("scarf", "scarf_ae", "scarf_disc", "scarf_aug", "cotrain")
 
 
@@ -422,55 +417,40 @@ def _learns_missing(pre: str | None, hp: Hyperparameters) -> bool:
     return pre == "scarf" and hp.corruption_strategy == "missing_learnable"
 
 
-def _objective_params(bundle: ModelBundle, pre: str, learnable: bool = False) -> list[np.ndarray]:
-    """The arrays that objective `pre` steps, in the order of its step's
-    gradients: f, its heads, and the learnable missing-value vector when
-    `learnable`. A bundle without one of them raises ConfigurationError."""
-    for name in OBJECTIVE_HEADS[pre] + (("learnable_missing",) if learnable else ()):
-        if getattr(bundle, name) is None:
-            raise ConfigurationError(f"the {pre} objective needs the bundle's {name}")
-    heads = [p for name in OBJECTIVE_HEADS[pre] for p in getattr(bundle, name).parameters()]
-    return bundle.f.parameters() + heads + ([bundle.learnable_missing] if learnable else [])
-
-
-def _objective(pre, bundle: ModelBundle, dataset: ProcessedDataset, hp: Hyperparameters, pool,
+def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparameters, pool,
                rng: np.random.Generator, loss_fn, learnable: np.ndarray | None = None):
     """Objective `pre` as `(view, step)`: `view(batch)` is the copy of a batch
-    that it works on (itself, plus N(0, 0.5^2) noise, or the second SCARF view
-    with `learnable` as the missing values), and `step(batch)` returns the loss
-    and the gradients of `_objective_params`, or None for a one-row scarf
-    batch, where the contrastive `loss_fn(z, zt)` has no negative."""
+    that it works on (itself, plus N(0, 0.5^2) noise, or one SCARF-corrupted
+    copy with `learnable` as the missing values; it does not read `net`), and
+    `step(batch)` returns the loss and the gradients of `net`, the bundle's
+    `net(pre)`, and of `learnable` if given, from one forward and one backward
+    pass of `net`; or None for a one-row scarf batch, where the contrastive
+    `loss_fn(z, zt)` has no negative."""
     def view(batch):
         if pre == "no_noise_ae":
             return np.array(batch, copy=True)
         if pre == "add_noise_ae":
             return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
-        return make_views(batch, dataset, hp.corruption, pool, rng, learnable)[1]
+        hit = select_indices(dataset.M, hp, len(batch), rng)
+        return corrupt_batch(batch, dataset, hp, pool, hit, rng, learnable)[0]
 
     def step(batch):
         if pre == "scarf":
             if len(batch) < 2:
                 return None
-            view_a, view_b, draw = make_views(batch, dataset, hp.corruption, pool, rng, learnable)
-            loss, f_grads, g_grads, grad_in_b = bundle.contrastive_step(
-                view_a, view_b, loss_fn, input_grad=learnable is not None)
-            grads = f_grads + g_grads
+            view_a, view_b, draw = make_views(batch, dataset, hp, pool, rng, learnable)
+            loss, grads, grad_in_b = contrastive_step(net, view_a, view_b, loss_fn,
+                                                      input_grad=learnable is not None)
             if learnable is not None:
                 grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
             return loss, grads
         if pre == "scarf_disc":
             view_b = view(batch)
             labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
-            loss, grad = losses.binary_logistic(_disc_logits(bundle, np.vstack([batch, view_b])),
-                                                labels)
-            p_grads, grad_mid = bundle.disc_proj.backward(grad.reshape(-1, 1))
-            g_grads, grad_mid = bundle.g.backward(grad_mid)
-            f_grads, _ = bundle.f.backward(grad_mid, input_grad=False)
-            return loss, f_grads + g_grads + p_grads
-        loss, grad = mse(bundle.decoder.forward(bundle.f.forward(view(batch))), batch)
-        d_grads, grad_mid = bundle.decoder.backward(grad)
-        f_grads, _ = bundle.f.backward(grad_mid, input_grad=False)
-        return loss, f_grads + d_grads
+            loss, grad = losses.binary_logistic(net.forward(np.vstack([batch, view_b])), labels)
+            return loss, net.backward(grad.reshape(-1, 1), input_grad=False)[0]
+        loss, grad = mse(net.forward(view(batch)), batch)
+        return loss, net.backward(grad, input_grad=False)[0]
 
     return view, step
 
@@ -499,21 +479,19 @@ def pretrain_scarf(
         raise ValueError("contrastive batches need at least 2 examples")
     if pre == "scarf" and (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
-    learns = _learns_missing(pre, hp)
-    params = _objective_params(bundle, pre, learns)
+    net, learns = bundle.net(pre), _learns_missing(pre, hp)
+    if learns and bundle.learnable_missing is None:
+        raise ConfigurationError(f"the {pre} objective needs the bundle's learnable_missing")
+    learnable = bundle.learnable_missing if learns else None
+    params = net.parameters() + ([learnable] if learns else [])
     pool = build_marginal_pool(dataset, splits.train) if pre in DRAWS_SCARF_VIEWS else None
-    view, step = _objective(pre, bundle, dataset, hp, pool, rng, partial(_contrastive_loss, hp),
-                            bundle.learnable_missing if learns else None)
+    view, step = _objective(pre, net, dataset, hp, pool, rng, partial(_contrastive_loss, hp),
+                            learnable)
     pairs = build_static_validation(dataset.X[splits.validation], view, rng,
                                     hp.val_build_epochs, hp.batch_size)
     return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng,
                 lambda rows: step(dataset.X[rows]),
                 lambda: _validation_metric(bundle, pairs, hp, pre))
-
-
-def _disc_logits(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
-    """Logit that a row is a corrupted copy: disc_proj(g(f(x)))."""
-    return bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(x)))
 
 
 def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> float:
@@ -559,9 +537,10 @@ def finetune(
     params = bundle.f.parameters() + bundle.h.parameters()
     aux = COTRAIN_OBJECTIVES.get(recipe)
     if aux is not None:
-        aux_params = _objective_params(bundle, aux)
+        aux_net = bundle.net(aux)
+        aux_params = aux_net.parameters()
         params = params + aux_params[len(bundle.f.parameters()):]
-        _, aux_step = _objective(aux, bundle, dataset, hp, pool, rng,
+        _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng,
                                  partial(_infonce_pair, temperature=hp.temperature))
 
     def step(rows):
@@ -575,8 +554,8 @@ def finetune(
         if alpha:
             x, targets = mixup_batch(x, targets, alpha, rng)
         if recipe == "scarf_aug":
-            draw = select_indices(dataset.M, hp.corruption, len(x), rng)
-            x, _ = corrupt_batch(x, dataset, hp.corruption, pool, draw, rng)
+            hit = select_indices(dataset.M, hp, len(x), rng)
+            x, _ = corrupt_batch(x, dataset, hp, pool, hit, rng)
         loss, grad = softmax_cross_entropy(bundle.classify(x, dropout, rng), targets)
         f_grads, h_grads = bundle.classify_backward(grad)
         if aux is None:

@@ -32,6 +32,7 @@ from tabpretrain.training import (
     pretrain_scarf,
     _objective,
     _validation_metric,
+    contrastive_step,
 )
 
 BANKNOTE_CSV = os.environ.get(
@@ -167,8 +168,7 @@ def test_criterion_1_gradient_checks():
                 return loss_and_grads(bundle.embed(x), bundle.embed(x2))[0]
 
             # analytic side: both views in one stacked forward/backward pass
-            _, f_grads, g_grads, _ = bundle.contrastive_step(x, x2, loss_and_grads)
-            analytic = f_grads + g_grads
+            _, analytic, _ = contrastive_step(bundle.net("scarf"), x, x2, loss_and_grads)
             params = bundle.f.parameters() + bundle.g.parameters()
             numeric = central_difference(total, params)
             _check_grads(analytic, numeric, rtol=1e-5)
@@ -218,7 +218,7 @@ def test_criterion_3_corruption_properties():
         n_rows = int(rng.integers(2, 9))
         batch = ds.X[rng.integers(0, ds.n, size=n_rows)]
         c = float(rng.uniform(0.0, 1.0))
-        cfg = CorruptionConfig(rate=c)
+        cfg = CorruptionConfig(corruption_rate=c)
         hit = select_indices(ds.M, cfg, n_rows, rng)
         out, draw = corrupt_batch(batch, ds, cfg, pool, hit, rng)
         q = int(np.floor(c * ds.M))
@@ -229,8 +229,9 @@ def test_criterion_3_corruption_properties():
                 assert out[i, j] in ds.X[:20, j]
         if q == 0:
             np.testing.assert_array_equal(out, batch)
-        bern = select_indices(ds.M, dataclasses.replace(cfg, index_selection="bernoulli", rate=0.05),
-                              n_rows, rng)
+        bern = select_indices(
+            ds.M, dataclasses.replace(cfg, index_selection="bernoulli", corruption_rate=0.05),
+            n_rows, rng)
         assert bern.any(axis=1).all()
     assert time.time() - start < 60.0
 
@@ -345,7 +346,7 @@ def test_criterion_8_early_stopping(mixture):
     rng = np.random.default_rng(2)
     pairs = build_static_validation(
         mixture.X[splits.validation],
-        _objective("scarf", bundle, mixture, cfg, pool, rng, None)[0],
+        _objective("scarf", bundle.net("scarf"), mixture, cfg, pool, rng, None)[0],
         rng, cfg.val_build_epochs, cfg.batch_size)
     restored = _validation_metric(bundle, pairs, cfg, "scarf")
     assert abs(restored - out.best_metric) < 1e-12

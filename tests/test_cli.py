@@ -519,6 +519,35 @@ class TestReport:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_reference_without_records_fails_before_writing(self, tmp_path, capsys):
+        results = self._results(tmp_path)
+        out = tmp_path / "report"
+        code = main(["report", "--results", results, "--methods", "control,scarf",
+                     "--reference", "scraf", "--out", str(out)])
+        assert code == 1
+        assert "no results for method(s): scraf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "run"])
+    def test_malformed_results_line_named(self, tmp_path, capsys, command):
+        """A results line that is not a record fails the command with its file
+        and line, not with a traceback, and writes no report."""
+        results = tmp_path / "results" / "results.jsonl"
+        results.parent.mkdir()
+        results.write_text(open(self._results(tmp_path)).read() + "not json\n")
+        out = tmp_path / "report"
+        if command == "report":
+            code = main(["report", "--results", str(results), "--methods", "scarf,control",
+                         "--out", str(out)])
+        else:
+            csv, schema = write_dataset(tmp_path)
+            code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                         "--schema", schema, "--out", str(results.parent)])
+        assert code == 1
+        assert f"{command} failed: {results}, line 21: not a results record" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_setting_without_records_fails(self, tmp_path, capsys):
         results = self._results(tmp_path)
         out = tmp_path / "report"

@@ -37,7 +37,7 @@ class TestMarginalPool:
     def test_single_row_pool(self, rng):
         ds = make_numeric_dataset(n=20, d=3, seed=1)
         pool = build_marginal_pool(ds, np.array([4]))
-        cfg = CorruptionConfig(rate=1.0)
+        cfg = CorruptionConfig(corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 5, rng)
         out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, np.tile(ds.X[4], (5, 1)))
@@ -48,7 +48,7 @@ class TestMarginalPool:
         train = np.arange(30)
         for ds in (make_numeric_dataset(n=50, d=4, seed=2), mixed_dataset(n=50, seed=2)):
             pool = build_marginal_pool(ds, train)
-            cfg = CorruptionConfig(rate=1.0)
+            cfg = CorruptionConfig(corruption_rate=1.0)
             for _ in range(100):
                 hit = select_indices(ds.M, cfg, 8, rng)
                 out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, hit, rng)
@@ -65,26 +65,26 @@ class TestMarginalPool:
 
 class TestSelectIndices:
     def test_q_floor(self, rng):
-        hit = select_indices(2, CorruptionConfig(rate=0.6), 4, rng)
+        hit = select_indices(2, CorruptionConfig(corruption_rate=0.6), 4, rng)
         np.testing.assert_array_equal(hit.sum(axis=1), 1)  # floor(1.2)
 
     def test_rate_zero_fixed_count_empty(self, rng):
-        hit = select_indices(5, CorruptionConfig(rate=0.0), 4, rng)
+        hit = select_indices(5, CorruptionConfig(corruption_rate=0.0), 4, rng)
         assert not hit.any()
 
     def test_bernoulli_never_empty(self, rng):
-        cfg = CorruptionConfig(rate=0.01, index_selection="bernoulli")
+        cfg = CorruptionConfig(corruption_rate=0.01, index_selection="bernoulli")
         hit = select_indices(3, cfg, 200, rng)
         assert hit.any(axis=1).all()
 
     def test_shared_batch_identical_sets(self, rng):
-        cfg = CorruptionConfig(rate=0.5, index_sharing="shared_batch")
+        cfg = CorruptionConfig(corruption_rate=0.5, index_sharing="shared_batch")
         hit = select_indices(8, cfg, 10, rng)
         for row in hit[1:]:
             np.testing.assert_array_equal(row, hit[0])
 
     def test_per_example_sets_vary(self, rng):
-        cfg = CorruptionConfig(rate=0.5)
+        cfg = CorruptionConfig(corruption_rate=0.5)
         hit = select_indices(20, cfg, 50, rng)
         assert len({tuple(row) for row in hit}) > 1
 
@@ -93,7 +93,7 @@ class TestCorruptBatch:
     def test_none_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
-        cfg = CorruptionConfig(strategy="none", rate=0.6)
+        cfg = CorruptionConfig(corruption_strategy="none", corruption_rate=0.6)
         hit = select_indices(ds.M, cfg, 6, rng)
         out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
@@ -101,7 +101,7 @@ class TestCorruptBatch:
     def test_rate_zero_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
-        cfg = CorruptionConfig(rate=0.0)
+        cfg = CorruptionConfig(corruption_rate=0.0)
         hit = select_indices(ds.M, cfg, 6, rng)
         out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
@@ -109,7 +109,7 @@ class TestCorruptBatch:
     def test_zero_strategy(self, rng):
         ds = make_numeric_dataset(n=20, d=2)
         row = np.array([[5.0, 7.0]])
-        cfg = CorruptionConfig(strategy="zero", rate=0.5)
+        cfg = CorruptionConfig(corruption_strategy="zero", corruption_rate=0.5)
         out, _ = corrupt_batch(row, ds, cfg, None, np.array([[True, False]]), rng)
         np.testing.assert_array_equal(out, [[0.0, 7.0]])
 
@@ -117,7 +117,7 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=60, d=8, seed=3)
         pool = build_marginal_pool(ds, np.arange(40))
         for strategy in ("marginal", "mean", "gaussian", "joint", "zero", "missing_learnable"):
-            cfg = CorruptionConfig(strategy=strategy, rate=0.5)
+            cfg = CorruptionConfig(corruption_strategy=strategy, corruption_rate=0.5)
             hit = select_indices(ds.M, cfg, 10, rng)
             lmv = rng.normal(size=ds.X.shape[1])
             out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, hit, rng, lmv)
@@ -128,7 +128,7 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=30, d=3)
         train = np.arange(20)
         pool = build_marginal_pool(ds, train)
-        cfg = CorruptionConfig(strategy="mean", rate=1.0)
+        cfg = CorruptionConfig(corruption_strategy="mean", corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 1, rng)
         out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, hit, rng)
         np.testing.assert_allclose(out[0], ds.X[train].mean(axis=0))
@@ -136,21 +136,21 @@ class TestCorruptBatch:
     def test_missing_learnable_values_inserted(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         lmv = np.arange(4, dtype=float) + 10
-        cfg = CorruptionConfig(strategy="missing_learnable", rate=1.0)
+        cfg = CorruptionConfig(corruption_strategy="missing_learnable", corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 3, rng)
         out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng, lmv)
         np.testing.assert_array_equal(out, np.tile(lmv, (3, 1)))
 
     def test_learnable_required(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
-        cfg = CorruptionConfig(strategy="missing_learnable", rate=1.0)
+        cfg = CorruptionConfig(corruption_strategy="missing_learnable", corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
             corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
 
     def test_pool_required_for_marginal(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
-        cfg = CorruptionConfig(rate=0.5)
+        cfg = CorruptionConfig(corruption_rate=0.5)
         hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
             corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
@@ -160,7 +160,7 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(20))
         lo, hi = ds.feature_blocks[1]
         for strategy in ("marginal", "joint"):
-            cfg = CorruptionConfig(strategy=strategy, rate=1.0)
+            cfg = CorruptionConfig(corruption_strategy=strategy, corruption_rate=1.0)
             hit = select_indices(ds.M, cfg, 10, rng)
             out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, hit, rng)
             block = out[:, lo:hi]
@@ -173,7 +173,7 @@ class TestCorruptBatch:
         ds = mixed_dataset(n=40, seed=3)
         train = np.arange(25)
         pool = build_marginal_pool(ds, train)
-        cfg = CorruptionConfig(rate=0.5)
+        cfg = CorruptionConfig(corruption_rate=0.5)
         batch = ds.X[25:35]
         rng = np.random.default_rng(11)
         hit = select_indices(ds.M, cfg, 10, rng)
@@ -190,7 +190,7 @@ class TestCorruptBatch:
     def test_joint_rows_come_from_one_donor(self):
         ds = make_numeric_dataset(n=30, d=5, seed=4)
         pool = build_marginal_pool(ds, np.arange(20))
-        cfg = CorruptionConfig(strategy="joint", rate=1.0)
+        cfg = CorruptionConfig(corruption_strategy="joint", corruption_rate=1.0)
         rng = np.random.default_rng(0)
         hit = select_indices(ds.M, cfg, 4, rng)
         out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, hit, rng)
@@ -201,7 +201,8 @@ class TestCorruptBatch:
     def test_single_row_donor_shared_across_batch(self):
         ds = make_numeric_dataset(n=30, d=5, seed=5)
         pool = build_marginal_pool(ds, np.arange(20))
-        cfg = CorruptionConfig(strategy="marginal", rate=1.0, donor="single_row")
+        cfg = CorruptionConfig(corruption_strategy="marginal", corruption_rate=1.0,
+                               donor="single_row")
         rng = np.random.default_rng(0)
         hit = select_indices(ds.M, cfg, 6, rng)
         out, _ = corrupt_batch(ds.X[20:26], ds, cfg, pool, hit, rng)
@@ -213,7 +214,7 @@ class TestCorruptBatch:
         a = 2.5
         scaled.X[:, 0] *= a
         train = np.arange(30)
-        cfg = CorruptionConfig(rate=1.0)
+        cfg = CorruptionConfig(corruption_rate=1.0)
         out1, _ = corrupt_batch(
             ds.X[30:35], ds, cfg, build_marginal_pool(ds, train),
             select_indices(3, cfg, 5, np.random.default_rng(9)), np.random.default_rng(10),
@@ -231,7 +232,7 @@ class TestMakeViews:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         batch = ds.X[:8]
-        view_a, view_b, _ = make_views(batch, ds, CorruptionConfig(rate=0.6), pool, rng)
+        view_a, view_b, _ = make_views(batch, ds, CorruptionConfig(corruption_rate=0.6), pool, rng)
         np.testing.assert_array_equal(view_a, batch)
         assert not np.array_equal(view_b, batch)
 
@@ -239,7 +240,7 @@ class TestMakeViews:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         batch = ds.X[:8]
-        cfg = CorruptionConfig(strategy="none", rate=0.6)
+        cfg = CorruptionConfig(corruption_strategy="none", corruption_rate=0.6)
         view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng)
         np.testing.assert_array_equal(view_a, batch)
         np.testing.assert_array_equal(view_b, batch)
@@ -247,7 +248,7 @@ class TestMakeViews:
     def test_corrupt_both_views_differ(self, rng):
         ds = make_numeric_dataset(n=60, d=10, seed=7)
         pool = build_marginal_pool(ds, np.arange(40))
-        cfg = CorruptionConfig(rate=0.6, view_policy="corrupt_both")
+        cfg = CorruptionConfig(corruption_rate=0.6, view_policy="corrupt_both")
         view_a, view_b, _ = make_views(ds.X[:8], ds, cfg, pool, rng)
         assert not np.array_equal(view_a, view_b)
 
@@ -262,7 +263,7 @@ def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy,
     X = np.column_stack([rng.normal(size=(40, 3)), np.eye(3)[rng.integers(0, 3, size=40)]])
     ds = encoded_dataset(X, rng.integers(0, 2, size=40), blocks=[(0, 1), (1, 2), (2, 3), (3, 6)])
     pool = build_marginal_pool(ds, np.arange(30))
-    cfg = CorruptionConfig(strategy=strategy, index_selection=index_selection,
+    cfg = CorruptionConfig(corruption_strategy=strategy, index_selection=index_selection,
                            index_sharing=index_sharing, view_policy=view_policy)
     lmv = rng.normal(size=ds.X.shape[1])
     for _ in range(5):
@@ -276,28 +277,29 @@ def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy,
         else:
             np.testing.assert_array_equal(draw.encoded_mask, draw.features[:, ds.column_feature])
         if index_selection == "fixed_count":
-            np.testing.assert_array_equal(draw.features.sum(axis=1), int(np.floor(cfg.rate * ds.M)))
+            np.testing.assert_array_equal(draw.features.sum(axis=1),
+                                          int(np.floor(cfg.corruption_rate * ds.M)))
 
 
 class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ConfigurationError):
-            CorruptionConfig(strategy="typo")
+            CorruptionConfig(corruption_strategy="typo")
 
     def test_bad_rate(self):
         with pytest.raises(ConfigurationError):
-            CorruptionConfig(rate=1.5)
+            CorruptionConfig(corruption_rate=1.5)
 
     def test_bernoulli_zero_rate_rejected(self):
         # select_indices would redraw the always-empty rows forever
         with pytest.raises(ConfigurationError, match="bernoulli"):
-            CorruptionConfig(rate=0.0, index_selection="bernoulli")
+            CorruptionConfig(corruption_rate=0.0, index_selection="bernoulli")
 
     def test_unique_pool_samples_deduplicated_values(self):
         ds = make_numeric_dataset(n=20, d=2, seed=8)
         ds = encoded_dataset(np.array([[1.0]] * 19 + [[2.0]]), ds.y)
         pool = build_marginal_pool(ds, np.arange(20))
-        cfg = CorruptionConfig(rate=1.0, unique_pool=True)
+        cfg = CorruptionConfig(corruption_rate=1.0, unique_pool=True)
         rng = np.random.default_rng(0)
         draws = []
         for _ in range(200):

@@ -1,6 +1,7 @@
 import json
 import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ class TestRunMethod:
     def test_numbers_of_the_default_kind_accepted(self):
         hp = methods._resolve({"corruption_rate": 1, "batch_size": np.int64(32),
                                "learning_rate": np.float64(0.01)})
-        assert (hp.corruption.rate, hp.batch_size, hp.learning_rate) == (1, 32, 0.01)
+        assert (hp.corruption_rate, hp.batch_size, hp.learning_rate) == (1, 32, 0.01)
 
     @pytest.mark.parametrize("method", ["control", "mixup", "cotrain", "self_train"])
     def test_fine_tune_only_method_takes_batch_size_one(self, method):
@@ -297,17 +298,22 @@ class TestRunMethod:
         ds = make_blob_dataset(n=120, d=4, seed=3)
         hp = {**FAST_HP, "batch_size": 24, "corruption_rate": 0.3, "donor": "single_row"}
         run_method(method, ds, make_splits(120, 2), "full", 9, hp)
-        expected = CorruptionConfig(rate=0.3, donor="single_row")
+        expected = CorruptionConfig(corruption_rate=0.3, donor="single_row")
+
+        def corruption(hp):
+            """The corruption fields of the Hyperparameters `hp` as their own config."""
+            return CorruptionConfig(**{f.name: getattr(hp, f.name) for f in fields(CorruptionConfig)})
+
         pretrain_cfg = [args[3] for args, _ in pretrain_calls]
         [(finetune_args, finetune_kwargs)] = finetune_calls
         finetune_cfg = finetune_args[4]
         assert [c.batch_size for c in pretrain_cfg + [finetune_cfg]] == [24] * (len(pretrain_cfg) + 1)
         if method == "scarf":
-            assert pretrain_cfg[0].corruption == expected
+            assert corruption(pretrain_cfg[0]) == expected
         elif method == "scarf_aug":
-            assert (finetune_kwargs["recipe"], finetune_cfg.corruption) == ("scarf_aug", expected)
+            assert (finetune_kwargs["recipe"], corruption(finetune_cfg)) == ("scarf_aug", expected)
         else:
-            assert (finetune_kwargs["recipe"], finetune_cfg.corruption) == ("cotrain", expected)
+            assert (finetune_kwargs["recipe"], corruption(finetune_cfg)) == ("cotrain", expected)
 
     @pytest.mark.parametrize("recipe", ["self_train", "tri_train"])
     def test_non_default_hyperparameters_take_effect(self, recipe, monkeypatch):

@@ -34,7 +34,7 @@ from tabpretrain.nn import (
     softmax_cross_entropy,
 )
 from tabpretrain.training import (AUTOENCODERS, Hyperparameters, ModelBundle, _infonce_pair,
-                                  _objective)
+                                  _objective, contrastive_step)
 
 F32 = np.float32
 
@@ -64,7 +64,7 @@ def test_views_keep_float32(strategy, view_policy, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
     learnable = rng.normal(size=ds.X.shape[1]).astype(F32)
-    cfg = CorruptionConfig(strategy=strategy, view_policy=view_policy)
+    cfg = CorruptionConfig(corruption_strategy=strategy, view_policy=view_policy)
     batch = ds.X[:8]
     view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng, learnable)
     out, _ = corrupt_batch(batch, ds, cfg, pool, select_indices(ds.M, cfg, 8, rng), rng, learnable)
@@ -115,11 +115,12 @@ def test_bundle_steps_keep_float32(rng):
     bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hp, "scarf", "ae_cotrain")
     assert_float32(*bundle_weights(bundle))
     x, x2 = ds.X[:6], ds.X[6:12]
-    loss, f_grads, g_grads, grad_in = bundle.contrastive_step(
-        x, x2, lambda z, zt: _infonce_pair(z, zt, 1.0))
+    loss, grads, grad_in = contrastive_step(
+        bundle.net("scarf"), x, x2, lambda z, zt: _infonce_pair(z, zt, 1.0))
     assert_float32_value(loss)
-    assert_float32(*f_grads, *g_grads, grad_in)
-    _, reconstruction_step = _objective("no_noise_ae", bundle, ds, hp, None, rng, None)
+    assert_float32(*grads, grad_in)
+    _, reconstruction_step = _objective("no_noise_ae", bundle.net("no_noise_ae"), ds, hp, None,
+                                        rng, None)
     loss, grads = reconstruction_step(x)
     assert_float32_value(loss)
     assert_float32(*grads)

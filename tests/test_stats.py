@@ -344,6 +344,20 @@ class TestPersistence:
         append_run(path, run("m", "d", 2, 0.7))
         assert path.read_bytes() == whole
 
+    @pytest.mark.parametrize("line", ["garbage", "{", "[1, 2]", '{"dataset_id": "d"}', "NaN"])
+    def test_malformed_line_named(self, tmp_path, line):
+        """A terminated line that is not a record raises ValueError naming the
+        file and its 1-based line, whether it is no JSON or no record."""
+        path = tmp_path / "results.jsonl"
+        append_run(path, run("m", "d", 0, 0.5))
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        append_run(path, run("m", "d", 1, 0.6))
+        with pytest.raises(ValueError, match="results.jsonl, line 2: not a results record"):
+            load_runs(path)
+        with pytest.raises(ValueError, match="line 2"):
+            completed_keys(path)
+
     def test_byte_identical_across_reruns(self, tmp_path):
         texts = []
         for name in ("a.jsonl", "b.jsonl"):

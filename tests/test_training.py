@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -8,7 +8,8 @@ import pytest
 from conftest import (assert_grads_close, bundle_weights, central_difference, make_blob_dataset,
                       make_numeric_dataset, to_float64)
 from tabpretrain import losses, methods, training
-from tabpretrain.corruption import ConfigurationError, CorruptionDraw, build_marginal_pool
+from tabpretrain.corruption import (ConfigurationError, CorruptionConfig, CorruptionDraw,
+                                    build_marginal_pool, corrupt_batch, select_indices)
 from tabpretrain.data import make_splits
 from tabpretrain.nn import l2_normalize_rows, l2_normalize_rows_backward, mse
 from tabpretrain.training import (
@@ -25,6 +26,7 @@ from tabpretrain.training import (
     pretrain_scarf,
     _contrastive_loss,
     _objective,
+    contrastive_step,
 )
 
 SMALL = Hyperparameters(hidden_dim=16, encoder_layers=2, head_layers=1)
@@ -39,6 +41,21 @@ def small_bundle(ds, rng, arch=SMALL, pre=None, recipe="control"):
 def view_of(pre, ds, hp, pool, rng):
     """The `view` of objective `pre` that `build_static_validation` takes."""
     return _objective(pre, None, ds, hp, pool, rng, None)[0]
+
+
+def test_hyperparameters_are_the_corruption_config_then_the_trial_fields():
+    """The field names and order that the CLI flags, the config keys and
+    `config.json` follow: the inherited corruption settings first."""
+    names = [f.name for f in fields(Hyperparameters)]
+    assert names == [
+        "corruption_strategy", "corruption_rate", "index_selection", "view_policy",
+        "index_sharing", "donor", "gaussian_sigma", "unique_pool", "batch_size", "learning_rate",
+        "patience", "pretrain_max_epochs", "finetune_max_epochs", "temperature",
+        "val_build_epochs", "pretrain_loss", "validation_metric", "label_smoothing", "dropout",
+        "mixup_alpha", "cotrain_weight", "self_train_threshold", "self_train_iterations",
+        "hidden_dim", "encoder_layers", "head_layers", "noise_rate", "labeled_fraction"]
+    assert names[:8] == [f.name for f in fields(CorruptionConfig)]
+    assert isinstance(Hyperparameters(), CorruptionConfig)
 
 
 class TestEarlyStopper:
@@ -96,6 +113,21 @@ class TestStaticValidation:
                 for r in (np.random.default_rng(5), np.random.default_rng(5))]
         for x, y in zip(a.corrupted, b.corrupted):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("pre", ["scarf", "scarf_ae", "scarf_disc"])
+    def test_corrupt_both_view_draws_one_corrupted_copy(self, pre):
+        """Under corrupt_both the view is still one corrupted copy: one
+        `select_indices` and one `corrupt_batch` draw, no discarded first view."""
+        ds = make_numeric_dataset(n=60, d=4)
+        pool = build_marginal_pool(ds, np.arange(40))
+        hp = Hyperparameters(view_policy="corrupt_both")
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        batch = ds.X[40:60]
+        copy = view_of(pre, ds, hp, pool, rng)(batch)
+        hit = select_indices(ds.M, hp, len(batch), twin)
+        want, _ = corrupt_batch(batch, ds, hp, pool, hit, twin)
+        np.testing.assert_array_equal(copy, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_empty_split_rejected(self, rng):
         ds = make_numeric_dataset()
@@ -510,13 +542,14 @@ class TestContrastiveStep:
         loss_fn = partial(_contrastive_loss, Hyperparameters(pretrain_loss=loss, temperature=0.7))
         want = normalize_then_backward(bundle, view_a, view_b, loss_fn)
         for input_grad in (True, False):
-            got = bundle.contrastive_step(view_a, view_b, loss_fn, input_grad=input_grad)
+            got = contrastive_step(bundle.net("scarf"), view_a, view_b, loss_fn,
+                                   input_grad=input_grad)
             assert got[0] == want[0]
-            assert_arrays_equal(got[1] + got[2], want[1] + want[2])
+            assert_arrays_equal(got[1], want[1] + want[2])
             if input_grad:
-                assert_arrays_equal([got[3]], [want[3]])
+                assert_arrays_equal([got[2]], [want[3]])
             else:
-                assert got[3] is None
+                assert got[2] is None
 
     @pytest.mark.parametrize("learns", [True, False])
     def test_objective_step_matches_the_composition(self, dtype, learns, rng, monkeypatch):
@@ -537,7 +570,7 @@ class TestContrastiveStep:
 
         monkeypatch.setattr(training, "make_views", fixed_views)
         loss_fn = partial(_contrastive_loss, LEARNABLE)
-        _, step = _objective("scarf", bundle, ds, LEARNABLE, None, rng, loss_fn,
+        _, step = _objective("scarf", bundle.net("scarf"), ds, LEARNABLE, None, rng, loss_fn,
                              lmv if learns else None)
         batch = ds.X[:16]
         loss, grads = step(batch)
@@ -548,6 +581,79 @@ class TestContrastiveStep:
             want.append(np.where(mask, grad_in_b, 0.0).sum(axis=0))
         assert loss == want_loss
         assert_arrays_equal(grads, want)
+
+
+def chained_nets(bundle, pre):
+    """The nets that objective `pre` chains: f, then each of its heads."""
+    return [bundle.f] + [getattr(bundle, name) for name in training.OBJECTIVE_HEADS[pre]]
+
+
+def chain_forward(nets, x):
+    for net in nets:
+        x = net.forward(x)
+    return x
+
+
+def chain_backward(nets, grad):
+    """Each net's backward pass in turn, last net first; the gradients in the
+    order of the nets."""
+    grads = []
+    for net in reversed(nets):
+        net_grads, grad = net.backward(grad)
+        grads = net_grads + grads
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pre", ["scarf_disc", "no_noise_ae"])
+class TestComposedNet:
+    """The step and the validation outputs of objective `pre` run `bundle.net(pre)`,
+    with the rounding of the plain chain of nets: disc_proj(g(f(x))) or
+    decoder(f(x)) forward, then each net's backward pass in turn."""
+
+    @staticmethod
+    def bundle_and_data(pre, dtype, n, rng):
+        ds = make_numeric_dataset(n=n, d=5, seed=2)
+        ds = replace(ds, X=ds.X.astype(dtype))
+        bundle = small_bundle(ds, rng, pre=pre)
+        if dtype == np.float64:
+            to_float64(bundle)
+        return bundle, ds, build_marginal_pool(ds, np.arange(n // 2))
+
+    def test_step_matches_the_chained_nets(self, dtype, pre, rng):
+        bundle, ds, pool = self.bundle_and_data(pre, dtype, 40, rng)
+        batch = ds.X[:16]
+        _, step = _objective(pre, bundle.net(pre), ds, SMALL, pool, np.random.default_rng(3), None)
+        loss, grads = step(batch)
+        # the objective's copy of the batch, drawn from a twin of the step's rng
+        copy = view_of(pre, ds, SMALL, pool, np.random.default_rng(3))(batch)
+        nets = chained_nets(bundle, pre)
+        if pre == "scarf_disc":
+            labels = np.concatenate([np.zeros(len(batch)), np.ones(len(copy))])
+            want_loss, grad = losses.binary_logistic(
+                chain_forward(nets, np.vstack([batch, copy])), labels)
+            grad = grad.reshape(-1, 1)
+        else:
+            want_loss, grad = mse(chain_forward(nets, copy), batch)
+        assert loss == want_loss
+        assert_arrays_equal(grads, chain_backward(nets, grad))
+
+    def test_validation_outputs_match_the_chained_nets(self, dtype, pre, rng, monkeypatch):
+        """Every net output of the validation metric, over the 300 validation
+        rows (two slices) and over each stored copy."""
+        bundle, ds, pool = self.bundle_and_data(pre, dtype, 3000, rng)
+        splits = make_splits(ds.n, 1)
+        hp = Hyperparameters(val_build_epochs=1)
+        pairs = build_static_validation(ds.X[splits.validation], view_of(pre, ds, hp, pool, rng),
+                                        rng, hp.val_build_epochs, hp.batch_size)
+        outputs, in_slices = [], training._in_slices
+        monkeypatch.setattr(training, "_in_slices",
+                            lambda fn, X: outputs.append((X, in_slices(fn, X))) or outputs[-1][1])
+        training._validation_metric(bundle, pairs, hp, pre)
+        assert len(outputs) == len(pairs.corrupted) + (pre == "scarf_disc")
+        nets = chained_nets(bundle, pre)
+        for X, out in outputs:
+            assert_arrays_equal([out], [in_slices(partial(chain_forward, nets), X)])
 
 
 class TestPretrainAutoencoder:
