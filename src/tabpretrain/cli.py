@@ -148,6 +148,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
+        if not 0 < p <= 1:  # false for NaN, which would count every pair as significant
+            print(f"report failed: {flag} must be in (0, 1], got {p!r}", file=sys.stderr)
+            return 1
     try:
         runs = stats.load_runs(args.results)
     except (ValueError, OSError) as exc:  # an unreadable file, or a line that is no record

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,30 +37,37 @@ class ConfigurationError(ValueError):
 class CorruptionConfig:
     corruption_strategy: str = "marginal"
     corruption_rate: float = 0.6
-    index_selection: str = "fixed_count"  # or "bernoulli"
-    view_policy: str = "corrupt_one"  # or "corrupt_both"
-    index_sharing: str = "per_example"  # or "shared_batch"
-    donor: str = "per_example"  # or "single_row"
+    index_selection: str = "fixed_count"
+    view_policy: str = "corrupt_one"
+    index_sharing: str = "per_example"
+    donor: str = "per_example"
     gaussian_sigma: float = 0.5
     unique_pool: bool = False  # True: deduplicate each feature's marginal pool
 
+    # The legal values, which subclasses extend: each string field's choices,
+    # and (rule, test, fields) rows whose tests are false for NaN.
+    CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
+        "corruption_strategy": STRATEGIES,
+        "index_selection": ("fixed_count", "bernoulli"),
+        "view_policy": ("corrupt_one", "corrupt_both"),
+        "index_sharing": ("per_example", "shared_batch"),
+        "donor": ("per_example", "single_row"),
+    }
+    RANGES: ClassVar[tuple] = (
+        ("in [0, 1]", lambda v: 0 <= v <= 1, ("corruption_rate",)),
+        ("positive and finite", lambda v: 0 < v < np.inf, ("gaussian_sigma",)),
+    )
+
     def __post_init__(self):
-        if self.corruption_strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {self.corruption_strategy!r}")
-        if not 0.0 <= self.corruption_rate <= 1.0:
-            raise ConfigurationError("corruption rate must lie in [0, 1]")
-        if self.index_selection not in ("fixed_count", "bernoulli"):
-            raise ConfigurationError(f"unknown index_selection {self.index_selection!r}")
+        for name, allowed in self.CHOICES.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigurationError(f"unknown {name} {value!r}")
+        for rule, holds, names in self.RANGES:
+            for name in names:
+                if not holds(value := getattr(self, name)):
+                    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
         if self.index_selection == "bernoulli" and self.corruption_rate == 0:
             raise ConfigurationError("bernoulli index_selection needs a positive rate")
-        if self.view_policy not in ("corrupt_one", "corrupt_both"):
-            raise ConfigurationError(f"unknown view_policy {self.view_policy!r}")
-        if self.index_sharing not in ("per_example", "shared_batch"):
-            raise ConfigurationError(f"unknown index_sharing {self.index_sharing!r}")
-        if self.donor not in ("per_example", "single_row"):
-            raise ConfigurationError(f"unknown donor {self.donor!r}")
-        if self.gaussian_sigma <= 0:
-            raise ConfigurationError("gaussian_sigma must be positive")
 
 
 @dataclass

@@ -156,12 +156,10 @@ def run_method(
         sub = ModelBundle.create(dataset.X.shape[1], dataset.num_classes, rng, hp)
         if pre is not None:
             sub.f.set_weights(bundle.f.parameters())
-        if soft is not None:
-            finetune(dataset, splits, rows, sub, hp, rng, soft_targets=soft)
-        else:
-            y_over = dataset.y.copy()
-            y_over[rows] = labels
-            finetune(replace(dataset, y=y_over), splits, rows, sub, hp, rng)
+        if soft is None:
+            soft = np.zeros((dataset.n, dataset.num_classes), dtype=dataset.X.dtype)
+            soft[rows, labels] = 1.0
+        finetune(dataset, splits, rows, sub, hp, rng, targets=soft)
         return sub
 
     outcome = None

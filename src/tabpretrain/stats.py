@@ -5,6 +5,8 @@ line-delimited results persistence for multi-trial sweeps.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -253,24 +255,30 @@ def relative_improvement(
     return entries
 
 
+def _csv_text(rows) -> str:
+    """CSV text; a cell with a comma, quote or line break (a dataset id is a
+    file's basename) is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def win_matrix_csv(wm: WinMatrix) -> str:
-    header = ["method"] + wm.methods + ["min_ratio"]
-    lines = [",".join(header)]
+    rows = [["method"] + wm.methods + ["min_ratio"]]
     min_col = wm.min_ratio_column()
     for i, m in enumerate(wm.methods):
         cells = [m]
         for j in range(len(wm.methods)):
             cells.append("" if i == j else wm.cell_text(i, j))
         cells.append("" if min_col[i] is None else f"{min_col[i]:.4f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append(cells)
+    return _csv_text(rows)
 
 
 def box_plot_csv(entries: list[BoxPlotEntry]) -> str:
-    lines = ["method,reference,dataset_id,relative_improvement_pct"]
-    for e in entries:
-        lines.append(f"{e.method},{e.reference},{e.dataset_id},{e.relative_improvement_pct:.4f}")
-    return "\n".join(lines) + "\n"
+    return _csv_text([["method", "reference", "dataset_id", "relative_improvement_pct"]] + [
+        [e.method, e.reference, e.dataset_id, f"{e.relative_improvement_pct:.4f}"]
+        for e in entries])
 
 
 def win_matrix_svg(wm: WinMatrix) -> str:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -86,30 +87,15 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(part) for part in np.array_split(X, -(-n // INFERENCE_ROWS))])
 
 
-# The legal values of each numeric hyperparameter that CorruptionConfig does
-# not check, as (rule, test, fields). Every test is false for NaN.
-_RANGES = (
-    ("at least 1", lambda v: v >= 1, ("batch_size", "patience", "val_build_epochs",
-                                      "hidden_dim", "encoder_layers", "head_layers")),
-    ("nonnegative and finite", lambda v: 0 <= v < np.inf,
-     ("pretrain_max_epochs", "finetune_max_epochs", "self_train_iterations", "mixup_alpha",
-      "cotrain_weight")),
-    ("positive and finite", lambda v: 0 < v < np.inf, ("learning_rate", "temperature")),
-    ("in [0, 1)", lambda v: 0 <= v < 1, ("label_smoothing", "dropout")),
-    ("in [0, 1]", lambda v: 0 <= v <= 1, ("noise_rate",)),
-    ("in (0, 1]", lambda v: 0 < v <= 1, ("self_train_threshold", "labeled_fraction")),
-)
-
-
 @dataclass(frozen=True)
 class Hyperparameters(CorruptionConfig):
     """Every trial hyperparameter and its default, declared once: the trainers
     read it, `methods.run_method` builds it from a dict of overrides, and each
     field is a CLI config key and `run` flag. The corruption fields, inherited
-    first, serve pre-training, scarf_aug and cotrain alike. An invalid
-    corruption setting, an unknown `pretrain_loss` or `validation_metric` and a
-    numeric field outside its range in `_RANGES` raise ConfigurationError when
-    one is built. A maximum of 0 epochs is legal and trains no epoch."""
+    first, serve pre-training, scarf_aug and cotrain alike. Its fields'
+    legal values extend the `CHOICES` and `RANGES` tables of CorruptionConfig,
+    whose check raises ConfigurationError when one is built. A maximum of 0
+    epochs is legal and trains no epoch."""
 
     # optimisation, for pre-training and fine-tuning alike
     batch_size: int = 128
@@ -120,8 +106,8 @@ class Hyperparameters(CorruptionConfig):
     # pre-training objective
     temperature: float = 1.0
     val_build_epochs: int = 10
-    pretrain_loss: str = "infonce"  # infonce | barlow | align_uniform
-    validation_metric: str = "infonce_loss"  # infonce_loss | infonce_error
+    pretrain_loss: str = "infonce"
+    validation_metric: str = "infonce_loss"
     # fine-tuning recipes
     label_smoothing: float = 0.1
     dropout: float = 0.04
@@ -137,16 +123,22 @@ class Hyperparameters(CorruptionConfig):
     noise_rate: float = 0.3
     labeled_fraction: float = 0.25
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.pretrain_loss not in ("infonce", "barlow", "align_uniform"):
-            raise ConfigurationError(f"unknown pretrain_loss {self.pretrain_loss!r}")
-        if self.validation_metric not in ("infonce_loss", "infonce_error"):
-            raise ConfigurationError(f"unknown validation_metric {self.validation_metric!r}")
-        for rule, holds, names in _RANGES:
-            for name in names:
-                if not holds(value := getattr(self, name)):
-                    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+    CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
+        **CorruptionConfig.CHOICES,
+        "pretrain_loss": ("infonce", "barlow", "align_uniform"),
+        "validation_metric": ("infonce_loss", "infonce_error"),
+    }
+    RANGES: ClassVar[tuple] = CorruptionConfig.RANGES + (
+        ("at least 1", lambda v: v >= 1, ("batch_size", "patience", "val_build_epochs",
+                                          "hidden_dim", "encoder_layers", "head_layers")),
+        ("nonnegative and finite", lambda v: 0 <= v < np.inf,
+         ("pretrain_max_epochs", "finetune_max_epochs", "self_train_iterations", "mixup_alpha",
+          "cotrain_weight")),
+        ("positive and finite", lambda v: 0 < v < np.inf, ("learning_rate", "temperature")),
+        ("in [0, 1)", lambda v: 0 <= v < 1, ("label_smoothing", "dropout")),
+        ("in [0, 1]", lambda v: 0 <= v <= 1, ("noise_rate",)),
+        ("in (0, 1]", lambda v: 0 < v <= 1, ("self_train_threshold", "labeled_fraction")),
+    )
 
 
 @dataclass
@@ -208,8 +200,9 @@ class ModelBundle:
                                     for layer in getattr(self, name).layers])
 
     def embed(self, X: np.ndarray) -> np.ndarray:
-        """z = normalize(g(f(X))), computed in slices of INFERENCE_ROWS rows."""
-        return _in_slices(lambda b: l2_normalize_rows(self.g.forward(self.f.forward(b))), X)
+        """z = normalize(g(f(X))) by `net("scarf")`, in slices of INFERENCE_ROWS rows."""
+        net = self.net("scarf")
+        return _in_slices(lambda b: l2_normalize_rows(net.forward(b)), X)
 
     def classify(self, batch: np.ndarray, dropout: float = 0.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
@@ -357,49 +350,39 @@ def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
                        pre: str) -> float:
     """The validation metric of pre-trainer `pre` on the static pairs (lower
-    is better). Its net, `bundle.net(pre)`, maps the stored rows once and each
-    corrupted copy once, in slices; each stored batch is scored on its gathered
-    rows and its copy, and the scores are averaged weighted by batch size:
-
-    - scarf: the contrastive metric of normalize(g(f(.))) over batches of at
-      least two rows. The loss metric is the pre-training loss; InfoNCE takes
-      its value alone, without gradients.
-    - the autoencoders: MSE of decoder(f(copy)) against the rows.
-    - scarf_disc: error of the rule "disc_proj(g(f(x))) > 0 means corrupted"
-      over the rows and their copy."""
-    net = bundle.net(pre)
-    if pre == "scarf":
-        rows_out = copy_out = partial(_in_slices, lambda b: l2_normalize_rows(net.forward(b)))
-
-        def score(z, zt):
-            if hp.validation_metric == "infonce_error":
-                return losses.infonce_error(z @ zt.T)
-            if hp.pretrain_loss == "infonce":
-                return losses.infonce_loss(z @ zt.T, hp.temperature)
-            return _contrastive_loss(hp, z, zt)[0]
-    elif pre == "scarf_disc":
-        def rows_out(x):
-            return _in_slices(net.forward, x).reshape(-1)
-        copy_out = rows_out
-
-        def score(orig_logit, corr_logit):
-            labels = np.concatenate([np.zeros(orig_logit.size), np.ones(corr_logit.size)])
-            return float(np.mean((np.concatenate([orig_logit, corr_logit]) > 0) != labels))
-    else:
-        def rows_out(x):
-            return x
-        copy_out = partial(_in_slices, net.forward)
-
-        def score(orig, recon):
-            return mse(recon, orig)[0]
-    at_rows = rows_out(pairs.originals)
+    is better). The stored rows, raw for the autoencoders, and each corrupted
+    copy go once, in slices, through `bundle.embed` for scarf or else through
+    `bundle.net(pre)`; the `_score` of each stored batch (one-row batches
+    skipped for scarf) is averaged weighted by batch size."""
+    through = bundle.embed if pre == "scarf" else partial(_in_slices, bundle.net(pre).forward)
+    at_rows = pairs.originals if pre in AUTOENCODERS else through(pairs.originals)
     vals, weights = [], []
     for pos, corr in zip(pairs.positions, pairs.corrupted):
         if pre == "scarf" and pos.size < 2:
             continue
-        vals.append(score(at_rows[pos], copy_out(corr)))
+        vals.append(_score(pre, hp, at_rows[pos], through(corr)))
         weights.append(pos.size)
     return float(np.average(vals, weights=weights))
+
+
+def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) -> float:
+    """One stored batch's validation value from its mapped rows and copy:
+
+    - scarf: the contrastive metric of the two embeddings. The loss metric is
+      the pre-training loss; InfoNCE takes its value alone, without gradients.
+    - the autoencoders: MSE of the reconstruction `copy` against the rows.
+    - scarf_disc: error of the rule "logit > 0 means corrupted" over the
+      rows' and the copy's logits."""
+    if pre in AUTOENCODERS:
+        return mse(copy, rows)[0]
+    if pre == "scarf_disc":
+        logits = np.concatenate([rows, copy]).reshape(-1)
+        return float(np.mean((logits > 0) != (np.arange(logits.size) >= len(rows))))
+    if hp.validation_metric == "infonce_error":
+        return losses.infonce_error(rows @ copy.T)
+    if hp.pretrain_loss == "infonce":
+        return losses.infonce_loss(rows @ copy.T, hp.temperature)
+    return _contrastive_loss(hp, rows, copy)[0]
 
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
@@ -510,26 +493,29 @@ def finetune(
     hp: Hyperparameters,
     rng: np.random.Generator,
     recipe: str = "control",
-    soft_targets: np.ndarray | None = None,
+    targets: np.ndarray | None = None,
 ) -> TrainOutcome:
-    """Supervised training of f and h with cross-entropy on the labels
-    `dataset.y` of the labeled rows, early stopping on validation
-    classification error, best weights restored; the test split is not read.
+    """Supervised training of f and h with cross-entropy against `targets` on
+    the labeled rows, early stopping on validation classification error, best
+    weights restored; the test split is not read.
 
     `recipe` turns on one regularizer, as the module docstring maps them;
     the others are off. A smoothing, dropout or mixup alpha of 0 trains as
     `control` does, with no extra draw. `cotrain` and `ae_cotrain` add the
     `scarf` or `add_noise_ae` objective (zero on a one-row batch).
 
-    soft_targets, when given, is an (n, K) matrix of target distributions
-    indexed by dataset row and overrides hard labels."""
+    `targets` is an (n, K) matrix of target distributions indexed by dataset
+    row; by default the one-hot rows of `dataset.y` in the dtype of
+    `dataset.X`, smoothed under `smooth`."""
     if recipe not in FINETUNE_RECIPES:
         raise ConfigurationError(f"unknown fine-tuning recipe {recipe!r}")
     labeled_indices = np.asarray(labeled_indices)
     if labeled_indices.size == 0:
         raise ValueError("no labeled training rows")
-    K = dataset.num_classes
-    smoothing = hp.label_smoothing if recipe == "smooth" else 0.0
+    if targets is None:
+        targets = np.eye(dataset.num_classes, dtype=dataset.X.dtype)[dataset.y]
+        if recipe == "smooth":
+            targets = smooth_labels(targets, hp.label_smoothing, dataset.num_classes)
     dropout = hp.dropout if recipe == "dropout" else 0.0
     alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
 
@@ -544,19 +530,13 @@ def finetune(
                                  partial(_infonce_pair, temperature=hp.temperature))
 
     def step(rows):
-        x = dataset.X[rows]
-        if soft_targets is not None:
-            targets = soft_targets[rows]
-        else:
-            targets = np.eye(K, dtype=x.dtype)[dataset.y[rows]]
-            if smoothing:
-                targets = smooth_labels(targets, smoothing, K)
+        x, target = dataset.X[rows], targets[rows]
         if alpha:
-            x, targets = mixup_batch(x, targets, alpha, rng)
+            x, target = mixup_batch(x, target, alpha, rng)
         if recipe == "scarf_aug":
             hit = select_indices(dataset.M, hp, len(x), rng)
             x, _ = corrupt_batch(x, dataset, hp, pool, hit, rng)
-        loss, grad = softmax_cross_entropy(bundle.classify(x, dropout, rng), targets)
+        loss, grad = softmax_cross_entropy(bundle.classify(x, dropout, rng), target)
         f_grads, h_grads = bundle.classify_backward(grad)
         if aux is None:
             return loss, f_grads + h_grads

@@ -1,3 +1,4 @@
+import csv as csv_module
 import json
 from dataclasses import asdict
 
@@ -445,6 +446,19 @@ class TestRun:
         assert code == 1
         assert "bernoulli" in capsys.readouterr().err
 
+    def test_infinite_gaussian_sigma_fails_and_writes_nothing(self, tmp_path, capsys):
+        """An infinite sigma used to pass into the trials, which trained on
+        NaN losses and still recorded a finite test accuracy."""
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                     "--schema", schema, "--method", "scarf", "--corruption_strategy", "gaussian",
+                     "--gaussian_sigma", "inf", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "run failed: gaussian_sigma must be positive and finite, got inf\n"
+        assert not out.exists()
+
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path, trials=4)
@@ -492,6 +506,42 @@ class TestReport:
         assert "scarf,,2/2,1.0000" in matrix
         box = (out / "box_plot.csv").read_text()
         assert box.count("scarf,control,") == 2
+
+    @pytest.mark.parametrize("flag", ["--p-value", "--boxplot-p-value"])
+    @pytest.mark.parametrize("value", ["nan", "2.0", "0", "-0.5"])
+    def test_p_value_outside_unit_interval_fails_before_writing(self, tmp_path, capsys, flag,
+                                                                value):
+        """A threshold of NaN or above 1 used to count every pair as a
+        significant win or loss."""
+        results = self._results(tmp_path)
+        out = tmp_path / "report"
+        code = main(["report", "--results", results, "--methods", "scarf,control",
+                     "--reference", "control", flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"report failed: {flag} must be in (0, 1], got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_exports_quote_cells_that_hold_a_comma(self, tmp_path):
+        """A dataset id is a CSV's basename, so it may hold a comma or a
+        quote; each exported row reads back as the header's number of cells."""
+        path = tmp_path / "results.jsonl"
+        for d in ('credit,g.csv', 'say "hi".csv'):
+            for t in range(3):
+                stats.append_run(path, stats.MethodRun(d, "scarf", t, 0, "full", 0.9 + t / 100))
+                stats.append_run(path, stats.MethodRun(d, "control", t, 0, "full", 0.5 + t / 100))
+        out = tmp_path / "report"
+        assert main(["report", "--results", str(path), "--methods", "scarf,control",
+                     "--reference", "control", "--out", str(out)]) == 0
+        with open(out / "box_plot.csv", newline="") as fh:
+            box = list(csv_module.reader(fh))
+        assert box == [["method", "reference", "dataset_id", "relative_improvement_pct"],
+                       ["scarf", "control", "credit,g.csv", "78.4314"],
+                       ["scarf", "control", 'say "hi".csv', "78.4314"]]
+        with open(out / "win_matrix.csv", newline="") as fh:
+            assert list(csv_module.reader(fh)) == [["method", "scarf", "control", "min_ratio"],
+                                                   ["scarf", "", "2/2", "1.0000"],
+                                                   ["control", "0/2", "", "0.0000"]]
 
     def test_svg_is_well_formed(self, tmp_path):
         import xml.dom.minidom

@@ -461,6 +461,11 @@ class TestRunBenchmark:
         ("labeled_fraction", 0.0, "in (0, 1]"),
         ("self_train_threshold", 5, "in (0, 1]"),
         ("self_train_iterations", -1, "nonnegative and finite"),
+        ("gaussian_sigma", float("nan"), "positive and finite"),
+        ("gaussian_sigma", float("inf"), "positive and finite"),
+        ("gaussian_sigma", 0.0, "positive and finite"),
+        ("corruption_rate", float("nan"), "in [0, 1]"),
+        ("corruption_rate", 1.5, "in [0, 1]"),
     ])
     def test_out_of_range_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch,
                                                                 key, value, rule):

@@ -58,6 +58,15 @@ def test_hyperparameters_are_the_corruption_config_then_the_trial_fields():
     assert isinstance(Hyperparameters(), CorruptionConfig)
 
 
+def test_every_hyperparameter_has_exactly_one_rule():
+    """Each field but the boolean `unique_pool` is named by exactly one
+    `CHOICES` key or one `RANGES` row, so no field is built unchecked."""
+    named = list(Hyperparameters.CHOICES) + [
+        name for _, _, names in Hyperparameters.RANGES for name in names]
+    assert sorted(named) == sorted(f.name for f in fields(Hyperparameters)
+                                   if f.name != "unique_pool")
+
+
 class TestEarlyStopper:
     def test_stops_after_patience_nonimproving(self):
         stopper = EarlyStopper(3)
@@ -797,6 +806,25 @@ class TestFinetune:
             bundle = small_bundle(ds, rng)
             out = finetune(ds, splits, splits.train, bundle, cfg, rng, recipe=recipe)
             assert np.all(np.isfinite(out.train_curve))
+
+    @pytest.mark.parametrize("recipe", ["control", "mixup", "cotrain"])
+    def test_one_hot_targets_train_as_the_default(self, recipe):
+        """`targets` given as the one-hot rows of `dataset.y` in X's dtype
+        give the weights and curves of the default targets bit for bit."""
+        ds = make_blob_dataset(n=200, d=4, seed=8)
+        ds = replace(ds, X=ds.X.astype(np.float32))
+        splits = make_splits(200, 8)
+        hp = replace(SMALL, finetune_max_epochs=3, batch_size=64)
+        runs = []
+        for targets in (None, np.eye(ds.num_classes, dtype=ds.X.dtype)[ds.y]):
+            rng = np.random.default_rng(8)
+            bundle = small_bundle(ds, rng, recipe=recipe)
+            out = finetune(ds, splits, splits.train, bundle, hp, rng, recipe, targets=targets)
+            runs.append((bundle_weights(bundle), out))
+        (weights, out), (given_weights, given_out) = runs
+        for a, b in zip(weights, given_weights, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert out == given_out and out.epochs_used == 3
 
     def test_early_stop_restores_best_validation_error(self):
         ds = make_blob_dataset(n=300, d=5, seed=3)
