@@ -1,0 +1,183 @@
+"""Output oracle: one digest per entry of a fixed `run_method` grid, and one
+over all entries.
+
+Run as `python tests/oracle.py [--margins]`. It prints an `env`
+line, then one line per entry, `<digest> <dataset> <variant> <setting>
+<method>`, then `overall <digest>` and the runtime. A change that must leave outputs alone
+leaves the overall digest alone; when a change moves outputs, a diff of two
+outputs names the entries it moved. Digests depend on the BLAS build, so they
+compare only between runs with the same `env` line; the script runs numpy on
+one BLAS thread.
+
+The grid is the 65 method names x 3 settings x 2 datasets of 90 rows (a
+numeric one, and one with a 3-level one-hot block and 3 classes) x 8
+hyperparameter variants, at hidden width 8 and 3 epochs a phase, plus one
+`scarf` entry on a mixed CSV with gaps, ingested by `encode_csv`. An entry
+hashes the test accuracy, the epoch counts, both phases' curves, stop
+reasons, best epochs and best metrics, or the type and message of the error
+that the trial raised.
+
+`--margins` also prints the per-trial accuracies of acceptance criteria 5 and
+7 (control and scarf, 10 trials) and their margins, scarf's mean accuracy
+minus control's: criterion 5 holds at a margin of at least 0, criterion 7 at
+one of at least -0.005.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+if __name__ == "__main__":  # before numpy loads its BLAS
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+import argparse
+import hashlib
+import platform
+import tempfile
+import time
+from functools import lru_cache
+
+import numpy as np
+
+from tabpretrain import training
+from tabpretrain.data import ProcessedDataset, Schema, encode_csv, make_splits, scale
+from tabpretrain.methods import FINETUNERS, SETTINGS, derive_seed, run_method
+
+METHODS = ([*training.PRETRAINERS, *FINETUNERS]
+           + [f"{pre}+{recipe}" for pre in training.PRETRAINERS for recipe in FINETUNERS])
+BASE_HP = {"hidden_dim": 8, "pretrain_max_epochs": 3, "finetune_max_epochs": 3}
+VARIANTS = {
+    "defaults": {},
+    "corrupt_both": {"view_policy": "corrupt_both"},
+    "barlow": {"pretrain_loss": "barlow"},
+    "align_uniform": {"pretrain_loss": "align_uniform"},
+    "infonce_error": {"validation_metric": "infonce_error"},
+    "gaussian": {"corruption_strategy": "gaussian"},
+    "unique_bernoulli_single_row": {"unique_pool": True, "index_selection": "bernoulli",
+                                    "donor": "single_row"},
+    "batch33": {"batch_size": 33},
+}
+GAPS_ENTRY = ("gaps", "defaults", "semi25", "scarf")
+
+
+def _numeric() -> ProcessedDataset:
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(90, 5))
+    y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
+    return ProcessedDataset(X, y, [(j, j + 1) for j in range(5)], ["0", "1"], list(range(5)))
+
+
+def _one_hot_block() -> ProcessedDataset:
+    rng = np.random.default_rng(1)
+    level = rng.integers(0, 3, size=90)
+    X = np.hstack([rng.normal(size=(90, 3)), np.eye(3)[level]])
+    y = (level + (X[:, 0] > 0.5)) % 3
+    return ProcessedDataset(X, y.astype(np.int64), [(0, 1), (1, 2), (2, 3), (3, 6)],
+                            ["0", "1", "2"], [0, 1, 2])
+
+
+def _gaps() -> ProcessedDataset:
+    """A 90-row CSV with 2 numerical and 2 categorical columns, about one cell
+    in six of each feature column empty."""
+    rng = np.random.default_rng(2)
+    lines = ["a,b,c,d,label"]
+    for _ in range(90):
+        a, b = rng.normal(size=2)
+        c, d = rng.choice(["x", "y", "z"]), rng.choice(["p", "q"])
+        label = "pos" if a + (c == "x") > 0.5 else "neg"
+        cells = [f"{a:.6f}", f"{b:.6f}", c, d]
+        cells = ["" if rng.random() < 1 / 6 else cell for cell in cells]
+        lines.append(",".join(cells + [label]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gaps.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        schema = Schema(["a", "b", "c", "d", "label"],
+                        ["numerical", "numerical", "categorical", "categorical", "label"])
+        return encode_csv(path, schema)
+
+
+DATASETS = {"numeric": _numeric, "one_hot_block": _one_hot_block, "gaps": _gaps}
+
+
+def entries() -> list[tuple[str, str, str, str]]:
+    """The grid, in print order: (dataset, variant, setting, method)."""
+    return [(dataset, variant, setting, method)
+            for dataset in ("numeric", "one_hot_block") for variant in VARIANTS
+            for setting in SETTINGS for method in METHODS] + [GAPS_ENTRY]
+
+
+@lru_cache(maxsize=None)
+def _dataset(name: str) -> ProcessedDataset:
+    return DATASETS[name]()
+
+
+def _outcome_fields(outcome) -> tuple:
+    if outcome is None:
+        return (None,)
+    return ([float(v) for v in outcome.train_curve], [float(v) for v in outcome.val_curve],
+            outcome.epochs_used, outcome.stop_reason, outcome.best_epoch,
+            float(outcome.best_metric))
+
+
+def entry_digest(entry: tuple[str, str, str, str]) -> str:
+    """The digest of one trial of `entry`, seeded as `run_benchmark` seeds
+    trial 0 of base seed 0."""
+    dataset_id, variant, setting, method = entry
+    dataset = _dataset(dataset_id)
+    splits = make_splits(dataset.n, derive_seed(0, dataset_id, 0))
+    seed = derive_seed(0, dataset_id, 0, salt=f"{method}|{setting}")
+    try:
+        res = run_method(method, scale(dataset, splits.train), splits, setting, seed,
+                         {**BASE_HP, **VARIANTS[variant]})
+        payload = (float(res["test_accuracy"]), res["epochs_used"], res["pretrain_epochs"],
+                   _outcome_fields(res["pretrain_outcome"]),
+                   _outcome_fields(res["finetune_outcome"]))
+    except Exception as exc:  # an error is an output too
+        payload = ("error", type(exc).__name__, str(exc))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+def env_line() -> str:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return (f"env numpy {np.__version__} blas {blas['name']} {blas['version']} "
+            f"python {platform.python_version()} threads {os.environ.get('OPENBLAS_NUM_THREADS')}")
+
+
+def margins() -> None:
+    from test_acceptance import _trial_accuracies, make_mixture
+
+    mixture = make_mixture()
+    for num, setting in ((5, "semi25"), (7, "noise30")):
+        accs = _trial_accuracies(mixture, setting, ["control", "scarf"])
+        for method in ("control", "scarf"):
+            print(f"criterion {num} {setting} {method} "
+                  + " ".join(f"{a:.4f}" for a in accs[method]))
+        margin = np.mean(accs["scarf"]) - np.mean(accs["control"])
+        print(f"criterion {num} margin {margin:+.5f}")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--margins", action="store_true",
+                        help="also print criteria 5 and 7's accuracies and margins")
+    args = parser.parse_args(argv)
+    start = time.time()
+    print(env_line(), flush=True)
+    grid = entries()
+    overall = hashlib.sha256()
+    for entry in grid:
+        line = f"{entry_digest(entry)} {' '.join(entry)}"
+        overall.update((line + "\n").encode())
+        print(line, flush=True)
+    print(f"overall {overall.hexdigest()[:16]}", flush=True)
+    print(f"runtime {len(grid)} entries, {time.time() - start:.0f} s", flush=True)
+    if args.margins:
+        margins()
+
+
+if __name__ == "__main__":
+    main()
