@@ -150,16 +150,14 @@ def run_method(
 
     pretrain_outcome = pretrain_scarf(dataset, splits, bundle, hp, rng, pre) if pre else None
 
-    def train_fn(rows, labels, soft):
+    def train_fn(rows, targets):
         """Fresh model (encoder warm-started from the pre-trained `bundle.f`),
-        trained on the given rows; used by the pseudo-labeling baselines."""
+        trained on the given rows against the (n, K) `targets`; used by the
+        pseudo-labeling baselines."""
         sub = ModelBundle.create(dataset.X.shape[1], dataset.num_classes, rng, hp)
         if pre is not None:
             sub.f.set_weights(bundle.f.parameters())
-        if soft is None:
-            soft = np.zeros((dataset.n, dataset.num_classes), dtype=dataset.X.dtype)
-            soft[rows, labels] = 1.0
-        finetune(dataset, splits, rows, sub, hp, rng, targets=soft)
+        finetune(dataset, splits, rows, sub, hp, rng, targets=targets)
         return sub
 
     outcome = None

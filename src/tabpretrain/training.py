@@ -189,10 +189,11 @@ class ModelBundle:
         lmv = np.zeros(input_dim, dtype=f.dtype) if _learns_missing(pre, hp) else None
         return cls(f, g, h, decoder, disc_proj, lmv)
 
-    def net(self, pre: str) -> Mlp:
-        """f then the heads of objective `pre`, as one net over the bundle's own
-        layers, with the operations of the chained nets. A bundle without one
-        of the heads raises ConfigurationError."""
+    def net(self, pre: str | None) -> Mlp:
+        """f then the heads of objective `pre` (h for None, the classifier),
+        as one net over the bundle's own layers, with the operations of the
+        chained nets. A bundle without one of the heads raises
+        ConfigurationError."""
         for name in OBJECTIVE_HEADS[pre]:
             if getattr(self, name) is None:
                 raise ConfigurationError(f"the {pre} objective needs the bundle's {name}")
@@ -204,21 +205,10 @@ class ModelBundle:
         net = self.net("scarf")
         return _in_slices(lambda b: l2_normalize_rows(net.forward(b)), X)
 
-    def classify(self, batch: np.ndarray, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Logits h(f(batch)) of a fine-tuning step; `classify_backward` uses
-        the activations this forward pass keeps."""
-        return self.h.forward(self.f.forward(batch, dropout, rng), dropout, rng)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Logits h(f(X)) without dropout, computed in slices of
+        """Logits h(f(X)) by `net(None)`, without dropout, in slices of
         INFERENCE_ROWS rows."""
-        return _in_slices(self.classify, X)
-
-    def classify_backward(self, grad_logits: np.ndarray) -> tuple[list, list]:
-        h_grads, grad_mid = self.h.backward(grad_logits)
-        f_grads, _ = self.f.backward(grad_mid, input_grad=False)
-        return f_grads, h_grads
+        return _in_slices(self.net(None).forward, X)
 
 
 class EarlyStopper:
@@ -387,8 +377,9 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
 PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
-# the nets each objective steps besides f; the objective each co-training adds
-OBJECTIVE_HEADS = {"scarf": ("g",), **dict.fromkeys(AUTOENCODERS, ("decoder",)),
+# the nets each objective steps besides f (None: fine-tuning's classifier);
+# the objective each co-training adds
+OBJECTIVE_HEADS = {None: ("h",), "scarf": ("g",), **dict.fromkeys(AUTOENCODERS, ("decoder",)),
                    "scarf_disc": ("g", "disc_proj")}
 COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
 # the objectives and recipes that draw SCARF views, so corrupt under hp's corruption fields
@@ -495,14 +486,17 @@ def finetune(
     recipe: str = "control",
     targets: np.ndarray | None = None,
 ) -> TrainOutcome:
-    """Supervised training of f and h with cross-entropy against `targets` on
-    the labeled rows, early stopping on validation classification error, best
-    weights restored; the test split is not read.
+    """Supervised training of the classifier `bundle.net(None)`, f then h,
+    with cross-entropy against `targets` on the labeled rows, early stopping
+    on validation classification error, best weights restored; the test split
+    is not read. A step is one forward and one backward pass of that net.
 
     `recipe` turns on one regularizer, as the module docstring maps them;
     the others are off. A smoothing, dropout or mixup alpha of 0 trains as
-    `control` does, with no extra draw. `cotrain` and `ae_cotrain` add the
-    `scarf` or `add_noise_ae` objective (zero on a one-row batch).
+    `control` does, with no extra draw. Dropout follows every layer of the
+    net but its last, f's output included. `cotrain` and `ae_cotrain` add the
+    `scarf` or `add_noise_ae` objective (zero on a one-row batch): its step's
+    gradients of f add to the net's by position.
 
     `targets` is an (n, K) matrix of target distributions indexed by dataset
     row; by default the one-hot rows of `dataset.y` in the dtype of
@@ -520,12 +514,13 @@ def finetune(
     alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
 
     pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
-    params = bundle.f.parameters() + bundle.h.parameters()
+    net = bundle.net(None)
+    params = net.parameters()
     aux = COTRAIN_OBJECTIVES.get(recipe)
     if aux is not None:
-        aux_net = bundle.net(aux)
+        aux_net, n_f = bundle.net(aux), len(bundle.f.parameters())
         aux_params = aux_net.parameters()
-        params = params + aux_params[len(bundle.f.parameters()):]
+        params = params + aux_params[n_f:]
         _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng,
                                  partial(_infonce_pair, temperature=hp.temperature))
 
@@ -536,14 +531,14 @@ def finetune(
         if recipe == "scarf_aug":
             hit = select_indices(dataset.M, hp, len(x), rng)
             x, _ = corrupt_batch(x, dataset, hp, pool, hit, rng)
-        loss, grad = softmax_cross_entropy(bundle.classify(x, dropout, rng), target)
-        f_grads, h_grads = bundle.classify_backward(grad)
+        loss, grad = softmax_cross_entropy(net.forward(x, dropout, rng), target)
+        grads = net.backward(grad, input_grad=False)[0]
         if aux is None:
-            return loss, f_grads + h_grads
+            return loss, grads
         aux_loss, aux_grads = aux_step(x) or (0.0, [np.zeros_like(p) for p in aux_params])
         w = hp.cotrain_weight
-        f_grads = [g + w * a for g, a in zip(f_grads, aux_grads)]
-        return loss + w * aux_loss, f_grads + h_grads + [w * g for g in aux_grads[len(f_grads):]]
+        grads[:n_f] = [g + w * a for g, a in zip(grads, aux_grads[:n_f])]
+        return loss + w * aux_loss, grads + [w * a for a in aux_grads[n_f:]]
 
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]

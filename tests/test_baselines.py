@@ -16,6 +16,11 @@ def index_dataset(n=20, num_classes=2, y=None):
     return encoded_dataset(X, y, [str(k) for k in range(num_classes)])
 
 
+def labels_of(rows, targets):
+    """The class of each of `rows` in a one-hot target matrix."""
+    return targets[rows].argmax(axis=1)
+
+
 class StubModel:
     """predict() returns fixed logits per row, looked up by feature 0."""
 
@@ -81,8 +86,8 @@ class TestSelfTrain:
         ds = index_dataset()
         calls = []
 
-        def train_fn(rows, labels, soft):
-            calls.append((rows.copy(), labels.copy()))
+        def train_fn(rows, targets):
+            calls.append((rows.copy(), labels_of(rows, targets)))
             return constant_model([0.0, 0.0])  # uniform softmax, below 0.75
 
         model, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn, 0.75, 10)
@@ -94,8 +99,8 @@ class TestSelfTrain:
         ds = index_dataset()
         calls = []
 
-        def train_fn(rows, labels, soft):
-            calls.append((rows.copy(), labels.copy()))
+        def train_fn(rows, targets):
+            calls.append((rows.copy(), labels_of(rows, targets)))
             return constant_model([0.0, 10.0])  # class 1 at certainty ~1
 
         _, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn, 0.75, 10)
@@ -112,11 +117,11 @@ class TestSelfTrain:
         ds = index_dataset()
         call_count = [0]
 
-        def train_fn(rows, labels, soft):
+        def train_fn(rows, targets):
             call_count[0] += 1
             cls = 1 if call_count[0] == 1 else 0  # flips opinion after round 1
             logits = [10.0, 0.0] if cls == 0 else [0.0, 10.0]
-            last = (rows.copy(), labels.copy())
+            last = (rows.copy(), labels_of(rows, targets))
             train_fn.last = last
             return constant_model(logits)
 
@@ -130,7 +135,7 @@ class TestSelfTrain:
         ds = index_dataset()
         logit = np.log(3.0)  # softmax([0, log 3]) = (0.25, 0.75) exactly
 
-        def train_fn(rows, labels, soft):
+        def train_fn(rows, targets):
             train_fn.last = rows.copy()
             return constant_model([0.0, logit])
 
@@ -148,7 +153,7 @@ class TestSelfTrain:
 class TestTriTrain:
     def test_no_unlabeled_final_pool_is_labeled_set(self, rng):
         ds = index_dataset()
-        def train_fn(rows, labels, soft):
+        def train_fn(rows, targets):
             return constant_model([1.0, 0.0])
 
         _, rows = tri_train(ds, np.arange(6), np.array([], dtype=int), train_fn, rng, 10)
@@ -160,7 +165,7 @@ class TestTriTrain:
 
     def test_agreement_absorbs_unlabeled(self, rng):
         ds = index_dataset()
-        def train_fn(rows, labels, soft):
+        def train_fn(rows, targets):
             return constant_model([0.0, 5.0])  # everyone predicts class 1
 
         model, rows = tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, 10)
@@ -170,8 +175,8 @@ class TestTriTrain:
         ds = index_dataset(y=np.zeros(12, dtype=int), num_classes=2)
         seen = []
 
-        def train_fn(rows, labels, soft):
-            seen.append(dict(zip(rows.tolist(), labels.tolist())))
+        def train_fn(rows, targets):
+            seen.append(dict(zip(rows.tolist(), labels_of(rows, targets).tolist())))
             return constant_model([0.0, 5.0])  # predicts class 1 for all rows
 
         tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, 10)
@@ -190,8 +195,8 @@ class TestTriTrain:
         votes = [1, 1, 0, 1, 0, 0]  # per call: round 1 models 0-2, then round 2
         calls = []
 
-        def train_fn(rows, labels, soft):
-            calls.append(dict(zip(rows.tolist(), labels.tolist())))
+        def train_fn(rows, targets):
+            calls.append(dict(zip(rows.tolist(), labels_of(rows, targets).tolist())))
             cls = votes[len(calls) - 1] if len(calls) <= len(votes) else 0
             return constant_model([5.0, 0.0] if cls == 0 else [0.0, 5.0])
 
@@ -204,7 +209,7 @@ class TestTriTrain:
         ds = index_dataset()
         first_rounds = []
 
-        def train_fn(rows, labels, soft):
+        def train_fn(rows, targets):
             first_rounds.append(rows.copy())
             return constant_model([0.0, 0.0])
 
@@ -228,7 +233,7 @@ def test_rounds_stop_once_no_unlabeled_row_is_left(name, unlabeled, calls):
     ds = index_dataset()
     trained = []
 
-    def train_fn(rows, labels, soft):
+    def train_fn(rows, targets):
         trained.append(rows.copy())
         return constant_model([0.0, 5.0])
 
@@ -242,6 +247,14 @@ def test_rounds_stop_once_no_unlabeled_row_is_left(name, unlabeled, calls):
     assert set(rows.tolist()) >= set(unlabeled.tolist())
 
 
+def reference_targets(dataset, labels: dict) -> np.ndarray:
+    """The (n, K) target matrix of a dict of row labels, one cell at a time."""
+    targets = np.zeros((dataset.n, dataset.num_classes))
+    for row, cls in labels.items():
+        targets[row, cls] = 1.0
+    return targets
+
+
 def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations):
     """Row-by-row reference for self_train: a list pool and a dict of labels."""
     pool_rows = list(np.asarray(labeled))
@@ -250,8 +263,7 @@ def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations
     for _ in range(iterations):
         if not remaining:
             break
-        model = train_fn(np.array(pool_rows), np.array([pool_labels[int(i)] for i in pool_rows]),
-                         None)
+        model = train_fn(np.array(pool_rows), reference_targets(dataset, pool_labels))
         probs = softmax(model.predict(dataset.X[np.array(remaining)]))
         confident = probs.max(axis=1) >= threshold
         for r, keep, cls in zip(list(remaining), confident, probs.argmax(axis=1)):
@@ -259,8 +271,7 @@ def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations
                 pool_labels[int(r)] = int(cls)
                 pool_rows.append(r)
         remaining = [r for r, keep in zip(remaining, confident) if not keep]
-    labels = np.array([pool_labels[int(i)] for i in pool_rows])
-    return train_fn(np.array(pool_rows), labels, None), np.array(pool_rows)
+    return train_fn(np.array(pool_rows), reference_targets(dataset, pool_labels)), np.array(pool_rows)
 
 
 def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
@@ -273,7 +284,7 @@ def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
     for _ in range(iterations):
         if all(int(r) in pool for pool in pools for r in unlabeled):
             break
-        models = [train_fn(np.array(rows), np.array([pool[int(i)] for i in rows]), None)
+        models = [train_fn(np.array(rows), reference_targets(dataset, pool))
                   for rows, pool in zip(pool_rows, pools)]
         preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
@@ -289,15 +300,15 @@ def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
     for i in labeled:
         union[int(i)] = int(dataset.y[i])
     rows = np.array(sorted(union))
-    return train_fn(rows, np.array([union[int(r)] for r in rows]), None), rows
+    return train_fn(rows, reference_targets(dataset, union)), rows
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", ["self_train", "tri_train"])
 def test_pools_match_the_row_by_row_reference(name, seed):
     """Stub models with random logits per call and row: the index-array
-    pools train on the same rows with the same labels, call for call, as the
-    list-and-dict reference, and return the same final pool."""
+    pools train on the same rows with the same target matrix, call for call,
+    as the list-and-dict reference, and return the same final pool."""
     n = 30
     ds = index_dataset(n=n, num_classes=3)
     rng = np.random.default_rng(seed)
@@ -308,8 +319,8 @@ def test_pools_match_the_row_by_row_reference(name, seed):
     def run(fn, *args):
         calls = []
 
-        def train_fn(rows, labels, soft):
-            calls.append((rows.tolist(), labels.tolist()))
+        def train_fn(rows, targets):
+            calls.append((rows.tolist(), targets.tolist()))
             table = logits[len(calls) - 1]
             return StubModel(lambda r: table[r])
 
@@ -330,28 +341,26 @@ class TestSelfDistill:
         ds = index_dataset()
         calls = []
 
-        def train_fn(rows, labels, soft):
-            calls.append((rows.copy(), None if labels is None else labels.copy(),
-                          None if soft is None else soft.copy()))
+        def train_fn(rows, targets):
+            calls.append((rows.copy(), targets.copy()))
             return constant_model([2.0, 1.0])
 
         self_distill(ds, np.arange(5), np.arange(5, 20), train_fn)
         assert len(calls) == 2
-        t_rows, t_labels, t_soft = calls[0]
+        t_rows, t_targets = calls[0]
         np.testing.assert_array_equal(t_rows, np.arange(5))
-        np.testing.assert_array_equal(t_labels, ds.y[:5])
-        assert t_soft is None
-        s_rows, s_labels, s_soft = calls[1]
+        np.testing.assert_array_equal(t_targets[t_rows], np.eye(2)[ds.y[:5]])
+        s_rows, s_targets = calls[1]
         assert sorted(s_rows) == list(range(20))
-        assert s_labels is None
-        np.testing.assert_allclose(s_soft[s_rows].sum(axis=1), 1.0)
+        np.testing.assert_allclose(s_targets[s_rows].sum(axis=1), 1.0)
+        assert s_targets.shape == (20, 2)
 
     def test_soft_targets_match_teacher_softmax(self):
         ds = index_dataset(n=8)
         logits = np.array([2.0, 1.0])
 
-        def train_fn(rows, labels, soft):
-            train_fn.soft = soft
+        def train_fn(rows, targets):
+            train_fn.soft = targets
             return constant_model(logits)
 
         self_distill(ds, np.arange(4), np.arange(4, 8), train_fn)
@@ -362,9 +371,32 @@ class TestSelfDistill:
         ds = index_dataset(n=6)
         calls = []
 
-        def train_fn(rows, labels, soft):
+        def train_fn(rows, targets):
             calls.append(rows.copy())
             return constant_model([0.0, 1.0])
 
         self_distill(ds, np.arange(6), np.array([], dtype=int), train_fn)
         np.testing.assert_array_equal(calls[1], np.arange(6))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_recipe_hands_over_targets_in_the_dtype_of_x(dtype, rng):
+    """Hard labels arrive as one-hot rows, all zero outside the pool, and
+    teacher softmax rows as they are; every matrix is (n, K) in X's dtype."""
+    ds = index_dataset(n=8, num_classes=3)
+    ds.X = ds.X.astype(dtype)
+    seen = []
+
+    def train_fn(rows, targets):
+        seen.append((rows.copy(), targets))
+        return constant_model([0.0, 0.0, 5.0])
+
+    self_train(ds, np.arange(4), np.arange(4, 8), train_fn, 0.75, 10)
+    tri_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, 10)
+    self_distill(ds, np.arange(4), np.arange(4, 8), train_fn)
+    assert all(t.dtype == dtype and t.shape == (8, 3) for _, t in seen)
+    rows, targets = seen[0]
+    np.testing.assert_array_equal(targets, np.eye(3)[ds.y] * (np.arange(8) < 4)[:, None])
+    rows, targets = seen[-1]
+    teacher = softmax(np.array([[0.0, 0.0, 5.0]])).astype(dtype)
+    np.testing.assert_array_equal(targets[rows], np.repeat(teacher, 8, axis=0))

@@ -124,10 +124,11 @@ def test_bundle_steps_keep_float32(rng):
     loss, grads = reconstruction_step(x)
     assert_float32_value(loss)
     assert_float32(*grads)
-    logits = bundle.classify(x.astype(np.float64), dropout=0.5, rng=rng)  # input is cast
+    classifier = bundle.net(None)
+    logits = classifier.forward(x.astype(np.float64), 0.5, rng)  # input is cast
     _, grad = softmax_cross_entropy(logits, np.eye(2)[ds.y[:6]])
-    f_grads, h_grads = bundle.classify_backward(grad)
-    assert_float32(logits, *f_grads, *h_grads)
+    grads, _ = classifier.backward(grad, input_grad=False)
+    assert_float32(logits, *grads)
     # inference casts its input too, in one slice and in several
     for rows in (ds.X[:6], np.repeat(ds.X, 8, axis=0)):
         assert_float32(bundle.predict(rows.astype(np.float64)), bundle.embed(rows.astype(np.float64)))
