@@ -264,8 +264,12 @@ def build_static_validation(originals: np.ndarray, view, rng: np.random.Generato
     return StaticValidationPairs(originals, positions, corrupted)
 
 
+class TrainingDiverged(ArithmeticError):
+    """A training phase produced a non-finite loss, metric or weight."""
+
+
 def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_epochs: int,
-         rng: np.random.Generator, step, metric) -> TrainOutcome:
+         rng: np.random.Generator, step, metric, phase: str) -> TrainOutcome:
     """The epoch loop shared by every trainer.
 
     Each of at most `max_epochs` epochs shuffles `rows` (dataset row indices)
@@ -274,7 +278,12 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
     the epoch, `metric()` is the validation value (lower is better) that
     drives early stopping with `hp.patience`. `params`, the only arrays a step
     changes, are copied at each new best epoch (and before the first) and
-    restored from the last copy in place."""
+    restored from the last copy in place.
+
+    An epoch whose mean loss is non-finite, after which a stepped array holds
+    a non-finite value, or whose metric is non-finite raises TrainingDiverged
+    naming `phase`, the epoch and what went non-finite, checked in that
+    order."""
     opt = Adam(params, learning_rate=hp.learning_rate)
     stopper = EarlyStopper(hp.patience)
     train_curve, val_curve = [], []
@@ -291,7 +300,16 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
             epoch_losses.append(loss)
             epoch_sizes.append(sel.size)
         train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)) if epoch_losses else np.nan)
+        diverged = f"{phase} diverged at epoch {epoch}:"
+        if not np.isfinite(train_curve[-1]):
+            raise TrainingDiverged(f"{diverged} the mean training loss is {train_curve[-1]}")
+        for k, p in enumerate(params):
+            if not np.isfinite(p).all():
+                raise TrainingDiverged(f"{diverged} stepped array {k} of {len(params)} "
+                                       "holds a non-finite value")
         value = metric()
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"{diverged} the validation metric is {value}")
         val_curve.append(value)
         stop = stopper.update(value, epoch)
         if stopper.best_epoch == epoch:
@@ -451,8 +469,11 @@ def pretrain_scarf(
         raise ConfigurationError(f"unknown pre-trainer {pre!r}")
     if hp.batch_size < 2:
         raise ValueError("contrastive batches need at least 2 examples")
-    if pre == "scarf" and (n_val := len(splits.validation)) < 2:
-        raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
+    if pre == "scarf":
+        for name, split in (("training", splits.train), ("validation", splits.validation)):
+            if len(split) < 2:
+                raise ValueError(f"contrastive {name} needs at least 2 {name} rows, "
+                                 f"got {len(split)}")
     net, learns = bundle.net(pre), _learns_missing(pre, hp)
     if learns and bundle.learnable_missing is None:
         raise ConfigurationError(f"the {pre} objective needs the bundle's learnable_missing")
@@ -465,7 +486,7 @@ def pretrain_scarf(
                                     hp.val_build_epochs, hp.batch_size)
     return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng,
                 lambda rows: step(dataset.X[rows]),
-                lambda: _validation_metric(bundle, pairs, hp, pre))
+                lambda: _validation_metric(bundle, pairs, hp, pre), f"{pre} pre-training")
 
 
 def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> float:
@@ -543,4 +564,4 @@ def finetune(
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
     return _fit(params, labeled_indices, hp, hp.finetune_max_epochs, rng, step,
-                lambda: classification_error(bundle, val_X, val_y))
+                lambda: classification_error(bundle, val_X, val_y), f"{recipe} fine-tuning")

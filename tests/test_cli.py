@@ -459,6 +459,21 @@ class TestRun:
             "run failed: gaussian_sigma must be positive and finite, got inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["scarf_ae", "control"])
+    def test_diverged_trials_fail_the_run(self, tmp_path, capsys, method):
+        """At a learning rate of 1e6 every trial goes non-finite: each is a
+        failure, and a run in which all trials failed exits 1."""
+        csv, schema = write_dataset(tmp_path, n=200)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path, trials=2), "--dataset", csv,
+                     "--schema", schema, "--method", method, "--learning_rate", "1e6",
+                     "--out", str(out)])
+        assert code == 1
+        assert "all trials failed" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists() or stats.load_runs(out / "results.jsonl") == []
+        failures = (out / "failures.jsonl").read_text().splitlines()
+        assert [json.loads(line)["error_type"] for line in failures] == ["TrainingDiverged"] * 2
+
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path, trials=4)

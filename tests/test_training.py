@@ -10,7 +10,7 @@ from conftest import (assert_grads_close, bundle_weights, central_difference, ma
 from tabpretrain import losses, methods, training
 from tabpretrain.corruption import (ConfigurationError, CorruptionConfig, CorruptionDraw,
                                     build_marginal_pool, corrupt_batch, select_indices)
-from tabpretrain.data import make_splits
+from tabpretrain.data import Splits, make_splits
 from tabpretrain.nn import l2_normalize_rows, l2_normalize_rows_backward, mse
 from tabpretrain.training import (
     AUTOENCODERS,
@@ -20,11 +20,13 @@ from tabpretrain.training import (
     EarlyStopper,
     Hyperparameters,
     ModelBundle,
+    TrainingDiverged,
     build_static_validation,
     classification_error,
     finetune,
     pretrain_scarf,
     _contrastive_loss,
+    _fit,
     _objective,
     contrastive_step,
 )
@@ -397,6 +399,32 @@ class TestFit:
             np.testing.assert_array_equal(a, b)
 
 
+    @pytest.mark.parametrize("fault, message", [
+        ("loss", "toy phase diverged at epoch 2: the mean training loss is nan"),
+        ("array", "toy phase diverged at epoch 2: stepped array 1 of 2 holds a non-finite value"),
+        ("metric", "toy phase diverged at epoch 2: the validation metric is inf"),
+    ])
+    def test_non_finite_epoch_raises_naming_phase_epoch_and_value(self, fault, message):
+        """A diverged phase is an error, not an outcome: the first epoch is
+        finite, the second carries one non-finite loss, array or metric."""
+        params = [np.zeros(3), np.zeros(2)]
+        metrics = iter([1.0, np.inf if fault == "metric" else 0.5])
+        steps = []
+
+        def step(rows):
+            steps.append(rows)
+            late = len(steps) > 2  # two batches of two rows an epoch
+            if fault == "array" and late:
+                params[1][0] = np.inf  # a zero gradient keeps it so
+            return (np.nan if fault == "loss" and late else 1.0), [np.zeros(3), np.zeros(2)]
+
+        with pytest.raises(TrainingDiverged, match=f"^{message}$") as caught:
+            _fit(params, np.arange(4), Hyperparameters(batch_size=2), 5, np.random.default_rng(0),
+                 step, lambda: next(metrics), "toy phase")
+        assert isinstance(caught.value, ArithmeticError)
+        assert len(steps) == 4
+
+
 class TestPretrainScarf:
     def test_desk_scale_run_terminates_with_patience(self):
         ds = make_numeric_dataset(n=200, d=6, seed=3)
@@ -423,6 +451,20 @@ class TestPretrainScarf:
         with pytest.raises(ValueError, match="at least 2 validation rows, got 1"):
             pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng)
         assert called == []
+
+    def test_one_row_training_split_rejected_before_any_work(self, monkeypatch):
+        """Every batch of a one-row split is skipped, so no epoch would step."""
+        ds = make_numeric_dataset(n=12, d=4)
+        splits = Splits(np.array([0]), np.arange(1, 4), np.arange(4, 12))
+        rng = np.random.default_rng(0)
+        bundle = small_bundle(ds, rng)
+        state = rng.bit_generator.state
+        called = []
+        for name in ("build_marginal_pool", "build_static_validation", "_fit"):
+            monkeypatch.setattr(training, name, lambda *a, _name=name, **k: called.append(_name))
+        with pytest.raises(ValueError, match="at least 2 training rows, got 1"):
+            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng)
+        assert called == [] and rng.bit_generator.state == state
 
     def test_restored_weights_achieve_best_metric(self):
         ds = make_numeric_dataset(n=150, d=5, seed=4)
