@@ -90,11 +90,9 @@ def _batch_norm_backward(grad_y, centered, std, denom):
     return (grad_y - grad_y.mean(axis=0)) / denom - term
 
 
-def barlow_twins(
-    z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Redundancy-reduction loss on the cross-correlation of batch-normalized
-    embeddings: sum_d (1 - C_dd)^2 + lambda * sum_{d != e} C_de^2."""
+def _barlow_terms(z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float):
+    """(loss, c, off, batch norm of z_a, batch norm of z_b) of Barlow Twins:
+    the value and what its gradient reuses."""
     z_a = as_float(z_a)
     z_b = as_float(z_b)
     if z_a.shape != z_b.shape:
@@ -102,11 +100,25 @@ def barlow_twins(
     n, d = z_a.shape
     if n < 2:
         raise ValueError("batch normalization needs at least 2 rows")
-    ya, ca, sa, da = _batch_norm_columns(z_a)
-    yb, cb, sb, db = _batch_norm_columns(z_b)
-    c = ya.T @ yb / n
+    norm_a, norm_b = _batch_norm_columns(z_a), _batch_norm_columns(z_b)
+    c = norm_a[0].T @ norm_b[0] / n
     off = ~np.eye(d, dtype=bool)
     loss = float(((1.0 - np.diag(c)) ** 2).sum() + lambda_offdiag * (c[off] ** 2).sum())
+    return loss, c, off, norm_a, norm_b
+
+
+def barlow_twins_loss(z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float) -> float:
+    """The value of `barlow_twins` alone, bit for bit, without its gradients."""
+    return _barlow_terms(z_a, z_b, lambda_offdiag)[0]
+
+
+def barlow_twins(
+    z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Redundancy-reduction loss on the cross-correlation of batch-normalized
+    embeddings: sum_d (1 - C_dd)^2 + lambda * sum_{d != e} C_de^2."""
+    loss, c, off, (ya, ca, sa, da), (yb, cb, sb, db) = _barlow_terms(z_a, z_b, lambda_offdiag)
+    n, d = ya.shape
     grad_c = 2.0 * lambda_offdiag * np.where(off, c, 0.0)
     grad_c[np.arange(d), np.arange(d)] = -2.0 * (1.0 - np.diag(c))
     grad_ya = yb @ grad_c.T / n
@@ -114,11 +126,10 @@ def barlow_twins(
     return loss, _batch_norm_backward(grad_ya, ca, sa, da), _batch_norm_backward(grad_yb, cb, sb, db)
 
 
-def align_uniform(
-    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
-    the uniformity term over original-view pairs."""
+def _align_uniform_terms(z: np.ndarray, z_tilde: np.ndarray, weight_align: float,
+                         weight_uniform: float):
+    """(loss, z, diff, expv, total) of align_uniform: the value and what its
+    gradients reuse."""
     z = as_float(z)
     zt = as_float(z_tilde)
     if z.shape != zt.shape:
@@ -128,17 +139,32 @@ def align_uniform(
         raise ValueError("uniformity needs at least 2 rows")
     diff = z - zt
     align = (diff**2).sum() / n
-    grad_z = weight_align * 2.0 * diff / n
-    grad_zt = -weight_align * 2.0 * diff / n
-
     sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
     off = ~np.eye(n, dtype=bool)
     expv = np.where(off, np.exp(-2.0 * sq), 0.0)
     total = expv.sum()
     uniform = np.log(total / (n * (n - 1)))
+    return float(weight_align * align + weight_uniform * uniform), z, diff, expv, total
+
+
+def align_uniform_loss(z: np.ndarray, z_tilde: np.ndarray, weight_align: float,
+                       weight_uniform: float) -> float:
+    """The value of `align_uniform` alone, bit for bit, without its gradients."""
+    return _align_uniform_terms(z, z_tilde, weight_align, weight_uniform)[0]
+
+
+def align_uniform(
+    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
+    the uniformity term over original-view pairs."""
+    loss, z, diff, expv, total = _align_uniform_terms(z, z_tilde, weight_align, weight_uniform)
+    n = z.shape[0]
+    grad_z = weight_align * 2.0 * diff / n
+    grad_zt = -weight_align * 2.0 * diff / n
     # d/dz_i of log(sum): each unordered pair appears twice in the ordered sum
     w = expv / total
     grad_uniform = -8.0 * (z * w.sum(axis=1, keepdims=True) - w @ z)
     grad_uniform *= weight_uniform
     grad_z += grad_uniform
-    return float(weight_align * align + weight_uniform * uniform), grad_z, grad_zt
+    return loss, grad_z, grad_zt

@@ -329,13 +329,17 @@ def _infonce_pair(z: np.ndarray, zt: np.ndarray, temperature: float):
     return loss, grad_s @ zt, grad_s.T @ z
 
 
-def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
-    """Loss value and gradients w.r.t. the normalized embeddings."""
+def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray,
+                      gradients: bool = True):
+    """Loss value and gradients w.r.t. the normalized embeddings, or the value
+    alone, bit for bit, when `gradients` is False."""
     if hp.pretrain_loss == "infonce":
-        return _infonce_pair(z, zt, hp.temperature)
-    if hp.pretrain_loss == "barlow":
-        return losses.barlow_twins(z, zt, 5e-3)  # the off-diagonal weight of Barlow Twins
-    return losses.align_uniform(z, zt, 1.0, 1.0)
+        if gradients:
+            return _infonce_pair(z, zt, hp.temperature)
+        return losses.infonce_loss(z @ zt.T, hp.temperature)
+    if hp.pretrain_loss == "barlow":  # 5e-3 is the off-diagonal weight of Barlow Twins
+        return (losses.barlow_twins if gradients else losses.barlow_twins_loss)(z, zt, 5e-3)
+    return (losses.align_uniform if gradients else losses.align_uniform_loss)(z, zt, 1.0, 1.0)
 
 
 def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
@@ -377,7 +381,7 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
     """One stored batch's validation value from its mapped rows and copy:
 
     - scarf: the contrastive metric of the two embeddings. The loss metric is
-      the pre-training loss; InfoNCE takes its value alone, without gradients.
+      the value of the pre-training loss alone, without its gradients.
     - the autoencoders: MSE of the reconstruction `copy` against the rows.
     - scarf_disc: error of the rule "logit > 0 means corrupted" over the
       rows' and the copy's logits."""
@@ -388,9 +392,7 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
         return float(np.mean((logits > 0) != (np.arange(logits.size) >= len(rows))))
     if hp.validation_metric == "infonce_error":
         return losses.infonce_error(rows @ copy.T)
-    if hp.pretrain_loss == "infonce":
-        return losses.infonce_loss(rows @ copy.T, hp.temperature)
-    return _contrastive_loss(hp, rows, copy)[0]
+    return _contrastive_loss(hp, rows, copy, gradients=False)
 
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")

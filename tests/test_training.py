@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (assert_grads_close, bundle_weights, central_difference, make_blob_dataset,
                       make_numeric_dataset, to_float64)
-from tabpretrain import losses, methods, training
+from tabpretrain import losses, methods, nn, training
 from tabpretrain.corruption import (ConfigurationError, CorruptionConfig, CorruptionDraw,
                                     build_marginal_pool, corrupt_batch, select_indices)
 from tabpretrain.data import Splits, make_splits
@@ -848,6 +848,23 @@ class TestFinetune:
             bundle = small_bundle(ds, rng)
             out = finetune(ds, splits, splits.train, bundle, cfg, rng, recipe=recipe)
             assert np.all(np.isfinite(out.train_curve))
+
+    def test_dropout_masks_every_hidden_layer_of_the_classifier(self, monkeypatch):
+        """Dropout follows every layer of f then h but the last: f's output,
+        a hidden layer of that net, is masked too. One step, one mask each."""
+        ds = make_blob_dataset(n=100, d=4)
+        splits = make_splits(100, 0)
+        rng = np.random.default_rng(0)
+        hp = replace(SMALL, hidden_dim=8, encoder_layers=3, head_layers=2, dropout=0.5,
+                     finetune_max_epochs=1, batch_size=128)
+        bundle = small_bundle(ds, rng, hp)
+        shapes = []
+        mask = nn.dropout_mask
+        monkeypatch.setattr(nn, "dropout_mask",
+                            lambda a, rate, rng: shapes.append(a.shape) or mask(a, rate, rng))
+        finetune(ds, splits, splits.train, bundle, hp, rng, recipe="dropout")
+        assert len(shapes) == len(bundle.f.layers) + len(bundle.h.layers) - 1 == 4
+        assert shapes == [(len(splits.train), 8)] * 4
 
     @pytest.mark.parametrize("recipe", ["control", "mixup", "cotrain"])
     def test_one_hot_targets_train_as_the_default(self, recipe):
