@@ -3,13 +3,11 @@ tri-training, self-distillation.
 
 The pseudo-labeling loops take a train_fn so they compose with a pre-trained
 encoder: train_fn(rows, targets) must train a fresh (or warm-started) model
-on the dataset rows `rows` and return a ModelBundle. `targets` is the one
-target carrier of `training.finetune`: an (n, K) matrix of target
-distributions indexed by dataset row, in the dtype of dataset.X, of which
-only the rows in `rows` are read. A pool is an index array of dataset rows
-plus a label vector over all dataset rows (-1 outside the pool), handed over
-as its one-hot rows. Pseudo-labels are frozen once assigned and original
-labels are never overwritten.
+on the dataset rows `rows` against `targets`, the (n, K) target matrix of
+`training.finetune` in the dtype of dataset.X, and return a ModelBundle. A
+pool is an index array of dataset rows plus a label vector over all dataset
+rows (-1 outside the pool), handed over as its one-hot rows. Pseudo-labels
+are frozen once assigned and original labels are never overwritten.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ def mixup_batch(
     return lam * x + (1 - lam) * x[perm], lam * y_onehot + (1 - lam) * y_onehot[perm]
 
 
-def one_hot_targets(dataset, label: np.ndarray) -> np.ndarray:
-    """The (n, K) targets of a label vector over all dataset rows, in the
-    dtype of dataset.X: row i one-hot at label[i], all zero where it is -1."""
+def _one_hot(dataset, label: np.ndarray) -> np.ndarray:
+    """(n, K) one-hot rows of `label` in the dtype of dataset.X, zero where it is -1."""
     return (label[:, None] == np.arange(dataset.num_classes)).astype(dataset.X.dtype)
 
 
@@ -58,14 +55,14 @@ def self_train(
     for _ in range(iterations):
         if remaining.size == 0:
             break
-        model = train_fn(rows, one_hot_targets(dataset, label))
+        model = train_fn(rows, _one_hot(dataset, label))
         probs = softmax(model.predict(dataset.X[remaining]))
         confident = probs.max(axis=1) >= threshold
         absorbed = remaining[confident]
         label[absorbed] = probs.argmax(axis=1)[confident]
         rows = np.concatenate([rows, absorbed])
         remaining = remaining[~confident]
-    return train_fn(rows, one_hot_targets(dataset, label)), rows
+    return train_fn(rows, _one_hot(dataset, label)), rows
 
 
 def tri_train(
@@ -90,8 +87,7 @@ def tri_train(
     for _ in range(iterations):
         if (labels[:, unlabeled] >= 0).all():
             break
-        models = [train_fn(rows, one_hot_targets(dataset, label))
-                  for rows, label in zip(pools, labels)]
+        models = [train_fn(rows, _one_hot(dataset, label)) for rows, label in zip(pools, labels)]
         preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
             i, j = [m for m in range(3) if m != k]
@@ -101,7 +97,7 @@ def tri_train(
     union = np.where(labels[0] >= 0, labels[0], np.where(labels[1] >= 0, labels[1], labels[2]))
     union[labeled] = dataset.y[labeled]
     rows = np.flatnonzero(union >= 0)
-    return train_fn(rows, one_hot_targets(dataset, union)), rows
+    return train_fn(rows, _one_hot(dataset, union)), rows
 
 
 def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):
@@ -109,7 +105,7 @@ def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):
     the teacher's softmax vectors as soft targets."""
     labeled = np.asarray(labeled)
     unlabeled = np.asarray(unlabeled)
-    teacher = train_fn(labeled, one_hot_targets(dataset, dataset.y))
+    teacher = train_fn(labeled, _one_hot(dataset, dataset.y))
     all_rows = np.concatenate([labeled, unlabeled]) if unlabeled.size else labeled
     soft = np.zeros((dataset.n, dataset.num_classes), dtype=dataset.X.dtype)
     soft[all_rows] = softmax(teacher.predict(dataset.X[all_rows]))

@@ -8,9 +8,17 @@ byte-order mark. Exactly one label column is required, no header name may
 repeat, every row needs a label, every present numerical cell must be a
 finite number, and at least one feature column must have a value. Every
 column is one array from the first read: a numerical cell a float64, any
-other cell an int32 code into its column's levels. Ingestion and `scale`
-each hold one copy of the encoded table, with no full-size temporaries on
-the way.
+other cell an int32 code into its column's levels.
+
+Ingestion holds at most two copies of the table at once: the column buffers
+and their arrays while reading, the read and the imputed columns while
+imputing, and the imputed columns and the encoded X while encoding. On an
+all-numeric table each copy is the size of X (a categorical column's int32
+codes are smaller than its one-hot block), so ingestion peaks at about twice
+X. `scale` copies X; its statistics add the training rows of the numerical
+columns as one gathered temporary and, for zscore, a centred temporary of
+the same size, each 70% of X on an all-numeric table, so `scale` peaks at
+about 2.4 times X there.
 """
 
 from __future__ import annotations
@@ -246,8 +254,11 @@ def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> Pro
     A numerical column becomes (x - center) / denom, 0 where denom is 0:
     zscore takes the mean and the population standard deviation (divide by
     n), minmax the minimum and the range, mean the mean and the range, and
-    none leaves it as it is. The copy of X is the one full-size array made:
-    one numerical column of it at a time is rescaled in place."""
+    none leaves it as it is. X is copied once, and one numerical column of
+    the copy at a time is rescaled in place. The statistics are taken over
+    the gather `X[np.ix_(train_indices, cols)]`, and zscore's standard
+    deviation makes a centred temporary of that size: on an all-numeric
+    table each holds the training share of X."""
     if kind not in SCALINGS:
         raise ValueError(f"unknown scaling kind {kind!r}")
     cols = np.asarray(dataset.numerical_columns, dtype=int)

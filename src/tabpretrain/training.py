@@ -6,9 +6,12 @@ Every trainer is its set-up plus two closures handed to `_fit`, the one epoch
 driver: a per-batch step returning the loss and the gradients for one Adam
 step, and a per-epoch validation metric. `_fit` owns the shuffling, the
 train/validation curves, early stopping and the best-epoch restore of the
-arrays it steps. A pre-training step is one forward and one backward pass
-of one net, `ModelBundle.net(pre)`: f followed by the objective's heads. The
-two contrastive views go through it as one stacked 2B-row pass
+arrays it steps, and raises TrainingDiverged when an epoch's loss, a stepped
+array or the metric goes non-finite. Every step is one forward and one
+backward pass of one chained net, `ModelBundle.net(pre)`: f followed by the
+objective's heads for pre-training, f followed by h (`net(None)`) for
+fine-tuning, plus the co-training objective's own step. The two contrastive
+views go through the scarf net as one stacked 2B-row pass
 (`contrastive_step`).
 
 Every forward pass that is never backpropagated (embedding, prediction and
@@ -190,10 +193,9 @@ class ModelBundle:
         return cls(f, g, h, decoder, disc_proj, lmv)
 
     def net(self, pre: str | None) -> Mlp:
-        """f then the heads of objective `pre` (h for None, the classifier),
-        as one net over the bundle's own layers, with the operations of the
-        chained nets. A bundle without one of the heads raises
-        ConfigurationError."""
+        """f then the heads of objective `pre` (h for None, the classifier), as
+        one net over the bundle's own layers, with the operations of the chained
+        nets. A bundle without one of the heads raises ConfigurationError."""
         for name in OBJECTIVE_HEADS[pre]:
             if getattr(self, name) is None:
                 raise ConfigurationError(f"the {pre} objective needs the bundle's {name}")
@@ -397,8 +399,7 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
 PRETRAINERS = ("scarf", *AUTOENCODERS, "scarf_disc")
-# the nets each objective steps besides f (None: fine-tuning's classifier);
-# the objective each co-training adds
+# the nets each objective (None: fine-tuning) steps besides f; the objective each co-training adds
 OBJECTIVE_HEADS = {None: ("h",), "scarf": ("g",), **dict.fromkeys(AUTOENCODERS, ("decoder",)),
                    "scarf_disc": ("g", "disc_proj")}
 COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
@@ -509,17 +510,16 @@ def finetune(
     recipe: str = "control",
     targets: np.ndarray | None = None,
 ) -> TrainOutcome:
-    """Supervised training of the classifier `bundle.net(None)`, f then h,
-    with cross-entropy against `targets` on the labeled rows, early stopping
-    on validation classification error, best weights restored; the test split
-    is not read. A step is one forward and one backward pass of that net.
+    """Supervised training of the classifier `bundle.net(None)` (f then h),
+    one forward and one backward pass a step, with cross-entropy against
+    `targets` on the labeled rows, early stopping on validation classification
+    error, best weights restored; the test split is not read.
 
     `recipe` turns on one regularizer, as the module docstring maps them;
     the others are off. A smoothing, dropout or mixup alpha of 0 trains as
-    `control` does, with no extra draw. Dropout follows every layer of the
-    net but its last, f's output included. `cotrain` and `ae_cotrain` add the
-    `scarf` or `add_noise_ae` objective (zero on a one-row batch): its step's
-    gradients of f add to the net's by position.
+    `control` does, with no extra draw; dropout masks every layer but the
+    net's last. `cotrain` and `ae_cotrain` add the `scarf` or `add_noise_ae`
+    objective (zero on a one-row batch), whose gradients of f add by position.
 
     `targets` is an (n, K) matrix of target distributions indexed by dataset
     row; by default the one-hot rows of `dataset.y` in the dtype of

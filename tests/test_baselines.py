@@ -271,7 +271,8 @@ def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations
                 pool_labels[int(r)] = int(cls)
                 pool_rows.append(r)
         remaining = [r for r, keep in zip(remaining, confident) if not keep]
-    return train_fn(np.array(pool_rows), reference_targets(dataset, pool_labels)), np.array(pool_rows)
+    rows = np.array(pool_rows)
+    return train_fn(rows, reference_targets(dataset, pool_labels)), rows
 
 
 def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):

@@ -465,9 +465,10 @@ class TestRun:
         failure, and a run in which all trials failed exits 1."""
         csv, schema = write_dataset(tmp_path, n=200)
         out = tmp_path / "o"
-        code = main(["run", "--config", write_config(tmp_path, trials=2), "--dataset", csv,
-                     "--schema", schema, "--method", method, "--learning_rate", "1e6",
-                     "--out", str(out)])
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", write_config(tmp_path, trials=2), "--dataset", csv,
+                         "--schema", schema, "--method", method, "--learning_rate", "1e6",
+                         "--out", str(out)])
         assert code == 1
         assert "all trials failed" in capsys.readouterr().err
         assert not (out / "results.jsonl").exists() or stats.load_runs(out / "results.jsonl") == []

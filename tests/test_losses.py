@@ -12,6 +12,7 @@ from tabpretrain.losses import (
     infonce_error,
     infonce_loss,
 )
+from tabpretrain.nn import l2_normalize_rows
 
 
 def naive_infonce(s, tau):
@@ -131,7 +132,7 @@ class TestInfonceBitForBit:
 def test_value_only_losses_equal_the_full_call_bit_for_bit(full, value_only, weights, dtype, rng):
     """What validation scores with: the value without the gradients."""
     for n in (2, 5, 128):
-        z, zt = (rng.normal(size=(n, 16)).astype(dtype) for _ in range(2))
+        z, zt = (l2_normalize_rows(rng.normal(size=(n, 16))).astype(dtype) for _ in range(2))
         loss = value_only(z, zt, *weights)
         assert loss == full(z, zt, *weights)[0]
         assert isinstance(loss, float)

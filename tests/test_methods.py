@@ -539,8 +539,9 @@ class TestRunBenchmark:
         ds = make_numeric_dataset(n=600, d=20)
         hp = {"hidden_dim": 32, "pretrain_max_epochs": 20, "finetune_max_epochs": 20}
         for method, lr in (("scarf_ae", 1e6), ("control", 1e6), ("scarf", 1e4)):
-            list(run_benchmark({"mix": ds}, [method], ["semi25"], 1, 0, out_dir=tmp_path,
-                               hp={**hp, "learning_rate": lr}))
+            with np.errstate(all="ignore"):
+                list(run_benchmark({"mix": ds}, [method], ["semi25"], 1, 0, out_dir=tmp_path,
+                                   hp={**hp, "learning_rate": lr}))
         failures = [json.loads(line)
                     for line in (tmp_path / "failures.jsonl").read_text().splitlines()]
         assert [(f["method_name"], f["error_type"]) for f in failures] == [
