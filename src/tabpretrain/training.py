@@ -472,11 +472,10 @@ def pretrain_scarf(
         raise ConfigurationError(f"unknown pre-trainer {pre!r}")
     if hp.batch_size < 2:
         raise ValueError("contrastive batches need at least 2 examples")
-    if pre == "scarf":
-        for name, split in (("training", splits.train), ("validation", splits.validation)):
-            if len(split) < 2:
-                raise ValueError(f"contrastive {name} needs at least 2 {name} rows, "
-                                 f"got {len(split)}")
+    if (n_train := len(splits.train)) < (need := 2 if pre == "scarf" else 1):
+        raise ValueError(f"{pre} pre-training needs at least {need} training rows, got {n_train}")
+    if pre == "scarf" and (n_val := len(splits.validation)) < 2:
+        raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
     net, learns = bundle.net(pre), _learns_missing(pre, hp)
     if learns and bundle.learnable_missing is None:
         raise ConfigurationError(f"the {pre} objective needs the bundle's learnable_missing")

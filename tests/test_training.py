@@ -452,18 +452,23 @@ class TestPretrainScarf:
             pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng)
         assert called == []
 
-    def test_one_row_training_split_rejected_before_any_work(self, monkeypatch):
-        """Every batch of a one-row split is skipped, so no epoch would step."""
+    @pytest.mark.parametrize("pre, n_train", [("scarf", 1), ("scarf", 0), ("no_noise_ae", 0)])
+    def test_training_split_without_a_step_rejected_before_any_work(self, pre, n_train,
+                                                                    monkeypatch):
+        """Every batch of a one-row split is skipped by scarf, and an empty
+        split has no batch, so no epoch would step."""
         ds = make_numeric_dataset(n=12, d=4)
-        splits = Splits(np.array([0]), np.arange(1, 4), np.arange(4, 12))
+        splits = Splits(np.arange(n_train), np.arange(1, 4), np.arange(4, 12))
         rng = np.random.default_rng(0)
-        bundle = small_bundle(ds, rng)
+        bundle = small_bundle(ds, rng, pre=pre)
         state = rng.bit_generator.state
         called = []
         for name in ("build_marginal_pool", "build_static_validation", "_fit"):
             monkeypatch.setattr(training, name, lambda *a, _name=name, **k: called.append(_name))
-        with pytest.raises(ValueError, match="at least 2 training rows, got 1"):
-            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng)
+        need = 2 if pre == "scarf" else 1
+        with pytest.raises(ValueError, match=f"^{pre} pre-training needs at least {need} "
+                                             f"training rows, got {n_train}$"):
+            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng, pre)
         assert called == [] and rng.bit_generator.state == state
 
     def test_restored_weights_achieve_best_metric(self):
