@@ -105,7 +105,9 @@ def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):
     the teacher's softmax vectors as soft targets."""
     labeled = np.asarray(labeled)
     unlabeled = np.asarray(unlabeled)
-    teacher = train_fn(labeled, _one_hot(dataset, dataset.y))
+    label = np.full(dataset.n, -1)
+    label[labeled] = dataset.y[labeled]
+    teacher = train_fn(labeled, _one_hot(dataset, label))
     all_rows = np.concatenate([labeled, unlabeled]) if unlabeled.size else labeled
     soft = np.zeros((dataset.n, dataset.num_classes), dtype=dataset.X.dtype)
     soft[all_rows] = softmax(teacher.predict(dataset.X[all_rows]))

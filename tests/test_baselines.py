@@ -396,8 +396,9 @@ def test_every_recipe_hands_over_targets_in_the_dtype_of_x(dtype, rng):
     tri_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, 10)
     self_distill(ds, np.arange(4), np.arange(4, 8), train_fn)
     assert all(t.dtype == dtype and t.shape == (8, 3) for _, t in seen)
-    rows, targets = seen[0]
-    np.testing.assert_array_equal(targets, np.eye(3)[ds.y] * (np.arange(8) < 4)[:, None])
+    pool_of_four = np.eye(3)[ds.y] * (np.arange(8) < 4)[:, None]
+    np.testing.assert_array_equal(seen[0][1], pool_of_four)  # self_train's first pool
+    np.testing.assert_array_equal(seen[-2][1], pool_of_four)  # self_distill's teacher
     rows, targets = seen[-1]
     teacher = softmax(np.array([[0.0, 0.0, 5.0]])).astype(dtype)
     np.testing.assert_array_equal(targets[rows], np.repeat(teacher, 8, axis=0))
