@@ -126,10 +126,11 @@ def barlow_twins(
     return loss, _batch_norm_backward(grad_ya, ca, sa, da), _batch_norm_backward(grad_yb, cb, sb, db)
 
 
-def _align_uniform_terms(z: np.ndarray, z_tilde: np.ndarray, weight_align: float,
-                         weight_uniform: float):
-    """(loss, z, diff, expv, total) of align_uniform: the value and what its
-    gradients reuse."""
+def align_uniform(
+    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
+    the uniformity term over original-view pairs."""
     z = as_float(z)
     zt = as_float(z_tilde)
     if z.shape != zt.shape:
@@ -139,32 +140,17 @@ def _align_uniform_terms(z: np.ndarray, z_tilde: np.ndarray, weight_align: float
         raise ValueError("uniformity needs at least 2 rows")
     diff = z - zt
     align = (diff**2).sum() / n
+    grad_z = weight_align * 2.0 * diff / n
+    grad_zt = -weight_align * 2.0 * diff / n
+
     sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
     off = ~np.eye(n, dtype=bool)
     expv = np.where(off, np.exp(-2.0 * sq), 0.0)
     total = expv.sum()
     uniform = np.log(total / (n * (n - 1)))
-    return float(weight_align * align + weight_uniform * uniform), z, diff, expv, total
-
-
-def align_uniform_loss(z: np.ndarray, z_tilde: np.ndarray, weight_align: float,
-                       weight_uniform: float) -> float:
-    """The value of `align_uniform` alone, bit for bit, without its gradients."""
-    return _align_uniform_terms(z, z_tilde, weight_align, weight_uniform)[0]
-
-
-def align_uniform(
-    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
-    the uniformity term over original-view pairs."""
-    loss, z, diff, expv, total = _align_uniform_terms(z, z_tilde, weight_align, weight_uniform)
-    n = z.shape[0]
-    grad_z = weight_align * 2.0 * diff / n
-    grad_zt = -weight_align * 2.0 * diff / n
     # d/dz_i of log(sum): each unordered pair appears twice in the ordered sum
     w = expv / total
     grad_uniform = -8.0 * (z * w.sum(axis=1, keepdims=True) - w @ z)
     grad_uniform *= weight_uniform
     grad_z += grad_uniform
-    return loss, grad_z, grad_zt
+    return float(weight_align * align + weight_uniform * uniform), grad_z, grad_zt

@@ -331,17 +331,16 @@ def _infonce_pair(z: np.ndarray, zt: np.ndarray, temperature: float):
     return loss, grad_s @ zt, grad_s.T @ z
 
 
-def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray,
-                      gradients: bool = True):
-    """Loss value and gradients w.r.t. the normalized embeddings, or the value
-    alone, bit for bit, when `gradients` is False."""
+BARLOW_OFFDIAG = 5e-3  # the off-diagonal weight of Barlow Twins
+
+
+def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
+    """Loss value and gradients w.r.t. the normalized embeddings."""
     if hp.pretrain_loss == "infonce":
-        if gradients:
-            return _infonce_pair(z, zt, hp.temperature)
-        return losses.infonce_loss(z @ zt.T, hp.temperature)
-    if hp.pretrain_loss == "barlow":  # 5e-3 is the off-diagonal weight of Barlow Twins
-        return (losses.barlow_twins if gradients else losses.barlow_twins_loss)(z, zt, 5e-3)
-    return (losses.align_uniform if gradients else losses.align_uniform_loss)(z, zt, 1.0, 1.0)
+        return _infonce_pair(z, zt, hp.temperature)
+    if hp.pretrain_loss == "barlow":
+        return losses.barlow_twins(z, zt, BARLOW_OFFDIAG)
+    return losses.align_uniform(z, zt, 1.0, 1.0)
 
 
 def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
@@ -383,7 +382,8 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
     """One stored batch's validation value from its mapped rows and copy:
 
     - scarf: the contrastive metric of the two embeddings. The loss metric is
-      the value of the pre-training loss alone, without its gradients.
+      the pre-training loss; InfoNCE and Barlow Twins take their value alone,
+      without gradients.
     - the autoencoders: MSE of the reconstruction `copy` against the rows.
     - scarf_disc: error of the rule "logit > 0 means corrupted" over the
       rows' and the copy's logits."""
@@ -394,7 +394,11 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
         return float(np.mean((logits > 0) != (np.arange(logits.size) >= len(rows))))
     if hp.validation_metric == "infonce_error":
         return losses.infonce_error(rows @ copy.T)
-    return _contrastive_loss(hp, rows, copy, gradients=False)
+    if hp.pretrain_loss == "infonce":
+        return losses.infonce_loss(rows @ copy.T, hp.temperature)
+    if hp.pretrain_loss == "barlow":
+        return losses.barlow_twins_loss(rows, copy, BARLOW_OFFDIAG)
+    return _contrastive_loss(hp, rows, copy)[0]
 
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
@@ -565,4 +569,4 @@ def finetune(
     val_X = dataset.X[splits.validation]
     val_y = dataset.y[splits.validation]
     return _fit(params, labeled_indices, hp, hp.finetune_max_epochs, rng, step,
-                lambda: classification_error(bundle, val_X, val_y), f"{recipe} fine-tuning")
+                lambda: classification_error(bundle, val_X, val_y), "fine-tuning")

@@ -532,22 +532,25 @@ class TestRunBenchmark:
         assert sorted(lines) == sorted((tmp_path / "clean" / "results.jsonl").read_text().splitlines())
 
     def test_diverged_trials_are_failures_not_records(self, tmp_path):
-        """At a learning rate of 1e6 scarf_ae's pre-training and control's
-        fine-tuning go non-finite; argmax of NaN logits used to score the
-        share of class 0 as a result. scarf at 1e4 scores badly but stays
-        finite, so it stays a result."""
+        """At a learning rate of 1e6 scarf_ae's pre-training and the
+        fine-tuning of control and of self_train's first pool go non-finite;
+        argmax of NaN logits used to score the share of class 0 as a result.
+        scarf at 1e4 scores badly but stays finite, so it stays a result."""
         ds = make_numeric_dataset(n=600, d=20)
         hp = {"hidden_dim": 32, "pretrain_max_epochs": 20, "finetune_max_epochs": 20}
-        for method, lr in (("scarf_ae", 1e6), ("control", 1e6), ("scarf", 1e4)):
+        for method, lr in (("scarf_ae", 1e6), ("control", 1e6), ("self_train", 1e6),
+                           ("scarf", 1e4)):
             with np.errstate(all="ignore"):
                 list(run_benchmark({"mix": ds}, [method], ["semi25"], 1, 0, out_dir=tmp_path,
                                    hp={**hp, "learning_rate": lr}))
         failures = [json.loads(line)
                     for line in (tmp_path / "failures.jsonl").read_text().splitlines()]
         assert [(f["method_name"], f["error_type"]) for f in failures] == [
-            ("scarf_ae", "TrainingDiverged"), ("control", "TrainingDiverged")]
+            ("scarf_ae", "TrainingDiverged"), ("control", "TrainingDiverged"),
+            ("self_train", "TrainingDiverged")]
         assert failures[0]["message"].startswith("scarf_ae pre-training diverged at epoch ")
-        assert failures[1]["message"].startswith("control fine-tuning diverged at epoch ")
+        for f in failures[1:]:
+            assert f["message"].startswith("fine-tuning diverged at epoch ")
         assert [r.method_name for r in stats.load_runs(tmp_path / "results.jsonl")] == ["scarf"]
 
     def test_failed_trial_logged_to_failures_jsonl(self, tmp_path, monkeypatch):
