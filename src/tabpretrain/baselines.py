@@ -29,8 +29,9 @@ def mixup_batch(
     return lam * x + (1 - lam) * x[perm], lam * y_onehot + (1 - lam) * y_onehot[perm]
 
 
-def _one_hot(dataset, label: np.ndarray) -> np.ndarray:
-    """(n, K) one-hot rows of `label` in the dtype of dataset.X, zero where it is -1."""
+def one_hot_targets(dataset, label: np.ndarray) -> np.ndarray:
+    """(n, K) one-hot rows of `label` in the dtype of dataset.X, zero where it
+    is -1: the target matrix of `training.finetune`."""
     return (label[:, None] == np.arange(dataset.num_classes)).astype(dataset.X.dtype)
 
 
@@ -55,14 +56,14 @@ def self_train(
     for _ in range(iterations):
         if remaining.size == 0:
             break
-        model = train_fn(rows, _one_hot(dataset, label))
+        model = train_fn(rows, one_hot_targets(dataset, label))
         probs = softmax(model.predict(dataset.X[remaining]))
         confident = probs.max(axis=1) >= threshold
         absorbed = remaining[confident]
         label[absorbed] = probs.argmax(axis=1)[confident]
         rows = np.concatenate([rows, absorbed])
         remaining = remaining[~confident]
-    return train_fn(rows, _one_hot(dataset, label)), rows
+    return train_fn(rows, one_hot_targets(dataset, label)), rows
 
 
 def tri_train(
@@ -87,7 +88,7 @@ def tri_train(
     for _ in range(iterations):
         if (labels[:, unlabeled] >= 0).all():
             break
-        models = [train_fn(rows, _one_hot(dataset, label)) for rows, label in zip(pools, labels)]
+        models = [train_fn(rows, one_hot_targets(dataset, label)) for rows, label in zip(pools, labels)]
         preds = [m.predict(dataset.X[unlabeled]).argmax(axis=1) for m in models]
         for k in range(3):
             i, j = [m for m in range(3) if m != k]
@@ -97,7 +98,7 @@ def tri_train(
     union = np.where(labels[0] >= 0, labels[0], np.where(labels[1] >= 0, labels[1], labels[2]))
     union[labeled] = dataset.y[labeled]
     rows = np.flatnonzero(union >= 0)
-    return train_fn(rows, _one_hot(dataset, union)), rows
+    return train_fn(rows, one_hot_targets(dataset, union)), rows
 
 
 def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):
@@ -107,7 +108,7 @@ def self_distill(dataset, labeled: np.ndarray, unlabeled: np.ndarray, train_fn):
     unlabeled = np.asarray(unlabeled)
     label = np.full(dataset.n, -1)
     label[labeled] = dataset.y[labeled]
-    teacher = train_fn(labeled, _one_hot(dataset, label))
+    teacher = train_fn(labeled, one_hot_targets(dataset, label))
     all_rows = np.concatenate([labeled, unlabeled]) if unlabeled.size else labeled
     soft = np.zeros((dataset.n, dataset.num_classes), dtype=dataset.X.dtype)
     soft[all_rows] = softmax(teacher.predict(dataset.X[all_rows]))

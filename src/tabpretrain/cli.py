@@ -36,14 +36,7 @@ from collections import Counter
 from dataclasses import asdict, fields
 
 from tabpretrain import methods, stats
-from tabpretrain.data import (
-    Schema,
-    drop_empty_columns,
-    encode_csv,
-    impute,
-    load_csv,
-    one_hot,
-)
+from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot
 from tabpretrain.training import Hyperparameters
 
 RUN_DEFAULTS = {
@@ -93,13 +86,13 @@ def cmd_validate(args) -> int:
         cfg = _load_config(args)
         schema = Schema.from_file(cfg["schema"])
         table = load_csv(cfg["dataset"], schema)
-        kept = drop_empty_columns(table)
-        dataset = one_hot(impute(kept))
+        kept = impute(table)
+        dataset = one_hot(kept)
     except (ValueError, OSError) as exc:  # configuration, schema or CSV errors
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     dropped = sorted(set(table.names) - set(kept.names))
-    missing_counts = {name: int(kept.gaps(j).sum()) for j, name in enumerate(kept.names)}
+    missing_counts = {name: int(table.gaps(j).sum()) for j, name in enumerate(table.names)}
     print(f"rows: {kept.n_rows}")
     print(f"raw features: {dataset.M} (encoded width {dataset.X.shape[1]})")
     if dropped:

@@ -6,9 +6,10 @@ JSON schema sidecar mapping each column name to one of "numerical",
 "categorical", or "label"; both are UTF-8, and the CSV may start with a
 byte-order mark. Exactly one label column is required, no header name may
 repeat, every row needs a label, every present numerical cell must be a
-finite number, and at least one feature column must have a value. Every
-column is one array from the first read: a numerical cell a float64, any
-other cell an int32 code into its column's levels.
+finite number, and at least one feature column must have a value (`impute`
+drops the all-missing ones). Every column is one array from the first read: a
+numerical cell a float64, any other cell an int32 code into its column's
+levels.
 
 Ingestion holds at most two copies of the table at once: the column buffers
 and their arrays while reading, the read and the imputed columns while
@@ -144,33 +145,24 @@ def load_csv(path, schema: Schema) -> RawTable:
     return RawTable(list(schema.names), list(schema.kinds), columns, [list(c) for c in codes])
 
 
-def drop_empty_columns(table: RawTable) -> RawTable:
-    """The table without its all-missing feature columns; IngestionError if
-    no feature column is left."""
-    keep = [j for j in range(len(table.names))
-            if table.kinds[j] == "label" or not table.gaps(j).all()]
-    if len(keep) == 1:  # the label alone
-        raise IngestionError("no feature column has a value")
-    return RawTable([table.names[j] for j in keep], [table.kinds[j] for j in keep],
-                    [table.columns[j] for j in keep], [table.levels[j] for j in keep])
-
-
 def impute(table: RawTable) -> RawTable:
-    """Fill missing cells: numerical -> mean of the present cells in row
-    order, categorical -> mode.
+    """The table without its all-missing feature columns, IngestionError if
+    none is left, and with every missing cell filled: numerical -> mean of
+    the present cells in row order, categorical -> mode.
 
     Mode ties break to the lexicographically smallest category. A filled
     categorical column is renumbered so that its levels follow first
     appearance in the imputed column. Statistics are computed over the full
     dataset by design (scalers, by contrast, fit on the training split only).
     """
-    columns, levels = [], []
-    for j, (name, col, col_levels) in enumerate(zip(table.names, table.columns, table.levels)):
+    names, kinds, columns, levels = [], [], [], []
+    for j, (name, kind, col, col_levels) in enumerate(
+            zip(table.names, table.kinds, table.columns, table.levels)):
         gaps = table.gaps(j)
-        if gaps.all():
-            raise IngestionError(f"column {name!r} is entirely missing; drop it first")
+        if gaps.all() and kind != "label":
+            continue
         filled = col.copy()
-        if gaps.any() and table.kinds[j] == "numerical":
+        if gaps.any() and kind == "numerical":
             filled[gaps] = col[~gaps].mean()
         elif gaps.any():
             counts = np.bincount(col[~gaps], minlength=len(col_levels))
@@ -179,9 +171,13 @@ def impute(table: RawTable) -> RawTable:
             # argsort of that permutation is its inverse: the new code of each old one
             filled = np.argsort(order).astype(np.int32)[filled]
             col_levels = [col_levels[k] for k in order]
+        names.append(name)
+        kinds.append(kind)
         columns.append(filled)
         levels.append(list(col_levels))
-    return RawTable(list(table.names), list(table.kinds), columns, levels)
+    if len(names) == 1:  # the label alone
+        raise IngestionError("no feature column has a value")
+    return RawTable(names, kinds, columns, levels)
 
 
 @dataclass
@@ -243,8 +239,8 @@ def one_hot(table: RawTable) -> ProcessedDataset:
 
 
 def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:
-    """Load, drop all-missing columns, impute and encode; no scaling."""
-    return one_hot(impute(drop_empty_columns(load_csv(csv_path, schema))))
+    """Load, impute (dropping the all-missing columns) and encode; no scaling."""
+    return one_hot(impute(load_csv(csv_path, schema)))
 
 
 def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> ProcessedDataset:

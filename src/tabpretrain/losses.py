@@ -2,10 +2,12 @@
 
 Every loss returns (value, gradients) with gradients averaged so that they are
 the exact derivatives of the returned scalar, computed in the floating dtype
-of the inputs (float32 in training, float64 in the oracles). The contrastive
-loss keeps the 1/N factor inside the log denominator, so its value differs
-from the more common convention by exactly -log N while the gradients
-coincide.
+of the inputs (float32 in training, float64 in the oracles). The three
+contrastive losses, InfoNCE, Barlow Twins and alignment/uniformity, take the
+embeddings z and zt of the two views and return (value, grad_z, grad_zt);
+InfoNCE forms the similarities z @ zt.T itself. InfoNCE keeps the 1/N factor
+inside the log denominator, so its value differs from the more common
+convention by exactly -log N while the gradients coincide.
 """
 
 from __future__ import annotations
@@ -15,49 +17,53 @@ import numpy as np
 from tabpretrain.nn import ShapeError, as_float
 
 
-def _infonce_terms(s: np.ndarray, temperature: float):
-    """(loss, e, sums) of InfoNCE on s: the value and, for its gradient, e =
-    exp(s/t - rowmax) and its (n, 1) row sums."""
+def _two_views(z: np.ndarray, zt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The embeddings of the two views as floating arrays of one shape."""
+    z, zt = as_float(z), as_float(zt)
+    if z.shape != zt.shape:
+        raise ShapeError("view embeddings must share a shape")
+    return z, zt
+
+
+def _infonce_terms(z: np.ndarray, zt: np.ndarray, temperature: float):
+    """(loss, e, sums, z, zt) of InfoNCE on s = z @ zt.T: the value and, for
+    its gradients, e = exp(s/t - rowmax), its (n, 1) row sums and the views."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    s = as_float(s)
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise ShapeError("similarity matrix must be square")
-    st = s / temperature
+    z, zt = _two_views(z, zt)
+    st = (z @ zt.T) / temperature
+    n = st.shape[0]
     row_max = st.max(axis=1, keepdims=True)
     e = np.exp(st - row_max)
     sums = e.sum(axis=1, keepdims=True)
     lse = np.log(sums[:, 0]) + row_max[:, 0]
     # per-row: -s_ii/t + log((1/n) sum_k exp(s_ik/t))
     loss = float(np.mean(-np.diag(st) + lse - np.log(st.dtype.type(n))))
-    return loss, e, sums
+    return loss, e, sums, z, zt
 
 
-def infonce_loss(s: np.ndarray, temperature: float) -> float:
-    """The value of `infonce` alone, bit for bit, without its gradient."""
-    return _infonce_terms(s, temperature)[0]
+def infonce_loss(z: np.ndarray, zt: np.ndarray, temperature: float) -> float:
+    """The value of `infonce` alone, bit for bit, without its gradients."""
+    return _infonce_terms(z, zt, temperature)[0]
 
 
-def infonce(s: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
-    """Mean over rows of -log(exp(s_ii/t) / mean_k exp(s_ik/t)), with the
-    gradient w.r.t. s."""
-    loss, e, sums = _infonce_terms(s, temperature)
+def infonce(z: np.ndarray, zt: np.ndarray, temperature: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean over rows of -log(exp(s_ii/t) / mean_k exp(s_ik/t)) on the
+    similarities s = z @ zt.T of the two views' embeddings (rows already unit
+    norm), with the gradients w.r.t. z and zt."""
+    loss, e, sums, z, zt = _infonce_terms(z, zt, temperature)
     n = e.shape[0]
-    grad = np.divide(e, sums, out=e)  # the row softmax p
-    grad[np.arange(n), np.arange(n)] -= 1.0
-    grad /= n * temperature
-    return loss, grad
+    grad_s = np.divide(e, sums, out=e)  # the row softmax p
+    grad_s[np.arange(n), np.arange(n)] -= 1.0
+    grad_s /= n * temperature
+    return loss, grad_s @ zt, grad_s.T @ z
 
 
-def infonce_error(s: np.ndarray) -> float:
-    """Fraction of rows whose argmax is off the diagonal (ties break to the
-    smallest index)."""
-    s = as_float(s)
-    n = s.shape[0]
-    if s.shape != (n, n):
-        raise ShapeError("similarity matrix must be square")
-    return float(np.mean(s.argmax(axis=1) != np.arange(n)))
+def infonce_error(z: np.ndarray, zt: np.ndarray) -> float:
+    """Fraction of rows of s = z @ zt.T whose argmax is off the diagonal (ties
+    break to the smallest index)."""
+    z, zt = _two_views(z, zt)
+    return float(np.mean((z @ zt.T).argmax(axis=1) != np.arange(len(z))))
 
 
 def binary_logistic(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -93,10 +99,7 @@ def _batch_norm_backward(grad_y, centered, std, denom):
 def _barlow_terms(z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float):
     """(loss, c, off, batch norm of z_a, batch norm of z_b) of Barlow Twins:
     the value and what its gradient reuses."""
-    z_a = as_float(z_a)
-    z_b = as_float(z_b)
-    if z_a.shape != z_b.shape:
-        raise ShapeError("view embeddings must share a shape")
+    z_a, z_b = _two_views(z_a, z_b)
     n, d = z_a.shape
     if n < 2:
         raise ValueError("batch normalization needs at least 2 rows")
@@ -131,10 +134,7 @@ def align_uniform(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
     the uniformity term over original-view pairs."""
-    z = as_float(z)
-    zt = as_float(z_tilde)
-    if z.shape != zt.shape:
-        raise ShapeError("view embeddings must share a shape")
+    z, zt = _two_views(z, z_tilde)
     n = z.shape[0]
     if n < 2:
         raise ValueError("uniformity needs at least 2 rows")
@@ -143,7 +143,9 @@ def align_uniform(
     grad_z = weight_align * 2.0 * diff / n
     grad_zt = -weight_align * 2.0 * diff / n
 
-    sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+    # ||z_i - z_j||^2 from the Gram matrix, clipped at 0 against rounding
+    norms = (z * z).sum(axis=1)
+    sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (z @ z.T), 0.0)
     off = ~np.eye(n, dtype=bool)
     expv = np.where(off, np.exp(-2.0 * sq), 0.0)
     total = expv.sum()

@@ -22,6 +22,7 @@ import numbers
 import os
 import time
 import traceback
+from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -219,14 +220,19 @@ def run_benchmark(
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
     The checks, the read of the completed keys and the loading of the datasets
     with trials left run in this call, before it returns the iterator: unknown
-    method, setting, scaling or hyperparameter names, a method that
-    `check_method` rejects, `trials` or `jobs` below 1, and a dataset that
-    fails to load raise here, before anything is written.
+    method, setting, scaling or hyperparameter names, a method or setting
+    named twice, a method that `check_method` rejects, `trials` or `jobs`
+    below 1, and a dataset that fails to load raise here, before anything is
+    written.
     """
     resolved = _resolve(hp)
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
+    for kind, names in (("method", methods), ("setting", settings)):
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        if repeated:
+            raise ValueError(f"{kind}(s) named more than once: {repeated}")
     for method in methods:
         check_method(method, resolved)
     for setting in settings:

@@ -302,13 +302,6 @@ def l2_normalize_backward(z: np.ndarray, norms: np.ndarray, grad_z: np.ndarray) 
     return (grad_z - z * inner) / norms
 
 
-def l2_normalize_rows_backward(raw: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
-    """Backprop through row normalization: raw rows u, z = u/||u||."""
-    raw = as_float(raw)
-    return l2_normalize_backward(*l2_normalize_rows_with_norms(raw),
-                                 np.asarray(grad_z, dtype=raw.dtype))
-
-
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error and its gradient w.r.t. pred, in pred's dtype (the
     target is cast to it)."""

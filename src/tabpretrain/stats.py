@@ -12,6 +12,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -88,25 +89,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd term of the fraction, one Lentz update each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             break
     return h
@@ -173,11 +167,10 @@ def compare(a_runs, b_runs, p_threshold: float) -> str:
 @dataclass
 class WinMatrix:
     methods: list[str]
-    wins: np.ndarray  # (M, M) significant wins of row method over column method
-    losses: np.ndarray
+    wins: np.ndarray  # (M, M) significant wins of row method over column method; .T the losses
 
     def ratio(self, i: int, j: int) -> float | None:
-        total = self.wins[i, j] + self.losses[i, j]
+        total = self.wins[i, j] + self.wins[j, i]
         return None if total == 0 else self.wins[i, j] / total
 
     def min_ratio_column(self) -> list[float | None]:
@@ -189,7 +182,7 @@ class WinMatrix:
         return out
 
     def cell_text(self, i: int, j: int) -> str:
-        total = int(self.wins[i, j] + self.losses[i, j])
+        total = int(self.wins[i, j] + self.wins[j, i])
         return "-" if total == 0 else f"{int(self.wins[i, j])}/{total}"
 
 
@@ -210,21 +203,16 @@ def _comparable(acc_a: dict, acc_b: dict) -> list[str]:
 
 
 def win_matrix(runs, methods: list[str], p: float = 0.05, setting: str | None = None) -> WinMatrix:
-    per_method = {m: _accuracies_by_dataset(runs, m, setting) for m in methods}
-    n = len(methods)
-    wins = np.zeros((n, n), dtype=int)
-    loss = np.zeros((n, n), dtype=int)
-    for i, mi in enumerate(methods):
-        for j, mj in enumerate(methods):
-            if i == j:
-                continue
-            for d in _comparable(per_method[mi], per_method[mj]):
-                verdict = compare(per_method[mi][d], per_method[mj][d], p)
-                if verdict == "win":
-                    wins[i, j] += 1
-                elif verdict == "loss":
-                    loss[i, j] += 1
-    return WinMatrix(methods, wins, loss)
+    """One Welch test per unordered method pair and dataset on which both have
+    two finite accuracies; a significant one is a win of the better method."""
+    per_method = [_accuracies_by_dataset(runs, m, setting) for m in methods]
+    wins = np.zeros((len(methods), len(methods)), dtype=int)
+    for i, j in combinations(range(len(methods)), 2):
+        for d in _comparable(per_method[i], per_method[j]):
+            verdict = compare(per_method[i][d], per_method[j][d], p)
+            if verdict != "tie":
+                wins[(i, j) if verdict == "win" else (j, i)] += 1
+    return WinMatrix(methods, wins)
 
 
 @dataclass

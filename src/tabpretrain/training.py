@@ -52,7 +52,7 @@ from typing import ClassVar
 import numpy as np
 
 from tabpretrain import losses
-from tabpretrain.baselines import mixup_batch
+from tabpretrain.baselines import mixup_batch, one_hot_targets
 from tabpretrain.corruption import (
     ConfigurationError,
     CorruptionConfig,
@@ -325,19 +325,13 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
                         stopper.best_epoch, stopper.best)
 
 
-def _infonce_pair(z: np.ndarray, zt: np.ndarray, temperature: float):
-    s = z @ zt.T  # rows already unit-norm
-    loss, grad_s = losses.infonce(s, temperature)
-    return loss, grad_s @ zt, grad_s.T @ z
-
-
 BARLOW_OFFDIAG = 5e-3  # the off-diagonal weight of Barlow Twins
 
 
 def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
     """Loss value and gradients w.r.t. the normalized embeddings."""
     if hp.pretrain_loss == "infonce":
-        return _infonce_pair(z, zt, hp.temperature)
+        return losses.infonce(z, zt, hp.temperature)
     if hp.pretrain_loss == "barlow":
         return losses.barlow_twins(z, zt, BARLOW_OFFDIAG)
     return losses.align_uniform(z, zt, 1.0, 1.0)
@@ -393,9 +387,9 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
         logits = np.concatenate([rows, copy]).reshape(-1)
         return float(np.mean((logits > 0) != (np.arange(logits.size) >= len(rows))))
     if hp.validation_metric == "infonce_error":
-        return losses.infonce_error(rows @ copy.T)
+        return losses.infonce_error(rows, copy)
     if hp.pretrain_loss == "infonce":
-        return losses.infonce_loss(rows @ copy.T, hp.temperature)
+        return losses.infonce_loss(rows, copy, hp.temperature)
     if hp.pretrain_loss == "barlow":
         return losses.barlow_twins_loss(rows, copy, BARLOW_OFFDIAG)
     return _contrastive_loss(hp, rows, copy)[0]
@@ -533,7 +527,7 @@ def finetune(
     if labeled_indices.size == 0:
         raise ValueError("no labeled training rows")
     if targets is None:
-        targets = np.eye(dataset.num_classes, dtype=dataset.X.dtype)[dataset.y]
+        targets = one_hot_targets(dataset, dataset.y)
         if recipe == "smooth":
             targets = smooth_labels(targets, hp.label_smoothing, dataset.num_classes)
     dropout = hp.dropout if recipe == "dropout" else 0.0
@@ -548,7 +542,7 @@ def finetune(
         aux_params = aux_net.parameters()
         params = params + aux_params[n_f:]
         _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng,
-                                 partial(_infonce_pair, temperature=hp.temperature))
+                                 partial(losses.infonce, temperature=hp.temperature))
 
     def step(rows):
         x, target = dataset.X[rows], targets[rows]

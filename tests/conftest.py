@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tabpretrain.data import ProcessedDataset
+from tabpretrain.nn import as_float, l2_normalize_backward, l2_normalize_rows_with_norms
 from tabpretrain.training import ModelBundle
 
 
@@ -66,6 +67,14 @@ def to_float64(model):
         layer.weights = layer.weights.astype(np.float64)
         layer.bias = layer.bias.astype(np.float64)
     return model
+
+
+def l2_normalize_rows_backward(raw: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
+    """Backprop through row normalization from the raw rows u, z = u/||u||:
+    the plain composition that `training.contrastive_step` must match."""
+    raw = as_float(raw)
+    return l2_normalize_backward(*l2_normalize_rows_with_norms(raw),
+                                 np.asarray(grad_z, dtype=raw.dtype))
 
 
 def central_difference(f, params, h=1e-5):

@@ -110,6 +110,26 @@ class TestValidate:
         assert "  f2: numerical" in lines
         assert "  target: label" in lines
 
+    def test_whole_report_with_a_dropped_column_and_gaps(self, tmp_path, capsys):
+        csv = tmp_path / "gappy.csv"
+        csv.write_text("f1,blank,color,f2,target\n1.0,,red,0.5,pos\n,,,0.1,neg\n"
+                       "3.0,,,0.2,pos\n4.0,,blue,0.3,neg\n")
+        schema = tmp_path / "gappy.schema.json"
+        schema.write_text(json.dumps({"f1": "numerical", "blank": "numerical",
+                                      "color": "categorical", "f2": "numerical",
+                                      "target": "label"}))
+        assert main(["validate", "--dataset", str(csv), "--schema", str(schema)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "rows: 4",
+            "raw features: 3 (encoded width 4)",
+            "dropped all-missing columns: blank",
+            "  f1: numerical, 1 missing",
+            "  color: categorical, 2 missing",
+            "  f2: numerical",
+            "  target: label",
+            "classes (2): pos: 2, neg: 2",
+        ]
+
     def test_missing_file_fails(self, tmp_path, capsys):
         _, schema = write_dataset(tmp_path)
         code = main(["validate", "--dataset", str(tmp_path / "nope.csv"), "--schema", schema])

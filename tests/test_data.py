@@ -12,7 +12,6 @@ from tabpretrain.data import (
     ProcessedDataset,
     Schema,
     corrupt_labels,
-    drop_empty_columns,
     encode_csv,
     impute,
     load_csv,
@@ -136,26 +135,28 @@ class TestLoadCsv:
         assert cells(table, 1) == ["grün", "weiß"]
 
 
-class TestDropEmptyColumns:
+class TestImputeDropsEmptyColumns:
     def _table(self, tmp_path, cells):
         p = write_csv(tmp_path / "d.csv", "age,color,target\n" + cells)
         return load_csv(p, SCHEMA)
 
     def test_all_missing_column_removed(self, tmp_path):
-        t = drop_empty_columns(self._table(tmp_path, ",red,yes\n,blue,no\n"))
-        assert t.names == ["color", "target"]
+        t = impute(self._table(tmp_path, ",red,yes\n,blue,no\n"))
+        assert t.names == ["color", "target"] and t.kinds == ["categorical", "label"]
+        assert cells(t, 0) == ["red", "blue"]
 
     def test_no_missing_unchanged(self, tmp_path):
-        t = drop_empty_columns(self._table(tmp_path, "1,red,yes\n2,blue,no\n"))
+        t = impute(self._table(tmp_path, "1,red,yes\n2,blue,no\n"))
         assert t.names == ["age", "color", "target"]
 
     def test_no_feature_left_rejected(self, tmp_path):
         with pytest.raises(IngestionError, match="no feature column has a value"):
-            drop_empty_columns(self._table(tmp_path, ",,yes\n,,no\n"))
+            impute(self._table(tmp_path, ",,yes\n,,no\n"))
 
     def test_single_value_kept(self, tmp_path):
-        t = drop_empty_columns(self._table(tmp_path, "1,red,yes\n,blue,no\n"))
+        t = impute(self._table(tmp_path, "1,red,yes\n,blue,no\n"))
         assert "age" in t.names
+        assert list(t.columns[0]) == [1.0, 1.0]
 
 
 class TestImpute:

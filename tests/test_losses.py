@@ -11,7 +11,7 @@ from tabpretrain.losses import (
     infonce_error,
     infonce_loss,
 )
-from tabpretrain.nn import l2_normalize_rows
+from tabpretrain.nn import ShapeError, l2_normalize_rows
 
 
 def naive_infonce(s, tau):
@@ -35,17 +35,25 @@ def standard_infonce(s, tau):
     return total / n
 
 
+def embeddings(rng, n, d=16, dtype=np.float64):
+    """Two views' unit-norm embeddings, (n, d) each."""
+    return (l2_normalize_rows(rng.normal(size=(n, d))).astype(dtype) for _ in range(2))
+
+
 class TestInfonce:
+    """A similarity matrix s goes in as z = s against zt = I: s @ I.T
+    reproduces s exactly, and grad_z is then the gradient w.r.t. s."""
+
     def test_single_positive(self):
-        loss, _ = infonce(np.array([[1.0]]), 1.0)
+        loss, _, _ = infonce(np.array([[1.0]]), np.eye(1), 1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_all_ones_saturation(self):
-        loss, _ = infonce(np.ones((2, 2)), 1.0)
+        loss, _, _ = infonce(np.ones((2, 2)), np.eye(2), 1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pair_closed_form(self):
-        loss, _ = infonce(np.eye(2), 1.0)
+        loss, _, _ = infonce(np.eye(2), np.eye(2), 1.0)
         expected = -np.log(2 * np.e / (np.e + 1))
         assert loss == pytest.approx(expected, abs=1e-10)
         assert loss == pytest.approx(-0.3799, abs=1e-4)
@@ -55,42 +63,52 @@ class TestInfonce:
     def test_matches_naive_oracle(self, n, tau):
         rng = np.random.default_rng(n * 17 + int(tau * 10))
         s = rng.uniform(-1, 1, size=(n, n))
-        loss, _ = infonce(s, tau)
+        loss, _, _ = infonce(s, np.eye(n), tau)
         assert loss == pytest.approx(naive_infonce(s, tau), abs=1e-10)
 
     def test_offset_identity_vs_standard_form(self, rng):
         for n in (2, 4, 7):
             s = rng.uniform(-1, 1, size=(n, n))
-            loss, _ = infonce(s, 1.0)
+            loss, _, _ = infonce(s, np.eye(n), 1.0)
             assert loss - standard_infonce(s, 1.0) == pytest.approx(-np.log(n), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         s = rng.uniform(-1, 1, size=(6, 6))
-        _, grad = infonce(s, 0.7)
-        numeric = central_difference(lambda: infonce(s, 0.7)[0], [s])
+        _, grad, _ = infonce(s, np.eye(6), 0.7)
+        numeric = central_difference(lambda: infonce(s, np.eye(6), 0.7)[0], [s])
         assert_grads_close([grad], numeric)
+
+    def test_embedding_gradients_match_finite_differences(self, rng):
+        z, zt = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        _, grad_z, grad_zt = infonce(z, zt, 0.7)
+        numeric = central_difference(lambda: infonce(z, zt, 0.7)[0], [z, zt])
+        assert_grads_close([grad_z, grad_zt], numeric)
 
     def test_permutation_invariance(self, rng):
         s = rng.uniform(-1, 1, size=(5, 5))
         perm = rng.permutation(5)
-        loss, _ = infonce(s, 1.0)
-        loss_p, _ = infonce(s[np.ix_(perm, perm)], 1.0)
+        loss, _, _ = infonce(s, np.eye(5), 1.0)
+        loss_p, _, _ = infonce(s[np.ix_(perm, perm)], np.eye(5), 1.0)
         assert loss == pytest.approx(loss_p, abs=1e-12)
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
-            infonce(np.eye(2), 0.0)
+            infonce(np.eye(2), np.eye(2), 0.0)
+
+    def test_rejects_views_of_different_shapes(self):
+        with pytest.raises(ShapeError):
+            infonce(np.eye(2), np.eye(3), 1.0)
 
     def test_finite_on_extreme_inputs(self):
         s = np.array([[500.0, -500.0], [-500.0, 500.0]])
-        loss, grad = infonce(s, 0.01)
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        loss, grad_z, grad_zt = infonce(s, np.eye(2), 0.01)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad_z)) and np.all(np.isfinite(grad_zt))
 
 
 def out_of_place_infonce(s, tau):
-    """InfoNCE value and gradient as the plain composition: exp(s/t - rowmax),
-    its row sums recomputed for the softmax, which is copied before the
-    diagonal is taken off."""
+    """InfoNCE value and gradient w.r.t. s as the plain composition: exp(s/t -
+    rowmax), its row sums recomputed for the softmax, which is copied before
+    the diagonal is taken off."""
     n = s.shape[0]
     st = s / tau
     row_max = st.max(axis=1, keepdims=True)
@@ -108,26 +126,37 @@ def out_of_place_infonce(s, tau):
 class TestInfonceBitForBit:
     def test_value_only_equals_the_value_of_infonce(self, dtype, tau, rng):
         for n in (2, 5, 64, 128):
-            s = rng.uniform(-1, 1, size=(n, n)).astype(dtype)
-            loss = infonce_loss(s, tau)
-            assert loss == infonce(s, tau)[0]
+            z, zt = embeddings(rng, n, dtype=dtype)
+            loss = infonce_loss(z, zt, tau)
+            assert loss == infonce(z, zt, tau)[0]
             assert isinstance(loss, float)
 
     def test_matches_out_of_place_composition(self, dtype, tau, rng):
+        """s = z @ zt.T, then the chain rule's two GEMMs grad_s @ zt and
+        grad_s.T @ z, with the rounding of the composition."""
+        z, zt = embeddings(rng, 64, dtype=dtype)
+        kept = z.copy(), zt.copy()
+        loss, grad_z, grad_zt = infonce(z, zt, tau)
+        want_loss, want_grad = out_of_place_infonce(z @ zt.T, tau)
+        assert loss == want_loss and grad_z.dtype == grad_zt.dtype == dtype
+        np.testing.assert_array_equal(grad_z, want_grad @ zt)
+        np.testing.assert_array_equal(grad_zt, want_grad.T @ z)
+        for a, b in zip((z, zt), kept):
+            np.testing.assert_array_equal(a, b)  # the inputs are not written
+
+    def test_similarities_against_the_identity_reproduce_s(self, dtype, tau, rng):
         s = rng.uniform(-1, 1, size=(64, 64)).astype(dtype)
-        kept = s.copy()
-        loss, grad = infonce(s, tau)
+        loss, grad_s, _ = infonce(s, np.eye(64, dtype=dtype), tau)
         want_loss, want_grad = out_of_place_infonce(s, tau)
-        assert loss == want_loss and grad.dtype == dtype
-        np.testing.assert_array_equal(grad, want_grad)
-        np.testing.assert_array_equal(s, kept)  # the input is not written
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad_s, want_grad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_barlow_value_equals_the_full_call_bit_for_bit(dtype, rng):
     """What validation scores with: the value without the gradients."""
     for n in (2, 5, 128):
-        z, zt = (l2_normalize_rows(rng.normal(size=(n, 16))).astype(dtype) for _ in range(2))
+        z, zt = embeddings(rng, n, dtype=dtype)
         loss = barlow_twins_loss(z, zt, 5e-3)
         assert loss == barlow_twins(z, zt, 5e-3)[0]
         assert isinstance(loss, float)
@@ -135,21 +164,26 @@ def test_barlow_value_equals_the_full_call_bit_for_bit(dtype, rng):
 
 class TestInfonceError:
     def test_diagonal_dominant_is_zero(self):
-        assert infonce_error(np.eye(4)) == 0.0
+        assert infonce_error(np.eye(4), np.eye(4)) == 0.0
 
     def test_diagonal_smallest_is_one(self):
         s = np.ones((3, 3))
         np.fill_diagonal(s, -1.0)
-        assert infonce_error(s) == 1.0
+        assert infonce_error(s, np.eye(3)) == 1.0
 
     def test_matches_row_scan(self, rng):
         s = rng.normal(size=(8, 8))
         expected = np.mean([int(np.argmax(s[i]) != i) for i in range(8)])
-        assert infonce_error(s) == pytest.approx(expected)
+        assert infonce_error(s, np.eye(8)) == pytest.approx(expected)
+
+    def test_scores_the_similarities_of_the_embeddings(self, rng):
+        z, zt = embeddings(rng, 8, d=3)
+        s = z @ zt.T
+        assert infonce_error(z, zt) == np.mean(s.argmax(axis=1) != np.arange(8))
 
     def test_values_quantized(self, rng):
         for _ in range(20):
-            e = infonce_error(rng.normal(size=(5, 5)))
+            e = infonce_error(rng.normal(size=(5, 5)), np.eye(5))
             assert e in {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}
 
 

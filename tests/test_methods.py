@@ -501,6 +501,24 @@ class TestRunBenchmark:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("names, settings, repeated", [
+        (["control", "control"], ["full"], "method(s) named more than once: ['control']"),
+        (["control"], ["full", "semi25", "full"], "setting(s) named more than once: ['full']"),
+    ])
+    def test_repeated_names_raise_before_results_are_read(self, tmp_path, monkeypatch, names,
+                                                          settings, repeated):
+        """A repeated name used to run its trials once per repeat and append
+        one record per run under one key, which report's Welch tests then
+        counted as extra trials."""
+        calls = []
+        monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
+        monkeypatch.setattr(stats, "completed_keys", lambda path: calls.append(path) or set())
+        with pytest.raises(ValueError, match=re.escape(repeated)):
+            run_benchmark({"blob": lambda: calls.append("load")}, names, settings, 2, 0,
+                          out_dir=tmp_path, hp=FAST_HP)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_trial_writes_no_record_and_reruns(self, tmp_path, monkeypatch):
         ds = make_blob_dataset(n=120, d=4, seed=4)
         (tmp_path / "clean").mkdir()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_close, central_difference, to_float64
+from conftest import (assert_grads_close, central_difference, l2_normalize_rows_backward,
+                      to_float64)
 from tabpretrain.nn import (
     Adam,
     DenseLayer,
@@ -13,7 +14,6 @@ from tabpretrain.nn import (
     dropout_mask,
     l2_normalize_backward,
     l2_normalize_rows,
-    l2_normalize_rows_backward,
     l2_normalize_rows_with_norms,
     mse,
     smooth_labels,

@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabpretrain import stats
 from tabpretrain.stats import (
     BoxPlotEntry,
     MethodRun,
@@ -156,12 +157,29 @@ class TestWinMatrix:
     def test_counts_match_brute_force(self):
         runs = self._runs()
         wm = win_matrix(runs, ["A", "B"], p=0.05)
-        assert wm.wins[0, 1] == 1 and wm.losses[0, 1] == 0
-        assert wm.wins[1, 0] == 0 and wm.losses[1, 0] == 1
+        assert wm.wins[0, 1] == 1 and wm.wins[1, 0] == 0
+        assert wm.wins[1, 0] == 0 and wm.wins[0, 1] == 1
 
     def test_antisymmetry(self):
+        """A decided pair reads as the same total from both sides, and the
+        two win ratios add up to 1."""
         wm = win_matrix(self._runs(), ["A", "B"])
-        np.testing.assert_array_equal(wm.wins, wm.losses.T)
+        assert wm.cell_text(0, 1) == "1/1" and wm.cell_text(1, 0) == "0/1"
+        assert wm.ratio(0, 1) + wm.ratio(1, 0) == 1.0
+
+    def test_one_welch_test_per_unordered_pair_and_dataset(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((tuple(a), tuple(b)))
+            return welch_t_test(a, b)
+
+        monkeypatch.setattr(stats, "welch_t_test", counted)
+        rng = np.random.default_rng(3)
+        runs = [run(m, d, t, rng.uniform(0.4, 1.0))
+                for m in ("m1", "m2", "m3") for d in ("da", "db") for t in range(3)]
+        win_matrix(runs, ["m1", "m2", "m3"], p=0.3)
+        assert len(calls) == 3 * 2  # (m1, m2), (m1, m3), (m2, m3) on da and db
 
     def test_ratio_semantics(self):
         wm = win_matrix(self._runs(), ["A", "B"])
@@ -178,9 +196,8 @@ class TestWinMatrix:
 
     def test_min_ratio_column_takes_worst_opponent(self):
         wins = np.array([[0, 3, 1], [0, 0, 0], [1, 0, 0]])
-        losses = np.array([[0, 1, 1], [3, 0, 0], [1, 0, 0]])
-        wm = WinMatrix(["A", "B", "C"], wins, losses)
-        # A: 3/4 vs B, 1/2 vs C -> min 0.5; B: 0/4 -> 0; C: 1/2 -> 0.5
+        wm = WinMatrix(["A", "B", "C"], wins)
+        # A: 3/3 vs B, 1/2 vs C -> min 0.5; B: 0/3 -> 0, undecided vs C; C: 1/2 -> 0.5
         assert wm.min_ratio_column() == [0.5, 0.0, 0.5]
 
     def test_exhaustive_against_reimplementation(self):
@@ -207,7 +224,7 @@ class TestWinMatrix:
                             w += 1
                         else:
                             l += 1
-                assert wm.wins[i, j] == w and wm.losses[i, j] == l
+                assert wm.wins[i, j] == w and wm.wins[j, i] == l
 
     def test_failed_trial_is_not_scored(self):
         # a NaN accuracy must not turn A's clear win into a significant loss
@@ -215,8 +232,8 @@ class TestWinMatrix:
         runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
         runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
         wm = win_matrix(runs, ["A", "B"], p=0.05)
-        assert wm.wins[0, 1] == 1 and wm.losses[0, 1] == 0
-        assert wm.wins[1, 0] == 0 and wm.losses[1, 0] == 1
+        assert wm.wins[0, 1] == 1 and wm.wins[1, 0] == 0
+        assert wm.wins[1, 0] == 0 and wm.wins[0, 1] == 1
 
     def test_dataset_with_one_finite_accuracy_is_left_out(self):
         runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, np.nan])]
@@ -224,8 +241,8 @@ class TestWinMatrix:
         runs += [run("A", "d2", t, a) for t, a in enumerate([0.9, 0.91, 0.92])]
         runs += [run("B", "d2", t, a) for t, a in enumerate([0.5, 0.51, 0.52])]
         wm = win_matrix(runs, ["A", "B"], p=0.05)
-        assert wm.wins[0, 1] == 1 and wm.losses[0, 1] == 0  # d2 only
-        assert wm.wins[1, 0] == 0 and wm.losses[1, 0] == 1
+        assert wm.wins[0, 1] == 1 and wm.wins[1, 0] == 0  # d2 only
+        assert wm.wins[1, 0] == 0 and wm.wins[0, 1] == 1
 
     def test_setting_filter(self):
         runs = [run("A", "d", t, 0.9, "full") for t in range(3)]
@@ -234,7 +251,7 @@ class TestWinMatrix:
         runs += [run("B", "d", t, 0.9 + t * 0.01, "noise30") for t in range(3)]
         full = win_matrix(runs, ["A", "B"], setting="full")
         noisy = win_matrix(runs, ["A", "B"], setting="noise30")
-        assert full.wins[0, 1] == 1 and noisy.losses[0, 1] == 1
+        assert full.wins[0, 1] == 1 and noisy.wins[1, 0] == 1
 
 
 class TestRelativeImprovement:
@@ -283,7 +300,7 @@ class TestRelativeImprovement:
 
 class TestCsvExports:
     def test_win_matrix_csv_layout(self):
-        wm = WinMatrix(["A", "B"], np.array([[0, 2], [1, 0]]), np.array([[0, 1], [2, 0]]))
+        wm = WinMatrix(["A", "B"], np.array([[0, 2], [1, 0]]))
         text = win_matrix_csv(wm)
         lines = text.strip().split("\n")
         assert lines[0] == "method,A,B,min_ratio"

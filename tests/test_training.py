@@ -5,13 +5,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import (assert_grads_close, bundle_weights, central_difference, make_blob_dataset,
-                      make_numeric_dataset, to_float64)
+from conftest import (assert_grads_close, bundle_weights, central_difference,
+                      l2_normalize_rows_backward, make_blob_dataset, make_numeric_dataset,
+                      to_float64)
 from tabpretrain import losses, methods, nn, training
 from tabpretrain.corruption import (ConfigurationError, CorruptionConfig, CorruptionDraw,
                                     build_marginal_pool, corrupt_batch, select_indices)
 from tabpretrain.data import Splits, make_splits
-from tabpretrain.nn import l2_normalize_rows, l2_normalize_rows_backward, mse
+from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
     AUTOENCODERS,
     DRAWS_SCARF_VIEWS,
@@ -162,7 +163,7 @@ def per_batch_metric(pre, bundle, pairs, cfg):
             z = l2_normalize_rows(bundle.g.forward(bundle.f.forward(orig)))
             zt = l2_normalize_rows(bundle.g.forward(bundle.f.forward(corr)))
             if cfg.validation_metric == "infonce_error":
-                vals.append(losses.infonce_error(z @ zt.T))
+                vals.append(losses.infonce_error(z, zt))
             else:
                 vals.append(_contrastive_loss(cfg, z, zt)[0])
             weights.append(orig.shape[0])
