@@ -12,7 +12,7 @@ CONFIG_DEFAULTS, which holds their defaults: the run keys of RUN_DEFAULTS
 `training.Hyperparameters`, the one declaration of the trial hyperparameters.
 Every key is also a `run` flag (`tabpretrain run --help` lists them), and
 flags override file values. A value must be of its default's type, by the
-rule of `methods.check_type`.
+rule of `corruption.check_type`; `dataset` and `schema` are strings.
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import asdict, fields
 
 from tabpretrain import methods, stats
+from tabpretrain.corruption import check_type
 from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot
 from tabpretrain.training import Hyperparameters
 
@@ -54,8 +55,9 @@ CONFIG_DEFAULTS = {**RUN_DEFAULTS, **asdict(Hyperparameters())}
 def _load_config(args) -> dict:
     """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
     A config file that is not a JSON object or has an unknown key, a run key
-    whose value is not of its default's type, and a missing `dataset` or
-    `schema`, raise ValueError; `run_benchmark` checks the hyperparameters."""
+    whose value is not of its default's type, and a missing or non-string
+    `dataset` or `schema`, raise ValueError; `run_benchmark` checks the
+    hyperparameters."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -71,13 +73,14 @@ def _load_config(args) -> dict:
         if val is not None:
             cfg[key] = val
     for key, default in RUN_DEFAULTS.items():
-        methods.check_type("config key", key, cfg[key], default)
+        check_type("config key", key, cfg[key], default)
     for key in ("dataset", "schema"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
         if key not in cfg:
             raise ValueError(f"no {key} given: set --{key} or the config key {key!r}")
+        check_type("config key", key, cfg[key], "")
     return cfg
 
 
@@ -121,7 +124,6 @@ def cmd_run(args) -> int:
             [cfg["method"]], [cfg["setting"]],
             cfg["trials"], cfg["seed"], cfg["out"], hp, cfg["scaling"], cfg["jobs"],
         )
-        os.makedirs(cfg["out"], exist_ok=True)
         with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)
         for outcome in outcomes:

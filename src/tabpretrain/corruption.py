@@ -12,12 +12,14 @@ uniform matrix (one row under shared_batch; bernoulli then redraws only the
 rows that came out empty), then `corrupt_batch` makes one donor draw: (B, M)
 per-cell donors for marginal, (B,) row donors for joint, one donor for
 single_row, or one (B, M_enc) normal matrix for gaussian. The settings are
-declared once, in `CorruptionConfig`; `training.Hyperparameters` subclasses it.
+declared once, in `CorruptionConfig`, which checks each field's type and value
+when built; `training.Hyperparameters` subclasses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar
 
@@ -59,6 +61,8 @@ class CorruptionConfig:
     )
 
     def __post_init__(self):
+        for field in fields(self):
+            check_type("hyperparameter", field.name, getattr(self, field.name), field.default)
         for name, allowed in self.CHOICES.items():
             if (value := getattr(self, name)) not in allowed:
                 raise ConfigurationError(f"unknown {name} {value!r}")
@@ -68,6 +72,16 @@ class CorruptionConfig:
                     raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
         if self.index_selection == "bernoulli" and self.corruption_rate == 0:
             raise ConfigurationError("bernoulli index_selection needs a positive rate")
+
+
+def check_type(what: str, key: str, value, default) -> None:
+    """Raise ConfigurationError naming `what` and `key` unless `value` is of
+    the type of `default`: an int also passes for a float, a bool never for a
+    number."""
+    kind = type(default)
+    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigurationError(f"{what} {key!r} must be of type {kind.__name__}, not {value!r}")
 
 
 @dataclass

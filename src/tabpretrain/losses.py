@@ -97,8 +97,8 @@ def _batch_norm_backward(grad_y, centered, std, denom):
 
 
 def _barlow_terms(z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float):
-    """(loss, c, off, batch norm of z_a, batch norm of z_b) of Barlow Twins:
-    the value and what its gradient reuses."""
+    """(loss, c, batch norm of z_a, batch norm of z_b) of Barlow Twins: the
+    value and what its gradient reuses."""
     z_a, z_b = _two_views(z_a, z_b)
     n, d = z_a.shape
     if n < 2:
@@ -107,7 +107,7 @@ def _barlow_terms(z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float):
     c = norm_a[0].T @ norm_b[0] / n
     off = ~np.eye(d, dtype=bool)
     loss = float(((1.0 - np.diag(c)) ** 2).sum() + lambda_offdiag * (c[off] ** 2).sum())
-    return loss, c, off, norm_a, norm_b
+    return loss, c, norm_a, norm_b
 
 
 def barlow_twins_loss(z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float) -> float:
@@ -120,9 +120,9 @@ def barlow_twins(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Redundancy-reduction loss on the cross-correlation of batch-normalized
     embeddings: sum_d (1 - C_dd)^2 + lambda * sum_{d != e} C_de^2."""
-    loss, c, off, (ya, ca, sa, da), (yb, cb, sb, db) = _barlow_terms(z_a, z_b, lambda_offdiag)
+    loss, c, (ya, ca, sa, da), (yb, cb, sb, db) = _barlow_terms(z_a, z_b, lambda_offdiag)
     n, d = ya.shape
-    grad_c = 2.0 * lambda_offdiag * np.where(off, c, 0.0)
+    grad_c = 2.0 * lambda_offdiag * c
     grad_c[np.arange(d), np.arange(d)] = -2.0 * (1.0 - np.diag(c))
     grad_ya = yb @ grad_c.T / n
     grad_yb = ya @ grad_c / n

@@ -5,9 +5,9 @@ pre-trainer of `training.PRETRAINERS` ("scarf", "no_noise_ae", ...), or a
 "pretrain+recipe" combination such as "scarf+mixup" or "scarf+self_train".
 `training.pretrain_scarf(..., pre)` runs every pre-trainer and
 `training.finetune(..., recipe=)` every recipe it trains itself; the
-pseudo-labeling recipes of `baselines` call `finetune`. Within a trial every
-method sees the same splits; per-trial seeds derive deterministically from
-(base_seed, dataset_id, trial).
+pseudo-labeling recipes of `baselines.PSEUDO_LABELERS` call `finetune`.
+Within a trial every method sees the same splits; per-trial seeds derive
+deterministically from (base_seed, dataset_id, trial).
 
 `run_benchmark` is the one loop over trials, for the library and the CLI. Both
 take the trial hyperparameters as a dict of overrides of
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import time
 import traceback
@@ -42,7 +41,7 @@ from tabpretrain.training import (
     pretrain_scarf,
 )
 
-FINETUNERS = (*FINETUNE_RECIPES, "distill", "self_train", "tri_train")
+FINETUNERS = (*FINETUNE_RECIPES, *baselines.PSEUDO_LABELERS)
 
 SETTINGS = ("full", "noise30", "semi25")
 
@@ -104,26 +103,13 @@ def apply_setting(
 
 def _resolve(hp: dict | None) -> Hyperparameters:
     """`Hyperparameters` with the entries of `hp` in place of the defaults. An
-    unknown key, a value not of its default's type (by `check_type`) or an
-    invalid corruption setting raises ValueError."""
+    unknown key raises ValueError; `Hyperparameters` itself rejects a value
+    not of its default's type or out of its range."""
     hp = hp or {}
-    defaults = {f.name: f.default for f in fields(Hyperparameters)}
-    unknown = sorted(set(hp) - set(defaults))
+    unknown = sorted(set(hp) - {f.name for f in fields(Hyperparameters)})
     if unknown:
         raise ValueError(f"unknown hyperparameter(s): {unknown}")
-    for key, value in hp.items():
-        check_type("hyperparameter", key, value, defaults[key])
     return Hyperparameters(**hp)
-
-
-def check_type(what: str, key: str, value, default) -> None:
-    """Raise ValueError naming `what` and `key` unless `value` is of the type
-    of `default`: an int also passes for a float, a bool never for a
-    number."""
-    kind = type(default)
-    allowed = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{what} {key!r} must be of type {kind.__name__}, not {value!r}")
 
 
 def run_method(
@@ -157,19 +143,14 @@ def run_method(
         pseudo-labeling baselines."""
         sub = ModelBundle.create(dataset.X.shape[1], dataset.num_classes, rng, hp)
         if pre is not None:
-            sub.f.set_weights(bundle.f.parameters())
+            for p, w in zip(sub.f.parameters(), bundle.f.parameters()):
+                p[...] = w
         finetune(dataset, splits, rows, sub, hp, rng, targets=targets)
         return sub
 
     outcome = None
-    if recipe == "self_train":
-        model, _ = baselines.self_train(dataset, labeled, unlabeled, train_fn,
-                                        hp.self_train_threshold, hp.self_train_iterations)
-    elif recipe == "tri_train":
-        model, _ = baselines.tri_train(dataset, labeled, unlabeled, train_fn, rng,
-                                       hp.self_train_iterations)
-    elif recipe == "distill":
-        model = baselines.self_distill(dataset, labeled, unlabeled, train_fn)
+    if recipe in baselines.PSEUDO_LABELERS:
+        model = baselines.PSEUDO_LABELERS[recipe](dataset, labeled, unlabeled, train_fn, rng, hp)
     else:
         outcome = finetune(dataset, splits, labeled, bundle, hp, rng, recipe=recipe)
         model = bundle
@@ -218,12 +199,12 @@ def run_benchmark(
     `out_dir` before yielding it, so the files are the same bytes for any
     `jobs` (threads running trials at once). A failure writes no record: it
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
-    The checks, the read of the completed keys and the loading of the datasets
-    with trials left run in this call, before it returns the iterator: unknown
-    method, setting, scaling or hyperparameter names, a method or setting
-    named twice, a method that `check_method` rejects, `trials` or `jobs`
-    below 1, and a dataset that fails to load raise here, before anything is
-    written.
+    The checks, the read of the completed keys, the loading of the datasets
+    with trials left and the creation of a missing `out_dir` run in this call,
+    before it returns the iterator: unknown method, setting, scaling or
+    hyperparameter names, a method or setting named twice, a method that
+    `check_method` rejects, `trials` or `jobs` below 1, and a dataset that
+    fails to load raise here, before anything is written.
     """
     resolved = _resolve(hp)
     for name, count in (("trials", trials), ("jobs", jobs)):
@@ -251,6 +232,8 @@ def run_benchmark(
         if dataset_id not in loaded:
             source = datasets[dataset_id]
             loaded[dataset_id] = source() if callable(source) else source
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
 
     def run_one(key):
         dataset_id, method, setting, trial = key

@@ -179,10 +179,6 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def set_weights(self, weights: list[np.ndarray]) -> None:
-        for p, w in zip(self.parameters(), weights):
-            p[...] = w
-
 
 class Adam:
     """Adam with bias correction over a flat list of parameter arrays.

@@ -10,7 +10,7 @@ compare only between runs with the same `env` line; the script runs numpy on
 one BLAS thread.
 
 The grid is the 65 method names x 3 settings x 2 datasets of 90 rows (a
-numeric one, and one with a 3-level one-hot block and 3 classes) x 8
+numeric one, and one with a 3-level one-hot block and 3 classes) x 9
 hyperparameter variants, at hidden width 8 and 3 epochs a phase, plus one
 `scarf` entry on a mixed CSV with gaps, ingested by `encode_csv`. An entry
 hashes the test accuracy, the epoch counts, both phases' curves, stop
@@ -56,8 +56,8 @@ VARIANTS = {
     "align_uniform": {"pretrain_loss": "align_uniform"},
     "infonce_error": {"validation_metric": "infonce_error"},
     "gaussian": {"corruption_strategy": "gaussian"},
-    "unique_bernoulli_single_row": {"unique_pool": True, "index_selection": "bernoulli",
-                                    "donor": "single_row"},
+    "unique_bernoulli": {"unique_pool": True, "index_selection": "bernoulli"},
+    "single_row_shared_batch": {"donor": "single_row", "index_sharing": "shared_batch"},
     "batch33": {"batch_size": 33},
 }
 GAPS_ENTRY = ("gaps", "defaults", "semi25", "scarf")

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from tabpretrain.baselines import mixup_batch, self_distill, self_train, tri_train
+from tabpretrain.baselines import PSEUDO_LABELERS, mixup_batch, self_distill, self_train, tri_train
 from tabpretrain.nn import softmax
+from tabpretrain.training import Hyperparameters
 from conftest import encoded_dataset
+
+HP = Hyperparameters()  # threshold 0.75, at most 10 rounds
+
+
+def rounds(iterations, threshold=0.75):
+    """Hyperparameters of at most `iterations` pseudo-labeling rounds."""
+    return Hyperparameters(self_train_threshold=threshold, self_train_iterations=iterations)
 
 
 def index_dataset(n=20, num_classes=2, y=None):
@@ -82,7 +90,7 @@ class TestMixup:
 
 
 class TestSelfTrain:
-    def test_never_confident_pool_is_fixed_point(self):
+    def test_never_confident_pool_is_fixed_point(self, rng):
         ds = index_dataset()
         calls = []
 
@@ -90,12 +98,12 @@ class TestSelfTrain:
             calls.append((rows.copy(), labels_of(rows, targets)))
             return constant_model([0.0, 0.0])  # uniform softmax, below 0.75
 
-        model, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn, 0.75, 10)
+        self_train(ds, np.arange(5), np.arange(5, 20), train_fn, rng, HP)
         assert len(calls) == 11  # 10 rounds plus the final model
-        np.testing.assert_array_equal(sorted(pool), np.arange(5))
+        np.testing.assert_array_equal(sorted(calls[-1][0]), np.arange(5))
         np.testing.assert_array_equal(calls[-1][1], ds.y[np.arange(5)])
 
-    def test_always_confident_absorbs_everything_in_one_round(self):
+    def test_always_confident_absorbs_everything_in_one_round(self, rng):
         ds = index_dataset()
         calls = []
 
@@ -103,9 +111,9 @@ class TestSelfTrain:
             calls.append((rows.copy(), labels_of(rows, targets)))
             return constant_model([0.0, 10.0])  # class 1 at certainty ~1
 
-        _, pool = self_train(ds, np.arange(5), np.arange(5, 20), train_fn, 0.75, 10)
-        assert sorted(pool) == list(range(20))
+        self_train(ds, np.arange(5), np.arange(5, 20), train_fn, rng, HP)
         rows, labels = calls[-1]
+        assert sorted(rows) == list(range(20))
         by_row = dict(zip(rows.tolist(), labels.tolist()))
         # originals keep their labels, absorbed rows carry the prediction
         for r in range(5):
@@ -113,7 +121,7 @@ class TestSelfTrain:
         for r in range(5, 20):
             assert by_row[r] == 1
 
-    def test_pseudo_labels_frozen_across_rounds(self):
+    def test_pseudo_labels_frozen_across_rounds(self, rng):
         ds = index_dataset()
         call_count = [0]
 
@@ -125,13 +133,13 @@ class TestSelfTrain:
             train_fn.last = last
             return constant_model(logits)
 
-        self_train(ds, np.arange(3), np.arange(3, 6), train_fn, 0.75, 10)
+        self_train(ds, np.arange(3), np.arange(3, 6), train_fn, rng, HP)
         rows, labels = train_fn.last
         by_row = dict(zip(rows.tolist(), labels.tolist()))
         for r in (3, 4, 5):  # absorbed in round 1 as class 1, never revised
             assert by_row[r] == 1
 
-    def test_threshold_boundary_is_inclusive(self):
+    def test_threshold_boundary_is_inclusive(self, rng):
         ds = index_dataset()
         logit = np.log(3.0)  # softmax([0, log 3]) = (0.25, 0.75) exactly
 
@@ -139,24 +147,21 @@ class TestSelfTrain:
             train_fn.last = rows.copy()
             return constant_model([0.0, logit])
 
-        _, pool = self_train(ds, np.arange(4), np.arange(4, 8), train_fn, threshold=0.75,
-                             iterations=10)
-        assert sorted(pool) == list(range(8))
-
-    def test_bad_threshold_rejected(self):
-        ds = index_dataset()
-        with pytest.raises(ValueError):
-            self_train(ds, np.arange(4), np.arange(4, 8), lambda *a: None, threshold=0.0,
-                       iterations=10)
+        self_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, rounds(10, threshold=0.75))
+        assert sorted(train_fn.last) == list(range(8))
+        self_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, rounds(10, threshold=0.8))
+        assert sorted(train_fn.last) == list(range(4))
 
 
 class TestTriTrain:
     def test_no_unlabeled_final_pool_is_labeled_set(self, rng):
         ds = index_dataset()
         def train_fn(rows, targets):
+            train_fn.last = rows.copy()
             return constant_model([1.0, 0.0])
 
-        _, rows = tri_train(ds, np.arange(6), np.array([], dtype=int), train_fn, rng, 10)
+        tri_train(ds, np.arange(6), np.array([], dtype=int), train_fn, rng, HP)
+        rows = train_fn.last
         # union of bootstrap pools plus the precedence pass covers exactly the
         # labeled rows that appeared in at least one bootstrap, then all
         # labeled rows are re-asserted with their original labels
@@ -166,10 +171,11 @@ class TestTriTrain:
     def test_agreement_absorbs_unlabeled(self, rng):
         ds = index_dataset()
         def train_fn(rows, targets):
+            train_fn.last = rows.copy()
             return constant_model([0.0, 5.0])  # everyone predicts class 1
 
-        model, rows = tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, 10)
-        assert set(range(6, 12)) <= set(rows)
+        tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, HP)
+        assert set(range(6, 12)) <= set(train_fn.last)
 
     def test_original_labels_take_precedence(self, rng):
         ds = index_dataset(y=np.zeros(12, dtype=int), num_classes=2)
@@ -179,7 +185,7 @@ class TestTriTrain:
             seen.append(dict(zip(rows.tolist(), labels_of(rows, targets).tolist())))
             return constant_model([0.0, 5.0])  # predicts class 1 for all rows
 
-        tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, 10)
+        tri_train(ds, np.arange(6), np.arange(6, 12), train_fn, rng, HP)
         final = seen[-1]
         for r in range(6):
             if r in final:
@@ -200,7 +206,7 @@ class TestTriTrain:
             cls = votes[len(calls) - 1] if len(calls) <= len(votes) else 0
             return constant_model([5.0, 0.0] if cls == 0 else [0.0, 5.0])
 
-        tri_train(ds, np.arange(6), np.array([6]), train_fn, rng, iterations=2)
+        tri_train(ds, np.arange(6), np.array([6]), train_fn, rng, rounds(2))
         assert len(calls) == 7
         assert 6 not in calls[3] and 6 not in calls[4] and calls[5][6] == 1  # pool 2 in round 2
         assert calls[-1][6] == 0
@@ -213,8 +219,7 @@ class TestTriTrain:
             first_rounds.append(rows.copy())
             return constant_model([0.0, 0.0])
 
-        tri_train(ds, np.arange(6), np.arange(6, 20), train_fn,
-                  np.random.default_rng(0), iterations=1)
+        tri_train(ds, np.arange(6), np.arange(6, 20), train_fn, np.random.default_rng(0), rounds(1))
         boots = first_rounds[:3]
         assert all(len(b) == 6 for b in boots)
         assert any(len(set(b.tolist())) < 6 for b in boots)  # a duplicate drawn
@@ -238,13 +243,22 @@ def test_rounds_stop_once_no_unlabeled_row_is_left(name, unlabeled, calls):
         return constant_model([0.0, 5.0])
 
     unlabeled = np.array(list(unlabeled), dtype=int)
-    if name == "self_train":
-        _, rows = self_train(ds, np.arange(6), unlabeled, train_fn, 0.75, 10)
-    else:
-        _, rows = tri_train(ds, np.arange(6), unlabeled, train_fn, np.random.default_rng(0), 10)
+    PSEUDO_LABELERS[name](ds, np.arange(6), unlabeled, train_fn, np.random.default_rng(0), HP)
     assert len(trained) == calls
-    np.testing.assert_array_equal(np.sort(trained[-1]), np.sort(rows))
-    assert set(rows.tolist()) >= set(unlabeled.tolist())
+    assert set(trained[-1].tolist()) >= set(unlabeled.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(PSEUDO_LABELERS))
+def test_each_recipe_returns_the_last_model_it_trained(name, rng):
+    ds = index_dataset()
+    models = []
+
+    def train_fn(rows, targets):
+        models.append(constant_model([0.0, 5.0]))
+        return models[-1]
+
+    model = PSEUDO_LABELERS[name](ds, np.arange(6), np.arange(6, 12), train_fn, rng, HP)
+    assert model is models[-1]
 
 
 def reference_targets(dataset, labels: dict) -> np.ndarray:
@@ -255,8 +269,9 @@ def reference_targets(dataset, labels: dict) -> np.ndarray:
     return targets
 
 
-def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations):
+def loop_self_train(dataset, labeled, unlabeled, train_fn, rng, hp):
     """Row-by-row reference for self_train: a list pool and a dict of labels."""
+    threshold, iterations = hp.self_train_threshold, hp.self_train_iterations
     pool_rows = list(np.asarray(labeled))
     pool_labels = {int(i): int(dataset.y[i]) for i in pool_rows}
     remaining = list(np.asarray(unlabeled))
@@ -271,18 +286,17 @@ def loop_self_train(dataset, labeled, unlabeled, train_fn, threshold, iterations
                 pool_labels[int(r)] = int(cls)
                 pool_rows.append(r)
         remaining = [r for r, keep in zip(remaining, confident) if not keep]
-    rows = np.array(pool_rows)
-    return train_fn(rows, reference_targets(dataset, pool_labels)), rows
+    return train_fn(np.array(pool_rows), reference_targets(dataset, pool_labels))
 
 
-def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
+def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, hp):
     """Row-by-row reference for tri_train: list pools, dicts of labels and a
     dict union in which the first pool's label wins."""
     labeled, unlabeled = np.asarray(labeled), np.asarray(unlabeled)
     boots = [rng.choice(labeled, size=len(labeled), replace=True) for _ in range(3)]
     pools = [{int(i): int(dataset.y[i]) for i in b} for b in boots]
     pool_rows = [list(b) for b in boots]
-    for _ in range(iterations):
+    for _ in range(hp.self_train_iterations):
         if all(int(r) in pool for pool in pools for r in unlabeled):
             break
         models = [train_fn(np.array(rows), reference_targets(dataset, pool))
@@ -300,8 +314,7 @@ def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
             union.setdefault(r, cls)
     for i in labeled:
         union[int(i)] = int(dataset.y[i])
-    rows = np.array(sorted(union))
-    return train_fn(rows, reference_targets(dataset, union)), rows
+    return train_fn(np.array(sorted(union)), reference_targets(dataset, union))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -309,7 +322,7 @@ def loop_tri_train(dataset, labeled, unlabeled, train_fn, rng, iterations):
 def test_pools_match_the_row_by_row_reference(name, seed):
     """Stub models with random logits per call and row: the index-array
     pools train on the same rows with the same target matrix, call for call,
-    as the list-and-dict reference, and return the same final pool."""
+    as the list-and-dict reference, the final pool included."""
     n = 30
     ds = index_dataset(n=n, num_classes=3)
     rng = np.random.default_rng(seed)
@@ -317,7 +330,7 @@ def test_pools_match_the_row_by_row_reference(name, seed):
     labeled, unlabeled = order[:8], order[8:]
     logits = rng.normal(scale=3.0, size=(64, n, 3))
 
-    def run(fn, *args):
+    def run(fn):
         calls = []
 
         def train_fn(rows, targets):
@@ -325,16 +338,13 @@ def test_pools_match_the_row_by_row_reference(name, seed):
             table = logits[len(calls) - 1]
             return StubModel(lambda r: table[r])
 
-        _, pool = fn(ds, labeled, unlabeled, train_fn, *args, iterations=4)
-        return calls, pool.tolist()
+        fn(ds, labeled, unlabeled, train_fn, np.random.default_rng(seed), rounds(4))
+        return calls
 
-    if name == "self_train":
-        got, want = run(self_train, 0.75), run(loop_self_train, 0.75)
-    else:
-        got = run(tri_train, np.random.default_rng(seed))
-        want = run(loop_tri_train, np.random.default_rng(seed))
+    reference = {"self_train": loop_self_train, "tri_train": loop_tri_train}[name]
+    got, want = run(PSEUDO_LABELERS[name]), run(reference)
     assert got == want
-    assert len(want[1]) > len(labeled)  # some row was absorbed
+    assert len(want[-1][0]) > len(labeled)  # some row was absorbed
 
 
 class TestSelfDistill:
@@ -346,7 +356,7 @@ class TestSelfDistill:
             calls.append((rows.copy(), targets.copy()))
             return constant_model([2.0, 1.0])
 
-        self_distill(ds, np.arange(5), np.arange(5, 20), train_fn)
+        self_distill(ds, np.arange(5), np.arange(5, 20), train_fn, None, HP)
         assert len(calls) == 2
         t_rows, t_targets = calls[0]
         np.testing.assert_array_equal(t_rows, np.arange(5))
@@ -364,7 +374,7 @@ class TestSelfDistill:
             train_fn.soft = targets
             return constant_model(logits)
 
-        self_distill(ds, np.arange(4), np.arange(4, 8), train_fn)
+        self_distill(ds, np.arange(4), np.arange(4, 8), train_fn, None, HP)
         expected = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(train_fn.soft[0], expected, atol=1e-12)
 
@@ -376,7 +386,7 @@ class TestSelfDistill:
             calls.append(rows.copy())
             return constant_model([0.0, 1.0])
 
-        self_distill(ds, np.arange(6), np.array([], dtype=int), train_fn)
+        self_distill(ds, np.arange(6), np.array([], dtype=int), train_fn, None, HP)
         np.testing.assert_array_equal(calls[1], np.arange(6))
 
 
@@ -392,9 +402,9 @@ def test_every_recipe_hands_over_targets_in_the_dtype_of_x(dtype, rng):
         seen.append((rows.copy(), targets))
         return constant_model([0.0, 0.0, 5.0])
 
-    self_train(ds, np.arange(4), np.arange(4, 8), train_fn, 0.75, 10)
-    tri_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, 10)
-    self_distill(ds, np.arange(4), np.arange(4, 8), train_fn)
+    self_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, HP)
+    tri_train(ds, np.arange(4), np.arange(4, 8), train_fn, rng, HP)
+    self_distill(ds, np.arange(4), np.arange(4, 8), train_fn, rng, HP)
     assert all(t.dtype == dtype and t.shape == (8, 3) for _, t in seen)
     pool_of_four = np.eye(3)[ds.y] * (np.arange(8) < 4)[:, None]
     np.testing.assert_array_equal(seen[0][1], pool_of_four)  # self_train's first pool

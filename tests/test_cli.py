@@ -255,6 +255,23 @@ class TestConfiguration:
             f"run failed: config key {key!r} must be of type {kind}, not {value!r}\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key, value", [("schema", 0), ("dataset", 7)])
+    def test_non_string_path_fails_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      command, key, value):
+        """A number used to be opened as a file descriptor: 0 read the schema
+        from stdin, 7 failed with a bad descriptor."""
+        csv, schema = write_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, **{"out": "o", "dataset": csv, "schema": schema,
+                                           key: value})
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "--config", config]) == 1
+        prefix = {"validate": "validation failed: ", "run": "run failed: "}[command]
+        assert capsys.readouterr().err == \
+            f"{prefix}config key {key!r} must be of type str, not {value!r}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_boolean_flag_takes_true_or_false(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--unique_pool", "yes"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tabpretrain.corruption import (
     make_views,
     select_indices,
 )
+from tabpretrain.training import Hyperparameters
 
 
 def mixed_dataset(n=30, seed=0):
@@ -294,6 +297,23 @@ class TestConfigValidation:
         # select_indices would redraw the always-empty rows forever
         with pytest.raises(ConfigurationError, match="bernoulli"):
             CorruptionConfig(corruption_rate=0.0, index_selection="bernoulli")
+
+    @pytest.mark.parametrize("config, key, value, kind", [
+        (CorruptionConfig, "unique_pool", "no", "bool"),
+        (CorruptionConfig, "corruption_rate", True, "float"),
+        (CorruptionConfig, "donor", 1, "str"),
+        (Hyperparameters, "noise_rate", True, "float"),
+        (Hyperparameters, "batch_size", 2.5, "int"),
+        (Hyperparameters, "hidden_dim", 8.0, "int"),
+        (Hyperparameters, "learning_rate", "0.1", "float"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, config, key, value, kind):
+        """Built directly, these used to pass: "no" deduplicated the pool, True
+        read as a rate of 1.0, a float width or batch size failed mid-trial
+        and a string learning rate raised a bare TypeError."""
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"hyperparameter {key!r} must be of type {kind}, not {value!r}")):
+            config(**{key: value})
 
     def test_unique_pool_samples_deduplicated_values(self):
         ds = make_numeric_dataset(n=20, d=2, seed=8)

@@ -321,22 +321,22 @@ class TestRunMethod:
         the pseudo-labeling threshold and rounds are read from the
         hyperparameters by the code that uses them."""
         seen = {}
-        real = getattr(baselines, recipe)
+        real = baselines.PSEUDO_LABELERS[recipe]
 
         def spy(*args):
             seen["args"] = args
-            seen["model"], rows = real(*args)
-            return seen["model"], rows
+            seen["model"] = real(*args)
+            return seen["model"]
 
-        monkeypatch.setattr(baselines, recipe, spy)
+        monkeypatch.setitem(baselines.PSEUDO_LABELERS, recipe, spy)
         ds = make_blob_dataset(n=120, d=4, seed=3)
         splits = make_splits(120, 2)
         hp = {**FAST_HP, "hidden_dim": 6, "encoder_layers": 3, "head_layers": 1,
               "labeled_fraction": 0.5, "self_train_threshold": 0.6, "self_train_iterations": 3}
         run_method(recipe, ds, splits, "semi25", 9, hp)
-        _, labeled, _, _, *rest = seen["args"]
+        _, labeled, _, _, _, resolved = seen["args"]
         assert abs(len(labeled) - 0.5 * len(splits.train)) <= 0.5
-        assert rest[-1] == 3 and (recipe == "tri_train" or rest[0] == 0.6)
+        assert (resolved.self_train_threshold, resolved.self_train_iterations) == (0.6, 3)
         model = seen["model"]
         assert [(layer.in_dim, layer.out_dim) for layer in model.f.layers + model.h.layers] == \
             [(4, 6), (6, 6), (6, 6), (6, 2)]
@@ -460,6 +460,7 @@ class TestRunBenchmark:
         ("noise_rate", 1.5, "in [0, 1]"),
         ("labeled_fraction", 0.0, "in (0, 1]"),
         ("self_train_threshold", 5, "in (0, 1]"),
+        ("self_train_threshold", 0.0, "in (0, 1]"),
         ("self_train_iterations", -1, "nonnegative and finite"),
         ("gaussian_sigma", float("nan"), "positive and finite"),
         ("gaussian_sigma", float("inf"), "positive and finite"),
@@ -479,6 +480,19 @@ class TestRunBenchmark:
                                ["semi25"], 2, 0, out_dir=tmp_path, hp={key: value}))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_out_dir_is_created_before_the_first_trial(self, tmp_path):
+        """The first trial used to run and then fail on results.jsonl, its
+        work lost; a rejected call still creates no directory."""
+        out = tmp_path / "new" / "results"
+        with pytest.raises(UnknownMethodError):
+            run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["ghost"], ["full"], 1, 0,
+                          out_dir=out, hp=FAST_HP)
+        assert list(tmp_path.iterdir()) == []
+        records = list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"],
+                                     ["full"], 1, 0, out_dir=out, hp=FAST_HP))
+        assert [r.key() for r in stats.load_runs(out / "results.jsonl")] == \
+            [r.key() for r in records] == [("blob", "control", "full", 0)]
 
     def test_mistyped_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch):
         calls = []
