@@ -3,8 +3,8 @@
 Commands:
   validate  dry-run ingestion + preprocessing, print a dataset report
   run       execute one (dataset, method, setting) across trials
-  report    win-matrix / box-plot CSV exports and an optional SVG heat map; it
-            prints how many non-finite accuracies it left out
+  report    win-matrix / box-plot CSV exports and an optional SVG heat map of
+            one `--setting`; it prints how many non-finite accuracies it left out
 
 Configuration is a flat JSON object of `dataset`, `schema` and the keys of
 CONFIG_DEFAULTS, which holds their defaults: the run keys of RUN_DEFAULTS
@@ -56,8 +56,8 @@ def _load_config(args) -> dict:
     """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
     A config file that is not a JSON object or has an unknown key, a run key
     whose value is not of its default's type, and a missing or non-string
-    `dataset` or `schema`, raise ValueError; `run_benchmark` checks the
-    hyperparameters."""
+    `dataset` or `schema`, raise ValueError; building `Hyperparameters`
+    checks the hyperparameters."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
     attempted = failed = 0
     try:
         cfg = _load_config(args)
-        hp = {f.name: cfg[f.name] for f in fields(Hyperparameters)}
+        hp = Hyperparameters(**{f.name: cfg[f.name] for f in fields(Hyperparameters)})
         schema = Schema.from_file(cfg["schema"])
         outcomes = methods.run_benchmark(
             {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
@@ -163,6 +163,11 @@ def cmd_report(args) -> int:
         print(f"no results for method(s): {', '.join(unknown)}", file=sys.stderr)
         return 1
     setting = args.setting
+    held = sorted({r.setting for r in runs if r.method_name in wanted})
+    if setting is None and len(held) > 1:  # one Welch sample must not pool settings
+        print(f"report failed: results hold settings {held}; choose one with --setting",
+              file=sys.stderr)
+        return 1
     if setting is not None and not any(r.setting == setting for r in runs if r.method_name in method_list):
         print(f"no results for setting {setting!r}", file=sys.stderr)
         return 1

@@ -217,14 +217,18 @@ def make_views(
 ) -> tuple[np.ndarray, np.ndarray, CorruptionDraw]:
     """Build the two contrastive views. corrupt_one keeps view_a bit-identical
     to the input; corrupt_both corrupts both with independent draws. The
-    returned draw describes view_b (the one the learnable-missing gradient
-    needs)."""
+    returned draw describes the rows it corrupted, as the learnable-missing
+    gradient needs: view_b's B rows under corrupt_one, and view_a's then
+    view_b's, 2B rows stacked, under corrupt_both."""
     M, B = dataset.M, batch.shape[0]
     if config.view_policy == "corrupt_one":
         view_a = as_float(batch).copy()
     else:
         hit_a = select_indices(M, config, B, rng)
-        view_a, _ = corrupt_batch(batch, dataset, config, pool, hit_a, rng, learnable_values)
+        view_a, draw_a = corrupt_batch(batch, dataset, config, pool, hit_a, rng, learnable_values)
     hit_b = select_indices(M, config, B, rng)
-    view_b, draw_b = corrupt_batch(batch, dataset, config, pool, hit_b, rng, learnable_values)
-    return view_a, view_b, draw_b
+    view_b, draw = corrupt_batch(batch, dataset, config, pool, hit_b, rng, learnable_values)
+    if config.view_policy == "corrupt_both":
+        draw = CorruptionDraw(np.vstack([draw_a.features, draw.features]),
+                              np.vstack([draw_a.encoded_mask, draw.encoded_mask]))
+    return view_a, view_b, draw

@@ -9,9 +9,9 @@ pseudo-labeling recipes of `baselines.PSEUDO_LABELERS` call `finetune`.
 Within a trial every method sees the same splits; per-trial seeds derive
 deterministically from (base_seed, dataset_id, trial).
 
-`run_benchmark` is the one loop over trials, for the library and the CLI. Both
-take the trial hyperparameters as a dict of overrides of
-`training.Hyperparameters`, their one declaration with their defaults.
+`run_benchmark` is the one loop over trials, for the library and the CLI. It
+and `run_method` take the trial hyperparameters as the one frozen
+`training.Hyperparameters` that the trainers read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,33 +101,20 @@ def apply_setting(
     raise ValueError(f"unknown setting {setting!r}")
 
 
-def _resolve(hp: dict | None) -> Hyperparameters:
-    """`Hyperparameters` with the entries of `hp` in place of the defaults. An
-    unknown key raises ValueError; `Hyperparameters` itself rejects a value
-    not of its default's type or out of its range."""
-    hp = hp or {}
-    unknown = sorted(set(hp) - {f.name for f in fields(Hyperparameters)})
-    if unknown:
-        raise ValueError(f"unknown hyperparameter(s): {unknown}")
-    return Hyperparameters(**hp)
-
-
 def run_method(
     method: str,
     dataset: ProcessedDataset,
     splits: Splits,
     setting: str,
     seed: int,
-    hp: dict | None = None,
+    hp: Hyperparameters = Hyperparameters(),
 ) -> dict:
-    """Execute one method on one prepared (dataset, splits) pair.
+    """Execute one method on one prepared (dataset, splits) pair under `hp`.
 
     The setting's training labels replace `dataset.y` for the whole trial,
-    and test accuracy is scored once, on the model the recipe returns. `hp`
-    overrides fields of `Hyperparameters`; an unknown key, a value of the
-    wrong type or a method that `check_method` rejects raises ValueError.
-    Returns test accuracy plus epoch counters for the results record."""
-    hp = _resolve(hp)
+    and test accuracy is scored once, on the model the recipe returns. A
+    method that `check_method` rejects under `hp` raises ValueError. Returns
+    test accuracy plus epoch counters for the results record."""
     pre, recipe = check_method(method, hp)
     rng = np.random.default_rng(seed)
     y_eff, labeled, unlabeled = apply_setting(dataset, splits, setting, rng, hp)
@@ -182,7 +169,7 @@ def run_benchmark(
     trials: int,
     base_seed: int,
     out_dir=None,
-    hp: dict | None = None,
+    hp: Hyperparameters = Hyperparameters(),
     scaling: str = "zscore",
     jobs: int = 1,
 ) -> Iterator[stats.MethodRun | TrialFailure]:
@@ -199,14 +186,15 @@ def run_benchmark(
     `out_dir` before yielding it, so the files are the same bytes for any
     `jobs` (threads running trials at once). A failure writes no record: it
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
+    Every trial reads the one `hp`; a bad hyperparameter raises where the
+    caller builds it, before this call.
     The checks, the read of the completed keys, the loading of the datasets
     with trials left and the creation of a missing `out_dir` run in this call,
-    before it returns the iterator: unknown method, setting, scaling or
-    hyperparameter names, a method or setting named twice, a method that
-    `check_method` rejects, `trials` or `jobs` below 1, and a dataset that
-    fails to load raise here, before anything is written.
+    before it returns the iterator: unknown method, setting or scaling names,
+    a method or setting named twice, a method that `check_method` rejects
+    under `hp`, `trials` or `jobs` below 1, and a dataset that fails to load
+    raise here, before anything is written.
     """
-    resolved = _resolve(hp)
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
@@ -215,7 +203,7 @@ def run_benchmark(
         if repeated:
             raise ValueError(f"{kind}(s) named more than once: {repeated}")
     for method in methods:
-        check_method(method, resolved)
+        check_method(method, hp)
     for setting in settings:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")

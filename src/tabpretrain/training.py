@@ -93,8 +93,8 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Hyperparameters(CorruptionConfig):
     """Every trial hyperparameter and its default, declared once: the trainers
-    read it, `methods.run_method` builds it from a dict of overrides, and each
-    field is a CLI config key and `run` flag. The corruption fields, inherited
+    read it, `methods.run_method` and `run_benchmark` take it, and each field
+    is a CLI config key and `run` flag. The corruption fields, inherited
     first, serve pre-training, scarf_aug and cotrain alike. Its fields'
     legal values extend the `CHOICES` and `RANGES` tables of CorruptionConfig,
     whose check raises ConfigurationError when one is built. A maximum of 0
@@ -154,19 +154,17 @@ class TrainOutcome:
     best_metric: float
 
 
+@dataclass(eq=False)  # a generated __eq__ would compare arrays
 class ModelBundle:
-    """Encoder f, contrastive head g (l2-normalized output), classification
-    head h, plus the decoder, discriminator-projection head and learnable
-    missing-value vector of the methods that step them."""
+    """Encoder f, its heads by name and the learnable missing-value vector:
+    `heads` holds the contrastive head g (l2-normalized output) and the
+    classifier h always, and the decoder and discriminator projection
+    `disc_proj` of the methods that step them; `learnable_missing` is set only
+    for scarf pre-training under missing_learnable, which alone steps it."""
 
-    def __init__(self, f: Mlp, g: Mlp, h: Mlp, decoder: Mlp | None = None,
-                 disc_proj: Mlp | None = None, learnable_missing: np.ndarray | None = None):
-        self.f = f
-        self.g = g
-        self.h = h
-        self.decoder = decoder
-        self.disc_proj = disc_proj
-        self.learnable_missing = learnable_missing
+    f: Mlp
+    heads: dict[str, Mlp]
+    learnable_missing: np.ndarray | None = None
 
     @classmethod
     def create(
@@ -181,26 +179,25 @@ class ModelBundle:
         """The nets of method (`pre`, `recipe`) at the widths and depths of
         `hp`, drawn in this order: f, g, h, and the decoder, disc_proj and
         learnable missing-value vector if its objectives step them."""
-        heads = {name for objective in (pre, COTRAIN_OBJECTIVES.get(recipe))
-                 for name in OBJECTIVE_HEADS.get(objective, ())}
-        hidden, head_layers = hp.hidden_dim, hp.head_layers
+        drawn = {"g", "h"} | {name for objective in (pre, COTRAIN_OBJECTIVES.get(recipe))
+                              for name in OBJECTIVE_HEADS.get(objective, ())}
+        hidden, stack = hp.hidden_dim, [hp.hidden_dim] * hp.head_layers
+        widths = {"g": stack + [hidden], "h": stack + [num_classes], "decoder": stack + [input_dim],
+                  "disc_proj": [hidden, 1]}
         f = Mlp.create([input_dim] + [hidden] * hp.encoder_layers, rng, final_activation="relu")
-        g = Mlp.create([hidden] * head_layers + [hidden], rng)
-        h = Mlp.create([hidden] * head_layers + [num_classes], rng)
-        decoder = Mlp.create([hidden] * head_layers + [input_dim], rng) if "decoder" in heads else None
-        disc_proj = Mlp.create([hidden, 1], rng) if "disc_proj" in heads else None
+        heads = {name: Mlp.create(w, rng) for name, w in widths.items() if name in drawn}
         lmv = np.zeros(input_dim, dtype=f.dtype) if _learns_missing(pre, hp) else None
-        return cls(f, g, h, decoder, disc_proj, lmv)
+        return cls(f, heads, lmv)
 
     def net(self, pre: str | None) -> Mlp:
         """f then the heads of objective `pre` (h for None, the classifier), as
         one net over the bundle's own layers, with the operations of the chained
         nets. A bundle without one of the heads raises ConfigurationError."""
-        for name in OBJECTIVE_HEADS[pre]:
-            if getattr(self, name) is None:
+        names = OBJECTIVE_HEADS[pre]
+        for name in names:
+            if name not in self.heads:
                 raise ConfigurationError(f"the {pre} objective needs the bundle's {name}")
-        return Mlp(self.f.layers + [layer for name in OBJECTIVE_HEADS[pre]
-                                    for layer in getattr(self, name).layers])
+        return Mlp(self.f.layers + [layer for name in names for layer in self.heads[name].layers])
 
     def embed(self, X: np.ndarray) -> np.ndarray:
         """z = normalize(g(f(X))) by `net("scarf")`, in slices of INFERENCE_ROWS rows."""
@@ -343,15 +340,15 @@ def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
     as one stacked 2B-row forward and backward pass. `loss_fn(z, zt)` returns
     the loss and its gradients w.r.t. the two normalized embeddings. Returns
     the loss, the net's gradients (summed over both views) and the gradient
-    w.r.t. the view_b input rows, or None without f's first input-gradient
-    GEMM when `input_grad` is False. The row norms of the forward pass serve
-    the backward pass."""
+    w.r.t. the 2B stacked input rows (view_a's, then view_b's), or None
+    without f's first input-gradient GEMM when `input_grad` is False. The row
+    norms of the forward pass serve the backward pass."""
     n = view_a.shape[0]
     z, norms = l2_normalize_rows_with_norms(net.forward(np.vstack([view_a, view_b])))
     loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
     grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)
     grads, grad_in = net.backward(l2_normalize_backward(z, norms, grad), input_grad)
-    return loss, grads, grad_in[n:] if input_grad else None
+    return loss, grads, grad_in
 
 
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
@@ -432,10 +429,11 @@ def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparamet
             if len(batch) < 2:
                 return None
             view_a, view_b, draw = make_views(batch, dataset, hp, pool, rng, learnable)
-            loss, grads, grad_in_b = contrastive_step(net, view_a, view_b, loss_fn,
-                                                      input_grad=learnable is not None)
-            if learnable is not None:
-                grads.append(np.where(draw.encoded_mask, grad_in_b, 0.0).sum(axis=0))
+            loss, grads, grad_in = contrastive_step(net, view_a, view_b, loss_fn,
+                                                    input_grad=learnable is not None)
+            if learnable is not None:  # the draw covers the last rows, those it corrupted
+                masked = draw.encoded_mask
+                grads.append(np.where(masked, grad_in[-len(masked):], 0.0).sum(axis=0))
             return loss, grads
         if pre == "scarf_disc":
             view_b = view(batch)

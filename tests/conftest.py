@@ -40,12 +40,12 @@ def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):
 
 
 def bundle_weights(bundle):
-    """Copies of every net's parameters (f, g, h, decoder, disc_proj) and of
-    the learnable missing-value vector of a ModelBundle, in that order."""
+    """Copies of every net's parameters (f, then the heads in the order of
+    `bundle.heads`) and of the learnable missing-value vector of a
+    ModelBundle, in that order."""
     out = []
-    for net in (bundle.f, bundle.g, bundle.h, bundle.decoder, bundle.disc_proj):
-        if net is not None:
-            out.extend(p.copy() for p in net.parameters())
+    for net in (bundle.f, *bundle.heads.values()):
+        out.extend(p.copy() for p in net.parameters())
     if bundle.learnable_missing is not None:
         out.append(bundle.learnable_missing.copy())
     return out
@@ -57,9 +57,8 @@ def to_float64(model):
     float32, the training precision; the finite-difference oracles need
     float64."""
     if isinstance(model, ModelBundle):
-        for net in (model.f, model.g, model.h, model.decoder, model.disc_proj):
-            if net is not None:
-                to_float64(net)
+        for net in (model.f, *model.heads.values()):
+            to_float64(net)
         if model.learnable_missing is not None:
             model.learnable_missing = model.learnable_missing.astype(np.float64)
         return model

@@ -10,7 +10,7 @@ compare only between runs with the same `env` line; the script runs numpy on
 one BLAS thread.
 
 The grid is the 65 method names x 3 settings x 2 datasets of 90 rows (a
-numeric one, and one with a 3-level one-hot block and 3 classes) x 9
+numeric one, and one with a 3-level one-hot block and 3 classes) x 11
 hyperparameter variants, at hidden width 8 and 3 epochs a phase, plus one
 `scarf` entry on a mixed CSV with gaps, ingested by `encode_csv`. An entry
 hashes the test accuracy, the epoch counts, both phases' curves, stop
@@ -59,6 +59,9 @@ VARIANTS = {
     "unique_bernoulli": {"unique_pool": True, "index_selection": "bernoulli"},
     "single_row_shared_batch": {"donor": "single_row", "index_sharing": "shared_batch"},
     "batch33": {"batch_size": 33},
+    "missing_learnable": {"corruption_strategy": "missing_learnable"},
+    "missing_learnable_corrupt_both": {"corruption_strategy": "missing_learnable",
+                                       "view_policy": "corrupt_both"},
 }
 GAPS_ENTRY = ("gaps", "defaults", "semi25", "scarf")
 
@@ -132,7 +135,7 @@ def entry_digest(entry: tuple[str, str, str, str]) -> str:
     seed = derive_seed(0, dataset_id, 0, salt=f"{method}|{setting}")
     try:
         res = run_method(method, scale(dataset, splits.train), splits, setting, seed,
-                         {**BASE_HP, **VARIANTS[variant]})
+                         training.Hyperparameters(**BASE_HP, **VARIANTS[variant]))
         payload = (float(res["test_accuracy"]), res["epochs_used"], res["pretrain_epochs"],
                    _outcome_fields(res["pretrain_outcome"]),
                    _outcome_fields(res["finetune_outcome"]))

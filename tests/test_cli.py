@@ -664,6 +664,28 @@ class TestReport:
         assert code == 0
         assert "scarf,,2/2,1.0000" in (out / "win_matrix.csv").read_text()
 
+    def test_records_of_several_settings_need_one_chosen(self, tmp_path, capsys):
+        """scarf beats control in full and loses in semi25; pooling both
+        settings into one Welch sample per method used to report a tie."""
+        path = tmp_path / "results.jsonl"
+        for t in range(5):
+            for setting, scarf, control in (("full", 0.9, 0.5), ("semi25", 0.5, 0.9)):
+                stats.append_run(path, stats.MethodRun("d1", "scarf", t, 0, setting,
+                                                       scarf + t / 1000))
+                stats.append_run(path, stats.MethodRun("d1", "control", t, 0, setting,
+                                                       control + t / 1000))
+        out = tmp_path / "report"
+        code = main(["report", "--results", str(path), "--methods", "scarf,control",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "report failed: results hold settings ['full', 'semi25']; choose one with --setting\n"
+        assert not out.exists()
+        for setting, cell in (("full", "1/1"), ("semi25", "0/1")):
+            assert main(["report", "--results", str(path), "--methods", "scarf,control",
+                         "--setting", setting, "--out", str(out)]) == 0
+            assert f"scarf,,{cell}," in (out / "win_matrix.csv").read_text()
+
     def test_empty_results_fails(self, tmp_path, capsys):
         code = main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--methods", "control"])

@@ -262,17 +262,19 @@ class TestMakeViews:
 @pytest.mark.parametrize("view_policy", ["corrupt_one", "corrupt_both"])
 def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy, rng):
     """The drawn feature mask, its expansion to encoded columns and the
-    derived index sets describe the same features."""
+    derived index sets describe the same features, for every corrupted row:
+    view_b's 8 under corrupt_one, both views' 16 under corrupt_both."""
     X = np.column_stack([rng.normal(size=(40, 3)), np.eye(3)[rng.integers(0, 3, size=40)]])
     ds = encoded_dataset(X, rng.integers(0, 2, size=40), blocks=[(0, 1), (1, 2), (2, 3), (3, 6)])
     pool = build_marginal_pool(ds, np.arange(30))
     cfg = CorruptionConfig(corruption_strategy=strategy, index_selection=index_selection,
                            index_sharing=index_sharing, view_policy=view_policy)
     lmv = rng.normal(size=ds.X.shape[1])
+    rows = 8 if view_policy == "corrupt_one" else 16
     for _ in range(5):
         _, _, draw = make_views(ds.X[30:38], ds, cfg, pool, rng, lmv)
-        assert draw.features.dtype == bool and draw.features.shape == (8, ds.M)
-        assert len(draw.index_sets) == 8
+        assert draw.features.dtype == bool and draw.features.shape == (rows, ds.M)
+        assert len(draw.index_sets) == rows
         for row, ix in zip(draw.features, draw.index_sets):
             np.testing.assert_array_equal(ix, np.flatnonzero(row))
         if strategy == "none":

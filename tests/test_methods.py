@@ -1,7 +1,7 @@
 import json
 import re
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,16 +29,16 @@ MISTYPED = [("batch_size", "32"), ("corruption_rate", "0.6"), ("batch_size", 32.
             ("patience", True), ("learning_rate", False), ("unique_pool", 1),
             ("pretrain_loss", None)]
 
-FAST_HP = {
-    "hidden_dim": 8,
-    "encoder_layers": 2,
-    "head_layers": 1,
-    "batch_size": 32,
-    "pretrain_max_epochs": 2,
-    "finetune_max_epochs": 2,
-    "val_build_epochs": 2,
-    "self_train_iterations": 2,
-}
+FAST_HP = Hyperparameters(
+    hidden_dim=8,
+    encoder_layers=2,
+    head_layers=1,
+    batch_size=32,
+    pretrain_max_epochs=2,
+    finetune_max_epochs=2,
+    val_build_epochs=2,
+    self_train_iterations=2,
+)
 
 # every name that parse_method accepts
 METHOD_NAMES = [*FINETUNERS, *PRETRAINERS,
@@ -74,7 +74,7 @@ class TestCheckMethod:
         rejected; past the check, its trial fails on the missing vector.
         Every other method runs a trial."""
         ds = make_blob_dataset(n=60, d=4, seed=6)
-        hp = {**FAST_HP, "corruption_strategy": "missing_learnable"}
+        hp = replace(FAST_HP, corruption_strategy="missing_learnable")
         pre, recipe = parse_method(method)
         if pre in ("scarf_ae", "scarf_disc") or recipe in ("scarf_aug", "cotrain"):
             with pytest.raises(ValueError, match="corrupts under missing_learnable but never"):
@@ -91,7 +91,7 @@ class TestCheckMethod:
         calls = []
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
         ds = make_blob_dataset(n=60, d=4, seed=6)
-        hp = {**FAST_HP, "batch_size": 1}
+        hp = replace(FAST_HP, batch_size=1)
         for method in METHOD_NAMES:
             if parse_method(method)[0] is None:
                 assert check_method(method, Hyperparameters(batch_size=1)) == parse_method(method)
@@ -108,8 +108,8 @@ class TestCheckMethod:
             hp = Hyperparameters(hidden_dim=4, encoder_layers=1, head_layers=1,
                                  corruption_strategy=strategy)
             bundle = ModelBundle.create(3, 2, np.random.default_rng(0), hp, pre, recipe)
-            assert (bundle.decoder is not None) == (pre in AUTOENCODERS or recipe == "ae_cotrain")
-            assert (bundle.disc_proj is not None) == (pre == "scarf_disc")
+            assert ("decoder" in bundle.heads) == (pre in AUTOENCODERS or recipe == "ae_cotrain")
+            assert ("disc_proj" in bundle.heads) == (pre == "scarf_disc")
             assert (bundle.learnable_missing is not None) == \
                 (pre == "scarf" and strategy == "missing_learnable")
 
@@ -202,37 +202,39 @@ class TestRunMethod:
 
     def test_unknown_hyperparameter_rejected(self):
         ds = make_blob_dataset(n=120, d=4, seed=3)
-        with pytest.raises(ValueError, match="pretrain_max_epoch"):
+        with pytest.raises(TypeError, match="pretrain_max_epoch"):
             run_method("control", ds, make_splits(120, 2), "full", 9,
-                       {**FAST_HP, "pretrain_max_epoch": 5})
+                       replace(FAST_HP, pretrain_max_epoch=5))
 
     @pytest.mark.parametrize("key, value", MISTYPED)
     def test_mistyped_hyperparameter_rejected(self, key, value):
         ds = make_blob_dataset(n=120, d=4, seed=3)
         with pytest.raises(ValueError, match=f"hyperparameter '{key}' must be of type"):
-            run_method("control", ds, make_splits(120, 2), "full", 9, {**FAST_HP, key: value})
+            run_method("control", ds, make_splits(120, 2), "full", 9,
+                       replace(FAST_HP, **{key: value}))
 
     def test_numbers_of_the_default_kind_accepted(self):
-        hp = methods._resolve({"corruption_rate": 1, "batch_size": np.int64(32),
-                               "learning_rate": np.float64(0.01)})
+        hp = Hyperparameters(corruption_rate=1, batch_size=np.int64(32),
+                             learning_rate=np.float64(0.01))
         assert (hp.corruption_rate, hp.batch_size, hp.learning_rate) == (1, 32, 0.01)
 
     @pytest.mark.parametrize("method", ["control", "mixup", "cotrain", "self_train"])
     def test_fine_tune_only_method_takes_batch_size_one(self, method):
         ds = make_blob_dataset(n=60, d=4, seed=6)
-        res = run_method(method, ds, make_splits(60, 1), "semi25", 3, {**FAST_HP, "batch_size": 1})
+        res = run_method(method, ds, make_splits(60, 1), "semi25", 3,
+                         replace(FAST_HP, batch_size=1))
         assert 0.0 <= res["test_accuracy"] <= 1.0 and res["pretrain_epochs"] == 0
 
     @pytest.mark.parametrize("method", ["control", "scarf"])
     def test_patience_zero_rejected(self, method):
         ds = make_blob_dataset(n=60, d=4, seed=6)
         with pytest.raises(ValueError, match="patience must be at least 1"):
-            run_method(method, ds, make_splits(60, 1), "full", 3, {**FAST_HP, "patience": 0})
+            run_method(method, ds, make_splits(60, 1), "full", 3, replace(FAST_HP, patience=0))
 
     def test_pre_trainer_rejects_batch_size_one(self):
         ds = make_blob_dataset(n=60, d=4, seed=6)
         with pytest.raises(ValueError, match="at least 2 examples"):
-            run_method("scarf", ds, make_splits(60, 1), "full", 3, {**FAST_HP, "batch_size": 1})
+            run_method("scarf", ds, make_splits(60, 1), "full", 3, replace(FAST_HP, batch_size=1))
 
     @pytest.mark.parametrize("recipe, key", [("smooth", "label_smoothing"), ("dropout", "dropout"),
                                              ("mixup", "mixup_alpha")])
@@ -241,9 +243,9 @@ class TestRunMethod:
         curves equal control's. At its default the regularizer does act."""
         ds = make_blob_dataset(n=120, d=4, seed=3)
         splits = make_splits(120, 2)
-        hp = {**FAST_HP, "finetune_max_epochs": 6}
+        hp = replace(FAST_HP, finetune_max_epochs=6)
         control = run_method("control", ds, splits, "semi25", 9, hp)
-        off = run_method(recipe, ds, splits, "semi25", 9, {**hp, key: 0.0})
+        off = run_method(recipe, ds, splits, "semi25", 9, replace(hp, **{key: 0.0}))
         on = run_method(recipe, ds, splits, "semi25", 9, hp)
         assert off["test_accuracy"] == control["test_accuracy"]
         assert off["finetune_outcome"] == control["finetune_outcome"]
@@ -296,7 +298,7 @@ class TestRunMethod:
         monkeypatch.setattr(methods, "pretrain_scarf", spy(methods.pretrain_scarf, pretrain_calls))
         monkeypatch.setattr(methods, "finetune", spy(methods.finetune, finetune_calls))
         ds = make_blob_dataset(n=120, d=4, seed=3)
-        hp = {**FAST_HP, "batch_size": 24, "corruption_rate": 0.3, "donor": "single_row"}
+        hp = replace(FAST_HP, batch_size=24, corruption_rate=0.3, donor="single_row")
         run_method(method, ds, make_splits(120, 2), "full", 9, hp)
         expected = CorruptionConfig(corruption_rate=0.3, donor="single_row")
 
@@ -331,14 +333,14 @@ class TestRunMethod:
         monkeypatch.setitem(baselines.PSEUDO_LABELERS, recipe, spy)
         ds = make_blob_dataset(n=120, d=4, seed=3)
         splits = make_splits(120, 2)
-        hp = {**FAST_HP, "hidden_dim": 6, "encoder_layers": 3, "head_layers": 1,
-              "labeled_fraction": 0.5, "self_train_threshold": 0.6, "self_train_iterations": 3}
+        hp = replace(FAST_HP, hidden_dim=6, encoder_layers=3, head_layers=1,
+                     labeled_fraction=0.5, self_train_threshold=0.6, self_train_iterations=3)
         run_method(recipe, ds, splits, "semi25", 9, hp)
         _, labeled, _, _, _, resolved = seen["args"]
         assert abs(len(labeled) - 0.5 * len(splits.train)) <= 0.5
         assert (resolved.self_train_threshold, resolved.self_train_iterations) == (0.6, 3)
         model = seen["model"]
-        assert [(layer.in_dim, layer.out_dim) for layer in model.f.layers + model.h.layers] == \
+        assert [(layer.in_dim, layer.out_dim) for layer in model.net(None).layers] == \
             [(4, 6), (6, 6), (6, 6), (6, 2)]
         y, _, _ = apply_setting(ds, splits, "noise30", np.random.default_rng(0),
                                 Hyperparameters(noise_rate=0.5))
@@ -419,9 +421,9 @@ class TestRunBenchmark:
     def test_unknown_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="unknown hyperparameter.*pretrain_max_epoch"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'pretrain_max_epoch'"):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
-                               2, 0, out_dir=tmp_path, hp={"pretrain_max_epoch": 5}))
+                               2, 0, out_dir=tmp_path, hp=Hyperparameters(pretrain_max_epoch=5)))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
@@ -436,7 +438,8 @@ class TestRunBenchmark:
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=error):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["scarf+cotrain"],
-                               ["full"], 2, 0, out_dir=tmp_path, hp={key: value}))
+                               ["full"], 2, 0, out_dir=tmp_path,
+                               hp=Hyperparameters(**{key: value})))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
@@ -477,7 +480,8 @@ class TestRunBenchmark:
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=re.escape(f"{key} must be {rule}, got {value!r}")):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["scarf+self_train"],
-                               ["semi25"], 2, 0, out_dir=tmp_path, hp={key: value}))
+                               ["semi25"], 2, 0, out_dir=tmp_path,
+                               hp=Hyperparameters(**{key: value})))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
@@ -499,7 +503,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="hyperparameter 'batch_size' must be of type int"):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], ["full"],
-                               2, 0, out_dir=tmp_path, hp={"batch_size": "32"}))
+                               2, 0, out_dir=tmp_path, hp=Hyperparameters(batch_size="32")))
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
@@ -541,7 +545,7 @@ class TestRunBenchmark:
                                    out_dir=tmp_path / "clean", hp=FAST_HP))
         flaky_seed = derive_seed(0, "blob", 1, salt="control|full")
 
-        def flaky(method, dataset, splits, setting, seed, hp=None):
+        def flaky(method, dataset, splits, setting, seed, hp):
             if seed == flaky_seed:
                 raise RuntimeError("boom")
             return run_method(method, dataset, splits, setting, seed, hp)
@@ -569,12 +573,12 @@ class TestRunBenchmark:
         argmax of NaN logits used to score the share of class 0 as a result.
         scarf at 1e4 scores badly but stays finite, so it stays a result."""
         ds = make_numeric_dataset(n=600, d=20)
-        hp = {"hidden_dim": 32, "pretrain_max_epochs": 20, "finetune_max_epochs": 20}
+        hp = Hyperparameters(hidden_dim=32, pretrain_max_epochs=20, finetune_max_epochs=20)
         for method, lr in (("scarf_ae", 1e6), ("control", 1e6), ("self_train", 1e6),
                            ("scarf", 1e4)):
             with np.errstate(all="ignore"):
                 list(run_benchmark({"mix": ds}, [method], ["semi25"], 1, 0, out_dir=tmp_path,
-                                   hp={**hp, "learning_rate": lr}))
+                                   hp=replace(hp, learning_rate=lr)))
         failures = [json.loads(line)
                     for line in (tmp_path / "failures.jsonl").read_text().splitlines()]
         assert [(f["method_name"], f["error_type"]) for f in failures] == [
@@ -589,7 +593,7 @@ class TestRunBenchmark:
         ds = make_blob_dataset(n=120, d=4, seed=4)
         flaky_seed = derive_seed(0, "blob", 1, salt="control|full")
 
-        def flaky(method, dataset, splits, setting, seed, hp=None):
+        def flaky(method, dataset, splits, setting, seed, hp):
             if seed == flaky_seed:
                 raise RuntimeError("boom")
             return run_method(method, dataset, splits, setting, seed, hp)
@@ -638,7 +642,7 @@ class TestRunBenchmark:
         num, cat = [0, 4], [1, 2, 3]
         seen = []
 
-        def capture(method, dataset, splits, setting, seed, hp=None):
+        def capture(method, dataset, splits, setting, seed, hp):
             seen.append((dataset, splits))
             return run_method(method, dataset, splits, setting, seed, hp)
 

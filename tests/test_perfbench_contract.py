@@ -15,8 +15,8 @@ from tabpretrain.training import Hyperparameters
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
-HP = {"hidden_dim": 8, "encoder_layers": 2, "head_layers": 1, "batch_size": 16,
-      "pretrain_max_epochs": 2, "finetune_max_epochs": 2, "val_build_epochs": 2}
+HP = Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1, batch_size=16,
+                     pretrain_max_epochs=2, finetune_max_epochs=2, val_build_epochs=2)
 
 
 def load_spans():
@@ -96,7 +96,7 @@ def test_trace_counts_co_training_corruption():
     (scarf, scarf_res), (cotrain, res) = traced["scarf"], traced["scarf+cotrain"]
     _, labeled, _ = methods.apply_setting(ds, splits, "semi25", np.random.default_rng(2),
                                           Hyperparameters())
-    full, rest = divmod(len(labeled), HP["batch_size"])
+    full, rest = divmod(len(labeled), HP.batch_size)
     contrastive_batches = full + (rest >= 2)
     assert res["pretrain_epochs"] == scarf_res["pretrain_epochs"] >= 1 and res["epochs_used"] >= 1
     assert len(cotrain.calls["corruption.make_views"]) - len(scarf.calls["corruption.make_views"]) \

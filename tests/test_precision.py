@@ -154,8 +154,8 @@ def test_run_method_trains_on_float32(monkeypatch):
 
     monkeypatch.setattr(methods, "pretrain_scarf", spy(methods.pretrain_scarf))
     monkeypatch.setattr(methods, "finetune", spy(methods.finetune))
-    hp = {"hidden_dim": 8, "encoder_layers": 2, "head_layers": 1, "pretrain_max_epochs": 1,
-          "finetune_max_epochs": 1, "val_build_epochs": 1}
+    hp = Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1, pretrain_max_epochs=1,
+                         finetune_max_epochs=1, val_build_epochs=1)
     methods.run_method("scarf", ds, make_splits(120, 0), "full", 0, hp)
     assert seen == [F32, F32]
     assert ds.X.dtype == np.float64  # the caller's dataset is not modified

@@ -155,23 +155,25 @@ def per_batch_metric(pre, bundle, pairs, cfg):
     own, next to its corrupted copy. The discriminative error is weighted by
     the 2B rows it scores."""
     vals, weights = [], []
+    f, heads = bundle.f, bundle.heads
     for pos, corr in zip(pairs.positions, pairs.corrupted):
         orig = pairs.originals[pos]
         if pre == "scarf":
             if orig.shape[0] < 2:
                 continue
-            z = l2_normalize_rows(bundle.g.forward(bundle.f.forward(orig)))
-            zt = l2_normalize_rows(bundle.g.forward(bundle.f.forward(corr)))
+            z = l2_normalize_rows(heads["g"].forward(f.forward(orig)))
+            zt = l2_normalize_rows(heads["g"].forward(f.forward(corr)))
             if cfg.validation_metric == "infonce_error":
                 vals.append(losses.infonce_error(z, zt))
             else:
                 vals.append(_contrastive_loss(cfg, z, zt)[0])
             weights.append(orig.shape[0])
         elif pre in AUTOENCODERS:
-            vals.append(mse(bundle.decoder.forward(bundle.f.forward(corr)), orig)[0])
+            vals.append(mse(heads["decoder"].forward(f.forward(corr)), orig)[0])
             weights.append(orig.shape[0])
         else:
-            logit = bundle.disc_proj.forward(bundle.g.forward(bundle.f.forward(np.vstack([orig, corr]))))
+            logit = heads["disc_proj"].forward(
+                heads["g"].forward(f.forward(np.vstack([orig, corr]))))
             labels = np.concatenate([np.zeros(len(orig)), np.ones(len(corr))])
             vals.append(float(np.mean((logit.reshape(-1) > 0) != labels)))
             weights.append(len(labels))
@@ -232,7 +234,7 @@ class TestInference:
     def test_embed_equals_unchunked_forward(self, n, dtype):
         bundle, X = self.bundle_and_rows(n, dtype)
         np.testing.assert_array_equal(
-            bundle.embed(X), l2_normalize_rows(bundle.g.forward(bundle.f.forward(X))))
+            bundle.embed(X), l2_normalize_rows(bundle.heads["g"].forward(bundle.f.forward(X))))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 4000])
@@ -245,7 +247,7 @@ class TestInference:
         differ in the last bits (the 256-wide layers of `embed` do not)."""
         bundle, X = self.bundle_and_rows(n, dtype)
         logits = bundle.predict(X)
-        full = bundle.h.forward(bundle.f.forward(X))
+        full = bundle.heads["h"].forward(bundle.f.forward(X))
         assert logits.dtype == dtype
         if n <= INFERENCE_ROWS:
             np.testing.assert_array_equal(logits, full)
@@ -253,7 +255,8 @@ class TestInference:
         slices = np.array_split(X, -(-n // INFERENCE_ROWS))
         assert max(len(part) for part in slices) <= INFERENCE_ROWS
         np.testing.assert_array_equal(
-            logits, np.concatenate([bundle.h.forward(bundle.f.forward(part)) for part in slices]))
+            logits,
+            np.concatenate([bundle.heads["h"].forward(bundle.f.forward(part)) for part in slices]))
         np.testing.assert_allclose(logits, full, rtol=0,
                                    atol=64 * np.finfo(dtype).eps * np.abs(full).max())
         np.testing.assert_array_equal(logits.argmax(axis=1), full.argmax(axis=1))
@@ -367,6 +370,43 @@ def test_unknown_pre_trainer_rejected_before_any_work(pre, monkeypatch):
     monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
     with pytest.raises(ConfigurationError, match=f"unknown pre-trainer {pre!r}"):
         pretrain_scarf(ds, make_splits(100, 0), small_bundle(ds, rng), Hyperparameters(), rng, pre)
+
+
+class TestBundleDraws:
+    """The nets `ModelBundle.create` draws, in the order the outputs pin."""
+
+    @pytest.mark.parametrize("method, heads", [
+        ("scarf", ("g", "h")),
+        ("scarf_ae", ("g", "h", "decoder")),
+        ("scarf_disc", ("g", "h", "disc_proj")),
+        ("control", ("g", "h")),
+        ("scarf+ae_cotrain", ("g", "h", "decoder")),
+    ])
+    def test_f_then_each_head_from_a_twin_generator(self, method, heads):
+        """f and each head the method steps get the weights of the same
+        `Mlp.create` calls, made in that order on a twin generator."""
+        pre, recipe = methods.parse_method(method)
+        hp = Hyperparameters(hidden_dim=6, encoder_layers=2, head_layers=2)
+        bundle = ModelBundle.create(5, 3, np.random.default_rng(3), hp, pre, recipe)
+        twin = np.random.default_rng(3)
+        widths = {"g": [6, 6, 6], "h": [6, 6, 3], "decoder": [6, 6, 5], "disc_proj": [6, 1]}
+        want = [nn.Mlp.create([5, 6, 6], twin, final_activation="relu"),
+                *(nn.Mlp.create(widths[name], twin) for name in heads)]
+        assert list(bundle.heads) == list(heads)
+        for got, net in zip([bundle.f, *bundle.heads.values()], want, strict=True):
+            assert [layer.activation for layer in got.layers] == \
+                [layer.activation for layer in net.layers]
+            assert_arrays_equal(got.parameters(), net.parameters())
+
+    @pytest.mark.parametrize("pre, head", [("scarf_disc", "disc_proj"), ("no_noise_ae", "decoder"),
+                                           (None, "h")])
+    def test_net_without_the_objectives_head_rejected(self, pre, head, rng):
+        bundle = ModelBundle.create(5, 3, rng, SMALL)
+        if pre is None:
+            bundle = ModelBundle(bundle.f, {"g": bundle.heads["g"]})
+        with pytest.raises(ConfigurationError,
+                           match=f"the {pre} objective needs the bundle's {head}"):
+            bundle.net(pre)
 
 
 class TestFit:
@@ -548,6 +588,27 @@ class TestPretrainScarf:
 
         assert_grads_close([grads[-1]], central_difference(loss, [lmv]))
 
+    @pytest.mark.parametrize("view_policy", ["corrupt_one", "corrupt_both"])
+    def test_missing_learnable_gradient_through_make_views(self, view_policy):
+        """The learnable-vector gradient of the scarf step, with the views of
+        `make_views` itself, against central differences of the step's loss
+        over the same draws. Under corrupt_both the vector fills masked cells
+        of both views, and both shares of its gradient count."""
+        ds = make_numeric_dataset(n=100, d=4, seed=6)
+        rng = np.random.default_rng(4)
+        hp = replace(LEARNABLE, corruption_rate=0.5, view_policy=view_policy)
+        bundle = to_float64(small_bundle(ds, rng, hp, "scarf"))
+        lmv = bundle.learnable_missing
+        lmv[:] = rng.normal(size=lmv.shape)
+        net, batch, loss_fn = bundle.net("scarf"), ds.X[:16], partial(_contrastive_loss, hp)
+
+        def step():
+            """Loss and gradients of one step, its views drawn from one fixed seed."""
+            rng = np.random.default_rng(9)
+            return _objective("scarf", net, ds, hp, None, rng, loss_fn, lmv)[1](batch)
+
+        assert_grads_close([step()[1][-1]], central_difference(lambda: step()[0], [lmv]))
+
     @pytest.mark.parametrize("loss", ["barlow", "align_uniform"])
     def test_alternative_losses_run(self, loss):
         ds = make_numeric_dataset(n=100, d=4, seed=7)
@@ -564,16 +625,16 @@ class TestPretrainScarf:
 def normalize_then_backward(bundle, view_a, view_b, loss_fn):
     """contrastive_step as the plain composition: l2_normalize_rows, then
     l2_normalize_rows_backward from the raw rows, then the full f backward.
-    Returns the loss, the f and g gradients and the view_b input rows'
-    gradient."""
+    Returns the loss, the f and g gradients and the gradient of the 2B
+    stacked input rows."""
     n = len(view_a)
-    raw = bundle.g.forward(bundle.f.forward(np.vstack([view_a, view_b])))
+    raw = bundle.heads["g"].forward(bundle.f.forward(np.vstack([view_a, view_b])))
     z = l2_normalize_rows(raw)
     loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
     grad_raw = l2_normalize_rows_backward(raw, np.vstack([grad_z, grad_zt]))
-    g_grads, grad_mid = bundle.g.backward(grad_raw)
+    g_grads, grad_mid = bundle.heads["g"].backward(grad_raw)
     f_grads, grad_in = bundle.f.backward(grad_mid)
-    return loss, f_grads, g_grads, grad_in[n:]
+    return loss, f_grads, g_grads, grad_in
 
 
 def assert_arrays_equal(got, want):
@@ -612,7 +673,7 @@ class TestContrastiveStep:
     def test_objective_step_matches_the_composition(self, dtype, learns, rng, monkeypatch):
         """pretrain_scarf's step, with fixed views: the f and g gradients and,
         when the learnable missing-value vector is stepped, its gradient from
-        the view_b input rows."""
+        the view_b input rows, which the fixed draw covers."""
         ds = make_numeric_dataset(n=40, d=5)
         ds = replace(ds, X=ds.X.astype(dtype))
         bundle = small_bundle(ds, rng, LEARNABLE, "scarf")
@@ -631,18 +692,18 @@ class TestContrastiveStep:
                              lmv if learns else None)
         batch = ds.X[:16]
         loss, grads = step(batch)
-        want_loss, f_grads, g_grads, grad_in_b = normalize_then_backward(
+        want_loss, f_grads, g_grads, grad_in = normalize_then_backward(
             bundle, batch, np.where(mask, lmv, batch), loss_fn)
         want = f_grads + g_grads
         if learns:
-            want.append(np.where(mask, grad_in_b, 0.0).sum(axis=0))
+            want.append(np.where(mask, grad_in[len(batch):], 0.0).sum(axis=0))
         assert loss == want_loss
         assert_arrays_equal(grads, want)
 
 
 def chained_nets(bundle, pre):
     """The nets that objective `pre` chains: f, then each of its heads."""
-    return [bundle.f] + [getattr(bundle, name) for name in training.OBJECTIVE_HEADS[pre]]
+    return [bundle.f] + [bundle.heads[name] for name in training.OBJECTIVE_HEADS[pre]]
 
 
 def chain_forward(nets, x):
@@ -737,11 +798,11 @@ class TestPretrainAutoencoder:
         rng = np.random.default_rng(0)
         bundle = ModelBundle.create(4, 2, rng, replace(SMALL, hidden_dim=4, head_layers=2),
                                     "no_noise_ae")
-        for net in (bundle.f, bundle.decoder):
+        for net in (bundle.f, bundle.heads["decoder"]):
             for layer in net.layers:
                 layer.weights[...] = np.eye(4)
                 layer.bias[...] = 0.0
-        recon = bundle.decoder.forward(bundle.f.forward(ds.X))
+        recon = bundle.heads["decoder"].forward(bundle.f.forward(ds.X))
         assert mse(recon, ds.X)[0] == pytest.approx(0.0, abs=1e-24)
 
     def test_scarf_corruption_variant_targets_uncorrupted_input(self):
@@ -869,7 +930,7 @@ class TestFinetune:
         monkeypatch.setattr(nn, "dropout_mask",
                             lambda a, rate, rng: shapes.append(a.shape) or mask(a, rate, rng))
         finetune(ds, splits, splits.train, bundle, hp, rng, recipe="dropout")
-        assert len(shapes) == len(bundle.f.layers) + len(bundle.h.layers) - 1 == 4
+        assert len(shapes) == len(bundle.f.layers) + len(bundle.heads["h"].layers) - 1 == 4
         assert shapes == [(len(splits.train), 8)] * 4
 
     @pytest.mark.parametrize("recipe", ["control", "mixup", "cotrain"])
@@ -937,7 +998,8 @@ class TestCotrain:
         splits = make_splits(100, 6)
         monkeypatch.setattr(training, "build_marginal_pool", lambda *a: pytest.fail("pool built"))
         with pytest.raises(ValueError, match="cotrain_weight must be nonnegative"):
-            methods.run_method("scarf+cotrain", ds, splits, "full", 7, {"cotrain_weight": -0.1})
+            methods.run_method("scarf+cotrain", ds, splits, "full", 7,
+                               Hyperparameters(cotrain_weight=-0.1))
 
     def test_ae_cotrain_requires_decoder(self):
         ds = make_blob_dataset(n=100, d=4, seed=6)
