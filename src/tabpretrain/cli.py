@@ -6,13 +6,14 @@ Commands:
   report    win-matrix / box-plot CSV exports and an optional SVG heat map of
             one `--setting`; it prints how many non-finite accuracies it left out
 
-Configuration is a flat JSON object of `dataset`, `schema` and the keys of
-CONFIG_DEFAULTS, which holds their defaults: the run keys of RUN_DEFAULTS
-(method, setting, trials, seed, out, jobs, scaling) and every field of
+Configuration is a flat JSON object of the keys of CONFIG_DEFAULTS, which
+holds their defaults: the run keys of RUN_DEFAULTS (dataset, schema, method,
+setting, trials, seed, out, jobs, scaling) and every field of
 `training.Hyperparameters`, the one declaration of the trial hyperparameters.
 Every key is also a `run` flag (`tabpretrain run --help` lists them), and
 flags override file values. A value must be of its default's type, by the
-rule of `corruption.check_type`; `dataset` and `schema` are strings.
+rule of `corruption.check_type`, and an empty string counts as not given, so
+`dataset` and `schema`, whose default is "", must be set.
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
@@ -41,6 +42,8 @@ from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot
 from tabpretrain.training import Hyperparameters
 
 RUN_DEFAULTS = {
+    "dataset": "",
+    "schema": "",
     "method": "control",
     "setting": "full",
     "trials": 30,
@@ -55,8 +58,8 @@ CONFIG_DEFAULTS = {**RUN_DEFAULTS, **asdict(Hyperparameters())}
 def _load_config(args) -> dict:
     """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
     A config file that is not a JSON object or has an unknown key, a run key
-    whose value is not of its default's type, and a missing or non-string
-    `dataset` or `schema`, raise ValueError; building `Hyperparameters`
+    whose value is not of its default's type or is empty (as `dataset` and
+    `schema` are by default), raise ValueError; building `Hyperparameters`
     checks the hyperparameters."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
@@ -64,7 +67,7 @@ def _load_config(args) -> dict:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must be a JSON object of key -> value")
-        unknown = set(file_cfg) - set(CONFIG_DEFAULTS) - {"dataset", "schema"}
+        unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
         cfg.update(file_cfg)
@@ -74,13 +77,8 @@ def _load_config(args) -> dict:
             cfg[key] = val
     for key, default in RUN_DEFAULTS.items():
         check_type("config key", key, cfg[key], default)
-    for key in ("dataset", "schema"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-        if key not in cfg:
+        if cfg[key] == "":
             raise ValueError(f"no {key} given: set --{key} or the config key {key!r}")
-        check_type("config key", key, cfg[key], "")
     return cfg
 
 
@@ -143,24 +141,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
-        if not 0 < p <= 1:  # false for NaN, which would count every pair as significant
-            print(f"report failed: {flag} must be in (0, 1], got {p!r}", file=sys.stderr)
-            return 1
+    """Score the records of `--setting`, or all records if they hold one
+    setting. Every method of `--methods` and `--reference` must have records
+    there, and none may be named twice in `--methods`."""
+    method_list = args.methods.split(",")
+    wanted = method_list + [args.reference] if args.reference else method_list
     try:
-        runs = stats.load_runs(args.results)
-    except (ValueError, OSError) as exc:  # an unreadable file, or a line that is no record
+        for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
+            if not 0 < p <= 1:  # false for NaN, which would count every pair as significant
+                raise ValueError(f"{flag} must be in (0, 1], got {p!r}")
+        repeated = sorted(m for m, count in Counter(method_list).items() if count > 1)
+        if repeated:
+            raise ValueError(f"method(s) named more than once: {repeated}")
+        runs = stats.load_runs(args.results)  # an unreadable file, or a line that is no record
+    except (ValueError, OSError) as exc:
         print(f"report failed: {exc}", file=sys.stderr)
         return 1
     if not runs:
         print(f"no results in {args.results}", file=sys.stderr)
-        return 1
-    method_list = args.methods.split(",")
-    present = {r.method_name for r in runs}
-    wanted = method_list + [args.reference] if args.reference else method_list
-    unknown = [m for m in dict.fromkeys(wanted) if m not in present]
-    if unknown:
-        print(f"no results for method(s): {', '.join(unknown)}", file=sys.stderr)
         return 1
     setting = args.setting
     held = sorted({r.setting for r in runs if r.method_name in wanted})
@@ -168,33 +166,36 @@ def cmd_report(args) -> int:
         print(f"report failed: results hold settings {held}; choose one with --setting",
               file=sys.stderr)
         return 1
-    if setting is not None and not any(r.setting == setting for r in runs if r.method_name in method_list):
-        print(f"no results for setting {setting!r}", file=sys.stderr)
+    runs = [r for r in runs if setting in (None, r.setting)]
+    present = {r.method_name for r in runs}
+    unknown = [m for m in dict.fromkeys(wanted) if m not in present]
+    if unknown:
+        where = f" in setting {setting!r}" if setting is not None else ""
+        print(f"no results for method(s): {', '.join(unknown)}{where}", file=sys.stderr)
         return 1
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    wm = stats.win_matrix(runs, method_list, p=args.p_value, setting=setting)
-    with open(os.path.join(out_dir, "win_matrix.csv"), "w") as fh:
-        fh.write(stats.win_matrix_csv(wm))
-    if args.reference:
-        entries = []
-        for m in method_list:
-            if m != args.reference:
-                entries.extend(
-                    stats.relative_improvement(runs, m, args.reference,
-                                               p=args.boxplot_p_value, setting=setting)
-                )
-        with open(os.path.join(out_dir, "box_plot.csv"), "w") as fh:
-            fh.write(stats.box_plot_csv(entries))
-    if args.svg:
-        svg = stats.win_matrix_svg(wm)
-        xml.dom.minidom.parseString(svg)  # well-formedness check
-        with open(os.path.join(out_dir, "win_matrix.svg"), "w") as fh:
-            fh.write(svg)
+    wm = stats.win_matrix(runs, method_list, args.p_value)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "win_matrix.csv"), "w") as fh:
+            fh.write(stats.win_matrix_csv(wm))
+        if args.reference:
+            entries = [e for m in method_list if m != args.reference
+                       for e in stats.relative_improvement(runs, m, args.reference,
+                                                           args.boxplot_p_value)]
+            with open(os.path.join(args.out, "box_plot.csv"), "w") as fh:
+                fh.write(stats.box_plot_csv(entries))
+        if args.svg:
+            svg = stats.win_matrix_svg(wm)
+            xml.dom.minidom.parseString(svg)  # well-formedness check
+            with open(os.path.join(args.out, "win_matrix.svg"), "w") as fh:
+                fh.write(svg)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"report failed: {exc}", file=sys.stderr)
+        return 1
     left_out = sum(1 for r in runs if r.method_name in method_list
-                   and setting in (None, r.setting) and not math.isfinite(r.test_accuracy))
+                   and not math.isfinite(r.test_accuracy))
     print(f"non-finite accuracies left out: {left_out}")
-    print(f"report written to {out_dir}")
+    print(f"report written to {args.out}")
     return 0
 
 
@@ -216,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one (dataset, method, setting) sweep")
     p_run.add_argument("--config")
-    p_run.add_argument("--dataset")
-    p_run.add_argument("--schema")
     for key, default in CONFIG_DEFAULTS.items():
         p_run.add_argument(f"--{key}", type=_boolean if isinstance(default, bool) else type(default),
                            choices=methods.SETTINGS if key == "setting" else None,

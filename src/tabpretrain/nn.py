@@ -181,7 +181,9 @@ class Mlp:
 
 
 class Adam:
-    """Adam with bias correction over a flat list of parameter arrays.
+    """Adam with bias correction over a flat list of parameter arrays, with
+    the fixed b1 = BETA1, b2 = BETA2 and eps = EPSILON; the learning rate's
+    one default is `training.Hyperparameters.learning_rate`.
 
     Updates are applied in place; a zero gradient leaves parameters
     bit-identical. Each parameter's moments have that parameter's dtype. The
@@ -191,19 +193,11 @@ class Adam:
     p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``.
     """
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
@@ -220,16 +214,16 @@ class Adam:
             if g.shape != p.shape:
                 raise ShapeError("gradient shape does not match parameter shape")
             a, b = (buf[: p.size].reshape(p.shape) for buf in self._scratch[p.dtype])
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=a)
+            m *= self.BETA1
+            m += np.multiply(g, 1 - self.BETA1, out=a)
+            v *= self.BETA2
+            np.multiply(g, 1 - self.BETA2, out=a)
             v += np.multiply(a, g, out=a)
-            np.divide(m, 1 - self.beta1**t, out=a)  # m_hat
+            np.divide(m, 1 - self.BETA1**t, out=a)  # m_hat
             a *= self.learning_rate
-            np.divide(v, 1 - self.beta2**t, out=b)  # v_hat
+            np.divide(v, 1 - self.BETA2**t, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += self.epsilon
+            b += self.EPSILON
             p -= np.divide(a, b, out=a)
 
 

@@ -13,8 +13,11 @@ import os
 import warnings
 from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import get_type_hints
 
 import numpy as np
+
+from tabpretrain.corruption import check_type
 
 
 @dataclass
@@ -56,18 +59,22 @@ def append_run(path, run: MethodRun) -> None:
 def load_runs(path) -> list[MethodRun]:
     """Records of a results file. An unterminated last line is a torn write:
     it is dropped with a warning, so its trial counts as not yet run. Any
-    other line that is no record raises ValueError naming it."""
+    other line that is no record, or that has a field not of its declared type
+    by the rule of `corruption.check_type`, raises ValueError naming it."""
     if not os.path.exists(path):
         return []
     with open(path) as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
-    runs = []
+    runs, kinds = [], get_type_hints(MethodRun)
     for number, line in enumerate(lines, start=1):
         try:
             if line.strip():
-                runs.append(MethodRun(**json.loads(line)))
+                run = MethodRun(**json.loads(line))
+                for name, kind in kinds.items():
+                    check_type("field", name, getattr(run, name), kind())
+                runs.append(run)
         except (ValueError, TypeError) as exc:  # not JSON, or not a record's fields
             raise ValueError(f"{path}, line {number}: not a results record ({exc})") from exc
     return runs
@@ -186,12 +193,11 @@ class WinMatrix:
         return "-" if total == 0 else f"{int(self.wins[i, j])}/{total}"
 
 
-def _accuracies_by_dataset(runs, method: str, setting: str | None = None):
+def _accuracies_by_dataset(runs, method: str):
     """Finite accuracies per dataset; a failed trial's NaN is not a result."""
     out: dict[str, list[float]] = {}
     for r in runs:
-        if (r.method_name == method and (setting is None or r.setting == setting)
-                and math.isfinite(r.test_accuracy)):
+        if r.method_name == method and math.isfinite(r.test_accuracy):
             out.setdefault(r.dataset_id, []).append(r.test_accuracy)
     return out
 
@@ -202,10 +208,11 @@ def _comparable(acc_a: dict, acc_b: dict) -> list[str]:
     return sorted(d for d in set(acc_a) & set(acc_b) if min(len(acc_a[d]), len(acc_b[d])) >= 2)
 
 
-def win_matrix(runs, methods: list[str], p: float = 0.05, setting: str | None = None) -> WinMatrix:
-    """One Welch test per unordered method pair and dataset on which both have
-    two finite accuracies; a significant one is a win of the better method."""
-    per_method = [_accuracies_by_dataset(runs, m, setting) for m in methods]
+def win_matrix(runs, methods: list[str], p: float) -> WinMatrix:
+    """One Welch test at threshold `p` per unordered method pair and dataset
+    on which both have two finite accuracies in `runs` (the records of one
+    setting); a significant one is a win of the better method."""
+    per_method = [_accuracies_by_dataset(runs, m) for m in methods]
     wins = np.zeros((len(methods), len(methods)), dtype=int)
     for i, j in combinations(range(len(methods)), 2):
         for d in _comparable(per_method[i], per_method[j]):
@@ -223,14 +230,13 @@ class BoxPlotEntry:
     relative_improvement_pct: float
 
 
-def relative_improvement(
-    runs, method: str, reference: str, p: float = 0.20, setting: str | None = None
-) -> list[BoxPlotEntry]:
-    """Per-dataset 100*(acc_method - acc_ref)/acc_ref over datasets whose means
-    differ at the box-plot p filter. Zero-accuracy references and datasets
-    with fewer than two finite accuracies on either side are skipped."""
-    acc_m = _accuracies_by_dataset(runs, method, setting)
-    acc_r = _accuracies_by_dataset(runs, reference, setting)
+def relative_improvement(runs, method: str, reference: str, p: float) -> list[BoxPlotEntry]:
+    """Per-dataset 100*(acc_method - acc_ref)/acc_ref over the datasets of
+    `runs`, the records of one setting, whose means differ at the box-plot
+    filter `p`. Zero-accuracy references and datasets with fewer than two
+    finite accuracies on either side are skipped."""
+    acc_m = _accuracies_by_dataset(runs, method)
+    acc_r = _accuracies_by_dataset(runs, reference)
     entries = []
     for d in _comparable(acc_m, acc_r):
         if compare(acc_m[d], acc_r[d], p) == "tie":

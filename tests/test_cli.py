@@ -197,13 +197,14 @@ NON_DEFAULTS = {
 
 class TestConfiguration:
     def test_hyperparameter_keys_are_the_table(self):
-        run_keys = {"method", "setting", "trials", "seed", "out", "jobs", "scaling"}
+        run_keys = {"dataset", "schema", "method", "setting", "trials", "seed", "out", "jobs",
+                    "scaling"}
         table = asdict(Hyperparameters())
         assert set(CONFIG_DEFAULTS) - run_keys == set(table)
         assert {k: CONFIG_DEFAULTS[k] for k in table} == table
 
     def test_every_key_as_config_key_and_as_flag(self, tmp_path):
-        assert set(NON_DEFAULTS) | {"out"} == set(CONFIG_DEFAULTS)
+        assert set(NON_DEFAULTS) | {"out", "dataset", "schema"} == set(CONFIG_DEFAULTS)
         assert all(NON_DEFAULTS[k] != CONFIG_DEFAULTS[k] for k in NON_DEFAULTS)
         csv, schema = write_dataset(tmp_path)
         path = tmp_path / "all.json"
@@ -622,22 +623,40 @@ class TestReport:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
-    def test_reference_without_records_fails_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("reference, setting, error", [
+        ("scraf", [], "no results for method(s): scraf\n"),
+        # the setting used to be checked against the records of --methods
+        # only, and this wrote a header-only box_plot.csv
+        ("mixup", ["--setting", "full"], "no results for method(s): mixup in setting 'full'\n"),
+    ], ids=["no_records", "records_in_another_setting"])
+    def test_reference_without_records_fails_before_writing(self, tmp_path, capsys, reference,
+                                                             setting, error):
         results = self._results(tmp_path)
+        for t in range(3):
+            stats.append_run(results, stats.MethodRun("d1", "mixup", t, 0, "semi25", 0.5 + t / 100))
         out = tmp_path / "report"
         code = main(["report", "--results", results, "--methods", "control,scarf",
-                     "--reference", "scraf", "--out", str(out)])
+                     "--reference", reference, *setting, "--out", str(out)])
         assert code == 1
-        assert "no results for method(s): scraf" in capsys.readouterr().err
+        assert capsys.readouterr().err == error
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report", "run"])
-    def test_malformed_results_line_named(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("line", [
+        "not json",
+        # a field of the wrong type: the accuracy used to crash the report
+        # and the trial index to make a resume rerun trial 0
+        '{"dataset_id": "toy", "method_name": "control", "trial_index": 0, "seed": 0, '
+        '"setting": "full", "test_accuracy": "0.9"}',
+        '{"dataset_id": "toy", "method_name": "control", "trial_index": "0", "seed": 0, '
+        '"setting": "full", "test_accuracy": 0.9}',
+    ], ids=["not_json", "str_accuracy", "str_trial_index"])
+    def test_malformed_results_line_named(self, tmp_path, capsys, command, line):
         """A results line that is not a record fails the command with its file
         and line, not with a traceback, and writes no report."""
         results = tmp_path / "results" / "results.jsonl"
         results.parent.mkdir()
-        results.write_text(open(self._results(tmp_path)).read() + "not json\n")
+        results.write_text(open(self._results(tmp_path)).read() + line + "\n")
         out = tmp_path / "report"
         if command == "report":
             code = main(["report", "--results", str(results), "--methods", "scarf,control",
@@ -657,7 +676,8 @@ class TestReport:
         code = main(["report", "--results", results, "--methods", "scarf,control",
                      "--setting", "semi", "--out", str(out)])
         assert code == 1
-        assert "no results for setting 'semi'" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "no results for method(s): scarf, control in setting 'semi'\n"
         assert not out.exists()
         code = main(["report", "--results", results, "--methods", "scarf,control",
                      "--setting", "full", "--out", str(out)])
@@ -685,6 +705,26 @@ class TestReport:
             assert main(["report", "--results", str(path), "--methods", "scarf,control",
                          "--setting", setting, "--out", str(out)]) == 0
             assert f"scarf,,{cell}," in (out / "win_matrix.csv").read_text()
+
+    def test_method_named_twice_fails_before_writing(self, tmp_path, capsys):
+        """A repeated method used to give win_matrix.csv two rows for it and
+        count each of its opponents' losses twice."""
+        results = self._results(tmp_path)
+        out = tmp_path / "report"
+        code = main(["report", "--results", results, "--methods", "scarf,scarf,control",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "report failed: method(s) named more than once: ['scarf']\n"
+        assert not out.exists()
+
+    def test_unwritable_out_fails_without_a_traceback(self, tmp_path, capsys):
+        results = self._results(tmp_path)
+        code = main(["report", "--results", results, "--methods", "scarf,control",
+                     "--out", str(tmp_path / "results.jsonl" / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("report failed: ") and "Not a directory" in err
 
     def test_empty_results_fails(self, tmp_path, capsys):
         code = main(["report", "--results", str(tmp_path / "none.jsonl"),

@@ -198,7 +198,7 @@ class TestAdam:
     def test_zero_grad_leaves_params_bit_identical(self, rng):
         p = rng.normal(size=(3, 2))
         before = p.copy()
-        opt = Adam([p])
+        opt = Adam([p], learning_rate=1e-3)
         for _ in range(5):
             opt.step([np.zeros_like(p)])
         assert np.array_equal(p, before)
@@ -225,7 +225,7 @@ class TestAdam:
         assert opt.second_moment[0][0] == pytest.approx(v_expect)
 
     def test_shape_mismatch(self):
-        opt = Adam([np.zeros(3)])
+        opt = Adam([np.zeros(3)], learning_rate=1e-3)
         with pytest.raises(ShapeError):
             opt.step([np.zeros(4)])
 
@@ -243,7 +243,7 @@ class TestAdam:
         params = [rng.normal(size=(7, 5)).astype(dtype), rng.normal(size=5).astype(dtype)]
         ref = [p.copy() for p in params]
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
-        opt = Adam(params)
+        opt = Adam(params, learning_rate=1e-3)
         for t in range(1, 26):
             grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape).astype(dtype)
                      for p in params]

@@ -135,7 +135,7 @@ def test_dropout_mixup_and_adam_keep_float32(rng):
     mixed_x, mixed_y = mixup_batch(x, np.eye(2, dtype=F32)[[0, 1] * 4], 0.2, rng)
     assert_float32(mixed_x, mixed_y)
     net = Mlp.create([4, 3], rng)
-    opt = Adam(net.parameters())
+    opt = Adam(net.parameters(), learning_rate=1e-3)
     net.forward(x)
     grads, _ = net.backward(np.ones((8, 3), dtype=F32))
     opt.step(grads)

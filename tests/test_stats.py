@@ -163,7 +163,7 @@ class TestWinMatrix:
     def test_antisymmetry(self):
         """A decided pair reads as the same total from both sides, and the
         two win ratios add up to 1."""
-        wm = win_matrix(self._runs(), ["A", "B"])
+        wm = win_matrix(self._runs(), ["A", "B"], p=0.05)
         assert wm.cell_text(0, 1) == "1/1" and wm.cell_text(1, 0) == "0/1"
         assert wm.ratio(0, 1) + wm.ratio(1, 0) == 1.0
 
@@ -182,14 +182,14 @@ class TestWinMatrix:
         assert len(calls) == 3 * 2  # (m1, m2), (m1, m3), (m2, m3) on da and db
 
     def test_ratio_semantics(self):
-        wm = win_matrix(self._runs(), ["A", "B"])
+        wm = win_matrix(self._runs(), ["A", "B"], p=0.05)
         assert wm.ratio(0, 1) == 1.0  # 1 win out of 1 decided dataset
         assert wm.ratio(1, 0) == 0.0
 
     def test_all_tie_ratio_is_none(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.5, 0.6])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.5, 0.6])]
-        wm = win_matrix(runs, ["A", "B"])
+        wm = win_matrix(runs, ["A", "B"], p=0.05)
         assert wm.ratio(0, 1) is None
         assert wm.cell_text(0, 1) == "-"
         assert wm.min_ratio_column() == [None, None]
@@ -244,28 +244,19 @@ class TestWinMatrix:
         assert wm.wins[0, 1] == 1 and wm.wins[1, 0] == 0  # d2 only
         assert wm.wins[1, 0] == 0 and wm.wins[0, 1] == 1
 
-    def test_setting_filter(self):
-        runs = [run("A", "d", t, 0.9, "full") for t in range(3)]
-        runs += [run("B", "d", t, 0.1, "full") for t in range(3)]
-        runs += [run("A", "d", t, 0.1 + t * 0.01, "noise30") for t in range(3)]
-        runs += [run("B", "d", t, 0.9 + t * 0.01, "noise30") for t in range(3)]
-        full = win_matrix(runs, ["A", "B"], setting="full")
-        noisy = win_matrix(runs, ["A", "B"], setting="noise30")
-        assert full.wins[0, 1] == 1 and noisy.wins[1, 0] == 1
-
 
 class TestRelativeImprovement:
     def test_plus_ten_percent(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.549, 0.55, 0.551])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.499, 0.5, 0.501])]
-        entries = relative_improvement(runs, "A", "B")
+        entries = relative_improvement(runs, "A", "B", p=0.20)
         assert len(entries) == 1
         assert entries[0].relative_improvement_pct == pytest.approx(10.0, abs=1e-9)
 
     def test_failed_trial_is_not_scored(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
-        entries = relative_improvement(runs, "A", "B")
+        entries = relative_improvement(runs, "A", "B", p=0.20)
         assert len(entries) == 1
         assert entries[0].relative_improvement_pct == pytest.approx(100 * (0.905 - 0.51) / 0.51)
 
@@ -274,13 +265,13 @@ class TestRelativeImprovement:
         runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52])]
         runs += [run("A", "d2", t, a) for t, a in enumerate([0.549, 0.55, 0.551])]
         runs += [run("B", "d2", t, a) for t, a in enumerate([0.499, 0.5, 0.501])]
-        entries = relative_improvement(runs, "A", "B")
+        entries = relative_improvement(runs, "A", "B", p=0.20)
         assert [e.dataset_id for e in entries] == ["d2"]
 
     def test_tie_filtered_out(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.4, 0.9])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.41, 0.89])]
-        assert relative_improvement(runs, "A", "B") == []
+        assert relative_improvement(runs, "A", "B", p=0.20) == []
 
     def test_published_gap_arithmetic(self):
         # 70.16 vs 54.2 mean accuracy corresponds to a +29.4% relative gain
@@ -288,13 +279,13 @@ class TestRelativeImprovement:
         assert gain == pytest.approx(29.446, abs=1e-3)
         runs = [run("A", "d", t, 70.16 + t * 0.01) for t in range(3)]
         runs += [run("B", "d", t, 54.2 + t * 0.01) for t in range(3)]
-        entries = relative_improvement(runs, "A", "B")
+        entries = relative_improvement(runs, "A", "B", p=0.20)
         assert entries[0].relative_improvement_pct == pytest.approx(gain, abs=0.01)
 
     def test_negative_improvement_reported(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.449, 0.45, 0.451])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.499, 0.5, 0.501])]
-        entries = relative_improvement(runs, "A", "B")
+        entries = relative_improvement(runs, "A", "B", p=0.20)
         assert entries[0].relative_improvement_pct == pytest.approx(-10.0, abs=1e-9)
 
 
