@@ -24,7 +24,7 @@ import traceback
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,8 +240,10 @@ def run_benchmark(
         return run, res
 
     def in_trial_order():
-        with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-            outcomes = pool.map(run_one, todo) if pool else map(run_one, todo)
+        # the outcomes close before the pool shuts down, so that closing this
+        # iterator early cancels the trials not yet started
+        with (ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
+              closing(pool.map(run_one, todo) if pool else (run_one(k) for k in todo)) as outcomes):
             for outcome, res in outcomes:
                 if out_dir and res is None:
                     _append_failure(out_dir, outcome)

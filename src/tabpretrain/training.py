@@ -210,27 +210,6 @@ class ModelBundle:
         return _in_slices(self.net(None).forward, X)
 
 
-class EarlyStopper:
-    """Stops after `patience` consecutive epochs without strict improvement."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError("patience must be at least 1")
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self._bad = 0
-
-    def update(self, metric: float, epoch: int) -> bool:
-        if metric < self.best:
-            self.best = metric
-            self.best_epoch = epoch
-            self._bad = 0
-        else:
-            self._bad += 1
-        return self._bad >= self.patience
-
-
 def iterate_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -274,20 +253,20 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
     Each of at most `max_epochs` epochs shuffles `rows` (dataset row indices)
     into batches of `hp.batch_size`; `step(batch_rows)` returns (loss,
     gradients of `params`) for one Adam step, or None to skip the batch. After
-    the epoch, `metric()` is the validation value (lower is better) that
-    drives early stopping with `hp.patience`. `params`, the only arrays a step
-    changes, are copied at each new best epoch (and before the first) and
-    restored from the last copy in place.
+    the epoch, `metric()` (lower is better) is appended to the validation
+    curve. The best epoch is the curve's first minimum, so an equal value is
+    no improvement; training stops after `hp.patience` epochs without a new
+    one. `params`, the only arrays a step changes, are copied at each new best
+    epoch (and before the first) and restored from the last copy in place.
 
     An epoch whose mean loss is non-finite, after which a stepped array holds
     a non-finite value, or whose metric is non-finite raises TrainingDiverged
     naming `phase`, the epoch and what went non-finite, checked in that
     order."""
     opt = Adam(params, learning_rate=hp.learning_rate)
-    stopper = EarlyStopper(hp.patience)
     train_curve, val_curve = [], []
     best = [p.copy() for p in params]
-    stop_reason = "max_epochs"
+    stop_reason, best_epoch = "max_epochs", 0
     for epoch in range(1, max_epochs + 1):
         epoch_losses, epoch_sizes = [], []
         for sel in iterate_batches(len(rows), hp.batch_size, rng):
@@ -310,16 +289,16 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
         if not np.isfinite(value):
             raise TrainingDiverged(f"{diverged} the validation metric is {value}")
         val_curve.append(value)
-        stop = stopper.update(value, epoch)
-        if stopper.best_epoch == epoch:
+        best_epoch = int(np.argmin(val_curve)) + 1
+        if best_epoch == epoch:
             best = [p.copy() for p in params]
-        if stop:
+        if epoch - best_epoch >= hp.patience:
             stop_reason = "patience"
             break
     for p, b in zip(params, best):
         p[...] = b
-    return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason,
-                        stopper.best_epoch, stopper.best)
+    return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason, best_epoch,
+                        min(val_curve, default=np.inf))
 
 
 BARLOW_OFFDIAG = 5e-3  # the off-diagonal weight of Barlow Twins
@@ -532,6 +511,7 @@ def finetune(
     alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
 
     pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
+    scarf_view = _objective("scarf", None, dataset, hp, pool, rng, None)[0]
     net = bundle.net(None)
     params = net.parameters()
     aux = COTRAIN_OBJECTIVES.get(recipe)
@@ -547,8 +527,7 @@ def finetune(
         if alpha:
             x, target = mixup_batch(x, target, alpha, rng)
         if recipe == "scarf_aug":
-            hit = select_indices(dataset.M, hp, len(x), rng)
-            x, _ = corrupt_batch(x, dataset, hp, pool, hit, rng)
+            x = scarf_view(x)
         loss, grad = softmax_cross_entropy(net.forward(x, dropout, rng), target)
         grads = net.backward(grad, input_grad=False)[0]
         if aux is None:

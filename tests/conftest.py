@@ -3,7 +3,7 @@ import pytest
 
 from tabpretrain.data import ProcessedDataset
 from tabpretrain.nn import as_float, l2_normalize_backward, l2_normalize_rows_with_norms
-from tabpretrain.training import ModelBundle
+from tabpretrain.training import Hyperparameters, ModelBundle, _fit
 
 
 def encoded_dataset(X, y, classes=("0", "1"), blocks=None):
@@ -24,6 +24,15 @@ def make_numeric_dataset(n=200, d=6, seed=0, separable=True, num_classes=2):
     else:
         y = rng.integers(0, num_classes, size=n)
     return encoded_dataset(X, y, [str(k) for k in range(num_classes)])
+
+
+def scripted_fit(metrics, patience):
+    """`_fit` with a no-op step and the validation metric `metrics`, one value
+    an epoch, for at most `len(metrics)` epochs."""
+    values = iter(metrics)
+    return _fit([np.zeros(1)], np.arange(4), Hyperparameters(patience=patience), len(metrics),
+                np.random.default_rng(0), lambda rows: (0.0, [np.zeros(1)]),
+                lambda: next(values), "scripted")
 
 
 def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):

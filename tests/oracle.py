@@ -3,11 +3,19 @@ over all entries.
 
 Run as `python tests/oracle.py [--margins]`. It prints an `env`
 line, then one line per entry, `<digest> <dataset> <variant> <setting>
-<method>`, then `overall <digest>` and the runtime. A change that must leave outputs alone
-leaves the overall digest alone; when a change moves outputs, a diff of two
-outputs names the entries it moved. Digests depend on the BLAS build, so they
-compare only between runs with the same `env` line; the script runs numpy on
-one BLAS thread.
+<method>`, then `overall <digest>` and the runtime. Digests depend on the BLAS
+build, so they compare only between runs with the same `env` line; the script
+runs numpy on one BLAS thread.
+
+`tests/oracle_digests.txt` holds that output without the runtime line.
+`python tests/oracle.py --check` reruns the grid and compares it with the file
+line by line: after the output it names each line that differs and exits 1.
+It exits 1 at once when the `env` line differs. `--variant NAME` runs only
+the entries of one hyperparameter variant, with no overall digest. A change
+that must leave outputs alone passes `--check`. A change that moves outputs on
+purpose regenerates the file with
+`python tests/oracle.py | grep -v '^runtime ' > tests/oracle_digests.txt`, and
+the file's diff names the entries it moved.
 
 The grid is the 65 method names x 3 settings x 2 datasets of 90 rows (a
 numeric one, and one with a 3-level one-hot block and 3 classes) x 11
@@ -64,6 +72,7 @@ VARIANTS = {
                                        "view_policy": "corrupt_both"},
 }
 GAPS_ENTRY = ("gaps", "defaults", "semi25", "scarf")
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_digests.txt")
 
 
 def _numeric() -> ProcessedDataset:
@@ -163,24 +172,53 @@ def margins() -> None:
         print(f"criterion {num} margin {margin:+.5f}")
 
 
-def main(argv=None) -> None:
+def line_key(line: str) -> str:
+    """What a printed line is about: `env`, `overall` or the entry."""
+    head, rest = line.split(" ", 1)
+    return head if head in ("env", "overall") else rest
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--margins", action="store_true",
                         help="also print criteria 5 and 7's accuracies and margins")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {os.path.basename(DIGESTS)}; exit 1 if a line differs")
+    parser.add_argument("--variant", choices=VARIANTS,
+                        help="run only the entries of this hyperparameter variant")
     args = parser.parse_args(argv)
     start = time.time()
-    print(env_line(), flush=True)
-    grid = entries()
+    env = env_line()
+    print(env, flush=True)
+    if args.check:
+        with open(DIGESTS) as fh:
+            recorded = {line_key(line): line for line in fh.read().splitlines()}
+        if recorded["env"] != env:
+            print(f"differs: {os.path.basename(DIGESTS)} holds {recorded['env']!r}", flush=True)
+            return 1
+    grid = [entry for entry in entries() if args.variant in (None, entry[1])]
     overall = hashlib.sha256()
+    lines = []
     for entry in grid:
-        line = f"{entry_digest(entry)} {' '.join(entry)}"
-        overall.update((line + "\n").encode())
-        print(line, flush=True)
-    print(f"overall {overall.hexdigest()[:16]}", flush=True)
+        lines.append(f"{entry_digest(entry)} {' '.join(entry)}")
+        overall.update((lines[-1] + "\n").encode())
+        print(lines[-1], flush=True)
+    if args.variant is None:
+        lines.append(f"overall {overall.hexdigest()[:16]}")
+        print(lines[-1], flush=True)
     print(f"runtime {len(grid)} entries, {time.time() - start:.0f} s", flush=True)
+    if args.check:
+        differ = [line for line in lines if recorded.get(line_key(line)) != line]
+        for line in differ:
+            print(f"differs: {line} (file: {recorded.get(line_key(line))})", flush=True)
+        print(f"check: {len(differ)} of {len(lines)} lines differ from "
+              f"{os.path.basename(DIGESTS)}", flush=True)
+        if differ:
+            return 1
     if args.margins:
         margins()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,7 +17,7 @@ import pytest
 import scipy.stats
 from _pytest.outcomes import Skipped
 
-from conftest import central_difference, encoded_dataset, to_float64
+from conftest import central_difference, encoded_dataset, scripted_fit, to_float64
 from tabpretrain import losses, stats
 from tabpretrain.cli import main as cli_main
 from tabpretrain.corruption import CorruptionConfig, build_marginal_pool, corrupt_batch, select_indices
@@ -25,7 +25,6 @@ from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits
 from tabpretrain.methods import TrialFailure, derive_seed, run_benchmark
 from tabpretrain.nn import Mlp, mse, softmax_cross_entropy
 from tabpretrain.training import (
-    EarlyStopper,
     Hyperparameters,
     ModelBundle,
     build_static_validation,
@@ -326,13 +325,12 @@ def test_criterion_7_label_noise(mixture):
 
 @criterion(8, "early stopping fires at patience-3 positions and restores the best weights")
 def test_criterion_8_early_stopping(mixture):
-    # constructed sequences
-    s = EarlyStopper(3)
-    stops = [s.update(m, e) for e, m in enumerate([5.0, 4.0, 4.0, 4.0, 4.0], start=1)]
-    assert stops == [False, False, False, False, True] and s.best_epoch == 2
-    s = EarlyStopper(3)
-    stops = [s.update(m, e) for e, m in enumerate([5.0, 6.0, 6.0, 4.0, 4.0, 4.0, 4.0], start=1)]
-    assert stops == [False, False, False, False, False, False, True] and s.best_epoch == 4
+    # constructed sequences, each with one value after its expected stop
+    for metrics, stop, best_epoch in (([5.0, 4.0, 4.0, 4.0, 4.0, 3.0], 5, 2),
+                                      ([5.0, 6.0, 6.0, 4.0, 4.0, 4.0, 4.0, 3.0], 7, 4)):
+        out = scripted_fit(metrics, patience=3)
+        assert out.epochs_used == stop and out.stop_reason == "patience"
+        assert out.best_epoch == best_epoch
 
     # live run on the criterion-5 data
     splits = make_splits(mixture.n, derive_seed(0, "mixture", 0))

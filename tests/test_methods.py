@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import weakref
 from dataclasses import fields, replace
 
@@ -632,6 +633,23 @@ class TestRunBenchmark:
         again = list(run_benchmark({"blob": loader}, ["control"], ["full"], 3, 0,
                                    out_dir=tmp_path, hp=FAST_HP))
         assert [r.trial_index for r in again] == [1, 2] and loads == [1]
+
+    def test_closing_early_under_jobs_skips_the_queued_trials(self, monkeypatch):
+        """Closing the iterator after its first outcome waits for the trials
+        already running and starts none of those still queued."""
+        started = []
+
+        def slow(method, dataset, splits, setting, seed, hp):
+            started.append(seed)
+            time.sleep(0.05)
+            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+
+        monkeypatch.setattr(methods, "run_method", slow)
+        trials = run_benchmark({"blob": make_blob_dataset(n=40, d=2)}, ["control"], ["full"],
+                               40, 0, hp=FAST_HP, jobs=2)
+        next(trials)
+        trials.close()
+        assert len(started) <= 6
 
     @pytest.mark.parametrize("scaling", ["zscore", "minmax", "mean"])
     def test_each_trial_scaled_on_its_training_rows(self, tmp_path, monkeypatch, scaling):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (assert_grads_close, bundle_weights, central_difference,
                       l2_normalize_rows_backward, make_blob_dataset, make_numeric_dataset,
-                      to_float64)
+                      scripted_fit, to_float64)
 from tabpretrain import losses, methods, nn, training
 from tabpretrain.corruption import (ConfigurationError, CorruptionConfig, CorruptionDraw,
                                     build_marginal_pool, corrupt_batch, select_indices)
@@ -18,7 +18,6 @@ from tabpretrain.training import (
     DRAWS_SCARF_VIEWS,
     INFERENCE_ROWS,
     PRETRAINERS,
-    EarlyStopper,
     Hyperparameters,
     ModelBundle,
     TrainingDiverged,
@@ -70,28 +69,24 @@ def test_every_hyperparameter_has_exactly_one_rule():
                                    if f.name != "unique_pool")
 
 
-class TestEarlyStopper:
+class TestEarlyStopping:
+    """`_fit` stops after `patience` epochs without a new first minimum of the
+    validation curve; each sequence has one value after its expected stop."""
+
     def test_stops_after_patience_nonimproving(self):
-        stopper = EarlyStopper(3)
-        metrics = [5.0, 4.0, 3.0, 3.0, 3.0, 3.0]
-        stops = [stopper.update(m, e) for e, m in enumerate(metrics, start=1)]
-        assert stops == [False, False, False, False, False, True]
-        assert stopper.best_epoch == 3 and stopper.best == 3.0
+        out = scripted_fit([5.0, 4.0, 3.0, 3.0, 3.0, 3.0, 2.0], patience=3)
+        assert out.epochs_used == 6 and out.stop_reason == "patience"
+        assert out.best_epoch == 3 and out.best_metric == 3.0
 
     def test_improvement_resets_counter(self):
-        stopper = EarlyStopper(2)
-        metrics = [5.0, 5.0, 4.0, 4.0, 4.0]
-        stops = [stopper.update(m, e) for e, m in enumerate(metrics, start=1)]
-        assert stops == [False, False, False, False, True]
-
-    def test_patience_below_one_rejected(self):
-        with pytest.raises(ValueError, match="patience must be at least 1"):
-            EarlyStopper(0)
+        out = scripted_fit([5.0, 5.0, 4.0, 4.0, 4.0, 3.0], patience=2)
+        assert out.epochs_used == 5 and out.stop_reason == "patience"
+        assert out.best_epoch == 3
 
     def test_equal_metric_is_not_improvement(self):
-        stopper = EarlyStopper(1)
-        assert not stopper.update(1.0, 1)
-        assert stopper.update(1.0, 2)
+        out = scripted_fit([1.0, 1.0, 0.0], patience=1)
+        assert out.epochs_used == 2 and out.stop_reason == "patience"
+        assert out.best_epoch == 1
 
 
 class TestStaticValidation:
@@ -420,6 +415,7 @@ class TestFit:
         out, bundle = run_trainer(trainer, ds, splits, 0, seed=0)
         assert out.epochs_used == 0 and out.stop_reason == "max_epochs"
         assert out.train_curve == [] and out.val_curve == [] and out.best_epoch == 0
+        assert out.best_metric == np.inf
         for a, b in zip(before, bundle_weights(bundle), strict=True):
             np.testing.assert_array_equal(a, b)
 
