@@ -12,66 +12,30 @@ uniform matrix (one row under shared_batch; bernoulli then redraws only the
 rows that came out empty), then `corrupt_batch` makes one donor draw: (B, M)
 per-cell donors for marginal, (B,) row donors for joint, one donor for
 single_row, or one (B, M_enc) normal matrix for gaussian. The settings are
-declared once, in `CorruptionConfig`, which checks each field's type and value
-when built; `training.Hyperparameters` subclasses it.
+the corruption fields of `training.Hyperparameters`, which checks each
+field's type and value when built.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from tabpretrain.data import ProcessedDataset
 from tabpretrain.nn import as_float
 
+if TYPE_CHECKING:
+    from tabpretrain.training import Hyperparameters
+
 STRATEGIES = ("marginal", "none", "mean", "gaussian", "joint", "missing_learnable", "zero")
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent corruption configuration (e.g. strategy without its pool)."""
-
-
-@dataclass(frozen=True)
-class CorruptionConfig:
-    corruption_strategy: str = "marginal"
-    corruption_rate: float = 0.6
-    index_selection: str = "fixed_count"
-    view_policy: str = "corrupt_one"
-    index_sharing: str = "per_example"
-    donor: str = "per_example"
-    gaussian_sigma: float = 0.5
-    unique_pool: bool = False  # True: deduplicate each feature's marginal pool
-
-    # The legal values, which subclasses extend: each string field's choices,
-    # and (rule, test, fields) rows whose tests are false for NaN.
-    CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
-        "corruption_strategy": STRATEGIES,
-        "index_selection": ("fixed_count", "bernoulli"),
-        "view_policy": ("corrupt_one", "corrupt_both"),
-        "index_sharing": ("per_example", "shared_batch"),
-        "donor": ("per_example", "single_row"),
-    }
-    RANGES: ClassVar[tuple] = (
-        ("in [0, 1]", lambda v: 0 <= v <= 1, ("corruption_rate",)),
-        ("positive and finite", lambda v: 0 < v < np.inf, ("gaussian_sigma",)),
-    )
-
-    def __post_init__(self):
-        for field in fields(self):
-            check_type("hyperparameter", field.name, getattr(self, field.name), field.default)
-        for name, allowed in self.CHOICES.items():
-            if (value := getattr(self, name)) not in allowed:
-                raise ConfigurationError(f"unknown {name} {value!r}")
-        for rule, holds, names in self.RANGES:
-            for name in names:
-                if not holds(value := getattr(self, name)):
-                    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
-        if self.index_selection == "bernoulli" and self.corruption_rate == 0:
-            raise ConfigurationError("bernoulli index_selection needs a positive rate")
+    """An illegal hyperparameter, or a strategy without its pool or values."""
 
 
 def check_type(what: str, key: str, value, default) -> None:
@@ -137,7 +101,7 @@ class CorruptionDraw:
 
 
 def select_indices(
-    M: int, config: CorruptionConfig, batch_size: int, rng: np.random.Generator
+    M: int, config: Hyperparameters, batch_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The (batch_size, M) boolean feature mask: True marks a feature to corrupt.
 
@@ -165,7 +129,7 @@ def select_indices(
 def corrupt_batch(
     batch: np.ndarray,
     dataset: ProcessedDataset,
-    config: CorruptionConfig,
+    config: Hyperparameters,
     pool: MarginalPool | None,
     features: np.ndarray,
     rng: np.random.Generator,
@@ -210,7 +174,7 @@ def corrupt_batch(
 def make_views(
     batch: np.ndarray,
     dataset: ProcessedDataset,
-    config: CorruptionConfig,
+    config: Hyperparameters,
     pool: MarginalPool | None,
     rng: np.random.Generator,
     learnable_values: np.ndarray | None = None,

@@ -19,13 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import traceback
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -172,6 +171,7 @@ def run_benchmark(
     hp: Hyperparameters = Hyperparameters(),
     scaling: str = "zscore",
     jobs: int = 1,
+    data_digest: str = "",
 ) -> Iterator[stats.MethodRun | TrialFailure]:
     """An iterator that yields, in trial order, a MethodRun (or a TrialFailure
     if it raised) for each (dataset, method, setting, trial) not yet in
@@ -188,12 +188,17 @@ def run_benchmark(
     appends its key, exception and traceback to `out_dir/failures.jsonl`.
     Every trial reads the one `hp`; a bad hyperparameter raises where the
     caller builds it, before this call.
+    The first call into `out_dir` pins what decides its records in
+    `out_dir/pin.json`: `base_seed`, `scaling`, `data_digest` (the CLI's
+    digest of the CSV and schema bytes) and every field of `hp`. The methods,
+    settings, `trials` and `jobs` stay free, so a resume may add to them.
     The checks, the read of the completed keys, the loading of the datasets
     with trials left and the creation of a missing `out_dir` run in this call,
     before it returns the iterator: unknown method, setting or scaling names,
     a method or setting named twice, a method that `check_method` rejects
-    under `hp`, `trials` or `jobs` below 1, and a dataset that fails to load
-    raise here, before anything is written.
+    under `hp`, `trials` or `jobs` below 1, a pin that differs from
+    `out_dir`'s and a dataset that fails to load raise here, before anything
+    is written.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -209,6 +214,15 @@ def run_benchmark(
             raise ValueError(f"unknown setting {setting!r}")
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling {scaling!r}")
+    pin = {"seed": base_seed, "scaling": scaling, "data_digest": data_digest, **asdict(hp)}
+    pin_path = os.path.join(out_dir, "pin.json") if out_dir else None
+    if pin_path and os.path.exists(pin_path):
+        with open(pin_path) as fh:
+            pinned = json.load(fh)
+        differ = [key for key in {**pinned, **pin} if pinned.get(key) != pin.get(key)]
+        if differ:
+            raise ValueError(f"{pin_path} pins another run: " + "; ".join(
+                f"{key} is {pinned.get(key)!r} there, {pin.get(key)!r} here" for key in differ))
     results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
     done = stats.completed_keys(results_path) if results_path else set()
     todo = [(dataset_id, method, setting, trial)
@@ -222,11 +236,13 @@ def run_benchmark(
             loaded[dataset_id] = source() if callable(source) else source
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        if not os.path.exists(pin_path):
+            with open(pin_path, "w") as fh:
+                json.dump(pin, fh, indent=2)
 
     def run_one(key):
         dataset_id, method, setting, trial = key
         seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
-        start = time.time()
         try:
             splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
             # no name holds the float64 scaled copy, so it is freed as soon as
@@ -236,7 +252,7 @@ def run_benchmark(
         except Exception as exc:  # reported to the caller; no record is written
             return TrialFailure(dataset_id, method, setting, trial, exc), None
         run = stats.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
-                              res["epochs_used"], res["pretrain_epochs"], time.time() - start)
+                              res["epochs_used"], res["pretrain_epochs"])
         return run, res
 
     def in_trial_order():

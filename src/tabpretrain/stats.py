@@ -30,7 +30,6 @@ class MethodRun:
     test_accuracy: float
     epochs_used: int = 0
     pretrain_epochs: int = 0
-    wall_time: float = 0.0
 
     def key(self) -> tuple:
         return (self.dataset_id, self.method_name, self.setting, self.trial_index)
@@ -43,9 +42,6 @@ def append_run(path, run: MethodRun) -> None:
     ValueError: it is no result, and bare NaN is not valid JSON."""
     if not math.isfinite(run.test_accuracy):
         raise ValueError(f"non-finite test_accuracy {run.test_accuracy} for {run.key()}")
-    # wall_time is not persisted so reruns with one seed are byte-identical
-    record = asdict(run)
-    record.pop("wall_time")
     with open(path, "ab+") as fh:
         end = fh.seek(0, os.SEEK_END)
         if end:
@@ -53,7 +49,7 @@ def append_run(path, run: MethodRun) -> None:
             if fh.read(1) != b"\n":
                 fh.seek(0)
                 fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(asdict(run), sort_keys=True) + "\n").encode())
 
 
 def load_runs(path) -> list[MethodRun]:

@@ -23,8 +23,8 @@ batch by position, and only the corrupted copies go through the nets batch by
 batch.
 
 Every trainer reads one frozen `Hyperparameters`, the single declaration of
-the trial hyperparameters and their defaults; it is a `CorruptionConfig`, so
-it is passed as is wherever views are drawn. `_objective` defines each
+the trial hyperparameters and their defaults, with the corruption fields
+among them, so it is passed as is wherever views are drawn. `_objective` defines each
 pre-training objective once, and `pretrain_scarf(..., pre)` trains one:
 `scarf` is the loss `pretrain_loss` between the two views of `make_views`;
 `no_noise_ae`, `add_noise_ae` and `scarf_ae` are MSE reconstruction of the
@@ -45,7 +45,7 @@ from `ModelBundle.create`); data of another dtype is cast on the way in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import ClassVar
 
@@ -54,9 +54,10 @@ import numpy as np
 from tabpretrain import losses
 from tabpretrain.baselines import mixup_batch, one_hot_targets
 from tabpretrain.corruption import (
+    STRATEGIES,
     ConfigurationError,
-    CorruptionConfig,
     build_marginal_pool,
+    check_type,
     corrupt_batch,
     make_views,
     select_indices,
@@ -91,15 +92,23 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Hyperparameters(CorruptionConfig):
+class Hyperparameters:
     """Every trial hyperparameter and its default, declared once: the trainers
-    read it, `methods.run_method` and `run_benchmark` take it, and each field
-    is a CLI config key and `run` flag. The corruption fields, inherited
-    first, serve pre-training, scarf_aug and cotrain alike. Its fields'
-    legal values extend the `CHOICES` and `RANGES` tables of CorruptionConfig,
-    whose check raises ConfigurationError when one is built. A maximum of 0
-    epochs is legal and trains no epoch."""
+    and `corruption` read it, `methods.run_method` and `run_benchmark` take
+    it, and each field is a CLI config key and `run` flag. Building one checks
+    each field's type, the `CHOICES` of a string and the `RANGES` rows of a
+    number (tests false for NaN), and raises ConfigurationError. A maximum of
+    0 epochs is legal and trains no epoch."""
 
+    # corruption, for pre-training, scarf_aug and cotrain alike
+    corruption_strategy: str = "marginal"
+    corruption_rate: float = 0.6
+    index_selection: str = "fixed_count"
+    view_policy: str = "corrupt_one"
+    index_sharing: str = "per_example"
+    donor: str = "per_example"
+    gaussian_sigma: float = 0.5
+    unique_pool: bool = False  # True: deduplicate each feature's marginal pool
     # optimisation, for pre-training and fine-tuning alike
     batch_size: int = 128
     learning_rate: float = 0.001
@@ -127,21 +136,39 @@ class Hyperparameters(CorruptionConfig):
     labeled_fraction: float = 0.25
 
     CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
-        **CorruptionConfig.CHOICES,
+        "corruption_strategy": STRATEGIES,
+        "index_selection": ("fixed_count", "bernoulli"),
+        "view_policy": ("corrupt_one", "corrupt_both"),
+        "index_sharing": ("per_example", "shared_batch"),
+        "donor": ("per_example", "single_row"),
         "pretrain_loss": ("infonce", "barlow", "align_uniform"),
         "validation_metric": ("infonce_loss", "infonce_error"),
     }
-    RANGES: ClassVar[tuple] = CorruptionConfig.RANGES + (
+    RANGES: ClassVar[tuple] = (
+        ("in [0, 1]", lambda v: 0 <= v <= 1, ("corruption_rate", "noise_rate")),
+        ("positive and finite", lambda v: 0 < v < np.inf,
+         ("gaussian_sigma", "learning_rate", "temperature")),
         ("at least 1", lambda v: v >= 1, ("batch_size", "patience", "val_build_epochs",
                                           "hidden_dim", "encoder_layers", "head_layers")),
         ("nonnegative and finite", lambda v: 0 <= v < np.inf,
          ("pretrain_max_epochs", "finetune_max_epochs", "self_train_iterations", "mixup_alpha",
           "cotrain_weight")),
-        ("positive and finite", lambda v: 0 < v < np.inf, ("learning_rate", "temperature")),
         ("in [0, 1)", lambda v: 0 <= v < 1, ("label_smoothing", "dropout")),
-        ("in [0, 1]", lambda v: 0 <= v <= 1, ("noise_rate",)),
         ("in (0, 1]", lambda v: 0 < v <= 1, ("self_train_threshold", "labeled_fraction")),
     )
+
+    def __post_init__(self):
+        for field in fields(self):
+            check_type("hyperparameter", field.name, getattr(self, field.name), field.default)
+        for name, allowed in self.CHOICES.items():
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigurationError(f"unknown {name} {value!r}")
+        for rule, holds, names in self.RANGES:
+            for name in names:
+                if not holds(value := getattr(self, name)):
+                    raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+        if self.index_selection == "bernoulli" and self.corruption_rate == 0:
+            raise ConfigurationError("bernoulli index_selection needs a positive rate")
 
 
 @dataclass

@@ -18,7 +18,7 @@ purpose regenerates the file with
 the file's diff names the entries it moved.
 
 The grid is the 65 method names x 3 settings x 2 datasets of 90 rows (a
-numeric one, and one with a 3-level one-hot block and 3 classes) x 11
+numeric one, and one with a 3-level one-hot block and 3 classes) x 12
 hyperparameter variants, at hidden width 8 and 3 epochs a phase, plus one
 `scarf` entry on a mixed CSV with gaps, ingested by `encode_csv`. An entry
 hashes the test accuracy, the epoch counts, both phases' curves, stop
@@ -67,6 +67,7 @@ VARIANTS = {
     "unique_bernoulli": {"unique_pool": True, "index_selection": "bernoulli"},
     "single_row_shared_batch": {"donor": "single_row", "index_sharing": "shared_batch"},
     "batch33": {"batch_size": 33},
+    "patience1": {"patience": 1},
     "missing_learnable": {"corruption_strategy": "missing_learnable"},
     "missing_learnable_corrupt_both": {"corruption_strategy": "missing_learnable",
                                        "view_policy": "corrupt_both"},

@@ -20,7 +20,7 @@ from _pytest.outcomes import Skipped
 from conftest import central_difference, encoded_dataset, scripted_fit, to_float64
 from tabpretrain import losses, stats
 from tabpretrain.cli import main as cli_main
-from tabpretrain.corruption import CorruptionConfig, build_marginal_pool, corrupt_batch, select_indices
+from tabpretrain.corruption import build_marginal_pool, corrupt_batch, select_indices
 from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits
 from tabpretrain.methods import TrialFailure, derive_seed, run_benchmark
 from tabpretrain.nn import Mlp, mse, softmax_cross_entropy
@@ -217,7 +217,7 @@ def test_criterion_3_corruption_properties():
         n_rows = int(rng.integers(2, 9))
         batch = ds.X[rng.integers(0, ds.n, size=n_rows)]
         c = float(rng.uniform(0.0, 1.0))
-        cfg = CorruptionConfig(corruption_rate=c)
+        cfg = Hyperparameters(corruption_rate=c)
         hit = select_indices(ds.M, cfg, n_rows, rng)
         out, draw = corrupt_batch(batch, ds, cfg, pool, hit, rng)
         q = int(np.floor(c * ds.M))

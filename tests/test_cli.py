@@ -359,6 +359,57 @@ class TestRun:
         assert "ingestion on a finished sweep" in capsys.readouterr().err
         assert (out / "results.jsonl").read_bytes() == finished
 
+    def test_resume_under_another_configuration_fails_and_writes_nothing(self, tmp_path, capsys):
+        """A resume used to add the records of its own seed and learning rate
+        to those of the run it resumed, and to overwrite its config.json."""
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        args = ["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,
+                "--method", "control", "--out", str(out)]
+        assert main(args + ["--trials", "2", "--learning_rate", "0.05"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(args + ["--trials", "4", "--seed", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"run failed: {out / 'pin.json'} pins another run: seed is 0 there, 5 here; "
+            "learning_rate is 0.05 there, 0.001 here\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("change", ["csv", "schema", "scaling"])
+    def test_resume_with_other_data_or_scaling_fails(self, tmp_path, capsys, change):
+        """Two tables of one file name share a dataset id, and so their
+        records' keys; the pin tells them apart by the CSV and schema bytes."""
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        args = ["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,
+                "--method", "control", "--out", str(out)]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        if change == "csv":
+            write_dataset(tmp_path, n=61)
+        elif change == "schema":
+            (tmp_path / "toy.schema.json").write_text(
+                json.dumps({"f1": "numerical", "f2": "categorical", "target": "label"}))
+        capsys.readouterr()
+        extra = ["--scaling", "minmax"] if change == "scaling" else []
+        assert main(args + ["--trials", "2"] + extra) == 1
+        key = "scaling" if change == "scaling" else "data_digest"
+        assert capsys.readouterr().err.startswith(f"run failed: {out / 'pin.json'} pins another "
+                                                  f"run: {key} is ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_may_change_method_setting_trials_and_jobs(self, tmp_path):
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        args = ["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,
+                "--out", str(out)]
+        assert main(args) == 0
+        assert main(args + ["--method", "mixup", "--setting", "semi25", "--trials", "2",
+                            "--jobs", "2"]) == 0
+        assert [r.key() for r in stats.load_runs(out / "results.jsonl")] == [
+            ("toy", "control", "full", 0), ("toy", "mixup", "semi25", 0),
+            ("toy", "mixup", "semi25", 1)]
+
     def test_same_seed_byte_identical_results(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path)
@@ -523,7 +574,7 @@ class TestRun:
                          "--method", "scarf", "--jobs", jobs, "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()
                             if p.name != "config.json"})
-        assert len(outputs[0]) == 5  # results.jsonl and four curves files
+        assert len(outputs[0]) == 6  # results.jsonl, pin.json and four curves files
         assert outputs[0] == outputs[1]
 
     def test_parallel_jobs_complete_all_trials(self, tmp_path):

@@ -7,7 +7,6 @@ from conftest import encoded_dataset, make_numeric_dataset
 from tabpretrain.corruption import (
     STRATEGIES,
     ConfigurationError,
-    CorruptionConfig,
     build_marginal_pool,
     corrupt_batch,
     make_views,
@@ -40,7 +39,7 @@ class TestMarginalPool:
     def test_single_row_pool(self, rng):
         ds = make_numeric_dataset(n=20, d=3, seed=1)
         pool = build_marginal_pool(ds, np.array([4]))
-        cfg = CorruptionConfig(corruption_rate=1.0)
+        cfg = Hyperparameters(corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 5, rng)
         out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, np.tile(ds.X[4], (5, 1)))
@@ -51,7 +50,7 @@ class TestMarginalPool:
         train = np.arange(30)
         for ds in (make_numeric_dataset(n=50, d=4, seed=2), mixed_dataset(n=50, seed=2)):
             pool = build_marginal_pool(ds, train)
-            cfg = CorruptionConfig(corruption_rate=1.0)
+            cfg = Hyperparameters(corruption_rate=1.0)
             for _ in range(100):
                 hit = select_indices(ds.M, cfg, 8, rng)
                 out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, hit, rng)
@@ -68,26 +67,26 @@ class TestMarginalPool:
 
 class TestSelectIndices:
     def test_q_floor(self, rng):
-        hit = select_indices(2, CorruptionConfig(corruption_rate=0.6), 4, rng)
+        hit = select_indices(2, Hyperparameters(corruption_rate=0.6), 4, rng)
         np.testing.assert_array_equal(hit.sum(axis=1), 1)  # floor(1.2)
 
     def test_rate_zero_fixed_count_empty(self, rng):
-        hit = select_indices(5, CorruptionConfig(corruption_rate=0.0), 4, rng)
+        hit = select_indices(5, Hyperparameters(corruption_rate=0.0), 4, rng)
         assert not hit.any()
 
     def test_bernoulli_never_empty(self, rng):
-        cfg = CorruptionConfig(corruption_rate=0.01, index_selection="bernoulli")
+        cfg = Hyperparameters(corruption_rate=0.01, index_selection="bernoulli")
         hit = select_indices(3, cfg, 200, rng)
         assert hit.any(axis=1).all()
 
     def test_shared_batch_identical_sets(self, rng):
-        cfg = CorruptionConfig(corruption_rate=0.5, index_sharing="shared_batch")
+        cfg = Hyperparameters(corruption_rate=0.5, index_sharing="shared_batch")
         hit = select_indices(8, cfg, 10, rng)
         for row in hit[1:]:
             np.testing.assert_array_equal(row, hit[0])
 
     def test_per_example_sets_vary(self, rng):
-        cfg = CorruptionConfig(corruption_rate=0.5)
+        cfg = Hyperparameters(corruption_rate=0.5)
         hit = select_indices(20, cfg, 50, rng)
         assert len({tuple(row) for row in hit}) > 1
 
@@ -96,7 +95,7 @@ class TestCorruptBatch:
     def test_none_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
-        cfg = CorruptionConfig(corruption_strategy="none", corruption_rate=0.6)
+        cfg = Hyperparameters(corruption_strategy="none", corruption_rate=0.6)
         hit = select_indices(ds.M, cfg, 6, rng)
         out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
@@ -104,7 +103,7 @@ class TestCorruptBatch:
     def test_rate_zero_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
-        cfg = CorruptionConfig(corruption_rate=0.0)
+        cfg = Hyperparameters(corruption_rate=0.0)
         hit = select_indices(ds.M, cfg, 6, rng)
         out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
@@ -112,7 +111,7 @@ class TestCorruptBatch:
     def test_zero_strategy(self, rng):
         ds = make_numeric_dataset(n=20, d=2)
         row = np.array([[5.0, 7.0]])
-        cfg = CorruptionConfig(corruption_strategy="zero", corruption_rate=0.5)
+        cfg = Hyperparameters(corruption_strategy="zero", corruption_rate=0.5)
         out, _ = corrupt_batch(row, ds, cfg, None, np.array([[True, False]]), rng)
         np.testing.assert_array_equal(out, [[0.0, 7.0]])
 
@@ -120,7 +119,7 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=60, d=8, seed=3)
         pool = build_marginal_pool(ds, np.arange(40))
         for strategy in ("marginal", "mean", "gaussian", "joint", "zero", "missing_learnable"):
-            cfg = CorruptionConfig(corruption_strategy=strategy, corruption_rate=0.5)
+            cfg = Hyperparameters(corruption_strategy=strategy, corruption_rate=0.5)
             hit = select_indices(ds.M, cfg, 10, rng)
             lmv = rng.normal(size=ds.X.shape[1])
             out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, hit, rng, lmv)
@@ -131,7 +130,7 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=30, d=3)
         train = np.arange(20)
         pool = build_marginal_pool(ds, train)
-        cfg = CorruptionConfig(corruption_strategy="mean", corruption_rate=1.0)
+        cfg = Hyperparameters(corruption_strategy="mean", corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 1, rng)
         out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, hit, rng)
         np.testing.assert_allclose(out[0], ds.X[train].mean(axis=0))
@@ -139,21 +138,21 @@ class TestCorruptBatch:
     def test_missing_learnable_values_inserted(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         lmv = np.arange(4, dtype=float) + 10
-        cfg = CorruptionConfig(corruption_strategy="missing_learnable", corruption_rate=1.0)
+        cfg = Hyperparameters(corruption_strategy="missing_learnable", corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 3, rng)
         out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng, lmv)
         np.testing.assert_array_equal(out, np.tile(lmv, (3, 1)))
 
     def test_learnable_required(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
-        cfg = CorruptionConfig(corruption_strategy="missing_learnable", corruption_rate=1.0)
+        cfg = Hyperparameters(corruption_strategy="missing_learnable", corruption_rate=1.0)
         hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
             corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
 
     def test_pool_required_for_marginal(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
-        cfg = CorruptionConfig(corruption_rate=0.5)
+        cfg = Hyperparameters(corruption_rate=0.5)
         hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
             corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
@@ -163,7 +162,7 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(20))
         lo, hi = ds.feature_blocks[1]
         for strategy in ("marginal", "joint"):
-            cfg = CorruptionConfig(corruption_strategy=strategy, corruption_rate=1.0)
+            cfg = Hyperparameters(corruption_strategy=strategy, corruption_rate=1.0)
             hit = select_indices(ds.M, cfg, 10, rng)
             out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, hit, rng)
             block = out[:, lo:hi]
@@ -176,7 +175,7 @@ class TestCorruptBatch:
         ds = mixed_dataset(n=40, seed=3)
         train = np.arange(25)
         pool = build_marginal_pool(ds, train)
-        cfg = CorruptionConfig(corruption_rate=0.5)
+        cfg = Hyperparameters(corruption_rate=0.5)
         batch = ds.X[25:35]
         rng = np.random.default_rng(11)
         hit = select_indices(ds.M, cfg, 10, rng)
@@ -193,7 +192,7 @@ class TestCorruptBatch:
     def test_joint_rows_come_from_one_donor(self):
         ds = make_numeric_dataset(n=30, d=5, seed=4)
         pool = build_marginal_pool(ds, np.arange(20))
-        cfg = CorruptionConfig(corruption_strategy="joint", corruption_rate=1.0)
+        cfg = Hyperparameters(corruption_strategy="joint", corruption_rate=1.0)
         rng = np.random.default_rng(0)
         hit = select_indices(ds.M, cfg, 4, rng)
         out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, hit, rng)
@@ -204,7 +203,7 @@ class TestCorruptBatch:
     def test_single_row_donor_shared_across_batch(self):
         ds = make_numeric_dataset(n=30, d=5, seed=5)
         pool = build_marginal_pool(ds, np.arange(20))
-        cfg = CorruptionConfig(corruption_strategy="marginal", corruption_rate=1.0,
+        cfg = Hyperparameters(corruption_strategy="marginal", corruption_rate=1.0,
                                donor="single_row")
         rng = np.random.default_rng(0)
         hit = select_indices(ds.M, cfg, 6, rng)
@@ -217,7 +216,7 @@ class TestCorruptBatch:
         a = 2.5
         scaled.X[:, 0] *= a
         train = np.arange(30)
-        cfg = CorruptionConfig(corruption_rate=1.0)
+        cfg = Hyperparameters(corruption_rate=1.0)
         out1, _ = corrupt_batch(
             ds.X[30:35], ds, cfg, build_marginal_pool(ds, train),
             select_indices(3, cfg, 5, np.random.default_rng(9)), np.random.default_rng(10),
@@ -235,7 +234,7 @@ class TestMakeViews:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         batch = ds.X[:8]
-        view_a, view_b, _ = make_views(batch, ds, CorruptionConfig(corruption_rate=0.6), pool, rng)
+        view_a, view_b, _ = make_views(batch, ds, Hyperparameters(corruption_rate=0.6), pool, rng)
         np.testing.assert_array_equal(view_a, batch)
         assert not np.array_equal(view_b, batch)
 
@@ -243,7 +242,7 @@ class TestMakeViews:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         batch = ds.X[:8]
-        cfg = CorruptionConfig(corruption_strategy="none", corruption_rate=0.6)
+        cfg = Hyperparameters(corruption_strategy="none", corruption_rate=0.6)
         view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng)
         np.testing.assert_array_equal(view_a, batch)
         np.testing.assert_array_equal(view_b, batch)
@@ -251,7 +250,7 @@ class TestMakeViews:
     def test_corrupt_both_views_differ(self, rng):
         ds = make_numeric_dataset(n=60, d=10, seed=7)
         pool = build_marginal_pool(ds, np.arange(40))
-        cfg = CorruptionConfig(corruption_rate=0.6, view_policy="corrupt_both")
+        cfg = Hyperparameters(corruption_rate=0.6, view_policy="corrupt_both")
         view_a, view_b, _ = make_views(ds.X[:8], ds, cfg, pool, rng)
         assert not np.array_equal(view_a, view_b)
 
@@ -267,7 +266,7 @@ def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy,
     X = np.column_stack([rng.normal(size=(40, 3)), np.eye(3)[rng.integers(0, 3, size=40)]])
     ds = encoded_dataset(X, rng.integers(0, 2, size=40), blocks=[(0, 1), (1, 2), (2, 3), (3, 6)])
     pool = build_marginal_pool(ds, np.arange(30))
-    cfg = CorruptionConfig(corruption_strategy=strategy, index_selection=index_selection,
+    cfg = Hyperparameters(corruption_strategy=strategy, index_selection=index_selection,
                            index_sharing=index_sharing, view_policy=view_policy)
     lmv = rng.normal(size=ds.X.shape[1])
     rows = 8 if view_policy == "corrupt_one" else 16
@@ -289,39 +288,39 @@ def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy,
 class TestConfigValidation:
     def test_bad_strategy(self):
         with pytest.raises(ConfigurationError):
-            CorruptionConfig(corruption_strategy="typo")
+            Hyperparameters(corruption_strategy="typo")
 
     def test_bad_rate(self):
         with pytest.raises(ConfigurationError):
-            CorruptionConfig(corruption_rate=1.5)
+            Hyperparameters(corruption_rate=1.5)
 
     def test_bernoulli_zero_rate_rejected(self):
         # select_indices would redraw the always-empty rows forever
         with pytest.raises(ConfigurationError, match="bernoulli"):
-            CorruptionConfig(corruption_rate=0.0, index_selection="bernoulli")
+            Hyperparameters(corruption_rate=0.0, index_selection="bernoulli")
 
-    @pytest.mark.parametrize("config, key, value, kind", [
-        (CorruptionConfig, "unique_pool", "no", "bool"),
-        (CorruptionConfig, "corruption_rate", True, "float"),
-        (CorruptionConfig, "donor", 1, "str"),
-        (Hyperparameters, "noise_rate", True, "float"),
-        (Hyperparameters, "batch_size", 2.5, "int"),
-        (Hyperparameters, "hidden_dim", 8.0, "int"),
-        (Hyperparameters, "learning_rate", "0.1", "float"),
+    @pytest.mark.parametrize("key, value, kind", [
+        ("unique_pool", "no", "bool"),
+        ("corruption_rate", True, "float"),
+        ("donor", 1, "str"),
+        ("noise_rate", True, "float"),
+        ("batch_size", 2.5, "int"),
+        ("hidden_dim", 8.0, "int"),
+        ("learning_rate", "0.1", "float"),
     ])
-    def test_field_of_the_wrong_type_rejected(self, config, key, value, kind):
+    def test_field_of_the_wrong_type_rejected(self, key, value, kind):
         """Built directly, these used to pass: "no" deduplicated the pool, True
         read as a rate of 1.0, a float width or batch size failed mid-trial
         and a string learning rate raised a bare TypeError."""
         with pytest.raises(ConfigurationError, match=re.escape(
                 f"hyperparameter {key!r} must be of type {kind}, not {value!r}")):
-            config(**{key: value})
+            Hyperparameters(**{key: value})
 
     def test_unique_pool_samples_deduplicated_values(self):
         ds = make_numeric_dataset(n=20, d=2, seed=8)
         ds = encoded_dataset(np.array([[1.0]] * 19 + [[2.0]]), ds.y)
         pool = build_marginal_pool(ds, np.arange(20))
-        cfg = CorruptionConfig(corruption_rate=1.0, unique_pool=True)
+        cfg = Hyperparameters(corruption_rate=1.0, unique_pool=True)
         rng = np.random.default_rng(0)
         draws = []
         for _ in range(200):

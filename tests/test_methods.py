@@ -2,14 +2,14 @@ import json
 import re
 import time
 import weakref
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import make_blob_dataset, make_numeric_dataset
 from tabpretrain import baselines, methods, stats
-from tabpretrain.corruption import ConfigurationError, CorruptionConfig
+from tabpretrain.corruption import ConfigurationError
 from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits, process_csv
 from tabpretrain.methods import (
     FINETUNERS,
@@ -301,22 +301,26 @@ class TestRunMethod:
         ds = make_blob_dataset(n=120, d=4, seed=3)
         hp = replace(FAST_HP, batch_size=24, corruption_rate=0.3, donor="single_row")
         run_method(method, ds, make_splits(120, 2), "full", 9, hp)
-        expected = CorruptionConfig(corruption_rate=0.3, donor="single_row")
+        expected = Hyperparameters(corruption_rate=0.3, donor="single_row")
 
         def corruption(hp):
-            """The corruption fields of the Hyperparameters `hp` as their own config."""
-            return CorruptionConfig(**{f.name: getattr(hp, f.name) for f in fields(CorruptionConfig)})
+            """The values of the eight corruption fields of `hp`."""
+            return tuple(getattr(hp, name) for name in (
+                "corruption_strategy", "corruption_rate", "index_selection", "view_policy",
+                "index_sharing", "donor", "gaussian_sigma", "unique_pool"))
 
         pretrain_cfg = [args[3] for args, _ in pretrain_calls]
         [(finetune_args, finetune_kwargs)] = finetune_calls
         finetune_cfg = finetune_args[4]
         assert [c.batch_size for c in pretrain_cfg + [finetune_cfg]] == [24] * (len(pretrain_cfg) + 1)
         if method == "scarf":
-            assert corruption(pretrain_cfg[0]) == expected
+            assert corruption(pretrain_cfg[0]) == corruption(expected)
         elif method == "scarf_aug":
-            assert (finetune_kwargs["recipe"], corruption(finetune_cfg)) == ("scarf_aug", expected)
+            assert (finetune_kwargs["recipe"], corruption(finetune_cfg)) == (
+                "scarf_aug", corruption(expected))
         else:
-            assert (finetune_kwargs["recipe"], corruption(finetune_cfg)) == ("cotrain", expected)
+            assert (finetune_kwargs["recipe"], corruption(finetune_cfg)) == (
+                "cotrain", corruption(expected))
 
     @pytest.mark.parametrize("recipe", ["self_train", "tri_train"])
     def test_non_default_hyperparameters_take_effect(self, recipe, monkeypatch):
@@ -374,6 +378,30 @@ class TestRunBenchmark:
         again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
                                    out_dir=tmp_path, hp=FAST_HP))
         assert again == []  # everything already completed
+
+    def test_out_dir_pins_what_decides_its_records(self, tmp_path):
+        """A resume used to append records of another seed, scaling, data or
+        hyperparameters to the run it resumed. Now it raises before it loads
+        or writes anything; the methods, settings, trials and jobs stay free."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        same = {"base_seed": 0, "out_dir": tmp_path, "hp": FAST_HP, "data_digest": "abc"}
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, **same))
+        assert json.loads((tmp_path / "pin.json").read_text()) == {
+            "seed": 0, "scaling": "zscore", "data_digest": "abc", **asdict(FAST_HP)}
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for key, value, named in (("base_seed", 5, "seed is 0 there, 5 here"),
+                                  ("scaling", "minmax", "scaling is 'zscore' there, 'minmax' here"),
+                                  ("data_digest", "abd", "data_digest is 'abc' there, 'abd' here"),
+                                  ("hp", replace(FAST_HP, dropout=0.5),
+                                   "dropout is 0.04 there, 0.5 here")):
+            with pytest.raises(ValueError, match=re.escape(f"pins another run: {named}")):
+                run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 2,
+                              **{**same, key: value})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        again = list(run_benchmark({"blob": ds}, ["control", "mixup"], ["full", "semi25"], 2,
+                                   **same, jobs=2))
+        assert len(again) == 7
+        assert json.loads((tmp_path / "pin.json").read_bytes()) == json.loads(before["pin.json"])
 
     def test_scaled_float64_copy_released_before_training(self, monkeypatch):
         # run_method trains on its float32 cast; the float64 copy that
@@ -575,20 +603,23 @@ class TestRunBenchmark:
         scarf at 1e4 scores badly but stays finite, so it stays a result."""
         ds = make_numeric_dataset(n=600, d=20)
         hp = Hyperparameters(hidden_dim=32, pretrain_max_epochs=20, finetune_max_epochs=20)
-        for method, lr in (("scarf_ae", 1e6), ("control", 1e6), ("self_train", 1e6),
-                           ("scarf", 1e4)):
+        diverged, finite = tmp_path / "diverged", tmp_path / "finite"
+        for out, names, lr in ((diverged, ["scarf_ae", "control", "self_train"], 1e6),
+                               (finite, ["scarf"], 1e4)):
             with np.errstate(all="ignore"):
-                list(run_benchmark({"mix": ds}, [method], ["semi25"], 1, 0, out_dir=tmp_path,
+                list(run_benchmark({"mix": ds}, names, ["semi25"], 1, 0, out_dir=out,
                                    hp=replace(hp, learning_rate=lr)))
         failures = [json.loads(line)
-                    for line in (tmp_path / "failures.jsonl").read_text().splitlines()]
+                    for line in (diverged / "failures.jsonl").read_text().splitlines()]
         assert [(f["method_name"], f["error_type"]) for f in failures] == [
             ("scarf_ae", "TrainingDiverged"), ("control", "TrainingDiverged"),
             ("self_train", "TrainingDiverged")]
         assert failures[0]["message"].startswith("scarf_ae pre-training diverged at epoch ")
         for f in failures[1:]:
             assert f["message"].startswith("fine-tuning diverged at epoch ")
-        assert [r.method_name for r in stats.load_runs(tmp_path / "results.jsonl")] == ["scarf"]
+        assert stats.load_runs(diverged / "results.jsonl") == []
+        assert not (finite / "failures.jsonl").exists()
+        assert [r.method_name for r in stats.load_runs(finite / "results.jsonl")] == ["scarf"]
 
     def test_failed_trial_logged_to_failures_jsonl(self, tmp_path, monkeypatch):
         ds = make_blob_dataset(n=120, d=4, seed=4)

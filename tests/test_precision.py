@@ -16,7 +16,6 @@ from tabpretrain import losses, methods
 from tabpretrain.baselines import mixup_batch
 from tabpretrain.corruption import (
     STRATEGIES,
-    CorruptionConfig,
     build_marginal_pool,
     corrupt_batch,
     make_views,
@@ -63,7 +62,7 @@ def test_views_keep_float32(strategy, view_policy, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
     learnable = rng.normal(size=ds.X.shape[1]).astype(F32)
-    cfg = CorruptionConfig(corruption_strategy=strategy, view_policy=view_policy)
+    cfg = Hyperparameters(corruption_strategy=strategy, view_policy=view_policy)
     batch = ds.X[:8]
     view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng, learnable)
     out, _ = corrupt_batch(batch, ds, cfg, pool, select_indices(ds.M, cfg, 8, rng), rng, learnable)
