@@ -17,9 +17,10 @@ rule of `corruption.check_type`, and an empty string counts as not given, so
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
-It also hands it a digest of the CSV and schema bytes, which `run_benchmark`
-pins in `out` with the seed, the scaling and the hyperparameters: a resume
-whose values differ fails and names them.
+`run_benchmark` pins in `out` the seed, the scaling, the hyperparameters and
+a digest of the encoded table it loads: a resume whose values differ fails
+and names them. A resume with no trial left reads no data, so it checks only
+the first three.
 `config.json` is written only once `run_benchmark` has accepted the
 configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
@@ -31,7 +32,6 @@ leaves no record and reruns on resume.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -121,14 +121,10 @@ def cmd_run(args) -> int:
         cfg = _load_config(args)
         hp = Hyperparameters(**{f.name: cfg[f.name] for f in fields(Hyperparameters)})
         schema = Schema.from_file(cfg["schema"])
-        data = hashlib.sha256()
-        for path in (cfg["dataset"], cfg["schema"]):
-            with open(path, "rb") as fh:
-                data.update(hashlib.sha256(fh.read()).digest())
         outcomes = methods.run_benchmark(
             {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
             [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp,
-            cfg["scaling"], cfg["jobs"], data.hexdigest(),
+            cfg["scaling"], cfg["jobs"],
         )
         with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
             json.dump(cfg, fh, indent=2, sort_keys=True)

@@ -171,7 +171,6 @@ def run_benchmark(
     hp: Hyperparameters = Hyperparameters(),
     scaling: str = "zscore",
     jobs: int = 1,
-    data_digest: str = "",
 ) -> Iterator[stats.MethodRun | TrialFailure]:
     """An iterator that yields, in trial order, a MethodRun (or a TrialFailure
     if it raised) for each (dataset, method, setting, trial) not yet in
@@ -189,16 +188,17 @@ def run_benchmark(
     Every trial reads the one `hp`; a bad hyperparameter raises where the
     caller builds it, before this call.
     The first call into `out_dir` pins what decides its records in
-    `out_dir/pin.json`: `base_seed`, `scaling`, `data_digest` (the CLI's
-    digest of the CSV and schema bytes) and every field of `hp`. The methods,
-    settings, `trials` and `jobs` stay free, so a resume may add to them.
+    `out_dir/pin.json`: `base_seed`, `scaling`, every field of `hp` and, by
+    dataset id, the `_data_digest` of each dataset it loads; a later call adds
+    the ids new to it. The methods, settings, `trials` and `jobs` stay free.
     The checks, the read of the completed keys, the loading of the datasets
     with trials left and the creation of a missing `out_dir` run in this call,
     before it returns the iterator: unknown method, setting or scaling names,
-    a method or setting named twice, a method that `check_method` rejects
-    under `hp`, `trials` or `jobs` below 1, a pin that differs from
-    `out_dir`'s and a dataset that fails to load raise here, before anything
-    is written.
+    a method or setting named twice, a dataset id that is not one file name,
+    a method that `check_method` rejects under `hp`, `trials` or `jobs` below
+    1, a dataset that fails to load and a pin that differs from `out_dir`'s
+    raise here, before anything is written; only the data is checked after
+    loading, so a dataset with no trial left goes unchecked.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -214,15 +214,20 @@ def run_benchmark(
             raise ValueError(f"unknown setting {setting!r}")
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling {scaling!r}")
-    pin = {"seed": base_seed, "scaling": scaling, "data_digest": data_digest, **asdict(hp)}
+    for dataset_id in datasets:  # it names the curves files
+        if dataset_id in ("", ".", "..") or os.path.basename(dataset_id) != dataset_id:
+            raise ValueError(f"dataset id {dataset_id!r} is not one file name")
     pin_path = os.path.join(out_dir, "pin.json") if out_dir else None
+    pinned = {}
     if pin_path and os.path.exists(pin_path):
         with open(pin_path) as fh:
             pinned = json.load(fh)
-        differ = [key for key in {**pinned, **pin} if pinned.get(key) != pin.get(key)]
-        if differ:
-            raise ValueError(f"{pin_path} pins another run: " + "; ".join(
-                f"{key} is {pinned.get(key)!r} there, {pin.get(key)!r} here" for key in differ))
+    digests = pinned.get("data_digest", {})
+    # a pin that holds one string for all its data names no dataset: refused
+    pin = {"seed": base_seed, "scaling": scaling,
+           "data_digest": dict(digests) if isinstance(digests, dict) else {}, **asdict(hp)}
+    if pinned:
+        _check_pin(pin_path, pinned, pin)
     results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
     done = stats.completed_keys(results_path) if results_path else set()
     todo = [(dataset_id, method, setting, trial)
@@ -235,10 +240,16 @@ def run_benchmark(
             source = datasets[dataset_id]
             loaded[dataset_id] = source() if callable(source) else source
     if out_dir is not None:
+        here = {dataset_id: _data_digest(dataset) for dataset_id, dataset in loaded.items()}
+        there = {dataset_id: pin["data_digest"].get(dataset_id, digest)  # a new id pins its own
+                 for dataset_id, digest in here.items()}
+        _check_pin(pin_path, {"data_digest": there}, {"data_digest": here})
+        pin["data_digest"].update(here)
         os.makedirs(out_dir, exist_ok=True)
-        if not os.path.exists(pin_path):
-            with open(pin_path, "w") as fh:
+        if pin != pinned:  # whole or not at all: a torn pin would refuse every resume
+            with open(pin_path + ".tmp", "w") as fh:
                 json.dump(pin, fh, indent=2)
+            os.replace(pin_path + ".tmp", pin_path)
 
     def run_one(key):
         dataset_id, method, setting, trial = key
@@ -263,12 +274,32 @@ def run_benchmark(
             for outcome, res in outcomes:
                 if out_dir and res is None:
                     _append_failure(out_dir, outcome)
-                elif out_dir:
-                    stats.append_run(results_path, outcome)
+                elif out_dir:  # the record last: a trial with a record has its curves
                     _write_curves(out_dir, outcome, res)
+                    stats.append_run(results_path, outcome)
                 yield outcome
 
     return in_trial_order()
+
+
+def _check_pin(pin_path, pinned: dict, pin: dict) -> None:
+    differ = [key for key in {**pinned, **pin} if pinned.get(key) != pin.get(key)]
+    if differ:
+        raise ValueError(f"{pin_path} pins another run: " + "; ".join(
+            f"{key} is {pinned.get(key)!r} there, {pin.get(key)!r} here" for key in differ))
+
+
+def _data_digest(dataset: ProcessedDataset) -> str:
+    """sha256 of X and y (dtype, shape and bytes, hashed in place), the
+    feature blocks, the classes and the numerical columns."""
+    digest = hashlib.sha256()
+    for array in (dataset.X, dataset.y):
+        array = np.ascontiguousarray(array)  # a copy only if it is not contiguous
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array)
+    digest.update(repr((dataset.feature_blocks, dataset.classes,
+                        dataset.numerical_columns)).encode())
+    return digest.hexdigest()
 
 
 def _append_failure(out_dir, failure: TrialFailure) -> None:

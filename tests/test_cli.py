@@ -352,6 +352,7 @@ class TestRun:
             raise OSError("ingestion on a finished sweep")
 
         monkeypatch.setattr(cli, "encode_csv", no_ingestion)
+        write_dataset(tmp_path, n=61)  # nor is the data read, so a changed CSV goes unchecked
         assert main(args) == 0
         assert (out / "results.jsonl").read_bytes() == finished
         # a sweep with a trial left still ingests, through the patched loader
@@ -378,7 +379,8 @@ class TestRun:
     @pytest.mark.parametrize("change", ["csv", "schema", "scaling"])
     def test_resume_with_other_data_or_scaling_fails(self, tmp_path, capsys, change):
         """Two tables of one file name share a dataset id, and so their
-        records' keys; the pin tells them apart by the CSV and schema bytes."""
+        records' keys; the pin tells them apart by the digest of the table
+        that the CSV and schema encode."""
         csv, schema = write_dataset(tmp_path)
         out = tmp_path / "o"
         args = ["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,

@@ -381,27 +381,108 @@ class TestRunBenchmark:
 
     def test_out_dir_pins_what_decides_its_records(self, tmp_path):
         """A resume used to append records of another seed, scaling, data or
-        hyperparameters to the run it resumed. Now it raises before it loads
-        or writes anything; the methods, settings, trials and jobs stay free."""
+        hyperparameters to the run it resumed. Now it raises before it writes
+        anything, and before it loads anything but the data it checks; the
+        methods, settings, trials and jobs stay free."""
         ds = make_blob_dataset(n=120, d=4, seed=4)
-        same = {"base_seed": 0, "out_dir": tmp_path, "hp": FAST_HP, "data_digest": "abc"}
+        same = {"base_seed": 0, "out_dir": tmp_path, "hp": FAST_HP}
         list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, **same))
+        digest = methods._data_digest(ds)
         assert json.loads((tmp_path / "pin.json").read_text()) == {
-            "seed": 0, "scaling": "zscore", "data_digest": "abc", **asdict(FAST_HP)}
+            "seed": 0, "scaling": "zscore", "data_digest": {"blob": digest}, **asdict(FAST_HP)}
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         for key, value, named in (("base_seed", 5, "seed is 0 there, 5 here"),
                                   ("scaling", "minmax", "scaling is 'zscore' there, 'minmax' here"),
-                                  ("data_digest", "abd", "data_digest is 'abc' there, 'abd' here"),
                                   ("hp", replace(FAST_HP, dropout=0.5),
                                    "dropout is 0.04 there, 0.5 here")):
             with pytest.raises(ValueError, match=re.escape(f"pins another run: {named}")):
                 run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 2,
                               **{**same, key: value})
+        other = make_blob_dataset(n=120, d=4, seed=5)
+        named = (f"data_digest is {{'blob': {digest!r}}} there, "
+                 f"{{'blob': {methods._data_digest(other)!r}}} here")
+        with pytest.raises(ValueError, match=re.escape(f"pins another run: {named}")):
+            run_benchmark({"blob": other}, ["control"], ["full"], 2, **same)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         again = list(run_benchmark({"blob": ds}, ["control", "mixup"], ["full", "semi25"], 2,
                                    **same, jobs=2))
         assert len(again) == 7
-        assert json.loads((tmp_path / "pin.json").read_bytes()) == json.loads(before["pin.json"])
+        assert (tmp_path / "pin.json").read_bytes() == before["pin.json"]
+
+    def test_two_tables_under_one_id_do_not_share_out_dir(self, tmp_path):
+        """Library callers pinned no data, so the records of two in-memory
+        tables under one dataset id used to mix in one `out_dir`."""
+        first, second = make_blob_dataset(n=120, d=4, seed=1), make_blob_dataset(n=120, d=4, seed=2)
+        list(run_benchmark({"blob": first}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match="pins another run: data_digest is "):
+            run_benchmark({"blob": second}, ["mixup"], ["full"], 1, 0, tmp_path, FAST_HP)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # a table with no trial left is neither loaded nor checked
+        assert list(run_benchmark({"blob": second}, ["control"], ["full"], 1, 0, tmp_path,
+                                  FAST_HP)) == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # a new id extends the pin
+        list(run_benchmark({"blob": lambda: pytest.fail("loaded"), "other": second}, ["control"],
+                           ["full"], 1, 0, tmp_path, FAST_HP))
+        assert json.loads((tmp_path / "pin.json").read_text())["data_digest"] == {
+            "blob": methods._data_digest(first), "other": methods._data_digest(second)}
+
+    def test_pin_of_one_digest_for_all_data_is_refused(self, tmp_path):
+        """A pin that holds one string under `data_digest` names no dataset:
+        it is refused, not pinned again over records it cannot check."""
+        pin = {"seed": 0, "scaling": "zscore", "data_digest": "", **asdict(FAST_HP)}
+        (tmp_path / "pin.json").write_text(json.dumps(pin, indent=2))
+        with pytest.raises(ValueError, match=re.escape("data_digest is '' there, {} here")):
+            run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 1, 0,
+                          tmp_path, FAST_HP)
+        assert json.loads((tmp_path / "pin.json").read_text()) == pin
+
+    def test_failed_pin_write_leaves_out_dir_resumable(self, tmp_path, monkeypatch):
+        """A dump cut off midway used to leave a torn pin.json that every
+        later call failed to parse."""
+        real_dump = json.dump
+
+        def torn_dump(obj, fh, **kwargs):
+            monkeypatch.setattr(json, "dump", real_dump)
+            fh.write('{"seed": 0,')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        with pytest.raises(OSError, match="disk full"):
+            run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP)
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path,
+                                      FAST_HP))) == 1
+        assert json.loads((tmp_path / "pin.json").read_text())["seed"] == 0
+
+    def test_record_written_after_its_curves(self, tmp_path, monkeypatch):
+        """A curves write that failed used to leave the trial's record, so the
+        resume skipped the trial and its curves never came."""
+        real_write = methods._write_curves
+
+        def failing_write(*args):
+            monkeypatch.setattr(methods, "_write_curves", real_write)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(methods, "_write_curves", failing_write)
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        with pytest.raises(OSError, match="disk full"):
+            list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP))
+        assert not (tmp_path / "results.jsonl").exists()
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path,
+                                      FAST_HP))) == 1
+        assert (tmp_path / "curves_blob_control_full_0.csv").exists()
+
+    @pytest.mark.parametrize("dataset_id", ["", ".", "..", "a/b"])
+    def test_dataset_id_that_is_not_one_file_name_raises_before_any_file(self, tmp_path,
+                                                                         dataset_id):
+        """It names the curves files: "a/b" used to append its record and then
+        fail to open `curves_a/b_...`."""
+        with pytest.raises(ValueError, match="is not one file name"):
+            run_benchmark({dataset_id: lambda: pytest.fail("loaded")}, ["control"], ["full"], 1,
+                          0, tmp_path / "o", FAST_HP)
+        assert not (tmp_path / "o").exists()
 
     def test_scaled_float64_copy_released_before_training(self, monkeypatch):
         # run_method trains on its float32 cast; the float64 copy that
