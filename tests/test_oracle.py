@@ -8,7 +8,7 @@ import oracle
 
 def test_grid_holds_every_method_setting_dataset_and_variant():
     assert len(oracle.METHODS) == 65
-    assert len(oracle.entries()) == 65 * 3 * 2 * 12 + 1 == 4681
+    assert len(oracle.entries()) == 65 * 3 * 2 * 14 + 1 == 5461
 
 
 def test_entry_digests_repeat_within_one_process():
