@@ -16,6 +16,7 @@ from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
     AUTOENCODERS,
     DRAWS_SCARF_VIEWS,
+    FINETUNE_RECIPES,
     INFERENCE_ROWS,
     PRETRAINERS,
     Hyperparameters,
@@ -1005,3 +1006,51 @@ class TestCotrain:
             finetune(ds, splits, splits.train, bundle,
                      Hyperparameters(finetune_max_epochs=1, cotrain_weight=0.1), rng,
                      recipe="ae_cotrain")
+
+
+# every kind of step `_fit` takes: (pre-trainer, or None to fine-tune; Hyperparameters
+# fields over SMALL; recipe)
+STEP_KINDS = ([(pre, {}, "control") for pre in PRETRAINERS]
+              + [("scarf", fields, "control") for fields in (
+                  {"view_policy": "corrupt_both"},
+                  {"corruption_strategy": "missing_learnable"},
+                  {"corruption_strategy": "missing_learnable", "view_policy": "corrupt_both"},
+                  {"pretrain_loss": "barlow"},
+                  {"pretrain_loss": "align_uniform"})]
+              + [(None, {}, recipe) for recipe in FINETUNE_RECIPES])
+
+
+@pytest.mark.parametrize("pre, fields, recipe", STEP_KINDS,
+                         ids=["-".join([pre or recipe, *fields.values()])
+                              for pre, fields, recipe in STEP_KINDS])
+def test_step_gradients_match_finite_differences(pre, fields, recipe, monkeypatch):
+    """The step that `pretrain_scarf` or `finetune` hands `_fit`, as the
+    trainer composes it: its gradients of `_fit`'s `params` against central
+    differences of its loss, with the run rng's state restored before every
+    call so that the corruption, noise, dropout and mixup draws repeat. Width
+    16 keeps every embedding row off zero, where the l2 normalization has no
+    gradient."""
+    ds = make_numeric_dataset(n=40, d=4, seed=3)
+    splits = make_splits(40, 3)
+    rng = np.random.default_rng(5)
+    hp = replace(SMALL, **fields)
+    bundle = to_float64(small_bundle(ds, rng, hp, pre, recipe))
+    if bundle.learnable_missing is not None:
+        bundle.learnable_missing[:] = rng.normal(size=bundle.learnable_missing.shape)
+    captured = []
+    monkeypatch.setattr(training, "_fit", lambda params, rows, hp, max_epochs, rng, step, *rest:
+                        captured.append((params, rng, step)))
+    if pre is None:
+        finetune(ds, splits, splits.train, bundle, hp, rng, recipe)
+    else:
+        pretrain_scarf(ds, splits, bundle, hp, rng, pre)
+    [(params, run_rng, step)] = captured
+    rows, state = splits.train[:6], run_rng.bit_generator.state
+
+    def call():
+        run_rng.bit_generator.state = state
+        return step(rows)
+
+    grads = call()[1]
+    assert len(grads) == len(params)
+    assert_grads_close(grads, central_difference(lambda: call()[0], params))
