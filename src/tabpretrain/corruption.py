@@ -1,7 +1,7 @@
 """Corrupted-view generation: marginal sampling and its ablation variants.
 
 Everything works on the encoded matrix X. A marginal draw for feature j is
-block j of a uniformly chosen training row, so the marginal pool is X[train].
+block j of a uniformly chosen training row, which the pool reads from X itself.
 `corrupt_batch` expands the (B, M) boolean feature mask of `select_indices` to
 encoded columns, builds one replacement matrix (donor gather, train means,
 noise, zeros or learnable values) and writes it with one `np.where`; untouched
@@ -50,26 +50,26 @@ def check_type(what: str, key: str, value, default) -> None:
 
 @dataclass
 class MarginalPool:
-    """The training rows of the encoded matrix, whose feature blocks are the
-    marginal draws, and the training-split means of the encoded columns for
-    the mean strategy."""
+    """The marginal draws: the feature blocks of the training rows `X[rows]`.
+    X is not copied, so nothing may write into it while the pool is in use."""
 
-    X: np.ndarray  # X[train], (n_train, M_enc)
-    encoded_mean: np.ndarray
+    X: np.ndarray  # the encoded matrix, (n, M_enc)
+    rows: np.ndarray  # the training row indices
     feature_blocks: list[tuple[int, int]]
 
-    @property
-    def n_train(self) -> int:
-        return self.X.shape[0]
+    @cached_property
+    def encoded_mean(self) -> np.ndarray:
+        """Training-split means of the encoded columns, for the mean strategy."""
+        return self.X[self.rows].mean(axis=0)
 
     @cached_property
     def distinct_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """unique_pool draw table: per feature, the pool rows where each
-        distinct block first occurs, as (concatenated rows, start, count).
+        """unique_pool draw table: per feature, the pool positions where each
+        distinct block first occurs, as (concatenated positions, start, count).
         Built on first use, so pools that never dedupe never pay for it."""
-        rows = [_first_occurrences(self.X[:, lo:hi]) for lo, hi in self.feature_blocks]
-        count = np.array([len(r) for r in rows])
-        return np.concatenate(rows), np.cumsum(count) - count, count
+        firsts = [_first_occurrences(self.X[self.rows, lo:hi]) for lo, hi in self.feature_blocks]
+        count = np.array([len(f) for f in firsts])
+        return np.concatenate(firsts), np.cumsum(count) - count, count
 
 
 def _first_occurrences(block: np.ndarray) -> np.ndarray:
@@ -81,11 +81,10 @@ def _first_occurrences(block: np.ndarray) -> np.ndarray:
 
 
 def build_marginal_pool(dataset: ProcessedDataset, train_indices) -> MarginalPool:
-    idx = np.asarray(train_indices)
-    if idx.size == 0:
+    rows = np.asarray(train_indices)
+    if rows.size == 0:
         raise ValueError("cannot build a marginal pool from an empty training split")
-    X = dataset.X[idx]
-    return MarginalPool(X, X.mean(axis=0), list(dataset.feature_blocks))
+    return MarginalPool(dataset.X, rows, list(dataset.feature_blocks))
 
 
 @dataclass
@@ -149,16 +148,16 @@ def corrupt_batch(
     mask = features[:, column_feature] & (strategy != "none")
 
     if strategy in ("marginal", "joint") and config.donor == "single_row":
-        replacement = pool.X[rng.integers(0, pool.n_train)]
+        replacement = pool.X[pool.rows[rng.integers(0, len(pool.rows))]]
     elif strategy == "joint":
-        replacement = pool.X[rng.integers(0, pool.n_train, size=B)]
+        replacement = pool.X[pool.rows[rng.integers(0, len(pool.rows), size=B)]]
     elif strategy == "marginal":
         if config.unique_pool:
             rows, start, count = pool.distinct_rows
             donors = rows[start + rng.integers(0, count, size=(B, M))]
         else:
-            donors = rng.integers(0, pool.n_train, size=(B, M))
-        replacement = pool.X[donors[:, column_feature], np.arange(len(column_feature))]
+            donors = rng.integers(0, len(pool.rows), size=(B, M))
+        replacement = pool.X[pool.rows[donors][:, column_feature], np.arange(len(column_feature))]
     elif strategy == "mean":
         replacement = pool.encoded_mean
     elif strategy == "gaussian":

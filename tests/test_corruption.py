@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestMarginalPool:
         ds = make_numeric_dataset(n=20, d=2, seed=1)
         ds.X[:, 0] = [1.0, 1.0, 2.0] + [3.0] * 17
         pool = build_marginal_pool(ds, np.array([0, 1, 2]))
-        assert sorted(pool.X[:, 0]) == [1.0, 1.0, 2.0]
+        assert sorted(pool.X[pool.rows, 0]) == [1.0, 1.0, 2.0]
 
     def test_single_row_pool(self, rng):
         ds = make_numeric_dataset(n=20, d=3, seed=1)
@@ -58,6 +59,20 @@ class TestMarginalPool:
                     for j in np.flatnonzero(row):
                         lo, hi = ds.feature_blocks[j]
                         assert (ds.X[train, lo:hi] == out[i, lo:hi]).all(axis=1).any()
+
+    def test_holds_no_copy_of_the_training_rows(self):
+        """Building a pool allocates under 1% of X: it reads X in place
+        through the training row indices."""
+        ds = make_numeric_dataset(n=10_000, d=20, seed=3)
+        train = np.arange(7_000)
+        tracemalloc.start()
+        try:
+            pool = build_marginal_pool(ds, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * ds.X.nbytes
+        assert pool.X is ds.X
 
     def test_empty_split_rejected(self):
         ds = make_numeric_dataset()
