@@ -36,6 +36,7 @@ import numpy as np
 
 KINDS = ("numerical", "categorical", "label")
 SCALINGS = ("zscore", "minmax", "mean", "none")
+MIN_SPLIT_ROWS = 10  # the fewest rows `make_splits` partitions
 
 
 class IngestionError(ValueError):
@@ -107,7 +108,8 @@ def load_csv(path, schema: Schema) -> RawTable:
     as it is read, which becomes the column's array once at the end: a
     numerical cell parsed to a float64, any other cell the int32 code of its
     level, numbered in first-read order, or -1 when empty. An empty label
-    cell raises IngestionError naming its row."""
+    cell raises IngestionError naming its row, and a header with no row
+    after it raises IngestionError."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -140,6 +142,8 @@ def load_csv(path, schema: Schema) -> RawTable:
                     raise IngestionError(f"{path}: row {rownum} has no label")
                 else:
                     col.append(-1)
+    if not columns[label]:
+        raise IngestionError(f"{path}: no data rows")
     columns = [np.array(col, dtype=np.float64 if num else np.int32)
                for col, num in zip(columns, numerical)]
     return RawTable(list(schema.names), list(schema.kinds), columns, [list(c) for c in codes])
@@ -283,8 +287,8 @@ def _round_half_up(x: float) -> int:
 def make_splits(n: int, seed: int) -> Splits:
     """Seeded 70/10/20 partition (round-half-up on the first two, test takes
     the remainder)."""
-    if n < 10:
-        raise ValueError("need at least 10 rows to split")
+    if n < MIN_SPLIT_ROWS:
+        raise ValueError(f"need at least {MIN_SPLIT_ROWS} rows to split")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = _round_half_up(0.7 * n)
     n_val = _round_half_up(0.1 * n)

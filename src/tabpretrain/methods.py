@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from tabpretrain import baselines, stats, training
-from tabpretrain.data import (SCALINGS, ProcessedDataset, Splits, corrupt_labels, make_splits,
-                              mask_labels, scale)
+from tabpretrain.data import (MIN_SPLIT_ROWS, SCALINGS, ProcessedDataset, Splits, corrupt_labels,
+                              make_splits, mask_labels, scale)
 from tabpretrain.training import (
     FINETUNE_RECIPES,
     Hyperparameters,
@@ -196,9 +196,10 @@ def run_benchmark(
     before it returns the iterator: unknown method, setting or scaling names,
     a method or setting named twice, a dataset id that is not one file name,
     a method that `check_method` rejects under `hp`, `trials` or `jobs` below
-    1, a dataset that fails to load and a pin that differs from `out_dir`'s
-    raise here, before anything is written; only the data is checked after
-    loading, so a dataset with no trial left goes unchecked.
+    1, a dataset that fails to load or has fewer than `MIN_SPLIT_ROWS` rows
+    and a pin that differs from `out_dir`'s raise here, before anything is
+    written; only the data is checked after loading, so a dataset with no
+    trial left goes unchecked.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -238,7 +239,10 @@ def run_benchmark(
     for dataset_id, _, _, _ in todo:
         if dataset_id not in loaded:
             source = datasets[dataset_id]
-            loaded[dataset_id] = source() if callable(source) else source
+            dataset = loaded[dataset_id] = source() if callable(source) else source
+            if dataset.n < MIN_SPLIT_ROWS:
+                raise ValueError(f"dataset {dataset_id!r} has {dataset.n} rows, fewer than the "
+                                 f"{MIN_SPLIT_ROWS} a split needs")
     if out_dir is not None:
         here = {dataset_id: _data_digest(dataset) for dataset_id, dataset in loaded.items()}
         there = {dataset_id: pin["data_digest"].get(dataset_id, digest)  # a new id pins its own

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import get_type_hints
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -282,12 +283,12 @@ def win_matrix_svg(wm: WinMatrix) -> str:
         '<style>text{font-family:sans-serif;font-size:11px}</style>',
     ]
     for j, m in enumerate(wm.methods):
-        parts.append(f'<text x="{left + j * cell + cell / 2}" y="{top - 10}" text-anchor="middle">{m}</text>')
+        parts.append(f'<text x="{left + j * cell + cell / 2}" y="{top - 10}" text-anchor="middle">{escape(m)}</text>')
     parts.append(f'<text x="{left + n * cell + cell / 2}" y="{top - 10}" text-anchor="middle">min</text>')
     min_col = wm.min_ratio_column()
     for i, m in enumerate(wm.methods):
         y = top + i * cell
-        parts.append(f'<text x="{left - 8}" y="{y + cell / 2}" text-anchor="end">{m}</text>')
+        parts.append(f'<text x="{left - 8}" y="{y + cell / 2}" text-anchor="end">{escape(m)}</text>')
         for j in range(n + 1):
             x = left + j * cell
             if j < n:

@@ -164,6 +164,11 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("validation failed: ") and error in err
 
+    def test_header_only_csv_fails(self, tmp_path, capsys):
+        csv, schema = write_dataset(tmp_path, n=0)
+        assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
+        assert capsys.readouterr().err == f"validation failed: {csv}: no data rows\n"
+
     def test_repeated_header_name_fails(self, tmp_path, capsys):
         csv, schema = write_repeated_header(tmp_path)
         assert main(["validate", "--dataset", csv, "--schema", schema]) == 1
@@ -464,6 +469,20 @@ class TestRun:
         assert err.startswith("run failed: ") and error in err
         assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
 
+    @pytest.mark.parametrize("n, error", [(0, "{csv}: no data rows"),
+                                          (1, "dataset 'toy' has 1 rows, fewer than the 10 a "
+                                              "split needs")], ids=["header_only", "one_row"])
+    def test_csv_too_small_to_split_fails_before_any_file(self, tmp_path, capsys, n, error):
+        """A one-row CSV used to write the pin, config.json and one failure
+        per trial."""
+        csv, schema = write_dataset(tmp_path, n=n)
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                     "--schema", schema, "--method", "control", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"run failed: {error.format(csv=csv)}\n"
+        assert not out.exists()
+
     def test_repeated_header_name_fails_before_any_trial(self, tmp_path, capsys):
         csv, schema = write_repeated_header(tmp_path)
         out = tmp_path / "o"
@@ -659,6 +678,22 @@ class TestReport:
                      "--svg", "--out", str(out)])
         assert code == 0
         xml.dom.minidom.parseString((out / "win_matrix.svg").read_text())
+
+    def test_svg_escapes_markup_in_method_names(self, tmp_path):
+        """A method named `a<b` used to crash the well-formedness check after
+        win_matrix.csv was written."""
+        import xml.dom.minidom
+
+        path = tmp_path / "results.jsonl"
+        for trial in range(3):
+            for method, accuracy in (("a<b", 0.9), ("ctrl", 0.5)):
+                stats.append_run(path, stats.MethodRun("d1", method, trial, 0, "full",
+                                                       accuracy + trial / 100))
+        out = tmp_path / "report"
+        assert main(["report", "--results", str(path), "--methods", "a<b,ctrl", "--svg",
+                     "--out", str(out)]) == 0
+        svg = xml.dom.minidom.parseString((out / "win_matrix.svg").read_text())
+        assert "a<b" in [t.firstChild.data for t in svg.getElementsByTagName("text")]
 
     def test_counts_left_out_non_finite_accuracies(self, tmp_path, capsys):
         results = self._results(tmp_path)

@@ -484,6 +484,14 @@ class TestRunBenchmark:
                           0, tmp_path / "o", FAST_HP)
         assert not (tmp_path / "o").exists()
 
+    def test_dataset_too_small_to_split_raises_before_any_file(self, tmp_path):
+        """Every trial would fail to split it: it used to write the pin and
+        one failure per trial."""
+        tiny = make_blob_dataset(n=9, d=4, seed=4)
+        with pytest.raises(ValueError, match="'tiny' has 9 rows, fewer than the 10 a split needs"):
+            run_benchmark({"tiny": tiny}, ["control"], ["full"], 3, 0, tmp_path / "o", FAST_HP)
+        assert not (tmp_path / "o").exists()
+
     def test_scaled_float64_copy_released_before_training(self, monkeypatch):
         # run_method trains on its float32 cast; the float64 copy that
         # `scale` made for the trial must be gone by then
