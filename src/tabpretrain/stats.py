@@ -12,9 +12,9 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
+from html import escape
 from itertools import combinations
 from typing import get_type_hints
-from xml.sax.saxutils import escape
 
 import numpy as np
 
