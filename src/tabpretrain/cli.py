@@ -27,6 +27,10 @@ With jobs > 1 that many trials run at once in threads; records and curves
 files are still written in trial order, so the output is byte-identical for
 any jobs. A trial that raises is reported on stderr and in failures.jsonl,
 leaves no record and reruns on resume.
+
+The commands raise on bad input. `main` is the one handler: a ValueError or
+an OSError prints `validation failed: …`, `run failed: …` or
+`report failed: …` and returns 1, and any other exception propagates.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import asdict, fields
 
 from tabpretrain import methods, stats
 from tabpretrain.corruption import check_type
-from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot
+from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot, read_json_object
 from tabpretrain.training import Hyperparameters
 
 RUN_DEFAULTS = {
@@ -61,16 +65,13 @@ CONFIG_DEFAULTS = {**RUN_DEFAULTS, **asdict(Hyperparameters())}
 
 def _load_config(args) -> dict:
     """CONFIG_DEFAULTS, overridden by the config file, overridden by flags.
-    A config file that is not a JSON object or has an unknown key, a run key
-    whose value is not of its default's type or is empty (as `dataset` and
-    `schema` are by default), raise ValueError; building `Hyperparameters`
-    checks the hyperparameters."""
+    A config file that `read_json_object` refuses or that has an unknown key,
+    a run key whose value is not of its default's type or is empty (as
+    `dataset` and `schema` are by default), raise ValueError; building
+    `Hyperparameters` checks the hyperparameters."""
     cfg = dict(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {args.config} must be a JSON object of key -> value")
+        file_cfg = read_json_object(args.config, "config")
         unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
@@ -87,15 +88,11 @@ def _load_config(args) -> dict:
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = _load_config(args)
-        schema = Schema.from_file(cfg["schema"])
-        table = load_csv(cfg["dataset"], schema)
-        kept = impute(table)
-        dataset = one_hot(kept)
-    except (ValueError, OSError) as exc:  # configuration, schema or CSV errors
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args)
+    schema = Schema.from_file(cfg["schema"])
+    table = load_csv(cfg["dataset"], schema)
+    kept = impute(table)
+    dataset = one_hot(kept)
     dropped = sorted(set(table.names) - set(kept.names))
     missing_counts = {name: int(table.gaps(j).sum()) for j, name in enumerate(table.names)}
     print(f"rows: {kept.n_rows}")
@@ -117,27 +114,23 @@ def _dataset_id(path: str) -> str:
 
 def cmd_run(args) -> int:
     attempted = failed = 0
-    try:
-        cfg = _load_config(args)
-        hp = Hyperparameters(**{f.name: cfg[f.name] for f in fields(Hyperparameters)})
-        schema = Schema.from_file(cfg["schema"])
-        outcomes = methods.run_benchmark(
-            {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
-            [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp,
-            cfg["scaling"], cfg["jobs"],
-        )
-        with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True)
-        for outcome in outcomes:
-            attempted += 1
-            if isinstance(outcome, methods.TrialFailure):
-                failed += 1
-                print(f"trial {outcome.trial_index} failed: {outcome.error}", file=sys.stderr)
-            else:
-                print(f"trial {outcome.trial_index}: test_accuracy={outcome.test_accuracy:.4f}")
-    except (ValueError, OSError) as exc:  # configuration, schema or CSV errors
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args)
+    hp = Hyperparameters(**{f.name: cfg[f.name] for f in fields(Hyperparameters)})
+    schema = Schema.from_file(cfg["schema"])
+    outcomes = methods.run_benchmark(
+        {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
+        [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp,
+        cfg["scaling"], cfg["jobs"],
+    )
+    with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
+        json.dump(cfg, fh, indent=2, sort_keys=True)
+    for outcome in outcomes:
+        attempted += 1
+        if isinstance(outcome, methods.TrialFailure):
+            failed += 1
+            print(f"trial {outcome.trial_index} failed: {outcome.error}", file=sys.stderr)
+        else:
+            print(f"trial {outcome.trial_index}: test_accuracy={outcome.test_accuracy:.4f}")
     if attempted and failed == attempted:
         print("all trials failed", file=sys.stderr)
         return 1
@@ -150,26 +143,20 @@ def cmd_report(args) -> int:
     there, and none may be named twice in `--methods`."""
     method_list = args.methods.split(",")
     wanted = method_list + [args.reference] if args.reference else method_list
-    try:
-        for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
-            if not 0 < p <= 1:  # false for NaN, which would count every pair as significant
-                raise ValueError(f"{flag} must be in (0, 1], got {p!r}")
-        repeated = sorted(m for m, count in Counter(method_list).items() if count > 1)
-        if repeated:
-            raise ValueError(f"method(s) named more than once: {repeated}")
-        runs = stats.load_runs(args.results)  # an unreadable file, or a line that is no record
-    except (ValueError, OSError) as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 1
+    for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
+        if not 0 < p <= 1:  # false for NaN, which would count every pair as significant
+            raise ValueError(f"{flag} must be in (0, 1], got {p!r}")
+    repeated = sorted(m for m, count in Counter(method_list).items() if count > 1)
+    if repeated:
+        raise ValueError(f"method(s) named more than once: {repeated}")
+    runs = stats.load_runs(args.results)
     if not runs:
         print(f"no results in {args.results}", file=sys.stderr)
         return 1
     setting = args.setting
     held = sorted({r.setting for r in runs if r.method_name in wanted})
     if setting is None and len(held) > 1:  # one Welch sample must not pool settings
-        print(f"report failed: results hold settings {held}; choose one with --setting",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"results hold settings {held}; choose one with --setting")
     runs = [r for r in runs if setting in (None, r.setting)]
     present = {r.method_name for r in runs}
     unknown = [m for m in dict.fromkeys(wanted) if m not in present]
@@ -178,24 +165,20 @@ def cmd_report(args) -> int:
         print(f"no results for method(s): {', '.join(unknown)}{where}", file=sys.stderr)
         return 1
     wm = stats.win_matrix(runs, method_list, args.p_value)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "win_matrix.csv"), "w") as fh:
-            fh.write(stats.win_matrix_csv(wm))
-        if args.reference:
-            entries = [e for m in method_list if m != args.reference
-                       for e in stats.relative_improvement(runs, m, args.reference,
-                                                           args.boxplot_p_value)]
-            with open(os.path.join(args.out, "box_plot.csv"), "w") as fh:
-                fh.write(stats.box_plot_csv(entries))
-        if args.svg:
-            svg = stats.win_matrix_svg(wm)
-            xml.dom.minidom.parseString(svg)  # well-formedness check
-            with open(os.path.join(args.out, "win_matrix.svg"), "w") as fh:
-                fh.write(svg)
-    except OSError as exc:  # an output path that cannot be written
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 1
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "win_matrix.csv"), "w") as fh:
+        fh.write(stats.win_matrix_csv(wm))
+    if args.reference:
+        entries = [e for m in method_list if m != args.reference
+                   for e in stats.relative_improvement(runs, m, args.reference,
+                                                       args.boxplot_p_value)]
+        with open(os.path.join(args.out, "box_plot.csv"), "w") as fh:
+            fh.write(stats.box_plot_csv(entries))
+    if args.svg:
+        svg = stats.win_matrix_svg(wm)
+        xml.dom.minidom.parseString(svg)  # well-formedness check
+        with open(os.path.join(args.out, "win_matrix.svg"), "w") as fh:
+            fh.write(svg)
     left_out = sum(1 for r in runs if r.method_name in method_list
                    and not math.isfinite(r.test_accuracy))
     print(f"non-finite accuracies left out: {left_out}")
@@ -242,7 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input or configuration, or an unwritable path
+        command = "validation" if args.command == "validate" else args.command
+        print(f"{command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -40,7 +40,21 @@ MIN_SPLIT_ROWS = 10  # the fewest rows `make_splits` partitions
 
 
 class IngestionError(ValueError):
-    """Malformed CSV input or schema mismatch."""
+    """Any malformed input file, or a CSV that does not match its schema."""
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`; IngestionError naming the
+    `what` file if it is not UTF-8, not JSON (or nested past the recursion
+    limit) or not a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise IngestionError(f"{what} file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise IngestionError(f"{what} file {path} must be a JSON object, not {type(raw).__name__}")
+    return raw
 
 
 @dataclass
@@ -59,10 +73,7 @@ class Schema:
 
     @classmethod
     def from_file(cls, path) -> "Schema":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise IngestionError("schema file must be a JSON object of column -> kind")
+        raw = read_json_object(path, "schema")
         return cls(list(raw.keys()), list(raw.values()))
 
 
@@ -109,13 +120,17 @@ def load_csv(path, schema: Schema) -> RawTable:
     numerical cell parsed to a float64, any other cell the int32 code of its
     level, numbered in first-read order, or -1 when empty. An empty label
     cell raises IngestionError naming its row, and a header with no row
-    after it raises IngestionError."""
+    after it raises IngestionError. So does a field that the csv module
+    refuses, such as one opened by a stray quote that runs past the field
+    size limit; the error names the row where that field starts."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: row 1: {exc}") from exc
         repeated = sorted(name for name, count in Counter(header).items() if count > 1)
         if repeated:
             raise IngestionError(f"{path}: header names column(s) more than once: {repeated}")
@@ -129,19 +144,24 @@ def load_csv(path, schema: Schema) -> RawTable:
         label = schema.kinds.index("label")
         columns = [array("d" if num else "i") for num in numerical]
         codes = [{} for _ in numerical]  # level -> code, per non-numerical column
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
-            for j, (col, src) in enumerate(zip(columns, order)):
-                cell = row[src].strip()
-                if numerical[j]:
-                    col.append(_parse_number(cell, schema.names[j], rownum))
-                elif cell:
-                    col.append(codes[j].setdefault(cell, len(codes[j])))
-                elif j == label:
-                    raise IngestionError(f"{path}: row {rownum} has no label")
-                else:
-                    col.append(-1)
+        rownum = 1  # the header's
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, "
+                                         f"expected {len(header)}")
+                for j, (col, src) in enumerate(zip(columns, order)):
+                    cell = row[src].strip()
+                    if numerical[j]:
+                        col.append(_parse_number(cell, schema.names[j], rownum))
+                    elif cell:
+                        col.append(codes[j].setdefault(cell, len(codes[j])))
+                    elif j == label:
+                        raise IngestionError(f"{path}: row {rownum} has no label")
+                    else:
+                        col.append(-1)
+        except csv.Error as exc:  # a field the reader refuses starts after the last whole row
+            raise IngestionError(f"{path}: row {rownum + 1}: {exc}") from exc
     if not columns[label]:
         raise IngestionError(f"{path}: no data rows")
     columns = [np.array(col, dtype=np.float64 if num else np.int32)

@@ -30,7 +30,7 @@ import numpy as np
 
 from tabpretrain import baselines, stats, training
 from tabpretrain.data import (MIN_SPLIT_ROWS, SCALINGS, ProcessedDataset, Splits, corrupt_labels,
-                              make_splits, mask_labels, scale)
+                              make_splits, mask_labels, read_json_object, scale)
 from tabpretrain.training import (
     FINETUNE_RECIPES,
     Hyperparameters,
@@ -221,8 +221,7 @@ def run_benchmark(
     pin_path = os.path.join(out_dir, "pin.json") if out_dir else None
     pinned = {}
     if pin_path and os.path.exists(pin_path):
-        with open(pin_path) as fh:
-            pinned = json.load(fh)
+        pinned = read_json_object(pin_path, "pin")
     digests = pinned.get("data_digest", {})
     # a pin that holds one string for all its data names no dataset: refused
     pin = {"seed": base_seed, "scaling": scaling,

@@ -54,14 +54,18 @@ def append_run(path, run: MethodRun) -> None:
 
 
 def load_runs(path) -> list[MethodRun]:
-    """Records of a results file. An unterminated last line is a torn write:
-    it is dropped with a warning, so its trial counts as not yet run. Any
-    other line that is no record, or that has a field not of its declared type
-    by the rule of `corruption.check_type`, raises ValueError naming it."""
+    """Records of a results file, read as UTF-8. An unterminated last line is
+    a torn write: it is dropped with a warning, so its trial counts as not yet
+    run. A file that is not UTF-8, and any other line that is no record, or
+    that has a field not of its declared type by the rule of
+    `corruption.check_type`, raise ValueError naming them."""
     if not os.path.exists(path):
         return []
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 results file ({exc})") from exc
     if lines and not lines[-1].endswith("\n"):
         warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
     runs, kinds = [], get_type_hints(MethodRun)

@@ -76,6 +76,17 @@ def write_repeated_header(tmp_path):
     return csv, schema
 
 
+def write_stray_quote(tmp_path, row):
+    """The toy dataset, long enough that what follows CSV row `row` is over
+    the csv module's 131,072-character field limit, with a quote opening
+    that row (the header is row 1)."""
+    csv, schema = write_dataset(tmp_path, n=8000)
+    lines = open(csv).read().splitlines()
+    lines[row - 1] = '"' + lines[row - 1]
+    open(csv, "w").write("\n".join(lines) + "\n")
+    return csv, schema
+
+
 def write_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**FAST, **extra}))
@@ -278,6 +289,40 @@ class TestConfiguration:
             f"{prefix}config key {key!r} must be of type str, not {value!r}\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command, which", [
+        ("validate", "schema"), ("validate", "config"), ("run", "schema"), ("run", "config"),
+        ("run", "pin"),
+    ])
+    @pytest.mark.parametrize("content, error", [
+        (b"\xff{}", ": 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"a": 1\n"b": 2}', ": Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        (b"[1, 2]", " must be a JSON object, not list"),
+        (b"[" * 100_000 + b"]" * 100_000, ": maximum recursion depth exceeded"),
+    ], ids=["not_utf8", "not_json", "not_an_object", "nested_too_deep"])
+    def test_malformed_json_file_is_named_and_writes_nothing(self, tmp_path, capsys, command,
+                                                             which, content, error):
+        """A list in pin.json used to crash `run` with an AttributeError,
+        nesting past the recursion limit crashed every reader with a
+        RecursionError, and a parse error did not name the file."""
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        paths = {"schema": schema, "config": write_config(tmp_path), "pin": out / "pin.json"}
+        if which == "pin":
+            out.mkdir()
+        open(paths[which], "wb").write(content)
+
+        def snapshot():
+            return {p: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+
+        before = snapshot()
+        argv = [command, "--config", paths["config"], "--dataset", csv, "--schema", schema]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+        prefix = {"validate": "validation failed: ", "run": "run failed: "}[command]
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prefix}{which} file {paths[which]}{error}")
+        assert err.count("\n") == 1
+        assert snapshot() == before
+
     def test_boolean_flag_takes_true_or_false(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--unique_pool", "yes"])
@@ -457,6 +502,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"run failed: column 'f1', row 4: {cell!r} is not a finite number" in err
         assert not (out / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("row", [1, 5])
+    def test_stray_quote_fails_with_its_row(self, tmp_path, capsys, command, row):
+        """The field the quote opens runs to the end of the file, and the csv
+        module's error, which is no ValueError, used to end in a traceback."""
+        csv, schema = write_stray_quote(tmp_path, row)
+        out = tmp_path / "o"
+        argv = [command, "--dataset", csv, "--schema", schema]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+        prefix = {"validate": "validation failed: ", "run": "run failed: "}[command]
+        assert capsys.readouterr().err == \
+            f"{prefix}{csv}: row {row}: field larger than field limit (131072)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["empty_label", "no_feature_values"])
     def test_unscorable_table_fails_before_any_trial(self, tmp_path, capsys, case):
@@ -758,6 +817,27 @@ class TestReport:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["report", "run"])
+    def test_results_file_not_utf8_named(self, tmp_path, capsys, command):
+        """The file used to be read in the locale's encoding, and a byte it
+        could not decode failed the command without naming the file."""
+        results = tmp_path / "results" / "results.jsonl"
+        results.parent.mkdir()
+        results.write_bytes(open(self._results(tmp_path), "rb").read() + b"\xff\n")
+        out = tmp_path / "report"
+        if command == "report":
+            code = main(["report", "--results", str(results), "--methods", "scarf,control",
+                         "--out", str(out)])
+        else:
+            csv, schema = write_dataset(tmp_path)
+            code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                         "--schema", schema, "--out", str(results.parent)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"{command} failed: {results}: not a UTF-8 results file ('utf-8' codec can't decode")
+        assert not out.exists()
+        assert [p.name for p in results.parent.iterdir()] == ["results.jsonl"]
+
     def test_setting_without_records_fails(self, tmp_path, capsys):
         results = self._results(tmp_path)
         out = tmp_path / "report"
@@ -818,3 +898,40 @@ class TestReport:
         code = main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--methods", "control"])
         assert code == 1
+
+
+class TestErrorBoundary:
+    """`main` is the one handler: every command raises, and main turns a
+    ValueError or an OSError into one line on stderr and exit 1."""
+
+    def _patched_argv(self, tmp_path, monkeypatch, command, exc):
+        """The arguments of `command`, with one call inside it patched to raise `exc`."""
+        def raiser(*args, **kwargs):
+            raise exc
+        module, name = {"validate": (cli, "load_csv"), "run": (cli.methods, "run_benchmark"),
+                        "report": (stats, "load_runs")}[command]
+        monkeypatch.setattr(module, name, raiser)
+        csv, schema = write_dataset(tmp_path)
+        return {
+            "validate": ["validate", "--dataset", csv, "--schema", schema],
+            "run": ["run", "--config", write_config(tmp_path), "--dataset", csv,
+                    "--schema", schema, "--out", str(tmp_path / "o")],
+            "report": ["report", "--results", str(tmp_path / "r.jsonl"), "--methods", "control",
+                       "--out", str(tmp_path / "report")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["validate", "run", "report"])
+    @pytest.mark.parametrize("exc", [ValueError("bad value"), OSError("no such path")],
+                             ids=["ValueError", "OSError"])
+    def test_user_error_is_one_line_and_exit_1(self, tmp_path, capsys, monkeypatch, command,
+                                               exc):
+        assert main(self._patched_argv(tmp_path, monkeypatch, command, exc)) == 1
+        prefix = {"validate": "validation", "run": "run", "report": "report"}[command]
+        assert capsys.readouterr() == ("", f"{prefix} failed: {exc}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "report"])
+    def test_other_errors_propagate(self, tmp_path, capsys, monkeypatch, command):
+        argv = self._patched_argv(tmp_path, monkeypatch, command, RuntimeError("a bug"))
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(argv)
+        assert capsys.readouterr().err == ""
