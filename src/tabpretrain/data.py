@@ -114,38 +114,43 @@ def _parse_number(cell: str, name: str, row: int) -> float:
 
 def load_csv(path, schema: Schema) -> RawTable:
     """Read the CSV, as UTF-8 with an optional byte-order mark, in schema
-    column order. A header that names a column twice raises IngestionError
-    before any row is read. Each cell goes into a compact buffer per column
-    as it is read, which becomes the column's array once at the end: a
-    numerical cell parsed to a float64, any other cell the int32 code of its
-    level, numbered in first-read order, or -1 when empty. An empty label
-    cell raises IngestionError naming its row, and a header with no row
-    after it raises IngestionError. So does a field that the csv module
-    refuses, such as one opened by a stray quote that runs past the field
-    size limit; the error names the row where that field starts."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise IngestionError(f"{path}: row 1: {exc}") from exc
-        repeated = sorted(name for name, count in Counter(header).items() if count > 1)
-        if repeated:
-            raise IngestionError(f"{path}: header names column(s) more than once: {repeated}")
-        if set(header) != set(schema.names):
-            unknown = set(header) - set(schema.names)
-            missing = set(schema.names) - set(header)
-            bad = sorted(unknown | missing)
-            raise IngestionError(f"{path}: header does not match schema, offending column(s): {bad}")
-        order = [header.index(name) for name in schema.names]
-        numerical = [kind == "numerical" for kind in schema.kinds]
-        label = schema.kinds.index("label")
-        columns = [array("d" if num else "i") for num in numerical]
-        codes = [{} for _ in numerical]  # level -> code, per non-numerical column
-        rownum = 1  # the header's
-        try:
+    column order. A header that names a column twice, or whose cell holds a
+    line break (a quote opened it), raises IngestionError before any row is
+    read. Each cell goes into a compact buffer per column as it is read,
+    which becomes the column's array once at the end: a numerical cell parsed
+    to a float64, any other cell the int32 code of its level, numbered in
+    first-read order, or -1 when empty. An empty label cell raises
+    IngestionError naming its row, and a header with no row after it raises
+    IngestionError. So does a field that the csv module refuses, such as one
+    opened by a stray quote that runs past the field size limit; the error
+    names the row where that field starts. So do bytes that are not UTF-8;
+    the file is decoded as it is read, in chunks ahead of the rows, so the
+    error names the row they come at or after."""
+    rownum = 0  # the last row read whole; the header is row 1
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file")
+            if any("\n" in name or "\r" in name for name in header):
+                raise IngestionError(f"{path}: row 1: a quote opens a header cell "
+                                     "that runs past the end of the line")
+            rownum = 1
+            repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+            if repeated:
+                raise IngestionError(f"{path}: header names column(s) more than once: {repeated}")
+            if set(header) != set(schema.names):
+                unknown = set(header) - set(schema.names)
+                missing = set(schema.names) - set(header)
+                bad = sorted(unknown | missing)
+                raise IngestionError(f"{path}: header does not match schema, "
+                                     f"offending column(s): {bad}")
+            order = [header.index(name) for name in schema.names]
+            numerical = [kind == "numerical" for kind in schema.kinds]
+            label = schema.kinds.index("label")
+            columns = [array("d" if num else "i") for num in numerical]
+            codes = [{} for _ in numerical]  # level -> code, per non-numerical column
             for rownum, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise IngestionError(f"{path}: row {rownum} has {len(row)} cells, "
@@ -160,8 +165,11 @@ def load_csv(path, schema: Schema) -> RawTable:
                         raise IngestionError(f"{path}: row {rownum} has no label")
                     else:
                         col.append(-1)
-        except csv.Error as exc:  # a field the reader refuses starts after the last whole row
-            raise IngestionError(f"{path}: row {rownum + 1}: {exc}") from exc
+    except csv.Error as exc:  # a field the reader refuses starts after the last whole row
+        raise IngestionError(f"{path}: row {rownum + 1}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # decoded ahead of the reader: at or after the next row
+        raise IngestionError(f"{path}: not UTF-8 at row {rownum + 1} or after: "
+                             f"{exc.reason}, byte 0x{exc.object[exc.start]:02x}") from exc
     if not columns[label]:
         raise IngestionError(f"{path}: no data rows")
     columns = [np.array(col, dtype=np.float64 if num else np.int32)

@@ -129,20 +129,17 @@ def barlow_twins(
     return loss, _batch_norm_backward(grad_ya, ca, sa, da), _batch_norm_backward(grad_yb, cb, sb, db)
 
 
-def align_uniform(
-    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
-    the uniformity term over original-view pairs."""
+def _align_uniform_terms(z: np.ndarray, z_tilde: np.ndarray, weight_align: float,
+                         weight_uniform: float):
+    """(loss, diff, expv, total, z) of alignment/uniformity: the value and,
+    for its gradients, diff = z - zt, the off-diagonal exp(-2 ||z_i - z_j||^2)
+    terms, their sum and the original view."""
     z, zt = _two_views(z, z_tilde)
     n = z.shape[0]
     if n < 2:
         raise ValueError("uniformity needs at least 2 rows")
     diff = z - zt
     align = (diff**2).sum() / n
-    grad_z = weight_align * 2.0 * diff / n
-    grad_zt = -weight_align * 2.0 * diff / n
-
     # ||z_i - z_j||^2 from the Gram matrix, clipped at 0 against rounding
     norms = (z * z).sum(axis=1)
     sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (z @ z.T), 0.0)
@@ -150,9 +147,27 @@ def align_uniform(
     expv = np.where(off, np.exp(-2.0 * sq), 0.0)
     total = expv.sum()
     uniform = np.log(total / (n * (n - 1)))
+    return float(weight_align * align + weight_uniform * uniform), diff, expv, total, z
+
+
+def align_uniform_loss(z: np.ndarray, z_tilde: np.ndarray, weight_align: float,
+                       weight_uniform: float) -> float:
+    """The value of `align_uniform` alone, bit for bit, without its gradients."""
+    return _align_uniform_terms(z, z_tilde, weight_align, weight_uniform)[0]
+
+
+def align_uniform(
+    z: np.ndarray, z_tilde: np.ndarray, weight_align: float, weight_uniform: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """a * mean_i ||z_i - zt_i||^2 + u * log(mean_{i != j} exp(-2||z_i - z_j||^2)),
+    the uniformity term over original-view pairs."""
+    loss, diff, expv, total, z = _align_uniform_terms(z, z_tilde, weight_align, weight_uniform)
+    n = z.shape[0]
+    grad_z = weight_align * 2.0 * diff / n
+    grad_zt = -weight_align * 2.0 * diff / n
     # d/dz_i of log(sum): each unordered pair appears twice in the ordered sum
     w = expv / total
     grad_uniform = -8.0 * (z * w.sum(axis=1, keepdims=True) - w @ z)
     grad_uniform *= weight_uniform
     grad_z += grad_uniform
-    return float(weight_align * align + weight_uniform * uniform), grad_z, grad_zt
+    return loss, grad_z, grad_zt

@@ -9,10 +9,11 @@ is ``x @ W + b``. Gradients of every loss are averaged over the batch, which
 keeps learning-rate semantics independent of batch size.
 
 `Mlp.forward` keeps a tape of each layer's input and of the net's output (no
-preactivations) and works in place on the arrays it allocates;
-`Mlp.backward` applies the ReLU and dropout masks in place on its own
-gradient arrays and skips the first layer's input-gradient GEMM when the
-caller discards the input gradient (`input_grad=False`).
+preactivations) and works in place on the arrays it allocates; it drops the
+previous pass's tape before it allocates the new one, so a net holds one
+tape at a time. `Mlp.backward` applies the ReLU and dropout masks in place on
+its own gradient arrays and skips the first layer's input-gradient GEMM when
+the caller discards the input gradient (`input_grad=False`).
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ class Mlp:
     dropout in place on each GEMM's output, with the rounding of
     ``relu(x @ W + b) * mask``. A caller must not write into the array that
     forward returns before the backward pass that reads it.
+
+    The tape lives until the next forward pass: a batch that passes forward's
+    checks drops the previous tape before the first GEMM, and a batch that
+    fails them leaves it in place for `backward`.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -126,6 +131,7 @@ class Mlp:
             )
         if dropout_rate and rng is None:
             raise ValueError("dropout requires an rng")
+        self._cache = None  # the previous tape dies before the new one is allocated
         acts, masks = [x], []
         for k, layer in enumerate(self.layers):
             x = x @ layer.weights

@@ -283,8 +283,12 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
     the epoch, `metric()` (lower is better) is appended to the validation
     curve. The best epoch is the curve's first minimum, so an equal value is
     no improvement; training stops after `hp.patience` epochs without a new
-    one. `params`, the only arrays a step changes, are copied at each new best
-    epoch (and before the first) and restored from the last copy in place.
+    one. `params`, the only arrays a step changes, are copied once before the
+    first epoch into one snapshot, which each new best epoch overwrites in
+    place and from which they are restored in place.
+
+    A step's gradients live until `Adam.step` has applied them, so the next
+    step's forward and backward passes run without them.
 
     An epoch whose mean loss is non-finite, after which a stepped array holds
     a non-finite value, or whose metric is non-finite raises TrainingDiverged
@@ -302,6 +306,7 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
                 continue
             loss, grads = result
             opt.step(grads)
+            del result, grads  # dead before the next step allocates its own
             epoch_losses.append(loss)
             epoch_sizes.append(sel.size)
         train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)) if epoch_losses else np.nan)
@@ -318,7 +323,8 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
         val_curve.append(value)
         best_epoch = int(np.argmin(val_curve)) + 1
         if best_epoch == epoch:
-            best = [p.copy() for p in params]
+            for b, p in zip(best, params):
+                b[...] = p
         if epoch - best_epoch >= hp.patience:
             stop_reason = "patience"
             break
@@ -348,13 +354,21 @@ def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
     the loss, the net's gradients (summed over both views) and the gradient
     w.r.t. the 2B stacked input rows (view_a's, then view_b's), or None
     without f's first input-gradient GEMM when `input_grad` is False. The row
-    norms of the forward pass serve the backward pass."""
-    n = view_a.shape[0]
-    z, norms = l2_normalize_rows_with_norms(net.forward(np.vstack([view_a, view_b])))
+    norms of the forward pass serve the backward pass; of the loss's arrays,
+    only the net's output gradient is alive while it runs."""
+    out = net.forward(np.vstack([view_a, view_b]))
+    loss, output_grad = _contrastive_output_grad(out, view_a.shape[0], loss_fn)
+    grads, grad_in = net.backward(output_grad, input_grad)
+    return loss, grads, grad_in
+
+
+def _contrastive_output_grad(out: np.ndarray, n: int, loss_fn):
+    """The loss of the scarf net's 2n output rows (view a's n, then view b's)
+    and its gradient w.r.t. them, through the row normalization."""
+    z, norms = l2_normalize_rows_with_norms(out)
     loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
     grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)
-    grads, grad_in = net.backward(l2_normalize_backward(z, norms, grad), input_grad)
-    return loss, grads, grad_in
+    return loss, l2_normalize_backward(z, norms, grad)
 
 
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
@@ -379,8 +393,7 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
     """One stored batch's validation value from its mapped rows and copy:
 
     - scarf: the contrastive metric of the two embeddings. The loss metric is
-      the pre-training loss; InfoNCE and Barlow Twins take their value alone,
-      without gradients.
+      the pre-training loss, its value alone, without gradients.
     - the autoencoders: MSE of the reconstruction `copy` against the rows.
     - scarf_disc: error of the rule "logit > 0 means corrupted" over the
       rows' and the copy's logits."""
@@ -395,7 +408,7 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
         return losses.infonce_loss(rows, copy, hp.temperature)
     if hp.pretrain_loss == "barlow":
         return losses.barlow_twins_loss(rows, copy, BARLOW_OFFDIAG)
-    return _contrastive_loss(hp, rows, copy)[0]
+    return losses.align_uniform_loss(rows, copy, 1.0, 1.0)
 
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")

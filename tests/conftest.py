@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,18 @@ def scripted_fit(metrics, patience):
     return _fit([np.zeros(1)], np.arange(4), Hyperparameters(patience=patience), len(metrics),
                 np.random.default_rng(0), lambda rows: (0.0, [np.zeros(1)]),
                 lambda: next(values), "scripted")
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):

@@ -1,10 +1,9 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import encoded_dataset, make_numeric_dataset
+from conftest import encoded_dataset, make_numeric_dataset, traced_peak
 from tabpretrain.corruption import (
     STRATEGIES,
     ConfigurationError,
@@ -65,12 +64,7 @@ class TestMarginalPool:
         through the training row indices."""
         ds = make_numeric_dataset(n=10_000, d=20, seed=3)
         train = np.arange(7_000)
-        tracemalloc.start()
-        try:
-            pool = build_marginal_pool(ds, train)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        pool, peak = traced_peak(build_marginal_pool, ds, train)
         assert peak < 0.01 * ds.X.nbytes
         assert pool.X is ds.X
 

@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from tabpretrain.data import (
     IngestionError,
     ProcessedDataset,
@@ -53,18 +54,6 @@ def cells(table, j):
     return [table.levels[j][code] for code in table.columns[j]]
 
 
-def traced_peak(fn, *args):
-    """(result, peak bytes that tracemalloc saw allocated during the call)."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestSchema:
     def test_requires_one_label(self):
         with pytest.raises(IngestionError):
@@ -106,6 +95,37 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "d.csv", "age,color,target\n1,red,yes\n2,blue\n")
         with pytest.raises(IngestionError, match="row 3"):
             load_csv(p, SCHEMA)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"age,color,target\n1,red,yes\n2,bl\xffue,no\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(p, SCHEMA)
+        assert str(err.value) == (f"{p}: not UTF-8 at row 1 or after: "
+                                  "invalid start byte, byte 0xff")
+
+    def test_bytes_that_are_not_utf8_name_a_row_at_or_before_them(self, tmp_path):
+        """The file is decoded in chunks ahead of the csv reader, so the row
+        named is the one after the last row read whole, not the bad byte's."""
+        p = tmp_path / "d.csv"
+        rows = [b"age,color,target"] + [b"%d,red,yes" % k for k in range(3000)]
+        rows[2500] = b"2499,r\xe9d,yes"  # Latin-1, not UTF-8
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(p, SCHEMA)
+        named = re.fullmatch(rf"{re.escape(str(p))}: not UTF-8 at row (\d+) or after: "
+                             "invalid continuation byte, byte 0xe9", str(err.value))
+        assert named and 1 < int(named[1]) <= 2501
+
+    def test_quote_opening_the_header_names_row_1_in_a_short_error(self, tmp_path):
+        """The quote runs the rest of a file under the csv module's field
+        limit into one header cell, which the error used to print whole."""
+        body = "".join(f"{k},red,yes\n" for k in range(10_000))  # about 100 KB
+        p = write_csv(tmp_path / "d.csv", '"age,color,target\n' + body)
+        with pytest.raises(IngestionError) as err:
+            load_csv(p, SCHEMA)
+        assert str(err.value) == (f"{p}: row 1: a quote opens a header cell that runs "
+                                  "past the end of the line")
 
     @pytest.mark.parametrize("text, repeated", [
         ("age,color,age,target\n1,red,100,yes\n2,blue,200,no\n3,red,300,yes\n", "age"),

@@ -4,6 +4,7 @@ import pytest
 from conftest import assert_grads_close, central_difference
 from tabpretrain.losses import (
     align_uniform,
+    align_uniform_loss,
     barlow_twins,
     barlow_twins_loss,
     binary_logistic,
@@ -160,6 +161,17 @@ def test_barlow_value_equals_the_full_call_bit_for_bit(dtype, rng):
         loss = barlow_twins_loss(z, zt, 5e-3)
         assert loss == barlow_twins(z, zt, 5e-3)[0]
         assert isinstance(loss, float)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_align_uniform_value_equals_the_full_call_bit_for_bit(dtype, rng):
+    """What validation scores with: the value without the gradients."""
+    for n in (2, 5, 128):
+        z, zt = embeddings(rng, n, dtype=dtype)
+        for a, u in ((1.0, 1.0), (0.3, 2.0)):
+            loss = align_uniform_loss(z, zt, a, u)
+            assert loss == align_uniform(z, zt, a, u)[0]
+            assert isinstance(loss, float)
 
 
 class TestInfonceError:

@@ -194,6 +194,23 @@ class TestTape:
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("columns, dropout, error", [(5, 0.0, ShapeError), (6, 0.3, ValueError)],
+                         ids=["ShapeError", "dropout_without_rng"])
+def test_rejected_forward_keeps_the_previous_tape(dtype, columns, dropout, error, rng):
+    """Forward drops the previous tape only once the batch has passed its
+    checks, so backward still runs from the last accepted pass."""
+    mlp = random_net(rng, dtype)
+    mlp.forward(rng.normal(size=(11, 6)), 0.3, np.random.default_rng(5))
+    output_grad = rng.normal(size=(11, 4)).astype(dtype)
+    want = mlp.backward(output_grad)
+    with pytest.raises(error):
+        mlp.forward(np.zeros((3, columns)), dropout)
+    got = mlp.backward(output_grad)
+    for a, b in zip([*got[0], got[1]], [*want[0], want[1]]):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestAdam:
     def test_zero_grad_leaves_params_bit_identical(self, rng):
         p = rng.normal(size=(3, 2))

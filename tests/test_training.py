@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
 
@@ -7,7 +6,7 @@ import pytest
 
 from conftest import (assert_grads_close, bundle_weights, central_difference,
                       l2_normalize_rows_backward, make_blob_dataset, make_numeric_dataset,
-                      scripted_fit, to_float64)
+                      scripted_fit, to_float64, traced_peak)
 from tabpretrain import losses, methods, nn, training
 from tabpretrain.corruption import (ConfigurationError, CorruptionDraw, build_marginal_pool,
                                     corrupt_batch, select_indices)
@@ -274,13 +273,7 @@ class TestInference:
                "embed": lambda: bundle.embed(X)}[name]
         full_split_peak = {"classification_error": 10, "embed": 12}[name] * X.shape[0] * 256 * 4
         run()
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < full_split_peak / 3
+        assert traced_peak(run)[1] < full_split_peak / 3
 
 
 # the ids name each autoencoder by its input: clean, additive noise, SCARF corruption
@@ -461,7 +454,28 @@ class TestFit:
         assert len(steps) == 4
 
 
+# The traced peak of a short default-width scarf pre-training, in units of
+# the bytes of the arrays it steps (f and g, 1.28 MiB here). Adam's two
+# moments and the one best-epoch snapshot are three of those units. The peak
+# read 7.87 while a step ran beside the previous step's tape and gradients,
+# the loss's arrays lived through the backward pass and each new best epoch
+# copied a snapshot beside the old one; 6.28 once each array dies after its
+# last read.
+PRETRAIN_PEAK_BOUND = 7.0
+
+
 class TestPretrainScarf:
+    def test_peak_holds_one_step_of_arrays(self):
+        ds = make_numeric_dataset(n=400, d=20)
+        ds = replace(ds, X=ds.X.astype(np.float32))
+        hp = Hyperparameters(pretrain_max_epochs=2)
+        bundle = ModelBundle.create(20, 2, np.random.default_rng(0), hp, pre="scarf")
+        stepped = sum(p.nbytes for p in bundle.net("scarf").parameters())
+        out, peak = traced_peak(pretrain_scarf, ds, make_splits(ds.n, 0), bundle, hp,
+                                np.random.default_rng(1))
+        assert out.epochs_used == out.best_epoch == 2  # both epochs took a snapshot
+        assert peak / stepped < PRETRAIN_PEAK_BOUND
+
     def test_desk_scale_run_terminates_with_patience(self):
         ds = make_numeric_dataset(n=200, d=6, seed=3)
         splits = make_splits(200, 1)
