@@ -16,10 +16,12 @@ and their arrays while reading, the read and the imputed columns while
 imputing, and the imputed columns and the encoded X while encoding. On an
 all-numeric table each copy is the size of X (a categorical column's int32
 codes are smaller than its one-hot block), so ingestion peaks at about twice
-X. `scale` copies X; its statistics add the training rows of the numerical
-columns as one gathered temporary and, for zscore, a centred temporary of
-the same size, each 70% of X on an all-numeric table, so `scale` peaks at
-about 2.4 times X there.
+X. `scale` takes its statistics over the training rows of the numerical
+columns, as one gathered float64 temporary and, for zscore, a centred
+temporary of the same size, each 70% of X on an all-numeric table, and frees
+them before it makes its one copy of X, in the training dtype (float32, half
+of a float64 X). So `scale` peaks at about 1.4 times X on an all-numeric
+table, and at about half of X on a table whose numerical columns are few.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from tabpretrain.nn import TRAINING_DTYPE
+
 KINDS = ("numerical", "categorical", "label")
 SCALINGS = ("zscore", "minmax", "mean", "none")
 MIN_SPLIT_ROWS = 10  # the fewest rows `make_splits` partitions
@@ -43,14 +47,24 @@ class IngestionError(ValueError):
     """Any malformed input file, or a CSV that does not match its schema."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; ValueError naming each key that the
+    object names more than once, where a dict would keep the last value."""
+    repeated = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+    if repeated:
+        raise ValueError(f"object names key(s) more than once: {repeated}")
+    return dict(pairs)
+
+
 def read_json_object(path, what: str) -> dict:
     """The JSON object in the UTF-8 file at `path`; IngestionError naming the
     `what` file if it is not UTF-8, not JSON (or nested past the recursion
-    limit) or not a JSON object."""
+    limit), not a JSON object, or holds an object, at any depth, that names a
+    key twice."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, a key twice, too deep
         raise IngestionError(f"{what} file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise IngestionError(f"{what} file {path} must be a JSON object, not {type(raw).__name__}")
@@ -276,28 +290,33 @@ def encode_csv(csv_path, schema: Schema) -> ProcessedDataset:
 
 
 def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> ProcessedDataset:
-    """Copy of the dataset whose numerical columns are scaled with statistics
-    of the given training rows; the other columns are left as they are.
+    """Copy of the dataset, with X in `nn.TRAINING_DTYPE`, whose numerical
+    columns are scaled with statistics of the given training rows; the other
+    columns are left as they are.
 
     A numerical column becomes (x - center) / denom, 0 where denom is 0:
     zscore takes the mean and the population standard deviation (divide by
     n), minmax the minimum and the range, mean the mean and the range, and
-    none leaves it as it is. X is copied once, and one numerical column of
-    the copy at a time is rescaled in place. The statistics are taken over
-    the gather `X[np.ix_(train_indices, cols)]`, and zscore's standard
-    deviation makes a centred temporary of that size: on an all-numeric
-    table each holds the training share of X."""
+    none leaves it as it is. The statistics are taken in float64 over the
+    gather `X[np.ix_(train_indices, cols)]`, and zscore's standard deviation
+    makes a centred temporary of that size: on an all-numeric float64 table
+    each holds the training share of X. Both die before X is cast once into
+    the training dtype. Each numerical column is then computed in float64
+    from the source column and rounded once as it is stored, so the result
+    is, bit for bit, the float64 scaled copy cast to the training dtype,
+    without that copy."""
     if kind not in SCALINGS:
         raise ValueError(f"unknown scaling kind {kind!r}")
-    cols = np.asarray(dataset.numerical_columns, dtype=int)
-    X = dataset.X.copy()
     if kind == "none":
-        return replace(dataset, X=X)
-    train = X[np.ix_(train_indices, cols)].astype(float, copy=False)
+        return replace(dataset, X=dataset.X.astype(TRAINING_DTYPE))
+    cols = np.asarray(dataset.numerical_columns, dtype=int)
+    train = dataset.X[np.ix_(train_indices, cols)].astype(float, copy=False)
     center = train.min(axis=0) if kind == "minmax" else train.mean(axis=0)
     denom = train.std(axis=0) if kind == "zscore" else train.max(axis=0) - train.min(axis=0)
+    del train  # the statistics' temporaries die before the copy is allocated
+    X = dataset.X.astype(TRAINING_DTYPE)
     for c, mu, d in zip(cols, center, denom):
-        X[:, c] = (X[:, c] - mu) / d if d != 0 else 0.0
+        X[:, c] = (dataset.X[:, c] - mu) / d if d != 0 else 0.0
     return replace(dataset, X=X)
 
 

@@ -111,14 +111,17 @@ def run_method(
     """Execute one method on one prepared (dataset, splits) pair under `hp`.
 
     The setting's training labels replace `dataset.y` for the whole trial,
-    and test accuracy is scored once, on the model the recipe returns. A
-    method that `check_method` rejects under `hp` raises ValueError. Returns
-    test accuracy plus epoch counters for the results record."""
+    and test accuracy is scored once, on the model the recipe returns. X is
+    cast once to the weights' dtype, which copies nothing when it comes from
+    `scale`, already in that dtype. A method that `check_method` rejects
+    under `hp` raises ValueError. Returns test accuracy plus epoch counters
+    for the results record."""
     pre, recipe = check_method(method, hp)
     rng = np.random.default_rng(seed)
     y_eff, labeled, unlabeled = apply_setting(dataset, splits, setting, rng, hp)
     bundle = ModelBundle.create(dataset.X.shape[1], dataset.num_classes, rng, hp, pre, recipe)
-    # one cast per trial to the weights' dtype, before any pool or view exists
+    # one cast per trial to the weights' dtype (none for `scale`'s output),
+    # before any pool or view exists
     dataset = replace(dataset, X=dataset.X.astype(bundle.f.dtype, copy=False), y=y_eff)
 
     pretrain_outcome = pretrain_scarf(dataset, splits, bundle, hp, rng, pre) if pre else None
@@ -259,8 +262,6 @@ def run_benchmark(
         seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
         try:
             splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
-            # no name holds the float64 scaled copy, so it is freed as soon as
-            # run_method rebinds its argument to the float32 cast
             res = run_method(method, scale(loaded[dataset_id], splits.train, scaling),
                              splits, setting, seed, hp)
         except Exception as exc:  # reported to the caller; no record is written

@@ -1,19 +1,24 @@
 """Dense MLP forward/backward, losses, and the Adam optimizer.
 
-Training runs in float32, and the dtype is carried by the weights: `Mlp`
-computes in the dtype of its layers, `DenseLayer.init` makes float32 layers,
-and every function here returns its input's floating dtype. A net built from
-float64 arrays computes in float64, which is how the finite-difference
-oracles run. Weight matrices are stored (in_dim, out_dim) so a batch forward
-is ``x @ W + b``. Gradients of every loss are averaged over the batch, which
+Training runs in `TRAINING_DTYPE`, float32, and the dtype is carried by the
+weights: `Mlp` computes in the dtype of its layers, `DenseLayer.init` makes
+layers of the training dtype, `data.scale` returns X in it, and every
+function here returns its input's floating dtype. A net built from float64
+arrays computes in float64, which is how the finite-difference oracles run.
+Weight matrices are stored (in_dim, out_dim) so a batch forward is
+``x @ W + b``. Gradients of every loss are averaged over the batch, which
 keeps learning-rate semantics independent of batch size.
 
 `Mlp.forward` keeps a tape of each layer's input and of the net's output (no
 preactivations) and works in place on the arrays it allocates; it drops the
 previous pass's tape before it allocates the new one, so a net holds one
-tape at a time. `Mlp.backward` applies the ReLU and dropout masks in place on
-its own gradient arrays and skips the first layer's input-gradient GEMM when
-the caller discards the input gradient (`input_grad=False`).
+tape at a time. `Mlp.backward` consumes that tape, dropping each activation
+and dropout mask after its last read, so one forward pass serves one
+backward pass; it applies the ReLU and dropout masks in place on its own
+gradient arrays and skips the first layer's input-gradient GEMM when the
+caller discards the input gradient (`input_grad=False`). `Adam.step` and
+`l2_normalize_backward` consume the gradients they are handed: each is
+overwritten after its last read.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ class StateError(RuntimeError):
 
 
 _ACTIVATIONS = ("relu", "identity")
+
+TRAINING_DTYPE = np.float32  # the precision of the nets' weights and of the scaled X
 
 
 def as_float(x) -> np.ndarray:
@@ -51,10 +58,10 @@ class DenseLayer:
     @classmethod
     def init(cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> "DenseLayer":
         # Scaled-uniform init with bound sqrt(6 / fan_in), drawn in float64
-        # and stored in float32, the training precision; bias zero.
+        # and stored in the training precision; bias zero.
         bound = np.sqrt(6.0 / in_dim)
         w = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        return cls(w.astype(np.float32), np.zeros(out_dim, dtype=np.float32), activation)
+        return cls(w.astype(TRAINING_DTYPE), np.zeros(out_dim, dtype=TRAINING_DTYPE), activation)
 
     @property
     def in_dim(self) -> int:
@@ -79,9 +86,11 @@ class Mlp:
     ``relu(x @ W + b) * mask``. A caller must not write into the array that
     forward returns before the backward pass that reads it.
 
-    The tape lives until the next forward pass: a batch that passes forward's
-    checks drops the previous tape before the first GEMM, and a batch that
-    fails them leaves it in place for `backward`.
+    The tape lives from a forward pass to its backward pass, which drops
+    each array of it after its last read and leaves no tape, so a second
+    backward raises StateError. A batch that passes forward's checks drops
+    the previous tape before the first GEMM, and a batch that fails them
+    leaves it in place for `backward`.
     """
 
     def __init__(self, layers: list[DenseLayer]):
@@ -153,24 +162,30 @@ class Mlp:
         """Gradients w.r.t. every parameter (same order as parameters()) and
         the input of the last forward pass; the input gradient is None, and
         the first layer's input-gradient GEMM is skipped, when `input_grad`
-        is False. Neither the tape nor `output_grad` is changed, so backward
-        may run again from the same forward pass."""
+        is False. `output_grad` is not changed. The tape is consumed: each
+        activation and dropout mask is dropped after its last read, so a
+        second backward without a forward pass in between raises
+        StateError. An `output_grad` of the wrong shape raises ShapeError
+        and leaves the tape in place."""
         if self._cache is None:
-            raise StateError("backward called before forward")
+            raise StateError("backward needs a forward pass since the last backward")
         acts, masks = self._cache
         g = np.asarray(output_grad, dtype=self.dtype)
         if g.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError("output_grad shape does not match the last forward output")
+        self._cache = None
         grads: list[np.ndarray] = [None] * (2 * len(self.layers))
         owned = False  # until the first product, g may be the caller's array
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            keep = [] if masks[k] is None else [masks[k]]
-            if layer.activation == "relu":
-                keep.append(acts[k + 1] > 0)
-            for mask in keep:
-                g = np.multiply(g, mask, out=g if owned else None)
-                owned = True
+            dropout, out = masks.pop(), acts.pop()  # layer k's: dead after this step
+            relu = out > 0 if layer.activation == "relu" else None
+            del out
+            for mask in (dropout, relu):
+                if mask is not None:
+                    g = np.multiply(g, mask, out=g if owned else None)
+                    owned = True
+            del dropout, relu, mask
             grads[2 * k] = acts[k].T @ g
             grads[2 * k + 1] = g.sum(axis=0)
             if k or input_grad:
@@ -193,10 +208,13 @@ class Adam:
 
     Updates are applied in place; a zero gradient leaves parameters
     bit-identical. Each parameter's moments have that parameter's dtype. The
-    step runs in two scratch buffers per dtype, as large as the largest
-    parameter, with the operations, and so the rounding, of
+    step runs in one scratch buffer per dtype, as large as the largest
+    parameter, and in each gradient after its last read, with the
+    operations, and so the rounding, of
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``.
+    So `step` consumes its gradients: each is overwritten. A gradient whose
+    shape or dtype differs from its parameter's raises before any update.
     """
 
     BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -207,30 +225,34 @@ class Adam:
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
-        # two scratch buffers per dtype, shared by the parameters in turn
+        # one scratch buffer per dtype, shared by the parameters in turn
         size = max((p.size for p in params), default=0)
-        self._scratch = {p.dtype: (np.empty(size, p.dtype), np.empty(size, p.dtype)) for p in params}
+        self._scratch = {p.dtype: np.empty(size, p.dtype) for p in params}
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ShapeError("gradient list length does not match parameter list")
+        for p, g in zip(self.params, grads):
+            if g.shape != p.shape:
+                raise ShapeError("gradient shape does not match parameter shape")
+            if g.dtype != p.dtype:  # a gradient of another dtype would round differently
+                raise ValueError(f"gradient dtype {g.dtype} does not match "
+                                 f"parameter dtype {p.dtype}")
         self.step_count += 1
         t = self.step_count
         for p, g, m, v in zip(self.params, grads, self.first_moment, self.second_moment):
-            if g.shape != p.shape:
-                raise ShapeError("gradient shape does not match parameter shape")
-            a, b = (buf[: p.size].reshape(p.shape) for buf in self._scratch[p.dtype])
+            a = self._scratch[p.dtype][: p.size].reshape(p.shape)
             m *= self.BETA1
             m += np.multiply(g, 1 - self.BETA1, out=a)
             v *= self.BETA2
             np.multiply(g, 1 - self.BETA2, out=a)
-            v += np.multiply(a, g, out=a)
+            v += np.multiply(a, g, out=a)  # g's last read: from here on it is scratch
             np.divide(m, 1 - self.BETA1**t, out=a)  # m_hat
             a *= self.learning_rate
-            np.divide(v, 1 - self.BETA2**t, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.EPSILON
-            p -= np.divide(a, b, out=a)
+            np.divide(v, 1 - self.BETA2**t, out=g)  # v_hat
+            np.sqrt(g, out=g)
+            g += self.EPSILON
+            p -= np.divide(a, g, out=a)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -293,9 +315,16 @@ def l2_normalize_rows_with_norms(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def l2_normalize_backward(z: np.ndarray, norms: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
     """Backprop through row normalization from the output of
-    `l2_normalize_rows_with_norms`: (grad_z - z * <z, grad_z>) / norms."""
-    inner = (z * grad_z).sum(axis=1, keepdims=True)
-    return (grad_z - z * inner) / norms
+    `l2_normalize_rows_with_norms`: (grad_z - z * <z, grad_z>) / norms,
+    computed in place in `grad_z`, an array of z's dtype and shape, which is
+    returned; it takes one temporary of that shape."""
+    if grad_z.dtype != z.dtype or grad_z.shape != z.shape:
+        raise ValueError("grad_z must have the dtype and shape of z")
+    tmp = np.multiply(z, grad_z)
+    inner = tmp.sum(axis=1, keepdims=True)
+    grad_z -= np.multiply(z, inner, out=tmp)
+    grad_z /= norms
+    return grad_z
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -84,11 +84,21 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
 
     The slices are of equal size up to one row, so a slice of one row (which
     numpy sends to a matrix-vector product with a different summation order)
-    only occurs when X has one row."""
+    only occurs when X has one row. Each slice's result is written into one
+    output, allocated at the first slice, and dropped before the next slice
+    runs."""
     n = len(X)
     if n <= INFERENCE_ROWS:
         return fn(X)
-    return np.concatenate([fn(part) for part in np.array_split(X, -(-n // INFERENCE_ROWS))])
+    out, start = None, 0
+    for part in np.array_split(X, -(-n // INFERENCE_ROWS)):
+        result = fn(part)
+        if out is None:
+            out = np.empty((n, *result.shape[1:]), result.dtype)
+        out[start:start + len(part)] = result
+        start += len(part)
+        del result
+    return out
 
 
 @dataclass(frozen=True)
@@ -287,8 +297,9 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
     first epoch into one snapshot, which each new best epoch overwrites in
     place and from which they are restored in place.
 
-    A step's gradients live until `Adam.step` has applied them, so the next
-    step's forward and backward passes run without them.
+    A step's gradients live until `Adam.step` has applied them, using each
+    as scratch after its last read, so the next step's forward and backward
+    passes run without them.
 
     An epoch whose mean loss is non-finite, after which a stepped array holds
     a non-finite value, or whose metric is non-finite raises TrainingDiverged
@@ -355,16 +366,18 @@ def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
     w.r.t. the 2B stacked input rows (view_a's, then view_b's), or None
     without f's first input-gradient GEMM when `input_grad` is False. The row
     norms of the forward pass serve the backward pass; of the loss's arrays,
-    only the net's output gradient is alive while it runs."""
-    out = net.forward(np.vstack([view_a, view_b]))
-    loss, output_grad = _contrastive_output_grad(out, view_a.shape[0], loss_fn)
+    only the net's output gradient is alive while it runs, and the net's
+    output only on the tape, which the backward pass drops first."""
+    loss, output_grad = _contrastive_output_grad(net.forward(np.vstack([view_a, view_b])),
+                                                 view_a.shape[0], loss_fn)
     grads, grad_in = net.backward(output_grad, input_grad)
     return loss, grads, grad_in
 
 
 def _contrastive_output_grad(out: np.ndarray, n: int, loss_fn):
     """The loss of the scarf net's 2n output rows (view a's n, then view b's)
-    and its gradient w.r.t. them, through the row normalization."""
+    and its gradient w.r.t. them, through the row normalization, which works
+    in place on the stacked gradients of the two embeddings."""
     z, norms = l2_normalize_rows_with_norms(out)
     loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
     grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)

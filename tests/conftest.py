@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tabpretrain.data import ProcessedDataset
-from tabpretrain.nn import as_float, l2_normalize_backward, l2_normalize_rows_with_norms
+from tabpretrain.nn import as_float, l2_normalize_rows_with_norms
 from tabpretrain.training import Hyperparameters, ModelBundle, _fit
 
 
@@ -92,11 +92,15 @@ def to_float64(model):
 
 
 def l2_normalize_rows_backward(raw: np.ndarray, grad_z: np.ndarray) -> np.ndarray:
-    """Backprop through row normalization from the raw rows u, z = u/||u||:
-    the plain composition that `training.contrastive_step` must match."""
+    """Backprop through row normalization from the raw rows u, z = u/||u||,
+    out of place and without changing `grad_z`: (grad_z - z * <z, grad_z>) /
+    ||u||, with 1 for the norm of a zero row. The plain composition that
+    `nn.l2_normalize_backward` and `training.contrastive_step` must match."""
     raw = as_float(raw)
-    return l2_normalize_backward(*l2_normalize_rows_with_norms(raw),
-                                 np.asarray(grad_z, dtype=raw.dtype))
+    grad_z = np.asarray(grad_z, dtype=raw.dtype)
+    z, norms = l2_normalize_rows_with_norms(raw)
+    inner = (z * grad_z).sum(axis=1, keepdims=True)
+    return (grad_z - z * inner) / norms
 
 
 def central_difference(f, params, h=1e-5):

@@ -278,6 +278,7 @@ def test_criterion_4_welch_win_matrix_oracle():
     assert wm.min_ratio_column()[1] == 0.0
 
 
+@pytest.mark.slow
 @criterion(5, "pre-training matches or beats the supervised control with 25% labels")
 def test_criterion_5_semi_supervised_gain(mixture):
     start = time.time()
@@ -307,6 +308,7 @@ def test_criterion_6_banknote():
     assert time.time() - start < 30 * 60
 
 
+@pytest.mark.slow
 @criterion(7, "pre-training stays within 0.5 points of control under 30% label noise")
 def test_criterion_7_label_noise(mixture):
     start = time.time()

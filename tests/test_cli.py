@@ -298,12 +298,17 @@ class TestConfiguration:
         (b'{"a": 1\n"b": 2}', ": Expecting ',' delimiter: line 2 column 1 (char 8)"),
         (b"[1, 2]", " must be a JSON object, not list"),
         (b"[" * 100_000 + b"]" * 100_000, ": maximum recursion depth exceeded"),
-    ], ids=["not_utf8", "not_json", "not_an_object", "nested_too_deep"])
+        (b'{"trials": 1, "trials": 5}', ": object names key(s) more than once: ['trials']"),
+        (b'{"x": {"b": 1, "b": 2}}', ": object names key(s) more than once: ['b']"),
+    ], ids=["not_utf8", "not_json", "not_an_object", "nested_too_deep", "key_named_twice",
+            "nested_key_named_twice"])
     def test_malformed_json_file_is_named_and_writes_nothing(self, tmp_path, capsys, command,
                                                              which, content, error):
         """A list in pin.json used to crash `run` with an AttributeError,
         nesting past the recursion limit crashed every reader with a
-        RecursionError, and a parse error did not name the file."""
+        RecursionError, a parse error did not name the file, and a key named
+        twice silently took its last value (a config file that set `trials`
+        to 1 and then to 5 ran 5 trials)."""
         csv, schema = write_dataset(tmp_path)
         out = tmp_path / "o"
         paths = {"schema": schema, "config": write_config(tmp_path), "pin": out / "pin.json"}

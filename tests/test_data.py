@@ -22,6 +22,7 @@ from tabpretrain.data import (
     process_csv,
     scale,
 )
+from tabpretrain.nn import TRAINING_DTYPE
 
 SCHEMA = Schema(["age", "color", "target"], ["numerical", "categorical", "label"])
 
@@ -65,6 +66,16 @@ class TestSchema:
             json.dump(dict(zip(SCHEMA.names, SCHEMA.kinds)), fh)
         loaded = Schema.from_file(p)
         assert loaded.names == SCHEMA.names and loaded.kinds == SCHEMA.kinds
+
+    def test_a_column_named_twice_is_refused(self, tmp_path):
+        """A dict keeps the last value of a repeated key: `age` used to load
+        as categorical, silently."""
+        p = tmp_path / "schema.json"
+        p.write_text('{"age": "numerical", "color": "categorical", "target": "label", '
+                     '"age": "categorical"}', encoding="utf-8")
+        with pytest.raises(IngestionError, match=re.escape(
+                f"schema file {p}: object names key(s) more than once: ['age']")):
+            Schema.from_file(p)
 
 
 class TestLoadCsv:
@@ -240,10 +251,15 @@ class TestScaler:
         np.testing.assert_array_equal(out, [[0.0], [0.0], [0.0]])
 
     def test_fit_rows_standardized(self, rng):
+        """The float32 output is the float64 formula rounded once, and the
+        float64 formula standardizes the fit rows."""
         vals = rng.normal(3.0, 2.0, size=(50, 4))
+        want = (vals - vals.mean(axis=0)) / vals.std(axis=0)
         out = scaled(vals, "zscore")
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, want.astype(np.float32))
+        np.testing.assert_allclose(want.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(want.std(axis=0), 1.0, atol=1e-10)
 
 
 class TestOneHot:
@@ -306,13 +322,18 @@ class TestOneHot:
 # joined by np.column_stack, 2.19 with float64 column buffers and X written
 # in place, and 1.31 with every categorical cell an int32 code from the first
 # read instead of a Python string; scale read 1.84 with full-width
-# temporaries and 1.32 rescaling one column at a time.
+# temporaries, 1.32 rescaling one column at a time, and 0.53 writing a float32
+# copy after its statistics' temporaries are gone. A trial's set-up, `scale`
+# and `run_method`'s cast to the weights' dtype, read 1.50 while `scale`
+# returned a float64 copy and 0.53 since the cast copies nothing.
 ENCODE_PEAK_BOUND = 1.6
-SCALE_PEAK_BOUND = 1.55
+SCALE_PEAK_BOUND = 0.7
+TRIAL_SETUP_PEAK_BOUND = 0.7
 
 
 class TestMemory:
-    """Ingestion holds one encoded copy of the table, and `scale` one more."""
+    """Ingestion holds one encoded copy of the table, and `scale` one more,
+    in float32."""
 
     def test_encode_csv_peak(self, tmp_path):
         path, schema = write_mixed_table(tmp_path)
@@ -326,7 +347,21 @@ class TestMemory:
         splits = make_splits(ds.n, 0)
         scaled, peak = traced_peak(scale, ds, splits.train, "zscore")
         assert peak / ds.X.nbytes < SCALE_PEAK_BOUND
-        assert scaled.X.tobytes() != ds.X.tobytes()
+        assert scaled.X.dtype == TRAINING_DTYPE
+        assert not np.array_equal(scaled.X, ds.X)
+
+    def test_trial_setup_peak(self, tmp_path):
+        """`scale` and then `run_method`'s cast of X to the weights' dtype."""
+        path, schema = write_mixed_table(tmp_path)
+        ds = encode_csv(path, schema)
+        splits = make_splits(ds.n, 0)
+
+        def setup():
+            return scale(ds, splits.train, "zscore").X.astype(TRAINING_DTYPE, copy=False)
+
+        X, peak = traced_peak(setup)
+        assert peak / ds.X.nbytes < TRIAL_SETUP_PEAK_BOUND
+        assert X.dtype == TRAINING_DTYPE
 
 
 class TestMakeSplits:
@@ -412,9 +447,12 @@ class TestPipelineDeterminism:
             rows.append(f"{i},a,x")
         p = write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
         ds, sp = process_csv(p, SCHEMA, 3)
-        train_vals = ds.X[sp.train, 0]
-        np.testing.assert_allclose(train_vals.mean(), 0.0, atol=1e-10)
-        np.testing.assert_allclose(train_vals.std(), 1.0, atol=1e-10)
+        age = np.arange(20.0)[:, None]
+        train = age[sp.train]
+        want = (age - train.mean(axis=0)) / train.std(axis=0)  # the float64 formula
+        np.testing.assert_array_equal(ds.X[:, :1], want.astype(np.float32))
+        np.testing.assert_allclose(want[sp.train].mean(), 0.0, atol=1e-10)
+        np.testing.assert_allclose(want[sp.train].std(), 1.0, atol=1e-10)
 
 
 @given(st.integers(10, 500), st.integers(0, 10_000))

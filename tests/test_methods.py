@@ -1,7 +1,6 @@
 import json
 import re
 import time
-import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -492,27 +491,28 @@ class TestRunBenchmark:
             run_benchmark({"tiny": tiny}, ["control"], ["full"], 3, 0, tmp_path / "o", FAST_HP)
         assert not (tmp_path / "o").exists()
 
-    def test_scaled_float64_copy_released_before_training(self, monkeypatch):
-        # run_method trains on its float32 cast; the float64 copy that
-        # `scale` made for the trial must be gone by then
-        scaled, alive = [], []
+    def test_finetune_trains_on_the_array_that_scale_returned(self, monkeypatch):
+        # `scale` returns X in the training dtype, so run_method's cast to the
+        # weights' dtype copies nothing and the trial holds one scaled X
+        scaled, trained = [], []
         real_scale, real_finetune = methods.scale, methods.finetune
 
         def tracked_scale(*args):
             out = real_scale(*args)
-            scaled.append(weakref.ref(out.X))
+            scaled.append(out.X)
             return out
 
-        def checked_finetune(*args, **kwargs):
-            alive.append(scaled[-1]() is not None)
-            return real_finetune(*args, **kwargs)
+        def checked_finetune(dataset, *args, **kwargs):
+            trained.append(dataset.X)
+            return real_finetune(dataset, *args, **kwargs)
 
         monkeypatch.setattr(methods, "scale", tracked_scale)
         monkeypatch.setattr(methods, "finetune", checked_finetune)
         ds = make_blob_dataset(n=120, d=4, seed=4)
         records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
         assert all(isinstance(r, stats.MethodRun) for r in records)
-        assert alive == [False, False]
+        assert len(trained) == len(scaled) == 2
+        assert all(t is s and t.dtype == np.float32 for t, s in zip(trained, scaled))
 
     def test_split_seed_shared_across_methods(self):
         # both methods in one trial must see identical splits: the split seed
@@ -793,7 +793,14 @@ class TestRunBenchmark:
             expected_splits = make_splits(raw.n, seed)
             for part in ("train", "validation", "test"):
                 np.testing.assert_array_equal(getattr(splits, part), getattr(expected_splits, part))
-            train = ds.X[splits.train][:, num]
+            # the float64 formula, which `scale` rounds once to float32
+            train = raw_X[np.ix_(splits.train, num)]
+            center = train.min(axis=0) if scaling == "minmax" else train.mean(axis=0)
+            denom = train.std(axis=0) if scaling == "zscore" else np.ptp(train, axis=0)
+            want = raw_X.copy()
+            want[:, num] = (raw_X[:, num] - center) / denom
+            np.testing.assert_array_equal(ds.X, want.astype(np.float32))
+            train = want[splits.train][:, num]
             center = train.min(axis=0) if scaling == "minmax" else train.mean(axis=0)
             spread = train.std(axis=0) if scaling == "zscore" else np.ptp(train, axis=0)
             np.testing.assert_allclose(center, 0.0, atol=1e-12)

@@ -80,6 +80,20 @@ class TestBackward:
         with pytest.raises(StateError):
             mlp.backward(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_second_backward_raises(self, input_grad, rng):
+        """Backward consumes the tape: one forward pass serves one backward
+        pass. A rejected output gradient leaves the tape in place."""
+        mlp = Mlp.create([3, 4, 2], rng)
+        mlp.forward(rng.normal(size=(5, 3)))
+        with pytest.raises(ShapeError):
+            mlp.backward(np.zeros((4, 2)))
+        mlp.backward(np.zeros((5, 2)), input_grad)
+        with pytest.raises(StateError, match="forward pass since the last backward"):
+            mlp.backward(np.zeros((5, 2)), input_grad)
+        mlp.forward(rng.normal(size=(5, 3)))
+        mlp.backward(np.zeros((5, 2)), input_grad)
+
     def test_zero_grad_gives_zero_param_grads(self, rng):
         mlp = Mlp.create([3, 4, 2], rng)
         mlp.forward(rng.normal(size=(5, 3)))
@@ -152,8 +166,9 @@ def random_net(rng, dtype, final_activation="relu"):
 @pytest.mark.parametrize("final_activation", ["relu", "identity"])
 class TestTape:
     """The in-place forward pass and its tape give, bit for bit, what the
-    out-of-place composition gives, and backward changes neither the tape nor
-    its argument."""
+    out-of-place composition gives, and backward writes into neither the
+    tape's arrays nor its argument. Backward consumes the tape, so every
+    backward pass here follows a forward pass of its own."""
 
     def test_matches_out_of_place_composition_bit_for_bit(self, dtype, dropout,
                                                             final_activation, rng):
@@ -171,9 +186,11 @@ class TestTape:
     def test_skipping_the_input_gradient_keeps_the_parameter_gradients(self, dtype, dropout,
                                                                       final_activation, rng):
         mlp = random_net(rng, dtype, final_activation)
-        mlp.forward(rng.normal(size=(11, 6)), dropout, rng)
+        x = rng.normal(size=(11, 6))
         output_grad = rng.normal(size=(11, 4)).astype(dtype)
+        mlp.forward(x, dropout, np.random.default_rng(5))
         full, grad_in = mlp.backward(output_grad)
+        mlp.forward(x, dropout, np.random.default_rng(5))
         skipped, none = mlp.backward(output_grad, input_grad=False)
         assert grad_in.shape == (11, 6) and none is None
         for a, b in zip(full, skipped):
@@ -183,12 +200,13 @@ class TestTape:
                                                                final_activation, rng):
         mlp = random_net(rng, dtype, final_activation)
         x = rng.normal(size=(11, 6)).astype(dtype)
-        out = mlp.forward(x, dropout, rng)
+        out = mlp.forward(x, dropout, np.random.default_rng(5))
         output_grad = rng.normal(size=(11, 4)).astype(dtype)
         kept = [a.copy() for a in (x, out, output_grad)]
         first = mlp.backward(output_grad)
         for a, b in zip((x, out, output_grad), kept):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(mlp.forward(x, dropout, np.random.default_rng(5)), out)
         second = mlp.backward(output_grad)
         for a, b in zip([*first[0], first[1]], [*second[0], second[1]]):
             np.testing.assert_array_equal(a, b)
@@ -201,9 +219,11 @@ def test_rejected_forward_keeps_the_previous_tape(dtype, columns, dropout, error
     """Forward drops the previous tape only once the batch has passed its
     checks, so backward still runs from the last accepted pass."""
     mlp = random_net(rng, dtype)
-    mlp.forward(rng.normal(size=(11, 6)), 0.3, np.random.default_rng(5))
+    x = rng.normal(size=(11, 6))
     output_grad = rng.normal(size=(11, 4)).astype(dtype)
+    mlp.forward(x, 0.3, np.random.default_rng(5))
     want = mlp.backward(output_grad)
+    mlp.forward(x, 0.3, np.random.default_rng(5))
     with pytest.raises(error):
         mlp.forward(np.zeros((3, columns)), dropout)
     got = mlp.backward(output_grad)
@@ -246,6 +266,24 @@ class TestAdam:
         with pytest.raises(ShapeError):
             opt.step([np.zeros(4)])
 
+    @pytest.mark.parametrize("param_dtype, grad_dtype", [(np.float32, np.float64),
+                                                          (np.float64, np.float32)])
+    def test_gradient_of_another_dtype_raises_before_any_update(self, param_dtype, grad_dtype,
+                                                                rng):
+        """The step runs in its gradients, so a gradient of another dtype
+        would change the rounding; it is refused before any array moves."""
+        params = [rng.normal(size=(3, 2)).astype(param_dtype),
+                  rng.normal(size=2).astype(param_dtype)]
+        before = [p.copy() for p in params]
+        opt = Adam(params, learning_rate=1e-3)
+        grads = [np.ones((3, 2), dtype=param_dtype), np.ones(2, dtype=grad_dtype)]
+        with pytest.raises(ValueError, match="dtype"):
+            opt.step(grads)
+        assert opt.step_count == 0
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p, b)
+        np.testing.assert_array_equal(grads[0], 1.0)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_step_matches_reference_formula_bit_for_bit(self, dtype, rng):
         def reference_step(p, g, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
@@ -264,7 +302,7 @@ class TestAdam:
         for t in range(1, 26):
             grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=p.shape).astype(dtype)
                      for p in params]
-            opt.step(grads)
+            opt.step([g.copy() for g in grads])  # step overwrites its gradients
             for p, g, (m, v) in zip(ref, grads, moments):
                 reference_step(p, g, m, v, t)
         for got, want in zip(params + opt.first_moment + opt.second_moment,
@@ -378,8 +416,17 @@ class TestL2Normalize:
         z, norms = l2_normalize_rows_with_norms(raw)
         np.testing.assert_array_equal(z, l2_normalize_rows(raw))
         assert norms.shape == (7, 1) and norms[3, 0] == 1.0
-        np.testing.assert_array_equal(l2_normalize_backward(z, norms, grad),
-                                      l2_normalize_rows_backward(raw, grad))
+        want = l2_normalize_rows_backward(raw, grad)
+        got = l2_normalize_backward(z, norms, grad)
+        assert got is grad  # computed in place in the gradient it is handed
+        np.testing.assert_array_equal(got, want)
+
+    def test_backward_refuses_a_gradient_of_another_dtype(self, rng):
+        """Written in place, a float32 gradient of float64 rows would round
+        the float64 result to float32."""
+        z, norms = l2_normalize_rows_with_norms(rng.normal(size=(4, 3)))
+        with pytest.raises(ValueError, match="dtype"):
+            l2_normalize_backward(z, norms, rng.normal(size=(4, 3)).astype(np.float32))
 
 
 class TestMse:

@@ -21,6 +21,7 @@ def test_entry_digests_repeat_within_one_process():
     assert first[0] != first[1]
 
 
+@pytest.mark.slow
 def test_defaults_entries_match_the_digest_file():
     """The digest file lists the grid in print order, and the 391 `defaults`
     entries, run by `--check` in a fresh interpreter (the script sets one
