@@ -8,8 +8,8 @@ Commands:
 
 Configuration is a flat JSON object of the keys of CONFIG_DEFAULTS, which
 holds their defaults: the run keys of RUN_DEFAULTS (dataset, schema, method,
-setting, trials, seed, out, jobs, scaling) and every field of
-`training.Hyperparameters`, the one declaration of the trial hyperparameters.
+setting, trials, seed, out, jobs) and every field of `training.Hyperparameters`,
+the one declaration of the trial hyperparameters, `scaling` among them.
 Every key is also a `run` flag (`tabpretrain run --help` lists them), and
 flags override file values. A value must be of its default's type, by the
 rule of `corruption.check_type`, and an empty string counts as not given, so
@@ -17,10 +17,10 @@ rule of `corruption.check_type`, and an empty string counts as not given, so
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
-`run_benchmark` pins in `out` the seed, the scaling, the hyperparameters and
-a digest of the encoded table it loads: a resume whose values differ fails
-and names them. A resume with no trial left reads no data, so it checks only
-the first three.
+`run_benchmark` pins in `out` the seed, the hyperparameters (the scaling
+among them) and a digest of the encoded table it loads: a resume whose values
+differ fails and names them. A resume with no trial left reads no data, so it
+checks only the first two.
 `config.json` is written only once `run_benchmark` has accepted the
 configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
@@ -58,7 +58,6 @@ RUN_DEFAULTS = {
     "seed": 0,
     "out": "results",
     "jobs": 1,
-    "scaling": "zscore",
 }
 CONFIG_DEFAULTS = {**RUN_DEFAULTS, **asdict(Hyperparameters())}
 
@@ -120,7 +119,7 @@ def cmd_run(args) -> int:
     outcomes = methods.run_benchmark(
         {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
         [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp,
-        cfg["scaling"], cfg["jobs"],
+        cfg["jobs"],
     )
     with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)

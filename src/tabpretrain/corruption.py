@@ -2,15 +2,16 @@
 
 Everything works on the encoded matrix X. A marginal draw for feature j is
 block j of a uniformly chosen training row, which the pool reads from X itself.
-`corrupt_batch` expands the (B, M) boolean feature mask of `select_indices` to
-encoded columns, builds one replacement matrix (donor gather, train means,
-noise, zeros or learnable values) and writes it with one `np.where`; untouched
-cells stay bit-identical, and the views keep the batch's floating dtype.
+`corrupt_batch` draws the (B, M) boolean feature mask through `select_indices`,
+expands it to encoded columns, builds one replacement matrix (donor gather,
+train means, noise, zeros or learnable values) and writes it with one
+`np.where`; untouched cells stay bit-identical, and the views keep the batch's
+floating dtype.
 
-Draw order from the run RNG is fixed: `select_indices` draws one (B, M)
-uniform matrix (one row under shared_batch; bernoulli then redraws only the
-rows that came out empty), then `corrupt_batch` makes one donor draw: (B, M)
-per-cell donors for marginal, (B,) row donors for joint, one donor for
+Draw order from the run RNG is fixed: each `corrupt_batch` draws its mask,
+one (B, M) uniform matrix (one row under shared_batch; bernoulli then redraws
+only the rows that came out empty), under every strategy, then one donor draw:
+(B, M) per-cell donors for marginal, (B,) row donors for joint, one donor for
 single_row, or one (B, M_enc) normal matrix for gaussian. The settings are
 the corruption fields of `training.Hyperparameters`, which checks each
 field's type and value when built.
@@ -130,13 +131,13 @@ def corrupt_batch(
     dataset: ProcessedDataset,
     config: Hyperparameters,
     pool: MarginalPool | None,
-    features: np.ndarray,
     rng: np.random.Generator,
     learnable_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, CorruptionDraw]:
-    """Apply the configured strategy to a copy of `batch` at the features that
-    the (B, M) boolean mask marks (none replaces nothing). Untouched coordinates
-    stay bit-identical, and the result has the batch's floating dtype."""
+    """Apply the configured strategy to a copy of `batch` at the features of
+    the (B, M) mask it draws by `select_indices`, before its donors (none
+    replaces nothing). Untouched coordinates stay bit-identical, and the
+    result has the batch's floating dtype."""
     batch = as_float(batch)
     strategy = config.corruption_strategy
     if strategy in ("marginal", "joint", "mean") and pool is None:
@@ -144,6 +145,7 @@ def corrupt_batch(
     if strategy == "missing_learnable" and learnable_values is None:
         raise ConfigurationError("missing_learnable strategy requires learnable values")
     B, M = batch.shape[0], dataset.M
+    features = select_indices(M, config, B, rng)
     column_feature = dataset.column_feature
     mask = features[:, column_feature] & (strategy != "none")
 
@@ -178,19 +180,17 @@ def make_views(
     rng: np.random.Generator,
     learnable_values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CorruptionDraw]:
-    """Build the two contrastive views. corrupt_one keeps view_a bit-identical
-    to the input; corrupt_both corrupts both with independent draws. The
-    returned draw describes the rows it corrupted, as the learnable-missing
-    gradient needs: view_b's B rows under corrupt_one, and view_a's then
-    view_b's, 2B rows stacked, under corrupt_both."""
-    M, B = dataset.M, batch.shape[0]
+    """Build the two contrastive views. view_b is one `corrupt_batch` of the
+    input; view_a is the input bit for bit under corrupt_one, and another
+    `corrupt_batch`, drawn first, under corrupt_both. The returned draw
+    describes the rows it corrupted, as the learnable-missing gradient needs:
+    view_b's B rows under corrupt_one, and view_a's then view_b's, 2B rows
+    stacked, under corrupt_both."""
     if config.view_policy == "corrupt_one":
         view_a = as_float(batch).copy()
     else:
-        hit_a = select_indices(M, config, B, rng)
-        view_a, draw_a = corrupt_batch(batch, dataset, config, pool, hit_a, rng, learnable_values)
-    hit_b = select_indices(M, config, B, rng)
-    view_b, draw = corrupt_batch(batch, dataset, config, pool, hit_b, rng, learnable_values)
+        view_a, draw_a = corrupt_batch(batch, dataset, config, pool, rng, learnable_values)
+    view_b, draw = corrupt_batch(batch, dataset, config, pool, rng, learnable_values)
     if config.view_policy == "corrupt_both":
         draw = CorruptionDraw(np.vstack([draw_a.features, draw.features]),
                               np.vstack([draw_a.encoded_mask, draw.encoded_mask]))

@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from tabpretrain import baselines, stats, training
-from tabpretrain.data import (MIN_SPLIT_ROWS, SCALINGS, ProcessedDataset, Splits, corrupt_labels,
-                              make_splits, mask_labels, read_json_object, scale)
+from tabpretrain.data import (MIN_SPLIT_ROWS, ProcessedDataset, Splits, corrupt_labels, make_splits,
+                              mask_labels, read_json_object, scale)
 from tabpretrain.training import (
     FINETUNE_RECIPES,
     Hyperparameters,
@@ -172,7 +172,6 @@ def run_benchmark(
     base_seed: int,
     out_dir=None,
     hp: Hyperparameters = Hyperparameters(),
-    scaling: str = "zscore",
     jobs: int = 1,
 ) -> Iterator[stats.MethodRun | TrialFailure]:
     """An iterator that yields, in trial order, a MethodRun (or a TrialFailure
@@ -183,7 +182,8 @@ def run_benchmark(
     calling thread runs only for a dataset with a trial left to run, so a
     resume with nothing to do ingests nothing. The split seed derives from
     (base_seed, dataset, trial) only, so all methods of a trial share the
-    split, and each trial scales the numerical columns on its training rows.
+    split, and each trial scales the numerical columns on its training rows
+    by `hp.scaling`.
     The calling thread appends each MethodRun and its curves_*.csv to
     `out_dir` before yielding it, so the files are the same bytes for any
     `jobs` (threads running trials at once). A failure writes no record: it
@@ -191,17 +191,17 @@ def run_benchmark(
     Every trial reads the one `hp`; a bad hyperparameter raises where the
     caller builds it, before this call.
     The first call into `out_dir` pins what decides its records in
-    `out_dir/pin.json`: `base_seed`, `scaling`, every field of `hp` and, by
-    dataset id, the `_data_digest` of each dataset it loads; a later call adds
-    the ids new to it. The methods, settings, `trials` and `jobs` stay free.
-    The checks, the read of the completed keys, the loading of the datasets
-    with trials left and the creation of a missing `out_dir` run in this call,
-    before it returns the iterator: unknown method, setting or scaling names,
-    a method or setting named twice, a dataset id that is not one file name,
-    a method that `check_method` rejects under `hp`, `trials` or `jobs` below
-    1, a dataset that fails to load or has fewer than `MIN_SPLIT_ROWS` rows
-    and a pin that differs from `out_dir`'s raise here, before anything is
-    written; only the data is checked after loading, so a dataset with no
+    `out_dir/pin.json`: `base_seed`, each field of `hp` as a top-level key
+    and, by dataset id, the `_data_digest` of each dataset it loads; a later
+    call adds the ids new to it. The methods, settings, `trials` and `jobs`
+    stay free. The checks, the read of the completed keys, the loading of the
+    datasets with trials left and the creation of a missing `out_dir` run in
+    this call, before it returns the iterator: unknown method or setting
+    names, a method or setting named twice, a dataset id that is not one file
+    name, a method that `check_method` rejects under `hp`, `trials` or `jobs`
+    below 1, a dataset that fails to load or has fewer than `MIN_SPLIT_ROWS`
+    rows and a pin that differs from `out_dir`'s raise here, before anything
+    is written; only the data is checked after loading, so a dataset with no
     trial left goes unchecked.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
@@ -216,8 +216,6 @@ def run_benchmark(
     for setting in settings:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")
-    if scaling not in SCALINGS:
-        raise ValueError(f"unknown scaling {scaling!r}")
     for dataset_id in datasets:  # it names the curves files
         if dataset_id in ("", ".", "..") or os.path.basename(dataset_id) != dataset_id:
             raise ValueError(f"dataset id {dataset_id!r} is not one file name")
@@ -227,8 +225,8 @@ def run_benchmark(
         pinned = read_json_object(pin_path, "pin")
     digests = pinned.get("data_digest", {})
     # a pin that holds one string for all its data names no dataset: refused
-    pin = {"seed": base_seed, "scaling": scaling,
-           "data_digest": dict(digests) if isinstance(digests, dict) else {}, **asdict(hp)}
+    pin = {"seed": base_seed, "data_digest": dict(digests) if isinstance(digests, dict) else {},
+           **asdict(hp)}
     if pinned:
         _check_pin(pin_path, pinned, pin)
     results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
@@ -262,7 +260,7 @@ def run_benchmark(
         seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
         try:
             splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
-            res = run_method(method, scale(loaded[dataset_id], splits.train, scaling),
+            res = run_method(method, scale(loaded[dataset_id], splits.train, hp.scaling),
                              splits, setting, seed, hp)
         except Exception as exc:  # reported to the caller; no record is written
             return TrialFailure(dataset_id, method, setting, trial, exc), None

@@ -60,9 +60,8 @@ from tabpretrain.corruption import (
     check_type,
     corrupt_batch,
     make_views,
-    select_indices,
 )
-from tabpretrain.data import ProcessedDataset, Splits
+from tabpretrain.data import SCALINGS, ProcessedDataset, Splits
 from tabpretrain.nn import (
     Adam,
     Mlp,
@@ -105,10 +104,12 @@ def _in_slices(fn, X: np.ndarray) -> np.ndarray:
 class Hyperparameters:
     """Every trial hyperparameter and its default, declared once: the trainers
     and `corruption` read it, `methods.run_method` and `run_benchmark` take
-    it, and each field is a CLI config key and `run` flag. Building one checks
-    each field's type, the `CHOICES` of a string and the `RANGES` rows of a
-    number (tests false for NaN), and raises ConfigurationError. A maximum of
-    0 epochs is legal and trains no epoch."""
+    it, and each field is a CLI config key and `run` flag. `scaling` is read
+    by `run_benchmark`, where it scales each trial's table; `run_method` takes
+    data already scaled. Building one checks each field's type, the `CHOICES`
+    of a string and the `RANGES` rows of a number (tests false for NaN), and
+    raises ConfigurationError. A maximum of 0 epochs is legal and trains no
+    epoch."""
 
     # corruption, for pre-training, scarf_aug and cotrain alike
     corruption_strategy: str = "marginal"
@@ -144,6 +145,7 @@ class Hyperparameters:
     # settings
     noise_rate: float = 0.3
     labeled_fraction: float = 0.25
+    scaling: str = "zscore"  # of the numerical columns, on each trial's training rows
 
     CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
         "corruption_strategy": STRATEGIES,
@@ -153,6 +155,7 @@ class Hyperparameters:
         "donor": ("per_example", "single_row"),
         "pretrain_loss": ("infonce", "barlow", "align_uniform"),
         "validation_metric": ("infonce_loss", "infonce_error"),
+        "scaling": SCALINGS,
     }
     RANGES: ClassVar[tuple] = (
         ("in [0, 1]", lambda v: 0 <= v <= 1, ("corruption_rate", "noise_rate")),
@@ -348,13 +351,14 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
 BARLOW_OFFDIAG = 5e-3  # the off-diagonal weight of Barlow Twins
 
 
-def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray):
-    """Loss value and gradients w.r.t. the normalized embeddings."""
-    if hp.pretrain_loss == "infonce":
-        return losses.infonce(z, zt, hp.temperature)
-    if hp.pretrain_loss == "barlow":
-        return losses.barlow_twins(z, zt, BARLOW_OFFDIAG)
-    return losses.align_uniform(z, zt, 1.0, 1.0)
+def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray, value_only: bool = False):
+    """The `pretrain_loss` of the normalized embeddings: its value and
+    gradients, or its value alone, bit for bit. Each function is looked up in
+    `losses` at call time, so a wrapper bound there is the one called."""
+    name, args = {"infonce": ("infonce", (hp.temperature,)),
+                  "barlow": ("barlow_twins", (BARLOW_OFFDIAG,)),
+                  "align_uniform": ("align_uniform", (1.0, 1.0))}[hp.pretrain_loss]
+    return getattr(losses, f"{name}_loss" if value_only else name)(z, zt, *args)
 
 
 def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
@@ -417,11 +421,7 @@ def _score(pre: str, hp: Hyperparameters, rows: np.ndarray, copy: np.ndarray) ->
         return float(np.mean((logits > 0) != (np.arange(logits.size) >= len(rows))))
     if hp.validation_metric == "infonce_error":
         return losses.infonce_error(rows, copy)
-    if hp.pretrain_loss == "infonce":
-        return losses.infonce_loss(rows, copy, hp.temperature)
-    if hp.pretrain_loss == "barlow":
-        return losses.barlow_twins_loss(rows, copy, BARLOW_OFFDIAG)
-    return losses.align_uniform_loss(rows, copy, 1.0, 1.0)
+    return _contrastive_loss(hp, rows, copy, value_only=True)
 
 
 AUTOENCODERS = ("scarf_ae", "add_noise_ae", "no_noise_ae")
@@ -453,8 +453,7 @@ def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparamet
             return np.array(batch, copy=True)
         if pre == "add_noise_ae":
             return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
-        hit = select_indices(dataset.M, hp, len(batch), rng)
-        return corrupt_batch(batch, dataset, hp, pool, hit, rng, learnable)[0]
+        return corrupt_batch(batch, dataset, hp, pool, rng, learnable)[0]
 
     def step(batch):
         if pre == "scarf":

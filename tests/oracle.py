@@ -11,7 +11,8 @@ runs numpy on one BLAS thread.
 `python tests/oracle.py --check` reruns the grid and compares it with the file
 line by line: after the output it names each line that differs and exits 1.
 It exits 1 at once when the `env` line differs. `--variant NAME` runs only
-the entries of one hyperparameter variant, with no overall digest. A change
+the entries of one hyperparameter variant and `--method NAME` only those of
+one method name, both together only those of both, with no overall digest. A change
 that must leave outputs alone passes `--check`. A change that moves outputs on
 purpose regenerates the file with
 `python tests/oracle.py | grep -v '^runtime ' > tests/oracle_digests.txt`, and
@@ -145,9 +146,10 @@ def entry_digest(entry: tuple[str, str, str, str]) -> str:
     dataset = _dataset(dataset_id)
     splits = make_splits(dataset.n, derive_seed(0, dataset_id, 0))
     seed = derive_seed(0, dataset_id, 0, salt=f"{method}|{setting}")
+    hp = training.Hyperparameters(**BASE_HP, **VARIANTS[variant])
     try:
-        res = run_method(method, scale(dataset, splits.train), splits, setting, seed,
-                         training.Hyperparameters(**BASE_HP, **VARIANTS[variant]))
+        res = run_method(method, scale(dataset, splits.train, hp.scaling), splits, setting, seed,
+                         hp)
         payload = (float(res["test_accuracy"]), res["epochs_used"], res["pretrain_epochs"],
                    _outcome_fields(res["pretrain_outcome"]),
                    _outcome_fields(res["finetune_outcome"]))
@@ -189,6 +191,7 @@ def main(argv=None) -> int:
                         help=f"compare with {os.path.basename(DIGESTS)}; exit 1 if a line differs")
     parser.add_argument("--variant", choices=VARIANTS,
                         help="run only the entries of this hyperparameter variant")
+    parser.add_argument("--method", choices=METHODS, help="run only the entries of this method")
     args = parser.parse_args(argv)
     start = time.time()
     env = env_line()
@@ -199,14 +202,15 @@ def main(argv=None) -> int:
         if recorded["env"] != env:
             print(f"differs: {os.path.basename(DIGESTS)} holds {recorded['env']!r}", flush=True)
             return 1
-    grid = [entry for entry in entries() if args.variant in (None, entry[1])]
+    grid = [entry for entry in entries()
+            if args.variant in (None, entry[1]) and args.method in (None, entry[3])]
     overall = hashlib.sha256()
     lines = []
     for entry in grid:
         lines.append(f"{entry_digest(entry)} {' '.join(entry)}")
         overall.update((lines[-1] + "\n").encode())
         print(lines[-1], flush=True)
-    if args.variant is None:
+    if args.variant is None and args.method is None:
         lines.append(f"overall {overall.hexdigest()[:16]}")
         print(lines[-1], flush=True)
     print(f"runtime {len(grid)} entries, {time.time() - start:.0f} s", flush=True)

@@ -84,7 +84,7 @@ def _trial_accuracies(dataset, setting, methods, trials=10, dataset_id="mixture"
     default it is not rescaled."""
     accs = {m: [] for m in methods}
     for outcome in run_benchmark({dataset_id: dataset}, methods, [setting], trials, 0,
-                                 scaling=scaling):
+                                 hp=Hyperparameters(scaling=scaling)):
         if isinstance(outcome, TrialFailure):
             raise outcome.error
         accs[outcome.method_name].append(outcome.test_accuracy)
@@ -218,8 +218,7 @@ def test_criterion_3_corruption_properties():
         batch = ds.X[rng.integers(0, ds.n, size=n_rows)]
         c = float(rng.uniform(0.0, 1.0))
         cfg = Hyperparameters(corruption_rate=c)
-        hit = select_indices(ds.M, cfg, n_rows, rng)
-        out, draw = corrupt_batch(batch, ds, cfg, pool, hit, rng)
+        out, draw = corrupt_batch(batch, ds, cfg, pool, rng)
         q = int(np.floor(c * ds.M))
         assert (draw.features.sum(axis=1) == q).all()
         np.testing.assert_array_equal(out[~draw.encoded_mask], batch[~draw.encoded_mask])

@@ -213,8 +213,7 @@ NON_DEFAULTS = {
 
 class TestConfiguration:
     def test_hyperparameter_keys_are_the_table(self):
-        run_keys = {"dataset", "schema", "method", "setting", "trials", "seed", "out", "jobs",
-                    "scaling"}
+        run_keys = {"dataset", "schema", "method", "setting", "trials", "seed", "out", "jobs"}
         table = asdict(Hyperparameters())
         assert set(CONFIG_DEFAULTS) - run_keys == set(table)
         assert {k: CONFIG_DEFAULTS[k] for k in table} == table
@@ -258,7 +257,7 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("key, value", [
         ("trials", 1.9), ("seed", "7"), ("jobs", True), ("method", 5), ("setting", None),
-        ("out", 3), ("scaling", ["zscore"]),
+        ("out", 3),
     ])
     def test_mistyped_run_key_fails_and_writes_nothing(self, tmp_path, capsys, monkeypatch, key,
                                                        value):
@@ -568,7 +567,8 @@ class TestRun:
                                           f"or the config key {key!r}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("batch_size", "32"), ("corruption_rate", "0.6")])
+    @pytest.mark.parametrize("key, value", [("batch_size", "32"), ("corruption_rate", "0.6"),
+                                            ("scaling", ["zscore"])])
     def test_mistyped_hyperparameter_fails_before_any_trial(self, tmp_path, capsys, key, value):
         csv, schema = write_dataset(tmp_path)
         out = tmp_path / "o"

@@ -40,8 +40,7 @@ class TestMarginalPool:
         ds = make_numeric_dataset(n=20, d=3, seed=1)
         pool = build_marginal_pool(ds, np.array([4]))
         cfg = Hyperparameters(corruption_rate=1.0)
-        hit = select_indices(ds.M, cfg, 5, rng)
-        out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, hit, rng)
+        out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, rng)
         np.testing.assert_array_equal(out, np.tile(ds.X[4], (5, 1)))
 
     def test_draws_are_pool_members(self, rng):
@@ -52,8 +51,7 @@ class TestMarginalPool:
             pool = build_marginal_pool(ds, train)
             cfg = Hyperparameters(corruption_rate=1.0)
             for _ in range(100):
-                hit = select_indices(ds.M, cfg, 8, rng)
-                out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, hit, rng)
+                out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, rng)
                 for i, row in enumerate(draw.features):
                     for j in np.flatnonzero(row):
                         lo, hi = ds.feature_blocks[j]
@@ -105,33 +103,33 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         cfg = Hyperparameters(corruption_strategy="none", corruption_rate=0.6)
-        hit = select_indices(ds.M, cfg, 6, rng)
-        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
+        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
 
     def test_rate_zero_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         cfg = Hyperparameters(corruption_rate=0.0)
-        hit = select_indices(ds.M, cfg, 6, rng)
-        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, hit, rng)
+        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
 
     def test_zero_strategy(self, rng):
         ds = make_numeric_dataset(n=20, d=2)
         row = np.array([[5.0, 7.0]])
         cfg = Hyperparameters(corruption_strategy="zero", corruption_rate=0.5)
-        out, _ = corrupt_batch(row, ds, cfg, None, np.array([[True, False]]), rng)
-        np.testing.assert_array_equal(out, [[0.0, 7.0]])
+        out, draw = corrupt_batch(row, ds, cfg, None, rng)
+        mask = draw.encoded_mask
+        assert mask.sum() == 1  # floor(0.5 * 2)
+        np.testing.assert_array_equal(out[mask], [0.0])
+        np.testing.assert_array_equal(out[~mask], row[~mask])
 
     def test_untouched_coordinates_bit_identical(self, rng):
         ds = make_numeric_dataset(n=60, d=8, seed=3)
         pool = build_marginal_pool(ds, np.arange(40))
         for strategy in ("marginal", "mean", "gaussian", "joint", "zero", "missing_learnable"):
             cfg = Hyperparameters(corruption_strategy=strategy, corruption_rate=0.5)
-            hit = select_indices(ds.M, cfg, 10, rng)
             lmv = rng.normal(size=ds.X.shape[1])
-            out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, hit, rng, lmv)
+            out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, rng, lmv)
             untouched = ~draw.encoded_mask
             np.testing.assert_array_equal(out[untouched], ds.X[:10][untouched])
 
@@ -140,31 +138,27 @@ class TestCorruptBatch:
         train = np.arange(20)
         pool = build_marginal_pool(ds, train)
         cfg = Hyperparameters(corruption_strategy="mean", corruption_rate=1.0)
-        hit = select_indices(ds.M, cfg, 1, rng)
-        out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, hit, rng)
+        out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, rng)
         np.testing.assert_allclose(out[0], ds.X[train].mean(axis=0))
 
     def test_missing_learnable_values_inserted(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         lmv = np.arange(4, dtype=float) + 10
         cfg = Hyperparameters(corruption_strategy="missing_learnable", corruption_rate=1.0)
-        hit = select_indices(ds.M, cfg, 3, rng)
-        out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng, lmv)
+        out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, rng, lmv)
         np.testing.assert_array_equal(out, np.tile(lmv, (3, 1)))
 
     def test_learnable_required(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         cfg = Hyperparameters(corruption_strategy="missing_learnable", corruption_rate=1.0)
-        hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
-            corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
+            corrupt_batch(ds.X[:3], ds, cfg, None, rng)
 
     def test_pool_required_for_marginal(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         cfg = Hyperparameters(corruption_rate=0.5)
-        hit = select_indices(ds.M, cfg, 3, rng)
         with pytest.raises(ConfigurationError):
-            corrupt_batch(ds.X[:3], ds, cfg, None, hit, rng)
+            corrupt_batch(ds.X[:3], ds, cfg, None, rng)
 
     def test_categorical_blocks_stay_one_hot_under_marginal_and_joint(self, rng):
         ds = mixed_dataset()
@@ -172,8 +166,7 @@ class TestCorruptBatch:
         lo, hi = ds.feature_blocks[1]
         for strategy in ("marginal", "joint"):
             cfg = Hyperparameters(corruption_strategy=strategy, corruption_rate=1.0)
-            hit = select_indices(ds.M, cfg, 10, rng)
-            out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, hit, rng)
+            out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, rng)
             block = out[:, lo:hi]
             assert set(np.unique(block)) <= {0.0, 1.0}
             np.testing.assert_array_equal(block.sum(axis=1), np.ones(10))
@@ -186,16 +179,14 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, train)
         cfg = Hyperparameters(corruption_rate=0.5)
         batch = ds.X[25:35]
-        rng = np.random.default_rng(11)
-        hit = select_indices(ds.M, cfg, 10, rng)
+        out, draw = corrupt_batch(batch, ds, cfg, pool, np.random.default_rng(11))
         donors = np.random.default_rng(11)
         donors.random((10, ds.M))  # replay the index draw
         donors = donors.integers(0, len(train), size=(10, ds.M))
         expected = batch.copy()
-        for i, j in zip(*np.nonzero(hit)):
+        for i, j in zip(*np.nonzero(draw.features)):
             lo, hi = ds.feature_blocks[j]
             expected[i, lo:hi] = ds.X[train[donors[i, j]], lo:hi]
-        out, _ = corrupt_batch(batch, ds, cfg, pool, hit, rng)
         np.testing.assert_array_equal(out, expected)
 
     def test_joint_rows_come_from_one_donor(self):
@@ -203,8 +194,7 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(20))
         cfg = Hyperparameters(corruption_strategy="joint", corruption_rate=1.0)
         rng = np.random.default_rng(0)
-        hit = select_indices(ds.M, cfg, 4, rng)
-        out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, hit, rng)
+        out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, rng)
         train = ds.X[:20]
         for row in out:
             assert any(np.array_equal(row, t) for t in train)
@@ -215,9 +205,32 @@ class TestCorruptBatch:
         cfg = Hyperparameters(corruption_strategy="marginal", corruption_rate=1.0,
                                donor="single_row")
         rng = np.random.default_rng(0)
-        hit = select_indices(ds.M, cfg, 6, rng)
-        out, _ = corrupt_batch(ds.X[20:26], ds, cfg, pool, hit, rng)
+        out, _ = corrupt_batch(ds.X[20:26], ds, cfg, pool, rng)
         assert all(np.array_equal(row, out[0]) for row in out)
+
+    @pytest.mark.parametrize("strategy, donor", [
+        ("marginal", "per_example"), ("joint", "per_example"), ("marginal", "single_row"),
+        ("gaussian", "per_example"),
+    ])
+    def test_draws_the_mask_then_the_donors(self, strategy, donor):
+        """`corrupt_batch` leaves the rng where `select_indices` and then the
+        strategy's one donor draw leave a twin, and its mask is the twin's."""
+        ds = mixed_dataset(n=40, seed=3)
+        pool = build_marginal_pool(ds, np.arange(25))
+        cfg = Hyperparameters(corruption_strategy=strategy, donor=donor)
+        batch, n = ds.X[25:35], len(pool.rows)
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        _, draw = corrupt_batch(batch, ds, cfg, pool, rng)
+        np.testing.assert_array_equal(draw.features, select_indices(ds.M, cfg, 10, twin))
+        if donor == "single_row":
+            twin.integers(0, n)
+        elif strategy == "joint":
+            twin.integers(0, n, size=10)
+        elif strategy == "marginal":
+            twin.integers(0, n, size=(10, ds.M))
+        else:
+            twin.normal(0.0, cfg.gaussian_sigma, size=batch.shape)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_scale_equivariance_of_marginal_draws(self):
         ds = make_numeric_dataset(n=40, d=3, seed=6)
@@ -226,14 +239,10 @@ class TestCorruptBatch:
         scaled.X[:, 0] *= a
         train = np.arange(30)
         cfg = Hyperparameters(corruption_rate=1.0)
-        out1, _ = corrupt_batch(
-            ds.X[30:35], ds, cfg, build_marginal_pool(ds, train),
-            select_indices(3, cfg, 5, np.random.default_rng(9)), np.random.default_rng(10),
-        )
-        out2, _ = corrupt_batch(
-            scaled.X[30:35], scaled, cfg, build_marginal_pool(scaled, train),
-            select_indices(3, cfg, 5, np.random.default_rng(9)), np.random.default_rng(10),
-        )
+        out1, _ = corrupt_batch(ds.X[30:35], ds, cfg, build_marginal_pool(ds, train),
+                                np.random.default_rng(10))
+        out2, _ = corrupt_batch(scaled.X[30:35], scaled, cfg, build_marginal_pool(scaled, train),
+                                np.random.default_rng(10))
         np.testing.assert_array_equal(out2[:, 0], a * out1[:, 0])
         np.testing.assert_array_equal(out2[:, 1:], out1[:, 1:])
 
@@ -333,8 +342,7 @@ class TestConfigValidation:
         rng = np.random.default_rng(0)
         draws = []
         for _ in range(200):
-            hit = select_indices(1, cfg, 1, rng)
-            out, _ = corrupt_batch(ds.X[:1], ds, cfg, pool, hit, rng)
+            out, _ = corrupt_batch(ds.X[:1], ds, cfg, pool, rng)
             draws.append(out[0, 0])
         # set interpretation: both values roughly equally likely
         assert 0.3 < np.mean(np.array(draws) == 2.0) < 0.7

@@ -388,10 +388,11 @@ class TestRunBenchmark:
         list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, **same))
         digest = methods._data_digest(ds)
         assert json.loads((tmp_path / "pin.json").read_text()) == {
-            "seed": 0, "scaling": "zscore", "data_digest": {"blob": digest}, **asdict(FAST_HP)}
+            "seed": 0, "data_digest": {"blob": digest}, **asdict(FAST_HP)}
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         for key, value, named in (("base_seed", 5, "seed is 0 there, 5 here"),
-                                  ("scaling", "minmax", "scaling is 'zscore' there, 'minmax' here"),
+                                  ("hp", replace(FAST_HP, scaling="minmax"),
+                                   "scaling is 'zscore' there, 'minmax' here"),
                                   ("hp", replace(FAST_HP, dropout=0.5),
                                    "dropout is 0.04 there, 0.5 here")):
             with pytest.raises(ValueError, match=re.escape(f"pins another run: {named}")):
@@ -426,6 +427,27 @@ class TestRunBenchmark:
                            ["full"], 1, 0, tmp_path, FAST_HP))
         assert json.loads((tmp_path / "pin.json").read_text())["data_digest"] == {
             "blob": methods._data_digest(first), "other": methods._data_digest(second)}
+
+    def test_pin_with_scaling_beside_the_hyperparameters_resumes(self, tmp_path):
+        """A pin written with `scaling` as a run key beside the 28 other
+        hyperparameters holds the same keys and values as one written with it
+        as a field: it resumes and is not rewritten, and it still pins the
+        scaling."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        fields = asdict(FAST_HP)
+        pin = {"seed": 0, "scaling": fields.pop("scaling"),
+               "data_digest": {"blob": methods._data_digest(ds)}, **fields}
+        assert len(fields) == 28
+        (tmp_path / "pin.json").write_text(json.dumps(pin, indent=2))
+        before = (tmp_path / "pin.json").read_bytes()
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path,
+                                      FAST_HP))) == 1
+        assert (tmp_path / "pin.json").read_bytes() == before
+        with pytest.raises(ValueError, match=re.escape(
+                "pins another run: scaling is 'zscore' there, 'minmax' here")):
+            run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                          replace(FAST_HP, scaling="minmax"))
+        assert (tmp_path / "pin.json").read_bytes() == before
 
     def test_pin_of_one_digest_for_all_data_is_refused(self, tmp_path):
         """A pin that holds one string under `data_digest` names no dataset:
@@ -532,7 +554,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="unknown"):
             list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"], settings,
-                               2, 0, out_dir=tmp_path, hp=FAST_HP, scaling=scaling))
+                               2, 0, out_dir=tmp_path, hp=replace(FAST_HP, scaling=scaling)))
         assert calls == []
         assert not (tmp_path / "results.jsonl").exists()
 
@@ -785,8 +807,8 @@ class TestRunBenchmark:
             return run_method(method, dataset, splits, setting, seed, hp)
 
         monkeypatch.setattr(methods, "run_method", capture)
-        list(run_benchmark({"mixed": raw}, ["control"], ["full"], 2, 0, hp=FAST_HP,
-                           scaling=scaling))
+        list(run_benchmark({"mixed": raw}, ["control"], ["full"], 2, 0,
+                           hp=replace(FAST_HP, scaling=scaling)))
         assert len(seen) == 2
         for trial, (ds, splits) in enumerate(seen):
             seed = derive_seed(0, "mixed", trial)

@@ -22,20 +22,23 @@ def test_entry_digests_repeat_within_one_process():
 
 
 @pytest.mark.slow
-def test_defaults_entries_match_the_digest_file():
+def test_defaults_and_scarf_entries_match_the_digest_file():
     """The digest file lists the grid in print order, and the 391 `defaults`
-    entries, run by `--check` in a fresh interpreter (the script sets one
-    BLAS thread before numpy loads), match it. Digests depend on the BLAS
-    build, so a different `env` line skips."""
+    entries and the 85 `scarf` entries of every variant (the barlow,
+    align_uniform and joint paths among them), each run by `--check` in a
+    fresh interpreter (the script sets one BLAS thread before numpy loads),
+    match it. Digests depend on the BLAS build, so a different `env` line
+    skips."""
     with open(oracle.DIGESTS) as fh:
         recorded = fh.read().splitlines()
     assert [oracle.line_key(line) for line in recorded] == (
         ["env"] + [" ".join(entry) for entry in oracle.entries()] + ["overall"])
-    proc = subprocess.run([sys.executable, oracle.__file__, "--check", "--variant", "defaults"],
-                          capture_output=True, text=True, timeout=600)
-    env = proc.stdout.split("\n", 1)[0]
-    assert env.startswith("env "), proc.stderr
-    if env != recorded[0]:
-        pytest.skip(f"the digests were recorded under {recorded[0]!r}, this is {env!r}")
-    assert proc.returncode == 0, proc.stdout[-2000:]
-    assert proc.stdout.endswith("check: 0 of 391 lines differ from oracle_digests.txt\n")
+    for args, count in ((["--variant", "defaults"], 391), (["--method", "scarf"], 85)):
+        proc = subprocess.run([sys.executable, oracle.__file__, "--check", *args],
+                              capture_output=True, text=True, timeout=600)
+        env = proc.stdout.split("\n", 1)[0]
+        assert env.startswith("env "), proc.stderr
+        if env != recorded[0]:
+            pytest.skip(f"the digests were recorded under {recorded[0]!r}, this is {env!r}")
+        assert proc.returncode == 0, proc.stdout[-2000:]
+        assert proc.stdout.endswith(f"check: 0 of {count} lines differ from oracle_digests.txt\n")

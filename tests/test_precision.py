@@ -19,7 +19,6 @@ from tabpretrain.corruption import (
     build_marginal_pool,
     corrupt_batch,
     make_views,
-    select_indices,
 )
 from tabpretrain.data import make_splits
 from tabpretrain.nn import (
@@ -65,7 +64,7 @@ def test_views_keep_float32(strategy, view_policy, rng):
     cfg = Hyperparameters(corruption_strategy=strategy, view_policy=view_policy)
     batch = ds.X[:8]
     view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng, learnable)
-    out, _ = corrupt_batch(batch, ds, cfg, pool, select_indices(ds.M, cfg, 8, rng), rng, learnable)
+    out, _ = corrupt_batch(batch, ds, cfg, pool, rng, learnable)
     assert_float32(pool.X, pool.encoded_mean, view_a, view_b, out)
 
 

@@ -9,7 +9,7 @@ from conftest import (assert_grads_close, bundle_weights, central_difference,
                       scripted_fit, to_float64, traced_peak)
 from tabpretrain import losses, methods, nn, training
 from tabpretrain.corruption import (ConfigurationError, CorruptionDraw, build_marginal_pool,
-                                    corrupt_batch, select_indices)
+                                    corrupt_batch)
 from tabpretrain.data import Splits, make_splits
 from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
@@ -55,7 +55,8 @@ def test_hyperparameters_are_the_corruption_config_then_the_trial_fields():
         "patience", "pretrain_max_epochs", "finetune_max_epochs", "temperature",
         "val_build_epochs", "pretrain_loss", "validation_metric", "label_smoothing", "dropout",
         "mixup_alpha", "cotrain_weight", "self_train_threshold", "self_train_iterations",
-        "hidden_dim", "encoder_layers", "head_layers", "noise_rate", "labeled_fraction"]
+        "hidden_dim", "encoder_layers", "head_layers", "noise_rate", "labeled_fraction",
+        "scaling"]
 
 
 def test_every_hyperparameter_has_exactly_one_rule():
@@ -122,15 +123,14 @@ class TestStaticValidation:
     @pytest.mark.parametrize("pre", ["scarf", "scarf_ae", "scarf_disc"])
     def test_corrupt_both_view_draws_one_corrupted_copy(self, pre):
         """Under corrupt_both the view is still one corrupted copy: one
-        `select_indices` and one `corrupt_batch` draw, no discarded first view."""
+        `corrupt_batch` draw, no discarded first view."""
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
         hp = Hyperparameters(view_policy="corrupt_both")
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
         batch = ds.X[40:60]
         copy = view_of(pre, ds, hp, pool, rng)(batch)
-        hit = select_indices(ds.M, hp, len(batch), twin)
-        want, _ = corrupt_batch(batch, ds, hp, pool, hit, twin)
+        want, _ = corrupt_batch(batch, ds, hp, pool, twin)
         np.testing.assert_array_equal(copy, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -502,6 +502,26 @@ class TestPretrainScarf:
         # running minimum of the validation curve is non-increasing by construction
         run_min = np.minimum.accumulate(out.val_curve)
         assert all(x >= y for x, y in zip(run_min, run_min[1:]))
+
+    @pytest.mark.parametrize("pretrain_loss, pair", [("infonce", ("infonce", "infonce_loss")),
+                                                     ("barlow", ("barlow_twins", "barlow_twins_loss"))])
+    def test_contrastive_losses_looked_up_in_losses_at_call_time(self, monkeypatch, pretrain_loss,
+                                                                  pair):
+        """The training step calls the loss and the validation metric its
+        value alone, each as `losses` binds it when called, so a wrapper bound
+        there, as perfbench/spans.py binds one to `losses.infonce`, sees them."""
+        calls = dict.fromkeys(pair, 0)
+        for name in pair:
+            def counting(*args, _name=name, _loss=getattr(losses, name), **kwargs):
+                calls[_name] += 1
+                return _loss(*args, **kwargs)
+            monkeypatch.setattr(losses, name, counting)
+        ds = make_numeric_dataset(n=60, d=4)
+        rng = np.random.default_rng(0)
+        hp = replace(SMALL, batch_size=16, pretrain_max_epochs=1, val_build_epochs=1,
+                     pretrain_loss=pretrain_loss)
+        pretrain_scarf(ds, make_splits(ds.n, 0), small_bundle(ds, rng, hp, "scarf"), hp, rng)
+        assert all(calls.values()), calls
 
     def test_one_row_validation_split_rejected_before_any_work(self, monkeypatch):
         ds = make_numeric_dataset(n=12, d=4)
