@@ -304,11 +304,14 @@ def scale(dataset: ProcessedDataset, train_indices, kind: str = "zscore") -> Pro
     the training dtype. Each numerical column is then computed in float64
     from the source column and rounded once as it is stored, so the result
     is, bit for bit, the float64 scaled copy cast to the training dtype,
-    without that copy."""
+    without that copy. A kind that takes statistics refuses an empty
+    `train_indices`."""
     if kind not in SCALINGS:
         raise ValueError(f"unknown scaling kind {kind!r}")
     if kind == "none":
         return replace(dataset, X=dataset.X.astype(TRAINING_DTYPE))
+    if len(train_indices) == 0:
+        raise ValueError(f"{kind} scaling needs at least one training row")
     cols = np.asarray(dataset.numerical_columns, dtype=int)
     train = dataset.X[np.ix_(train_indices, cols)].astype(float, copy=False)
     center = train.min(axis=0) if kind == "minmax" else train.mean(axis=0)

@@ -199,10 +199,10 @@ def run_benchmark(
     this call, before it returns the iterator: unknown method or setting
     names, a method or setting named twice, a dataset id that is not one file
     name, a method that `check_method` rejects under `hp`, `trials` or `jobs`
-    below 1, a dataset that fails to load or has fewer than `MIN_SPLIT_ROWS`
-    rows and a pin that differs from `out_dir`'s raise here, before anything
-    is written; only the data is checked after loading, so a dataset with no
-    trial left goes unchecked.
+    below 1, a dataset that fails to load, has fewer than `MIN_SPLIT_ROWS`
+    rows or gives every row one label, and a pin that differs from
+    `out_dir`'s raise here, before anything is written; only the data is
+    checked after loading, so a dataset with no trial left goes unchecked.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -243,6 +243,9 @@ def run_benchmark(
             if dataset.n < MIN_SPLIT_ROWS:
                 raise ValueError(f"dataset {dataset_id!r} has {dataset.n} rows, fewer than the "
                                  f"{MIN_SPLIT_ROWS} a split needs")
+            if (dataset.y == dataset.y[0]).all():
+                raise ValueError(f"dataset {dataset_id!r} labels every row "
+                                 f"{dataset.classes[dataset.y[0]]!r}; a classifier needs 2 classes")
     if out_dir is not None:
         here = {dataset_id: _data_digest(dataset) for dataset_id, dataset in loaded.items()}
         there = {dataset_id: pin["data_digest"].get(dataset_id, digest)  # a new id pins its own

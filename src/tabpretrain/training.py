@@ -2,17 +2,19 @@
 validation set (SCARF and its autoencoder and discriminative alternatives),
 supervised fine-tuning, and co-training.
 
-Every trainer is its set-up plus two closures handed to `_fit`, the one epoch
-driver: a per-batch step returning the loss and the gradients for one Adam
-step, and a per-epoch validation metric. `_fit` owns the shuffling, the
-train/validation curves, early stopping and the best-epoch restore of the
-arrays it steps, and raises TrainingDiverged when an epoch's loss, a stepped
-array or the metric goes non-finite. Every step is one forward and one
-backward pass of one chained net, `ModelBundle.net(pre)`: f followed by the
-objective's heads for pre-training, f followed by h (`net(None)`) for
-fine-tuning, plus the co-training objective's own step. The two contrastive
-views go through the scarf net as one stacked 2B-row pass
-(`contrastive_step`).
+Every trainer is `_fit`, the one epoch driver, of one `Phase` record that a
+phase builder sets up: `pretrain_phase` for `pretrain_scarf` and
+`finetune_phase` for `finetune`. A Phase holds the arrays it steps, the
+dataset rows it shuffles, its epoch cap, a per-batch step returning the loss
+and the gradients for one Adam step, a per-epoch validation metric and its
+name. `_fit(phase, hp, rng)` owns the shuffling, the train/validation
+curves, early stopping and the best-epoch restore of the stepped arrays, and
+raises TrainingDiverged when an epoch's loss, a stepped array or the metric
+goes non-finite. Every step is one forward and one backward pass of one
+chained net, `ModelBundle.net(pre)`: f followed by the objective's heads for
+pre-training, f followed by h (`net(None)`) for fine-tuning, plus the
+co-training objective's own step. The two contrastive views go through the
+scarf net as one stacked 2B-row pass (`contrastive_step`).
 
 Every forward pass that is never backpropagated (embedding, prediction and
 the validation metrics) runs in slices of at most `INFERENCE_ROWS` rows, so it
@@ -45,6 +47,7 @@ from `ModelBundle.create`); data of another dtype is cast on the way in.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import ClassVar
@@ -286,19 +289,35 @@ class TrainingDiverged(ArithmeticError):
     """A training phase produced a non-finite loss, metric or weight."""
 
 
-def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_epochs: int,
-         rng: np.random.Generator, step, metric, phase: str) -> TrainOutcome:
-    """The epoch loop shared by every trainer.
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays
+class Phase:
+    """One training phase, as `_fit` runs it: `params`, the only arrays a step
+    changes; `rows`, the dataset row indices that each epoch shuffles into
+    batches; `max_epochs`; `step(batch_rows)`, which returns (loss, gradients
+    of `params`) for one Adam step, or None to skip the batch; `metric()`, the
+    validation value after each epoch (lower is better); and `name`, which a
+    TrainingDiverged message names."""
 
-    Each of at most `max_epochs` epochs shuffles `rows` (dataset row indices)
-    into batches of `hp.batch_size`; `step(batch_rows)` returns (loss,
-    gradients of `params`) for one Adam step, or None to skip the batch. After
-    the epoch, `metric()` (lower is better) is appended to the validation
-    curve. The best epoch is the curve's first minimum, so an equal value is
-    no improvement; training stops after `hp.patience` epochs without a new
-    one. `params`, the only arrays a step changes, are copied once before the
-    first epoch into one snapshot, which each new best epoch overwrites in
-    place and from which they are restored in place.
+    name: str
+    params: list[np.ndarray]
+    rows: np.ndarray
+    max_epochs: int
+    step: Callable[[np.ndarray], tuple | None]
+    metric: Callable[[], float]
+
+
+def _fit(phase: Phase, hp: Hyperparameters, rng: np.random.Generator) -> TrainOutcome:
+    """The epoch loop that runs every `Phase`.
+
+    Each of at most `phase.max_epochs` epochs shuffles `phase.rows` into
+    batches of `hp.batch_size` by `rng` and takes one Adam step (at
+    `hp.learning_rate`) per batch that `phase.step` does not skip. After the
+    epoch, `phase.metric()` is appended to the validation curve. The best
+    epoch is the curve's first minimum, so an equal value is no improvement;
+    training stops after `hp.patience` epochs without a new one. The stepped
+    `phase.params` are copied once before the first epoch into one snapshot,
+    which each new best epoch overwrites in place and from which they are
+    restored in place.
 
     A step's gradients live until `Adam.step` has applied them, using each
     as scratch after its last read, so the next step's forward and backward
@@ -306,16 +325,16 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
 
     An epoch whose mean loss is non-finite, after which a stepped array holds
     a non-finite value, or whose metric is non-finite raises TrainingDiverged
-    naming `phase`, the epoch and what went non-finite, checked in that
+    naming the phase, the epoch and what went non-finite, checked in that
     order."""
-    opt = Adam(params, learning_rate=hp.learning_rate)
+    opt = Adam(phase.params, learning_rate=hp.learning_rate)
     train_curve, val_curve = [], []
-    best = [p.copy() for p in params]
+    best = [p.copy() for p in phase.params]
     stop_reason, best_epoch = "max_epochs", 0
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, phase.max_epochs + 1):
         epoch_losses, epoch_sizes = [], []
-        for sel in iterate_batches(len(rows), hp.batch_size, rng):
-            result = step(rows[sel])
+        for sel in iterate_batches(len(phase.rows), hp.batch_size, rng):
+            result = phase.step(phase.rows[sel])
             if result is None:
                 continue
             loss, grads = result
@@ -324,25 +343,25 @@ def _fit(params: list[np.ndarray], rows: np.ndarray, hp: Hyperparameters, max_ep
             epoch_losses.append(loss)
             epoch_sizes.append(sel.size)
         train_curve.append(float(np.average(epoch_losses, weights=epoch_sizes)) if epoch_losses else np.nan)
-        diverged = f"{phase} diverged at epoch {epoch}:"
+        diverged = f"{phase.name} diverged at epoch {epoch}:"
         if not np.isfinite(train_curve[-1]):
             raise TrainingDiverged(f"{diverged} the mean training loss is {train_curve[-1]}")
-        for k, p in enumerate(params):
+        for k, p in enumerate(phase.params):
             if not np.isfinite(p).all():
-                raise TrainingDiverged(f"{diverged} stepped array {k} of {len(params)} "
+                raise TrainingDiverged(f"{diverged} stepped array {k} of {len(phase.params)} "
                                        "holds a non-finite value")
-        value = metric()
+        value = phase.metric()
         if not np.isfinite(value):
             raise TrainingDiverged(f"{diverged} the validation metric is {value}")
         val_curve.append(value)
         best_epoch = int(np.argmin(val_curve)) + 1
         if best_epoch == epoch:
-            for b, p in zip(best, params):
+            for b, p in zip(best, phase.params):
                 b[...] = p
         if epoch - best_epoch >= hp.patience:
             stop_reason = "patience"
             break
-    for p, b in zip(params, best):
+    for p, b in zip(phase.params, best):
         p[...] = b
     return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason, best_epoch,
                         min(val_curve, default=np.inf))
@@ -477,24 +496,22 @@ def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparamet
     return view, step
 
 
-def pretrain_scarf(
+def pretrain_phase(
     dataset: ProcessedDataset,
     splits: Splits,
     bundle: ModelBundle,
     hp: Hyperparameters,
     rng: np.random.Generator,
     pre: str = "scarf",
-) -> TrainOutcome:
-    """Pre-training of the encoder f by objective `pre`, one of PRETRAINERS,
-    as the module docstring maps them; labels are never read.
+) -> Phase:
+    """The pre-training phase of the encoder f by objective `pre`, one of
+    PRETRAINERS, as the module docstring maps them; labels are never read.
 
-    The name stays `pretrain_scarf` for every pre-trainer because
-    perfbench/spans.py wraps it by name and reads `splits` at position 1.
-
-    Per mini-batch of the training split: one step of the objective, one Adam
-    step. After each epoch the metric on the static validation pairs, built
-    from the objective's view, decides early stopping; best-epoch weights
-    are restored. Every check runs before any work."""
+    Per mini-batch of the training split: one step of the objective. After
+    each epoch, the metric on the static validation pairs, built from the
+    objective's view. Every check runs before any work; then the marginal
+    pool and the static validation pairs are drawn from `rng`, in that
+    order."""
     if pre not in PRETRAINERS:
         raise ConfigurationError(f"unknown pre-trainer {pre!r}")
     if hp.batch_size < 2:
@@ -507,15 +524,31 @@ def pretrain_scarf(
     if learns and bundle.learnable_missing is None:
         raise ConfigurationError(f"the {pre} objective needs the bundle's learnable_missing")
     learnable = bundle.learnable_missing if learns else None
-    params = net.parameters() + ([learnable] if learns else [])
     pool = build_marginal_pool(dataset, splits.train) if pre in DRAWS_SCARF_VIEWS else None
     view, step = _objective(pre, net, dataset, hp, pool, rng, partial(_contrastive_loss, hp),
                             learnable)
     pairs = build_static_validation(dataset.X[splits.validation], view, rng,
                                     hp.val_build_epochs, hp.batch_size)
-    return _fit(params, np.asarray(splits.train), hp, hp.pretrain_max_epochs, rng,
-                lambda rows: step(dataset.X[rows]),
-                lambda: _validation_metric(bundle, pairs, hp, pre), f"{pre} pre-training")
+    return Phase(f"{pre} pre-training", net.parameters() + ([learnable] if learns else []),
+                 np.asarray(splits.train), hp.pretrain_max_epochs,
+                 lambda rows: step(dataset.X[rows]),
+                 lambda: _validation_metric(bundle, pairs, hp, pre))
+
+
+def pretrain_scarf(
+    dataset: ProcessedDataset,
+    splits: Splits,
+    bundle: ModelBundle,
+    hp: Hyperparameters,
+    rng: np.random.Generator,
+    pre: str = "scarf",
+) -> TrainOutcome:
+    """`_fit` of `pretrain_phase`: pre-training by objective `pre`, early
+    stopping on the static validation pairs, best-epoch weights restored.
+
+    The name stays `pretrain_scarf` for every pre-trainer because
+    perfbench/spans.py wraps it by name and reads `splits` at position 1."""
+    return _fit(pretrain_phase(dataset, splits, bundle, hp, rng, pre), hp, rng)
 
 
 def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> float:
@@ -524,6 +557,72 @@ def classification_error(bundle: ModelBundle, X: np.ndarray, y: np.ndarray) -> f
 
 # the recipes that `finetune` trains itself (the pseudo-labeling ones call it)
 FINETUNE_RECIPES = ("control", "smooth", "dropout", "mixup", "scarf_aug", "cotrain", "ae_cotrain")
+
+
+def finetune_phase(
+    dataset: ProcessedDataset,
+    splits: Splits,
+    labeled_indices: np.ndarray,
+    bundle: ModelBundle,
+    hp: Hyperparameters,
+    rng: np.random.Generator,
+    recipe: str = "control",
+    targets: np.ndarray | None = None,
+) -> Phase:
+    """The supervised phase of the classifier `bundle.net(None)` (f then h)
+    on the labeled rows: one forward and one backward pass a step, with
+    cross-entropy against `targets`; after each epoch, the classification
+    error on the validation split. The test split is not read.
+
+    `recipe` turns on one regularizer, as the module docstring maps them;
+    the others are off. A smoothing, dropout or mixup alpha of 0 trains as
+    `control` does, with no extra draw; dropout masks every layer but the
+    net's last. `cotrain` and `ae_cotrain` add the `scarf` or `add_noise_ae`
+    objective (zero on a one-row batch), whose gradients of f add by position.
+
+    `targets` is an (n, K) matrix of target distributions indexed by dataset
+    row; by default the one-hot rows of `dataset.y` in the dtype of
+    `dataset.X`, smoothed under `smooth`. Every check runs before any work;
+    the marginal pool, if the recipe corrupts, is drawn here."""
+    if recipe not in FINETUNE_RECIPES:
+        raise ConfigurationError(f"unknown fine-tuning recipe {recipe!r}")
+    labeled_indices = np.asarray(labeled_indices)
+    if labeled_indices.size == 0:
+        raise ValueError("no labeled training rows")
+    if targets is None:
+        targets = one_hot_targets(dataset, dataset.y)
+        if recipe == "smooth":
+            targets = smooth_labels(targets, hp.label_smoothing, dataset.num_classes)
+    pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
+    scarf_view = _objective("scarf", None, dataset, hp, pool, rng, None)[0]
+    net, aux = bundle.net(None), COTRAIN_OBJECTIVES.get(recipe)
+    params = net.parameters()
+    if aux is not None:
+        aux_net, n_f = bundle.net(aux), len(bundle.f.parameters())
+        aux_params = aux_net.parameters()
+        params = params + aux_params[n_f:]
+        _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng,
+                                 partial(losses.infonce, temperature=hp.temperature))
+
+    def step(rows):
+        x, target = dataset.X[rows], targets[rows]
+        if recipe == "mixup" and hp.mixup_alpha:
+            x, target = mixup_batch(x, target, hp.mixup_alpha, rng)
+        if recipe == "scarf_aug":
+            x = scarf_view(x)
+        dropout = hp.dropout if recipe == "dropout" else 0.0
+        loss, grad = softmax_cross_entropy(net.forward(x, dropout, rng), target)
+        grads = net.backward(grad, input_grad=False)[0]
+        if aux is None:
+            return loss, grads
+        aux_loss, aux_grads = aux_step(x) or (0.0, [np.zeros_like(p) for p in aux_params])
+        w = hp.cotrain_weight
+        grads[:n_f] = [g + w * a for g, a in zip(grads, aux_grads[:n_f])]
+        return loss + w * aux_loss, grads + [w * a for a in aux_grads[n_f:]]
+
+    val_X, val_y = dataset.X[splits.validation], dataset.y[splits.validation]
+    return Phase("fine-tuning", params, labeled_indices, hp.finetune_max_epochs, step,
+                 lambda: classification_error(bundle, val_X, val_y))
 
 
 def finetune(
@@ -536,60 +635,10 @@ def finetune(
     recipe: str = "control",
     targets: np.ndarray | None = None,
 ) -> TrainOutcome:
-    """Supervised training of the classifier `bundle.net(None)` (f then h),
-    one forward and one backward pass a step, with cross-entropy against
-    `targets` on the labeled rows, early stopping on validation classification
-    error, best weights restored; the test split is not read.
+    """`_fit` of `finetune_phase`: supervised training under `recipe`, early
+    stopping on validation classification error, best weights restored.
 
-    `recipe` turns on one regularizer, as the module docstring maps them;
-    the others are off. A smoothing, dropout or mixup alpha of 0 trains as
-    `control` does, with no extra draw; dropout masks every layer but the
-    net's last. `cotrain` and `ae_cotrain` add the `scarf` or `add_noise_ae`
-    objective (zero on a one-row batch), whose gradients of f add by position.
-
-    `targets` is an (n, K) matrix of target distributions indexed by dataset
-    row; by default the one-hot rows of `dataset.y` in the dtype of
-    `dataset.X`, smoothed under `smooth`."""
-    if recipe not in FINETUNE_RECIPES:
-        raise ConfigurationError(f"unknown fine-tuning recipe {recipe!r}")
-    labeled_indices = np.asarray(labeled_indices)
-    if labeled_indices.size == 0:
-        raise ValueError("no labeled training rows")
-    if targets is None:
-        targets = one_hot_targets(dataset, dataset.y)
-        if recipe == "smooth":
-            targets = smooth_labels(targets, hp.label_smoothing, dataset.num_classes)
-    dropout = hp.dropout if recipe == "dropout" else 0.0
-    alpha = hp.mixup_alpha if recipe == "mixup" else 0.0
-
-    pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
-    scarf_view = _objective("scarf", None, dataset, hp, pool, rng, None)[0]
-    net = bundle.net(None)
-    params = net.parameters()
-    aux = COTRAIN_OBJECTIVES.get(recipe)
-    if aux is not None:
-        aux_net, n_f = bundle.net(aux), len(bundle.f.parameters())
-        aux_params = aux_net.parameters()
-        params = params + aux_params[n_f:]
-        _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng,
-                                 partial(losses.infonce, temperature=hp.temperature))
-
-    def step(rows):
-        x, target = dataset.X[rows], targets[rows]
-        if alpha:
-            x, target = mixup_batch(x, target, alpha, rng)
-        if recipe == "scarf_aug":
-            x = scarf_view(x)
-        loss, grad = softmax_cross_entropy(net.forward(x, dropout, rng), target)
-        grads = net.backward(grad, input_grad=False)[0]
-        if aux is None:
-            return loss, grads
-        aux_loss, aux_grads = aux_step(x) or (0.0, [np.zeros_like(p) for p in aux_params])
-        w = hp.cotrain_weight
-        grads[:n_f] = [g + w * a for g, a in zip(grads, aux_grads[:n_f])]
-        return loss + w * aux_loss, grads + [w * a for a in aux_grads[n_f:]]
-
-    val_X = dataset.X[splits.validation]
-    val_y = dataset.y[splits.validation]
-    return _fit(params, labeled_indices, hp, hp.finetune_max_epochs, rng, step,
-                lambda: classification_error(bundle, val_X, val_y), "fine-tuning")
+    perfbench/spans.py wraps it by name and reads `labeled_indices` at
+    position 2."""
+    return _fit(finetune_phase(dataset, splits, labeled_indices, bundle, hp, rng, recipe, targets),
+                hp, rng)

@@ -5,7 +5,7 @@ import pytest
 
 from tabpretrain.data import ProcessedDataset
 from tabpretrain.nn import as_float, l2_normalize_rows_with_norms
-from tabpretrain.training import Hyperparameters, ModelBundle, _fit
+from tabpretrain.training import Hyperparameters, ModelBundle, Phase, _fit
 
 
 def encoded_dataset(X, y, classes=("0", "1"), blocks=None):
@@ -29,12 +29,12 @@ def make_numeric_dataset(n=200, d=6, seed=0, separable=True, num_classes=2):
 
 
 def scripted_fit(metrics, patience):
-    """`_fit` with a no-op step and the validation metric `metrics`, one value
-    an epoch, for at most `len(metrics)` epochs."""
+    """`_fit` of a phase with a no-op step and the validation metric
+    `metrics`, one value an epoch, for at most `len(metrics)` epochs."""
     values = iter(metrics)
-    return _fit([np.zeros(1)], np.arange(4), Hyperparameters(patience=patience), len(metrics),
-                np.random.default_rng(0), lambda rows: (0.0, [np.zeros(1)]),
-                lambda: next(values), "scripted")
+    phase = Phase("scripted", [np.zeros(1)], np.arange(4), len(metrics),
+                  lambda rows: (0.0, [np.zeros(1)]), lambda: next(values))
+    return _fit(phase, Hyperparameters(patience=patience), np.random.default_rng(0))
 
 
 def traced_peak(fn, *args):

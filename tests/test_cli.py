@@ -546,6 +546,20 @@ class TestRun:
         assert capsys.readouterr().err == f"run failed: {error.format(csv=csv)}\n"
         assert not out.exists()
 
+    def test_one_label_csv_fails_before_any_file(self, tmp_path, capsys):
+        """A CSV whose label is always `pos` used to run every trial to
+        test_accuracy=1.0000 and exit 0."""
+        csv, schema = write_dataset(tmp_path)
+        text = (tmp_path / "toy.csv").read_text()
+        (tmp_path / "toy.csv").write_text(text.replace(",neg\n", ",pos\n"))
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path), "--dataset", csv,
+                     "--schema", schema, "--method", "scarf", "--trials", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "run failed: dataset 'toy' labels every row 'pos'; a classifier needs 2 classes\n"
+        assert not out.exists()
+
     def test_repeated_header_name_fails_before_any_trial(self, tmp_path, capsys):
         csv, schema = write_repeated_header(tmp_path)
         out = tmp_path / "o"

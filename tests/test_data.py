@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -260,6 +261,17 @@ class TestScaler:
         np.testing.assert_array_equal(out, want.astype(np.float32))
         np.testing.assert_allclose(want.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(want.std(axis=0), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["zscore", "minmax", "mean"])
+    def test_empty_training_rows_refused(self, kind):
+        """No statistics exist over no rows: zscore used to return an all-NaN
+        table with RuntimeWarnings, and minmax and mean to raise numpy's
+        zero-size reduction error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{kind} scaling needs at least one training row$"):
+                scaled([[1.0], [2.0]], kind, train=np.array([], dtype=int))
 
 
 class TestOneHot:

@@ -513,6 +513,16 @@ class TestRunBenchmark:
             run_benchmark({"tiny": tiny}, ["control"], ["full"], 3, 0, tmp_path / "o", FAST_HP)
         assert not (tmp_path / "o").exists()
 
+    def test_dataset_with_one_label_raises_before_any_file(self, tmp_path):
+        """Every trial would score a test accuracy of 1.0 on it: it used to
+        write records that read as results."""
+        blob = make_blob_dataset(n=40, d=4, seed=4)
+        one = replace(blob, y=np.zeros_like(blob.y))
+        with pytest.raises(ValueError, match="^dataset 'one' labels every row '0'; "
+                                             "a classifier needs 2 classes$"):
+            run_benchmark({"one": one}, ["control"], ["full"], 2, 0, tmp_path / "o", FAST_HP)
+        assert not (tmp_path / "o").exists()
+
     def test_finetune_trains_on_the_array_that_scale_returned(self, monkeypatch):
         # `scale` returns X in the training dtype, so run_method's cast to the
         # weights' dtype copies nothing and the trial holds one scaled X

@@ -20,10 +20,13 @@ from tabpretrain.training import (
     PRETRAINERS,
     Hyperparameters,
     ModelBundle,
+    Phase,
     TrainingDiverged,
     build_static_validation,
     classification_error,
     finetune,
+    finetune_phase,
+    pretrain_phase,
     pretrain_scarf,
     _contrastive_loss,
     _fit,
@@ -460,8 +463,8 @@ class TestFit:
             return (np.nan if fault == "loss" and late else 1.0), [np.zeros(3), np.zeros(2)]
 
         with pytest.raises(TrainingDiverged, match=f"^{message}$") as caught:
-            _fit(params, np.arange(4), Hyperparameters(batch_size=2), 5, np.random.default_rng(0),
-                 step, lambda: next(metrics), "toy phase")
+            _fit(Phase("toy phase", params, np.arange(4), 5, step, lambda: next(metrics)),
+                 Hyperparameters(batch_size=2), np.random.default_rng(0))
         assert isinstance(caught.value, ArithmeticError)
         assert len(steps) == 4
 
@@ -529,10 +532,10 @@ class TestPretrainScarf:
         rng = np.random.default_rng(0)
         bundle = small_bundle(ds, rng)
         called = []
-        for name in ("build_marginal_pool", "build_static_validation", "_fit"):
+        for name in ("build_marginal_pool", "build_static_validation"):
             monkeypatch.setattr(training, name, lambda *a, _name=name, **k: called.append(_name))
         with pytest.raises(ValueError, match="at least 2 validation rows, got 1"):
-            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng)
+            pretrain_phase(ds, splits, bundle, Hyperparameters(), rng)
         assert called == []
 
     @pytest.mark.parametrize("pre, n_train", [("scarf", 1), ("scarf", 0), ("no_noise_ae", 0)])
@@ -546,12 +549,12 @@ class TestPretrainScarf:
         bundle = small_bundle(ds, rng, pre=pre)
         state = rng.bit_generator.state
         called = []
-        for name in ("build_marginal_pool", "build_static_validation", "_fit"):
+        for name in ("build_marginal_pool", "build_static_validation"):
             monkeypatch.setattr(training, name, lambda *a, _name=name, **k: called.append(_name))
         need = 2 if pre == "scarf" else 1
         with pytest.raises(ValueError, match=f"^{pre} pre-training needs at least {need} "
                                              f"training rows, got {n_train}$"):
-            pretrain_scarf(ds, splits, bundle, Hyperparameters(), rng, pre)
+            pretrain_phase(ds, splits, bundle, Hyperparameters(), rng, pre)
         assert called == [] and rng.bit_generator.state == state
 
     def test_restored_weights_achieve_best_metric(self):
@@ -599,7 +602,7 @@ class TestPretrainScarf:
         assert np.any(bundle.learnable_missing != 0.0)
 
     def test_missing_learnable_gradient_matches_finite_differences(self, monkeypatch):
-        """The learnable-vector gradient of pretrain_scarf's step, for fixed
+        """The learnable-vector gradient of the pre-training phase's step, for fixed
         views and a fixed encoded mask, against central differences of the
         contrastive loss: only the masked cells of view_b carry the vector."""
         ds = make_numeric_dataset(n=100, d=4, seed=6)
@@ -615,12 +618,9 @@ class TestPretrainScarf:
         def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
             return batch.copy(), np.where(mask, learnable_values, batch), CorruptionDraw(mask, mask)
 
-        captured = []
         monkeypatch.setattr(training, "make_views", fixed_views)
         monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
-        monkeypatch.setattr(training, "_fit", lambda *args: captured.append(args[5]))
-        pretrain_scarf(ds, splits, bundle, cfg, rng)
-        _, grads = captured[0](rows)
+        _, grads = pretrain_phase(ds, splits, bundle, cfg, rng).step(rows)
 
         batch = ds.X[rows]
 
@@ -1055,7 +1055,7 @@ class TestCotrain:
                      recipe="ae_cotrain")
 
 
-# every kind of step `_fit` takes: (pre-trainer, or None to fine-tune; Hyperparameters
+# every kind of phase step `_fit` takes: (pre-trainer, or None to fine-tune; Hyperparameters
 # fields over SMALL; recipe)
 STEP_KINDS = ([(pre, {}, "control") for pre in PRETRAINERS]
               + [("scarf", fields, "control") for fields in (
@@ -1070,9 +1070,9 @@ STEP_KINDS = ([(pre, {}, "control") for pre in PRETRAINERS]
 @pytest.mark.parametrize("pre, fields, recipe", STEP_KINDS,
                          ids=["-".join([pre or recipe, *fields.values()])
                               for pre, fields, recipe in STEP_KINDS])
-def test_step_gradients_match_finite_differences(pre, fields, recipe, monkeypatch):
-    """The step that `pretrain_scarf` or `finetune` hands `_fit`, as the
-    trainer composes it: its gradients of `_fit`'s `params` against central
+def test_step_gradients_match_finite_differences(pre, fields, recipe):
+    """The step of the phase that `pretrain_phase` or `finetune_phase`
+    builds: its gradients of the phase's `params` against central
     differences of its loss, with the run rng's state restored before every
     call so that the corruption, noise, dropout and mixup draws repeat. Width
     16 keeps every embedding row off zero, where the l2 normalization has no
@@ -1084,20 +1084,46 @@ def test_step_gradients_match_finite_differences(pre, fields, recipe, monkeypatc
     bundle = to_float64(small_bundle(ds, rng, hp, pre, recipe))
     if bundle.learnable_missing is not None:
         bundle.learnable_missing[:] = rng.normal(size=bundle.learnable_missing.shape)
-    captured = []
-    monkeypatch.setattr(training, "_fit", lambda params, rows, hp, max_epochs, rng, step, *rest:
-                        captured.append((params, rng, step)))
     if pre is None:
-        finetune(ds, splits, splits.train, bundle, hp, rng, recipe)
+        phase = finetune_phase(ds, splits, splits.train, bundle, hp, rng, recipe)
     else:
-        pretrain_scarf(ds, splits, bundle, hp, rng, pre)
-    [(params, run_rng, step)] = captured
-    rows, state = splits.train[:6], run_rng.bit_generator.state
+        phase = pretrain_phase(ds, splits, bundle, hp, rng, pre)
+    rows, state = splits.train[:6], rng.bit_generator.state
 
     def call():
-        run_rng.bit_generator.state = state
-        return step(rows)
+        rng.bit_generator.state = state
+        return phase.step(rows)
 
     grads = call()[1]
-    assert len(grads) == len(params)
-    assert_grads_close(grads, central_difference(lambda: call()[0], params))
+    assert len(grads) == len(phase.params)
+    assert_grads_close(grads, central_difference(lambda: call()[0], phase.params))
+
+
+@pytest.mark.parametrize("pre, recipe", [("scarf", "control"), ("no_noise_ae", "control"),
+                                         (None, "control"), (None, "cotrain")])
+def test_trainer_is_fit_of_its_phase(pre, recipe):
+    """`pretrain_scarf` and `finetune` against `_fit` of `pretrain_phase` and
+    `finetune_phase`, from equal rng states: bit-identical weights, outcomes
+    and final rng states. scarf and cotrain draw a marginal pool and static
+    or per-batch views; no_noise_ae and control draw none."""
+    ds = make_numeric_dataset(n=60, d=4, seed=2)
+    splits = make_splits(ds.n, 4)
+    hp = replace(SMALL, batch_size=16, pretrain_max_epochs=3, finetune_max_epochs=3,
+                 val_build_epochs=2)
+    runs = []
+    for through_phase in (False, True):
+        rng = np.random.default_rng(9)
+        bundle = small_bundle(ds, rng, hp, pre, recipe)
+        if pre is None:
+            trainer, builder = finetune, finetune_phase
+            args = (ds, splits, splits.train[:24], bundle, hp, rng, recipe)
+        else:
+            trainer, builder = pretrain_scarf, pretrain_phase
+            args = (ds, splits, bundle, hp, rng, pre)
+        out = _fit(builder(*args), hp, rng) if through_phase else trainer(*args)
+        runs.append((out, bundle_weights(bundle), rng.bit_generator.state))
+    (out, weights, state), (phase_out, phase_weights, phase_state) = runs
+    assert out.epochs_used >= 1
+    assert phase_out == out and phase_state == state
+    for a, b in zip(weights, phase_weights, strict=True):
+        np.testing.assert_array_equal(a, b)
