@@ -87,8 +87,12 @@ class Schema:
 
     @classmethod
     def from_file(cls, path) -> "Schema":
+        """The schema in the JSON object at `path`; each IngestionError names the file."""
         raw = read_json_object(path, "schema")
-        return cls(list(raw.keys()), list(raw.values()))
+        try:
+            return cls(list(raw.keys()), list(raw.values()))
+        except IngestionError as exc:
+            raise IngestionError(f"schema file {path}: {exc}") from exc
 
 
 @dataclass

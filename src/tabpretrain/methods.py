@@ -308,14 +308,14 @@ def _data_digest(dataset: ProcessedDataset) -> str:
 
 
 def _append_failure(out_dir, failure: TrialFailure) -> None:
-    """One JSON line per failed trial: its key, the exception and its traceback."""
+    """One JSON line per failed trial, by `stats.append_line`: its key, the
+    exception and its traceback."""
     exc = failure.error
     record = {"dataset_id": failure.dataset_id, "method_name": failure.method_name,
               "setting": failure.setting, "trial_index": failure.trial_index,
               "error_type": type(exc).__name__, "message": str(exc),
               "traceback": "".join(traceback.format_exception(exc))}
-    with open(os.path.join(out_dir, "failures.jsonl"), "a") as fh:
-        fh.write(json.dumps(record) + "\n")
+    stats.append_line(os.path.join(out_dir, "failures.jsonl"), json.dumps(record))
 
 
 def _write_curves(out_dir, run: stats.MethodRun, res: dict) -> None:

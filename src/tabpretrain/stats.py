@@ -36,13 +36,10 @@ class MethodRun:
         return (self.dataset_id, self.method_name, self.setting, self.trial_index)
 
 
-def append_run(path, run: MethodRun) -> None:
-    """Append one record as a JSON line. A record counts once its newline is
-    written: an unterminated tail left by a torn write is cut off first, so
-    the new record starts on a fresh line. A non-finite accuracy raises
-    ValueError: it is no result, and bare NaN is not valid JSON."""
-    if not math.isfinite(run.test_accuracy):
-        raise ValueError(f"non-finite test_accuracy {run.test_accuracy} for {run.key()}")
+def append_line(path, line: str) -> None:
+    """Append `line` and its newline to the line-delimited file `path`. A
+    line counts once its newline is written: an unterminated tail left by a
+    torn write is cut off first, so the new line starts on a fresh line."""
     with open(path, "ab+") as fh:
         end = fh.seek(0, os.SEEK_END)
         if end:
@@ -50,7 +47,16 @@ def append_run(path, run: MethodRun) -> None:
             if fh.read(1) != b"\n":
                 fh.seek(0)
                 fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write((json.dumps(asdict(run), sort_keys=True) + "\n").encode())
+        fh.write((line + "\n").encode())
+
+
+def append_run(path, run: MethodRun) -> None:
+    """Append one record as a JSON line by `append_line`. A non-finite
+    accuracy raises ValueError: it is no result, and bare NaN is not valid
+    JSON."""
+    if not math.isfinite(run.test_accuracy):
+        raise ValueError(f"non-finite test_accuracy {run.test_accuracy} for {run.key()}")
+    append_line(path, json.dumps(asdict(run), sort_keys=True))
 
 
 def load_runs(path) -> list[MethodRun]:

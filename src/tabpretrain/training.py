@@ -36,7 +36,7 @@ view. `finetune` maps its `recipe` to the one regularizer it turns on:
 `smooth` to `label_smoothing`, `dropout` to `dropout`, `mixup` to
 `mixup_alpha`, `scarf_aug` to per-batch corruption under the corruption
 fields, and `cotrain`/`ae_cotrain` to `cotrain_weight` times the `scarf`
-(InfoNCE at `temperature`) or `add_noise_ae` objective; `control` turns on
+(the `pretrain_loss`) or `add_noise_ae` objective; `control` turns on
 none. A bundle's heads follow from the method (`ModelBundle.create`).
 
 All loops are deterministic given (dataset, splits, hyperparameters, seed):
@@ -459,14 +459,14 @@ def _learns_missing(pre: str | None, hp: Hyperparameters) -> bool:
 
 
 def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparameters, pool,
-               rng: np.random.Generator, loss_fn, learnable: np.ndarray | None = None):
+               rng: np.random.Generator, learnable: np.ndarray | None = None):
     """Objective `pre` as `(view, step)`: `view(batch)` is the copy of a batch
     that it works on (itself, plus N(0, 0.5^2) noise, or one SCARF-corrupted
     copy with `learnable` as the missing values; it does not read `net`), and
     `step(batch)` returns the loss and the gradients of `net`, the bundle's
     `net(pre)`, and of `learnable` if given, from one forward and one backward
     pass of `net`; or None for a one-row scarf batch, where the contrastive
-    `loss_fn(z, zt)` has no negative."""
+    loss, hp's `pretrain_loss` by `_contrastive_loss`, has no negative."""
     def view(batch):
         if pre == "no_noise_ae":
             return np.array(batch, copy=True)
@@ -479,7 +479,7 @@ def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparamet
             if len(batch) < 2:
                 return None
             view_a, view_b, draw = make_views(batch, dataset, hp, pool, rng, learnable)
-            loss, grads, grad_in = contrastive_step(net, view_a, view_b, loss_fn,
+            loss, grads, grad_in = contrastive_step(net, view_a, view_b, partial(_contrastive_loss, hp),
                                                     input_grad=learnable is not None)
             if learnable is not None:  # the draw covers the last rows, those it corrupted
                 masked = draw.encoded_mask
@@ -525,8 +525,7 @@ def pretrain_phase(
         raise ConfigurationError(f"the {pre} objective needs the bundle's learnable_missing")
     learnable = bundle.learnable_missing if learns else None
     pool = build_marginal_pool(dataset, splits.train) if pre in DRAWS_SCARF_VIEWS else None
-    view, step = _objective(pre, net, dataset, hp, pool, rng, partial(_contrastive_loss, hp),
-                            learnable)
+    view, step = _objective(pre, net, dataset, hp, pool, rng, learnable)
     pairs = build_static_validation(dataset.X[splits.validation], view, rng,
                                     hp.val_build_epochs, hp.batch_size)
     return Phase(f"{pre} pre-training", net.parameters() + ([learnable] if learns else []),
@@ -594,15 +593,14 @@ def finetune_phase(
         if recipe == "smooth":
             targets = smooth_labels(targets, hp.label_smoothing, dataset.num_classes)
     pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
-    scarf_view = _objective("scarf", None, dataset, hp, pool, rng, None)[0]
+    scarf_view = _objective("scarf", None, dataset, hp, pool, rng)[0]
     net, aux = bundle.net(None), COTRAIN_OBJECTIVES.get(recipe)
     params = net.parameters()
     if aux is not None:
         aux_net, n_f = bundle.net(aux), len(bundle.f.parameters())
         aux_params = aux_net.parameters()
         params = params + aux_params[n_f:]
-        _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng,
-                                 partial(losses.infonce, temperature=hp.temperature))
+        _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng)
 
     def step(rows):
         x, target = dataset.X[rows], targets[rows]

@@ -345,7 +345,7 @@ def test_criterion_8_early_stopping(mixture):
     rng = np.random.default_rng(2)
     pairs = build_static_validation(
         mixture.X[splits.validation],
-        _objective("scarf", bundle.net("scarf"), mixture, cfg, pool, rng, None)[0],
+        _objective("scarf", bundle.net("scarf"), mixture, cfg, pool, rng)[0],
         rng, cfg.val_build_epochs, cfg.batch_size)
     restored = _validation_metric(bundle, pairs, cfg, "scarf")
     assert abs(restored - out.best_metric) < 1e-12

@@ -327,6 +327,25 @@ class TestConfiguration:
         assert err.count("\n") == 1
         assert snapshot() == before
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("content, error", [
+        ({"a": "numeric", "label": "label"}, "unknown column kind 'numeric'"),
+        ({"label": "label"}, "schema needs at least one feature column"),
+        ({"a": "numerical", "b": "numerical"}, "schema must declare exactly one label column"),
+    ], ids=["unknown_kind", "label_only", "no_label"])
+    def test_schema_content_error_names_the_file(self, tmp_path, capsys, command, content, error):
+        """A schema that parses but declares no valid table used to fail
+        without naming its file, unlike every other schema error."""
+        csv, _ = write_dataset(tmp_path)
+        schema = tmp_path / "bad.schema.json"
+        schema.write_text(json.dumps(content))
+        out = tmp_path / "o"
+        argv = [command, "--dataset", csv, "--schema", str(schema)]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+        prefix = {"validate": "validation failed: ", "run": "run failed: "}[command]
+        assert capsys.readouterr().err == f"{prefix}schema file {schema}: {error}\n"
+        assert not out.exists()
+
     def test_boolean_flag_takes_true_or_false(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--unique_pool", "yes"])

@@ -92,6 +92,12 @@ class TestSelectIndices:
         for row in hit[1:]:
             np.testing.assert_array_equal(row, hit[0])
 
+    @pytest.mark.parametrize("index_selection", ["fixed_count", "bernoulli"])
+    def test_no_feature_rejected(self, index_selection, rng):
+        cfg = Hyperparameters(index_selection=index_selection)
+        with pytest.raises(ValueError, match="^need at least one feature$"):
+            select_indices(0, cfg, 4, rng)
+
     def test_per_example_sets_vary(self, rng):
         cfg = Hyperparameters(corruption_rate=0.5)
         hit = select_indices(20, cfg, 50, rng)

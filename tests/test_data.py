@@ -274,6 +274,17 @@ class TestScaler:
                 scaled([[1.0], [2.0]], kind, train=np.array([], dtype=int))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_none_is_a_training_dtype_copy_without_statistics(self, dtype):
+        """`none` takes no statistics, so it also takes no training rows."""
+        X = np.array([[1.0, 5.0], [2.0, 7.0]], dtype=dtype)
+        dataset = ProcessedDataset(X, np.zeros(2, dtype=int), [(0, 1), (1, 2)], ["0"], [0, 1])
+        for train in (np.arange(2), np.array([], dtype=int)):
+            out = scale(dataset, train, "none").X
+            assert out.dtype == TRAINING_DTYPE and not np.shares_memory(out, X)
+            np.testing.assert_array_equal(out, X.astype(TRAINING_DTYPE))
+
+
 class TestOneHot:
     def _dataset(self, tmp_path, cells):
         p = write_csv(tmp_path / "d.csv", "age,color,target\n" + cells)
@@ -438,6 +449,26 @@ class TestMaskLabels:
         idx = np.arange(50, 80)
         labeled, unlabeled = mask_labels(idx, 0.4, rng)
         assert sorted(np.concatenate([labeled, unlabeled])) == list(idx)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: load_csv(write_csv(tmp / "d.csv", ""), SCHEMA), IngestionError,
+     "{tmp}/d.csv: empty file"),
+    (lambda tmp: scaled([[1.0], [2.0]], "robust"), ValueError, "unknown scaling kind 'robust'"),
+    (lambda tmp: corrupt_labels(np.zeros(4, dtype=int), 1.5, 2, np.random.default_rng(0)),
+     ValueError, "noise_rate must lie in [0, 1]"),
+    (lambda tmp: corrupt_labels(np.zeros(4, dtype=int), -0.1, 2, np.random.default_rng(0)),
+     ValueError, "noise_rate must lie in [0, 1]"),
+    (lambda tmp: mask_labels(np.arange(4), 0.0, np.random.default_rng(0)), ValueError,
+     "labeled_fraction must lie in (0, 1]"),
+    (lambda tmp: mask_labels(np.arange(4), 1.5, np.random.default_rng(0)), ValueError,
+     "labeled_fraction must lie in (0, 1]"),
+], ids=["empty_csv", "unknown_scaling", "noise_rate_above_1", "noise_rate_below_0",
+        "labeled_fraction_0", "labeled_fraction_above_1"])
+def test_bad_input_raises_with_its_message(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)
 
 
 class TestPipelineDeterminism:

@@ -216,6 +216,11 @@ class TestBinaryLogistic:
         numeric = central_difference(lambda: binary_logistic(logits, labels)[0], [logits])
         assert_grads_close([grad], numeric, rtol=1e-6)
 
+    @pytest.mark.parametrize("logits, labels", [([0.0, 1.0], [1.0]), ([[0.0]], [0.0, 1.0])])
+    def test_rejects_lengths_that_differ(self, logits, labels):
+        with pytest.raises(ShapeError, match="^logits and labels lengths differ$"):
+            binary_logistic(np.array(logits), np.array(labels))
+
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError):
             binary_logistic(np.array([0.0]), np.array([0.5]))

@@ -770,6 +770,19 @@ class TestRunBenchmark:
         assert [r.trial_index for r in again] == [1]
         assert (tmp_path / "failures.jsonl").read_text().splitlines() == lines
 
+    def test_failure_after_a_torn_line_starts_a_fresh_line(self, tmp_path):
+        """A failure record cut off by a crash used to swallow the next one:
+        the append ran on from the torn tail, leaving one line that is no
+        JSON. The torn tail is cut off first, as for results.jsonl."""
+        path = tmp_path / "failures.jsonl"
+        path.write_text('{"dataset_id": "a", "sett')
+        methods._append_failure(tmp_path, TrialFailure("d", "control", "full", 2,
+                                                       RuntimeError("boom")))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1
+        failure = json.loads(lines[0])
+        assert (failure["dataset_id"], failure["trial_index"], failure["message"]) == ("d", 2, "boom")
+
     def test_loader_runs_only_for_a_dataset_with_trials_left(self, tmp_path):
         ds = make_blob_dataset(n=120, d=4, seed=4)
         loads = []

@@ -447,3 +447,23 @@ class TestMse:
         with pytest.raises(ShapeError):
             mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DenseLayer(np.zeros((2, 3)), np.zeros(3), "tanh"), ValueError,
+     "unknown activation 'tanh'"),
+    (lambda: DenseLayer(np.zeros((2, 3)), np.zeros(2)), ShapeError,
+     "bias length must equal the layer output width"),
+    (lambda: Mlp([DenseLayer(np.zeros((2, 3)), np.zeros(3)),
+                  DenseLayer(np.zeros((4, 1)), np.zeros(1))]), ShapeError,
+     "adjacent layer widths disagree"),
+    (lambda: Adam([np.zeros(2), np.zeros(3)], 0.1).step([np.zeros(2)]), ShapeError,
+     "gradient list length does not match parameter list"),
+    (lambda: softmax_cross_entropy(np.zeros((2, 3)), np.full((2, 2), 0.5)), ShapeError,
+     "logits and target shapes differ"),
+], ids=["unknown_activation", "bias_length", "adjacent_widths", "adam_gradient_count",
+        "cross_entropy_shapes"])
+def test_bad_input_raises_with_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -72,7 +72,7 @@ def test_views_keep_float32(strategy, view_policy, rng):
 def test_autoencoder_inputs_keep_float32(variant, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
-    view, _ = _objective(variant, None, ds, Hyperparameters(), pool, rng, None)
+    view, _ = _objective(variant, None, ds, Hyperparameters(), pool, rng)
     assert_float32(view(ds.X[:8]))
 
 
@@ -113,7 +113,7 @@ def test_bundle_steps_keep_float32(rng):
     assert_float32_value(loss)
     assert_float32(*grads, grad_in)
     _, reconstruction_step = _objective("no_noise_ae", bundle.net("no_noise_ae"), ds, hp, None,
-                                        rng, None)
+                                        rng)
     loss, grads = reconstruction_step(x)
     assert_float32_value(loss)
     assert_float32(*grads)

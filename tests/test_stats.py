@@ -271,6 +271,17 @@ class TestRelativeImprovement:
         entries = relative_improvement(runs, "A", "B", p=0.20)
         assert [e.dataset_id for e in entries] == ["d2"]
 
+    def test_zero_accuracy_reference_is_left_out(self):
+        """A gain relative to 0 has no value, even where the difference is
+        significant."""
+        runs = [run("A", "d1", t, a) for t, a in enumerate([0.5, 0.51, 0.52])]
+        runs += [run("B", "d1", t, 0.0) for t in range(3)]
+        runs += [run("A", "d2", t, a) for t, a in enumerate([0.549, 0.55, 0.551])]
+        runs += [run("B", "d2", t, a) for t, a in enumerate([0.499, 0.5, 0.501])]
+        assert compare([0.5, 0.51, 0.52], [0.0] * 3, 0.20) == "win"
+        entries = relative_improvement(runs, "A", "B", p=0.20)
+        assert [e.dataset_id for e in entries] == ["d2"]
+
     def test_tie_filtered_out(self):
         runs = [run("A", "d", t, a) for t, a in enumerate([0.4, 0.9])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.41, 0.89])]

@@ -45,7 +45,7 @@ def small_bundle(ds, rng, arch=SMALL, pre=None, recipe="control"):
 
 def view_of(pre, ds, hp, pool, rng):
     """The `view` of objective `pre` that `build_static_validation` takes."""
-    return _objective(pre, None, ds, hp, pool, rng, None)[0]
+    return _objective(pre, None, ds, hp, pool, rng)[0]
 
 
 def test_hyperparameters_are_the_corruption_config_then_the_trial_fields():
@@ -557,6 +557,56 @@ class TestPretrainScarf:
             pretrain_phase(ds, splits, bundle, Hyperparameters(), rng, pre)
         assert called == [] and rng.bit_generator.state == state
 
+    def test_one_row_batches_skip_their_step_and_their_metric(self, monkeypatch):
+        """Training and validation splits one row past a multiple of the
+        batch size leave a one-row batch in each epoch and in each stored
+        validation cycle. A one-row contrastive batch has no negative, so it
+        takes no Adam step, has no share in the train loss and no share in the
+        validation metric."""
+        ds = make_numeric_dataset(n=60, d=4, seed=1)
+        hp = replace(SMALL, batch_size=8, pretrain_max_epochs=2, patience=5, val_build_epochs=2)
+        splits = Splits(np.arange(25), np.arange(25, 42), np.arange(42, 60))
+        rng = np.random.default_rng(0)
+        bundle = small_bundle(ds, rng, hp, "scarf")
+        built, adam_steps = [], []
+
+        class CountingAdam(nn.Adam):
+            def step(self, grads):
+                adam_steps.append(1)
+                super().step(grads)
+
+        monkeypatch.setattr(training, "Adam", CountingAdam)
+        monkeypatch.setattr(training, "build_static_validation",
+                            lambda *args: built.append(build_static_validation(*args)) or built[-1])
+        phase = pretrain_phase(ds, splits, bundle, hp, rng)
+        # (loss, rows) of each step taken; per epoch, those and the Adam steps so far
+        stepped, epochs = [], []
+
+        def step(rows):
+            if (result := phase.step(rows)) is not None:
+                stepped.append((result[0], len(rows)))
+            return result
+
+        def metric():
+            epochs.append((stepped.copy(), len(adam_steps)))
+            stepped.clear()
+            return phase.metric()
+
+        out = _fit(replace(phase, step=step, metric=metric), hp, rng)
+        assert out.epochs_used == 2
+        assert [taken for _, taken in epochs] == [3, 6]  # 4 batches an epoch, the last of one row
+        for (losses_and_rows, _), train_loss in zip(epochs, out.train_curve):
+            step_losses, step_rows = zip(*losses_and_rows)
+            assert step_rows == (8, 8, 8)
+            assert train_loss == np.average(step_losses, weights=step_rows)
+        pairs = built[0]
+        assert [pos.size for pos in pairs.positions] == [8, 8, 1] * hp.val_build_epochs
+        z = bundle.embed(pairs.originals)
+        kept = [(_contrastive_loss(hp, z[pos], bundle.embed(corr), value_only=True), pos.size)
+                for pos, corr in zip(pairs.positions, pairs.corrupted) if pos.size >= 2]
+        values, weights = zip(*kept)
+        assert out.best_metric == pytest.approx(np.average(values, weights=weights), rel=1e-9)
+
     def test_restored_weights_achieve_best_metric(self):
         ds = make_numeric_dataset(n=150, d=5, seed=4)
         splits = make_splits(150, 2)
@@ -642,12 +692,12 @@ class TestPretrainScarf:
         bundle = to_float64(small_bundle(ds, rng, hp, "scarf"))
         lmv = bundle.learnable_missing
         lmv[:] = rng.normal(size=lmv.shape)
-        net, batch, loss_fn = bundle.net("scarf"), ds.X[:16], partial(_contrastive_loss, hp)
+        net, batch = bundle.net("scarf"), ds.X[:16]
 
         def step():
             """Loss and gradients of one step, its views drawn from one fixed seed."""
             rng = np.random.default_rng(9)
-            return _objective("scarf", net, ds, hp, None, rng, loss_fn, lmv)[1](batch)
+            return _objective("scarf", net, ds, hp, None, rng, lmv)[1](batch)
 
         assert_grads_close([step()[1][-1]], central_difference(lambda: step()[0], [lmv]))
 
@@ -729,13 +779,12 @@ class TestContrastiveStep:
             return batch.copy(), np.where(mask, lmv, batch), CorruptionDraw(mask, mask)
 
         monkeypatch.setattr(training, "make_views", fixed_views)
-        loss_fn = partial(_contrastive_loss, LEARNABLE)
-        _, step = _objective("scarf", bundle.net("scarf"), ds, LEARNABLE, None, rng, loss_fn,
+        _, step = _objective("scarf", bundle.net("scarf"), ds, LEARNABLE, None, rng,
                              lmv if learns else None)
         batch = ds.X[:16]
         loss, grads = step(batch)
         want_loss, f_grads, g_grads, grad_in = normalize_then_backward(
-            bundle, batch, np.where(mask, lmv, batch), loss_fn)
+            bundle, batch, np.where(mask, lmv, batch), partial(_contrastive_loss, LEARNABLE))
         want = f_grads + g_grads
         if learns:
             want.append(np.where(mask, grad_in[len(batch):], 0.0).sum(axis=0))
@@ -783,7 +832,7 @@ class TestComposedNet:
     def test_step_matches_the_chained_nets(self, dtype, pre, rng):
         bundle, ds, pool = self.bundle_and_data(pre, dtype, 40, rng)
         batch = ds.X[:16]
-        _, step = _objective(pre, bundle.net(pre), ds, SMALL, pool, np.random.default_rng(3), None)
+        _, step = _objective(pre, bundle.net(pre), ds, SMALL, pool, np.random.default_rng(3))
         loss, grads = step(batch)
         # the objective's copy of the batch, drawn from a twin of the step's rng
         copy = view_of(pre, ds, SMALL, pool, np.random.default_rng(3))(batch)
@@ -1032,6 +1081,26 @@ class TestCotrain:
             assert np.isfinite(out.train_curve[0])
             results.append(bundle_weights(bundle))
         assert any(not np.array_equal(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("pretrain_loss, name", [("infonce", "infonce"),
+                                                     ("barlow", "barlow_twins"),
+                                                     ("align_uniform", "align_uniform")])
+    def test_steps_the_pretrain_loss(self, monkeypatch, pretrain_loss, name):
+        """Co-training adds the scarf objective with the loss that scarf
+        pre-training steps; it used to add InfoNCE whatever `pretrain_loss`."""
+        called = []
+        for each in ("infonce", "barlow_twins", "align_uniform"):
+            def counting(*args, _each=each, _loss=getattr(losses, each), **kwargs):
+                called.append(_each)
+                return _loss(*args, **kwargs)
+            monkeypatch.setattr(losses, each, counting)
+        ds = make_blob_dataset(n=100, d=4, seed=6)
+        splits = make_splits(100, 6)
+        rng = np.random.default_rng(7)
+        hp = replace(SMALL, finetune_max_epochs=1, batch_size=32, pretrain_loss=pretrain_loss)
+        bundle = small_bundle(ds, rng, hp, recipe="cotrain")
+        finetune(ds, splits, splits.train, bundle, hp, rng, recipe="cotrain")
+        assert called == [name] * 3  # one a batch of the 70 training rows
 
     def test_negative_weight_rejected_before_any_work(self, monkeypatch):
         """`Hyperparameters` rejects the weight, so a co-training method
