@@ -17,11 +17,11 @@ rule of `corruption.check_type`, and an empty string counts as not given, so
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
-`run_benchmark` pins in `out` the seed, the hyperparameters (the scaling
-among them) and a digest of the encoded table it loads: a resume whose values
-differ fails and names them. A resume with no trial left reads no data, so it
-checks only the first two.
-`config.json` is written only once `run_benchmark` has accepted the
+`run_benchmark` pins in `out` the seed, the results version of the program,
+the hyperparameters (the scaling among them) and a digest of the encoded
+table it loads: a resume whose values differ fails and names them. A resume
+with no trial left reads no data, so it checks only the first three.
+`config.json` is written whole, only once `run_benchmark` has accepted the
 configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
 files are still written in trial order, so the output is byte-identical for
@@ -46,7 +46,8 @@ from dataclasses import asdict, fields
 
 from tabpretrain import methods, stats
 from tabpretrain.corruption import check_type
-from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot, read_json_object
+from tabpretrain.data import (Schema, encode_csv, impute, load_csv, one_hot, read_json_object,
+                              write_json_object)
 from tabpretrain.training import Hyperparameters
 
 RUN_DEFAULTS = {
@@ -121,8 +122,7 @@ def cmd_run(args) -> int:
         [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp,
         cfg["jobs"],
     )
-    with open(os.path.join(cfg["out"], "config.json"), "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+    write_json_object(os.path.join(cfg["out"], "config.json"), cfg, sort_keys=True)
     for outcome in outcomes:
         attempted += 1
         if isinstance(outcome, methods.TrialFailure):

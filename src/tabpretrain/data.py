@@ -29,6 +29,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -69,6 +71,22 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise IngestionError(f"{what} file {path} must be a JSON object, not {type(raw).__name__}")
     return raw
+
+
+def write_json_object(path, value: dict, sort_keys: bool = False) -> None:
+    """Write `value` to `path` as indented JSON, whole or not at all: the dump
+    goes to a temporary file of this call's own in the same directory (mode
+    0600, from `tempfile.mkstemp`), which then replaces `path`. So two writers
+    never share a file, and a reader sees one writer's whole file; a failed
+    dump removes its temporary file and leaves `path` as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(value, fh, indent=2, sort_keys=sort_keys)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass

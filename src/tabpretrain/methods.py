@@ -30,7 +30,7 @@ import numpy as np
 
 from tabpretrain import baselines, stats, training
 from tabpretrain.data import (MIN_SPLIT_ROWS, ProcessedDataset, Splits, corrupt_labels, make_splits,
-                              mask_labels, read_json_object, scale)
+                              mask_labels, read_json_object, scale, write_json_object)
 from tabpretrain.training import (
     FINETUNE_RECIPES,
     Hyperparameters,
@@ -43,6 +43,11 @@ from tabpretrain.training import (
 FINETUNERS = (*FINETUNE_RECIPES, *baselines.PSEUDO_LABELERS)
 
 SETTINGS = ("full", "noise30", "semi25")
+
+# The version of the program's outputs, pinned in every out_dir: bumped by
+# each change that moves an entry of tests/oracle_digests.txt, with a line of
+# tests/results_versions.txt naming the new overall digest.
+RESULTS_VERSION = 1
 
 
 class UnknownMethodError(ValueError):
@@ -191,18 +196,20 @@ def run_benchmark(
     Every trial reads the one `hp`; a bad hyperparameter raises where the
     caller builds it, before this call.
     The first call into `out_dir` pins what decides its records in
-    `out_dir/pin.json`: `base_seed`, each field of `hp` as a top-level key
-    and, by dataset id, the `_data_digest` of each dataset it loads; a later
-    call adds the ids new to it. The methods, settings, `trials` and `jobs`
-    stay free. The checks, the read of the completed keys, the loading of the
-    datasets with trials left and the creation of a missing `out_dir` run in
-    this call, before it returns the iterator: unknown method or setting
-    names, a method or setting named twice, a dataset id that is not one file
-    name, a method that `check_method` rejects under `hp`, `trials` or `jobs`
-    below 1, a dataset that fails to load, has fewer than `MIN_SPLIT_ROWS`
-    rows or gives every row one label, and a pin that differs from
-    `out_dir`'s raise here, before anything is written; only the data is
-    checked after loading, so a dataset with no trial left goes unchecked.
+    `out_dir/pin.json`: `base_seed`, `RESULTS_VERSION`, each field of `hp` as
+    a top-level key and, by dataset id, the `_data_digest` of each dataset it
+    loads; a later call adds the ids new to it. A pin of another results
+    version, or of none, is refused like any other difference. The methods,
+    settings, `trials` and `jobs` stay free. The checks, the read of the
+    completed keys, the loading of the datasets with trials left and the
+    creation of a missing `out_dir` run in this call, before it returns the
+    iterator: unknown method or setting names, a method or setting named
+    twice, a dataset id that is not one file name, a method that
+    `check_method` rejects under `hp`, `trials` or `jobs` below 1, a dataset
+    that fails to load, has fewer than `MIN_SPLIT_ROWS` rows or gives every
+    row one label, and a pin that differs from `out_dir`'s raise here, before
+    anything is written; only the data is checked after loading, so a dataset
+    with no trial left goes unchecked.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -225,8 +232,8 @@ def run_benchmark(
         pinned = read_json_object(pin_path, "pin")
     digests = pinned.get("data_digest", {})
     # a pin that holds one string for all its data names no dataset: refused
-    pin = {"seed": base_seed, "data_digest": dict(digests) if isinstance(digests, dict) else {},
-           **asdict(hp)}
+    pin = {"seed": base_seed, "results_version": RESULTS_VERSION,
+           "data_digest": dict(digests) if isinstance(digests, dict) else {}, **asdict(hp)}
     if pinned:
         _check_pin(pin_path, pinned, pin)
     results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
@@ -253,10 +260,8 @@ def run_benchmark(
         _check_pin(pin_path, {"data_digest": there}, {"data_digest": here})
         pin["data_digest"].update(here)
         os.makedirs(out_dir, exist_ok=True)
-        if pin != pinned:  # whole or not at all: a torn pin would refuse every resume
-            with open(pin_path + ".tmp", "w") as fh:
-                json.dump(pin, fh, indent=2)
-            os.replace(pin_path + ".tmp", pin_path)
+        if pin != pinned:  # whole: a torn pin would refuse every resume
+            write_json_object(pin_path, pin)
 
     def run_one(key):
         dataset_id, method, setting, trial = key

@@ -62,9 +62,10 @@ def append_run(path, run: MethodRun) -> None:
 def load_runs(path) -> list[MethodRun]:
     """Records of a results file, read as UTF-8. An unterminated last line is
     a torn write: it is dropped with a warning, so its trial counts as not yet
-    run. A file that is not UTF-8, and any other line that is no record, or
+    run. A file that is not UTF-8, any other line that is no record, or
     that has a field not of its declared type by the rule of
-    `corruption.check_type`, raise ValueError naming them."""
+    `corruption.check_type`, and a key recorded twice raise ValueError naming
+    them, so one trial never counts twice."""
     if not os.path.exists(path):
         return []
     try:
@@ -74,16 +75,19 @@ def load_runs(path) -> list[MethodRun]:
         raise ValueError(f"{path}: not a UTF-8 results file ({exc})") from exc
     if lines and not lines[-1].endswith("\n"):
         warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
-    runs, kinds = [], get_type_hints(MethodRun)
+    runs, kinds, line_of = [], get_type_hints(MethodRun), {}
     for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         try:
-            if line.strip():
-                run = MethodRun(**json.loads(line))
-                for name, kind in kinds.items():
-                    check_type("field", name, getattr(run, name), kind())
-                runs.append(run)
+            run = MethodRun(**json.loads(line))
+            for name, kind in kinds.items():
+                check_type("field", name, getattr(run, name), kind())
         except (ValueError, TypeError) as exc:  # not JSON, or not a record's fields
             raise ValueError(f"{path}, line {number}: not a results record ({exc})") from exc
+        if (first := line_of.setdefault(run.key(), number)) != number:
+            raise ValueError(f"{path}, lines {first} and {number}: key {run.key()} recorded twice")
+        runs.append(run)
     return runs
 
 

@@ -199,15 +199,12 @@ class TrainOutcome:
 
 @dataclass(eq=False)  # a generated __eq__ would compare arrays
 class ModelBundle:
-    """Encoder f, its heads by name and the learnable missing-value vector:
-    `heads` holds the contrastive head g (l2-normalized output) and the
-    classifier h always, and the decoder and discriminator projection
-    `disc_proj` of the methods that step them; `learnable_missing` is set only
-    for scarf pre-training under missing_learnable, which alone steps it."""
+    """Encoder f and its heads by name: `heads` holds the contrastive head g
+    (l2-normalized output) and the classifier h always, and the decoder and
+    discriminator projection `disc_proj` of the methods that step them."""
 
     f: Mlp
     heads: dict[str, Mlp]
-    learnable_missing: np.ndarray | None = None
 
     @classmethod
     def create(
@@ -220,8 +217,8 @@ class ModelBundle:
         recipe: str = "control",
     ) -> "ModelBundle":
         """The nets of method (`pre`, `recipe`) at the widths and depths of
-        `hp`, drawn in this order: f, g, h, and the decoder, disc_proj and
-        learnable missing-value vector if its objectives step them."""
+        `hp`, drawn in this order: f, g, h, and the decoder and disc_proj
+        if its objectives step them."""
         drawn = {"g", "h"} | {name for objective in (pre, COTRAIN_OBJECTIVES.get(recipe))
                               for name in OBJECTIVE_HEADS.get(objective, ())}
         hidden, stack = hp.hidden_dim, [hp.hidden_dim] * hp.head_layers
@@ -229,8 +226,7 @@ class ModelBundle:
                   "disc_proj": [hidden, 1]}
         f = Mlp.create([input_dim] + [hidden] * hp.encoder_layers, rng, final_activation="relu")
         heads = {name: Mlp.create(w, rng) for name, w in widths.items() if name in drawn}
-        lmv = np.zeros(input_dim, dtype=f.dtype) if _learns_missing(pre, hp) else None
-        return cls(f, heads, lmv)
+        return cls(f, heads)
 
     def net(self, pre: str | None) -> Mlp:
         """f then the heads of objective `pre` (h for None, the classifier), as
@@ -453,11 +449,6 @@ COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
 DRAWS_SCARF_VIEWS = ("scarf", "scarf_ae", "scarf_disc", "scarf_aug", "cotrain")
 
 
-def _learns_missing(pre: str | None, hp: Hyperparameters) -> bool:
-    """Only scarf pre-training steps the learnable missing-value vector."""
-    return pre == "scarf" and hp.corruption_strategy == "missing_learnable"
-
-
 def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparameters, pool,
                rng: np.random.Generator, learnable: np.ndarray | None = None):
     """Objective `pre` as `(view, step)`: `view(batch)` is the copy of a batch
@@ -509,9 +500,11 @@ def pretrain_phase(
 
     Per mini-batch of the training split: one step of the objective. After
     each epoch, the metric on the static validation pairs, built from the
-    objective's view. Every check runs before any work; then the marginal
-    pool and the static validation pairs are drawn from `rng`, in that
-    order."""
+    objective's view. Under missing_learnable, scarf creates the learnable
+    missing-value vector at zero in the net's dtype and steps it as the last
+    of the phase's params; it lives no longer than the phase. Every check
+    runs before any work; then the marginal pool and the static validation
+    pairs are drawn from `rng`, in that order."""
     if pre not in PRETRAINERS:
         raise ConfigurationError(f"unknown pre-trainer {pre!r}")
     if hp.batch_size < 2:
@@ -520,10 +513,9 @@ def pretrain_phase(
         raise ValueError(f"{pre} pre-training needs at least {need} training rows, got {n_train}")
     if pre == "scarf" and (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
-    net, learns = bundle.net(pre), _learns_missing(pre, hp)
-    if learns and bundle.learnable_missing is None:
-        raise ConfigurationError(f"the {pre} objective needs the bundle's learnable_missing")
-    learnable = bundle.learnable_missing if learns else None
+    net = bundle.net(pre)
+    learns = pre == "scarf" and hp.corruption_strategy == "missing_learnable"
+    learnable = np.zeros(net.in_dim, net.dtype) if learns else None
     pool = build_marginal_pool(dataset, splits.train) if pre in DRAWS_SCARF_VIEWS else None
     view, step = _objective(pre, net, dataset, hp, pool, rng, learnable)
     pairs = build_static_validation(dataset.X[splits.validation], view, rng,

@@ -63,27 +63,18 @@ def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):
 
 
 def bundle_weights(bundle):
-    """Copies of every net's parameters (f, then the heads in the order of
-    `bundle.heads`) and of the learnable missing-value vector of a
-    ModelBundle, in that order."""
-    out = []
-    for net in (bundle.f, *bundle.heads.values()):
-        out.extend(p.copy() for p in net.parameters())
-    if bundle.learnable_missing is not None:
-        out.append(bundle.learnable_missing.copy())
-    return out
+    """Copies of every net's parameters of a ModelBundle: f, then the heads
+    in the order of `bundle.heads`."""
+    return [p.copy() for net in (bundle.f, *bundle.heads.values()) for p in net.parameters()]
 
 
 def to_float64(model):
-    """Cast an Mlp, or every net and the learnable missing vector of a
-    ModelBundle, to float64 in place and return it. Nets are created in
-    float32, the training precision; the finite-difference oracles need
-    float64."""
+    """Cast an Mlp, or every net of a ModelBundle, to float64 in place and
+    return it. Nets are created in float32, the training precision; the
+    finite-difference oracles need float64."""
     if isinstance(model, ModelBundle):
         for net in (model.f, *model.heads.values()):
             to_float64(net)
-        if model.learnable_missing is not None:
-            model.learnable_missing = model.learnable_missing.astype(np.float64)
         return model
     for layer in model.layers:
         layer.weights = layer.weights.astype(np.float64)

@@ -16,7 +16,9 @@ one method name, both together only those of both, with no overall digest. A cha
 that must leave outputs alone passes `--check`. A change that moves outputs on
 purpose regenerates the file with
 `python tests/oracle.py | grep -v '^runtime ' > tests/oracle_digests.txt`, and
-the file's diff names the entries it moved.
+the file's diff names the entries it moved. It also bumps
+`methods.RESULTS_VERSION`, which every run directory pins, and appends the
+line `<version> <overall digest>` to `tests/results_versions.txt`.
 
 The grid is the 65 method names x 3 settings x 2 datasets of 90 rows (a
 numeric one, and one with a 3-level one-hot block and 3 classes) x 14

@@ -802,6 +802,19 @@ class TestReport:
         assert code == 0
         assert "non-finite accuracies left out: 1" in capsys.readouterr().out
 
+    def test_key_recorded_twice_fails_before_writing(self, tmp_path, capsys):
+        """A trial recorded twice used to count as two trials in the Welch
+        tests."""
+        results = self._results(tmp_path)
+        stats.append_run(results, stats.MethodRun("d1", "scarf", 0, 0, "full", 0.95))
+        out = tmp_path / "report"
+        code = main(["report", "--results", results, "--methods", "scarf,control",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"report failed: {results}, lines 1 and 21: key "
+                                           "('d1', 'scarf', 'full', 0) recorded twice\n")
+        assert not out.exists()
+
     def test_unknown_method_fails(self, tmp_path, capsys):
         results = self._results(tmp_path)
         code = main(["report", "--results", results, "--methods", "scarf,ghost"])

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import time
 from dataclasses import asdict, replace
 
@@ -9,7 +10,8 @@ import pytest
 from conftest import make_blob_dataset, make_numeric_dataset
 from tabpretrain import baselines, methods, stats
 from tabpretrain.corruption import ConfigurationError
-from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits, process_csv
+from tabpretrain.data import (Schema, corrupt_labels, encode_csv, make_splits, process_csv,
+                              read_json_object)
 from tabpretrain.methods import (
     FINETUNERS,
     SETTINGS,
@@ -110,8 +112,6 @@ class TestCheckMethod:
             bundle = ModelBundle.create(3, 2, np.random.default_rng(0), hp, pre, recipe)
             assert ("decoder" in bundle.heads) == (pre in AUTOENCODERS or recipe == "ae_cotrain")
             assert ("disc_proj" in bundle.heads) == (pre == "scarf_disc")
-            assert (bundle.learnable_missing is not None) == \
-                (pre == "scarf" and strategy == "missing_learnable")
 
 
 class TestDeriveSeed:
@@ -388,7 +388,8 @@ class TestRunBenchmark:
         list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, **same))
         digest = methods._data_digest(ds)
         assert json.loads((tmp_path / "pin.json").read_text()) == {
-            "seed": 0, "data_digest": {"blob": digest}, **asdict(FAST_HP)}
+            "seed": 0, "results_version": methods.RESULTS_VERSION, "data_digest": {"blob": digest},
+            **asdict(FAST_HP)}
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         for key, value, named in (("base_seed", 5, "seed is 0 there, 5 here"),
                                   ("hp", replace(FAST_HP, scaling="minmax"),
@@ -435,8 +436,9 @@ class TestRunBenchmark:
         scaling."""
         ds = make_blob_dataset(n=120, d=4, seed=4)
         fields = asdict(FAST_HP)
-        pin = {"seed": 0, "scaling": fields.pop("scaling"),
-               "data_digest": {"blob": methods._data_digest(ds)}, **fields}
+        pin = {"seed": 0, "results_version": methods.RESULTS_VERSION,
+               "scaling": fields.pop("scaling"), "data_digest": {"blob": methods._data_digest(ds)},
+               **fields}
         assert len(fields) == 28
         (tmp_path / "pin.json").write_text(json.dumps(pin, indent=2))
         before = (tmp_path / "pin.json").read_bytes()
@@ -452,12 +454,41 @@ class TestRunBenchmark:
     def test_pin_of_one_digest_for_all_data_is_refused(self, tmp_path):
         """A pin that holds one string under `data_digest` names no dataset:
         it is refused, not pinned again over records it cannot check."""
-        pin = {"seed": 0, "scaling": "zscore", "data_digest": "", **asdict(FAST_HP)}
+        pin = {"seed": 0, "results_version": methods.RESULTS_VERSION, "scaling": "zscore",
+               "data_digest": "", **asdict(FAST_HP)}
         (tmp_path / "pin.json").write_text(json.dumps(pin, indent=2))
-        with pytest.raises(ValueError, match=re.escape("data_digest is '' there, {} here")):
+        with pytest.raises(ValueError, match=re.escape("pins another run: data_digest is '' "
+                                                       "there, {} here")):
             run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 1, 0,
                           tmp_path, FAST_HP)
         assert json.loads((tmp_path / "pin.json").read_text()) == pin
+
+    def test_pin_of_another_results_version_is_refused(self, tmp_path, monkeypatch):
+        """A resume across a change that moved outputs used to append the new
+        program's records beside the old one's. A pin of another version, or
+        of the format without one, is refused before anything is written;
+        deleting pin.json pins the directory again."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP))
+        pin = json.loads((tmp_path / "pin.json").read_text())
+        monkeypatch.setattr(methods, "RESULTS_VERSION", methods.RESULTS_VERSION + 1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for there in (methods.RESULTS_VERSION - 1, None):
+            if there is None:  # the format that pinned no version
+                del pin["results_version"]
+                (tmp_path / "pin.json").write_text(json.dumps(pin, indent=2))
+                before["pin.json"] = (tmp_path / "pin.json").read_bytes()
+            with pytest.raises(ValueError, match=re.escape(
+                    f"pins another run: results_version is {there!r} there, "
+                    f"{methods.RESULTS_VERSION} here")):
+                run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 2,
+                              0, tmp_path, FAST_HP)
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        (tmp_path / "pin.json").unlink()
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                                      FAST_HP))) == 1
+        assert json.loads((tmp_path / "pin.json").read_text())["results_version"] == \
+            methods.RESULTS_VERSION
 
     def test_failed_pin_write_leaves_out_dir_resumable(self, tmp_path, monkeypatch):
         """A dump cut off midway used to leave a torn pin.json that every
@@ -473,9 +504,65 @@ class TestRunBenchmark:
         ds = make_blob_dataset(n=120, d=4, seed=4)
         with pytest.raises(OSError, match="disk full"):
             run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP)
+        assert list(tmp_path.iterdir()) == []  # nor its temporary file
         assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path,
                                       FAST_HP))) == 1
         assert json.loads((tmp_path / "pin.json").read_text())["seed"] == 0
+
+    def test_two_calls_into_one_directory_leave_a_whole_pin(self, tmp_path):
+        """Two calls whose dataset loaders meet at a barrier both read the
+        absent pin before either writes it. Both used to write
+        `pin.json.tmp`: one `os.replace` then raised FileNotFoundError, or the
+        pin left behind was not JSON, and every later call was refused. Each
+        call now writes a file of its own, so the pin is one call's whole pin.
+        Nothing keeps the two calls from both recording each key, so the
+        resume refuses the directory, naming the lines of a key recorded
+        twice."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        barrier, errors = threading.Barrier(2, timeout=60), []
+
+        def call(hp):
+            def load():
+                barrier.wait()
+                return ds
+
+            try:
+                list(run_benchmark({"blob": load}, ["control"], ["full"], 2, 0, tmp_path, hp))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(replace(FAST_HP, learning_rate=rate),))
+                   for rate in (0.001, 0.01)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        pin = read_json_object(tmp_path / "pin.json", "pin")
+        assert pin["learning_rate"] in (0.001, 0.01)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curves_blob_control_full_0.csv", "curves_blob_control_full_1.csv", "pin.json",
+            "results.jsonl"]
+        with pytest.raises(ValueError, match=r"results.jsonl, lines [1-4] and [1-4]: key "
+                                             r"\('blob', 'control', 'full', [01]\) recorded twice"):
+            run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                          replace(FAST_HP, learning_rate=pin["learning_rate"]))
+
+    def test_resume_refuses_a_key_recorded_twice(self, tmp_path):
+        """A resume used to accept a results file with two records of one key
+        and run on beside them."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP))
+        results = tmp_path / "results.jsonl"
+        first = results.read_text().splitlines()[0]
+        with open(results, "a") as fh:
+            fh.write(first + "\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{results}, lines 1 and 3: key ('blob', 'control', 'full', 0) recorded twice")):
+            run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 3, 0,
+                          tmp_path, FAST_HP)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_record_written_after_its_curves(self, tmp_path, monkeypatch):
         """A curves write that failed used to leave the trial's record, so the

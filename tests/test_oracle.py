@@ -1,14 +1,35 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
 import oracle
+from tabpretrain import methods
+
+VERSIONS = os.path.join(os.path.dirname(oracle.DIGESTS), "results_versions.txt")
 
 
 def test_grid_holds_every_method_setting_dataset_and_variant():
     assert len(oracle.METHODS) == 65
     assert len(oracle.entries()) == 65 * 3 * 2 * 14 + 1 == 5461
+
+
+def test_results_version_is_that_of_the_digest_file():
+    """Each line of results_versions.txt is `<version> <overall digest>`. The
+    versions strictly increase, the last is `methods.RESULTS_VERSION`, and
+    its digest is the `overall` of the digest file, so a change that
+    regenerates the digest file fails here until it adds a line and bumps
+    the version that every out_dir pins."""
+    with open(VERSIONS) as fh:
+        rows = [line.split() for line in fh.read().splitlines()]
+    assert rows and all(len(row) == 2 for row in rows)
+    versions = [int(version) for version, _ in rows]
+    assert all(a < b for a, b in zip(versions, versions[1:]))
+    assert versions[-1] == methods.RESULTS_VERSION
+    with open(oracle.DIGESTS) as fh:
+        [overall] = [line.split()[1] for line in fh if line.startswith("overall ")]
+    assert rows[-1][1] == overall
 
 
 def test_entry_digests_repeat_within_one_process():

@@ -103,8 +103,7 @@ def test_loss_values_and_gradients_keep_float32(rng):
 
 def test_bundle_steps_keep_float32(rng):
     ds = float32_dataset()
-    hp = Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1,
-                         corruption_strategy="missing_learnable")
+    hp = Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1)
     bundle = ModelBundle.create(ds.X.shape[1], 2, rng, hp, "scarf", "ae_cotrain")
     assert_float32(*bundle_weights(bundle))
     x, x2 = ds.X[:6], ds.X[6:12]

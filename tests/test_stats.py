@@ -379,6 +379,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 2"):
             completed_keys(path)
 
+    def test_key_recorded_twice_named(self, tmp_path):
+        """Two records of one key used to load as two trials, which `report`
+        scored as such; now the file is refused, naming both lines."""
+        path = tmp_path / "results.jsonl"
+        for trial, acc in ((0, 0.5), (1, 0.6), (0, 0.7)):
+            append_run(path, run("control", "d", trial, acc))
+        key = r"\('d', 'control', 'full', 0\)"
+        with pytest.raises(ValueError,
+                           match=f"results.jsonl, lines 1 and 3: key {key} recorded twice"):
+            load_runs(path)
+        with pytest.raises(ValueError, match="lines 1 and 3"):
+            completed_keys(path)
+
     def test_byte_identical_across_reruns(self, tmp_path):
         texts = []
         for name in ("a.jsonl", "b.jsonl"):

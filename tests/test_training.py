@@ -8,8 +8,8 @@ from conftest import (assert_grads_close, bundle_weights, central_difference,
                       l2_normalize_rows_backward, make_blob_dataset, make_numeric_dataset,
                       scripted_fit, to_float64, traced_peak)
 from tabpretrain import losses, methods, nn, training
-from tabpretrain.corruption import (ConfigurationError, CorruptionDraw, build_marginal_pool,
-                                    corrupt_batch)
+from tabpretrain.corruption import (STRATEGIES, ConfigurationError, CorruptionDraw,
+                                    build_marginal_pool, corrupt_batch)
 from tabpretrain.data import Splits, make_splits
 from tabpretrain.nn import l2_normalize_rows, mse
 from tabpretrain.training import (
@@ -311,7 +311,9 @@ def trainer_bundle(trainer, ds, rng):
 
 
 def run_trainer(trainer, ds, splits, max_epochs, seed, batch_size=16):
-    """A fresh small bundle trained by `trainer`; returns (outcome, bundle)."""
+    """A fresh small bundle trained by `_fit` of `trainer`'s phase; returns
+    (outcome, the bundle's weights by `bundle_weights`, then the learnable
+    missing-value vector that the phase of scarf_learnable creates and steps)."""
     rng = np.random.default_rng(seed)
     bundle = trainer_bundle(trainer, ds, rng)
     hp = Hyperparameters(batch_size=batch_size, pretrain_max_epochs=max_epochs,
@@ -320,10 +322,12 @@ def run_trainer(trainer, ds, splits, max_epochs, seed, batch_size=16):
         hp = replace(hp, corruption_strategy="missing_learnable")
     pre, recipe = TRAINER_METHODS.get(trainer, (trainer, "control"))
     if pre is not None:
-        out = pretrain_scarf(ds, splits, bundle, hp, rng, pre)
+        phase = pretrain_phase(ds, splits, bundle, hp, rng, pre)
     else:
-        out = finetune(ds, splits, splits.train, bundle, hp, rng, recipe=recipe)
-    return out, bundle
+        phase = finetune_phase(ds, splits, splits.train, bundle, hp, rng, recipe)
+    out = _fit(phase, hp, rng)
+    vector = [phase.params[-1].copy()] if trainer == "scarf_learnable" else []
+    return out, bundle_weights(bundle) + vector
 
 
 @pytest.mark.parametrize("trainer", ["scarf", "no_noise_ae", "discriminative"])
@@ -352,7 +356,6 @@ def test_marginal_pool_built_only_for_objectives_that_draw_scarf_views(pre, monk
 @pytest.mark.parametrize("pre, strategy, error", [
     *[(pre, "marginal", "needs the bundle's decoder") for pre in AUTOENCODERS],
     ("scarf_disc", "marginal", "needs the bundle's disc_proj"),
-    ("scarf", "missing_learnable", "needs the bundle's learnable_missing"),
 ])
 def test_pre_trainers_without_their_head_rejected_before_any_work(pre, strategy, error,
                                                                    monkeypatch):
@@ -411,6 +414,59 @@ class TestBundleDraws:
             bundle.net(pre)
 
 
+class TestLearnableMissingVector:
+    """Under missing_learnable, the vector that fills the corrupted cells
+    belongs to the scarf pre-training phase, not to the bundle."""
+
+    def test_bundle_holds_the_nets_only(self):
+        assert [field.name for field in fields(ModelBundle)] == ["f", "heads"]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("pre", PRETRAINERS)
+    def test_only_scarf_under_missing_learnable_appends_a_zero_vector(self, pre, strategy,
+                                                                     monkeypatch):
+        """The phase steps the objective's net's own arrays, then, for scarf
+        under missing_learnable alone, one zero vector in the net's dtype,
+        whatever the data's dtype."""
+        ds = make_numeric_dataset(n=60, d=4)
+        monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
+        hp = replace(SMALL, corruption_strategy=strategy)
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(0)
+            bundle = small_bundle(ds, rng, hp, pre)
+            if dtype == np.float64:
+                to_float64(bundle)
+            phase = pretrain_phase(ds, make_splits(60, 0), bundle, hp, rng, pre)
+            own = bundle.net(pre).parameters()
+            assert all(p is q for p, q in zip(phase.params, own))
+            if pre == "scarf" and strategy == "missing_learnable":
+                assert len(phase.params) == len(own) + 1
+                assert_arrays_equal(phase.params[-1:], [np.zeros(4, dtype)])
+            else:
+                assert len(phase.params) == len(own)
+
+    def test_fit_steps_the_vector_and_restores_its_best_epoch_value(self):
+        """Epoch 2 is the best of four, so `_fit` leaves the vector as the
+        metric saw it after epoch 2, though epochs 3 and 4 moved it on."""
+        ds = make_numeric_dataset(n=100, d=4, seed=6)
+        rng = np.random.default_rng(4)
+        hp = replace(LEARNABLE, batch_size=32, pretrain_max_epochs=10, patience=2)
+        phase = pretrain_phase(ds, make_splits(100, 3), small_bundle(ds, rng, hp, "scarf"), hp,
+                               rng)
+        seen, metrics = [], iter([1.0, 0.5, 0.7, 0.6])
+
+        def metric():
+            seen.append(phase.params[-1].copy())
+            return next(metrics)
+
+        out = _fit(replace(phase, metric=metric), hp, rng)
+        assert (out.best_epoch, out.epochs_used, out.stop_reason) == (2, 4, "patience")
+        assert np.any(seen[0] != 0.0)
+        for later in seen[2:]:
+            assert not np.array_equal(later, seen[1])
+        assert_arrays_equal(phase.params[-1:], seen[1:2])
+
+
 class TestFit:
     """The epoch driver every trainer runs on."""
 
@@ -419,18 +475,19 @@ class TestFit:
         ds = make_numeric_dataset(n=100, d=4)
         splits = make_splits(100, 0)
         before = bundle_weights(trainer_bundle(trainer, ds, np.random.default_rng(0)))
-        out, bundle = run_trainer(trainer, ds, splits, 0, seed=0)
+        if trainer == "scarf_learnable":  # the vector its phase creates
+            before.append(np.zeros(4, np.float32))
+        out, weights = run_trainer(trainer, ds, splits, 0, seed=0)
         assert out.epochs_used == 0 and out.stop_reason == "max_epochs"
         assert out.train_curve == [] and out.val_curve == [] and out.best_epoch == 0
         assert out.best_metric == np.inf
-        for a, b in zip(before, bundle_weights(bundle), strict=True):
-            np.testing.assert_array_equal(a, b)
+        assert_arrays_equal(weights, before)
 
     @pytest.mark.parametrize("trainer", TRAINERS)
     def test_best_epoch_weights_restored(self, trainer):
         ds = make_numeric_dataset(n=100, d=4, seed=4)
         splits = make_splits(100, 2)
-        out, bundle = run_trainer(trainer, ds, splits, 200, seed=3)
+        out, weights = run_trainer(trainer, ds, splits, 200, seed=3)
         assert out.stop_reason == "patience"
         assert len(out.train_curve) == len(out.val_curve) == out.epochs_used
         assert out.best_metric == min(out.val_curve)
@@ -439,8 +496,7 @@ class TestFit:
         # the same seeds stopped at the best epoch end on that epoch's weights
         short, best = run_trainer(trainer, ds, splits, out.best_epoch, seed=3)
         assert short.val_curve == out.val_curve[: out.best_epoch]
-        for a, b in zip(bundle_weights(best), bundle_weights(bundle)):
-            np.testing.assert_array_equal(a, b)
+        assert_arrays_equal(best, weights)
 
 
     @pytest.mark.parametrize("fault, message", [
@@ -648,8 +704,9 @@ class TestPretrainScarf:
         bundle = small_bundle(ds, rng, LEARNABLE, "scarf")
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=3,
                               corruption_strategy="missing_learnable")
-        pretrain_scarf(ds, splits, bundle, cfg, rng)
-        assert np.any(bundle.learnable_missing != 0.0)
+        phase = pretrain_phase(ds, splits, bundle, cfg, rng)
+        _fit(phase, cfg, rng)
+        assert np.any(phase.params[-1] != 0.0)
 
     def test_missing_learnable_gradient_matches_finite_differences(self, monkeypatch):
         """The learnable-vector gradient of the pre-training phase's step, for fixed
@@ -659,8 +716,6 @@ class TestPretrainScarf:
         splits = make_splits(100, 3)
         rng = np.random.default_rng(4)
         bundle = to_float64(small_bundle(ds, rng, LEARNABLE, "scarf"))
-        lmv = bundle.learnable_missing
-        lmv[:] = rng.normal(size=lmv.shape)
         cfg = Hyperparameters(corruption_strategy="missing_learnable")
         rows = splits.train[:16]
         mask = rng.random((16, ds.X.shape[1])) < 0.5  # one column per feature
@@ -670,7 +725,10 @@ class TestPretrainScarf:
 
         monkeypatch.setattr(training, "make_views", fixed_views)
         monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
-        _, grads = pretrain_phase(ds, splits, bundle, cfg, rng).step(rows)
+        phase = pretrain_phase(ds, splits, bundle, cfg, rng)
+        lmv = phase.params[-1]
+        lmv[:] = rng.normal(size=lmv.shape)
+        _, grads = phase.step(rows)
 
         batch = ds.X[rows]
 
@@ -690,8 +748,7 @@ class TestPretrainScarf:
         rng = np.random.default_rng(4)
         hp = replace(LEARNABLE, corruption_rate=0.5, view_policy=view_policy)
         bundle = to_float64(small_bundle(ds, rng, hp, "scarf"))
-        lmv = bundle.learnable_missing
-        lmv[:] = rng.normal(size=lmv.shape)
+        lmv = rng.normal(size=ds.X.shape[1])
         net, batch = bundle.net("scarf"), ds.X[:16]
 
         def step():
@@ -771,8 +828,7 @@ class TestContrastiveStep:
         bundle = small_bundle(ds, rng, LEARNABLE, "scarf")
         if dtype == np.float64:
             to_float64(bundle)
-        lmv = bundle.learnable_missing
-        lmv[:] = rng.normal(size=lmv.shape)
+        lmv = rng.normal(size=5).astype(dtype)
         mask = rng.random((16, 5)) < 0.5
 
         def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
@@ -1151,12 +1207,12 @@ def test_step_gradients_match_finite_differences(pre, fields, recipe):
     rng = np.random.default_rng(5)
     hp = replace(SMALL, **fields)
     bundle = to_float64(small_bundle(ds, rng, hp, pre, recipe))
-    if bundle.learnable_missing is not None:
-        bundle.learnable_missing[:] = rng.normal(size=bundle.learnable_missing.shape)
     if pre is None:
         phase = finetune_phase(ds, splits, splits.train, bundle, hp, rng, recipe)
     else:
         phase = pretrain_phase(ds, splits, bundle, hp, rng, pre)
+    if hp.corruption_strategy == "missing_learnable":
+        phase.params[-1][:] = rng.normal(size=phase.params[-1].shape)
     rows, state = splits.train[:6], rng.bit_generator.state
 
     def call():
