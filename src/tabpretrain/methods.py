@@ -16,6 +16,7 @@ and `run_method` take the trial hyperparameters as the one frozen
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -23,7 +24,7 @@ import traceback
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, nullcontext
+from contextlib import ExitStack, closing, nullcontext
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -210,6 +211,13 @@ def run_benchmark(
     row one label, and a pin that differs from `out_dir`'s raise here, before
     anything is written; only the data is checked after loading, so a dataset
     with no trial left goes unchecked.
+    One call at a time writes to `out_dir`: the call takes an exclusive
+    advisory `flock` on the directory itself, one that exists before it reads
+    the pin, a missing one as soon as it creates it, and holds it until the
+    iterator ends, is closed or is collected, or until the call raises. A
+    call that finds the lock taken raises ValueError naming `out_dir` before
+    it reads or writes anything there; so does one that created `out_dir` and
+    then finds a pin or a results file that another call wrote meanwhile.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -226,42 +234,52 @@ def run_benchmark(
     for dataset_id in datasets:  # it names the curves files
         if dataset_id in ("", ".", "..") or os.path.basename(dataset_id) != dataset_id:
             raise ValueError(f"dataset id {dataset_id!r} is not one file name")
-    pin_path = os.path.join(out_dir, "pin.json") if out_dir else None
-    pinned = {}
-    if pin_path and os.path.exists(pin_path):
-        pinned = read_json_object(pin_path, "pin")
-    digests = pinned.get("data_digest", {})
-    # a pin that holds one string for all its data names no dataset: refused
-    pin = {"seed": base_seed, "results_version": RESULTS_VERSION,
-           "data_digest": dict(digests) if isinstance(digests, dict) else {}, **asdict(hp)}
-    if pinned:
-        _check_pin(pin_path, pinned, pin)
-    results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
-    done = stats.completed_keys(results_path) if results_path else set()
-    todo = [(dataset_id, method, setting, trial)
-            for dataset_id in datasets for trial in range(trials)
-            for setting in settings for method in methods
-            if (dataset_id, method, setting, trial) not in done]
-    loaded = {}
-    for dataset_id, _, _, _ in todo:
-        if dataset_id not in loaded:
-            source = datasets[dataset_id]
-            dataset = loaded[dataset_id] = source() if callable(source) else source
-            if dataset.n < MIN_SPLIT_ROWS:
-                raise ValueError(f"dataset {dataset_id!r} has {dataset.n} rows, fewer than the "
-                                 f"{MIN_SPLIT_ROWS} a split needs")
-            if (dataset.y == dataset.y[0]).all():
-                raise ValueError(f"dataset {dataset_id!r} labels every row "
-                                 f"{dataset.classes[dataset.y[0]]!r}; a classifier needs 2 classes")
-    if out_dir is not None:
-        here = {dataset_id: _data_digest(dataset) for dataset_id, dataset in loaded.items()}
-        there = {dataset_id: pin["data_digest"].get(dataset_id, digest)  # a new id pins its own
-                 for dataset_id, digest in here.items()}
-        _check_pin(pin_path, {"data_digest": there}, {"data_digest": here})
-        pin["data_digest"].update(here)
-        os.makedirs(out_dir, exist_ok=True)
-        if pin != pinned:  # whole: a torn pin would refuse every resume
-            write_json_object(pin_path, pin)
+    locked = out_dir is not None and os.path.exists(out_dir)
+    with ExitStack() as held:  # out_dir's lock, released here if this call raises
+        if locked:
+            held.callback(os.close, _lock_dir(out_dir))
+        pin_path = os.path.join(out_dir, "pin.json") if out_dir else None
+        pinned = {}
+        if pin_path and os.path.exists(pin_path):
+            pinned = read_json_object(pin_path, "pin")
+        digests = pinned.get("data_digest", {})
+        # a pin that holds one string for all its data names no dataset: refused
+        pin = {"seed": base_seed, "results_version": RESULTS_VERSION,
+               "data_digest": dict(digests) if isinstance(digests, dict) else {}, **asdict(hp)}
+        if pinned:
+            _check_pin(pin_path, pinned, pin)
+        results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
+        done = stats.completed_keys(results_path) if results_path else set()
+        todo = [(dataset_id, method, setting, trial)
+                for dataset_id in datasets for trial in range(trials)
+                for setting in settings for method in methods
+                if (dataset_id, method, setting, trial) not in done]
+        loaded = {}
+        for dataset_id, _, _, _ in todo:
+            if dataset_id not in loaded:
+                source = datasets[dataset_id]
+                dataset = loaded[dataset_id] = source() if callable(source) else source
+                if dataset.n < MIN_SPLIT_ROWS:
+                    raise ValueError(f"dataset {dataset_id!r} has {dataset.n} rows, fewer than the "
+                                     f"{MIN_SPLIT_ROWS} a split needs")
+                if (dataset.y == dataset.y[0]).all():
+                    raise ValueError(f"dataset {dataset_id!r} labels every row "
+                                     f"{dataset.classes[dataset.y[0]]!r}; a classifier needs 2 classes")
+        if out_dir is not None:
+            here = {dataset_id: _data_digest(dataset) for dataset_id, dataset in loaded.items()}
+            there = {dataset_id: pin["data_digest"].get(dataset_id, digest)  # a new id pins its own
+                     for dataset_id, digest in here.items()}
+            _check_pin(pin_path, {"data_digest": there}, {"data_digest": here})
+            pin["data_digest"].update(here)
+            if not locked:
+                os.makedirs(out_dir, exist_ok=True)
+                held.callback(os.close, _lock_dir(out_dir))
+                if any(os.path.exists(path) for path in (pin_path, results_path)):
+                    raise ValueError(f"{out_dir} was written by another run_benchmark call while "
+                                     "this one loaded its data")
+            if pin != pinned:  # whole: a torn pin would refuse every resume
+                write_json_object(pin_path, pin)
+        held = held.pop_all()  # the iterator's now
 
     def run_one(key):
         dataset_id, method, setting, trial = key
@@ -279,17 +297,33 @@ def run_benchmark(
     def in_trial_order():
         # the outcomes close before the pool shuts down, so that closing this
         # iterator early cancels the trials not yet started
-        with (ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
-              closing(pool.map(run_one, todo) if pool else (run_one(k) for k in todo)) as outcomes):
-            for outcome, res in outcomes:
-                if out_dir and res is None:
-                    _append_failure(out_dir, outcome)
-                elif out_dir:  # the record last: a trial with a record has its curves
-                    _write_curves(out_dir, outcome, res)
-                    stats.append_run(results_path, outcome)
-                yield outcome
+        with held:
+            yield  # primed below: from here on, closing or collecting the iterator unlocks
+            with (ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
+                  closing(pool.map(run_one, todo) if pool else (run_one(k) for k in todo)) as outcomes):
+                for outcome, res in outcomes:
+                    if out_dir and res is None:
+                        _append_failure(out_dir, outcome)
+                    elif out_dir:  # the record last: a trial with a record has its curves
+                        _write_curves(out_dir, outcome, res)
+                        stats.append_run(results_path, outcome)
+                    yield outcome
 
-    return in_trial_order()
+    outcomes = in_trial_order()
+    next(outcomes)
+    return outcomes
+
+
+def _lock_dir(out_dir) -> int:
+    """A descriptor of directory `out_dir` that holds its exclusive flock;
+    closing it unlocks."""
+    fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise ValueError(f"{out_dir} is locked by another run_benchmark call writing to it") from None
+    return fd
 
 
 def _check_pin(pin_path, pinned: dict, pin: dict) -> None:

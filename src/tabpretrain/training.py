@@ -373,7 +373,7 @@ def _contrastive_loss(hp: Hyperparameters, z: np.ndarray, zt: np.ndarray, value_
     name, args = {"infonce": ("infonce", (hp.temperature,)),
                   "barlow": ("barlow_twins", (BARLOW_OFFDIAG,)),
                   "align_uniform": ("align_uniform", (1.0, 1.0))}[hp.pretrain_loss]
-    return getattr(losses, f"{name}_loss" if value_only else name)(z, zt, *args)
+    return getattr(losses, name)(z, zt, *args, value_only=value_only)
 
 
 def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,

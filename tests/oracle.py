@@ -4,8 +4,9 @@ over all entries.
 Run as `python tests/oracle.py [--margins]`. It prints an `env`
 line, then one line per entry, `<digest> <dataset> <variant> <setting>
 <method>`, then `overall <digest>` and the runtime. Digests depend on the BLAS
-build, so they compare only between runs with the same `env` line; the script
-runs numpy on one BLAS thread.
+build and on the kernels that OpenBLAS picks for the CPU at run time (the
+`core` of the `env` line), so they compare only between runs with the same
+`env` line; the script runs numpy on one BLAS thread.
 
 `tests/oracle_digests.txt` holds that output without the runtime line.
 `python tests/oracle.py --check` reruns the grid and compares it with the file
@@ -45,6 +46,8 @@ if __name__ == "__main__":  # before numpy loads its BLAS
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import platform
 import tempfile
@@ -160,10 +163,26 @@ def entry_digest(entry: tuple[str, str, str, str]) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
+def blas_core() -> str:
+    """The kernel set that numpy's bundled OpenBLAS, built with DYNAMIC_ARCH,
+    picked for this CPU when it loaded (`OPENBLAS_CORETYPE` overrides it), or
+    `unknown` where that library or its symbol is absent."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def env_line() -> str:
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return (f"env numpy {np.__version__} blas {blas['name']} {blas['version']} "
-            f"python {platform.python_version()} threads {os.environ.get('OPENBLAS_NUM_THREADS')}")
+            f"python {platform.python_version()} threads {os.environ.get('OPENBLAS_NUM_THREADS')} "
+            f"core {blas_core()}")
 
 
 def margins() -> None:

@@ -1,5 +1,7 @@
 import csv as csv_module
 import json
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -448,6 +450,30 @@ class TestRun:
             f"run failed: {out / 'pin.json'} pins another run: seed is 0 there, 5 here; "
             "learning_rate is 0.05 there, 0.001 here\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_run_into_a_locked_directory_fails_and_writes_nothing(self, tmp_path, capsys):
+        """Another process holding the output directory's flock, as a
+        running `tabpretrain run` does, keeps a second run out of it."""
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "o"
+        args = ["run", "--config", write_config(tmp_path), "--dataset", csv, "--schema", schema,
+                "--method", "control", "--out", str(out)]
+        assert main(args + ["--trials", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import fcntl, os, sys; fd = os.open(sys.argv[1], os.O_RDONLY); "
+             "fcntl.flock(fd, fcntl.LOCK_EX); print(flush=True); sys.stdin.read()", str(out)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            holder.stdout.readline()  # the lock is taken
+            assert main(args + ["--trials", "2"]) == 1
+        finally:
+            holder.communicate("", timeout=60)
+        assert capsys.readouterr().err == (
+            f"run failed: {out} is locked by another run_benchmark call writing to it\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(args + ["--trials", "2"]) == 0
 
     @pytest.mark.parametrize("change", ["csv", "schema", "scaling"])
     def test_resume_with_other_data_or_scaling_fails(self, tmp_path, capsys, change):

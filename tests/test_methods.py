@@ -509,44 +509,120 @@ class TestRunBenchmark:
                                       FAST_HP))) == 1
         assert json.loads((tmp_path / "pin.json").read_text())["seed"] == 0
 
-    def test_two_calls_into_one_directory_leave_a_whole_pin(self, tmp_path):
-        """Two calls whose dataset loaders meet at a barrier both read the
-        absent pin before either writes it. Both used to write
-        `pin.json.tmp`: one `os.replace` then raised FileNotFoundError, or the
-        pin left behind was not JSON, and every later call was refused. Each
-        call now writes a file of its own, so the pin is one call's whole pin.
-        Nothing keeps the two calls from both recording each key, so the
-        resume refuses the directory, naming the lines of a key recorded
-        twice."""
+    @pytest.mark.parametrize("first_rate, second_rate", [(0.001, 0.01), (0.01, 0.001)])
+    def test_two_calls_into_one_directory_leave_a_whole_pin(self, tmp_path, first_rate,
+                                                            second_rate):
+        """A second call that starts while the first loads its data used to
+        read the absent pin too, and both calls recorded every key, one of
+        them twice in the file, from two learning rates. The first call now
+        holds the directory's lock, so the second, from another thread, is
+        refused before it reads or writes there, and the first runs alone.
+        No thread waits more than 60 s for the other."""
         ds = make_blob_dataset(n=120, d=4, seed=4)
-        barrier, errors = threading.Barrier(2, timeout=60), []
+        loading, refused, outcomes = threading.Event(), threading.Event(), {}
 
-        def call(hp):
-            def load():
-                barrier.wait()
-                return ds
+        def load():
+            loading.set()
+            refused.wait(60)
+            return ds
 
+        def call(rate, source):
             try:
-                list(run_benchmark({"blob": load}, ["control"], ["full"], 2, 0, tmp_path, hp))
-            except Exception as exc:
-                errors.append(exc)
+                outcomes[rate] = list(run_benchmark({"blob": source}, ["control"], ["full"], 2, 0,
+                                                    tmp_path, replace(FAST_HP, learning_rate=rate)))
+            except ValueError as exc:
+                outcomes[rate] = exc
+                refused.set()
 
-        threads = [threading.Thread(target=call, args=(replace(FAST_HP, learning_rate=rate),))
-                   for rate in (0.001, 0.01)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        pin = read_json_object(tmp_path / "pin.json", "pin")
-        assert pin["learning_rate"] in (0.001, 0.01)
+        first = threading.Thread(target=call, args=(first_rate, load))
+        first.start()
+        assert loading.wait(60)
+        second = threading.Thread(target=call, args=(second_rate, ds))
+        second.start()
+        second.join(60)
+        first.join(60)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(outcomes[first_rate]) == 2
+        assert re.fullmatch(f"{re.escape(str(tmp_path))} is locked by another run_benchmark "
+                            "call writing to it", str(outcomes[second_rate]))
+        assert read_json_object(tmp_path / "pin.json", "pin")["learning_rate"] == first_rate
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "curves_blob_control_full_0.csv", "curves_blob_control_full_1.csv", "pin.json",
             "results.jsonl"]
-        with pytest.raises(ValueError, match=r"results.jsonl, lines [1-4] and [1-4]: key "
-                                             r"\('blob', 'control', 'full', [01]\) recorded twice"):
-            run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
-                          replace(FAST_HP, learning_rate=pin["learning_rate"]))
+        assert len(stats.load_runs(tmp_path / "results.jsonl")) == 2
+        assert list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                                  replace(FAST_HP, learning_rate=first_rate))) == []
+
+    @pytest.mark.parametrize("from_thread", [False, True])
+    def test_open_iterator_locks_the_directory(self, tmp_path, monkeypatch, from_thread):
+        """While one call's iterator is open, a second call into its
+        directory raises, naming it, before it loads data or reads or writes
+        there; once the first is closed, a new call runs."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP))
+        first = run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        touched = []
+        for name in ("read_json_object", "write_json_object"):
+            monkeypatch.setattr(methods, name, lambda *a, _name=name, **k: touched.append(_name))
+        monkeypatch.setattr(stats, "completed_keys", lambda *a: touched.append("completed_keys"))
+
+        def second():
+            def load():
+                touched.append("load")
+                return ds
+            return run_benchmark({"blob": load}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP)
+
+        errors = []
+        if from_thread:
+            thread = threading.Thread(target=lambda: errors.append(pytest.raises(ValueError, second)))
+            thread.start()
+            thread.join(60)
+            assert not thread.is_alive()
+            [refusal] = errors
+        else:
+            refusal = pytest.raises(ValueError, second)
+        assert str(refusal.value) == f"{tmp_path} is locked by another run_benchmark call writing to it"
+        assert touched == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        first.close()
+        monkeypatch.undo()
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                                      FAST_HP))) == 1
+
+    def test_lock_released_when_the_iterator_ends_is_collected_or_the_call_raises(self, tmp_path):
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path,
+                                      FAST_HP))) == 1  # ended
+        run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP)  # collected
+        with pytest.raises(ValueError, match="pins another run"):  # raised after locking
+            run_benchmark({"blob": ds}, ["control"], ["full"], 2, 1, tmp_path, FAST_HP)
+        assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                                      FAST_HP))) == 1
+
+    @pytest.mark.parametrize("open_meanwhile", [False, True])
+    def test_new_directory_written_by_another_call_meanwhile_is_refused(self, tmp_path,
+                                                                        open_meanwhile):
+        """A call that finds no `out_dir` creates and locks it after loading
+        its data. If another call created it in the meantime and still holds
+        it, or has pinned it, the call is refused and leaves what the other
+        wrote as it was."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        out_dir, other = tmp_path / "new", []
+
+        def load():  # the other call creates out_dir, pins it and runs one trial
+            other.append(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, out_dir,
+                                       replace(FAST_HP, learning_rate=0.01)))
+            if not open_meanwhile:
+                list(other[0])
+            return ds
+
+        message = "is locked by another" if open_meanwhile else "was written by another"
+        with pytest.raises(ValueError, match=f"{re.escape(str(out_dir))} {message} run_benchmark"):
+            run_benchmark({"blob": load}, ["control"], ["full"], 1, 0, out_dir, FAST_HP)
+        assert read_json_object(out_dir / "pin.json", "pin")["learning_rate"] == 0.01
+        assert len(list(other[0])) == open_meanwhile
+        assert len(stats.load_runs(out_dir / "results.jsonl")) == 1
 
     def test_resume_refuses_a_key_recorded_twice(self, tmp_path):
         """A resume used to accept a results file with two records of one key

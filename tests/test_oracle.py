@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 
@@ -30,6 +31,24 @@ def test_results_version_is_that_of_the_digest_file():
     with open(oracle.DIGESTS) as fh:
         [overall] = [line.split()[1] for line in fh if line.startswith("overall ")]
     assert rows[-1][1] == overall
+
+
+def test_env_line_names_the_openblas_core():
+    """OpenBLAS picks its kernels per CPU at load time, and digests recorded
+    under one core differ under another, so a process forced down to the
+    Nehalem kernels, below any AVX2 host's, prints another `env` line and
+    the digest check skips rather than fails there."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS core names are those of x86-64")
+    if oracle.blas_core() in ("Nehalem", "unknown"):
+        pytest.skip(f"the core here is {oracle.blas_core()}")
+    code = "import oracle; print(oracle.env_line())"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(oracle.__file__), *sys.path])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip().endswith(" core Nehalem")
+    assert proc.stdout.strip() != oracle.env_line()
 
 
 def test_entry_digests_repeat_within_one_process():

@@ -80,6 +80,32 @@ def test_trace_counts_one_scarf_trial(monkeypatch):
     assert tracer.counts["corruption.cells_replaced"] > 0
 
 
+def test_trace_counts_every_infonce_evaluation(monkeypatch):
+    """A scarf trial evaluates InfoNCE once per pre-training step on a batch
+    of two or more rows and, in each epoch's validation metric, once per
+    stored static-validation batch of two or more rows; the span on
+    `losses.infonce` counts both."""
+    spans = load_perfbench("spans", monkeypatch)
+    ds = make_blob_dataset(n=120, d=4, seed=0)
+    splits = make_splits(ds.n, 1)
+    tracer, patches = spans.Tracer(), spans.Patches()
+    try:
+        spans.install_trace(tracer, patches)
+        res = methods.run_method("scarf", ds, splits, "semi25", 2, HP)
+    finally:
+        patches.restore()
+    assert patches.verify_clean() == []
+
+    def contrastive_batches(rows):
+        full, rest = divmod(rows, HP.batch_size)
+        return full + (rest >= 2)
+
+    steps = contrastive_batches(len(splits.train)) * res["pretrain_epochs"]
+    stored = contrastive_batches(len(splits.validation)) * HP.val_build_epochs
+    assert res["pretrain_epochs"] >= 1 and stored >= 1
+    assert tracer.counts["losses.infonce_calls"] == steps + stored * res["pretrain_epochs"]
+
+
 @pytest.mark.parametrize("method", ["scarf_ae", "scarf_disc"])
 def test_trace_sees_every_pre_trainer(method, monkeypatch):
     """Every pre-trainer runs through `training.pretrain_scarf` and its

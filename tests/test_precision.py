@@ -78,10 +78,10 @@ def test_autoencoder_inputs_keep_float32(variant, rng):
 
 def test_loss_values_and_gradients_keep_float32(rng):
     z, zt = embeddings(rng)
-    assert_float32_value(losses.infonce_loss(z, zt, 0.7))
-    for loss_fn in (lambda: losses.infonce(z, zt, 0.7),
-                    lambda: losses.barlow_twins(z, zt, 5e-3),
-                    lambda: losses.align_uniform(z, zt, 0.7, 1.3)):
+    for loss_fn in (lambda **kw: losses.infonce(z, zt, 0.7, **kw),
+                    lambda **kw: losses.barlow_twins(z, zt, 5e-3, **kw),
+                    lambda **kw: losses.align_uniform(z, zt, 0.7, 1.3, **kw)):
+        assert_float32_value(loss_fn(value_only=True))
         loss, grad_z, grad_zt = loss_fn()
         assert_float32_value(loss)
         assert_float32(grad_z, grad_zt)

@@ -562,25 +562,28 @@ class TestPretrainScarf:
         run_min = np.minimum.accumulate(out.val_curve)
         assert all(x >= y for x, y in zip(run_min, run_min[1:]))
 
-    @pytest.mark.parametrize("pretrain_loss, pair", [("infonce", ("infonce", "infonce_loss")),
-                                                     ("barlow", ("barlow_twins", "barlow_twins_loss"))])
+    @pytest.mark.parametrize("pretrain_loss, name", [("infonce", "infonce"), ("barlow", "barlow_twins"),
+                                                     ("align_uniform", "align_uniform")])
     def test_contrastive_losses_looked_up_in_losses_at_call_time(self, monkeypatch, pretrain_loss,
-                                                                  pair):
-        """The training step calls the loss and the validation metric its
-        value alone, each as `losses` binds it when called, so a wrapper bound
-        there, as perfbench/spans.py binds one to `losses.infonce`, sees them."""
-        calls = dict.fromkeys(pair, 0)
-        for name in pair:
-            def counting(*args, _name=name, _loss=getattr(losses, name), **kwargs):
-                calls[_name] += 1
-                return _loss(*args, **kwargs)
-            monkeypatch.setattr(losses, name, counting)
+                                                                  name):
+        """The training step calls the loss for its gradients and the
+        validation metric for its value alone, each through the one name that
+        `losses` binds when called, so a wrapper bound there, as
+        perfbench/spans.py binds one to `losses.infonce`, sees both."""
+        calls = []
+
+        def counting(*args, _loss=getattr(losses, name), **kwargs):
+            result = _loss(*args, **kwargs)
+            calls.append((kwargs.get("value_only", False), isinstance(result, tuple)))
+            return result
+
+        monkeypatch.setattr(losses, name, counting)
         ds = make_numeric_dataset(n=60, d=4)
         rng = np.random.default_rng(0)
         hp = replace(SMALL, batch_size=16, pretrain_max_epochs=1, val_build_epochs=1,
                      pretrain_loss=pretrain_loss)
         pretrain_scarf(ds, make_splits(ds.n, 0), small_bundle(ds, rng, hp, "scarf"), hp, rng)
-        assert all(calls.values()), calls
+        assert set(calls) == {(True, False), (False, True)}, calls
 
     def test_one_row_validation_split_rejected_before_any_work(self, monkeypatch):
         ds = make_numeric_dataset(n=12, d=4)
