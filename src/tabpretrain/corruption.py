@@ -1,7 +1,10 @@
 """Corrupted-view generation: marginal sampling and its ablation variants.
 
-Everything works on the encoded matrix X. A marginal draw for feature j is
-block j of a uniformly chosen training row, which the pool reads from X itself.
+Everything works on the encoded matrix X. Corruption reads one context besides
+the batch, the settings and the rng: the phase's `MarginalPool`, which holds
+X, the training rows, the feature blocks and their encoded-column map, and the
+learnable missing values. A marginal draw for feature j is block j of a
+uniformly chosen training row, which the pool reads from X itself.
 `corrupt_batch` draws the (B, M) boolean feature mask through `select_indices`,
 expands it to encoded columns, builds one replacement matrix (donor gather,
 train means, noise, zeros or learnable values) and writes it with one
@@ -36,7 +39,7 @@ STRATEGIES = ("marginal", "none", "mean", "gaussian", "joint", "missing_learnabl
 
 
 class ConfigurationError(ValueError):
-    """An illegal hyperparameter, or a strategy without its pool or values."""
+    """An illegal hyperparameter, or missing_learnable without its values."""
 
 
 def check_type(what: str, key: str, value, default) -> None:
@@ -51,12 +54,21 @@ def check_type(what: str, key: str, value, default) -> None:
 
 @dataclass
 class MarginalPool:
-    """The marginal draws: the feature blocks of the training rows `X[rows]`.
-    X is not copied, so nothing may write into it while the pool is in use."""
+    """What corruption reads besides the batch, the settings and the rng: the
+    encoded matrix, the training rows `X[rows]` whose feature blocks are the
+    marginal draws, and the learnable missing values of missing_learnable,
+    which the scarf phase that steps them sets. X is not copied, so nothing
+    may write into it while the pool is in use."""
 
     X: np.ndarray  # the encoded matrix, (n, M_enc)
     rows: np.ndarray  # the training row indices
     feature_blocks: list[tuple[int, int]]
+    learnable: np.ndarray | None = None  # (M_enc,), stepped in place
+
+    @cached_property
+    def column_feature(self) -> np.ndarray:
+        """Feature index of each encoded column."""
+        return np.repeat(np.arange(len(self.feature_blocks)), [hi - lo for lo, hi in self.feature_blocks])
 
     @cached_property
     def encoded_mean(self) -> np.ndarray:
@@ -127,12 +139,7 @@ def select_indices(
 
 
 def corrupt_batch(
-    batch: np.ndarray,
-    dataset: ProcessedDataset,
-    config: Hyperparameters,
-    pool: MarginalPool | None,
-    rng: np.random.Generator,
-    learnable_values: np.ndarray | None = None,
+    batch: np.ndarray, config: Hyperparameters, pool: MarginalPool, rng: np.random.Generator
 ) -> tuple[np.ndarray, CorruptionDraw]:
     """Apply the configured strategy to a copy of `batch` at the features of
     the (B, M) mask it draws by `select_indices`, before its donors (none
@@ -140,13 +147,11 @@ def corrupt_batch(
     result has the batch's floating dtype."""
     batch = as_float(batch)
     strategy = config.corruption_strategy
-    if strategy in ("marginal", "joint", "mean") and pool is None:
-        raise ConfigurationError(f"strategy {strategy!r} requires a marginal pool")
-    if strategy == "missing_learnable" and learnable_values is None:
+    if strategy == "missing_learnable" and pool.learnable is None:
         raise ConfigurationError("missing_learnable strategy requires learnable values")
-    B, M = batch.shape[0], dataset.M
+    B, M = batch.shape[0], len(pool.feature_blocks)
     features = select_indices(M, config, B, rng)
-    column_feature = dataset.column_feature
+    column_feature = pool.column_feature
     mask = features[:, column_feature] & (strategy != "none")
 
     if strategy in ("marginal", "joint") and config.donor == "single_row":
@@ -165,7 +170,7 @@ def corrupt_batch(
     elif strategy == "gaussian":
         replacement = batch + rng.normal(0.0, config.gaussian_sigma, size=batch.shape)
     elif strategy == "missing_learnable":
-        replacement = learnable_values
+        replacement = pool.learnable
     else:  # zero, and none (whose mask is empty)
         replacement = 0.0
     out = np.where(mask, replacement, batch).astype(batch.dtype, copy=False)
@@ -173,12 +178,7 @@ def corrupt_batch(
 
 
 def make_views(
-    batch: np.ndarray,
-    dataset: ProcessedDataset,
-    config: Hyperparameters,
-    pool: MarginalPool | None,
-    rng: np.random.Generator,
-    learnable_values: np.ndarray | None = None,
+    batch: np.ndarray, config: Hyperparameters, pool: MarginalPool, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, CorruptionDraw]:
     """Build the two contrastive views. view_b is one `corrupt_batch` of the
     input; view_a is the input bit for bit under corrupt_one, and another
@@ -189,8 +189,8 @@ def make_views(
     if config.view_policy == "corrupt_one":
         view_a = as_float(batch).copy()
     else:
-        view_a, draw_a = corrupt_batch(batch, dataset, config, pool, rng, learnable_values)
-    view_b, draw = corrupt_batch(batch, dataset, config, pool, rng, learnable_values)
+        view_a, draw_a = corrupt_batch(batch, config, pool, rng)
+    view_b, draw = corrupt_batch(batch, config, pool, rng)
     if config.view_policy == "corrupt_both":
         draw = CorruptionDraw(np.vstack([draw_a.features, draw.features]),
                               np.vstack([draw_a.encoded_mask, draw.encoded_mask]))

@@ -176,10 +176,7 @@ def load_csv(path, schema: Schema) -> RawTable:
             repeated = sorted(name for name, count in Counter(header).items() if count > 1)
             if repeated:
                 raise IngestionError(f"{path}: header names column(s) more than once: {repeated}")
-            if set(header) != set(schema.names):
-                unknown = set(header) - set(schema.names)
-                missing = set(schema.names) - set(header)
-                bad = sorted(unknown | missing)
+            if bad := sorted(set(header) ^ set(schema.names)):
                 raise IngestionError(f"{path}: header does not match schema, "
                                      f"offending column(s): {bad}")
             order = [header.index(name) for name in schema.names]
@@ -276,11 +273,6 @@ class ProcessedDataset:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def column_feature(self) -> np.ndarray:
-        """Feature index of each encoded column."""
-        return np.repeat(np.arange(self.M), [hi - lo for lo, hi in self.feature_blocks])
 
 
 def one_hot(table: RawTable) -> ProcessedDataset:

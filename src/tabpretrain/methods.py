@@ -48,7 +48,7 @@ SETTINGS = ("full", "noise30", "semi25")
 # The version of the program's outputs, pinned in every out_dir: bumped by
 # each change that moves an entry of tests/oracle_digests.txt, with a line of
 # tests/results_versions.txt naming the new overall digest.
-RESULTS_VERSION = 1
+RESULTS_VERSION = 2
 
 
 class UnknownMethodError(ValueError):
@@ -93,17 +93,14 @@ def apply_setting(
     """Returns (y_effective over all rows, labeled train indices, unlabeled);
     noise30 redraws `hp.noise_rate` of the training labels, and semi25 keeps
     `hp.labeled_fraction` of them."""
-    train = np.asarray(splits.train)
-    if setting == "full":
-        return dataset.y.copy(), train, np.array([], dtype=int)
+    if setting not in SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}")
+    y, labeled, unlabeled = dataset.y.copy(), np.asarray(splits.train), np.array([], dtype=int)
     if setting == "noise30":
-        y = dataset.y.copy()
-        y[train] = corrupt_labels(dataset.y[train], hp.noise_rate, dataset.num_classes, rng)
-        return y, train, np.array([], dtype=int)
-    if setting == "semi25":
-        labeled, unlabeled = mask_labels(train, hp.labeled_fraction, rng)
-        return dataset.y.copy(), labeled, unlabeled
-    raise ValueError(f"unknown setting {setting!r}")
+        y[labeled] = corrupt_labels(dataset.y[labeled], hp.noise_rate, dataset.num_classes, rng)
+    elif setting == "semi25":
+        labeled, unlabeled = mask_labels(labeled, hp.labeled_fraction, rng)
+    return y, labeled, unlabeled
 
 
 def run_method(

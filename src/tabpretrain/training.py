@@ -259,26 +259,43 @@ def iterate_batches(n: int, batch_size: int, rng: np.random.Generator):
 class StaticValidationPairs:
     """The static validation set. `originals` holds the validation rows once,
     in split order; stored batch k is the rows `originals[positions[k]]` and
-    their corrupted copies `corrupted[k]`."""
+    their corrupted copy `current_copy(k)`. Under missing_learnable, `masks[k]`
+    marks the cells of `corrupted[k]` that hold `learnable`, the vector that
+    the phase steps in place."""
 
     originals: np.ndarray
     positions: list[np.ndarray]
     corrupted: list[np.ndarray]
+    learnable: np.ndarray | None
+    masks: list[np.ndarray]
+
+    def current_copy(self, k: int) -> np.ndarray:
+        """Stored copy k, its masked cells holding the current `learnable`."""
+        corr = self.corrupted[k]
+        if self.learnable is None:
+            return corr
+        return np.where(self.masks[k], self.learnable, corr).astype(corr.dtype, copy=False)
 
 
 def build_static_validation(originals: np.ndarray, view, rng: np.random.Generator, epochs: int,
-                            batch_size: int) -> StaticValidationPairs:
+                            batch_size: int, learnable: np.ndarray | None = None
+                            ) -> StaticValidationPairs:
     """Cycle the validation rows `originals` `epochs` times in shuffled
-    batches of `batch_size`, storing `view(batch)`, the corrupted copy of each
-    batch. Built once; immutable during training."""
+    batches of `batch_size`, storing the corrupted copy of each batch from
+    `view(batch)`, which returns it with its `CorruptionDraw` (None for a
+    noise copy), and, given the learnable missing values, the draw's encoded
+    mask. Built once; only the learnable cells change during training."""
     if len(originals) == 0:
         raise ValueError("validation split is empty")
-    positions, corrupted = [], []
+    positions, corrupted, masks = [], [], []
     for _ in range(epochs):
         for batch_idx in iterate_batches(len(originals), batch_size, rng):
+            copy, draw = view(originals[batch_idx])
             positions.append(batch_idx)
-            corrupted.append(view(originals[batch_idx]))
-    return StaticValidationPairs(originals, positions, corrupted)
+            corrupted.append(copy)
+            if learnable is not None:
+                masks.append(draw.encoded_mask)
+    return StaticValidationPairs(originals, positions, corrupted, learnable, masks)
 
 
 class TrainingDiverged(ArithmeticError):
@@ -384,23 +401,18 @@ def contrastive_step(net: Mlp, view_a: np.ndarray, view_b: np.ndarray, loss_fn,
     the loss, the net's gradients (summed over both views) and the gradient
     w.r.t. the 2B stacked input rows (view_a's, then view_b's), or None
     without f's first input-gradient GEMM when `input_grad` is False. The row
-    norms of the forward pass serve the backward pass; of the loss's arrays,
-    only the net's output gradient is alive while it runs, and the net's
-    output only on the tape, which the backward pass drops first."""
-    loss, output_grad = _contrastive_output_grad(net.forward(np.vstack([view_a, view_b])),
-                                                 view_a.shape[0], loss_fn)
-    grads, grad_in = net.backward(output_grad, input_grad)
-    return loss, grads, grad_in
-
-
-def _contrastive_output_grad(out: np.ndarray, n: int, loss_fn):
-    """The loss of the scarf net's 2n output rows (view a's n, then view b's)
-    and its gradient w.r.t. them, through the row normalization, which works
-    in place on the stacked gradients of the two embeddings."""
-    z, norms = l2_normalize_rows_with_norms(out)
+    norms of the forward pass serve the backward pass of the normalization,
+    which works in place on the stacked gradients of the two embeddings; of
+    the loss's arrays, only the net's output gradient is alive while the
+    net's backward pass runs, and the net's output only on the tape, which
+    that pass drops first."""
+    n = view_a.shape[0]
+    z, norms = l2_normalize_rows_with_norms(net.forward(np.vstack([view_a, view_b])))
     loss, grad_z, grad_zt = loss_fn(z[:n], z[n:])
-    grad = np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype)
-    return loss, l2_normalize_backward(z, norms, grad)
+    grad = l2_normalize_backward(z, norms, np.asarray(np.vstack([grad_z, grad_zt]), dtype=z.dtype))
+    del z, norms, grad_z, grad_zt
+    grads, grad_in = net.backward(grad, input_grad)
+    return loss, grads, grad_in
 
 
 def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hyperparameters,
@@ -413,10 +425,10 @@ def _validation_metric(bundle: ModelBundle, pairs: StaticValidationPairs, hp: Hy
     through = bundle.embed if pre == "scarf" else partial(_in_slices, bundle.net(pre).forward)
     at_rows = pairs.originals if pre in AUTOENCODERS else through(pairs.originals)
     vals, weights = [], []
-    for pos, corr in zip(pairs.positions, pairs.corrupted):
+    for k, pos in enumerate(pairs.positions):
         if pre == "scarf" and pos.size < 2:
             continue
-        vals.append(_score(pre, hp, at_rows[pos], through(corr)))
+        vals.append(_score(pre, hp, at_rows[pos], through(pairs.current_copy(k))))
         weights.append(pos.size)
     return float(np.average(vals, weights=weights))
 
@@ -449,39 +461,41 @@ COTRAIN_OBJECTIVES = {"cotrain": "scarf", "ae_cotrain": "add_noise_ae"}
 DRAWS_SCARF_VIEWS = ("scarf", "scarf_ae", "scarf_disc", "scarf_aug", "cotrain")
 
 
-def _objective(pre, net: Mlp | None, dataset: ProcessedDataset, hp: Hyperparameters, pool,
-               rng: np.random.Generator, learnable: np.ndarray | None = None):
-    """Objective `pre` as `(view, step)`: `view(batch)` is the copy of a batch
-    that it works on (itself, plus N(0, 0.5^2) noise, or one SCARF-corrupted
-    copy with `learnable` as the missing values; it does not read `net`), and
-    `step(batch)` returns the loss and the gradients of `net`, the bundle's
-    `net(pre)`, and of `learnable` if given, from one forward and one backward
-    pass of `net`; or None for a one-row scarf batch, where the contrastive
-    loss, hp's `pretrain_loss` by `_contrastive_loss`, has no negative."""
+def _objective(pre, net: Mlp | None, hp: Hyperparameters, pool, rng: np.random.Generator):
+    """Objective `pre` as `(view, step)`: `view(batch)` returns the copy of a
+    batch that it works on (itself, plus N(0, 0.5^2) noise, or one SCARF view
+    drawn from `pool`, the phase's `MarginalPool`, with the pool's learnable
+    values as the missing values) and the copy's `CorruptionDraw`, None for a
+    noise copy; it does not read `net`. `step(batch)` returns the loss and
+    the gradients of `net`, the bundle's `net(pre)`, and of the pool's
+    learnable values if it has them, from one forward and one backward pass
+    of `net`; or None for a one-row scarf batch, where the contrastive loss,
+    hp's `pretrain_loss` by `_contrastive_loss`, has no negative."""
     def view(batch):
         if pre == "no_noise_ae":
-            return np.array(batch, copy=True)
+            return np.array(batch, copy=True), None
         if pre == "add_noise_ae":
-            return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype)
-        return corrupt_batch(batch, dataset, hp, pool, rng, learnable)[0]
+            return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype), None
+        return corrupt_batch(batch, hp, pool, rng)
 
     def step(batch):
         if pre == "scarf":
             if len(batch) < 2:
                 return None
-            view_a, view_b, draw = make_views(batch, dataset, hp, pool, rng, learnable)
+            view_a, view_b, draw = make_views(batch, hp, pool, rng)
+            learns = pool.learnable is not None
             loss, grads, grad_in = contrastive_step(net, view_a, view_b, partial(_contrastive_loss, hp),
-                                                    input_grad=learnable is not None)
-            if learnable is not None:  # the draw covers the last rows, those it corrupted
+                                                    input_grad=learns)
+            if learns:  # the draw covers the last rows, those it corrupted
                 masked = draw.encoded_mask
                 grads.append(np.where(masked, grad_in[-len(masked):], 0.0).sum(axis=0))
             return loss, grads
         if pre == "scarf_disc":
-            view_b = view(batch)
+            view_b = view(batch)[0]
             labels = np.concatenate([np.zeros(len(batch)), np.ones(len(view_b))])
             loss, grad = losses.binary_logistic(net.forward(np.vstack([batch, view_b])), labels)
             return loss, net.backward(grad.reshape(-1, 1), input_grad=False)[0]
-        loss, grad = mse(net.forward(view(batch)), batch)
+        loss, grad = mse(net.forward(view(batch)[0]), batch)
         return loss, net.backward(grad, input_grad=False)[0]
 
     return view, step
@@ -501,10 +515,11 @@ def pretrain_phase(
     Per mini-batch of the training split: one step of the objective. After
     each epoch, the metric on the static validation pairs, built from the
     objective's view. Under missing_learnable, scarf creates the learnable
-    missing-value vector at zero in the net's dtype and steps it as the last
-    of the phase's params; it lives no longer than the phase. Every check
-    runs before any work; then the marginal pool and the static validation
-    pairs are drawn from `rng`, in that order."""
+    missing-value vector at zero in the net's dtype as its pool's `learnable`
+    and steps it as the last of the phase's params; it lives no longer than
+    the phase, and the metric reads its current values in the masked cells
+    of the stored copies. Every check runs before any work; then the static
+    validation pairs are drawn from `rng`."""
     if pre not in PRETRAINERS:
         raise ConfigurationError(f"unknown pre-trainer {pre!r}")
     if hp.batch_size < 2:
@@ -513,14 +528,14 @@ def pretrain_phase(
         raise ValueError(f"{pre} pre-training needs at least {need} training rows, got {n_train}")
     if pre == "scarf" and (n_val := len(splits.validation)) < 2:
         raise ValueError(f"contrastive validation needs at least 2 validation rows, got {n_val}")
-    net = bundle.net(pre)
-    learns = pre == "scarf" and hp.corruption_strategy == "missing_learnable"
-    learnable = np.zeros(net.in_dim, net.dtype) if learns else None
+    net, learnable = bundle.net(pre), None
     pool = build_marginal_pool(dataset, splits.train) if pre in DRAWS_SCARF_VIEWS else None
-    view, step = _objective(pre, net, dataset, hp, pool, rng, learnable)
+    if pre == "scarf" and hp.corruption_strategy == "missing_learnable":
+        learnable = pool.learnable = np.zeros(net.in_dim, net.dtype)
+    view, step = _objective(pre, net, hp, pool, rng)
     pairs = build_static_validation(dataset.X[splits.validation], view, rng,
-                                    hp.val_build_epochs, hp.batch_size)
-    return Phase(f"{pre} pre-training", net.parameters() + ([learnable] if learns else []),
+                                    hp.val_build_epochs, hp.batch_size, learnable)
+    return Phase(f"{pre} pre-training", net.parameters() + ([] if learnable is None else [learnable]),
                  np.asarray(splits.train), hp.pretrain_max_epochs,
                  lambda rows: step(dataset.X[rows]),
                  lambda: _validation_metric(bundle, pairs, hp, pre))
@@ -585,21 +600,20 @@ def finetune_phase(
         if recipe == "smooth":
             targets = smooth_labels(targets, hp.label_smoothing, dataset.num_classes)
     pool = build_marginal_pool(dataset, splits.train) if recipe in DRAWS_SCARF_VIEWS else None
-    scarf_view = _objective("scarf", None, dataset, hp, pool, rng)[0]
     net, aux = bundle.net(None), COTRAIN_OBJECTIVES.get(recipe)
     params = net.parameters()
     if aux is not None:
         aux_net, n_f = bundle.net(aux), len(bundle.f.parameters())
         aux_params = aux_net.parameters()
         params = params + aux_params[n_f:]
-        _, aux_step = _objective(aux, aux_net, dataset, hp, pool, rng)
+        _, aux_step = _objective(aux, aux_net, hp, pool, rng)
 
     def step(rows):
         x, target = dataset.X[rows], targets[rows]
         if recipe == "mixup" and hp.mixup_alpha:
             x, target = mixup_batch(x, target, hp.mixup_alpha, rng)
         if recipe == "scarf_aug":
-            x = scarf_view(x)
+            x = corrupt_batch(x, hp, pool, rng)[0]
         dropout = hp.dropout if recipe == "dropout" else 0.0
         loss, grad = softmax_cross_entropy(net.forward(x, dropout, rng), target)
         grads = net.backward(grad, input_grad=False)[0]

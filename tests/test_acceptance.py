@@ -218,7 +218,7 @@ def test_criterion_3_corruption_properties():
         batch = ds.X[rng.integers(0, ds.n, size=n_rows)]
         c = float(rng.uniform(0.0, 1.0))
         cfg = Hyperparameters(corruption_rate=c)
-        out, draw = corrupt_batch(batch, ds, cfg, pool, rng)
+        out, draw = corrupt_batch(batch, cfg, pool, rng)
         q = int(np.floor(c * ds.M))
         assert (draw.features.sum(axis=1) == q).all()
         np.testing.assert_array_equal(out[~draw.encoded_mask], batch[~draw.encoded_mask])
@@ -345,7 +345,7 @@ def test_criterion_8_early_stopping(mixture):
     rng = np.random.default_rng(2)
     pairs = build_static_validation(
         mixture.X[splits.validation],
-        _objective("scarf", bundle.net("scarf"), mixture, cfg, pool, rng)[0],
+        _objective("scarf", bundle.net("scarf"), cfg, pool, rng)[0],
         rng, cfg.val_build_epochs, cfg.batch_size)
     restored = _validation_metric(bundle, pairs, cfg, "scarf")
     assert abs(restored - out.best_metric) < 1e-12

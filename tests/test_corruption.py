@@ -40,7 +40,7 @@ class TestMarginalPool:
         ds = make_numeric_dataset(n=20, d=3, seed=1)
         pool = build_marginal_pool(ds, np.array([4]))
         cfg = Hyperparameters(corruption_rate=1.0)
-        out, _ = corrupt_batch(ds.X[:5], ds, cfg, pool, rng)
+        out, _ = corrupt_batch(ds.X[:5], cfg, pool, rng)
         np.testing.assert_array_equal(out, np.tile(ds.X[4], (5, 1)))
 
     def test_draws_are_pool_members(self, rng):
@@ -51,7 +51,7 @@ class TestMarginalPool:
             pool = build_marginal_pool(ds, train)
             cfg = Hyperparameters(corruption_rate=1.0)
             for _ in range(100):
-                out, draw = corrupt_batch(ds.X[30:38], ds, cfg, pool, rng)
+                out, draw = corrupt_batch(ds.X[30:38], cfg, pool, rng)
                 for i, row in enumerate(draw.features):
                     for j in np.flatnonzero(row):
                         lo, hi = ds.feature_blocks[j]
@@ -109,21 +109,21 @@ class TestCorruptBatch:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         cfg = Hyperparameters(corruption_strategy="none", corruption_rate=0.6)
-        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, rng)
+        out, _ = corrupt_batch(ds.X[:6], cfg, pool, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
 
     def test_rate_zero_is_identity(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         cfg = Hyperparameters(corruption_rate=0.0)
-        out, _ = corrupt_batch(ds.X[:6], ds, cfg, pool, rng)
+        out, _ = corrupt_batch(ds.X[:6], cfg, pool, rng)
         np.testing.assert_array_equal(out, ds.X[:6])
 
     def test_zero_strategy(self, rng):
         ds = make_numeric_dataset(n=20, d=2)
         row = np.array([[5.0, 7.0]])
         cfg = Hyperparameters(corruption_strategy="zero", corruption_rate=0.5)
-        out, draw = corrupt_batch(row, ds, cfg, None, rng)
+        out, draw = corrupt_batch(row, cfg, build_marginal_pool(ds, np.arange(20)), rng)
         mask = draw.encoded_mask
         assert mask.sum() == 1  # floor(0.5 * 2)
         np.testing.assert_array_equal(out[mask], [0.0])
@@ -134,8 +134,8 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(40))
         for strategy in ("marginal", "mean", "gaussian", "joint", "zero", "missing_learnable"):
             cfg = Hyperparameters(corruption_strategy=strategy, corruption_rate=0.5)
-            lmv = rng.normal(size=ds.X.shape[1])
-            out, draw = corrupt_batch(ds.X[:10], ds, cfg, pool, rng, lmv)
+            pool.learnable = rng.normal(size=ds.X.shape[1])
+            out, draw = corrupt_batch(ds.X[:10], cfg, pool, rng)
             untouched = ~draw.encoded_mask
             np.testing.assert_array_equal(out[untouched], ds.X[:10][untouched])
 
@@ -144,27 +144,29 @@ class TestCorruptBatch:
         train = np.arange(20)
         pool = build_marginal_pool(ds, train)
         cfg = Hyperparameters(corruption_strategy="mean", corruption_rate=1.0)
-        out, _ = corrupt_batch(ds.X[25:26], ds, cfg, pool, rng)
+        out, _ = corrupt_batch(ds.X[25:26], cfg, pool, rng)
         np.testing.assert_allclose(out[0], ds.X[train].mean(axis=0))
 
     def test_missing_learnable_values_inserted(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
-        lmv = np.arange(4, dtype=float) + 10
+        pool = build_marginal_pool(ds, np.arange(20))
+        pool.learnable = np.arange(4, dtype=float) + 10
         cfg = Hyperparameters(corruption_strategy="missing_learnable", corruption_rate=1.0)
-        out, _ = corrupt_batch(ds.X[:3], ds, cfg, None, rng, lmv)
-        np.testing.assert_array_equal(out, np.tile(lmv, (3, 1)))
+        out, _ = corrupt_batch(ds.X[:3], cfg, pool, rng)
+        np.testing.assert_array_equal(out, np.tile(pool.learnable, (3, 1)))
 
     def test_learnable_required(self, rng):
         ds = make_numeric_dataset(n=30, d=4)
         cfg = Hyperparameters(corruption_strategy="missing_learnable", corruption_rate=1.0)
-        with pytest.raises(ConfigurationError):
-            corrupt_batch(ds.X[:3], ds, cfg, None, rng)
+        with pytest.raises(ConfigurationError, match="requires learnable values"):
+            corrupt_batch(ds.X[:3], cfg, build_marginal_pool(ds, np.arange(20)), rng)
 
-    def test_pool_required_for_marginal(self, rng):
-        ds = make_numeric_dataset(n=30, d=4)
-        cfg = Hyperparameters(corruption_rate=0.5)
-        with pytest.raises(ConfigurationError):
-            corrupt_batch(ds.X[:3], ds, cfg, None, rng)
+    def test_column_feature_maps_each_encoded_column_to_its_block(self):
+        ds = mixed_dataset()
+        pool = build_marginal_pool(ds, np.arange(20))
+        lo, hi = ds.feature_blocks[1]
+        np.testing.assert_array_equal(pool.column_feature, [0] + [1] * (hi - lo))
+        assert pool.column_feature is pool.column_feature  # built once per pool
 
     def test_categorical_blocks_stay_one_hot_under_marginal_and_joint(self, rng):
         ds = mixed_dataset()
@@ -172,7 +174,7 @@ class TestCorruptBatch:
         lo, hi = ds.feature_blocks[1]
         for strategy in ("marginal", "joint"):
             cfg = Hyperparameters(corruption_strategy=strategy, corruption_rate=1.0)
-            out, _ = corrupt_batch(ds.X[20:30], ds, cfg, pool, rng)
+            out, _ = corrupt_batch(ds.X[20:30], cfg, pool, rng)
             block = out[:, lo:hi]
             assert set(np.unique(block)) <= {0.0, 1.0}
             np.testing.assert_array_equal(block.sum(axis=1), np.ones(10))
@@ -185,7 +187,7 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, train)
         cfg = Hyperparameters(corruption_rate=0.5)
         batch = ds.X[25:35]
-        out, draw = corrupt_batch(batch, ds, cfg, pool, np.random.default_rng(11))
+        out, draw = corrupt_batch(batch, cfg, pool, np.random.default_rng(11))
         donors = np.random.default_rng(11)
         donors.random((10, ds.M))  # replay the index draw
         donors = donors.integers(0, len(train), size=(10, ds.M))
@@ -200,7 +202,7 @@ class TestCorruptBatch:
         pool = build_marginal_pool(ds, np.arange(20))
         cfg = Hyperparameters(corruption_strategy="joint", corruption_rate=1.0)
         rng = np.random.default_rng(0)
-        out, _ = corrupt_batch(ds.X[20:24], ds, cfg, pool, rng)
+        out, _ = corrupt_batch(ds.X[20:24], cfg, pool, rng)
         train = ds.X[:20]
         for row in out:
             assert any(np.array_equal(row, t) for t in train)
@@ -211,7 +213,7 @@ class TestCorruptBatch:
         cfg = Hyperparameters(corruption_strategy="marginal", corruption_rate=1.0,
                                donor="single_row")
         rng = np.random.default_rng(0)
-        out, _ = corrupt_batch(ds.X[20:26], ds, cfg, pool, rng)
+        out, _ = corrupt_batch(ds.X[20:26], cfg, pool, rng)
         assert all(np.array_equal(row, out[0]) for row in out)
 
     @pytest.mark.parametrize("strategy, donor", [
@@ -226,7 +228,7 @@ class TestCorruptBatch:
         cfg = Hyperparameters(corruption_strategy=strategy, donor=donor)
         batch, n = ds.X[25:35], len(pool.rows)
         rng, twin = np.random.default_rng(4), np.random.default_rng(4)
-        _, draw = corrupt_batch(batch, ds, cfg, pool, rng)
+        _, draw = corrupt_batch(batch, cfg, pool, rng)
         np.testing.assert_array_equal(draw.features, select_indices(ds.M, cfg, 10, twin))
         if donor == "single_row":
             twin.integers(0, n)
@@ -245,9 +247,9 @@ class TestCorruptBatch:
         scaled.X[:, 0] *= a
         train = np.arange(30)
         cfg = Hyperparameters(corruption_rate=1.0)
-        out1, _ = corrupt_batch(ds.X[30:35], ds, cfg, build_marginal_pool(ds, train),
+        out1, _ = corrupt_batch(ds.X[30:35], cfg, build_marginal_pool(ds, train),
                                 np.random.default_rng(10))
-        out2, _ = corrupt_batch(scaled.X[30:35], scaled, cfg, build_marginal_pool(scaled, train),
+        out2, _ = corrupt_batch(scaled.X[30:35], cfg, build_marginal_pool(scaled, train),
                                 np.random.default_rng(10))
         np.testing.assert_array_equal(out2[:, 0], a * out1[:, 0])
         np.testing.assert_array_equal(out2[:, 1:], out1[:, 1:])
@@ -258,7 +260,7 @@ class TestMakeViews:
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))
         batch = ds.X[:8]
-        view_a, view_b, _ = make_views(batch, ds, Hyperparameters(corruption_rate=0.6), pool, rng)
+        view_a, view_b, _ = make_views(batch, Hyperparameters(corruption_rate=0.6), pool, rng)
         np.testing.assert_array_equal(view_a, batch)
         assert not np.array_equal(view_b, batch)
 
@@ -267,7 +269,7 @@ class TestMakeViews:
         pool = build_marginal_pool(ds, np.arange(30))
         batch = ds.X[:8]
         cfg = Hyperparameters(corruption_strategy="none", corruption_rate=0.6)
-        view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng)
+        view_a, view_b, _ = make_views(batch, cfg, pool, rng)
         np.testing.assert_array_equal(view_a, batch)
         np.testing.assert_array_equal(view_b, batch)
 
@@ -275,7 +277,7 @@ class TestMakeViews:
         ds = make_numeric_dataset(n=60, d=10, seed=7)
         pool = build_marginal_pool(ds, np.arange(40))
         cfg = Hyperparameters(corruption_rate=0.6, view_policy="corrupt_both")
-        view_a, view_b, _ = make_views(ds.X[:8], ds, cfg, pool, rng)
+        view_a, view_b, _ = make_views(ds.X[:8], cfg, pool, rng)
         assert not np.array_equal(view_a, view_b)
 
 
@@ -292,10 +294,10 @@ def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy,
     pool = build_marginal_pool(ds, np.arange(30))
     cfg = Hyperparameters(corruption_strategy=strategy, index_selection=index_selection,
                            index_sharing=index_sharing, view_policy=view_policy)
-    lmv = rng.normal(size=ds.X.shape[1])
+    pool.learnable = rng.normal(size=ds.X.shape[1])
     rows = 8 if view_policy == "corrupt_one" else 16
     for _ in range(5):
-        _, _, draw = make_views(ds.X[30:38], ds, cfg, pool, rng, lmv)
+        _, _, draw = make_views(ds.X[30:38], cfg, pool, rng)
         assert draw.features.dtype == bool and draw.features.shape == (rows, ds.M)
         assert len(draw.index_sets) == rows
         for row, ix in zip(draw.features, draw.index_sets):
@@ -303,7 +305,7 @@ def test_draw_masks_agree(strategy, index_selection, index_sharing, view_policy,
         if strategy == "none":
             assert not draw.encoded_mask.any()
         else:
-            np.testing.assert_array_equal(draw.encoded_mask, draw.features[:, ds.column_feature])
+            np.testing.assert_array_equal(draw.encoded_mask, draw.features[:, pool.column_feature])
         if index_selection == "fixed_count":
             np.testing.assert_array_equal(draw.features.sum(axis=1),
                                           int(np.floor(cfg.corruption_rate * ds.M)))
@@ -348,7 +350,7 @@ class TestConfigValidation:
         rng = np.random.default_rng(0)
         draws = []
         for _ in range(200):
-            out, _ = corrupt_batch(ds.X[:1], ds, cfg, pool, rng)
+            out, _ = corrupt_batch(ds.X[:1], cfg, pool, rng)
             draws.append(out[0, 0])
         # set interpretation: both values roughly equally likely
         assert 0.3 < np.mean(np.array(draws) == 2.0) < 0.7

@@ -66,16 +66,19 @@ def test_defaults_and_scarf_entries_match_the_digest_file():
     """The digest file lists the grid in print order, and the 391 `defaults`
     entries, the 85 `scarf` entries and the 84 `scarf+cotrain` entries of
     every variant (the barlow, align_uniform and joint paths among them, in
-    pre-training and in co-training), each run by `--check` in a fresh
-    interpreter (the script sets one BLAS thread before numpy loads), match
-    it. Digests depend on the BLAS build, so a different `env` line
-    skips."""
+    pre-training and in co-training) and the 390 entries each of the two
+    missing_learnable variants (the learnable vector's steps and its
+    validation metric), each run by `--check` in a fresh interpreter (the
+    script sets one BLAS thread before numpy loads), match it. Digests
+    depend on the BLAS build, so a different `env` line skips."""
     with open(oracle.DIGESTS) as fh:
         recorded = fh.read().splitlines()
     assert [oracle.line_key(line) for line in recorded] == (
         ["env"] + [" ".join(entry) for entry in oracle.entries()] + ["overall"])
     for args, count in ((["--variant", "defaults"], 391), (["--method", "scarf"], 85),
-                        (["--method", "scarf+cotrain"], 84)):
+                        (["--method", "scarf+cotrain"], 84),
+                        (["--variant", "missing_learnable"], 390),
+                        (["--variant", "missing_learnable_corrupt_both"], 390)):
         proc = subprocess.run([sys.executable, oracle.__file__, "--check", *args],
                               capture_output=True, text=True, timeout=600)
         env = proc.stdout.split("\n", 1)[0]

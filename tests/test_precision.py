@@ -60,11 +60,11 @@ def embeddings(rng, n=6, d=4):
 def test_views_keep_float32(strategy, view_policy, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
-    learnable = rng.normal(size=ds.X.shape[1]).astype(F32)
+    pool.learnable = rng.normal(size=ds.X.shape[1]).astype(F32)
     cfg = Hyperparameters(corruption_strategy=strategy, view_policy=view_policy)
     batch = ds.X[:8]
-    view_a, view_b, _ = make_views(batch, ds, cfg, pool, rng, learnable)
-    out, _ = corrupt_batch(batch, ds, cfg, pool, rng, learnable)
+    view_a, view_b, _ = make_views(batch, cfg, pool, rng)
+    out, _ = corrupt_batch(batch, cfg, pool, rng)
     assert_float32(pool.X, pool.encoded_mean, view_a, view_b, out)
 
 
@@ -72,8 +72,8 @@ def test_views_keep_float32(strategy, view_policy, rng):
 def test_autoencoder_inputs_keep_float32(variant, rng):
     ds = float32_dataset()
     pool = build_marginal_pool(ds, np.arange(30))
-    view, _ = _objective(variant, None, ds, Hyperparameters(), pool, rng)
-    assert_float32(view(ds.X[:8]))
+    view, _ = _objective(variant, None, Hyperparameters(), pool, rng)
+    assert_float32(view(ds.X[:8])[0])
 
 
 def test_loss_values_and_gradients_keep_float32(rng):
@@ -111,8 +111,7 @@ def test_bundle_steps_keep_float32(rng):
         bundle.net("scarf"), x, x2, lambda z, zt: losses.infonce(z, zt, 1.0))
     assert_float32_value(loss)
     assert_float32(*grads, grad_in)
-    _, reconstruction_step = _objective("no_noise_ae", bundle.net("no_noise_ae"), ds, hp, None,
-                                        rng)
+    _, reconstruction_step = _objective("no_noise_ae", bundle.net("no_noise_ae"), hp, None, rng)
     loss, grads = reconstruction_step(x)
     assert_float32_value(loss)
     assert_float32(*grads)

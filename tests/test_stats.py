@@ -345,6 +345,17 @@ class TestPersistence:
         append_run(path, run("m", "d", 3, 0.8, "semi25"))
         assert completed_keys(path) == {("d", "m", "semi25", 3)}
 
+    def test_blank_line_between_records_skipped(self, tmp_path):
+        """A blank line is no record and no error: the records around it both
+        load, and a resume counts both keys as done."""
+        path = tmp_path / "results.jsonl"
+        append_run(path, run("m", "d", 0, 0.5))
+        with open(path, "a") as fh:
+            fh.write("\n")
+        append_run(path, run("m", "d", 1, 0.6))
+        assert [r.trial_index for r in load_runs(path)] == [0, 1]
+        assert completed_keys(path) == {("d", "m", "full", 0), ("d", "m", "full", 1)}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_accuracy_rejected(self, tmp_path, bad):
         path = tmp_path / "results.jsonl"

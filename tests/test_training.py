@@ -21,6 +21,7 @@ from tabpretrain.training import (
     Hyperparameters,
     ModelBundle,
     Phase,
+    StaticValidationPairs,
     TrainingDiverged,
     build_static_validation,
     classification_error,
@@ -43,9 +44,9 @@ def small_bundle(ds, rng, arch=SMALL, pre=None, recipe="control"):
     return ModelBundle.create(ds.X.shape[1], ds.num_classes, rng, arch, pre, recipe)
 
 
-def view_of(pre, ds, hp, pool, rng):
+def view_of(pre, hp, pool, rng):
     """The `view` of objective `pre` that `build_static_validation` takes."""
-    return _objective(pre, None, ds, hp, pool, rng)[0]
+    return _objective(pre, None, hp, pool, rng)[0]
 
 
 def test_hyperparameters_are_the_corruption_config_then_the_trial_fields():
@@ -96,7 +97,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=100, d=4)
         pool = build_marginal_pool(ds, np.arange(50))
         pairs = build_static_validation(
-            ds.X[50:100], view_of("scarf", ds, Hyperparameters(), pool, rng), rng, epochs=10,
+            ds.X[50:100], view_of("scarf", Hyperparameters(), pool, rng), rng, epochs=10,
             batch_size=128,
         )
         assert sum(pos.size for pos in pairs.positions) == 500
@@ -107,7 +108,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
         pairs = build_static_validation(
-            ds.X[40:60], view_of("scarf", ds, Hyperparameters(corruption_strategy="none"), pool, rng),
+            ds.X[40:60], view_of("scarf", Hyperparameters(corruption_strategy="none"), pool, rng),
             rng, epochs=3, batch_size=128,
         )
         for pos, corr in zip(pairs.positions, pairs.corrupted):
@@ -117,7 +118,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset(n=60, d=4)
         pool = build_marginal_pool(ds, np.arange(40))
         a, b = [build_static_validation(ds.X[40:60],
-                                        view_of("scarf", ds, Hyperparameters(), pool, r), r,
+                                        view_of("scarf", Hyperparameters(), pool, r), r,
                                         epochs=2, batch_size=128)
                 for r in (np.random.default_rng(5), np.random.default_rng(5))]
         for x, y in zip(a.corrupted, b.corrupted):
@@ -132,8 +133,8 @@ class TestStaticValidation:
         hp = Hyperparameters(view_policy="corrupt_both")
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
         batch = ds.X[40:60]
-        copy = view_of(pre, ds, hp, pool, rng)(batch)
-        want, _ = corrupt_batch(batch, ds, hp, pool, twin)
+        copy, _ = view_of(pre, hp, pool, rng)(batch)
+        want, _ = corrupt_batch(batch, hp, pool, twin)
         np.testing.assert_array_equal(copy, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -141,7 +142,7 @@ class TestStaticValidation:
         ds = make_numeric_dataset()
         pool = build_marginal_pool(ds, np.arange(10))
         with pytest.raises(ValueError):
-            build_static_validation(ds.X[:0], view_of("scarf", ds, Hyperparameters(), pool, rng),
+            build_static_validation(ds.X[:0], view_of("scarf", Hyperparameters(), pool, rng),
                                     rng, epochs=10, batch_size=128)
 
 
@@ -207,7 +208,7 @@ class TestValidationMetrics:
         cfg = Hyperparameters(batch_size=32, val_build_epochs=3, **overrides)
         pool = build_marginal_pool(ds, splits.train)
         pairs = build_static_validation(ds.X[splits.validation],
-                                        view_of(pre, ds, cfg, pool, rng), rng,
+                                        view_of(pre, cfg, pool, rng), rng,
                                         cfg.val_build_epochs, cfg.batch_size)
         assert training._validation_metric(bundle, pairs, cfg, pre) == \
             per_batch_metric(pre, bundle, pairs, cfg)
@@ -678,7 +679,7 @@ class TestPretrainScarf:
         pool = build_marginal_pool(ds, splits.train)
         rng = np.random.default_rng(3)
         pairs = build_static_validation(ds.X[splits.validation],
-                                        view_of("scarf", ds, cfg, pool, rng), rng,
+                                        view_of("scarf", cfg, pool, rng), rng,
                                         cfg.val_build_epochs, cfg.batch_size)
         from tabpretrain.training import _validation_metric
 
@@ -711,6 +712,27 @@ class TestPretrainScarf:
         _fit(phase, cfg, rng)
         assert np.any(phase.params[-1] != 0.0)
 
+    def test_metric_reads_the_current_learnable_vector(self, monkeypatch):
+        """The stored validation copies used to keep the zeros that the vector
+        held when they were drawn, so the metric never read the vector it
+        chose the best epoch of. A new vector moves the metric to that of the
+        copies whose masked cells hold it."""
+        ds = make_numeric_dataset(n=100, d=4, seed=6)
+        rng = np.random.default_rng(4)
+        bundle = small_bundle(ds, rng, LEARNABLE, "scarf")
+        built = []
+        monkeypatch.setattr(training, "build_static_validation",
+                            lambda *args: built.append(build_static_validation(*args)) or built[-1])
+        phase = pretrain_phase(ds, make_splits(100, 3), bundle, LEARNABLE, rng)
+        at_zero = phase.metric()
+        vector = rng.normal(size=phase.params[-1].shape).astype(phase.params[-1].dtype)
+        phase.params[-1][...] = vector
+        assert phase.metric() != at_zero
+        [pairs] = built
+        filled = [np.where(mask, vector, corr) for mask, corr in zip(pairs.masks, pairs.corrupted)]
+        filled_pairs = StaticValidationPairs(pairs.originals, pairs.positions, filled, None, [])
+        assert phase.metric() == training._validation_metric(bundle, filled_pairs, LEARNABLE, "scarf")
+
     def test_missing_learnable_gradient_matches_finite_differences(self, monkeypatch):
         """The learnable-vector gradient of the pre-training phase's step, for fixed
         views and a fixed encoded mask, against central differences of the
@@ -723,8 +745,8 @@ class TestPretrainScarf:
         rows = splits.train[:16]
         mask = rng.random((16, ds.X.shape[1])) < 0.5  # one column per feature
 
-        def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
-            return batch.copy(), np.where(mask, learnable_values, batch), CorruptionDraw(mask, mask)
+        def fixed_views(batch, config, pool, rng):
+            return batch.copy(), np.where(mask, pool.learnable, batch), CorruptionDraw(mask, mask)
 
         monkeypatch.setattr(training, "make_views", fixed_views)
         monkeypatch.setattr(training, "build_static_validation", lambda *a, **k: None)
@@ -752,12 +774,13 @@ class TestPretrainScarf:
         hp = replace(LEARNABLE, corruption_rate=0.5, view_policy=view_policy)
         bundle = to_float64(small_bundle(ds, rng, hp, "scarf"))
         lmv = rng.normal(size=ds.X.shape[1])
+        pool = replace(build_marginal_pool(ds, np.arange(100)), learnable=lmv)
         net, batch = bundle.net("scarf"), ds.X[:16]
 
         def step():
             """Loss and gradients of one step, its views drawn from one fixed seed."""
             rng = np.random.default_rng(9)
-            return _objective("scarf", net, ds, hp, None, rng, lmv)[1](batch)
+            return _objective("scarf", net, hp, pool, rng)[1](batch)
 
         assert_grads_close([step()[1][-1]], central_difference(lambda: step()[0], [lmv]))
 
@@ -834,12 +857,12 @@ class TestContrastiveStep:
         lmv = rng.normal(size=5).astype(dtype)
         mask = rng.random((16, 5)) < 0.5
 
-        def fixed_views(batch, dataset, config, pool, rng, learnable_values=None):
+        def fixed_views(batch, config, pool, rng):
             return batch.copy(), np.where(mask, lmv, batch), CorruptionDraw(mask, mask)
 
         monkeypatch.setattr(training, "make_views", fixed_views)
-        _, step = _objective("scarf", bundle.net("scarf"), ds, LEARNABLE, None, rng,
-                             lmv if learns else None)
+        pool = replace(build_marginal_pool(ds, np.arange(20)), learnable=lmv if learns else None)
+        _, step = _objective("scarf", bundle.net("scarf"), LEARNABLE, pool, rng)
         batch = ds.X[:16]
         loss, grads = step(batch)
         want_loss, f_grads, g_grads, grad_in = normalize_then_backward(
@@ -891,10 +914,10 @@ class TestComposedNet:
     def test_step_matches_the_chained_nets(self, dtype, pre, rng):
         bundle, ds, pool = self.bundle_and_data(pre, dtype, 40, rng)
         batch = ds.X[:16]
-        _, step = _objective(pre, bundle.net(pre), ds, SMALL, pool, np.random.default_rng(3))
+        _, step = _objective(pre, bundle.net(pre), SMALL, pool, np.random.default_rng(3))
         loss, grads = step(batch)
         # the objective's copy of the batch, drawn from a twin of the step's rng
-        copy = view_of(pre, ds, SMALL, pool, np.random.default_rng(3))(batch)
+        copy, _ = view_of(pre, SMALL, pool, np.random.default_rng(3))(batch)
         nets = chained_nets(bundle, pre)
         if pre == "scarf_disc":
             labels = np.concatenate([np.zeros(len(batch)), np.ones(len(copy))])
@@ -912,7 +935,7 @@ class TestComposedNet:
         bundle, ds, pool = self.bundle_and_data(pre, dtype, 3000, rng)
         splits = make_splits(ds.n, 1)
         hp = Hyperparameters(val_build_epochs=1)
-        pairs = build_static_validation(ds.X[splits.validation], view_of(pre, ds, hp, pool, rng),
+        pairs = build_static_validation(ds.X[splits.validation], view_of(pre, hp, pool, rng),
                                         rng, hp.val_build_epochs, hp.batch_size)
         outputs, in_slices = [], training._in_slices
         monkeypatch.setattr(training, "_in_slices",
