@@ -4,7 +4,7 @@ Commands:
   validate  dry-run ingestion + preprocessing, print a dataset report
   run       execute one (dataset, method, setting) across trials
   report    win-matrix / box-plot CSV exports and an optional SVG heat map of
-            one `--setting`; it prints how many non-finite accuracies it left out
+            one `--setting`
 
 Configuration is a flat JSON object of the keys of CONFIG_DEFAULTS, which
 holds their defaults: the run keys of RUN_DEFAULTS (dataset, schema, method,
@@ -25,8 +25,10 @@ with no trial left reads no data, so it checks only the first three.
 configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
 files are still written in trial order, so the output is byte-identical for
-any jobs. A trial that raises is reported on stderr and in failures.jsonl,
-leaves no record and reruns on resume.
+any jobs. A trial that raises, or whose record `stats.MethodRun` refuses
+(a non-finite accuracy), is reported on stderr and in failures.jsonl, leaves
+no record and reruns on resume. A results line that `MethodRun` refuses
+fails `report` and a `run` resume, naming the line.
 
 The commands raise on bad input. `main` is the one handler: a ValueError or
 an OSError prints `validation failed: …`, `run failed: …` or
@@ -37,10 +39,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-import xml.dom.minidom
 from collections import Counter
 from dataclasses import asdict, fields
 
@@ -174,13 +174,12 @@ def cmd_report(args) -> int:
         with open(os.path.join(args.out, "box_plot.csv"), "w") as fh:
             fh.write(stats.box_plot_csv(entries))
     if args.svg:
+        import xml.dom.minidom
+
         svg = stats.win_matrix_svg(wm)
         xml.dom.minidom.parseString(svg)  # well-formedness check
         with open(os.path.join(args.out, "win_matrix.svg"), "w") as fh:
             fh.write(svg)
-    left_out = sum(1 for r in runs if r.method_name in method_list
-                   and not math.isfinite(r.test_accuracy))
-    print(f"non-finite accuracies left out: {left_out}")
     print(f"report written to {args.out}")
     return 0
 

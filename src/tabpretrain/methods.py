@@ -16,15 +16,18 @@ and `run_method` take the trial hyperparameters as the one frozen
 
 from __future__ import annotations
 
+import ctypes
 import fcntl
+import functools
 import hashlib
 import json
 import os
+import threading
 import traceback
+import warnings
 from collections import Counter
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing, nullcontext
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -158,7 +161,8 @@ def run_method(
 
 @dataclass
 class TrialFailure:
-    """A trial that raised. It has no results record, so it reruns on resume."""
+    """A trial that raised, or whose record `stats.MethodRun` refused. It has
+    no results record, so it reruns on resume."""
 
     dataset_id: str
     method_name: str
@@ -189,8 +193,14 @@ def run_benchmark(
     by `hp.scaling`.
     The calling thread appends each MethodRun and its curves_*.csv to
     `out_dir` before yielding it, so the files are the same bytes for any
-    `jobs` (threads running trials at once). A failure writes no record: it
-    appends its key, exception and traceback to `out_dir/failures.jsonl`.
+    `jobs` (threads running trials at once). Under `jobs` > 1, OpenBLAS runs
+    on one thread while the trials run, and its thread count comes back once
+    the threads have stopped, also when the iterator is closed early. That
+    setting is process-wide, so it also reaches the caller's other threads
+    meanwhile; where no known OpenBLAS is found, it warns once and changes
+    nothing. `jobs` = 1 leaves the BLAS threads alone. A failure writes no
+    record: it appends its key, exception and traceback to
+    `out_dir/failures.jsonl`.
     Every trial reads the one `hp`; a bad hyperparameter raises where the
     caller builds it, before this call.
     The first call into `out_dir` pins what decides its records in
@@ -285,30 +295,94 @@ def run_benchmark(
             splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
             res = run_method(method, scale(loaded[dataset_id], splits.train, hp.scaling),
                              splits, setting, seed, hp)
+            run = stats.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
+                                  res["epochs_used"], res["pretrain_epochs"])
         except Exception as exc:  # reported to the caller; no record is written
             return TrialFailure(dataset_id, method, setting, trial, exc), None
-        run = stats.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
-                              res["epochs_used"], res["pretrain_epochs"])
         return run, res
 
     def in_trial_order():
-        # the outcomes close before the pool shuts down, so that closing this
-        # iterator early cancels the trials not yet started
         with held:
             yield  # primed below: from here on, closing or collecting the iterator unlocks
-            with (ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool,
-                  closing(pool.map(run_one, todo) if pool else (run_one(k) for k in todo)) as outcomes):
-                for outcome, res in outcomes:
-                    if out_dir and res is None:
-                        _append_failure(out_dir, outcome)
-                    elif out_dir:  # the record last: a trial with a record has its curves
-                        _write_curves(out_dir, outcome, res)
-                        stats.append_run(results_path, outcome)
-                    yield outcome
+            if jobs > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                # `held` exits last in first: the outcomes close before the
+                # pool shuts down, so closing this iterator early cancels the
+                # trials not yet started, and the BLAS threads come back once
+                # no trial runs
+                held.enter_context(_one_blas_thread())
+                pool = held.enter_context(ThreadPoolExecutor(jobs))
+                outcomes = held.enter_context(closing(pool.map(run_one, todo)))
+            else:
+                outcomes = map(run_one, todo)
+            for outcome, res in outcomes:
+                if out_dir and res is None:
+                    _append_failure(out_dir, outcome)
+                elif out_dir:  # the record last: a trial with a record has its curves
+                    _write_curves(out_dir, outcome, res)
+                    stats.append_run(results_path, outcome)
+                yield outcome
 
     outcomes = in_trial_order()
     next(outcomes)
     return outcomes
+
+
+# the thread-count functions, "get" and "set", of the OpenBLAS builds that
+# numpy's wheels bundle
+_OPENBLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+# process-wide, as the OpenBLAS thread count it guards: the iterators that
+# hold it at one thread, and the count before the first of them
+_blas_lock = threading.Lock()
+_blas_hold = {"iterators": 0, "threads_before": 0}
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS library in
+    numpy's wheel, or None, with one warning, where none is known."""
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # the library numpy loaded: a loaded path is opened once
+        for name in _OPENBLAS_NAMES:
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    warnings.warn("no OpenBLAS thread count found to set: under jobs > 1 each trial's "
+                  "matrix products may still use every core")
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread while any `jobs > 1` iterator runs its trials,
+    so the threads of the trials share the cores instead of each using them
+    all; the count before the first such iterator comes back when the last
+    one ends. The setting is process-wide: it reaches every thread of the
+    process meanwhile. Where no thread count is known, nothing changes."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _blas_lock:
+        if not _blas_hold["iterators"]:
+            _blas_hold["threads_before"] = get()
+        _blas_hold["iterators"] += 1
+        set_(1)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_hold["iterators"] -= 1
+            if not _blas_hold["iterators"]:
+                set_(_blas_hold["threads_before"])
 
 
 def _lock_dir(out_dir) -> int:

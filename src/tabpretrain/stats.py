@@ -12,7 +12,6 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
-from html import escape
 from itertools import combinations
 from typing import get_type_hints
 
@@ -23,6 +22,11 @@ from tabpretrain.corruption import check_type
 
 @dataclass
 class MethodRun:
+    """One trial's results record, valid by construction: building one
+    raises ValueError if a field is not of its declared type, by the rule of
+    `corruption.check_type`, or if `test_accuracy` is not finite, since a
+    non-finite accuracy is no result."""
+
     dataset_id: str
     method_name: str
     trial_index: int
@@ -32,8 +36,18 @@ class MethodRun:
     epochs_used: int = 0
     pretrain_epochs: int = 0
 
+    def __post_init__(self):
+        for name, default in _FIELD_DEFAULTS.items():
+            check_type("field", name, getattr(self, name), default)
+        if not math.isfinite(self.test_accuracy):
+            raise ValueError(f"non-finite test_accuracy {self.test_accuracy} for {self.key()}")
+
     def key(self) -> tuple:
         return (self.dataset_id, self.method_name, self.setting, self.trial_index)
+
+
+# a value of each field's declared type, which `check_type` compares against
+_FIELD_DEFAULTS = {name: kind() for name, kind in get_type_hints(MethodRun).items()}
 
 
 def append_line(path, line: str) -> None:
@@ -51,21 +65,20 @@ def append_line(path, line: str) -> None:
 
 
 def append_run(path, run: MethodRun) -> None:
-    """Append one record as a JSON line by `append_line`. A non-finite
-    accuracy raises ValueError: it is no result, and bare NaN is not valid
-    JSON."""
-    if not math.isfinite(run.test_accuracy):
-        raise ValueError(f"non-finite test_accuracy {run.test_accuracy} for {run.key()}")
+    """Append one record as a JSON line by `append_line`. A `MethodRun`
+    holds a finite accuracy, so the line never holds a bare NaN, which is not
+    valid JSON."""
     append_line(path, json.dumps(asdict(run), sort_keys=True))
 
 
 def load_runs(path) -> list[MethodRun]:
     """Records of a results file, read as UTF-8. An unterminated last line is
     a torn write: it is dropped with a warning, so its trial counts as not yet
-    run. A file that is not UTF-8, any other line that is no record, or
-    that has a field not of its declared type by the rule of
-    `corruption.check_type`, and a key recorded twice raise ValueError naming
-    them, so one trial never counts twice."""
+    run. A file that is not UTF-8, any other line that `MethodRun` refuses
+    (no JSON object of its fields, a field not of its type, a non-finite
+    accuracy), and a key recorded twice raise ValueError naming the file and
+    the line, so one trial never counts twice and a failed one never counts
+    as done."""
     if not os.path.exists(path):
         return []
     try:
@@ -75,15 +88,13 @@ def load_runs(path) -> list[MethodRun]:
         raise ValueError(f"{path}: not a UTF-8 results file ({exc})") from exc
     if lines and not lines[-1].endswith("\n"):
         warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
-    runs, kinds, line_of = [], get_type_hints(MethodRun), {}
+    runs, line_of = [], {}
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             run = MethodRun(**json.loads(line))
-            for name, kind in kinds.items():
-                check_type("field", name, getattr(run, name), kind())
-        except (ValueError, TypeError) as exc:  # not JSON, or not a record's fields
+        except (ValueError, TypeError) as exc:  # not JSON, or no record `MethodRun` accepts
             raise ValueError(f"{path}, line {number}: not a results record ({exc})") from exc
         if (first := line_of.setdefault(run.key(), number)) != number:
             raise ValueError(f"{path}, lines {first} and {number}: key {run.key()} recorded twice")
@@ -205,23 +216,23 @@ class WinMatrix:
 
 
 def _accuracies_by_dataset(runs, method: str):
-    """Finite accuracies per dataset; a failed trial's NaN is not a result."""
+    """Accuracies per dataset."""
     out: dict[str, list[float]] = {}
     for r in runs:
-        if r.method_name == method and math.isfinite(r.test_accuracy):
+        if r.method_name == method:
             out.setdefault(r.dataset_id, []).append(r.test_accuracy)
     return out
 
 
 def _comparable(acc_a: dict, acc_b: dict) -> list[str]:
-    """Datasets on which both methods have the two finite accuracies a Welch
-    test needs."""
+    """Datasets on which both methods have the two accuracies a Welch test
+    needs."""
     return sorted(d for d in set(acc_a) & set(acc_b) if min(len(acc_a[d]), len(acc_b[d])) >= 2)
 
 
 def win_matrix(runs, methods: list[str], p: float) -> WinMatrix:
     """One Welch test at threshold `p` per unordered method pair and dataset
-    on which both have two finite accuracies in `runs` (the records of one
+    on which both have two accuracies in `runs` (the records of one
     setting); a significant one is a win of the better method."""
     per_method = [_accuracies_by_dataset(runs, m) for m in methods]
     wins = np.zeros((len(methods), len(methods)), dtype=int)
@@ -245,7 +256,7 @@ def relative_improvement(runs, method: str, reference: str, p: float) -> list[Bo
     """Per-dataset 100*(acc_method - acc_ref)/acc_ref over the datasets of
     `runs`, the records of one setting, whose means differ at the box-plot
     filter `p`. Zero-accuracy references and datasets with fewer than two
-    finite accuracies on either side are skipped."""
+    accuracies on either side are skipped."""
     acc_m = _accuracies_by_dataset(runs, method)
     acc_r = _accuracies_by_dataset(runs, reference)
     entries = []
@@ -288,6 +299,8 @@ def box_plot_csv(entries: list[BoxPlotEntry]) -> str:
 
 def win_matrix_svg(wm: WinMatrix) -> str:
     """Self-contained heat map of the win matrix with fractional annotations."""
+    from html import escape
+
     n = len(wm.methods)
     cell, left, top = 70, 130, 60
     width = left + (n + 1) * cell + 20

@@ -188,9 +188,9 @@ def env_line() -> str:
 def margins() -> None:
     from test_acceptance import _trial_accuracies, make_mixture
 
-    mixture = make_mixture()
+    by_setting = _trial_accuracies(make_mixture(), ["semi25", "noise30"], ["control", "scarf"])
     for num, setting in ((5, "semi25"), (7, "noise30")):
-        accs = _trial_accuracies(mixture, setting, ["control", "scarf"])
+        accs = by_setting[setting]
         for method in ("control", "scarf"):
             print(f"criterion {num} {setting} {method} "
                   + " ".join(f"{a:.4f}" for a in accs[method]))

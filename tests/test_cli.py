@@ -1,5 +1,6 @@
 import csv as csv_module
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -414,6 +415,26 @@ class TestRun:
             assert main(args) == 0
         assert results.read_bytes() == blobs[0]
 
+    def test_resume_over_a_non_finite_record_fails_and_writes_nothing(self, tmp_path, capsys):
+        """A trial whose record was edited to a NaN accuracy used to count as
+        done, so the resume ran nothing and exited 0."""
+        csv, schema = write_dataset(tmp_path)
+        out = tmp_path / "results"
+        args = ["run", "--config", write_config(tmp_path, trials=2), "--dataset", csv,
+                "--schema", schema, "--method", "control", "--out", str(out)]
+        assert main(args) == 0
+        results = out / "results.jsonl"
+        first, second = results.read_text().splitlines()
+        edited = {**json.loads(second), "test_accuracy": float("nan")}  # dumped as bare NaN
+        results.write_text(f"{first}\n{json.dumps(edited, sort_keys=True)}\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", (
+            f"run failed: {results}, line 2: not a results record (non-finite test_accuracy "
+            "nan for ('toy', 'control', 'full', 1))\n"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_noop_resume_skips_ingestion(self, tmp_path, monkeypatch, capsys):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path, trials=2)
@@ -818,15 +839,21 @@ class TestReport:
         svg = xml.dom.minidom.parseString((out / "win_matrix.svg").read_text())
         assert "a<b" in [t.firstChild.data for t in svg.getElementsByTagName("text")]
 
-    def test_counts_left_out_non_finite_accuracies(self, tmp_path, capsys):
+    def test_non_finite_accuracy_fails_before_writing(self, tmp_path, capsys):
+        """A NaN accuracy written by hand used to be left out and counted on
+        stdout; no record holds one, so the file is refused, naming the line."""
         results = self._results(tmp_path)
-        with open(results, "a") as fh:  # a NaN written by hand; append_run refuses it
+        with open(results, "a") as fh:
             fh.write('{"dataset_id": "d1", "method_name": "scarf", "trial_index": 5, '
                      '"seed": 0, "setting": "full", "test_accuracy": NaN}\n')
+        out = tmp_path / "report"
         code = main(["report", "--results", results, "--methods", "scarf,control",
-                     "--out", str(tmp_path / "report")])
-        assert code == 0
-        assert "non-finite accuracies left out: 1" in capsys.readouterr().out
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"report failed: {results}, line 21: not a results record (non-finite "
+            "test_accuracy nan for ('d1', 'scarf', 'full', 5))\n")
+        assert not out.exists()
 
     def test_key_recorded_twice_fails_before_writing(self, tmp_path, capsys):
         """A trial recorded twice used to count as two trials in the Welch
@@ -1012,3 +1039,14 @@ class TestErrorBoundary:
         with pytest.raises(RuntimeError, match="a bug"):
             main(argv)
         assert capsys.readouterr().err == ""
+
+
+def test_import_leaves_out_modules_of_one_command():
+    """`xml.dom.minidom` (the check of `report --svg`), `html` (the SVG's
+    escaping) and `concurrent.futures` (`--jobs` above 1) are imported where
+    they are used, not by importing the package."""
+    code = ("import sys, tabpretrain.cli, tabpretrain.methods; "
+            "print(sorted({'xml.dom.minidom', 'html', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -2,6 +2,7 @@ import json
 import re
 import threading
 import time
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -640,6 +641,42 @@ class TestRunBenchmark:
                           tmp_path, FAST_HP)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_resume_refuses_a_non_finite_record(self, tmp_path):
+        """A record hand-edited to a NaN accuracy used to count its trial as
+        done, so a resume skipped it silently and ran nothing."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP))
+        results = tmp_path / "results.jsonl"
+        first, second = results.read_text().splitlines()
+        edited = {**json.loads(second), "test_accuracy": float("nan")}  # dumped as bare NaN
+        results.write_text(f"{first}\n{json.dumps(edited, sort_keys=True)}\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{results}, line 2: not a results record (non-finite test_accuracy nan for "
+                "('blob', 'control', 'full', 1))")):
+            run_benchmark({"blob": lambda: pytest.fail("loaded")}, ["control"], ["full"], 2, 0,
+                          tmp_path, FAST_HP)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_refused_record_is_a_failure(self, tmp_path, monkeypatch):
+        """A trial whose record `MethodRun` refuses is a TrialFailure with no
+        record, and reruns on resume."""
+        def nan_accuracy(method, dataset, splits, setting, seed, hp):
+            return {"test_accuracy": float("nan"), "epochs_used": 1, "pretrain_epochs": 0}
+
+        monkeypatch.setattr(methods, "run_method", nan_accuracy)
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        [failure] = run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP)
+        assert isinstance(failure, TrialFailure)
+        assert str(failure.error) == ("non-finite test_accuracy nan for "
+                                      "('blob', 'control', 'full', 0)")
+        [line] = (tmp_path / "failures.jsonl").read_text().splitlines()
+        assert json.loads(line)["error_type"] == "ValueError"
+        assert not (tmp_path / "results.jsonl").exists()
+        monkeypatch.setattr(methods, "run_method", run_method)
+        assert [r.trial_index for r in run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0,
+                                                     tmp_path, FAST_HP)] == [0]
+
     def test_record_written_after_its_curves(self, tmp_path, monkeypatch):
         """A curves write that failed used to leave the trial's record, so the
         resume skipped the trial and its curves never came."""
@@ -978,6 +1015,80 @@ class TestRunBenchmark:
         next(trials)
         trials.close()
         assert len(started) <= 6
+
+    def test_jobs_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch):
+        """Under jobs > 1 the trials see one OpenBLAS thread, and the count
+        before comes back after the iterator closes early or ends; jobs = 1
+        leaves it alone."""
+        blas = methods._openblas_threads()
+        if blas is None:
+            pytest.skip("no known OpenBLAS thread count in this numpy")
+        get, set_ = blas
+        seen = []
+
+        def counting(method, dataset, splits, setting, seed, hp):
+            seen.append(get())
+            time.sleep(0.01)
+            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+
+        monkeypatch.setattr(methods, "run_method", counting)
+        ds = make_blob_dataset(n=40, d=2)
+        original = get()
+        set_(2)
+        try:
+            trials = run_benchmark({"blob": ds}, ["control"], ["full"], 40, 0, hp=FAST_HP, jobs=2)
+            assert get() == 2  # no trial has started
+            next(trials)
+            assert get() == 1
+            trials.close()
+            assert get() == 2
+            assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0, hp=FAST_HP,
+                                          jobs=2))) == 3
+            assert get() == 2 and set(seen) == {1}
+            seen.clear()
+            list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
+            assert seen == [2, 2] and get() == 2
+        finally:
+            set_(original)
+
+    def test_nested_jobs_iterators_restore_the_count_once_both_end(self, monkeypatch):
+        blas = methods._openblas_threads()
+        if blas is None:
+            pytest.skip("no known OpenBLAS thread count in this numpy")
+        get, set_ = blas
+        monkeypatch.setattr(methods, "run_method", lambda *args: {
+            "test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0})
+        ds = make_blob_dataset(n=40, d=2)
+        original = get()
+        set_(2)
+        try:
+            first, second = (run_benchmark({"blob": ds}, ["control"], ["full"], 4, 0, hp=FAST_HP,
+                                           jobs=2) for _ in range(2))
+            next(first)
+            next(second)
+            first.close()
+            assert get() == 1  # the second still runs its trials
+            second.close()
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_jobs_without_a_known_blas_warn_once_and_run(self, monkeypatch):
+        monkeypatch.setattr(methods, "_OPENBLAS_NAMES", ())
+        monkeypatch.setattr(methods, "run_method", lambda *args: {
+            "test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0})
+        ds = make_blob_dataset(n=40, d=2)
+        methods._openblas_threads.cache_clear()
+        try:
+            with pytest.warns(UserWarning, match="no OpenBLAS thread count found"):
+                assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
+                                              hp=FAST_HP, jobs=2))) == 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
+                                              hp=FAST_HP, jobs=2))) == 2
+        finally:
+            methods._openblas_threads.cache_clear()
 
     @pytest.mark.parametrize("scaling", ["zscore", "minmax", "mean"])
     def test_each_trial_scaled_on_its_training_rows(self, tmp_path, monkeypatch, scaling):

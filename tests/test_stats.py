@@ -230,16 +230,17 @@ class TestWinMatrix:
                 assert wm.wins[i, j] == w and wm.wins[j, i] == l
 
     def test_failed_trial_is_not_scored(self):
-        # a NaN accuracy must not turn A's clear win into a significant loss
-        # in both directions
-        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
+        """A failed trial's NaN accuracy, which used to be filtered out here,
+        makes no record; the trials that have one are scored."""
+        with pytest.raises(ValueError, match="non-finite test_accuracy nan"):
+            run("A", "d1", 2, np.nan)
+        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, 0.91])]
         runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
         wm = win_matrix(runs, ["A", "B"], p=0.05)
         assert wm.wins[0, 1] == 1 and wm.wins[1, 0] == 0
-        assert wm.wins[1, 0] == 0 and wm.wins[0, 1] == 1
 
     def test_dataset_with_one_finite_accuracy_is_left_out(self):
-        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, np.nan])]
+        runs = [run("A", "d1", 0, 0.9)]
         runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52])]
         runs += [run("A", "d2", t, a) for t, a in enumerate([0.9, 0.91, 0.92])]
         runs += [run("B", "d2", t, a) for t, a in enumerate([0.5, 0.51, 0.52])]
@@ -257,14 +258,18 @@ class TestRelativeImprovement:
         assert entries[0].relative_improvement_pct == pytest.approx(10.0, abs=1e-9)
 
     def test_failed_trial_is_not_scored(self):
-        runs = [run("A", "d", t, a) for t, a in enumerate([0.9, 0.91, np.nan])]
+        """A failed trial makes no record; the trials that have one are
+        scored."""
+        with pytest.raises(ValueError, match="non-finite test_accuracy nan"):
+            run("A", "d", 2, np.nan)
+        runs = [run("A", "d", t, a) for t, a in enumerate([0.9, 0.91])]
         runs += [run("B", "d", t, a) for t, a in enumerate([0.5, 0.52, 0.51])]
         entries = relative_improvement(runs, "A", "B", p=0.20)
         assert len(entries) == 1
         assert entries[0].relative_improvement_pct == pytest.approx(100 * (0.905 - 0.51) / 0.51)
 
     def test_dataset_with_one_finite_accuracy_is_left_out(self):
-        runs = [run("A", "d1", t, a) for t, a in enumerate([0.9, np.nan])]
+        runs = [run("A", "d1", 0, 0.9)]
         runs += [run("B", "d1", t, a) for t, a in enumerate([0.5, 0.52])]
         runs += [run("A", "d2", t, a) for t, a in enumerate([0.549, 0.55, 0.551])]
         runs += [run("B", "d2", t, a) for t, a in enumerate([0.499, 0.5, 0.501])]
@@ -356,14 +361,36 @@ class TestPersistence:
         assert [r.trial_index for r in load_runs(path)] == [0, 1]
         assert completed_keys(path) == {("d", "m", "full", 0), ("d", "m", "full", 1)}
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_accuracy_rejected(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_accuracy_rejected(self, bad):
+        """No record holds a non-finite accuracy, so `append_run` never
+        writes one."""
+        with pytest.raises(ValueError, match=f"non-finite test_accuracy {bad} for "
+                                             r"\('d', 'm', 'full', 1\)"):
+            run("m", "d", 1, bad)
+
+    @pytest.mark.parametrize("field, value", [("test_accuracy", "0.9"), ("trial_index", 1.0),
+                                              ("seed", True), ("setting", None),
+                                              ("epochs_used", "3")])
+    def test_mistyped_field_rejected(self, field, value):
+        kwargs = {"dataset_id": "d", "method_name": "m", "trial_index": 0, "seed": 0,
+                  "setting": "full", "test_accuracy": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"field '{field}' must be of type"):
+            MethodRun(**kwargs)
+
+    def test_non_finite_line_named(self, tmp_path):
+        """A hand-edited NaN accuracy used to load as a record, so a resume
+        counted its trial as done; now the file is refused, naming the line."""
         path = tmp_path / "results.jsonl"
         append_run(path, run("m", "d", 0, 0.5))
-        before = path.read_bytes()
-        with pytest.raises(ValueError, match="non-finite"):
-            append_run(path, run("m", "d", 1, bad))
-        assert path.read_bytes() == before
+        with open(path, "a") as fh:
+            fh.write('{"dataset_id": "d", "method_name": "m", "trial_index": 1, '
+                     '"seed": 0, "setting": "full", "test_accuracy": NaN}\n')
+        match = r"results.jsonl, line 2: not a results record \(non-finite test_accuracy nan"
+        with pytest.raises(ValueError, match=match):
+            load_runs(path)
+        with pytest.raises(ValueError, match=match):
+            completed_keys(path)
 
     def test_torn_last_line_dropped(self, tmp_path):
         path = tmp_path / "results.jsonl"
