@@ -26,9 +26,10 @@ configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
 files are still written in trial order, so the output is byte-identical for
 any jobs. A trial that raises, or whose record `stats.MethodRun` refuses
-(a non-finite accuracy), is reported on stderr and in failures.jsonl, leaves
-no record and reruns on resume. A results line that `MethodRun` refuses
-fails `report` and a `run` resume, naming the line.
+(such as a non-finite accuracy), is reported on stderr and in
+failures.jsonl, leaves no record and reruns on resume. A results line that
+`data.parse_json_object` (the JSON rule of the pin, schema and config files)
+or `MethodRun` refuses fails `report` and a `run` resume, naming the line.
 
 The commands raise on bad input. `main` is the one handler: a ValueError or
 an OSError prints `validation failed: …`, `run failed: …` or
@@ -139,8 +140,10 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     """Score the records of `--setting`, or all records if they hold one
     setting. Every method of `--methods` and `--reference` must have records
-    there, and none may be named twice in `--methods`."""
+    there, and none may be empty or named twice in `--methods`."""
     method_list = args.methods.split(",")
+    if "" in method_list:
+        raise ValueError(f"--methods {args.methods!r} names an empty method")
     wanted = method_list + [args.reference] if args.reference else method_list
     for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
         if not 0 < p <= 1:  # false for NaN, which would count every pair as significant

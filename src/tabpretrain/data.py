@@ -58,19 +58,31 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
+def parse_json_object(text: str, source: str) -> dict:
+    """The JSON object that `text` holds, by the package's one JSON rule:
+    IngestionError, its message led by `source`, if `text` is not JSON (or
+    is nested past the recursion limit), is not a JSON object, or holds an
+    object, at any depth, that names a key twice. Every JSON reader of the
+    package parses here: `read_json_object` (pin, schema and config files)
+    and `stats.load_runs` (each results line)."""
+    try:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # not JSON, a key twice, too deep
+        raise IngestionError(f"{source}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise IngestionError(f"{source} must be a JSON object, not {type(raw).__name__}")
+    return raw
+
+
 def read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at `path`; IngestionError naming the
-    `what` file if it is not UTF-8, not JSON (or nested past the recursion
-    limit), not a JSON object, or holds an object, at any depth, that names a
-    key twice."""
+    """The JSON object in the UTF-8 file at `path`, parsed by
+    `parse_json_object`; IngestionError naming the `what` file if it is not
+    UTF-8 or if the parse refuses it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, a key twice, too deep
+            return parse_json_object(fh.read(), f"{what} file {path}")
+    except UnicodeDecodeError as exc:  # not UTF-8
         raise IngestionError(f"{what} file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise IngestionError(f"{what} file {path} must be a JSON object, not {type(raw).__name__}")
-    return raw
 
 
 def write_json_object(path, value: dict, sort_keys: bool = False) -> None:

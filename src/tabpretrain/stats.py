@@ -18,14 +18,17 @@ from typing import get_type_hints
 import numpy as np
 
 from tabpretrain.corruption import check_type
+from tabpretrain.data import parse_json_object
 
 
 @dataclass
 class MethodRun:
     """One trial's results record, valid by construction: building one
     raises ValueError if a field is not of its declared type, by the rule of
-    `corruption.check_type`, or if `test_accuracy` is not finite, since a
-    non-finite accuracy is no result."""
+    `corruption.check_type`, or holds a value that no trial produces: a
+    `test_accuracy` that is not finite or lies outside [0, 1] (a fraction
+    of the test rows, not a percentage), or a negative `trial_index`,
+    `epochs_used` or `pretrain_epochs`. The `seed` may be any int."""
 
     dataset_id: str
     method_name: str
@@ -41,6 +44,11 @@ class MethodRun:
             check_type("field", name, getattr(self, name), default)
         if not math.isfinite(self.test_accuracy):
             raise ValueError(f"non-finite test_accuracy {self.test_accuracy} for {self.key()}")
+        if not 0 <= self.test_accuracy <= 1:
+            raise ValueError(f"test_accuracy {self.test_accuracy} outside [0, 1] for {self.key()}")
+        for name in ("trial_index", "epochs_used", "pretrain_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"negative {name} {getattr(self, name)} for {self.key()}")
 
     def key(self) -> tuple:
         return (self.dataset_id, self.method_name, self.setting, self.trial_index)
@@ -74,11 +82,14 @@ def append_run(path, run: MethodRun) -> None:
 def load_runs(path) -> list[MethodRun]:
     """Records of a results file, read as UTF-8. An unterminated last line is
     a torn write: it is dropped with a warning, so its trial counts as not yet
-    run. A file that is not UTF-8, any other line that `MethodRun` refuses
-    (no JSON object of its fields, a field not of its type, a non-finite
-    accuracy), and a key recorded twice raise ValueError naming the file and
-    the line, so one trial never counts twice and a failed one never counts
-    as done."""
+    run. Each other line is parsed by `data.parse_json_object`, the rule of
+    the pin, schema and config files, and its dict builds a `MethodRun`. A
+    file that is not UTF-8, a line that the parse refuses (not JSON, not an
+    object, a key named twice at any depth, nested past the recursion
+    limit) or that `MethodRun` refuses (not its fields, a field not of its
+    type or range), and a key recorded twice raise ValueError naming the
+    file and the line, so one trial never counts twice and a failed or
+    malformed one never counts as done."""
     if not os.path.exists(path):
         return []
     try:
@@ -93,8 +104,8 @@ def load_runs(path) -> list[MethodRun]:
         if not line.strip():
             continue
         try:
-            run = MethodRun(**json.loads(line))
-        except (ValueError, TypeError) as exc:  # not JSON, or no record `MethodRun` accepts
+            run = MethodRun(**parse_json_object(line, "results line"))
+        except (ValueError, TypeError) as exc:  # no JSON object, or no record `MethodRun` accepts
             raise ValueError(f"{path}, line {number}: not a results record ({exc})") from exc
         if (first := line_of.setdefault(run.key(), number)) != number:
             raise ValueError(f"{path}, lines {first} and {number}: key {run.key()} recorded twice")

@@ -901,7 +901,13 @@ class TestReport:
         '"setting": "full", "test_accuracy": "0.9"}',
         '{"dataset_id": "toy", "method_name": "control", "trial_index": "0", "seed": 0, '
         '"setting": "full", "test_accuracy": 0.9}',
-    ], ids=["not_json", "str_accuracy", "str_trial_index"])
+        # values no trial produces, which used to load and be scored
+        '{"dataset_id": "toy", "method_name": "control", "trial_index": 0, "seed": 0, '
+        '"setting": "full", "test_accuracy": 1.5}',
+        '{"dataset_id": "toy", "method_name": "control", "trial_index": -1, "seed": 0, '
+        '"setting": "full", "test_accuracy": 0.9}',
+    ], ids=["not_json", "str_accuracy", "str_trial_index", "accuracy_above_1",
+            "negative_trial_index"])
     def test_malformed_results_line_named(self, tmp_path, capsys, command, line):
         """A results line that is not a record fails the command with its file
         and line, not with a traceback, and writes no report."""
@@ -990,6 +996,20 @@ class TestReport:
             "report failed: method(s) named more than once: ['scarf']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods", ["control,", ",control", "scarf,,control", ""])
+    def test_empty_method_name_fails_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                    methods):
+        """A trailing comma used to end in `no results for method(s): `, with
+        nothing named."""
+        monkeypatch.setattr(stats, "load_runs", lambda path: pytest.fail("results read"))
+        out = tmp_path / "report"
+        code = main(["report", "--results", self._results(tmp_path), "--methods", methods,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"report failed: --methods {methods!r} names an empty method\n")
+        assert not out.exists()
+
     def test_unwritable_out_fails_without_a_traceback(self, tmp_path, capsys):
         results = self._results(tmp_path)
         code = main(["report", "--results", results, "--methods", "scarf,control",
@@ -1002,6 +1022,50 @@ class TestReport:
         code = main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--methods", "control"])
         assert code == 1
+
+
+@pytest.mark.parametrize("reader", ["pin", "schema", "config", "results_run", "results_report"])
+@pytest.mark.parametrize("content, error", [
+    (b'{"dataset_id": "toy", "method_name": "control", "trial_index": 1, "seed": 0, '
+     b'"setting": "full", "test_accuracy": 0.667, "test_accuracy": 0.99}',
+     "object names key(s) more than once: ['test_accuracy']"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["key_named_twice", "nested_too_deep"])
+def test_every_json_reader_follows_one_rule(tmp_path, capsys, reader, content, error):
+    """pin.json, the schema, a config file and a results line are refused
+    alike, naming the file (and the line, for results), in one line on
+    stderr and exit 1. A results line used to load with a repeated key's last
+    value, so trial 1 counted as done at 0.99, or end the command in a
+    RecursionError traceback."""
+    csv, schema = write_dataset(tmp_path)
+    out = tmp_path / "o"
+    config = write_config(tmp_path)
+    argv = ["run", "--config", config, "--dataset", csv, "--schema", schema, "--out", str(out)]
+    results = out / "results.jsonl"
+    if reader in ("pin", "results_run"):
+        assert main(argv) == 0
+    if reader == "results_report":
+        out.mkdir()
+        stats.append_run(results, stats.MethodRun("toy", "control", 0, 0, "full", 0.5))
+    target = {"pin": out / "pin.json", "schema": schema, "config": config}.get(reader, results)
+    with open(target, "ab" if reader.startswith("results") else "wb") as fh:
+        fh.write(content + (b"\n" if reader.startswith("results") else b""))
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    capsys.readouterr()
+    if reader == "results_report":
+        argv = ["report", "--results", str(results), "--methods", "control",
+                "--out", str(tmp_path / "report")]
+    assert main(argv) == 1
+    command = argv[0]
+    source = {"pin": f"pin file {target}: ", "schema": f"schema file {target}: ",
+              "config": f"config file {target}: "}.get(
+                  reader, f"{results}, line 2: not a results record (results line: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command} failed: {source}{error}")
+    assert captured.err.count("\n") == 1
+    assert ({p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None) == before
+    assert not (tmp_path / "report").exists()
 
 
 class TestErrorBoundary:

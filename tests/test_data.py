@@ -1,7 +1,9 @@
+import ast
 import json
 import re
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from tabpretrain import data
 from tabpretrain.data import (
     IngestionError,
     ProcessedDataset,
@@ -20,6 +23,7 @@ from tabpretrain.data import (
     make_splits,
     mask_labels,
     one_hot,
+    parse_json_object,
     process_csv,
     scale,
 )
@@ -77,6 +81,36 @@ class TestSchema:
         with pytest.raises(IngestionError, match=re.escape(
                 f"schema file {p}: object names key(s) more than once: ['age']")):
             Schema.from_file(p)
+
+
+class TestJsonObject:
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": 1\n"b": 2}', "src: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        ("[1, 2]", "src must be a JSON object, not list"),
+        ("[" * 100_000 + "]" * 100_000, "src: maximum recursion depth exceeded"),
+        ('{"a": 1, "a": 2}', "src: object names key(s) more than once: ['a']"),
+        ('{"x": [{"b": 1, "b": 2}]}', "src: object names key(s) more than once: ['b']"),
+    ], ids=["not_json", "not_an_object", "nested_too_deep", "key_named_twice",
+            "nested_key_named_twice"])
+    def test_refusal_is_led_by_its_source(self, text, message):
+        with pytest.raises(IngestionError) as info:
+            parse_json_object(text, "src")
+        assert str(info.value).startswith(message)
+
+    def test_src_has_one_json_parser(self):
+        """Each reader of the package parses JSON through `parse_json_object`,
+        so none of them can grow a rule of its own: a `json.load(`, a
+        `json.loads(` or a `from json import` anywhere else in the package
+        fails this test."""
+        parser = next(node for node in ast.parse(Path(data.__file__).read_text()).body
+                      if getattr(node, "name", None) == "parse_json_object")
+        found = []
+        for path in sorted(Path(data.__file__).parent.glob("*.py")):
+            for number, line in enumerate(path.read_text().splitlines(), start=1):
+                if re.search(r"json\.loads?\(|from json import", line):
+                    found.append((path.name, number))
+        assert found and all(name == "data.py" and parser.lineno <= number <= parser.end_lineno
+                             for name, number in found), found
 
 
 class TestLoadCsv:

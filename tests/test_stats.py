@@ -293,11 +293,12 @@ class TestRelativeImprovement:
         assert relative_improvement(runs, "A", "B", p=0.20) == []
 
     def test_published_gap_arithmetic(self):
-        # 70.16 vs 54.2 mean accuracy corresponds to a +29.4% relative gain
-        gain = 100.0 * (70.16 - 54.2) / 54.2
+        # 0.7016 vs 0.542 mean accuracy (70.16% vs 54.2%) corresponds to a
+        # +29.4% relative gain
+        gain = 100.0 * (0.7016 - 0.542) / 0.542
         assert gain == pytest.approx(29.446, abs=1e-3)
-        runs = [run("A", "d", t, 70.16 + t * 0.01) for t in range(3)]
-        runs += [run("B", "d", t, 54.2 + t * 0.01) for t in range(3)]
+        runs = [run("A", "d", t, 0.7016 + t * 0.0001) for t in range(3)]
+        runs += [run("B", "d", t, 0.542 + t * 0.0001) for t in range(3)]
         entries = relative_improvement(runs, "A", "B", p=0.20)
         assert entries[0].relative_improvement_pct == pytest.approx(gain, abs=0.01)
 
@@ -369,6 +370,29 @@ class TestPersistence:
                                              r"\('d', 'm', 'full', 1\)"):
             run("m", "d", 1, bad)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("test_accuracy", 1.5, "test_accuracy 1.5 outside [0, 1]"),
+        ("test_accuracy", -0.25, "test_accuracy -0.25 outside [0, 1]"),
+        ("test_accuracy", 70.16, "test_accuracy 70.16 outside [0, 1]"),
+        ("trial_index", -1, "negative trial_index -1"),
+        ("epochs_used", -3, "negative epochs_used -3"),
+        ("pretrain_epochs", -1, "negative pretrain_epochs -1"),
+    ])
+    def test_value_no_trial_produces_rejected(self, field, value, message):
+        """An accuracy outside [0, 1] (a percentage among fractions) and a
+        negative trial index or epoch count used to make a record, which
+        `report` scored."""
+        kwargs = {"dataset_id": "d", "method_name": "m", "trial_index": 0, "seed": 0,
+                  "setting": "full", "test_accuracy": 0.5, field: value}
+        key = ("d", "m", "full", kwargs["trial_index"])
+        with pytest.raises(ValueError) as info:
+            MethodRun(**kwargs)
+        assert str(info.value) == f"{message} for {key}"
+
+    @pytest.mark.parametrize("acc, trial", [(0.0, 0), (1.0, 0), (0.5, 7)])
+    def test_range_bounds_accepted(self, acc, trial):
+        assert MethodRun("d", "m", trial, -5, "full", acc, 0, 0).test_accuracy == acc
+
     @pytest.mark.parametrize("field, value", [("test_accuracy", "0.9"), ("trial_index", 1.0),
                                               ("seed", True), ("setting", None),
                                               ("epochs_used", "3")])
@@ -403,10 +427,21 @@ class TestPersistence:
         append_run(path, run("m", "d", 2, 0.7))
         assert path.read_bytes() == whole
 
-    @pytest.mark.parametrize("line", ["garbage", "{", "[1, 2]", '{"dataset_id": "d"}', "NaN"])
+    @pytest.mark.parametrize("line", [
+        "garbage", "{", "[1, 2]", '{"dataset_id": "d"}', "NaN",
+        # a key named twice used to load with its last value, and nesting
+        # past the recursion limit raised RecursionError
+        pytest.param('{"dataset_id": "d", "method_name": "m", "trial_index": 1, "seed": 0, '
+                     '"setting": "full", "test_accuracy": 0.667, "test_accuracy": 0.99}',
+                     id="key_named_twice"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
+        pytest.param('{"dataset_id": "d", "method_name": "m", "trial_index": 1, "seed": 0, '
+                     '"setting": "full", "test_accuracy": 1.5}', id="accuracy_above_1"),
+    ])
     def test_malformed_line_named(self, tmp_path, line):
         """A terminated line that is not a record raises ValueError naming the
-        file and its 1-based line, whether it is no JSON or no record."""
+        file and its 1-based line, whether it is no JSON object by the rule of
+        `data.parse_json_object` or no record by `MethodRun`'s."""
         path = tmp_path / "results.jsonl"
         append_run(path, run("m", "d", 0, 0.5))
         with open(path, "a") as fh:
