@@ -17,19 +17,22 @@ rule of `corruption.check_type`, and an empty string counts as not given, so
 
 `run` hands `methods.run_benchmark` a loader that encodes the CSV once, and
 only if a trial is left to run; each trial scales on its own training rows.
-`run_benchmark` pins in `out` the seed, the results version of the program,
-the hyperparameters (the scaling among them) and a digest of the encoded
-table it loads: a resume whose values differ fails and names them. A resume
-with no trial left reads no data, so it checks only the first three.
-`config.json` is written whole, only once `run_benchmark` has accepted the
+The run directory `out` is a `rundir.RunDir`: it pins the seed, the results
+version of the program, the hyperparameters (the scaling among them) and a
+digest of the encoded table it loads, so a resume whose values differ fails
+and names them. A resume with no trial left reads no data, so it checks only
+the first three. `config.json` is written whole, with sorted keys, by
+`rundir.write_json_object`, only once `run_benchmark` has accepted the
 configuration and loaded the data, so a rejected run leaves it as it was.
 With jobs > 1 that many trials run at once in threads; records and curves
 files are still written in trial order, so the output is byte-identical for
-any jobs. A trial that raises, or whose record `stats.MethodRun` refuses
-(such as a non-finite accuracy), is reported on stderr and in
-failures.jsonl, leaves no record and reruns on resume. A results line that
-`data.parse_json_object` (the JSON rule of the pin, schema and config files)
-or `MethodRun` refuses fails `report` and a `run` resume, naming the line.
+any jobs. A trial that raises, or whose record `rundir.MethodRun` refuses
+(such as a non-finite accuracy), is reported on stderr and in the run
+directory's failures file, leaves no record and reruns on resume. A results
+line that `data.parse_json_object` (the JSON rule of the pin, schema and
+config files) or `MethodRun` refuses fails `report` and a `run` resume,
+naming the line. `report` reads the records by `rundir.load_runs`, and an
+empty name in `--methods` or `--reference` fails before they are read.
 
 The commands raise on bad input. `main` is the one handler: a ValueError or
 an OSError prints `validation failed: …`, `run failed: …` or
@@ -45,10 +48,9 @@ import sys
 from collections import Counter
 from dataclasses import asdict, fields
 
-from tabpretrain import methods, stats
+from tabpretrain import methods, rundir, stats
 from tabpretrain.corruption import check_type
-from tabpretrain.data import (Schema, encode_csv, impute, load_csv, one_hot, read_json_object,
-                              write_json_object)
+from tabpretrain.data import Schema, encode_csv, impute, load_csv, one_hot, read_json_object
 from tabpretrain.training import Hyperparameters
 
 RUN_DEFAULTS = {
@@ -120,10 +122,8 @@ def cmd_run(args) -> int:
     schema = Schema.from_file(cfg["schema"])
     outcomes = methods.run_benchmark(
         {_dataset_id(cfg["dataset"]): lambda: encode_csv(cfg["dataset"], schema)},
-        [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp,
-        cfg["jobs"],
-    )
-    write_json_object(os.path.join(cfg["out"], "config.json"), cfg, sort_keys=True)
+        [cfg["method"]], [cfg["setting"]], cfg["trials"], cfg["seed"], cfg["out"], hp, cfg["jobs"])
+    rundir.write_json_object(os.path.join(cfg["out"], "config.json"), cfg)
     for outcome in outcomes:
         attempted += 1
         if isinstance(outcome, methods.TrialFailure):
@@ -140,10 +140,11 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     """Score the records of `--setting`, or all records if they hold one
     setting. Every method of `--methods` and `--reference` must have records
-    there, and none may be empty or named twice in `--methods`."""
+    there, none may be empty, and none may be named twice in `--methods`."""
     method_list = args.methods.split(",")
-    if "" in method_list:
-        raise ValueError(f"--methods {args.methods!r} names an empty method")
+    for flag, names in (("--methods", method_list), ("--reference", [args.reference])):
+        if "" in names:
+            raise ValueError(f"{flag} {','.join(names)!r} names an empty method")
     wanted = method_list + [args.reference] if args.reference else method_list
     for flag, p in (("--p-value", args.p_value), ("--boxplot-p-value", args.boxplot_p_value)):
         if not 0 < p <= 1:  # false for NaN, which would count every pair as significant
@@ -151,7 +152,7 @@ def cmd_report(args) -> int:
     repeated = sorted(m for m, count in Counter(method_list).items() if count > 1)
     if repeated:
         raise ValueError(f"method(s) named more than once: {repeated}")
-    runs = stats.load_runs(args.results)
+    runs = rundir.load_runs(args.results)
     if not runs:
         print(f"no results in {args.results}", file=sys.stderr)
         return 1

@@ -29,8 +29,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -64,7 +62,7 @@ def parse_json_object(text: str, source: str) -> dict:
     is nested past the recursion limit), is not a JSON object, or holds an
     object, at any depth, that names a key twice. Every JSON reader of the
     package parses here: `read_json_object` (pin, schema and config files)
-    and `stats.load_runs` (each results line)."""
+    and `rundir.load_runs` (each results line)."""
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # not JSON, a key twice, too deep
@@ -83,22 +81,6 @@ def read_json_object(path, what: str) -> dict:
             return parse_json_object(fh.read(), f"{what} file {path}")
     except UnicodeDecodeError as exc:  # not UTF-8
         raise IngestionError(f"{what} file {path}: {exc}") from exc
-
-
-def write_json_object(path, value: dict, sort_keys: bool = False) -> None:
-    """Write `value` to `path` as indented JSON, whole or not at all: the dump
-    goes to a temporary file of this call's own in the same directory (mode
-    0600, from `tempfile.mkstemp`), which then replaces `path`. So two writers
-    never share a file, and a reader sees one writer's whole file; a failed
-    dump removes its temporary file and leaves `path` as it was."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(value, fh, indent=2, sort_keys=sort_keys)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 @dataclass

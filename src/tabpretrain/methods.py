@@ -11,19 +11,18 @@ deterministically from (base_seed, dataset_id, trial).
 
 `run_benchmark` is the one loop over trials, for the library and the CLI. It
 and `run_method` take the trial hyperparameters as the one frozen
-`training.Hyperparameters` that the trainers read.
+`training.Hyperparameters` that the trainers read. What a run keeps on disk
+(the pin, the lock, the records, the failures and the curves) is the
+`rundir.RunDir` it opens, the one owner of the run directory.
 """
 
 from __future__ import annotations
 
 import ctypes
-import fcntl
 import functools
 import hashlib
-import json
 import os
 import threading
-import traceback
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterator
@@ -32,9 +31,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from tabpretrain import baselines, stats, training
+from tabpretrain import baselines, rundir, training
 from tabpretrain.data import (MIN_SPLIT_ROWS, ProcessedDataset, Splits, corrupt_labels, make_splits,
-                              mask_labels, read_json_object, scale, write_json_object)
+                              mask_labels, scale)
 from tabpretrain.training import (
     FINETUNE_RECIPES,
     Hyperparameters,
@@ -161,7 +160,7 @@ def run_method(
 
 @dataclass
 class TrialFailure:
-    """A trial that raised, or whose record `stats.MethodRun` refused. It has
+    """A trial that raised, or whose record `rundir.MethodRun` refused. It has
     no results record, so it reruns on resume."""
 
     dataset_id: str
@@ -171,60 +170,34 @@ class TrialFailure:
     error: Exception
 
 
-def run_benchmark(
-    datasets: dict[str, ProcessedDataset | Callable[[], ProcessedDataset]],
-    methods: list[str],
-    settings: list[str],
-    trials: int,
-    base_seed: int,
-    out_dir=None,
-    hp: Hyperparameters = Hyperparameters(),
-    jobs: int = 1,
-) -> Iterator[stats.MethodRun | TrialFailure]:
+def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedDataset]],
+                  methods: list[str], settings: list[str], trials: int, base_seed: int,
+                  out_dir=None, hp: Hyperparameters = Hyperparameters(),
+                  jobs: int = 1) -> Iterator[rundir.MethodRun | TrialFailure]:
     """An iterator that yields, in trial order, a MethodRun (or a TrialFailure
-    if it raised) for each (dataset, method, setting, trial) not yet in
-    `out_dir/results.jsonl`.
+    if it raised) for each (dataset, method, setting, trial) not yet recorded
+    in `out_dir`, whose `rundir.RunDir` pins, locks and keeps the records.
 
     Datasets come encoded but unscaled, or as zero-argument loaders that the
     calling thread runs only for a dataset with a trial left to run, so a
     resume with nothing to do ingests nothing. The split seed derives from
     (base_seed, dataset, trial) only, so all methods of a trial share the
     split, and each trial scales the numerical columns on its training rows
-    by `hp.scaling`.
-    The calling thread appends each MethodRun and its curves_*.csv to
-    `out_dir` before yielding it, so the files are the same bytes for any
-    `jobs` (threads running trials at once). Under `jobs` > 1, OpenBLAS runs
-    on one thread while the trials run, and its thread count comes back once
-    the threads have stopped, also when the iterator is closed early. That
-    setting is process-wide, so it also reaches the caller's other threads
-    meanwhile; where no known OpenBLAS is found, it warns once and changes
-    nothing. `jobs` = 1 leaves the BLAS threads alone. A failure writes no
-    record: it appends its key, exception and traceback to
-    `out_dir/failures.jsonl`.
-    Every trial reads the one `hp`; a bad hyperparameter raises where the
-    caller builds it, before this call.
-    The first call into `out_dir` pins what decides its records in
-    `out_dir/pin.json`: `base_seed`, `RESULTS_VERSION`, each field of `hp` as
-    a top-level key and, by dataset id, the `_data_digest` of each dataset it
-    loads; a later call adds the ids new to it. A pin of another results
-    version, or of none, is refused like any other difference. The methods,
-    settings, `trials` and `jobs` stay free. The checks, the read of the
-    completed keys, the loading of the datasets with trials left and the
-    creation of a missing `out_dir` run in this call, before it returns the
-    iterator: unknown method or setting names, a method or setting named
-    twice, a dataset id that is not one file name, a method that
-    `check_method` rejects under `hp`, `trials` or `jobs` below 1, a dataset
+    by `hp.scaling`, the one `hp` of every trial, checked where it is built.
+    The calling thread records each outcome before yielding it, so the files
+    are the same bytes for any `jobs` (threads running trials at once); a
+    failure leaves no record, so it reruns on resume. Under `jobs` > 1,
+    OpenBLAS runs on one thread while the trials run (process-wide, and not
+    at all where no known OpenBLAS is found: see `_one_blas_thread`), and
+    its thread count comes back once they have stopped, also when the
+    iterator is closed early; `jobs` = 1 leaves it alone.
+    These raise in this call, before anything is written: unknown or repeated
+    method or setting names, a dataset id that is not one file name, a method
+    that `check_method` rejects under `hp`, `trials` or `jobs` below 1, a
+    locked `out_dir` or one whose pin differs, and a dataset with trials left
     that fails to load, has fewer than `MIN_SPLIT_ROWS` rows or gives every
-    row one label, and a pin that differs from `out_dir`'s raise here, before
-    anything is written; only the data is checked after loading, so a dataset
-    with no trial left goes unchecked.
-    One call at a time writes to `out_dir`: the call takes an exclusive
-    advisory `flock` on the directory itself, one that exists before it reads
-    the pin, a missing one as soon as it creates it, and holds it until the
-    iterator ends, is closed or is collected, or until the call raises. A
-    call that finds the lock taken raises ValueError naming `out_dir` before
-    it reads or writes anything there; so does one that created `out_dir` and
-    then finds a pin or a results file that another call wrote meanwhile.
+    row one label. `out_dir` stays locked until the iterator ends, is closed
+    or is collected, or until the call raises.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -241,51 +214,17 @@ def run_benchmark(
     for dataset_id in datasets:  # it names the curves files
         if dataset_id in ("", ".", "..") or os.path.basename(dataset_id) != dataset_id:
             raise ValueError(f"dataset id {dataset_id!r} is not one file name")
-    locked = out_dir is not None and os.path.exists(out_dir)
+    pin = {"seed": base_seed, "results_version": RESULTS_VERSION, "data_digest": {}, **asdict(hp)}
     with ExitStack() as held:  # out_dir's lock, released here if this call raises
-        if locked:
-            held.callback(os.close, _lock_dir(out_dir))
-        pin_path = os.path.join(out_dir, "pin.json") if out_dir else None
-        pinned = {}
-        if pin_path and os.path.exists(pin_path):
-            pinned = read_json_object(pin_path, "pin")
-        digests = pinned.get("data_digest", {})
-        # a pin that holds one string for all its data names no dataset: refused
-        pin = {"seed": base_seed, "results_version": RESULTS_VERSION,
-               "data_digest": dict(digests) if isinstance(digests, dict) else {}, **asdict(hp)}
-        if pinned:
-            _check_pin(pin_path, pinned, pin)
-        results_path = os.path.join(out_dir, "results.jsonl") if out_dir else None
-        done = stats.completed_keys(results_path) if results_path else set()
+        run_dir = held.enter_context(closing(
+            rundir.RunDir(out_dir, pin) if out_dir is not None else rundir.NoDir()))
         todo = [(dataset_id, method, setting, trial)
                 for dataset_id in datasets for trial in range(trials)
                 for setting in settings for method in methods
-                if (dataset_id, method, setting, trial) not in done]
-        loaded = {}
-        for dataset_id, _, _, _ in todo:
-            if dataset_id not in loaded:
-                source = datasets[dataset_id]
-                dataset = loaded[dataset_id] = source() if callable(source) else source
-                if dataset.n < MIN_SPLIT_ROWS:
-                    raise ValueError(f"dataset {dataset_id!r} has {dataset.n} rows, fewer than the "
-                                     f"{MIN_SPLIT_ROWS} a split needs")
-                if (dataset.y == dataset.y[0]).all():
-                    raise ValueError(f"dataset {dataset_id!r} labels every row "
-                                     f"{dataset.classes[dataset.y[0]]!r}; a classifier needs 2 classes")
-        if out_dir is not None:
-            here = {dataset_id: _data_digest(dataset) for dataset_id, dataset in loaded.items()}
-            there = {dataset_id: pin["data_digest"].get(dataset_id, digest)  # a new id pins its own
-                     for dataset_id, digest in here.items()}
-            _check_pin(pin_path, {"data_digest": there}, {"data_digest": here})
-            pin["data_digest"].update(here)
-            if not locked:
-                os.makedirs(out_dir, exist_ok=True)
-                held.callback(os.close, _lock_dir(out_dir))
-                if any(os.path.exists(path) for path in (pin_path, results_path)):
-                    raise ValueError(f"{out_dir} was written by another run_benchmark call while "
-                                     "this one loaded its data")
-            if pin != pinned:  # whole: a torn pin would refuse every resume
-                write_json_object(pin_path, pin)
+                if (dataset_id, method, setting, trial) not in run_dir.done]
+        loaded = {dataset_id: _load(dataset_id, datasets[dataset_id])
+                  for dataset_id in dict.fromkeys(key[0] for key in todo)}
+        run_dir.pin_data(loaded)
         held = held.pop_all()  # the iterator's now
 
     def run_one(key):
@@ -295,8 +234,8 @@ def run_benchmark(
             splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
             res = run_method(method, scale(loaded[dataset_id], splits.train, hp.scaling),
                              splits, setting, seed, hp)
-            run = stats.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
-                                  res["epochs_used"], res["pretrain_epochs"])
+            run = rundir.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
+                                   res["epochs_used"], res["pretrain_epochs"])
         except Exception as exc:  # reported to the caller; no record is written
             return TrialFailure(dataset_id, method, setting, trial, exc), None
         return run, res
@@ -306,27 +245,34 @@ def run_benchmark(
             yield  # primed below: from here on, closing or collecting the iterator unlocks
             if jobs > 1:
                 from concurrent.futures import ThreadPoolExecutor
-
-                # `held` exits last in first: the outcomes close before the
-                # pool shuts down, so closing this iterator early cancels the
-                # trials not yet started, and the BLAS threads come back once
-                # no trial runs
+                # `held` exits last in first: the outcomes close before the pool
+                # shuts down, so closing this iterator early cancels the trials not
+                # yet started, and the BLAS threads come back once no trial runs
                 held.enter_context(_one_blas_thread())
                 pool = held.enter_context(ThreadPoolExecutor(jobs))
                 outcomes = held.enter_context(closing(pool.map(run_one, todo)))
             else:
                 outcomes = map(run_one, todo)
             for outcome, res in outcomes:
-                if out_dir and res is None:
-                    _append_failure(out_dir, outcome)
-                elif out_dir:  # the record last: a trial with a record has its curves
-                    _write_curves(out_dir, outcome, res)
-                    stats.append_run(results_path, outcome)
+                run_dir.record(outcome, res)
                 yield outcome
 
     outcomes = in_trial_order()
     next(outcomes)
     return outcomes
+
+
+def _load(dataset_id, source) -> ProcessedDataset:
+    """The dataset, run if it is a loader; ValueError if it has fewer rows
+    than a split needs or labels every row alike."""
+    dataset = source() if callable(source) else source
+    if dataset.n < MIN_SPLIT_ROWS:
+        raise ValueError(f"dataset {dataset_id!r} has {dataset.n} rows, fewer than the "
+                         f"{MIN_SPLIT_ROWS} a split needs")
+    if (dataset.y == dataset.y[0]).all():
+        raise ValueError(f"dataset {dataset_id!r} labels every row "
+                         f"{dataset.classes[dataset.y[0]]!r}; a classifier needs 2 classes")
+    return dataset
 
 
 # the thread-count functions, "get" and "set", of the OpenBLAS builds that
@@ -383,59 +329,3 @@ def _one_blas_thread():
             _blas_hold["iterators"] -= 1
             if not _blas_hold["iterators"]:
                 set_(_blas_hold["threads_before"])
-
-
-def _lock_dir(out_dir) -> int:
-    """A descriptor of directory `out_dir` that holds its exclusive flock;
-    closing it unlocks."""
-    fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        os.close(fd)
-        raise ValueError(f"{out_dir} is locked by another run_benchmark call writing to it") from None
-    return fd
-
-
-def _check_pin(pin_path, pinned: dict, pin: dict) -> None:
-    differ = [key for key in {**pinned, **pin} if pinned.get(key) != pin.get(key)]
-    if differ:
-        raise ValueError(f"{pin_path} pins another run: " + "; ".join(
-            f"{key} is {pinned.get(key)!r} there, {pin.get(key)!r} here" for key in differ))
-
-
-def _data_digest(dataset: ProcessedDataset) -> str:
-    """sha256 of X and y (dtype, shape and bytes, hashed in place), the
-    feature blocks, the classes and the numerical columns."""
-    digest = hashlib.sha256()
-    for array in (dataset.X, dataset.y):
-        array = np.ascontiguousarray(array)  # a copy only if it is not contiguous
-        digest.update(f"{array.dtype.str}{array.shape}".encode())
-        digest.update(array)
-    digest.update(repr((dataset.feature_blocks, dataset.classes,
-                        dataset.numerical_columns)).encode())
-    return digest.hexdigest()
-
-
-def _append_failure(out_dir, failure: TrialFailure) -> None:
-    """One JSON line per failed trial, by `stats.append_line`: its key, the
-    exception and its traceback."""
-    exc = failure.error
-    record = {"dataset_id": failure.dataset_id, "method_name": failure.method_name,
-              "setting": failure.setting, "trial_index": failure.trial_index,
-              "error_type": type(exc).__name__, "message": str(exc),
-              "traceback": "".join(traceback.format_exception(exc))}
-    stats.append_line(os.path.join(out_dir, "failures.jsonl"), json.dumps(record))
-
-
-def _write_curves(out_dir, run: stats.MethodRun, res: dict) -> None:
-    """Per-epoch train and validation metrics of a trial's two phases."""
-    name = f"curves_{run.dataset_id}_{run.method_name}_{run.setting}_{run.trial_index}.csv"
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write("phase,epoch,train_metric,validation_metric\n")
-        for phase_name, outcome in (("pretrain", res["pretrain_outcome"]),
-                                    ("finetune", res["finetune_outcome"])):
-            if outcome is None:
-                continue
-            for e, (tr, va) in enumerate(zip(outcome.train_curve, outcome.val_curve), start=1):
-                fh.write(f"{phase_name},{e},{tr:.10g},{va:.10g}\n")

@@ -1,120 +1,24 @@
 """Benchmark statistics: Welch's t-test, pairwise win matrices with the
-minimum-win-ratio column, and relative-improvement (box-plot) exports, plus
-line-delimited results persistence for multi-trial sweeps.
+minimum-win-ratio column, and relative-improvement (box-plot) exports, over
+the `rundir.MethodRun` records of one setting.
+
+The results file is `rundir`'s. `append_run`, `completed_keys` and
+`load_runs` stay bound here as well, as the names that perfbench wraps and
+reads records with; `rundir` calls them as its own module-level names, so a
+wrapper bound at both names sees every call.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import os
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
-from typing import get_type_hints
 
 import numpy as np
 
-from tabpretrain.corruption import check_type
-from tabpretrain.data import parse_json_object
-
-
-@dataclass
-class MethodRun:
-    """One trial's results record, valid by construction: building one
-    raises ValueError if a field is not of its declared type, by the rule of
-    `corruption.check_type`, or holds a value that no trial produces: a
-    `test_accuracy` that is not finite or lies outside [0, 1] (a fraction
-    of the test rows, not a percentage), or a negative `trial_index`,
-    `epochs_used` or `pretrain_epochs`. The `seed` may be any int."""
-
-    dataset_id: str
-    method_name: str
-    trial_index: int
-    seed: int
-    setting: str  # full | noise30 | semi25
-    test_accuracy: float
-    epochs_used: int = 0
-    pretrain_epochs: int = 0
-
-    def __post_init__(self):
-        for name, default in _FIELD_DEFAULTS.items():
-            check_type("field", name, getattr(self, name), default)
-        if not math.isfinite(self.test_accuracy):
-            raise ValueError(f"non-finite test_accuracy {self.test_accuracy} for {self.key()}")
-        if not 0 <= self.test_accuracy <= 1:
-            raise ValueError(f"test_accuracy {self.test_accuracy} outside [0, 1] for {self.key()}")
-        for name in ("trial_index", "epochs_used", "pretrain_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative {name} {getattr(self, name)} for {self.key()}")
-
-    def key(self) -> tuple:
-        return (self.dataset_id, self.method_name, self.setting, self.trial_index)
-
-
-# a value of each field's declared type, which `check_type` compares against
-_FIELD_DEFAULTS = {name: kind() for name, kind in get_type_hints(MethodRun).items()}
-
-
-def append_line(path, line: str) -> None:
-    """Append `line` and its newline to the line-delimited file `path`. A
-    line counts once its newline is written: an unterminated tail left by a
-    torn write is cut off first, so the new line starts on a fresh line."""
-    with open(path, "ab+") as fh:
-        end = fh.seek(0, os.SEEK_END)
-        if end:
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write((line + "\n").encode())
-
-
-def append_run(path, run: MethodRun) -> None:
-    """Append one record as a JSON line by `append_line`. A `MethodRun`
-    holds a finite accuracy, so the line never holds a bare NaN, which is not
-    valid JSON."""
-    append_line(path, json.dumps(asdict(run), sort_keys=True))
-
-
-def load_runs(path) -> list[MethodRun]:
-    """Records of a results file, read as UTF-8. An unterminated last line is
-    a torn write: it is dropped with a warning, so its trial counts as not yet
-    run. Each other line is parsed by `data.parse_json_object`, the rule of
-    the pin, schema and config files, and its dict builds a `MethodRun`. A
-    file that is not UTF-8, a line that the parse refuses (not JSON, not an
-    object, a key named twice at any depth, nested past the recursion
-    limit) or that `MethodRun` refuses (not its fields, a field not of its
-    type or range), and a key recorded twice raise ValueError naming the
-    file and the line, so one trial never counts twice and a failed or
-    malformed one never counts as done."""
-    if not os.path.exists(path):
-        return []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not a UTF-8 results file ({exc})") from exc
-    if lines and not lines[-1].endswith("\n"):
-        warnings.warn(f"{path}: dropping unterminated last line {lines.pop()[:80]!r}")
-    runs, line_of = [], {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            run = MethodRun(**parse_json_object(line, "results line"))
-        except (ValueError, TypeError) as exc:  # no JSON object, or no record `MethodRun` accepts
-            raise ValueError(f"{path}, line {number}: not a results record ({exc})") from exc
-        if (first := line_of.setdefault(run.key(), number)) != number:
-            raise ValueError(f"{path}, lines {first} and {number}: key {run.key()} recorded twice")
-        runs.append(run)
-    return runs
-
-
-def completed_keys(path) -> set[tuple]:
-    return {r.key() for r in load_runs(path)}
+from tabpretrain.rundir import append_run, completed_keys, load_runs
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -214,12 +118,10 @@ class WinMatrix:
         return None if total == 0 else self.wins[i, j] / total
 
     def min_ratio_column(self) -> list[float | None]:
-        out = []
-        for i in range(len(self.methods)):
-            ratios = [self.ratio(i, j) for j in range(len(self.methods)) if j != i]
-            ratios = [r for r in ratios if r is not None]
-            out.append(min(ratios) if ratios else None)
-        return out
+        """Per method, its lowest win ratio against the methods it met."""
+        n = len(self.methods)
+        ratios = [[self.ratio(i, j) for j in range(n) if j != i] for i in range(n)]
+        return [min((r for r in row if r is not None), default=None) for row in ratios]
 
     def cell_text(self, i: int, j: int) -> str:
         total = int(self.wins[i, j] + self.wins[j, i])
@@ -291,15 +193,10 @@ def _csv_text(rows) -> str:
 
 
 def win_matrix_csv(wm: WinMatrix) -> str:
-    rows = [["method"] + wm.methods + ["min_ratio"]]
-    min_col = wm.min_ratio_column()
-    for i, m in enumerate(wm.methods):
-        cells = [m]
-        for j in range(len(wm.methods)):
-            cells.append("" if i == j else wm.cell_text(i, j))
-        cells.append("" if min_col[i] is None else f"{min_col[i]:.4f}")
-        rows.append(cells)
-    return _csv_text(rows)
+    n, min_col = len(wm.methods), wm.min_ratio_column()
+    return _csv_text([["method"] + wm.methods + ["min_ratio"]] + [
+        [m, *("" if i == j else wm.cell_text(i, j) for j in range(n)),
+         "" if min_col[i] is None else f"{min_col[i]:.4f}"] for i, m in enumerate(wm.methods)])
 
 
 def box_plot_csv(entries: list[BoxPlotEntry]) -> str:

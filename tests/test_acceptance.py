@@ -18,7 +18,7 @@ import scipy.stats
 from _pytest.outcomes import Skipped
 
 from conftest import central_difference, encoded_dataset, scripted_fit, to_float64
-from tabpretrain import losses, stats
+from tabpretrain import losses, rundir, stats
 from tabpretrain.cli import main as cli_main
 from tabpretrain.corruption import build_marginal_pool, corrupt_batch, select_indices
 from tabpretrain.data import Schema, corrupt_labels, encode_csv, make_splits
@@ -266,7 +266,7 @@ def test_criterion_4_welch_win_matrix_oracle():
     }
     for (m, d), accs in table.items():
         for t_idx, acc in enumerate(accs):
-            runs.append(stats.MethodRun(d, m, t_idx, 0, "full", acc))
+            runs.append(rundir.MethodRun(d, m, t_idx, 0, "full", acc))
     wm = stats.win_matrix(runs, ["A", "B"], p=0.05)
     for i, mi in enumerate(["A", "B"]):
         for j, mj in enumerate(["A", "B"]):

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tabpretrain import cli, stats
+from tabpretrain import cli, rundir
 from tabpretrain.cli import CONFIG_DEFAULTS, main
 from tabpretrain.training import Hyperparameters
 
@@ -235,7 +235,7 @@ class TestConfiguration:
             assert main(["run", "--dataset", csv, "--schema", schema, "--out", str(out)] + args) == 0
             echoed = json.loads((out / "config.json").read_text())
             assert echoed == {**NON_DEFAULTS, "out": str(out), "dataset": csv, "schema": schema}
-            runs = stats.load_runs(out / "results.jsonl")
+            runs = rundir.load_runs(out / "results.jsonl")
             assert [(r.method_name, r.setting) for r in runs] == [("scarf", "noise30")]
             outputs.append((out / "results.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
@@ -363,7 +363,7 @@ class TestRun:
         code = main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
                      "--method", "control", "--out", str(out)])
         assert code == 0
-        runs = stats.load_runs(out / "results.jsonl")
+        runs = rundir.load_runs(out / "results.jsonl")
         assert len(runs) == 1
         assert runs[0].method_name == "control"
         assert runs[0].pretrain_epochs == 0
@@ -379,7 +379,7 @@ class TestRun:
         code = main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
                      "--method", "scarf", "--out", str(out)])
         assert code == 0
-        runs = stats.load_runs(out / "results.jsonl")
+        runs = rundir.load_runs(out / "results.jsonl")
         assert runs[0].pretrain_epochs >= 1
         curves = (out / "curves_toy_scarf_full_0.csv").read_text()
         assert "pretrain,1," in curves and "finetune,1," in curves
@@ -393,7 +393,7 @@ class TestRun:
         assert main(args) == 0
         first = (out / "results.jsonl").read_bytes()
         assert main(args + ["--trials", "2"]) == 0
-        runs = stats.load_runs(out / "results.jsonl")
+        runs = rundir.load_runs(out / "results.jsonl")
         assert [r.trial_index for r in runs] == [0, 1]
         # trial 0 was not recomputed: its original line is an exact prefix
         assert (out / "results.jsonl").read_bytes().startswith(first)
@@ -528,7 +528,7 @@ class TestRun:
         assert main(args) == 0
         assert main(args + ["--method", "mixup", "--setting", "semi25", "--trials", "2",
                             "--jobs", "2"]) == 0
-        assert [r.key() for r in stats.load_runs(out / "results.jsonl")] == [
+        assert [r.key() for r in rundir.load_runs(out / "results.jsonl")] == [
             ("toy", "control", "full", 0), ("toy", "mixup", "semi25", 0),
             ("toy", "mixup", "semi25", 1)]
 
@@ -725,7 +725,7 @@ class TestRun:
                          "--out", str(out)])
         assert code == 1
         assert "all trials failed" in capsys.readouterr().err
-        assert not (out / "results.jsonl").exists() or stats.load_runs(out / "results.jsonl") == []
+        assert not (out / "results.jsonl").exists() or rundir.load_runs(out / "results.jsonl") == []
         failures = (out / "failures.jsonl").read_text().splitlines()
         assert [json.loads(line)["error_type"] for line in failures] == ["TrainingDiverged"] * 2
 
@@ -749,7 +749,7 @@ class TestRun:
         code = main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
                      "--method", "control", "--jobs", "2", "--out", str(out)])
         assert code == 0
-        runs = stats.load_runs(out / "results.jsonl")
+        runs = rundir.load_runs(out / "results.jsonl")
         assert sorted(r.trial_index for r in runs) == [0, 1, 2]
 
 
@@ -759,10 +759,10 @@ class TestReport:
         rng = np.random.default_rng(0)
         for d in ("d1", "d2"):
             for t in range(5):
-                stats.append_run(path, stats.MethodRun(d, "scarf", t, 0, "full",
-                                                       0.9 + rng.uniform(0, 0.01)))
-                stats.append_run(path, stats.MethodRun(d, "control", t, 0, "full",
-                                                       0.5 + rng.uniform(0, 0.01)))
+                rundir.append_run(path, rundir.MethodRun(d, "scarf", t, 0, "full",
+                                                         0.9 + rng.uniform(0, 0.01)))
+                rundir.append_run(path, rundir.MethodRun(d, "control", t, 0, "full",
+                                                         0.5 + rng.uniform(0, 0.01)))
         return str(path)
 
     def test_win_matrix_and_boxplot(self, tmp_path):
@@ -798,8 +798,8 @@ class TestReport:
         path = tmp_path / "results.jsonl"
         for d in ('credit,g.csv', 'say "hi".csv'):
             for t in range(3):
-                stats.append_run(path, stats.MethodRun(d, "scarf", t, 0, "full", 0.9 + t / 100))
-                stats.append_run(path, stats.MethodRun(d, "control", t, 0, "full", 0.5 + t / 100))
+                rundir.append_run(path, rundir.MethodRun(d, "scarf", t, 0, "full", 0.9 + t / 100))
+                rundir.append_run(path, rundir.MethodRun(d, "control", t, 0, "full", 0.5 + t / 100))
         out = tmp_path / "report"
         assert main(["report", "--results", str(path), "--methods", "scarf,control",
                      "--reference", "control", "--out", str(out)]) == 0
@@ -831,8 +831,8 @@ class TestReport:
         path = tmp_path / "results.jsonl"
         for trial in range(3):
             for method, accuracy in (("a<b", 0.9), ("ctrl", 0.5)):
-                stats.append_run(path, stats.MethodRun("d1", method, trial, 0, "full",
-                                                       accuracy + trial / 100))
+                rundir.append_run(path, rundir.MethodRun("d1", method, trial, 0, "full",
+                                                         accuracy + trial / 100))
         out = tmp_path / "report"
         assert main(["report", "--results", str(path), "--methods", "a<b,ctrl", "--svg",
                      "--out", str(out)]) == 0
@@ -859,7 +859,7 @@ class TestReport:
         """A trial recorded twice used to count as two trials in the Welch
         tests."""
         results = self._results(tmp_path)
-        stats.append_run(results, stats.MethodRun("d1", "scarf", 0, 0, "full", 0.95))
+        rundir.append_run(results, rundir.MethodRun("d1", "scarf", 0, 0, "full", 0.95))
         out = tmp_path / "report"
         code = main(["report", "--results", results, "--methods", "scarf,control",
                      "--out", str(out)])
@@ -884,7 +884,7 @@ class TestReport:
                                                              setting, error):
         results = self._results(tmp_path)
         for t in range(3):
-            stats.append_run(results, stats.MethodRun("d1", "mixup", t, 0, "semi25", 0.5 + t / 100))
+            rundir.append_run(results, rundir.MethodRun("d1", "mixup", t, 0, "semi25", 0.5 + t / 100))
         out = tmp_path / "report"
         code = main(["report", "--results", results, "--methods", "control,scarf",
                      "--reference", reference, *setting, "--out", str(out)])
@@ -968,10 +968,10 @@ class TestReport:
         path = tmp_path / "results.jsonl"
         for t in range(5):
             for setting, scarf, control in (("full", 0.9, 0.5), ("semi25", 0.5, 0.9)):
-                stats.append_run(path, stats.MethodRun("d1", "scarf", t, 0, setting,
-                                                       scarf + t / 1000))
-                stats.append_run(path, stats.MethodRun("d1", "control", t, 0, setting,
-                                                       control + t / 1000))
+                rundir.append_run(path, rundir.MethodRun("d1", "scarf", t, 0, setting,
+                                                         scarf + t / 1000))
+                rundir.append_run(path, rundir.MethodRun("d1", "control", t, 0, setting,
+                                                         control + t / 1000))
         out = tmp_path / "report"
         code = main(["report", "--results", str(path), "--methods", "scarf,control",
                      "--out", str(out)])
@@ -1001,13 +1001,24 @@ class TestReport:
                                                     methods):
         """A trailing comma used to end in `no results for method(s): `, with
         nothing named."""
-        monkeypatch.setattr(stats, "load_runs", lambda path: pytest.fail("results read"))
+        monkeypatch.setattr(rundir, "load_runs", lambda path: pytest.fail("results read"))
         out = tmp_path / "report"
         code = main(["report", "--results", self._results(tmp_path), "--methods", methods,
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr() == (
             "", f"report failed: --methods {methods!r} names an empty method\n")
+        assert not out.exists()
+
+    def test_empty_reference_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        """`--reference ""` used to count as no reference: the report exited 0
+        and wrote `win_matrix.csv` alone, with no word of the box plot."""
+        monkeypatch.setattr(rundir, "load_runs", lambda path: pytest.fail("results read"))
+        out = tmp_path / "report"
+        code = main(["report", "--results", self._results(tmp_path), "--methods", "scarf,control",
+                     "--reference", "", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "report failed: --reference '' names an empty method\n")
         assert not out.exists()
 
     def test_unwritable_out_fails_without_a_traceback(self, tmp_path, capsys):
@@ -1046,7 +1057,7 @@ def test_every_json_reader_follows_one_rule(tmp_path, capsys, reader, content, e
         assert main(argv) == 0
     if reader == "results_report":
         out.mkdir()
-        stats.append_run(results, stats.MethodRun("toy", "control", 0, 0, "full", 0.5))
+        rundir.append_run(results, rundir.MethodRun("toy", "control", 0, 0, "full", 0.5))
     target = {"pin": out / "pin.json", "schema": schema, "config": config}.get(reader, results)
     with open(target, "ab" if reader.startswith("results") else "wb") as fh:
         fh.write(content + (b"\n" if reader.startswith("results") else b""))
@@ -1077,7 +1088,7 @@ class TestErrorBoundary:
         def raiser(*args, **kwargs):
             raise exc
         module, name = {"validate": (cli, "load_csv"), "run": (cli.methods, "run_benchmark"),
-                        "report": (stats, "load_runs")}[command]
+                        "report": (rundir, "load_runs")}[command]
         monkeypatch.setattr(module, name, raiser)
         csv, schema = write_dataset(tmp_path)
         return {

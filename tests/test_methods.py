@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_dataset, make_numeric_dataset
-from tabpretrain import baselines, methods, stats
+from tabpretrain import baselines, methods, rundir
 from tabpretrain.corruption import ConfigurationError
 from tabpretrain.data import (Schema, corrupt_labels, encode_csv, make_splits, process_csv,
                               read_json_object)
@@ -88,7 +88,7 @@ class TestCheckMethod:
                 run_method(method, ds, make_splits(60, 1), "full", 3, hp)
         else:
             [run] = run_benchmark({"blob": ds}, [method], ["full"], 1, 0, out_dir=tmp_path, hp=hp)
-            assert isinstance(run, stats.MethodRun)
+            assert isinstance(run, rundir.MethodRun)
 
     def test_batch_size_one_rejected_for_every_pre_trainer(self, tmp_path, monkeypatch):
         calls = []
@@ -374,7 +374,7 @@ class TestRunBenchmark:
         records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
                                      out_dir=tmp_path, hp=FAST_HP))
         assert len(records) == 2
-        assert all(isinstance(r, stats.MethodRun) for r in records)
+        assert all(isinstance(r, rundir.MethodRun) for r in records)
         again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
                                    out_dir=tmp_path, hp=FAST_HP))
         assert again == []  # everything already completed
@@ -387,7 +387,7 @@ class TestRunBenchmark:
         ds = make_blob_dataset(n=120, d=4, seed=4)
         same = {"base_seed": 0, "out_dir": tmp_path, "hp": FAST_HP}
         list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, **same))
-        digest = methods._data_digest(ds)
+        digest = rundir._data_digest(ds)
         assert json.loads((tmp_path / "pin.json").read_text()) == {
             "seed": 0, "results_version": methods.RESULTS_VERSION, "data_digest": {"blob": digest},
             **asdict(FAST_HP)}
@@ -402,7 +402,7 @@ class TestRunBenchmark:
                               **{**same, key: value})
         other = make_blob_dataset(n=120, d=4, seed=5)
         named = (f"data_digest is {{'blob': {digest!r}}} there, "
-                 f"{{'blob': {methods._data_digest(other)!r}}} here")
+                 f"{{'blob': {rundir._data_digest(other)!r}}} here")
         with pytest.raises(ValueError, match=re.escape(f"pins another run: {named}")):
             run_benchmark({"blob": other}, ["control"], ["full"], 2, **same)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -428,7 +428,7 @@ class TestRunBenchmark:
         list(run_benchmark({"blob": lambda: pytest.fail("loaded"), "other": second}, ["control"],
                            ["full"], 1, 0, tmp_path, FAST_HP))
         assert json.loads((tmp_path / "pin.json").read_text())["data_digest"] == {
-            "blob": methods._data_digest(first), "other": methods._data_digest(second)}
+            "blob": rundir._data_digest(first), "other": rundir._data_digest(second)}
 
     def test_pin_with_scaling_beside_the_hyperparameters_resumes(self, tmp_path):
         """A pin written with `scaling` as a run key beside the 28 other
@@ -438,7 +438,7 @@ class TestRunBenchmark:
         ds = make_blob_dataset(n=120, d=4, seed=4)
         fields = asdict(FAST_HP)
         pin = {"seed": 0, "results_version": methods.RESULTS_VERSION,
-               "scaling": fields.pop("scaling"), "data_digest": {"blob": methods._data_digest(ds)},
+               "scaling": fields.pop("scaling"), "data_digest": {"blob": rundir._data_digest(ds)},
                **fields}
         assert len(fields) == 28
         (tmp_path / "pin.json").write_text(json.dumps(pin, indent=2))
@@ -550,7 +550,7 @@ class TestRunBenchmark:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "curves_blob_control_full_0.csv", "curves_blob_control_full_1.csv", "pin.json",
             "results.jsonl"]
-        assert len(stats.load_runs(tmp_path / "results.jsonl")) == 2
+        assert len(rundir.load_runs(tmp_path / "results.jsonl")) == 2
         assert list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
                                   replace(FAST_HP, learning_rate=first_rate))) == []
 
@@ -564,9 +564,8 @@ class TestRunBenchmark:
         first = run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         touched = []
-        for name in ("read_json_object", "write_json_object"):
-            monkeypatch.setattr(methods, name, lambda *a, _name=name, **k: touched.append(_name))
-        monkeypatch.setattr(stats, "completed_keys", lambda *a: touched.append("completed_keys"))
+        for name in ("read_json_object", "write_json_object", "completed_keys"):
+            monkeypatch.setattr(rundir, name, lambda *a, _name=name, **k: touched.append(_name))
 
         def second():
             def load():
@@ -623,7 +622,7 @@ class TestRunBenchmark:
             run_benchmark({"blob": load}, ["control"], ["full"], 1, 0, out_dir, FAST_HP)
         assert read_json_object(out_dir / "pin.json", "pin")["learning_rate"] == 0.01
         assert len(list(other[0])) == open_meanwhile
-        assert len(stats.load_runs(out_dir / "results.jsonl")) == 1
+        assert len(rundir.load_runs(out_dir / "results.jsonl")) == 1
 
     def test_resume_refuses_a_key_recorded_twice(self, tmp_path):
         """A resume used to accept a results file with two records of one key
@@ -680,13 +679,13 @@ class TestRunBenchmark:
     def test_record_written_after_its_curves(self, tmp_path, monkeypatch):
         """A curves write that failed used to leave the trial's record, so the
         resume skipped the trial and its curves never came."""
-        real_write = methods._write_curves
+        real_write = rundir._write_curves
 
         def failing_write(*args):
-            monkeypatch.setattr(methods, "_write_curves", real_write)
+            monkeypatch.setattr(rundir, "_write_curves", real_write)
             raise OSError("disk full")
 
-        monkeypatch.setattr(methods, "_write_curves", failing_write)
+        monkeypatch.setattr(rundir, "_write_curves", failing_write)
         ds = make_blob_dataset(n=120, d=4, seed=4)
         with pytest.raises(OSError, match="disk full"):
             list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP))
@@ -742,7 +741,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(methods, "finetune", checked_finetune)
         ds = make_blob_dataset(n=120, d=4, seed=4)
         records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
-        assert all(isinstance(r, stats.MethodRun) for r in records)
+        assert all(isinstance(r, rundir.MethodRun) for r in records)
         assert len(trained) == len(scaled) == 2
         assert all(t is s and t.dtype == np.float32 for t, s in zip(trained, scaled))
 
@@ -845,7 +844,7 @@ class TestRunBenchmark:
         assert list(tmp_path.iterdir()) == []
         records = list(run_benchmark({"blob": make_blob_dataset(n=120, d=4)}, ["control"],
                                      ["full"], 1, 0, out_dir=out, hp=FAST_HP))
-        assert [r.key() for r in stats.load_runs(out / "results.jsonl")] == \
+        assert [r.key() for r in rundir.load_runs(out / "results.jsonl")] == \
             [r.key() for r in records] == [("blob", "control", "full", 0)]
 
     def test_mistyped_hyperparameter_raises_before_any_file(self, tmp_path, monkeypatch):
@@ -880,7 +879,7 @@ class TestRunBenchmark:
         counted as extra trials."""
         calls = []
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
-        monkeypatch.setattr(stats, "completed_keys", lambda path: calls.append(path) or set())
+        monkeypatch.setattr(rundir, "completed_keys", lambda path: calls.append(path) or set())
         with pytest.raises(ValueError, match=re.escape(repeated)):
             run_benchmark({"blob": lambda: calls.append("load")}, names, settings, 2, 0,
                           out_dir=tmp_path, hp=FAST_HP)
@@ -904,9 +903,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(methods, "run_method", flaky)
         first = list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0,
                                    out_dir=out, hp=FAST_HP))
-        assert [type(r) for r in first] == [stats.MethodRun, TrialFailure, stats.MethodRun]
+        assert [type(r) for r in first] == [rundir.MethodRun, TrialFailure, rundir.MethodRun]
         assert first[1].trial_index == 1 and "boom" in str(first[1].error)
-        assert [r.trial_index for r in stats.load_runs(out / "results.jsonl")] == [0, 2]
+        assert [r.trial_index for r in rundir.load_runs(out / "results.jsonl")] == [0, 2]
         assert not (out / "curves_blob_control_full_1.csv").exists()
 
         monkeypatch.setattr(methods, "run_method", run_method)
@@ -938,9 +937,9 @@ class TestRunBenchmark:
         assert failures[0]["message"].startswith("scarf_ae pre-training diverged at epoch ")
         for f in failures[1:]:
             assert f["message"].startswith("fine-tuning diverged at epoch ")
-        assert stats.load_runs(diverged / "results.jsonl") == []
+        assert rundir.load_runs(diverged / "results.jsonl") == []
         assert not (finite / "failures.jsonl").exists()
-        assert [r.method_name for r in stats.load_runs(finite / "results.jsonl")] == ["scarf"]
+        assert [r.method_name for r in rundir.load_runs(finite / "results.jsonl")] == ["scarf"]
 
     def test_failed_trial_logged_to_failures_jsonl(self, tmp_path, monkeypatch):
         ds = make_blob_dataset(n=120, d=4, seed=4)
@@ -961,7 +960,7 @@ class TestRunBenchmark:
         assert (failure["error_type"], failure["message"]) == ("RuntimeError", "boom")
         assert "in flaky" in failure["traceback"] and "RuntimeError: boom" in failure["traceback"]
         results = (tmp_path / "results.jsonl").read_text()
-        assert [r.trial_index for r in stats.load_runs(tmp_path / "results.jsonl")] == [0]
+        assert [r.trial_index for r in rundir.load_runs(tmp_path / "results.jsonl")] == [0]
         assert "boom" not in results
 
         monkeypatch.setattr(methods, "run_method", run_method)
@@ -969,19 +968,6 @@ class TestRunBenchmark:
                                    out_dir=tmp_path, hp=FAST_HP))
         assert [r.trial_index for r in again] == [1]
         assert (tmp_path / "failures.jsonl").read_text().splitlines() == lines
-
-    def test_failure_after_a_torn_line_starts_a_fresh_line(self, tmp_path):
-        """A failure record cut off by a crash used to swallow the next one:
-        the append ran on from the torn tail, leaving one line that is no
-        JSON. The torn tail is cut off first, as for results.jsonl."""
-        path = tmp_path / "failures.jsonl"
-        path.write_text('{"dataset_id": "a", "sett')
-        methods._append_failure(tmp_path, TrialFailure("d", "control", "full", 2,
-                                                       RuntimeError("boom")))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        failure = json.loads(lines[0])
-        assert (failure["dataset_id"], failure["trial_index"], failure["message"]) == ("d", 2, "boom")
 
     def test_loader_runs_only_for_a_dataset_with_trials_left(self, tmp_path):
         ds = make_blob_dataset(n=120, d=4, seed=4)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_dataset
-from tabpretrain import methods, stats
+from tabpretrain import methods, rundir, stats
 from tabpretrain.data import Schema, make_splits, process_csv
 from tabpretrain.training import Hyperparameters
 
@@ -161,3 +161,27 @@ def test_trace_counts_co_training_corruption(monkeypatch):
     assert cotrain.counts["corruption.cells_replaced"] > scarf.counts["corruption.cells_replaced"]
     [(_, finetune_rows)] = cotrain.calls["training.finetune"]
     assert finetune_rows == len(labeled) * res["epochs_used"]
+
+
+def test_trace_sees_every_results_read_and_write(tmp_path, monkeypatch):
+    """`run_benchmark` records through `rundir`, which calls `append_run` and
+    `completed_keys` by their module-level names: the wrappers bound at
+    `stats.append_run` and `stats.completed_keys` see one append per record
+    and one read of the completed keys per call. A writer that stopped
+    calling them would read 0 on both spans."""
+    spans = load_perfbench("spans", monkeypatch)
+    assert (stats.append_run, stats.completed_keys) == (rundir.append_run, rundir.completed_keys)
+    ds = make_blob_dataset(n=120, d=4, seed=0)
+    tracer, patches = spans.Tracer(), spans.Patches()
+    try:
+        spans.install_trace(tracer, patches)
+        records = list(methods.run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
+                                             HP))
+    finally:
+        patches.restore()
+    assert patches.verify_clean() == []
+
+    assert len(records) == len(stats.load_runs(tmp_path / "results.jsonl")) == 2
+    assert len(tracer.calls["stats.append_run"]) == len(records)
+    assert len(tracer.calls["stats.completed_keys"]) == 1
+
