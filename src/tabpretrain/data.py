@@ -1,5 +1,5 @@
-"""CSV ingestion, imputation, scaling, one-hot encoding, splits, and the
-label-noise / label-masking protocols.
+"""CSV ingestion, imputation, scaling, one-hot encoding, splits, a trial's
+set-up (`split_and_scale`), and the label-noise / label-masking protocols.
 
 Datasets arrive as a CSV with a header row (empty cells mean missing) plus a
 JSON schema sidecar mapping each column name to one of "numerical",
@@ -379,11 +379,21 @@ def mask_labels(
     return idx[perm[:k]], idx[perm[k:]]
 
 
+def split_and_scale(dataset: ProcessedDataset, splits_seed: int,
+                    scaling: str = "zscore") -> tuple[ProcessedDataset, Splits]:
+    """The one set-up of a trial: the splits of `splits_seed`, and `scale`'s
+    copy of the encoded `dataset`, scaled by `scaling` on their training
+    rows, with its `X` read-only, so that every method of the trial can
+    share it; a write into it raises ValueError. The caller's `X` is left
+    as it was and stays writable."""
+    splits = make_splits(dataset.n, splits_seed)
+    scaled = scale(dataset, splits.train, scaling)
+    scaled.X.flags.writeable = False
+    return scaled, splits
+
+
 def process_csv(
     csv_path, schema: Schema, splits_seed: int, scaling: str = "zscore"
 ) -> tuple[ProcessedDataset, Splits]:
-    """Full pipeline: encode, split, scale the numerical columns with
-    statistics of the training rows only."""
-    dataset = encode_csv(csv_path, schema)
-    splits = make_splits(dataset.n, splits_seed)
-    return scale(dataset, splits.train, scaling), splits
+    """Full pipeline: encode, then `split_and_scale`."""
+    return split_and_scale(encode_csv(csv_path, schema), splits_seed, scaling)

@@ -6,8 +6,14 @@ pre-trainer of `training.PRETRAINERS` ("scarf", "no_noise_ae", ...), or a
 `training.pretrain_scarf(..., pre)` runs every pre-trainer and
 `training.finetune(..., recipe=)` every recipe it trains itself; the
 pseudo-labeling recipes of `baselines.PSEUDO_LABELERS` call `finetune`.
-Within a trial every method sees the same splits; per-trial seeds derive
-deterministically from (base_seed, dataset_id, trial).
+Seeds derive deterministically by `derive_seed`. The split seed of a
+(dataset, trial) comes from (base_seed, dataset_id, trial) alone, so every
+method and setting of the trial shares its splits and the table scaled on
+their training rows (`data.split_and_scale`). The seed of one (method,
+setting) of the trial is also salted with "method|setting": its rng draws
+the setting's labels first (noise30's redrawn labels, semi25's labeled
+subset), then the model's weights and batches. So under noise30 and semi25
+two methods of one trial train on the same rows but not on the same labels.
 
 `run_benchmark` is the one loop over trials, for the library and the CLI. It
 and `run_method` take the trial hyperparameters as the one frozen
@@ -32,8 +38,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from tabpretrain import baselines, rundir, training
-from tabpretrain.data import (MIN_SPLIT_ROWS, ProcessedDataset, Splits, corrupt_labels, make_splits,
-                              mask_labels, scale)
+from tabpretrain.data import (MIN_SPLIT_ROWS, ProcessedDataset, Splits, corrupt_labels, mask_labels,
+                              split_and_scale)
 from tabpretrain.training import (
     FINETUNE_RECIPES,
     Hyperparameters,
@@ -180,10 +186,14 @@ def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedD
 
     Datasets come encoded but unscaled, or as zero-argument loaders that the
     calling thread runs only for a dataset with a trial left to run, so a
-    resume with nothing to do ingests nothing. The split seed derives from
-    (base_seed, dataset, trial) only, so all methods of a trial share the
-    split, and each trial scales the numerical columns on its training rows
-    by `hp.scaling`, the one `hp` of every trial, checked where it is built.
+    resume with nothing to do ingests nothing. Each (dataset, trial) is set
+    up once, by `data.split_and_scale` with the split seed of (base_seed,
+    dataset, trial) and `hp.scaling`, the one `hp` of every trial, checked
+    where it is built: the first of the trial's keys to start builds it,
+    every key of the trial, of any method and setting, trains on that one
+    read-only object, and the last key to start lets it go. So each running
+    trial holds one set-up, and a trial that writes into its `X` fails; a
+    set-up that raises is kept by no key, and each key of its trial fails.
     The calling thread records each outcome before yielding it, so the files
     are the same bytes for any `jobs` (threads running trials at once); a
     failure leaves no record, so it reruns on resume. Under `jobs` > 1,
@@ -227,13 +237,25 @@ def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedD
         run_dir.pin_data(loaded)
         held = held.pop_all()  # the iterator's now
 
+    # the keys left to start and the live set-up of each (dataset, trial)
+    keys_left, set_ups, set_up_lock = Counter((key[0], key[3]) for key in todo), {}, threading.Lock()
+
+    def set_up(dataset_id, trial):
+        """The trial's `split_and_scale`, built by its first key to start and
+        dropped from `set_ups` by its last; one that raises is not kept."""
+        with set_up_lock:
+            keys_left[dataset_id, trial] -= 1
+            shared = set_ups.pop((dataset_id, trial), None) or split_and_scale(
+                loaded[dataset_id], derive_seed(base_seed, dataset_id, trial), hp.scaling)
+            if keys_left[dataset_id, trial]:
+                set_ups[dataset_id, trial] = shared
+            return shared
+
     def run_one(key):
         dataset_id, method, setting, trial = key
         seed = derive_seed(base_seed, dataset_id, trial, salt=f"{method}|{setting}")
         try:
-            splits = make_splits(loaded[dataset_id].n, derive_seed(base_seed, dataset_id, trial))
-            res = run_method(method, scale(loaded[dataset_id], splits.train, hp.scaling),
-                             splits, setting, seed, hp)
+            res = run_method(method, *set_up(dataset_id, trial), setting, seed, hp)
             run = rundir.MethodRun(dataset_id, method, trial, seed, setting, res["test_accuracy"],
                                    res["epochs_used"], res["pretrain_epochs"])
         except Exception as exc:  # reported to the caller; no record is written

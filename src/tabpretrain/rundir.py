@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import traceback
 import warnings
 from contextlib import ExitStack
@@ -130,12 +129,14 @@ def completed_keys(path) -> set[tuple]:
 
 def write_json_object(path, value: dict) -> None:
     """Write `value` to `path` as indented JSON with sorted keys, whole or
-    not at all: the dump goes to a temporary file of this call's own in the
-    same directory (mode 0600, from `tempfile.mkstemp`), which then replaces
-    `path`. So two writers never share a file, and a reader sees one
-    writer's whole file; a failed dump removes its temporary file and leaves
-    `path` as it was."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    not at all: the dump goes to a temporary file of this call's own beside
+    `path`, created new under a random name with the mode that the umask
+    leaves of 0666, as `open` creates a file, which then replaces `path`. So
+    two writers never share a file, a reader sees one writer's whole file,
+    and `path` gets the mode of the run directory's other files; a failed
+    dump removes its temporary file and leaves `path` as it was."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(value, fh, indent=2, sort_keys=True)

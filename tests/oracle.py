@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from tabpretrain import training
-from tabpretrain.data import ProcessedDataset, Schema, encode_csv, make_splits, scale
+from tabpretrain.data import ProcessedDataset, Schema, encode_csv, split_and_scale
 from tabpretrain.methods import FINETUNERS, SETTINGS, derive_seed, run_method
 
 METHODS = ([*training.PRETRAINERS, *FINETUNERS]
@@ -148,13 +148,11 @@ def entry_digest(entry: tuple[str, str, str, str]) -> str:
     """The digest of one trial of `entry`, seeded as `run_benchmark` seeds
     trial 0 of base seed 0."""
     dataset_id, variant, setting, method = entry
-    dataset = _dataset(dataset_id)
-    splits = make_splits(dataset.n, derive_seed(0, dataset_id, 0))
     seed = derive_seed(0, dataset_id, 0, salt=f"{method}|{setting}")
     hp = training.Hyperparameters(**BASE_HP, **VARIANTS[variant])
     try:
-        res = run_method(method, scale(dataset, splits.train, hp.scaling), splits, setting, seed,
-                         hp)
+        res = run_method(method, *split_and_scale(_dataset(dataset_id), derive_seed(0, dataset_id, 0),
+                                                  hp.scaling), setting, seed, hp)
         payload = (float(res["test_accuracy"]), res["epochs_used"], res["pretrain_epochs"],
                    _outcome_fields(res["pretrain_outcome"]),
                    _outcome_fields(res["finetune_outcome"]))

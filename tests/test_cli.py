@@ -372,6 +372,24 @@ class TestRun:
         assert (out / "curves_toy_control_full_0.csv").exists()
         assert "trial 0" in capsys.readouterr().out
 
+    def test_pin_and_config_get_the_mode_of_the_other_files(self, tmp_path):
+        """`pin.json` and `config.json` used to come out 0600, the mode of a
+        `tempfile.mkstemp` file that `os.replace` keeps, beside the 0644 that
+        umask 022 gives `results.jsonl` and the curves."""
+        csv, schema = write_dataset(tmp_path)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "results"
+        before = os.umask(0o022)
+        try:
+            assert main(["run", "--config", cfg, "--dataset", csv, "--schema", schema,
+                         "--method", "control", "--out", str(out)]) == 0
+        finally:
+            os.umask(before)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"pin.json": 0o644, "config.json": 0o644, "results.jsonl": 0o644,
+                         "curves_toy_control_full_0.csv": 0o644}
+        assert not list(out.glob("*.tmp"))
+
     def test_pretrained_method_records_pretrain_epochs(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path)

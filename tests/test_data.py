@@ -113,6 +113,22 @@ class TestJsonObject:
                              for name, number in found), found
 
 
+def test_src_sets_a_trial_up_in_one_place():
+    """Every trial is split and scaled by `split_and_scale`, so no caller can
+    grow a set-up of its own: a call of `make_splits` or `scale` anywhere
+    else in the package fails this test."""
+    set_up = next(node for node in ast.parse(Path(data.__file__).read_text()).body
+                  if getattr(node, "name", None) == "split_and_scale")
+    found = []
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in ("make_splits", "scale"):
+                found.append((path.name, node.lineno))
+    assert len(found) == 2 and all(name == "data.py" and set_up.lineno <= number <= set_up.end_lineno
+                                   for name, number in found), found
+
+
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "age,color,target\n1,red,yes\n2,blue,no\n")

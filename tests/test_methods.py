@@ -3,13 +3,14 @@ import re
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import make_blob_dataset, make_numeric_dataset
-from tabpretrain import baselines, methods, rundir
+from tabpretrain import baselines, data, methods, rundir
 from tabpretrain.corruption import ConfigurationError
 from tabpretrain.data import (Schema, corrupt_labels, encode_csv, make_splits, process_csv,
                               read_json_object)
@@ -726,7 +727,7 @@ class TestRunBenchmark:
         # `scale` returns X in the training dtype, so run_method's cast to the
         # weights' dtype copies nothing and the trial holds one scaled X
         scaled, trained = [], []
-        real_scale, real_finetune = methods.scale, methods.finetune
+        real_scale, real_finetune = data.scale, methods.finetune
 
         def tracked_scale(*args):
             out = real_scale(*args)
@@ -737,13 +738,103 @@ class TestRunBenchmark:
             trained.append(dataset.X)
             return real_finetune(dataset, *args, **kwargs)
 
-        monkeypatch.setattr(methods, "scale", tracked_scale)
+        monkeypatch.setattr(data, "scale", tracked_scale)  # as `split_and_scale` calls it
         monkeypatch.setattr(methods, "finetune", checked_finetune)
         ds = make_blob_dataset(n=120, d=4, seed=4)
         records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
         assert all(isinstance(r, rundir.MethodRun) for r in records)
         assert len(trained) == len(scaled) == 2
         assert all(t is s and t.dtype == np.float32 for t, s in zip(trained, scaled))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_trial_is_set_up_once_for_all_its_methods_and_settings(self, tmp_path,
+                                                                      monkeypatch, jobs):
+        """Each key used to split and scale its own copy of the table: 24
+        set-ups for the 24 keys of 2 datasets x 2 trials. Now each (dataset,
+        trial) is set up once, and each record is still the one that a
+        one-off trial on its own set-up gives; the files are the same bytes
+        for any `jobs`."""
+        datasets = {"a": make_blob_dataset(n=120, d=4, seed=4),
+                    "b_c": make_blob_dataset(n=90, d=3, seed=5)}
+        names, settings = ["control", "scarf", "mixup"], ["full", "semi25"]
+        set_ups, real = [], methods.split_and_scale
+
+        def counted(dataset, splits_seed, scaling):
+            set_ups.append(splits_seed)
+            return real(dataset, splits_seed, scaling)
+
+        monkeypatch.setattr(methods, "split_and_scale", counted)
+        out = tmp_path / str(jobs)
+        records = list(run_benchmark(datasets, names, settings, 2, 0, out, FAST_HP, jobs=jobs))
+        assert len(records) == 24 and all(isinstance(r, rundir.MethodRun) for r in records)
+        assert sorted(set_ups) == sorted(derive_seed(0, dataset_id, trial)
+                                         for dataset_id in datasets for trial in range(2))
+        for r in records:
+            res = run_method(r.method_name, *real(datasets[r.dataset_id],
+                                                  derive_seed(0, r.dataset_id, r.trial_index),
+                                                  FAST_HP.scaling),
+                             r.setting, r.seed, FAST_HP)
+            assert (r.test_accuracy, r.epochs_used, r.pretrain_epochs) == (
+                res["test_accuracy"], res["epochs_used"], res["pretrain_epochs"])
+        if jobs == 2:  # the jobs=1 directory of the same grid
+            list(run_benchmark(datasets, names, settings, 2, 0, tmp_path / "1", FAST_HP))
+            assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                    == {p.name: p.read_bytes() for p in (tmp_path / "1").iterdir()})
+
+    def test_a_trial_that_writes_into_the_shared_table_fails(self, monkeypatch):
+        """The methods of one trial share its scaled table, read-only: a
+        method that writes into it used to change only its own copy, and now
+        it fails, and the next method of the trial reads the table as it
+        was. The caller's table stays writable and unchanged."""
+        seen = []
+
+        def writer(method, dataset, splits, setting, seed, hp):
+            seen.append(dataset.X.copy())
+            if method == "control":
+                dataset.X[0, 0] += 1.0
+            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+
+        monkeypatch.setattr(methods, "run_method", writer)
+        ds = make_blob_dataset(n=40, d=2)
+        before = ds.X.copy()
+        failed, ran = run_benchmark({"blob": ds}, ["control", "mixup"], ["full"], 1, 0,
+                                    hp=FAST_HP)
+        assert isinstance(failed, TrialFailure) and failed.method_name == "control"
+        assert isinstance(failed.error, ValueError) and "read-only" in str(failed.error)
+        assert isinstance(ran, rundir.MethodRun) and ran.method_name == "mixup"
+        np.testing.assert_array_equal(seen[1], seen[0])
+        assert ds.X.flags.writeable
+        np.testing.assert_array_equal(ds.X, before)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("names, settings", [(["control"], ["full"]),
+                                                 (["control", "mixup", "scarf"], ["full", "semi25"])],
+                             ids=["one_key_a_trial", "six_keys_a_trial"])
+    def test_scaled_tables_alive_at_once(self, monkeypatch, jobs, names, settings):
+        """No more than `jobs` + 1 scaled tables are ever alive, and no more
+        than `jobs` where each trial has one key; none is left once the
+        iterator ends."""
+        finalizers, peak, real = [], [0], methods.split_and_scale
+
+        def tracked(*args):
+            scaled, splits = real(*args)
+            finalizers.append(weakref.finalize(scaled.X, lambda: None))
+            peak[0] = max(peak[0], sum(f.alive for f in finalizers))
+            return scaled, splits
+
+        def slow(method, dataset, splits, setting, seed, hp):
+            time.sleep(0.005)
+            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+
+        monkeypatch.setattr(methods, "split_and_scale", tracked)
+        monkeypatch.setattr(methods, "run_method", slow)
+        records = list(run_benchmark({"a": make_blob_dataset(n=40, d=2, seed=1),
+                                      "b": make_blob_dataset(n=40, d=2, seed=2)},
+                                     names, settings, 4, 0, hp=FAST_HP, jobs=jobs))
+        keys_a_trial = len(names) * len(settings)
+        assert len(records) == 8 * keys_a_trial and len(finalizers) == 8
+        assert 1 <= peak[0] <= jobs + (keys_a_trial > 1)
+        assert not any(f.alive for f in finalizers)
 
     def test_split_seed_shared_across_methods(self):
         # both methods in one trial must see identical splits: the split seed
