@@ -24,11 +24,11 @@ and names them. A resume with no trial left reads no data, so it checks only
 the first three. `config.json` is written whole, with sorted keys, by
 `rundir.write_json_object`, only once `run_benchmark` has accepted the
 configuration and loaded the data, so a rejected run leaves it as it was.
-With jobs > 1 that many trials run at once in threads; records and curves
-files are still written in trial order, so the output is byte-identical for
+With jobs > 1 that many trials run at once in threads; the records and the
+trace are still written in trial order, so the output is byte-identical for
 any jobs. A trial that raises, or whose record `rundir.MethodRun` refuses
 (such as a non-finite accuracy), is reported on stderr and in the run
-directory's failures file, leaves no record and reruns on resume. A results
+directory's trace, leaves no record and reruns on resume. A results
 line that `data.parse_json_object` (the JSON rule of the pin, schema and
 config files) or `MethodRun` refuses fails `report` and a `run` resume,
 naming the line. `report` reads the records by `rundir.load_runs`, and an

@@ -181,13 +181,13 @@ def make_views(
     batch: np.ndarray, config: Hyperparameters, pool: MarginalPool, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, CorruptionDraw]:
     """Build the two contrastive views. view_b is one `corrupt_batch` of the
-    input; view_a is the input bit for bit under corrupt_one, and another
-    `corrupt_batch`, drawn first, under corrupt_both. The returned draw
-    describes the rows it corrupted, as the learnable-missing gradient needs:
-    view_b's B rows under corrupt_one, and view_a's then view_b's, 2B rows
-    stacked, under corrupt_both."""
+    input; view_a is the input itself under corrupt_one (not a copy: no
+    caller writes into it), and another `corrupt_batch`, drawn first, under
+    corrupt_both. The returned draw describes the rows it corrupted, as the
+    learnable-missing gradient needs: view_b's B rows under corrupt_one, and
+    view_a's then view_b's, 2B rows stacked, under corrupt_both."""
     if config.view_policy == "corrupt_one":
-        view_a = as_float(batch).copy()
+        view_a = as_float(batch)
     else:
         view_a, draw_a = corrupt_batch(batch, config, pool, rng)
     view_b, draw = corrupt_batch(batch, config, pool, rng)

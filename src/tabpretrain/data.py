@@ -12,11 +12,12 @@ numerical cell a float64, any other cell an int32 code into its column's
 levels.
 
 Ingestion holds at most two copies of the table at once: the column buffers
-and their arrays while reading, the read and the imputed columns while
-imputing, and the imputed columns and the encoded X while encoding. On an
-all-numeric table each copy is the size of X (a categorical column's int32
-codes are smaller than its one-hot block), so ingestion peaks at about twice
-X. `scale` takes its statistics over the training rows of the numerical
+and their arrays while reading, the read columns and the filled copies of
+those with gaps while imputing (a gap-free column is kept, not copied), and
+the imputed columns and the encoded X while encoding. On an all-numeric
+table each copy is the size of X (a categorical column's int32 codes are
+smaller than its one-hot block), so ingestion peaks at about twice X.
+`scale` takes its statistics over the training rows of the numerical
 columns, as one gathered float64 temporary and, for zscore, a centred
 temporary of the same size, each 70% of X on an all-numeric table, and frees
 them before it makes its one copy of X, in the training dtype (float32, half
@@ -220,7 +221,7 @@ def impute(table: RawTable) -> RawTable:
         gaps = table.gaps(j)
         if gaps.all() and kind != "label":
             continue
-        filled = col.copy()
+        filled = col.copy() if gaps.any() else col
         if gaps.any() and kind == "numerical":
             filled[gaps] = col[~gaps].mean()
         elif gaps.any():

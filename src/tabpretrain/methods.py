@@ -18,8 +18,8 @@ two methods of one trial train on the same rows but not on the same labels.
 `run_benchmark` is the one loop over trials, for the library and the CLI. It
 and `run_method` take the trial hyperparameters as the one frozen
 `training.Hyperparameters` that the trainers read. What a run keeps on disk
-(the pin, the lock, the records, the failures and the curves) is the
-`rundir.RunDir` it opens, the one owner of the run directory.
+(the pin, the lock, the records and the trace of every attempted trial) is
+the `rundir.RunDir` it opens, the one owner of the run directory.
 """
 
 from __future__ import annotations
@@ -202,12 +202,12 @@ def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedD
     its thread count comes back once they have stopped, also when the
     iterator is closed early; `jobs` = 1 leaves it alone.
     These raise in this call, before anything is written: unknown or repeated
-    method or setting names, a dataset id that is not one file name, a method
-    that `check_method` rejects under `hp`, `trials` or `jobs` below 1, a
-    locked `out_dir` or one whose pin differs, and a dataset with trials left
-    that fails to load, has fewer than `MIN_SPLIT_ROWS` rows or gives every
-    row one label. `out_dir` stays locked until the iterator ends, is closed
-    or is collected, or until the call raises.
+    method or setting names, a method that `check_method` rejects under
+    `hp`, `trials` or `jobs` below 1, a locked `out_dir` or one whose pin
+    differs, and a dataset with trials left that fails to load, has fewer
+    than `MIN_SPLIT_ROWS` rows or gives every row one label. `out_dir` stays
+    locked until the iterator ends, is closed or is collected, or until the
+    call raises.
     """
     for name, count in (("trials", trials), ("jobs", jobs)):
         if count < 1:
@@ -221,9 +221,6 @@ def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedD
     for setting in settings:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")
-    for dataset_id in datasets:  # it names the curves files
-        if dataset_id in ("", ".", "..") or os.path.basename(dataset_id) != dataset_id:
-            raise ValueError(f"dataset id {dataset_id!r} is not one file name")
     pin = {"seed": base_seed, "results_version": RESULTS_VERSION, "data_digest": {}, **asdict(hp)}
     with ExitStack() as held:  # out_dir's lock, released here if this call raises
         run_dir = held.enter_context(closing(

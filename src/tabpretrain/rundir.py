@@ -6,10 +6,8 @@ This module alone reads and writes these files of an `out_dir`:
   `write_json_object`, as `tabpretrain run` writes `config.json`;
 - `results.jsonl`, one `MethodRun` per line, appended by `append_run` and
   read by `load_runs`;
-- `failures.jsonl`, one line per failed trial: its key, the exception and
-  its traceback;
-- `curves_<dataset id>_<method>_<setting>_<trial>.csv`, the per-epoch metrics
-  of a trial's two phases, each `_` of the dataset id doubled (`curves_name`).
+- `trace.jsonl`, one line per attempted trial, appended by `RunDir.record`:
+  its key, and either the exception and its traceback or each phase's curves.
 """
 
 from __future__ import annotations
@@ -146,15 +144,6 @@ def write_json_object(path, value: dict) -> None:
         raise
 
 
-def curves_name(key: tuple) -> str:
-    """The curves file of a (dataset id, method, setting, trial) key. Each
-    `_` of the dataset id is doubled and no method name starts with `_`, so
-    the first odd run of underscores ends the id, and no two keys share a
-    file; an id without `_` keeps its name. Curves written before the
-    doubling keep their old names."""
-    return "curves_{}_{}_{}_{}.csv".format(key[0].replace("_", "__"), *key[1:])
-
-
 class RunDir:
     """The run directory `out_dir` of one `run_benchmark` call, opened on
     the `pin` of what decides its records: `seed`, `results_version`, each
@@ -215,19 +204,25 @@ class RunDir:
             write_json_object(self._pin_path, self.pin)
 
     def record(self, outcome, res: dict | None) -> None:
-        """For a failed trial (`res` None, `outcome` a `methods.TrialFailure`)
-        one failure line, by `append_line`: its key, the exception and its
-        traceback. Else the trial's curves file and then its record, so a
-        trial with a record has its curves."""
+        """One trace line by `append_line`, with sorted keys, then the record
+        of a trial that has one, so a trial with a record has its curves and
+        one whose trace line fails leaves no record and reruns on resume. The
+        line holds the trial's key; a failed trial (`res` None, `outcome` a
+        `methods.TrialFailure`) adds the exception and its traceback, a
+        recorded one the train and validation curves of each phase, null
+        for a phase that did not run."""
+        line = {name: getattr(outcome, name)
+                for name in ("dataset_id", "method_name", "setting", "trial_index")}
         if res is None:
             exc = outcome.error
-            append_line(os.path.join(self.out_dir, "failures.jsonl"), json.dumps({
-                "dataset_id": outcome.dataset_id, "method_name": outcome.method_name,
-                "setting": outcome.setting, "trial_index": outcome.trial_index,
-                "error_type": type(exc).__name__, "message": str(exc),
-                "traceback": "".join(traceback.format_exception(exc))}))
+            line.update(error_type=type(exc).__name__, message=str(exc),
+                        traceback="".join(traceback.format_exception(exc)))
         else:
-            _write_curves(os.path.join(self.out_dir, curves_name(outcome.key())), res)
+            for phase in ("pretrain", "finetune"):
+                done = res[f"{phase}_outcome"]
+                line[phase] = done and {"train": done.train_curve, "validation": done.val_curve}
+        append_line(os.path.join(self.out_dir, "trace.jsonl"), json.dumps(line, sort_keys=True))
+        if res is not None:
             append_run(self._results, outcome)
 
     def close(self) -> None:
@@ -273,14 +268,3 @@ def _data_digest(dataset: ProcessedDataset) -> str:
     digest.update(repr((dataset.feature_blocks, dataset.classes, dataset.numerical_columns)).encode())
     return digest.hexdigest()
 
-
-def _write_curves(path, res: dict) -> None:
-    """Per-epoch train and validation metrics of a trial's two phases."""
-    with open(path, "w") as fh:
-        fh.write("phase,epoch,train_metric,validation_metric\n")
-        for phase_name, outcome in (("pretrain", res["pretrain_outcome"]),
-                                    ("finetune", res["finetune_outcome"])):
-            if outcome is None:
-                continue
-            for e, (tr, va) in enumerate(zip(outcome.train_curve, outcome.val_curve), start=1):
-                fh.write(f"{phase_name},{e},{tr:.10g},{va:.10g}\n")

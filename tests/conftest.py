@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,11 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def read_trace(out_dir) -> list[dict]:
+    """The lines of `out_dir`'s trace.jsonl, parsed."""
+    return [json.loads(line) for line in (Path(out_dir) / "trace.jsonl").read_text().splitlines()]
 
 
 def make_blob_dataset(n=400, d=8, seed=0, sep=4.0):

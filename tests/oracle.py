@@ -11,11 +11,17 @@ build and on the kernels that OpenBLAS picks for the CPU at run time (the
 `tests/oracle_digests.txt` holds that output without the runtime line.
 `python tests/oracle.py --check` reruns the grid and compares it with the file
 line by line: after the output it names each line that differs and exits 1.
-It exits 1 at once when the `env` line differs. `--variant NAME` runs only
-the entries of one hyperparameter variant and `--method NAME` only those of
-one method name, both together only those of both, with no overall digest. A change
-that must leave outputs alone passes `--check`. A change that moves outputs on
-purpose regenerates the file with
+It exits 1 at once when the `env` line differs. `--against REV` compares with
+what git revision REV's own oracle prints on this host instead, so it works
+on any host and offline: it exports REV's `src` and `tests` by `git archive`
+into a temporary directory, runs that tree's `tests/oracle.py` on that
+tree's `src` with the same filters, and after the output names each entry
+that moved, was added or was removed, then exits 1 if any line differs.
+`--variant NAME` runs only the entries of one hyperparameter variant and
+`--method NAME` only those of one method name, both together only those of
+both, with no overall digest. A change that must leave outputs alone passes
+`--check`; `--against HEAD` names the entries that uncommitted changes
+move. A change that moves outputs on purpose regenerates the file with
 `python tests/oracle.py | grep -v '^runtime ' > tests/oracle_digests.txt`, and
 the file's diff names the entries it moved. It also bumps
 `methods.RESULTS_VERSION`, which every run directory pins, and appends the
@@ -50,6 +56,7 @@ import ctypes
 import glob
 import hashlib
 import platform
+import subprocess
 import tempfile
 import time
 from functools import lru_cache
@@ -202,6 +209,37 @@ def line_key(line: str) -> str:
     return head if head in ("env", "overall") else rest
 
 
+def compare(theirs: list[str], ours: list[str], rev: str) -> list[str]:
+    """The report of `ours` against `theirs`, REV's lines, matched by
+    `line_key`: one line per entry that moved, then per entry that only
+    `ours` has (added) or only `theirs` has (removed), then the count."""
+    there = {line_key(line): line for line in theirs}
+    here = {line_key(line): line for line in ours}
+    report = [f"moved: {line} ({rev}: {there[key]})" for key, line in here.items()
+              if key in there and there[key] != line]
+    report += [f"added: {line}" for key, line in here.items() if key not in there]
+    report += [f"removed: {line}" for key, line in there.items() if key not in here]
+    return report + [f"against {rev}: {len(report)} of {len(here | there)} lines differ"]
+
+
+def run_at(rev: str, filters: list[str]) -> list[str]:
+    """The lines, without the runtime, that revision `rev`'s own oracle prints
+    on its own `src` under `filters`, from a `git archive` of its `src` and
+    `tests` in a temporary directory (no worktree, so nothing is written
+    into `.git`)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tree = subprocess.run(["git", "-C", root, "archive", rev, "src", "tests"],
+                          stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=tree, check=True)
+        env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src")}
+        proc = subprocess.run([sys.executable, os.path.join(tmp, "tests", "oracle.py"), *filters],
+                              capture_output=True, text=True, env=env, cwd=tmp)
+    if proc.returncode:
+        raise SystemExit(f"the oracle at {rev} exited {proc.returncode}:\n{proc.stderr}")
+    return [line for line in proc.stdout.splitlines() if not line.startswith("runtime ")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--margins", action="store_true",
@@ -211,6 +249,9 @@ def main(argv=None) -> int:
     parser.add_argument("--variant", choices=VARIANTS,
                         help="run only the entries of this hyperparameter variant")
     parser.add_argument("--method", choices=METHODS, help="run only the entries of this method")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with what git revision REV's oracle prints here; "
+                             "exit 1 if a line differs")
     args = parser.parse_args(argv)
     start = time.time()
     env = env_line()
@@ -240,6 +281,13 @@ def main(argv=None) -> int:
         print(f"check: {len(differ)} of {len(lines)} lines differ from "
               f"{os.path.basename(DIGESTS)}", flush=True)
         if differ:
+            return 1
+    if args.against:
+        filters = [arg for flag in ("variant", "method") if getattr(args, flag)
+                   for arg in (f"--{flag}", getattr(args, flag))]
+        report = compare(run_at(args.against, filters), [env, *lines], args.against)
+        print("\n".join(report), flush=True)
+        if len(report) > 1:
             return 1
     if args.margins:
         margins()

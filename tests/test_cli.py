@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import read_trace
 from tabpretrain import cli, rundir
 from tabpretrain.cli import CONFIG_DEFAULTS, main
 from tabpretrain.training import Hyperparameters
@@ -48,9 +50,9 @@ def write_dataset(tmp_path, n=60, with_empty_column=False):
 def write_bad_cell(tmp_path, cell):
     """The toy dataset with `cell` as f1 of CSV row 4 (the header is row 1)."""
     csv, schema = write_dataset(tmp_path)
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     lines[3] = ",".join([cell] + lines[3].split(",")[1:])
-    open(csv, "w").write("\n".join(lines) + "\n")
+    Path(csv).write_text("\n".join(lines) + "\n")
     return csv, schema
 
 
@@ -58,24 +60,24 @@ def write_unscorable(tmp_path, case):
     """The toy dataset with no label in CSV row 4, or with every feature cell
     empty, and the error that ingestion gives for it."""
     csv, schema = write_dataset(tmp_path)
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     if case == "empty_label":
         lines[3] = lines[3].rsplit(",", 1)[0] + ","
         error = "row 4 has no label"
     else:
         lines[1:] = [",," + line.rsplit(",", 1)[1] for line in lines[1:]]
         error = "no feature column has a value"
-    open(csv, "w").write("\n".join(lines) + "\n")
+    Path(csv).write_text("\n".join(lines) + "\n")
     return csv, schema, error
 
 
 def write_repeated_header(tmp_path):
     """The toy dataset with its header naming f1 twice, over a fourth column."""
     csv, schema = write_dataset(tmp_path)
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     lines = ["f1,f2,f1,target"] + [f"{a},{b},{100 * k},{c}"
                                    for k, (a, b, c) in enumerate(ln.split(",") for ln in lines[1:])]
-    open(csv, "w").write("\n".join(lines) + "\n")
+    Path(csv).write_text("\n".join(lines) + "\n")
     return csv, schema
 
 
@@ -84,9 +86,9 @@ def write_stray_quote(tmp_path, row):
     the csv module's 131,072-character field limit, with a quote opening
     that row (the header is row 1)."""
     csv, schema = write_dataset(tmp_path, n=8000)
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     lines[row - 1] = '"' + lines[row - 1]
-    open(csv, "w").write("\n".join(lines) + "\n")
+    Path(csv).write_text("\n".join(lines) + "\n")
     return csv, schema
 
 
@@ -316,7 +318,7 @@ class TestConfiguration:
         paths = {"schema": schema, "config": write_config(tmp_path), "pin": out / "pin.json"}
         if which == "pin":
             out.mkdir()
-        open(paths[which], "wb").write(content)
+        Path(paths[which]).write_bytes(content)
 
         def snapshot():
             return {p: p.read_bytes() for p in out.iterdir()} if out.exists() else None
@@ -368,14 +370,14 @@ class TestRun:
         assert runs[0].method_name == "control"
         assert runs[0].pretrain_epochs == 0
         assert 0.0 <= runs[0].test_accuracy <= 1.0
-        assert (out / "config.json").exists()
-        assert (out / "curves_toy_control_full_0.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "pin.json", "results.jsonl", "trace.jsonl"]
         assert "trial 0" in capsys.readouterr().out
 
     def test_pin_and_config_get_the_mode_of_the_other_files(self, tmp_path):
         """`pin.json` and `config.json` used to come out 0600, the mode of a
         `tempfile.mkstemp` file that `os.replace` keeps, beside the 0644 that
-        umask 022 gives `results.jsonl` and the curves."""
+        umask 022 gives `results.jsonl` and the trace."""
         csv, schema = write_dataset(tmp_path)
         cfg = write_config(tmp_path)
         out = tmp_path / "results"
@@ -387,7 +389,7 @@ class TestRun:
             os.umask(before)
         modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
         assert modes == {"pin.json": 0o644, "config.json": 0o644, "results.jsonl": 0o644,
-                         "curves_toy_control_full_0.csv": 0o644}
+                         "trace.jsonl": 0o644}
         assert not list(out.glob("*.tmp"))
 
     def test_pretrained_method_records_pretrain_epochs(self, tmp_path):
@@ -399,8 +401,10 @@ class TestRun:
         assert code == 0
         runs = rundir.load_runs(out / "results.jsonl")
         assert runs[0].pretrain_epochs >= 1
-        curves = (out / "curves_toy_scarf_full_0.csv").read_text()
-        assert "pretrain,1," in curves and "finetune,1," in curves
+        [trace] = read_trace(out)
+        assert len(trace["pretrain"]["train"]) == len(trace["pretrain"]["validation"]) \
+            == runs[0].pretrain_epochs
+        assert len(trace["finetune"]["validation"]) == runs[0].epochs_used >= 1
 
     def test_rerun_resumes_completed_trials(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
@@ -614,7 +618,7 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and error in err
-        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+        assert not (out / "results.jsonl").exists() and not (out / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("n, error", [(0, "{csv}: no data rows"),
                                           (1, "dataset 'toy' has 1 rows, fewer than the 10 a "
@@ -652,7 +656,7 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == \
             f"run failed: {csv}: header names column(s) more than once: ['f1']\n"
-        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+        assert not (out / "results.jsonl").exists() and not (out / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("key", ["dataset", "schema"])
     def test_missing_dataset_or_schema_named(self, tmp_path, capsys, key):
@@ -674,7 +678,7 @@ class TestRun:
                      "--schema", schema, "--method", "scarf", "--out", str(out)])
         assert code == 1
         assert f"run failed: hyperparameter {key!r} must be of type" in capsys.readouterr().err
-        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+        assert not (out / "results.jsonl").exists() and not (out / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("flag, value", [("--trials", "-2"), ("--jobs", "0")])
     def test_trials_or_jobs_below_one_fail(self, tmp_path, capsys, flag, value):
@@ -684,7 +688,7 @@ class TestRun:
                      "--method", "control", flag, value, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"run failed: {flag[2:]} must be at least 1, got {value}\n"
-        assert not (out / "results.jsonl").exists() and not (out / "failures.jsonl").exists()
+        assert not (out / "results.jsonl").exists() and not (out / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("case", ["method", "mistyped", "trials", "dataset"])
     def test_rejected_run_leaves_config_json_as_it_was(self, tmp_path, capsys, case):
@@ -744,8 +748,7 @@ class TestRun:
         assert code == 1
         assert "all trials failed" in capsys.readouterr().err
         assert not (out / "results.jsonl").exists() or rundir.load_runs(out / "results.jsonl") == []
-        failures = (out / "failures.jsonl").read_text().splitlines()
-        assert [json.loads(line)["error_type"] for line in failures] == ["TrainingDiverged"] * 2
+        assert [line["error_type"] for line in read_trace(out)] == ["TrainingDiverged"] * 2
 
     def test_jobs_do_not_change_output_bytes(self, tmp_path):
         csv, schema = write_dataset(tmp_path)
@@ -757,7 +760,8 @@ class TestRun:
                          "--method", "scarf", "--jobs", jobs, "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()
                             if p.name != "config.json"})
-        assert len(outputs[0]) == 6  # results.jsonl, pin.json and four curves files
+        assert sorted(outputs[0]) == ["pin.json", "results.jsonl", "trace.jsonl"]
+        assert len(outputs[0]["trace.jsonl"].splitlines()) == 4
         assert outputs[0] == outputs[1]
 
     def test_parallel_jobs_complete_all_trials(self, tmp_path):
@@ -931,7 +935,7 @@ class TestReport:
         and line, not with a traceback, and writes no report."""
         results = tmp_path / "results" / "results.jsonl"
         results.parent.mkdir()
-        results.write_text(open(self._results(tmp_path)).read() + line + "\n")
+        results.write_text(Path(self._results(tmp_path)).read_text() + line + "\n")
         out = tmp_path / "report"
         if command == "report":
             code = main(["report", "--results", str(results), "--methods", "scarf,control",
@@ -951,7 +955,7 @@ class TestReport:
         could not decode failed the command without naming the file."""
         results = tmp_path / "results" / "results.jsonl"
         results.parent.mkdir()
-        results.write_bytes(open(self._results(tmp_path), "rb").read() + b"\xff\n")
+        results.write_bytes(Path(self._results(tmp_path)).read_bytes() + b"\xff\n")
         out = tmp_path / "report"
         if command == "report":
             code = main(["report", "--results", str(results), "--methods", "scarf,control",

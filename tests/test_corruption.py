@@ -264,6 +264,15 @@ class TestMakeViews:
         np.testing.assert_array_equal(view_a, batch)
         assert not np.array_equal(view_b, batch)
 
+    def test_corrupt_one_view_a_is_the_batch_itself(self, rng):
+        """view_a used to be a copy of the batch, which the training step's
+        stack of the two views then copied again; nothing writes into it."""
+        ds = make_numeric_dataset(n=40, d=5)
+        pool = build_marginal_pool(ds, np.arange(30))
+        batch = ds.X[[3, 1, 4, 1, 5]]
+        view_a, _, _ = make_views(batch, Hyperparameters(), pool, rng)
+        assert np.shares_memory(view_a, batch)
+
     def test_strategy_none_both_views_equal_input(self, rng):
         ds = make_numeric_dataset(n=40, d=5)
         pool = build_marginal_pool(ds, np.arange(30))

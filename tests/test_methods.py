@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import threading
 import time
@@ -9,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import make_blob_dataset, make_numeric_dataset
+from conftest import make_blob_dataset, make_numeric_dataset, read_trace
 from tabpretrain import baselines, data, methods, rundir
 from tabpretrain.corruption import ConfigurationError
 from tabpretrain.data import (Schema, corrupt_labels, encode_csv, make_splits, process_csv,
@@ -549,8 +550,7 @@ class TestRunBenchmark:
                             "call writing to it", str(outcomes[second_rate]))
         assert read_json_object(tmp_path / "pin.json", "pin")["learning_rate"] == first_rate
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "curves_blob_control_full_0.csv", "curves_blob_control_full_1.csv", "pin.json",
-            "results.jsonl"]
+            "pin.json", "results.jsonl", "trace.jsonl"]
         assert len(rundir.load_runs(tmp_path / "results.jsonl")) == 2
         assert list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path,
                                   replace(FAST_HP, learning_rate=first_rate))) == []
@@ -670,40 +670,39 @@ class TestRunBenchmark:
         assert isinstance(failure, TrialFailure)
         assert str(failure.error) == ("non-finite test_accuracy nan for "
                                       "('blob', 'control', 'full', 0)")
-        [line] = (tmp_path / "failures.jsonl").read_text().splitlines()
-        assert json.loads(line)["error_type"] == "ValueError"
+        [line] = read_trace(tmp_path)
+        assert line["error_type"] == "ValueError"
         assert not (tmp_path / "results.jsonl").exists()
         monkeypatch.setattr(methods, "run_method", run_method)
         assert [r.trial_index for r in run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0,
                                                      tmp_path, FAST_HP)] == [0]
 
-    def test_record_written_after_its_curves(self, tmp_path, monkeypatch):
-        """A curves write that failed used to leave the trial's record, so the
-        resume skipped the trial and its curves never came."""
-        real_write = rundir._write_curves
+    def test_record_written_after_its_trace_line(self, tmp_path, monkeypatch):
+        """A trace append that fails leaves no record, so the trial reruns on
+        resume and its curves come then."""
+        real_append = rundir.append_line
 
-        def failing_write(*args):
-            monkeypatch.setattr(rundir, "_write_curves", real_write)
-            raise OSError("disk full")
+        def failing_append(path, line):
+            if os.path.basename(path) == "trace.jsonl":
+                monkeypatch.setattr(rundir, "append_line", real_append)
+                raise OSError("disk full")
+            real_append(path, line)
 
-        monkeypatch.setattr(rundir, "_write_curves", failing_write)
+        monkeypatch.setattr(rundir, "append_line", failing_append)
         ds = make_blob_dataset(n=120, d=4, seed=4)
         with pytest.raises(OSError, match="disk full"):
             list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP))
         assert not (tmp_path / "results.jsonl").exists()
         assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 1, 0, tmp_path,
                                       FAST_HP))) == 1
-        assert (tmp_path / "curves_blob_control_full_0.csv").exists()
+        assert [line["trial_index"] for line in read_trace(tmp_path)] == [0]
 
-    @pytest.mark.parametrize("dataset_id", ["", ".", "..", "a/b"])
-    def test_dataset_id_that_is_not_one_file_name_raises_before_any_file(self, tmp_path,
-                                                                         dataset_id):
-        """It names the curves files: "a/b" used to append its record and then
-        fail to open `curves_a/b_...`."""
-        with pytest.raises(ValueError, match="is not one file name"):
-            run_benchmark({dataset_id: lambda: pytest.fail("loaded")}, ["control"], ["full"], 1,
-                          0, tmp_path / "o", FAST_HP)
-        assert not (tmp_path / "o").exists()
+    def test_dataset_id_that_names_a_path_runs(self, tmp_path):
+        """The id used to name the curves files, so "a/b" was refused."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        [record] = run_benchmark({"a/b": ds}, ["control"], ["full"], 1, 0, tmp_path, FAST_HP)
+        assert rundir.load_runs(tmp_path / "results.jsonl") == [record]
+        assert [line["dataset_id"] for line in read_trace(tmp_path)] == ["a/b"]
 
     def test_dataset_too_small_to_split_raises_before_any_file(self, tmp_path):
         """Every trial would fail to split it: it used to write the pin and
@@ -997,7 +996,8 @@ class TestRunBenchmark:
         assert [type(r) for r in first] == [rundir.MethodRun, TrialFailure, rundir.MethodRun]
         assert first[1].trial_index == 1 and "boom" in str(first[1].error)
         assert [r.trial_index for r in rundir.load_runs(out / "results.jsonl")] == [0, 2]
-        assert not (out / "curves_blob_control_full_1.csv").exists()
+        assert [("error_type" in line, "finetune" in line) for line in read_trace(out)] == [
+            (False, True), (True, False), (False, True)]
 
         monkeypatch.setattr(methods, "run_method", run_method)
         again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0,
@@ -1020,8 +1020,7 @@ class TestRunBenchmark:
             with np.errstate(all="ignore"):
                 list(run_benchmark({"mix": ds}, names, ["semi25"], 1, 0, out_dir=out,
                                    hp=replace(hp, learning_rate=lr)))
-        failures = [json.loads(line)
-                    for line in (diverged / "failures.jsonl").read_text().splitlines()]
+        failures = read_trace(diverged)
         assert [(f["method_name"], f["error_type"]) for f in failures] == [
             ("scarf_ae", "TrainingDiverged"), ("control", "TrainingDiverged"),
             ("self_train", "TrainingDiverged")]
@@ -1029,10 +1028,12 @@ class TestRunBenchmark:
         for f in failures[1:]:
             assert f["message"].startswith("fine-tuning diverged at epoch ")
         assert rundir.load_runs(diverged / "results.jsonl") == []
-        assert not (finite / "failures.jsonl").exists()
+        assert ["error_type" in line for line in read_trace(finite)] == [False]
         assert [r.method_name for r in rundir.load_runs(finite / "results.jsonl")] == ["scarf"]
 
-    def test_failed_trial_logged_to_failures_jsonl(self, tmp_path, monkeypatch):
+    def test_failed_trial_logged_to_the_trace(self, tmp_path, monkeypatch):
+        """Each attempt leaves one line: a failure that succeeds on resume
+        leaves two, the failure first."""
         ds = make_blob_dataset(n=120, d=4, seed=4)
         flaky_seed = derive_seed(0, "blob", 1, salt="control|full")
 
@@ -1043,9 +1044,9 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(methods, "run_method", flaky)
         list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, out_dir=tmp_path, hp=FAST_HP))
-        lines = (tmp_path / "failures.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        failure = json.loads(lines[0])
+        lines = read_trace(tmp_path)
+        assert len(lines) == 2 and "error_type" not in lines[0]
+        failure = lines[1]
         assert (failure["dataset_id"], failure["method_name"], failure["setting"],
                 failure["trial_index"]) == ("blob", "control", "full", 1)
         assert (failure["error_type"], failure["message"]) == ("RuntimeError", "boom")
@@ -1058,7 +1059,9 @@ class TestRunBenchmark:
         again = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
                                    out_dir=tmp_path, hp=FAST_HP))
         assert [r.trial_index for r in again] == [1]
-        assert (tmp_path / "failures.jsonl").read_text().splitlines() == lines
+        trace = read_trace(tmp_path)
+        assert trace[:2] == lines
+        assert (trace[2]["trial_index"], "error_type" in trace[2]) == (1, False)
 
     def test_loader_runs_only_for_a_dataset_with_trials_left(self, tmp_path):
         ds = make_blob_dataset(n=120, d=4, seed=4)

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -87,3 +88,33 @@ def test_defaults_and_scarf_entries_match_the_digest_file():
             pytest.skip(f"the digests were recorded under {recorded[0]!r}, this is {env!r}")
         assert proc.returncode == 0, proc.stdout[-2000:]
         assert proc.stdout.endswith(f"check: 0 of {count} lines differ from oracle_digests.txt\n")
+
+
+def test_compare_names_each_moved_added_and_removed_entry():
+    theirs = ["env a", "aaaa numeric defaults full scarf", "bbbb numeric defaults full control",
+              "cccc numeric defaults full mixup", "overall 1111"]
+    ours = ["env a", "aaaa numeric defaults full scarf", "dddd numeric defaults full control",
+            "eeee numeric defaults full scarf_ae", "overall 2222"]
+    assert oracle.compare(theirs, ours, "HEAD~1") == [
+        "moved: dddd numeric defaults full control (HEAD~1: bbbb numeric defaults full control)",
+        "moved: overall 2222 (HEAD~1: overall 1111)",
+        "added: eeee numeric defaults full scarf_ae",
+        "removed: cccc numeric defaults full mixup",
+        "against HEAD~1: 4 of 6 lines differ"]
+    assert oracle.compare(theirs, theirs, "HEAD") == ["against HEAD: 0 of 5 lines differ"]
+
+
+@pytest.mark.slow
+def test_against_head_runs_the_committed_oracle():
+    """`--against HEAD` runs the committed tree's own oracle from a `git
+    archive`, with no PYTHONPATH of the working tree, and ends with its
+    count line; whether a line differs depends on the uncommitted changes."""
+    root = os.path.dirname(os.path.dirname(oracle.__file__))
+    if subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = subprocess.run([sys.executable, oracle.__file__, "--against", "HEAD", "--variant",
+                           "defaults", "--method", "control"],
+                          capture_output=True, text=True, timeout=600)
+    summary = re.fullmatch(r"against HEAD: (\d+) of \d+ lines differ", proc.stdout.splitlines()[-1])
+    assert summary, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.returncode == (summary[1] != "0")

@@ -1,17 +1,18 @@
-"""The run directory's record format and file names; the pin and the lock
-are tested through `run_benchmark` in test_methods.py."""
+"""The run directory's record and trace formats; the pin and the lock are
+tested through `run_benchmark` in test_methods.py."""
 
 import json
 from contextlib import closing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import make_blob_dataset
-from tabpretrain.methods import FINETUNERS, SETTINGS, TrialFailure, parse_method, run_benchmark
-from tabpretrain.rundir import MethodRun, RunDir, append_run, completed_keys, curves_name, load_runs
-from tabpretrain.training import PRETRAINERS, Hyperparameters
+from conftest import make_blob_dataset, read_trace
+from tabpretrain.data import split_and_scale
+from tabpretrain.methods import TrialFailure, run_benchmark, run_method
+from tabpretrain.rundir import MethodRun, RunDir, append_run, completed_keys, load_runs
+from tabpretrain.training import Hyperparameters
 
 FAST_HP = Hyperparameters(hidden_dim=8, encoder_layers=2, head_layers=1, batch_size=16,
                           pretrain_max_epochs=2, finetune_max_epochs=2, val_build_epochs=2)
@@ -176,7 +177,7 @@ class TestRunDir:
         """A failure record cut off by a crash used to swallow the next one:
         the append ran on from the torn tail, leaving one line that is no
         JSON. The torn tail is cut off first, as for results.jsonl."""
-        path = tmp_path / "failures.jsonl"
+        path = tmp_path / "trace.jsonl"
         path.write_text('{"dataset_id": "a", "sett')
         with closing(RunDir(tmp_path, {})) as run_dir:
             run_dir.record(TrialFailure("d", "control", "full", 2, RuntimeError("boom")), None)
@@ -185,28 +186,46 @@ class TestRunDir:
         failure = json.loads(lines[0])
         assert (failure["dataset_id"], failure["trial_index"], failure["message"]) == ("d", 2, "boom")
 
-    def test_curves_names_are_one_to_one(self):
-        """`curves_{id}_{method}_{setting}_{trial}.csv` used to give
-        ("x", "ae_cotrain") and ("x_ae", "cotrain") one file. Each `_` of the
-        id is doubled now, so every key of these ids has a name of its own."""
-        names = [*PRETRAINERS, *FINETUNERS, *(f"{pre}+{recipe}" for pre in PRETRAINERS
-                                              for recipe in FINETUNERS)]
-        assert all(parse_method(name) for name in names)
-        keys = [(dataset_id, method, setting, trial) for dataset_id in ("x", "x_ae", "x_scarf+ae")
-                for method in names for setting in SETTINGS for trial in (0, 1, 10)]
-        assert len({curves_name(key) for key in keys}) == len(keys)
-        assert curves_name(("toy", "scarf", "full", 0)) == "curves_toy_scarf_full_0.csv"
-        assert curves_name(("x_ae", "cotrain", "full", 0)) == "curves_x__ae_cotrain_full_0.csv"
+    @pytest.mark.parametrize("method", ["control", "scarf"])
+    def test_trace_line_holds_the_curves_of_the_trial(self, tmp_path, method):
+        """A recorded trial's line holds its key and each phase's curves, as
+        its `TrainOutcome` holds them after a JSON round trip, and null for a
+        phase that did not run; its keys are sorted."""
+        res = run_method(method, *split_and_scale(make_blob_dataset(n=120, d=4), 7, "zscore"),
+                         "full", 3, FAST_HP)
+        record = MethodRun("x", method, 1, 3, "full", res["test_accuracy"], res["epochs_used"],
+                           res["pretrain_epochs"])
+        with closing(RunDir(tmp_path, {})) as run_dir:
+            run_dir.record(record, res)
+        [text] = (tmp_path / "trace.jsonl").read_text().splitlines()
+        line = json.loads(text)
+        assert text == json.dumps(line, sort_keys=True)
+        curves = {phase: None if outcome is None else
+                  {"train": outcome.train_curve, "validation": outcome.val_curve}
+                  for phase, outcome in (("pretrain", res["pretrain_outcome"]),
+                                         ("finetune", res["finetune_outcome"]))}
+        assert line == {"dataset_id": "x", "method_name": method, "setting": "full",
+                        "trial_index": 1, **curves}
+        assert (line["pretrain"] is None) == (method == "control")
+        assert load_runs(tmp_path / "results.jsonl") == [record]
 
-    def test_each_record_has_its_own_curves_file(self, tmp_path):
-        """Four records used to leave three curves files: the curves of
-        x/ae_cotrain were overwritten by those of x_ae/cotrain."""
-        sources = {"x": make_blob_dataset(n=120, d=4, seed=1),
-                   "x_ae": make_blob_dataset(n=120, d=4, seed=2)}
-        records = list(run_benchmark(sources, ["cotrain", "ae_cotrain"], ["full"], 1, 0, tmp_path,
-                                     FAST_HP))
-        assert len(records) == 4 and all(isinstance(r, MethodRun) for r in records)
-        assert sorted(p.name for p in tmp_path.glob("curves_*")) == sorted(
-            curves_name(r.key()) for r in records)
-        assert [r.key() for r in load_runs(tmp_path / "results.jsonl")] == [r.key() for r in records]
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # pool threads ignore np.errstate
+    def test_trace_is_the_same_bytes_for_any_jobs(self, tmp_path):
+        """At a learning rate of 1e6 scarf_ae diverges and the other methods
+        do not: one line per attempted trial, in trial order, for any jobs."""
+        ds = make_blob_dataset(n=120, d=4, seed=4)
+        hp = replace(FAST_HP, learning_rate=1e6)
+        for jobs in (1, 2):
+            outcomes = list(run_benchmark({"blob": ds}, ["control", "scarf", "scarf_ae"],
+                                          ["full", "semi25"], 2, 0, tmp_path / str(jobs), hp,
+                                          jobs=jobs))
+        assert [type(o) for o in outcomes].count(TrialFailure) == 4
+        trace = read_trace(tmp_path / "2")
+        assert [(t["method_name"], t["setting"], t["trial_index"]) for t in trace] == [
+            (o.method_name, o.setting, o.trial_index) for o in outcomes]
+        assert [t.get("error_type") for t in trace] == [
+            "TrainingDiverged" if o.method_name == "scarf_ae" else None for o in outcomes]
+        assert (tmp_path / "1" / "trace.jsonl").read_bytes() == \
+            (tmp_path / "2" / "trace.jsonl").read_bytes()
+
 
