@@ -1,8 +1,9 @@
 """Named training methods and the multi-trial benchmark runner.
 
-A method name is either a fine-tuning recipe ("control", "mixup", ...), a
-pre-trainer of `training.PRETRAINERS` ("scarf", "no_noise_ae", ...), or a
-"pretrain+recipe" combination such as "scarf+mixup" or "scarf+self_train".
+`METHODS` maps each of the 65 method names to its (pre-trainer, recipe): a
+fine-tuning recipe of `FINETUNERS` alone ("control", "mixup", ...), a
+pre-trainer of `training.PRETRAINERS` ("scarf", "no_noise_ae", ...) fine-tuned
+by control, or a "pretrain+recipe" combination such as "scarf+mixup".
 `training.pretrain_scarf(..., pre)` runs every pre-trainer and
 `training.finetune(..., recipe=)` every recipe it trains itself; the
 pseudo-labeling recipes of `baselines.PSEUDO_LABELERS` call `finetune`.
@@ -51,6 +52,11 @@ from tabpretrain.training import (
 
 FINETUNERS = (*FINETUNE_RECIPES, *baselines.PSEUDO_LABELERS)
 
+# in print order: the pre-trainers, the recipes, then each pre-trainer under each recipe
+METHODS = {**{pre: (pre, "control") for pre in training.PRETRAINERS},
+           **{recipe: (None, recipe) for recipe in FINETUNERS},
+           **{f"{pre}+{r}": (pre, r) for pre in training.PRETRAINERS for r in FINETUNERS}}
+
 SETTINGS = ("full", "noise30", "semi25")
 
 # The version of the program's outputs, pinned in every out_dir: bumped by
@@ -64,14 +70,8 @@ class UnknownMethodError(ValueError):
 
 
 def parse_method(name: str) -> tuple[str | None, str]:
-    parts = name.split("+")
-    if len(parts) == 1:
-        if parts[0] in training.PRETRAINERS:
-            return parts[0], "control"
-        if parts[0] in FINETUNERS:
-            return None, parts[0]
-    elif len(parts) == 2 and parts[0] in training.PRETRAINERS and parts[1] in FINETUNERS:
-        return parts[0], parts[1]
+    if isinstance(name, str) and name in METHODS:
+        return METHODS[name]
     raise UnknownMethodError(f"unknown method {name!r}")
 
 

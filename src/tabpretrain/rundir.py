@@ -7,7 +7,8 @@ This module alone reads and writes these files of an `out_dir`:
 - `results.jsonl`, one `MethodRun` per line, appended by `append_run` and
   read by `load_runs`;
 - `trace.jsonl`, one line per attempted trial, appended by `RunDir.record`:
-  its key, and either the exception and its traceback or each phase's curves.
+  its key, and either the exception and its traceback or each phase's curves,
+  stop reason and best epoch.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ class RunDir:
         one whose trace line fails leaves no record and reruns on resume. The
         line holds the trial's key; a failed trial (`res` None, `outcome` a
         `methods.TrialFailure`) adds the exception and its traceback, a
-        recorded one the train and validation curves of each phase, null
-        for a phase that did not run."""
+        recorded one the train and validation curves, the stop reason and
+        the best epoch of each phase, null for a phase that did not run."""
         line = {name: getattr(outcome, name)
                 for name in ("dataset_id", "method_name", "setting", "trial_index")}
         if res is None:
@@ -220,7 +221,8 @@ class RunDir:
         else:
             for phase in ("pretrain", "finetune"):
                 done = res[f"{phase}_outcome"]
-                line[phase] = done and {"train": done.train_curve, "validation": done.val_curve}
+                line[phase] = done and {"train": done.train_curve, "validation": done.val_curve,
+                                        "stop_reason": done.stop_reason, "best_epoch": done.best_epoch}
         append_line(os.path.join(self.out_dir, "trace.jsonl"), json.dumps(line, sort_keys=True))
         if res is not None:
             append_run(self._results, outcome)

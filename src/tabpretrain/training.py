@@ -462,18 +462,19 @@ DRAWS_SCARF_VIEWS = ("scarf", "scarf_ae", "scarf_disc", "scarf_aug", "cotrain")
 
 
 def _objective(pre, net: Mlp | None, hp: Hyperparameters, pool, rng: np.random.Generator):
-    """Objective `pre` as `(view, step)`: `view(batch)` returns the copy of a
-    batch that it works on (itself, plus N(0, 0.5^2) noise, or one SCARF view
-    drawn from `pool`, the phase's `MarginalPool`, with the pool's learnable
-    values as the missing values) and the copy's `CorruptionDraw`, None for a
-    noise copy; it does not read `net`. `step(batch)` returns the loss and
-    the gradients of `net`, the bundle's `net(pre)`, and of the pool's
-    learnable values if it has them, from one forward and one backward pass
-    of `net`; or None for a one-row scarf batch, where the contrastive loss,
-    hp's `pretrain_loss` by `_contrastive_loss`, has no negative."""
+    """Objective `pre` as `(view, step)`: `view(batch)` returns what it works
+    on (the batch itself, not a copy, as no caller writes into it; a copy
+    plus N(0, 0.5^2) noise; or one SCARF view drawn from `pool`, the phase's
+    `MarginalPool`, with the pool's learnable values as the missing values)
+    and its `CorruptionDraw`, None for the first two; it does not read
+    `net`. `step(batch)` returns the loss and the gradients of `net`, the
+    bundle's `net(pre)`, and of the pool's learnable values if it has them,
+    from one forward and one backward pass of `net`; or None for a one-row
+    scarf batch, where the contrastive loss, hp's `pretrain_loss` by
+    `_contrastive_loss`, has no negative."""
     def view(batch):
         if pre == "no_noise_ae":
-            return np.array(batch, copy=True), None
+            return batch, None
         if pre == "add_noise_ae":
             return batch + rng.normal(0.0, 0.5, size=batch.shape).astype(batch.dtype), None
         return corrupt_batch(batch, hp, pool, rng)

@@ -1,7 +1,7 @@
 """Output oracle: one digest per entry of a fixed `run_method` grid, and one
 over all entries.
 
-Run as `python tests/oracle.py [--margins]`. It prints an `env`
+Run as `python tests/oracle.py [--margins [--salts K]]`. It prints an `env`
 line, then one line per entry, `<digest> <dataset> <variant> <setting>
 <method>`, then `overall <digest>` and the runtime. Digests depend on the BLAS
 build and on the kernels that OpenBLAS picks for the CPU at run time (the
@@ -38,7 +38,11 @@ that the trial raised.
 `--margins` also prints the per-trial accuracies of acceptance criteria 5 and
 7 (control and scarf, 10 trials) and their margins, scarf's mean accuracy
 minus control's: criterion 5 holds at a margin of at least 0, criterion 7 at
-one of at least -0.005.
+one of at least -0.005. `--margins --salts K` then reruns those 40 trials K
+times, rerun k on the same splits and scaling with each method seed salted
+by k, and prints both margins of each rerun, then the mean, min and max of
+each criterion's margin over the K reruns, so a margin that a change moves can
+be told from one that a reseed moves.
 """
 
 from __future__ import annotations
@@ -65,10 +69,8 @@ import numpy as np
 
 from tabpretrain import training
 from tabpretrain.data import ProcessedDataset, Schema, encode_csv, split_and_scale
-from tabpretrain.methods import FINETUNERS, SETTINGS, derive_seed, run_method
+from tabpretrain.methods import METHODS, SETTINGS, derive_seed, run_method
 
-METHODS = ([*training.PRETRAINERS, *FINETUNERS]
-           + [f"{pre}+{recipe}" for pre in training.PRETRAINERS for recipe in FINETUNERS])
 BASE_HP = {"hidden_dim": 8, "pretrain_max_epochs": 3, "finetune_max_epochs": 3}
 VARIANTS = {
     "defaults": {},
@@ -88,6 +90,8 @@ VARIANTS = {
     "mean": {"corruption_strategy": "mean"},
 }
 GAPS_ENTRY = ("gaps", "defaults", "semi25", "scarf")
+# acceptance criteria 5 and 7: their numbers and settings
+CRITERIA = ((5, "semi25"), (7, "noise30"))
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_digests.txt")
 
 
@@ -151,15 +155,22 @@ def _outcome_fields(outcome) -> tuple:
             float(outcome.best_metric))
 
 
+def run_trial(dataset_id: str, dataset: ProcessedDataset, trial: int, setting: str, method: str,
+              hp: training.Hyperparameters, salt: int | None = None) -> dict:
+    """`run_method` of one trial of base seed 0, split, scaled and seeded as
+    `run_benchmark` does it; salt k keeps the split and the scaling and
+    reseeds the method alone, from `f"{method}|{setting}|{k}"`."""
+    method_salt = f"{method}|{setting}" + ("" if salt is None else f"|{salt}")
+    return run_method(method, *split_and_scale(dataset, derive_seed(0, dataset_id, trial), hp.scaling),
+                      setting, derive_seed(0, dataset_id, trial, salt=method_salt), hp)
+
+
 def entry_digest(entry: tuple[str, str, str, str]) -> str:
-    """The digest of one trial of `entry`, seeded as `run_benchmark` seeds
-    trial 0 of base seed 0."""
+    """The digest of trial 0 of `entry`, as `run_trial` runs it unsalted."""
     dataset_id, variant, setting, method = entry
-    seed = derive_seed(0, dataset_id, 0, salt=f"{method}|{setting}")
     hp = training.Hyperparameters(**BASE_HP, **VARIANTS[variant])
     try:
-        res = run_method(method, *split_and_scale(_dataset(dataset_id), derive_seed(0, dataset_id, 0),
-                                                  hp.scaling), setting, seed, hp)
+        res = run_trial(dataset_id, _dataset(dataset_id), 0, setting, method, hp)
         payload = (float(res["test_accuracy"]), res["epochs_used"], res["pretrain_epochs"],
                    _outcome_fields(res["pretrain_outcome"]),
                    _outcome_fields(res["finetune_outcome"]))
@@ -190,17 +201,40 @@ def env_line() -> str:
             f"core {blas_core()}")
 
 
-def margins() -> None:
-    from test_acceptance import _trial_accuracies, make_mixture
+def _accuracies(mixture, setting: str, salt: int | None = None) -> dict[str, list[float]]:
+    """Control's and scarf's test accuracies on trials 0..9 of the mixture,
+    unscaled as criteria 5 and 7 run them, under `run_trial`'s salt."""
+    hp = training.Hyperparameters(scaling="none")
+    return {method: [run_trial("mixture", mixture, trial, setting, method, hp, salt)["test_accuracy"]
+                     for trial in range(10)] for method in ("control", "scarf")}
 
-    by_setting = _trial_accuracies(make_mixture(), ["semi25", "noise30"], ["control", "scarf"])
-    for num, setting in ((5, "semi25"), (7, "noise30")):
-        accs = by_setting[setting]
-        for method in ("control", "scarf"):
-            print(f"criterion {num} {setting} {method} "
-                  + " ".join(f"{a:.4f}" for a in accs[method]))
-        margin = np.mean(accs["scarf"]) - np.mean(accs["control"])
-        print(f"criterion {num} margin {margin:+.5f}")
+
+def margins(salts: int = 0) -> None:
+    """Prints criteria 5 and 7's per-trial accuracies and margins; then, for
+    each salt k of 1..`salts`, the two margins of the rerun under salt k;
+    then each criterion's mean, min and max margin over those reruns."""
+    from test_acceptance import make_mixture
+
+    mixture = make_mixture()
+    for num, setting in CRITERIA:
+        accs = _accuracies(mixture, setting)
+        for method, values in accs.items():
+            print(f"criterion {num} {setting} {method} " + " ".join(f"{a:.4f}" for a in values))
+        print(f"criterion {num} margin {_margin(accs):+.5f}")
+    salted = {num: [] for num, _ in CRITERIA}
+    for salt in range(1, salts + 1):
+        for num, setting in CRITERIA:
+            salted[num].append(_margin(_accuracies(mixture, setting, salt)))
+            print(f"salt {salt} criterion {num} margin {salted[num][-1]:+.5f}")
+    if salts:
+        for num, values in salted.items():
+            print(f"criterion {num} margin over {salts} salts: mean {np.mean(values):+.5f} "
+                  f"min {min(values):+.5f} max {max(values):+.5f}")
+
+
+def _margin(accs: dict[str, list[float]]) -> float:
+    """Scarf's mean accuracy minus control's."""
+    return np.mean(accs["scarf"]) - np.mean(accs["control"])
 
 
 def line_key(line: str) -> str:
@@ -244,6 +278,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--margins", action="store_true",
                         help="also print criteria 5 and 7's accuracies and margins")
+    parser.add_argument("--salts", type=int, default=0, metavar="K",
+                        help="with --margins, also rerun those trials with the method seeds "
+                             "salted K ways and print each margin's mean, min and max")
     parser.add_argument("--check", action="store_true",
                         help=f"compare with {os.path.basename(DIGESTS)}; exit 1 if a line differs")
     parser.add_argument("--variant", choices=VARIANTS,
@@ -253,6 +290,8 @@ def main(argv=None) -> int:
                         help="compare with what git revision REV's oracle prints here; "
                              "exit 1 if a line differs")
     args = parser.parse_args(argv)
+    if args.salts < 0 or args.salts and not args.margins:
+        parser.error("--salts K needs --margins and K of at least 0")
     start = time.time()
     env = env_line()
     print(env, flush=True)
@@ -290,7 +329,7 @@ def main(argv=None) -> int:
         if len(report) > 1:
             return 1
     if args.margins:
-        margins()
+        margins(args.salts)
     return 0
 
 

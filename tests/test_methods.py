@@ -17,6 +17,7 @@ from tabpretrain.data import (Schema, corrupt_labels, encode_csv, make_splits, p
                               read_json_object)
 from tabpretrain.methods import (
     FINETUNERS,
+    METHODS,
     SETTINGS,
     TrialFailure,
     UnknownMethodError,
@@ -45,12 +46,19 @@ FAST_HP = Hyperparameters(
     self_train_iterations=2,
 )
 
-# every name that parse_method accepts
-METHOD_NAMES = [*FINETUNERS, *PRETRAINERS,
-                *(f"{pre}+{recipe}" for pre in PRETRAINERS for recipe in FINETUNERS)]
-
-
 class TestParseMethod:
+    def test_the_table_holds_every_pre_trainer_and_recipe_alone_and_combined(self):
+        """In print order: each pre-trainer fine-tuned by control, each recipe
+        alone, then each pre-trainer (the outer loop) under each recipe;
+        55 of the 65 names pre-train."""
+        names = list(METHODS.items())
+        assert names[:15] == ([(pre, (pre, "control")) for pre in PRETRAINERS]
+                              + [(recipe, (None, recipe)) for recipe in FINETUNERS])
+        assert names[15:] == [(f"{pre}+{recipe}", (pre, recipe))
+                              for pre in PRETRAINERS for recipe in FINETUNERS]
+        assert len(METHODS) == 65
+        assert sum(pre is not None for pre, _ in METHODS.values()) == 55
+
     def test_bare_finetuner(self):
         assert parse_method("control") == (None, "control")
         assert parse_method("mixup") == (None, "mixup")
@@ -62,17 +70,23 @@ class TestParseMethod:
         assert parse_method("scarf+mixup") == ("scarf", "mixup")
         assert parse_method("no_noise_ae+self_train") == ("no_noise_ae", "self_train")
 
-    def test_unknown_names_rejected(self):
-        for bad in ("scarfy", "mixup+scarf", "scarf+scarf", "a+b+c", ""):
-            with pytest.raises(UnknownMethodError):
-                parse_method(bad)
+    @pytest.mark.parametrize("bad", ["", "scarf+", "+control", "control+scarf", "scarf+scarf",
+                                     "scarf+mixup+control", "Scarf", "scarfy", "a+b+c"])
+    def test_unknown_names_rejected(self, bad):
+        with pytest.raises(UnknownMethodError, match=re.escape(f"unknown method {bad!r}")):
+            parse_method(bad)
+
+    @pytest.mark.parametrize("bad", [None, 3, ("scarf",), ["scarf"]])
+    def test_a_name_that_is_not_a_string_is_unknown(self, bad):
+        with pytest.raises(UnknownMethodError, match=re.escape(f"unknown method {bad!r}")):
+            parse_method(bad)
 
 
 class TestCheckMethod:
     """The method-dependent rules run before the first trial: a method that
     could only fail is rejected, and nothing is written."""
 
-    @pytest.mark.parametrize("method", METHOD_NAMES)
+    @pytest.mark.parametrize("method", METHODS)
     def test_missing_learnable_rejects_exactly_the_methods_that_cannot_step_it(
             self, method, tmp_path, monkeypatch):
         """A method that corrupts without stepping the learnable vector is
@@ -97,7 +111,7 @@ class TestCheckMethod:
         monkeypatch.setattr(methods, "run_method", lambda *args: calls.append(args))
         ds = make_blob_dataset(n=60, d=4, seed=6)
         hp = replace(FAST_HP, batch_size=1)
-        for method in METHOD_NAMES:
+        for method in METHODS:
             if parse_method(method)[0] is None:
                 assert check_method(method, Hyperparameters(batch_size=1)) == parse_method(method)
                 continue
@@ -106,7 +120,7 @@ class TestCheckMethod:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("method", METHOD_NAMES)
+    @pytest.mark.parametrize("method", METHODS)
     def test_bundle_heads_follow_from_the_method(self, method):
         pre, recipe = parse_method(method)
         for strategy in ("marginal", "missing_learnable"):

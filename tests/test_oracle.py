@@ -4,16 +4,20 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracle
+from conftest import make_numeric_dataset
 from tabpretrain import methods
+from tabpretrain.methods import derive_seed, run_benchmark
+from tabpretrain.training import Hyperparameters
 
 VERSIONS = os.path.join(os.path.dirname(oracle.DIGESTS), "results_versions.txt")
 
 
 def test_grid_holds_every_method_setting_dataset_and_variant():
-    assert len(oracle.METHODS) == 65
+    assert oracle.METHODS is methods.METHODS and len(oracle.METHODS) == 65
     assert len(oracle.entries()) == 65 * 3 * 2 * 14 + 1 == 5461
 
 
@@ -118,3 +122,85 @@ def test_against_head_runs_the_committed_oracle():
     summary = re.fullmatch(r"against HEAD: (\d+) of \d+ lines differ", proc.stdout.splitlines()[-1])
     assert summary, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.returncode == (summary[1] != "0")
+
+
+def fake_run_method(calls, accuracy=lambda seed: 1.0):
+    """A `run_method` that logs each call's method, setting, seed, splits and
+    table, and scores `accuracy(seed)`."""
+    def run(method, dataset, splits, setting, seed, hp):
+        calls.append((method, setting, seed, splits, dataset))
+        return {"test_accuracy": accuracy(seed), "epochs_used": 0, "pretrain_epochs": 0}
+    return run
+
+
+def test_an_unsalted_trial_is_run_benchmarks(monkeypatch):
+    """`run_trial` with no salt hands `run_method` the method seed, the
+    splits and the scaled table that `run_benchmark` hands it for that key."""
+    ds, hp = make_numeric_dataset(n=60, d=3), Hyperparameters(scaling="zscore")
+    benchmark, trials = [], []
+    monkeypatch.setattr(methods, "run_method", fake_run_method(benchmark))
+    monkeypatch.setattr(oracle, "run_method", fake_run_method(trials))
+    keys = [(trial, setting, method) for trial in range(2) for setting in ("full", "semi25")
+            for method in ("control", "scarf")]
+    assert len(list(run_benchmark({"d": ds}, ["control", "scarf"], ["full", "semi25"], 2, 0,
+                                  hp=hp))) == len(keys)
+    for key in keys:
+        oracle.run_trial("d", ds, *key, hp)
+    assert len(trials) == len(benchmark) == len(keys)
+    for (m, s, seed, splits, table), want in zip(trials, benchmark):
+        assert (m, s, seed) == want[:3]
+        for split in ("train", "validation", "test"):
+            np.testing.assert_array_equal(getattr(splits, split), getattr(want[3], split))
+        np.testing.assert_array_equal(table.X, want[4].X)
+
+
+def test_margins_salts_reseed_each_method_on_the_same_splits(monkeypatch, capsys):
+    """Under `run_method` stubbed, `--margins --salts 2` reruns the 40 trials
+    twice on each trial's splits and table, each salt k seeding each method
+    from "method|setting|k"; scarf scores 0.01 k above control under semi25
+    and 0.001 more under noise30, so the margins and their summary are known."""
+    calls, accuracy = [], {}
+    for trial in range(10):
+        for setting, extra in (("semi25", 0.0), ("noise30", 0.001)):
+            for salt in (None, 1, 2):
+                tail = "" if salt is None else f"|{salt}"
+                for method, gain in (("control", 0.0), ("scarf", 0.01 * (salt or 0) + extra)):
+                    seed = derive_seed(0, "mixture", trial, salt=f"{method}|{setting}{tail}")
+                    accuracy[seed] = 0.5 + gain
+    assert len(accuracy) == 10 * 2 * 3 * 2  # every seed differs
+    monkeypatch.setattr(oracle, "run_method", fake_run_method(calls, accuracy.__getitem__))
+    oracle.margins(2)
+    assert len(calls) == len(accuracy)
+    assert {seed for _, _, seed, _, _ in calls} == set(accuracy)
+    first = {}
+    for _, _, _, splits, table in calls:
+        trial = first.setdefault(splits.test.tobytes(), (splits, table))
+        np.testing.assert_array_equal(splits.train, trial[0].train)
+        np.testing.assert_array_equal(table.X, trial[1].X)
+    assert len(first) == 10
+    lines, tens = capsys.readouterr().out.splitlines(), " ".join(["0.5000"] * 10)
+    assert lines[:6] == [
+        f"criterion 5 semi25 control {tens}", f"criterion 5 semi25 scarf {tens}",
+        "criterion 5 margin +0.00000", f"criterion 7 noise30 control {tens}",
+        "criterion 7 noise30 scarf " + " ".join(["0.5010"] * 10), "criterion 7 margin +0.00100"]
+    assert lines[6:] == [
+        "salt 1 criterion 5 margin +0.01000", "salt 1 criterion 7 margin +0.01100",
+        "salt 2 criterion 5 margin +0.02000", "salt 2 criterion 7 margin +0.02100",
+        "criterion 5 margin over 2 salts: mean +0.01500 min +0.01000 max +0.02000",
+        "criterion 7 margin over 2 salts: mean +0.01600 min +0.01100 max +0.02100"]
+
+
+def test_margins_without_salts_print_no_rerun(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "run_method", fake_run_method([]))
+    oracle.margins()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[2::3] == ["criterion 5 margin +0.00000", "criterion 7 margin +0.00000"]
+
+
+@pytest.mark.parametrize("argv", [["--salts", "2"], ["--margins", "--salts", "-1"]])
+def test_salts_need_margins_and_a_count_of_at_least_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        oracle.main(argv)
+    assert exc.value.code == 2
+    assert "--salts K needs --margins" in capsys.readouterr().err

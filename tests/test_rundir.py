@@ -188,9 +188,10 @@ class TestRunDir:
 
     @pytest.mark.parametrize("method", ["control", "scarf"])
     def test_trace_line_holds_the_curves_of_the_trial(self, tmp_path, method):
-        """A recorded trial's line holds its key and each phase's curves, as
-        its `TrainOutcome` holds them after a JSON round trip, and null for a
-        phase that did not run; its keys are sorted."""
+        """A recorded trial's line holds its key and each phase's curves, stop
+        reason and best epoch, as its `TrainOutcome` holds them after a JSON
+        round trip, and null for a phase that did not run; its keys are
+        sorted."""
         res = run_method(method, *split_and_scale(make_blob_dataset(n=120, d=4), 7, "zscore"),
                          "full", 3, FAST_HP)
         record = MethodRun("x", method, 1, 3, "full", res["test_accuracy"], res["epochs_used"],
@@ -201,7 +202,8 @@ class TestRunDir:
         line = json.loads(text)
         assert text == json.dumps(line, sort_keys=True)
         curves = {phase: None if outcome is None else
-                  {"train": outcome.train_curve, "validation": outcome.val_curve}
+                  {"train": outcome.train_curve, "validation": outcome.val_curve,
+                   "stop_reason": outcome.stop_reason, "best_epoch": outcome.best_epoch}
                   for phase, outcome in (("pretrain", res["pretrain_outcome"]),
                                          ("finetune", res["finetune_outcome"]))}
         assert line == {"dataset_id": "x", "method_name": method, "setting": "full",

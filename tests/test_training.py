@@ -138,6 +138,15 @@ class TestStaticValidation:
         np.testing.assert_array_equal(copy, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_no_noise_view_is_the_batch_itself(self):
+        """Every batch is a fresh gather that nothing writes into, so the
+        no-noise autoencoder's view copies nothing and draws nothing."""
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        batch = make_numeric_dataset(n=20, d=4).X[np.arange(20)]
+        view, draw = view_of("no_noise_ae", Hyperparameters(), None, rng)(batch)
+        assert view is batch and draw is None
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_empty_split_rejected(self, rng):
         ds = make_numeric_dataset()
         pool = build_marginal_pool(ds, np.arange(10))
