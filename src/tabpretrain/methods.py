@@ -18,9 +18,10 @@ two methods of one trial train on the same rows but not on the same labels.
 
 `run_benchmark` is the one loop over trials, for the library and the CLI. It
 and `run_method` take the trial hyperparameters as the one frozen
-`training.Hyperparameters` that the trainers read. What a run keeps on disk
-(the pin, the lock, the records and the trace of every attempted trial) is
-the `rundir.RunDir` it opens, the one owner of the run directory.
+`training.Hyperparameters` that the trainers read. Every `run_benchmark`
+call keeps its pin, lock, records and the trace of every attempted trial in
+its run directory, through the `rundir.RunDir` it opens, the one owner of
+that directory.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ class TrialFailure:
 
 def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedDataset]],
                   methods: list[str], settings: list[str], trials: int, base_seed: int,
-                  out_dir=None, hp: Hyperparameters = Hyperparameters(),
+                  out_dir, hp: Hyperparameters = Hyperparameters(),
                   jobs: int = 1) -> Iterator[rundir.MethodRun | TrialFailure]:
     """An iterator that yields, in trial order, a MethodRun (or a TrialFailure
     if it raised) for each (dataset, method, setting, trial) not yet recorded
@@ -223,8 +224,7 @@ def run_benchmark(datasets: dict[str, ProcessedDataset | Callable[[], ProcessedD
             raise ValueError(f"unknown setting {setting!r}")
     pin = {"seed": base_seed, "results_version": RESULTS_VERSION, "data_digest": {}, **asdict(hp)}
     with ExitStack() as held:  # out_dir's lock, released here if this call raises
-        run_dir = held.enter_context(closing(
-            rundir.RunDir(out_dir, pin) if out_dir is not None else rundir.NoDir()))
+        run_dir = held.enter_context(closing(rundir.RunDir(out_dir, pin)))
         todo = [(dataset_id, method, setting, trial)
                 for dataset_id in datasets for trial in range(trials)
                 for setting in settings for method in methods

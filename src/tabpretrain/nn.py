@@ -289,12 +289,10 @@ def smooth_labels(onehot: np.ndarray, weight: float, num_classes: int) -> np.nda
 
 def dropout_mask(activations: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask of the activations' shape and dtype: 0 with
-    probability `rate`, else 1/(1-rate)."""
+    probability `rate`, else 1/(1-rate), from one draw of `rng` at any rate."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
     activations = as_float(activations)
-    if rate == 0.0:
-        return np.ones_like(activations)
     keep = rng.random(activations.shape) >= rate
     return np.divide(keep, 1.0 - rate, dtype=activations.dtype)
 

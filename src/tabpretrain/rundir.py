@@ -231,13 +231,6 @@ class RunDir:
         self._held.close()
 
 
-class NoDir:
-    """The run directory of a call without one: nothing done, nothing kept."""
-
-    done = frozenset()
-    pin_data = record = close = lambda *args: None
-
-
 def _lock_dir(out_dir) -> int:
     """A descriptor of directory `out_dir` that holds its exclusive flock;
     closing it unlocks."""

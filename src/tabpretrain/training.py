@@ -194,7 +194,6 @@ class TrainOutcome:
     epochs_used: int
     stop_reason: str  # "patience" | "max_epochs"
     best_epoch: int  # 1-based; 0 when no epoch ran
-    best_metric: float
 
 
 @dataclass(eq=False)  # a generated __eq__ would compare arrays
@@ -376,8 +375,7 @@ def _fit(phase: Phase, hp: Hyperparameters, rng: np.random.Generator) -> TrainOu
             break
     for p, b in zip(phase.params, best):
         p[...] = b
-    return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason, best_epoch,
-                        min(val_curve, default=np.inf))
+    return TrainOutcome(train_curve, val_curve, len(val_curve), stop_reason, best_epoch)
 
 
 BARLOW_OFFDIAG = 5e-3  # the off-diagonal weight of Barlow Twins

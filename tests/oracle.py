@@ -32,8 +32,9 @@ numeric one, and one with a 3-level one-hot block and 3 classes) x 14
 hyperparameter variants, at hidden width 8 and 3 epochs a phase, plus one
 `scarf` entry on a mixed CSV with gaps, ingested by `encode_csv`. An entry
 hashes the test accuracy, the epoch counts, both phases' curves, stop
-reasons, best epochs and best metrics, or the type and message of the error
-that the trial raised.
+reasons, best epochs and best metrics (each validation curve's minimum, inf
+for an empty one), or the type and message of the error that the trial
+raised.
 
 `--margins` also prints the per-trial accuracies of acceptance criteria 5 and
 7 (control and scarf, 10 trials) and their margins, scarf's mean accuracy
@@ -152,7 +153,7 @@ def _outcome_fields(outcome) -> tuple:
         return (None,)
     return ([float(v) for v in outcome.train_curve], [float(v) for v in outcome.val_curve],
             outcome.epochs_used, outcome.stop_reason, outcome.best_epoch,
-            float(outcome.best_metric))
+            float(min(outcome.val_curve, default=np.inf)))
 
 
 def run_trial(dataset_id: str, dataset: ProcessedDataset, trial: int, setting: str, method: str,

@@ -77,27 +77,34 @@ def mixture():
     return make_mixture()
 
 
-def _trial_accuracies(dataset, settings, methods, trials=10, dataset_id="mixture",
+def _trial_accuracies(dataset, settings, methods, out_dir, trials=10, dataset_id="mixture",
                       scaling="none", jobs=1):
     """Test accuracy of each method in trial order, by setting and method,
-    from one call of the library's trial loop with base seed 0; the mixture
-    is already on a unit scale, so by default it is not rescaled."""
-    accs = {s: {m: [] for m in methods} for s in settings}
-    for outcome in run_benchmark({dataset_id: dataset}, methods, settings, trials, 0,
-                                 hp=Hyperparameters(scaling=scaling), jobs=jobs):
+    from one call of the library's trial loop with base seed 0 into the new
+    run directory `out_dir`, whose results file must hold the records the
+    loop yielded; the mixture is already on a unit scale, so by default it is
+    not rescaled."""
+    accs, records = {s: {m: [] for m in methods} for s in settings}, []
+    for outcome in run_benchmark({dataset_id: dataset}, methods, settings, trials, 0, out_dir,
+                                 Hyperparameters(scaling=scaling), jobs=jobs):
         if isinstance(outcome, TrialFailure):
             raise outcome.error
+        records.append(outcome)
         accs[outcome.setting][outcome.method_name].append(outcome.test_accuracy)
+    assert len(records) == len(settings) * len(methods) * trials
+    assert rundir.load_runs(os.path.join(out_dir, "results.jsonl")) == records
     return accs
 
 
 @pytest.fixture(scope="module")
-def mixture_accuracies(mixture):
+def mixture_accuracies(mixture, tmp_path_factory):
     """The accuracies of criteria 5 and 7, from one trial loop over both
     their settings on two threads (a trial's outcome does not depend on the
-    settings beside it or on the threads), and the seconds it took."""
+    settings beside it or on the threads), and the seconds it took. The 40
+    records that `report` and a resume would read are the ones scored."""
     start = time.time()
-    accs = _trial_accuracies(mixture, ["semi25", "noise30"], ["control", "scarf"], jobs=2)
+    accs = _trial_accuracies(mixture, ["semi25", "noise30"], ["control", "scarf"],
+                             tmp_path_factory.mktemp("mixture"), jobs=2)
     return accs, time.time() - start
 
 
@@ -298,7 +305,7 @@ def test_criterion_5_semi_supervised_gain(mixture_accuracies):
 
 
 @criterion(6, "banknote spot reproduction: control >= 98.5, pre-trained >= 99.0")
-def test_criterion_6_banknote():
+def test_criterion_6_banknote(tmp_path):
     if not os.path.exists(BANKNOTE_CSV):
         pytest.skip(
             f"banknote CSV not found at {BANKNOTE_CSV}; download OpenML dataset "
@@ -310,7 +317,7 @@ def test_criterion_6_banknote():
     kinds = ["numerical"] * (len(header) - 1) + ["label"]
     schema = Schema([h.strip('"') for h in header], kinds)
     accs = _trial_accuracies(encode_csv(BANKNOTE_CSV, schema), ["full"], ["control", "scarf"],
-                             dataset_id="banknote", scaling="zscore")["full"]
+                             tmp_path, dataset_id="banknote", scaling="zscore")["full"]
     assert np.mean(accs["control"]) >= 0.985, np.mean(accs["control"])
     assert np.mean(accs["scarf"]) >= 0.990, np.mean(accs["scarf"])
     assert time.time() - start < 30 * 60
@@ -349,7 +356,7 @@ def test_criterion_8_early_stopping(mixture):
     cfg = Hyperparameters(pretrain_max_epochs=1000)
     out = pretrain_scarf(mixture, splits, bundle, cfg, np.random.default_rng(2))
     assert out.epochs_used < 1000 and out.stop_reason == "patience"
-    assert out.best_metric == min(out.val_curve)
+    assert out.val_curve[out.best_epoch - 1] == min(out.val_curve)
     pool = build_marginal_pool(mixture, splits.train)
     rng = np.random.default_rng(2)
     pairs = build_static_validation(
@@ -357,7 +364,7 @@ def test_criterion_8_early_stopping(mixture):
         _objective("scarf", bundle.net("scarf"), cfg, pool, rng)[0],
         rng, cfg.val_build_epochs, cfg.batch_size)
     restored = _validation_metric(bundle, pairs, cfg, "scarf")
-    assert abs(restored - out.best_metric) < 1e-12
+    assert abs(restored - out.val_curve[out.best_epoch - 1]) < 1e-12
 
 
 @criterion(9, "repeated cmd_run with one seed yields byte-identical results records")

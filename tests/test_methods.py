@@ -46,6 +46,11 @@ FAST_HP = Hyperparameters(
     self_train_iterations=2,
 )
 
+# what a stubbed `run_method` returns for a trial that ran, no phase recorded
+STUB_RESULT = {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0,
+               "pretrain_outcome": None, "finetune_outcome": None}
+
+
 class TestParseMethod:
     def test_the_table_holds_every_pre_trainer_and_recipe_alone_and_combined(self):
         """In print order: each pre-trainer fine-tuned by control, each recipe
@@ -736,7 +741,7 @@ class TestRunBenchmark:
             run_benchmark({"one": one}, ["control"], ["full"], 2, 0, tmp_path / "o", FAST_HP)
         assert not (tmp_path / "o").exists()
 
-    def test_finetune_trains_on_the_array_that_scale_returned(self, monkeypatch):
+    def test_finetune_trains_on_the_array_that_scale_returned(self, tmp_path, monkeypatch):
         # `scale` returns X in the training dtype, so run_method's cast to the
         # weights' dtype copies nothing and the trial holds one scaled X
         scaled, trained = [], []
@@ -754,7 +759,7 @@ class TestRunBenchmark:
         monkeypatch.setattr(data, "scale", tracked_scale)  # as `split_and_scale` calls it
         monkeypatch.setattr(methods, "finetune", checked_finetune)
         ds = make_blob_dataset(n=120, d=4, seed=4)
-        records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
+        records = list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path, FAST_HP))
         assert all(isinstance(r, rundir.MethodRun) for r in records)
         assert len(trained) == len(scaled) == 2
         assert all(t is s and t.dtype == np.float32 for t, s in zip(trained, scaled))
@@ -794,7 +799,7 @@ class TestRunBenchmark:
             assert ({p.name: p.read_bytes() for p in out.iterdir()}
                     == {p.name: p.read_bytes() for p in (tmp_path / "1").iterdir()})
 
-    def test_a_trial_that_writes_into_the_shared_table_fails(self, monkeypatch):
+    def test_a_trial_that_writes_into_the_shared_table_fails(self, tmp_path, monkeypatch):
         """The methods of one trial share its scaled table, read-only: a
         method that writes into it used to change only its own copy, and now
         it fails, and the next method of the trial reads the table as it
@@ -805,13 +810,13 @@ class TestRunBenchmark:
             seen.append(dataset.X.copy())
             if method == "control":
                 dataset.X[0, 0] += 1.0
-            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+            return STUB_RESULT
 
         monkeypatch.setattr(methods, "run_method", writer)
         ds = make_blob_dataset(n=40, d=2)
         before = ds.X.copy()
         failed, ran = run_benchmark({"blob": ds}, ["control", "mixup"], ["full"], 1, 0,
-                                    hp=FAST_HP)
+                                    tmp_path, FAST_HP)
         assert isinstance(failed, TrialFailure) and failed.method_name == "control"
         assert isinstance(failed.error, ValueError) and "read-only" in str(failed.error)
         assert isinstance(ran, rundir.MethodRun) and ran.method_name == "mixup"
@@ -823,7 +828,7 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("names, settings", [(["control"], ["full"]),
                                                  (["control", "mixup", "scarf"], ["full", "semi25"])],
                              ids=["one_key_a_trial", "six_keys_a_trial"])
-    def test_scaled_tables_alive_at_once(self, monkeypatch, jobs, names, settings):
+    def test_scaled_tables_alive_at_once(self, tmp_path, monkeypatch, jobs, names, settings):
         """No more than `jobs` + 1 scaled tables are ever alive, and no more
         than `jobs` where each trial has one key; none is left once the
         iterator ends."""
@@ -837,13 +842,13 @@ class TestRunBenchmark:
 
         def slow(method, dataset, splits, setting, seed, hp):
             time.sleep(0.005)
-            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+            return STUB_RESULT
 
         monkeypatch.setattr(methods, "split_and_scale", tracked)
         monkeypatch.setattr(methods, "run_method", slow)
         records = list(run_benchmark({"a": make_blob_dataset(n=40, d=2, seed=1),
                                       "b": make_blob_dataset(n=40, d=2, seed=2)},
-                                     names, settings, 4, 0, hp=FAST_HP, jobs=jobs))
+                                     names, settings, 4, 0, tmp_path, FAST_HP, jobs=jobs))
         keys_a_trial = len(names) * len(settings)
         assert len(records) == 8 * keys_a_trial and len(finalizers) == 8
         assert 1 <= peak[0] <= jobs + (keys_a_trial > 1)
@@ -858,7 +863,7 @@ class TestRunBenchmark:
     def test_unknown_method_raises(self, tmp_path):
         ds = make_blob_dataset(n=120, d=4, seed=5)
         with pytest.raises(UnknownMethodError):
-            list(run_benchmark({"blob": ds}, ["ghost"], ["full"], 1, 0, hp=FAST_HP))
+            list(run_benchmark({"blob": ds}, ["ghost"], ["full"], 1, 0, tmp_path, FAST_HP))
 
     @pytest.mark.parametrize("settings, scaling", [(["half"], "zscore"), (["full"], "zscroe")])
     def test_unknown_setting_or_scaling_raises_before_first_trial(self, tmp_path, monkeypatch,
@@ -1093,7 +1098,7 @@ class TestRunBenchmark:
                                    out_dir=tmp_path, hp=FAST_HP))
         assert [r.trial_index for r in again] == [1, 2] and loads == [1]
 
-    def test_closing_early_under_jobs_skips_the_queued_trials(self, monkeypatch):
+    def test_closing_early_under_jobs_skips_the_queued_trials(self, tmp_path, monkeypatch):
         """Closing the iterator after its first outcome waits for the trials
         already running and starts none of those still queued."""
         started = []
@@ -1101,16 +1106,16 @@ class TestRunBenchmark:
         def slow(method, dataset, splits, setting, seed, hp):
             started.append(seed)
             time.sleep(0.05)
-            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+            return STUB_RESULT
 
         monkeypatch.setattr(methods, "run_method", slow)
         trials = run_benchmark({"blob": make_blob_dataset(n=40, d=2)}, ["control"], ["full"],
-                               40, 0, hp=FAST_HP, jobs=2)
+                               40, 0, tmp_path, FAST_HP, jobs=2)
         next(trials)
         trials.close()
         assert len(started) <= 6
 
-    def test_jobs_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch):
+    def test_jobs_run_on_one_blas_thread_and_restore_the_count(self, tmp_path, monkeypatch):
         """Under jobs > 1 the trials see one OpenBLAS thread, and the count
         before comes back after the iterator closes early or ends; jobs = 1
         leaves it alone."""
@@ -1123,41 +1128,41 @@ class TestRunBenchmark:
         def counting(method, dataset, splits, setting, seed, hp):
             seen.append(get())
             time.sleep(0.01)
-            return {"test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0}
+            return STUB_RESULT
 
         monkeypatch.setattr(methods, "run_method", counting)
         ds = make_blob_dataset(n=40, d=2)
         original = get()
         set_(2)
         try:
-            trials = run_benchmark({"blob": ds}, ["control"], ["full"], 40, 0, hp=FAST_HP, jobs=2)
+            trials = run_benchmark({"blob": ds}, ["control"], ["full"], 40, 0, tmp_path / "a",
+                                   FAST_HP, jobs=2)
             assert get() == 2  # no trial has started
             next(trials)
             assert get() == 1
             trials.close()
             assert get() == 2
-            assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0, hp=FAST_HP,
-                                          jobs=2))) == 3
+            assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 3, 0,
+                                          tmp_path / "b", FAST_HP, jobs=2))) == 3
             assert get() == 2 and set(seen) == {1}
             seen.clear()
-            list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, hp=FAST_HP))
+            list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0, tmp_path / "c", FAST_HP))
             assert seen == [2, 2] and get() == 2
         finally:
             set_(original)
 
-    def test_nested_jobs_iterators_restore_the_count_once_both_end(self, monkeypatch):
+    def test_nested_jobs_iterators_restore_the_count_once_both_end(self, tmp_path, monkeypatch):
         blas = methods._openblas_threads()
         if blas is None:
             pytest.skip("no known OpenBLAS thread count in this numpy")
         get, set_ = blas
-        monkeypatch.setattr(methods, "run_method", lambda *args: {
-            "test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0})
+        monkeypatch.setattr(methods, "run_method", lambda *args: STUB_RESULT)
         ds = make_blob_dataset(n=40, d=2)
         original = get()
         set_(2)
         try:
-            first, second = (run_benchmark({"blob": ds}, ["control"], ["full"], 4, 0, hp=FAST_HP,
-                                           jobs=2) for _ in range(2))
+            first, second = (run_benchmark({"blob": ds}, ["control"], ["full"], 4, 0,
+                                           tmp_path / name, FAST_HP, jobs=2) for name in "ab")
             next(first)
             next(second)
             first.close()
@@ -1167,20 +1172,19 @@ class TestRunBenchmark:
         finally:
             set_(original)
 
-    def test_jobs_without_a_known_blas_warn_once_and_run(self, monkeypatch):
+    def test_jobs_without_a_known_blas_warn_once_and_run(self, tmp_path, monkeypatch):
         monkeypatch.setattr(methods, "_OPENBLAS_NAMES", ())
-        monkeypatch.setattr(methods, "run_method", lambda *args: {
-            "test_accuracy": 1.0, "epochs_used": 1, "pretrain_epochs": 0})
+        monkeypatch.setattr(methods, "run_method", lambda *args: STUB_RESULT)
         ds = make_blob_dataset(n=40, d=2)
         methods._openblas_threads.cache_clear()
         try:
             with pytest.warns(UserWarning, match="no OpenBLAS thread count found"):
                 assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
-                                              hp=FAST_HP, jobs=2))) == 2
+                                              tmp_path / "a", FAST_HP, jobs=2))) == 2
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert len(list(run_benchmark({"blob": ds}, ["control"], ["full"], 2, 0,
-                                              hp=FAST_HP, jobs=2))) == 2
+                                              tmp_path / "b", FAST_HP, jobs=2))) == 2
         finally:
             methods._openblas_threads.cache_clear()
 
@@ -1198,8 +1202,8 @@ class TestRunBenchmark:
             return run_method(method, dataset, splits, setting, seed, hp)
 
         monkeypatch.setattr(methods, "run_method", capture)
-        list(run_benchmark({"mixed": raw}, ["control"], ["full"], 2, 0,
-                           hp=replace(FAST_HP, scaling=scaling)))
+        list(run_benchmark({"mixed": raw}, ["control"], ["full"], 2, 0, tmp_path / "out",
+                           replace(FAST_HP, scaling=scaling)))
         assert len(seen) == 2
         for trial, (ds, splits) in enumerate(seen):
             seed = derive_seed(0, "mixed", trial)

@@ -129,11 +129,12 @@ def fake_run_method(calls, accuracy=lambda seed: 1.0):
     table, and scores `accuracy(seed)`."""
     def run(method, dataset, splits, setting, seed, hp):
         calls.append((method, setting, seed, splits, dataset))
-        return {"test_accuracy": accuracy(seed), "epochs_used": 0, "pretrain_epochs": 0}
+        return {"test_accuracy": accuracy(seed), "epochs_used": 0, "pretrain_epochs": 0,
+                "pretrain_outcome": None, "finetune_outcome": None}
     return run
 
 
-def test_an_unsalted_trial_is_run_benchmarks(monkeypatch):
+def test_an_unsalted_trial_is_run_benchmarks(tmp_path, monkeypatch):
     """`run_trial` with no salt hands `run_method` the method seed, the
     splits and the scaled table that `run_benchmark` hands it for that key."""
     ds, hp = make_numeric_dataset(n=60, d=3), Hyperparameters(scaling="zscore")
@@ -143,7 +144,7 @@ def test_an_unsalted_trial_is_run_benchmarks(monkeypatch):
     keys = [(trial, setting, method) for trial in range(2) for setting in ("full", "semi25")
             for method in ("control", "scarf")]
     assert len(list(run_benchmark({"d": ds}, ["control", "scarf"], ["full", "semi25"], 2, 0,
-                                  hp=hp))) == len(keys)
+                                  tmp_path, hp))) == len(keys)
     for key in keys:
         oracle.run_trial("d", ds, *key, hp)
     assert len(trials) == len(benchmark) == len(keys)

@@ -79,7 +79,7 @@ class TestEarlyStopping:
     def test_stops_after_patience_nonimproving(self):
         out = scripted_fit([5.0, 4.0, 3.0, 3.0, 3.0, 3.0, 2.0], patience=3)
         assert out.epochs_used == 6 and out.stop_reason == "patience"
-        assert out.best_epoch == 3 and out.best_metric == 3.0
+        assert out.best_epoch == 3 and out.val_curve[out.best_epoch - 1] == 3.0
 
     def test_improvement_resets_counter(self):
         out = scripted_fit([5.0, 5.0, 4.0, 4.0, 4.0, 3.0], patience=2)
@@ -490,7 +490,6 @@ class TestFit:
         out, weights = run_trainer(trainer, ds, splits, 0, seed=0)
         assert out.epochs_used == 0 and out.stop_reason == "max_epochs"
         assert out.train_curve == [] and out.val_curve == [] and out.best_epoch == 0
-        assert out.best_metric == np.inf
         assert_arrays_equal(weights, before)
 
     @pytest.mark.parametrize("trainer", TRAINERS)
@@ -500,8 +499,7 @@ class TestFit:
         out, weights = run_trainer(trainer, ds, splits, 200, seed=3)
         assert out.stop_reason == "patience"
         assert len(out.train_curve) == len(out.val_curve) == out.epochs_used
-        assert out.best_metric == min(out.val_curve)
-        assert out.val_curve[out.best_epoch - 1] == out.best_metric
+        assert out.val_curve[out.best_epoch - 1] == min(out.val_curve)
         assert out.best_epoch < out.epochs_used  # a later epoch was rolled back
         # the same seeds stopped at the best epoch end on that epoch's weights
         short, best = run_trainer(trainer, ds, splits, out.best_epoch, seed=3)
@@ -567,7 +565,7 @@ class TestPretrainScarf:
         out = pretrain_scarf(ds, splits, bundle, cfg, rng)
         assert out.epochs_used < 1000
         assert out.stop_reason == "patience"
-        assert out.best_metric == pytest.approx(min(out.val_curve))
+        assert out.val_curve[out.best_epoch - 1] == min(out.val_curve)
         # running minimum of the validation curve is non-increasing by construction
         run_min = np.minimum.accumulate(out.val_curve)
         assert all(x >= y for x, y in zip(run_min, run_min[1:]))
@@ -674,7 +672,8 @@ class TestPretrainScarf:
         kept = [(_contrastive_loss(hp, z[pos], bundle.embed(corr), value_only=True), pos.size)
                 for pos, corr in zip(pairs.positions, pairs.corrupted) if pos.size >= 2]
         values, weights = zip(*kept)
-        assert out.best_metric == pytest.approx(np.average(values, weights=weights), rel=1e-9)
+        best = out.val_curve[out.best_epoch - 1]
+        assert best == pytest.approx(np.average(values, weights=weights), rel=1e-9)
 
     def test_restored_weights_achieve_best_metric(self):
         ds = make_numeric_dataset(n=150, d=5, seed=4)
@@ -692,7 +691,8 @@ class TestPretrainScarf:
                                         cfg.val_build_epochs, cfg.batch_size)
         from tabpretrain.training import _validation_metric
 
-        assert _validation_metric(bundle, pairs, cfg, "scarf") == pytest.approx(out.best_metric)
+        best = out.val_curve[out.best_epoch - 1]
+        assert _validation_metric(bundle, pairs, cfg, "scarf") == pytest.approx(best)
 
     def test_deterministic(self):
         ds = make_numeric_dataset(n=120, d=4, seed=5)
@@ -1015,7 +1015,7 @@ class TestPretrainAutoencoder:
         bundle = small_bundle(ds, rng, pre="no_noise_ae")
         hp = Hyperparameters(batch_size=32, pretrain_max_epochs=30)
         out = pretrain_scarf(ds, splits, bundle, hp, rng, "no_noise_ae")
-        assert out.best_metric < out.val_curve[0]
+        assert out.val_curve[out.best_epoch - 1] < out.val_curve[0]
 
 
 class TestPretrainDiscriminative:
@@ -1038,7 +1038,7 @@ class TestPretrainDiscriminative:
         bundle = small_bundle(ds, rng, pre="scarf_disc")
         cfg = Hyperparameters(batch_size=32, pretrain_max_epochs=5, corruption_strategy="none")
         out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_disc")
-        assert abs(out.best_metric - 0.5) <= 0.1
+        assert abs(out.val_curve[out.best_epoch - 1] - 0.5) <= 0.1
 
     def test_learns_to_discriminate_heavy_corruption(self):
         ds = make_blob_dataset(n=300, d=6, seed=13)
@@ -1047,7 +1047,7 @@ class TestPretrainDiscriminative:
         bundle = small_bundle(ds, rng, pre="scarf_disc")
         cfg = Hyperparameters(batch_size=64, pretrain_max_epochs=30, corruption_rate=1.0)
         out = pretrain_scarf(ds, splits, bundle, cfg, rng, "scarf_disc")
-        assert out.best_metric < 0.5
+        assert out.val_curve[out.best_epoch - 1] < 0.5
 
 
 class TestFinetune:
